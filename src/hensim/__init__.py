@@ -50,6 +50,7 @@ from hensim.entanglement import (
     concurrence_trajectory,
     concurrence_x,
     find_tc,
+    find_tc_batch,
     xstate_matrix,
 )
 

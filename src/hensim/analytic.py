@@ -152,6 +152,43 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> AveragedXState:
     return AveragedXState(a=a, b=b, c=c_el, d=d, z=z)
 
 
+def _decay(x):
+    """exp(-x), floored at exp(-300) ~ 5e-131.
+
+    Without the floor the tails underflow into subnormals, on which exp and
+    every later product run several times slower; the floor moves g by less
+    than 1e-130.
+    """
+    return np.exp(-np.minimum(x, 300.0))
+
+
+def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
+    """g(t) = |z| - sqrt(a d) of avg_xstate_two in real arithmetic; C = 2 max(0, g).
+
+    With P = (1 - 1/2a) exp(-(a + 1/2)^2 va t^2/2) and
+    M = (1 + 1/2a) exp(-(a - 1/2)^2 va t^2/2):
+
+        |z| = (1/4) exp(-vb t^2/2) sqrt(P^2 + M^2 + 2 P M cos(2 a wa t))
+        sqrt(a d) = (1/4) c^2 sqrt(xy) |1 - cos(2 a wa t) exp(-2 a^2 va t^2)|
+
+    omega_b only turns the phase of z and drops out. Every argument broadcasts,
+    so per-cell parameters of shape (cells, 1) meet a (cells, points) time grid.
+    Mean-zero noise is assumed, as in avg_xstate_two.
+    """
+    t2 = np.square(t)
+    inv2a = 0.5 / np.asarray(alpha, dtype=float)
+    half_va_t2 = 0.5 * var_a * t2
+    p = (1.0 - inv2a) * _decay((alpha + 0.5) ** 2 * half_va_t2)
+    m = (1.0 + inv2a) * _decay((alpha - 0.5) ** 2 * half_va_t2)
+    # cos(0) and exp(0) are exactly 1, so skipping them changes no bit
+    cos_term = np.cos(2.0 * alpha * omega_a * t) if np.any(omega_a) else 1.0
+    z_abs = 0.25 * np.sqrt(p * p + m * m + 2.0 * p * m * cos_term)
+    if np.any(var_b):
+        z_abs = z_abs * _decay(0.5 * var_b * t2)
+    relax = np.abs(1.0 - cos_term * _decay(2.0 * alpha**2 * var_a * t2))
+    return z_abs - 0.25 * (1.0 - inv2a * inv2a) * np.sqrt(xy) * relax
+
+
 def special_no_longitudinal(t, s: TwoQubitScenario):
     """(|z|, sqrt(a d)) with both noise variances zero (no relaxation at all)."""
     if s.noise_a.variance != 0.0 or s.noise_b.variance != 0.0:

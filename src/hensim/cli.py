@@ -11,12 +11,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
 from hensim.analytic import single_trajectory
 from hensim.ensemble import sample_ensemble
-from hensim.entanglement import concurrence_trajectory, find_tc
+from hensim.entanglement import FINITE, STATUSES, concurrence_trajectory, find_tc_batch
 from hensim.scenarios import (
     CouplingLaw,
     GaussianSpec,
@@ -159,12 +161,26 @@ def cmd_concurrence(ns) -> int:
     return EXIT_OK
 
 
+def _solver_meta(results) -> dict:
+    """Map-wide solver diagnostics for the output metadata; the table itself stays alpha, var, t_c."""
+    horizons = [r.t_max for r in results if r.status == FINITE]
+    return {
+        "tol": results[0].tolerance,
+        "status_counts": {st: sum(r.status == st for r in results) for st in STATUSES},
+        "t_max_range": [min(horizons), max(horizons)] if horizons else None,
+        "max_escalations": max((r.escalations for r in results), default=0),
+    }
+
+
 def cmd_tc_map(ns) -> int:
     cfg = merged_config(ns)
-    if float(cfg["omega_a"]) != 0.0 or float(cfg["var_eps_b"]) != 0.0:
+    base = _two_scenario(cfg)
+    if base.omega_a != 0.0 or base.noise_b.variance != 0.0:
         raise BadInput("tc-map requires omega_a = 0 and var_eps_b = 0")
     alpha_lo, alpha_hi = ns.alpha_range
     var_lo, var_hi = ns.var_range
+    if not all(math.isfinite(v) for v in (alpha_lo, alpha_hi, var_lo, var_hi)):
+        raise BadInput("ranges must be finite")
     if alpha_lo < 0.5:
         raise BadInput(f"alpha range must stay >= 1/2, got lower bound {alpha_lo}")
     if var_lo < 0:
@@ -174,36 +190,24 @@ def cmd_tc_map(ns) -> int:
     res = int(ns.resolution)
     if res < 1:
         raise BadInput("resolution must be >= 1")
-    alphas = np.linspace(alpha_lo, alpha_hi, res)
-    variances = np.linspace(var_lo, var_hi, res)
-    rows = []
-    for alpha in alphas:
-        for var in variances:
-            s = TwoQubitScenario(
-                omega_a=0.0,
-                omega_b=float(cfg["omega_b"]),
-                coupling=CouplingLaw(float(alpha)),
-                x=float(cfg["x"]),
-                y=1.0 - float(cfg["x"]),
-                noise_a=GaussianSpec(0.0, float(var)),
-                noise_b=GaussianSpec(0.0, 0.0),
-            )
-            tc = find_tc(s).t_c
-            rows.append([float(alpha), float(var), tc])
+    alphas = np.linspace(alpha_lo, alpha_hi, res).tolist()
+    variances = np.linspace(var_lo, var_hi, res).tolist()
+    # scenarios and rows are generated as they are read, so the results are
+    # the only per-cell list held in memory
+    results = find_tc_batch(
+        replace(base, coupling=CouplingLaw(alpha), noise_a=GaussianSpec(0.0, var))
+        for alpha, var in product(alphas, variances)
+    )
+    rows = ([alpha, var, r.t_c] for (alpha, var), r in zip(product(alphas, variances), results))
+    meta = {"config": cfg, "command": "tc-map", "alpha_range": list(ns.alpha_range),
+            "var_range": list(ns.var_range), "resolution": res,
+            "solver": _solver_meta(results)}
     header = ["alpha", "var_eps_a", "tc"]
     if cfg["format"] == "csv":
         write_csv(ns.out, header, rows)
-        write_json(ns.out + ".meta.json", {"config": cfg, "command": "tc-map",
-                                           "alpha_range": list(ns.alpha_range),
-                                           "var_range": list(ns.var_range),
-                                           "resolution": res})
+        write_json(ns.out + ".meta.json", meta)
     else:
-        write_json(ns.out, {
-            "meta": {"config": cfg, "command": "tc-map"},
-            "data": {"alpha": [r[0] for r in rows],
-                     "var_eps_a": [r[1] for r in rows],
-                     "tc": [r[2] for r in rows]},
-        })
+        write_json(ns.out, {"meta": meta, "data": dict(zip(header, zip(*rows)))})
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ constructed they can be shared freely across workers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -14,6 +15,12 @@ from typing import Any
 import numpy as np
 
 _NORM_TOL = 1e-12
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,6 +31,7 @@ class GaussianSpec:
     variance: float
 
     def __post_init__(self):
+        _require_finite(mean=self.mean, variance=self.variance)
         if not (self.variance >= 0.0):
             raise ValueError(f"variance must be nonnegative, got {self.variance}")
 
@@ -35,6 +43,7 @@ class CouplingLaw:
     alpha: float
 
     def __post_init__(self):
+        _require_finite(alpha=self.alpha)
         if not (self.alpha >= 0.5):
             raise ValueError(f"alpha must be >= 1/2, got {self.alpha}")
 
@@ -58,6 +67,7 @@ class SingleQubitScenario:
     noise: GaussianSpec
 
     def __post_init__(self):
+        _require_finite(omega_a=self.omega_a, xb=self.xb, yb=self.yb)
         norm = abs(self.xb) ** 2 + abs(self.yb) ** 2
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"|xb|^2 + |yb|^2 must be 1, got {norm!r}")
@@ -81,6 +91,7 @@ class TwoQubitScenario:
     noise_b: GaussianSpec
 
     def __post_init__(self):
+        _require_finite(omega_a=self.omega_a, omega_b=self.omega_b, x=self.x, y=self.y)
         if self.x < 0 or self.y < 0:
             raise ValueError(f"mixture weights must be nonnegative, got x={self.x}, y={self.y}")
         if abs(self.x + self.y - 1.0) > _NORM_TOL:
@@ -116,6 +127,7 @@ class Trajectory:
 
 def time_grid(t_max: float, points: int = 400) -> np.ndarray:
     """Uniform grid of ``points`` samples on [0, t_max] (default density 400)."""
+    _require_finite(t_max=t_max)
     if t_max <= 0 or points < 2:
         raise ValueError("need t_max > 0 and at least 2 points")
     return np.linspace(0.0, float(t_max), int(points))

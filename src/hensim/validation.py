@@ -6,6 +6,8 @@ these into a pass/fail report.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from hensim.analytic import (
@@ -13,6 +15,7 @@ from hensim.analytic import (
     avg_xstate_two,
     special_no_longitudinal,
     special_transverse_only,
+    xstate_gap,
 )
 from hensim.ensemble import (
     build_h_single,
@@ -166,6 +169,33 @@ def check_specializations(seed: int = 19):
     return "special-cases-vs-general", bool(worst <= 1e-12), f"max dev {worst:.3e}"
 
 
+def gap_oracle_scenario(rng, i: int) -> TwoQubitScenario:
+    """random_two_scenario, with alpha within 1e-9 to 1e-1 of 1/2 when i % 3 == 1
+    and a pure auxiliary mixture (x = 0 or 1) when i % 3 == 2."""
+    s = random_two_scenario(rng)
+    if i % 3 == 1:
+        s = replace(s, coupling=CouplingLaw(0.5 + 10.0 ** rng.uniform(-9, -1)))
+    elif i % 3 == 2:
+        x = float(rng.integers(2))
+        s = replace(s, x=x, y=1.0 - x)
+    return s
+
+
+def check_gap_closed_form(n_cases: int, seed: int = 31):
+    """Real-only sudden-death gap vs |z| - sqrt(a d) from the averaged X state."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 10.0, 64)
+    worst = 0.0
+    for i in range(n_cases):
+        s = gap_oracle_scenario(rng, i)
+        xs = avg_xstate_two(ts, s)
+        exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
+        gap = xstate_gap(ts, s.coupling.alpha, s.noise_a.variance, s.noise_b.variance,
+                         s.omega_a, s.x * s.y)
+        worst = max(worst, np.abs(gap - exact).max())
+    return "gap-closed-form-vs-xstate", bool(worst <= 1e-12), f"max dev {worst:.3e}"
+
+
 def check_mc_convergence(n: int, seed: int = 23):
     """Monte Carlo mean vs the analytic average for a zero-frequency setting."""
     s = SingleQubitScenario(
@@ -205,6 +235,7 @@ def run_suite(level: str = "quick"):
         check_two_qubit_oracle(max(n // 4, 50)),
         check_concurrence_dual_path(n),
         check_specializations(),
+        check_gap_closed_form(50),
         check_mc_convergence(2000 if level == "quick" else 8000),
     ]
     if level == "full":

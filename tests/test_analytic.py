@@ -18,12 +18,13 @@ from hensim.analytic import (
     special_transverse_only,
     steady_population,
     thermal_population,
+    xstate_gap,
 )
 from hensim.ensemble import sample_ensemble
 from hensim.entanglement import concurrence_x, xstate_matrix
 from hensim.linalg import validate_density
 from hensim.scenarios import CouplingLaw, GaussianSpec
-from hensim.validation import random_two_scenario
+from hensim.validation import check_gap_closed_form, gap_oracle_scenario, random_two_scenario
 
 
 class TestAvgPopulationSingle:
@@ -184,6 +185,40 @@ class TestAvgXStateTwo:
             dev = np.abs(mc.columns[name] - exact)
             bound = np.maximum(4.0 * mc.columns[name + "_se"], 1e-6)
             assert np.all(dev <= bound), name
+
+
+def gap_args(s):
+    return s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, s.omega_a, s.x * s.y
+
+
+class TestXStateGap:
+    def test_matches_xstate_elements(self, rng):
+        # random omega_a != 0 and var_b > 0; alpha near 1/2 and x in {0, 1} in turn
+        worst = 0.0
+        for i in range(500):
+            s = gap_oracle_scenario(rng, i)
+            ts = np.sort(rng.uniform(0.0, 12.0, 40))
+            xs = avg_xstate_two(ts, s)
+            exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
+            worst = max(worst, np.abs(xstate_gap(ts, *gap_args(s)) - exact).max())
+        assert worst <= 1e-12
+
+    def test_validation_check_passes(self):
+        name, passed, detail = check_gap_closed_form(50)
+        assert passed, detail
+
+    def test_per_cell_broadcast_equals_each_row(self, rng):
+        scenarios = [random_two_scenario(rng) for _ in range(7)]
+        cols = [np.array(col)[:, None] for col in zip(*map(gap_args, scenarios))]
+        ts = np.linspace(0.0, 6.0, 33) * np.linspace(1.0, 2.0, 7)[:, None]
+        table = xstate_gap(ts, *cols)
+        for row, s, t in zip(table, scenarios, ts):
+            assert np.array_equal(row, xstate_gap(t, *gap_args(s)))
+
+    def test_value_at_zero_and_sign_of_tail(self):
+        s = two_scenario(alpha=1.0, var_a=1.0)
+        assert xstate_gap(0.0, *gap_args(s)) == 0.5
+        assert xstate_gap(50.0, *gap_args(s)) < 0.0
 
 
 class TestSpecialCases:

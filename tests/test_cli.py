@@ -175,6 +175,64 @@ class TestTcMap:
                     "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_BAD_INPUT
 
+    def test_sidecar_records_solver_diagnostics(self, tmp_path):
+        out = tmp_path / "tc.csv"
+        assert run(["tc-map", "--x", "0.2", "--alpha-range", "0.5", "2",
+                    "--var-range", "0.5", "1", "--resolution", "3", "--out", str(out)]) == EXIT_OK
+        header, cols = read_csv(out)
+        assert header == ["alpha", "var_eps_a", "tc"]
+        solver = json.loads((tmp_path / "tc.csv.meta.json").read_text())["solver"]
+        assert solver["tol"] == 1e-8
+        assert solver["status_counts"] == {"finite": 6, "none": 3, "beyond-horizon": 0}
+        lo, hi = solver["t_max_range"]
+        assert 1.0 <= lo <= hi and max(tc for tc in cols["tc"] if tc is not None) < hi
+        assert solver["max_escalations"] == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_regime_beyond_horizon_leaves_cells_empty(self, tmp_path, fmt):
+        out = tmp_path / f"m.{fmt}"
+        code = run(["tc-map", "--x", "0.2", "--alpha-range", "0.5", "0.500001",
+                    "--var-range", "0.1", "2", "--resolution", "3", "--format", fmt,
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        counts = {"finite": 0, "none": 3, "beyond-horizon": 6}
+        if fmt == "csv":
+            _, cols = read_csv(out)
+            meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+            assert "nan" not in out.read_text().lower()
+        else:
+            payload = json.loads(out.read_text())
+            cols, meta = payload["data"], payload["meta"]
+        assert cols["tc"] == [None] * 9
+        assert meta["solver"]["status_counts"] == counts
+        assert meta["solver"]["t_max_range"] is None
+
+
+NON_FINITE_ARGV = [
+    ["relax", "--omega-a", "nan"],
+    ["relax", "--alpha", "inf"],
+    ["relax", "--var-eps-a", "inf"],
+    ["relax", "--t-max", "inf"],
+    ["concurrence", "--omega-b", "inf", "--format", "json"],
+    ["concurrence", "--x", "nan"],
+    ["concurrence", "--var-eps-b=-inf"],
+    ["tc-map", "--x", "nan", "--alpha-range", "1", "2", "--var-range", "0.5", "1",
+     "--resolution", "2"],
+    ["tc-map", "--omega-b", "inf", "--alpha-range", "1", "2", "--var-range", "0.5", "1",
+     "--resolution", "2"],
+    ["tc-map", "--alpha-range", "1", "nan", "--var-range", "0.5", "1", "--resolution", "2"],
+    ["tc-map", "--alpha-range", "1", "2", "--var-range", "0.5", "inf", "--resolution", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV, ids=" ".join)
+def test_non_finite_input_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    assert run(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
 
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,11 @@ from hensim.entanglement import (
     concurrence_trajectory,
     concurrence_x,
     find_tc,
+    find_tc_batch,
     xstate_matrix,
 )
 from hensim.linalg import DensityMatrixError
+from hensim.scenarios import GaussianSpec
 from hensim.validation import random_two_scenario
 
 
@@ -176,3 +181,109 @@ class TestFindTc:
         res = find_tc(two_scenario(alpha=0.5, var_a=1.0))
         assert isinstance(res, CriticalTime)
         assert res.bracket is None
+
+
+def seed_find_tc(s, grid_density=4000, tol=1e-8, verify_points=1000):
+    """The scalar solver as it stood before the batch one: one scenario, avg_xstate_two."""
+
+    def gap(t):
+        xs = avg_xstate_two(t, s)
+        return np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
+
+    alpha, va = s.coupling.alpha, s.noise_a.variance
+    if alpha == 0.5 or va == 0.0 or s.x * s.y == 0.0:
+        return None
+    t_max = max(2.0 * math.sqrt(math.log(1e2) / (2.0 * alpha**2 * va)), 1.0)
+    while gap(t_max) >= 0.0:
+        t_max *= 2.0
+        assert t_max <= 1e6
+    for density in (grid_density, 4 * grid_density, 16 * grid_density):
+        ts = np.linspace(0.0, t_max, density)
+        pos = gap(ts) > 0.0
+        crossings = np.nonzero(pos[:-1] & ~pos[1:])[0]
+        if len(crossings) == 0:
+            continue
+        lo, hi = float(ts[crossings[-1]]), float(ts[crossings[-1] + 1])
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if gap(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if np.all(gap(np.linspace(hi, t_max, verify_points)) <= 1e-10):
+            return hi
+    raise AssertionError("seed solver could not isolate t_c")
+
+
+# grid escalation: 4x denser scan needed for the first, 16x for the second
+ESCALATING = [
+    two_scenario(omega_a=400.0, alpha=0.6, x=0.5, var_a=0.05, var_b=0.5),
+    two_scenario(omega_a=1600.0, alpha=2.0, x=0.5, var_a=0.05),
+]
+NO_SUDDEN_DEATH = [
+    two_scenario(alpha=0.5, var_a=1.0),
+    two_scenario(var_a=0.0, var_b=1.0),
+    two_scenario(x=0.0),
+    two_scenario(x=1.0),
+]
+CRITERION_6_GRID = [
+    two_scenario(alpha=a, var_a=v)
+    for a in np.linspace(0.8, 2.5, 5) for v in np.linspace(0.3, 2.0, 5)
+]
+OSCILLATORY = [
+    two_scenario(omega_a=wa, alpha=alpha, var_a=0.5, var_b=0.5)
+    for wa in (3.0, 6.0) for alpha in (1.0, 1.5)
+]
+
+
+class TestFindTcBatch:
+    def test_matches_scalar_loop_and_seed_solver(self):
+        scenarios = CRITERION_6_GRID + OSCILLATORY + NO_SUDDEN_DEATH + ESCALATING
+        batch = find_tc_batch(scenarios)
+        for s, res in zip(scenarios, batch):
+            scalar = find_tc(s).t_c
+            seed = seed_find_tc(s)
+            assert (res.t_c is None) == (scalar is None) == (seed is None)
+            if res.t_c is not None:
+                assert abs(res.t_c - scalar) <= res.tolerance
+                assert abs(res.t_c - seed) <= res.tolerance
+
+    def test_cell_result_independent_of_batch(self):
+        # a tc-map-like grid around the oscillatory and escalating cells: the
+        # block partition differs between each solo run and the full batch
+        grid = [two_scenario(alpha=a, var_a=v)
+                for a in np.linspace(0.5, 3.0, 9) for v in np.linspace(0.1, 2.0, 9)]
+        scenarios = grid + OSCILLATORY + ESCALATING + NO_SUDDEN_DEATH
+        batch = find_tc_batch(scenarios)
+        assert find_tc_batch(scenarios[::-1]) == batch[::-1]
+        for s, res in zip(scenarios, batch):
+            assert find_tc(s) == res
+
+    def test_statuses_and_diagnostics(self):
+        for s in NO_SUDDEN_DEATH:
+            res = find_tc(s)
+            assert (res.status, res.t_c, res.t_max) == ("none", None, None)
+        res = find_tc(two_scenario(alpha=1.0, var_a=1.0))
+        assert res.status == "finite" and res.escalations == 0
+        assert res.t_c < res.t_max
+        assert [find_tc(s).escalations for s in ESCALATING] == [1, 2]
+
+    def test_beyond_horizon(self):
+        from hensim.entanglement import _gap
+
+        s = two_scenario(alpha=0.5000005, var_a=0.1)
+        res = find_tc(s)
+        assert (res.status, res.t_c, res.bracket) == ("beyond-horizon", None, None)
+        assert 5e5 < res.t_max <= 1e6
+        assert _gap(res.t_max, s) >= 0.0
+
+    def test_explicit_t_max_errors(self):
+        with pytest.raises(ValueError, match="t_max"):
+            find_tc_batch([two_scenario(var_a=1.0), two_scenario(var_a=0.05)], t_max=1.0)
+        with pytest.raises(ValueError, match="still positive"):
+            find_tc(two_scenario(alpha=0.5000005, var_a=0.1), t_max=1e3)
+
+    def test_nonzero_mean_rejected(self):
+        s = replace(two_scenario(), noise_b=GaussianSpec(0.3, 0.0))
+        with pytest.raises(ValueError, match="mean-zero"):
+            find_tc_batch([two_scenario(), s])
