@@ -17,6 +17,7 @@ from hensim.scenarios import (
     SingleQubitScenario,
     Trajectory,
     TwoQubitScenario,
+    XState,
 )
 
 
@@ -37,17 +38,6 @@ class ThermalTarget:
     def __post_init__(self):
         if not (self.beta_delta >= 0.0):
             raise ValueError(f"beta_delta must be nonnegative, got {self.beta_delta}")
-
-
-@dataclass
-class AveragedXState:
-    """Ensemble-averaged X-state elements (a, b, c, d real; z complex)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    z: np.ndarray
 
 
 def avg_population_single(t, s: SingleQubitScenario):
@@ -119,7 +109,7 @@ def dissipation_rate(t, law: CouplingLaw, var: float):
     return float(out) if out.ndim == 0 else out
 
 
-def avg_xstate_two(t, s: TwoQubitScenario) -> AveragedXState:
+def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
     """Averaged X-state elements of the two working qubits."""
     _require_mean_zero(s.noise_a, s.noise_b)
     t = np.asarray(t, dtype=float)
@@ -149,7 +139,7 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> AveragedXState:
         * np.exp(-0.5j * (wa + 2.0 * wb) * t)
         * (branch_plus + branch_minus)
     )
-    return AveragedXState(a=a, b=b, c=c_el, d=d, z=z)
+    return XState(a=a, b=b, c=c_el, d=d, z=z)
 
 
 def _decay(x):

@@ -2,7 +2,8 @@
 
 Configuration is accepted both as flags and as a JSON config file; flags
 override file values, and the merged effective config is echoed into the output
-metadata. Exit codes: 0 success, 1 validation failure, 2 bad input.
+metadata. Exit codes: 0 success, 1 validation failure, 2 bad input (including
+inputs that overflow double precision and an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -26,7 +28,7 @@ from hensim.scenarios import (
     TwoQubitScenario,
     time_grid,
 )
-from hensim.tables import emit_trajectory, write_csv, write_json
+from hensim.tables import write_csv, write_json
 from hensim.validation import run_suite
 
 EXIT_OK = 0
@@ -47,10 +49,12 @@ _DEFAULTS = {
     "seed": 12345,
     "format": "csv",
 }
+FORMATS = ("csv", "json")
+_INTEGER_KEYS = ("points", "samples", "seed")
 
 
-class BadInput(Exception):
-    """Configuration or flag error; maps to exit code 2."""
+class BadInput(ValueError):
+    """Configuration or flag error; maps to exit code 2, like every ValueError."""
 
 
 def _add_common(sub):
@@ -67,11 +71,28 @@ def _add_common(sub):
     sub.add_argument("--samples", type=int, help="Monte Carlo sample count (omit for analytic only)")
     sub.add_argument("--seed", type=int, help="master seed for the sample streams")
     sub.add_argument("--out", required=True, help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    sub.add_argument("--format", choices=FORMATS, help="output format (default csv)")
+
+
+def _check_file_value(key, val) -> None:
+    """Refuse a config-file value whose type the matching flag would not accept."""
+    if key == "format":
+        ok, kind = val in FORMATS, "'csv' or 'json'"
+    elif key in _INTEGER_KEYS:
+        ok, kind = type(val) is int or (key == "samples" and val is None), "an integer"
+    else:
+        ok, kind = type(val) in (int, float), "a number"
+    if not ok:
+        raise BadInput(f"config key {key!r} must be {kind}, got {json.dumps(val)}")
 
 
 def merged_config(ns: argparse.Namespace) -> dict:
-    """Defaults <- config file <- explicit flags, in increasing precedence."""
+    """Defaults <- config file <- explicit flags, in increasing precedence.
+
+    The config file must hold a JSON object over the flag names, each value of
+    the flag's type: a number, an integer for points, samples (or null) and
+    seed, and "csv" or "json" for format.
+    """
     cfg = dict(_DEFAULTS)
     if getattr(ns, "config", None):
         try:
@@ -79,9 +100,13 @@ def merged_config(ns: argparse.Namespace) -> dict:
                 from_file = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise BadInput(f"cannot read config file {ns.config}: {exc}") from exc
+        if not isinstance(from_file, dict):
+            raise BadInput(f"config file {ns.config} must hold a JSON object")
         unknown = set(from_file) - set(_DEFAULTS)
         if unknown:
             raise BadInput(f"unknown config keys: {sorted(unknown)}")
+        for key, val in from_file.items():
+            _check_file_value(key, val)
         cfg.update(from_file)
     for key in _DEFAULTS:
         val = getattr(ns, key, None)
@@ -94,70 +119,77 @@ def _single_scenario(cfg) -> SingleQubitScenario:
     xb = float(cfg["xb"])
     if not 0.0 <= xb <= 1.0:
         raise BadInput(f"xb must lie in [0, 1], got {xb}")
-    try:
-        return SingleQubitScenario(
-            omega_a=float(cfg["omega_a"]),
-            coupling=CouplingLaw(float(cfg["alpha"])),
-            xb=xb,
-            yb=math.sqrt(1.0 - xb**2),
-            noise=GaussianSpec(0.0, float(cfg["var_eps_a"])),
-        )
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
+    return SingleQubitScenario(
+        omega_a=float(cfg["omega_a"]),
+        coupling=CouplingLaw(float(cfg["alpha"])),
+        xb=xb,
+        yb=math.sqrt(1.0 - xb**2),
+        noise=GaussianSpec(0.0, float(cfg["var_eps_a"])),
+    )
 
 
 def _two_scenario(cfg) -> TwoQubitScenario:
     x = float(cfg["x"])
-    try:
-        return TwoQubitScenario(
-            omega_a=float(cfg["omega_a"]),
-            omega_b=float(cfg["omega_b"]),
-            coupling=CouplingLaw(float(cfg["alpha"])),
-            x=x,
-            y=1.0 - x,
-            noise_a=GaussianSpec(0.0, float(cfg["var_eps_a"])),
-            noise_b=GaussianSpec(0.0, float(cfg["var_eps_b"])),
-        )
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
+    return TwoQubitScenario(
+        omega_a=float(cfg["omega_a"]),
+        omega_b=float(cfg["omega_b"]),
+        coupling=CouplingLaw(float(cfg["alpha"])),
+        x=x,
+        y=1.0 - x,
+        noise_a=GaussianSpec(0.0, float(cfg["var_eps_a"])),
+        noise_b=GaussianSpec(0.0, float(cfg["var_eps_b"])),
+    )
 
 
-def _grid(cfg) -> np.ndarray:
-    try:
-        return time_grid(float(cfg["t_max"]), int(cfg["points"]))
-    except ValueError as exc:
-        raise BadInput(str(exc)) from exc
+def _emit(path, fmt, columns: dict, meta: dict) -> None:
+    """Write equal-length named columns as CSV plus a <path>.meta.json sidecar, or as one JSON file.
+
+    Cells are numbers or None (an empty CSV field, a JSON null); a NaN or
+    infinite cell is refused before any file is opened. ``fmt`` is one of
+    FORMATS, which merged_config checked before any work was done.
+    """
+    for name, col in columns.items():
+        if not all(v is None or math.isfinite(v) for v in col):
+            raise BadInput(f"column {name!r} has non-finite values: the inputs "
+                           "exceed the range of double precision")
+    if fmt == "csv":
+        write_csv(path, list(columns), zip(*columns.values()))
+        write_json(f"{path}.meta.json", meta)
+    else:
+        data = {name: [None if v is None else float(v) for v in col]
+                for name, col in columns.items()}
+        write_json(path, {"meta": meta, "data": data})
 
 
 def cmd_relax(ns) -> int:
     cfg = merged_config(ns)
     s = _single_scenario(cfg)
-    grid = _grid(cfg)
+    grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
     traj = single_trajectory(s, grid)
-    order = ["rho_pp", "re_rho_pm", "im_rho_pm"]
+    columns = {"t": traj.times, **traj.columns}
+    meta = {**traj.meta, "config": cfg, "command": "relax"}
     if cfg["samples"]:
         mc = sample_ensemble(s, int(cfg["samples"]), int(cfg["seed"]), grid, "single")
-        for name in ["rho_pp", "re_rho_pm", "im_rho_pm"]:
-            traj.columns[name + "_mc"] = mc.columns[name]
-            traj.columns[name + "_mc_se"] = mc.columns[name + "_se"]
-            order += [name + "_mc", name + "_mc_se"]
-        traj.meta.update({"n": mc.meta["n"], "seed": mc.meta["seed"]})
-    emit_trajectory(ns.out, traj, cfg["format"], {"config": cfg, "command": "relax"}, order)
+        for name in traj.columns:
+            columns[name + "_mc"] = mc.columns[name]
+            columns[name + "_mc_se"] = mc.columns[name + "_se"]
+        meta.update(n=mc.meta["n"], seed=mc.meta["seed"])
+    _emit(ns.out, cfg["format"], columns, meta)
     return EXIT_OK
 
 
 def cmd_concurrence(ns) -> int:
     cfg = merged_config(ns)
     s = _two_scenario(cfg)
-    grid = _grid(cfg)
+    grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
     traj = concurrence_trajectory(s, grid)
-    order = ["C"]
+    columns = {"t": traj.times, **traj.columns}
+    meta = {**traj.meta, "config": cfg, "command": "concurrence"}
     if cfg["samples"]:
         mc = concurrence_trajectory(s, grid, n=int(cfg["samples"]), master_seed=int(cfg["seed"]))
-        traj.columns["C_mc"] = mc.columns["C"]
-        order.append("C_mc")
-        traj.meta.update({"n": mc.meta["n"], "seed": mc.meta["seed"]})
-    emit_trajectory(ns.out, traj, cfg["format"], {"config": cfg, "command": "concurrence"}, order)
+        columns["C_mc"] = mc.columns["C"]
+        meta.update(n=mc.meta["n"], seed=mc.meta["seed"])
+    _emit(ns.out, cfg["format"], columns, meta)
     return EXIT_OK
 
 
@@ -192,22 +224,17 @@ def cmd_tc_map(ns) -> int:
         raise BadInput("resolution must be >= 1")
     alphas = np.linspace(alpha_lo, alpha_hi, res).tolist()
     variances = np.linspace(var_lo, var_hi, res).tolist()
-    # scenarios and rows are generated as they are read, so the results are
-    # the only per-cell list held in memory
+    # scenarios are generated as the solver reads them, so none is held in memory
     results = find_tc_batch(
         replace(base, coupling=CouplingLaw(alpha), noise_a=GaussianSpec(0.0, var))
         for alpha, var in product(alphas, variances)
     )
-    rows = ([alpha, var, r.t_c] for (alpha, var), r in zip(product(alphas, variances), results))
+    columns = {"alpha": [alpha for alpha in alphas for _ in variances],
+               "var_eps_a": variances * res, "tc": [r.t_c for r in results]}
     meta = {"config": cfg, "command": "tc-map", "alpha_range": list(ns.alpha_range),
             "var_range": list(ns.var_range), "resolution": res,
             "solver": _solver_meta(results)}
-    header = ["alpha", "var_eps_a", "tc"]
-    if cfg["format"] == "csv":
-        write_csv(ns.out, header, rows)
-        write_json(ns.out + ".meta.json", meta)
-    else:
-        write_json(ns.out, {"meta": meta, "data": dict(zip(header, zip(*rows)))})
+    _emit(ns.out, cfg["format"], columns, meta)
     return EXIT_OK
 
 
@@ -259,12 +286,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return ns.fn(ns)
-    except BadInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a non-finite result is refused by _emit, so numpy's warnings about
+        # the overflow behind it would only add lines to the one error line;
+        # the filter is process-wide, so it also covers the sampler's threads
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return ns.fn(ns)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # ValueError includes BadInput; ArithmeticError is an input that
+        # overflows double precision; OSError an output path that cannot be
+        # written (an unreadable config file is already a BadInput)
+        detail = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        print(f"error: {detail}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -1,75 +1,24 @@
-"""Single-realization Hamiltonians, closed-form propagators and Monte Carlo averaging.
+"""Closed-form single-realization dynamics and their Monte Carlo ensemble average.
 
-Basis conventions (|+> first):
-  single-qubit system: 4x4 matrices in the product basis A (x) B, i.e.
-  {|++>, |+->, |-+>, |-->};
-  two-qubit system: 8x8 matrices in the product basis A2 (x) A1 (x) B1
-  (auxiliary qubit first), so tracing out subsystem 0 leaves (A1, B1).
-
-The closed forms are the production path (O(1) per realization); the generic
-matrix exponential in hensim.linalg is the test-only oracle.
+Each realization costs O(1) per time point through the closed forms below;
+the dense Hamiltonians, propagators and matrix exponential they are checked
+against live in hensim.validation.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from hensim.linalg import IDENTITY_2, PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, kron
-from hensim.scenarios import (
-    SingleQubitScenario,
-    Trajectory,
-    TwoQubitScenario,
-)
+from hensim.scenarios import SingleQubitScenario, Trajectory, TwoQubitScenario, XState
 
 # Fixed chunk size: chunk boundaries must not depend on the worker count, so
 # that the index-ordered reduction is bit-identical for any parallelism.
 _CHUNK = 512
 
 _WORKERS_ENV = "HENSIM_WORKERS"
-
-
-def coupling_strength(eps: float, law, omega_a: float) -> float:
-    """f(eps) = sqrt(alpha^2 - 1/4) (eps - omega_a); real-valued."""
-    return np.sqrt(law.alpha**2 - 0.25) * (eps - omega_a)
-
-
-def build_h_single(eps: float, s: SingleQubitScenario) -> np.ndarray:
-    """4x4 realization Hamiltonian for the working qubit + auxiliary qubit pair."""
-    f = coupling_strength(eps, s.coupling, s.omega_a)
-    h = 0.5 * (s.omega_a * kron(PAULI_Z, IDENTITY_2) + eps * kron(IDENTITY_2, PAULI_Z))
-    h = h + f * (kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS))
-    return h
-
-
-def _sinct(e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sin(e t) / e with the removable e -> 0 singularity handled (limit t)."""
-    return t * np.sinc(e * t / np.pi)
-
-
-def propagator_single_closed(eps: float, t: float, s: SingleQubitScenario) -> np.ndarray:
-    """Closed-form evolution operator for build_h_single, block by block.
-
-    The {|+->, |-+>} block rotates with energy E = sqrt((omega_a - eps)^2/4 + f^2);
-    |++> and |--> pick up pure phases exp(-+ i (omega_a + eps) t / 2).
-    """
-    f = coupling_strength(eps, s.coupling, s.omega_a)
-    half_det = 0.5 * (s.omega_a - eps)
-    e = np.sqrt(half_det**2 + f**2)
-    cos_et = np.cos(e * t)
-    sfac = _sinct(e, np.asarray(float(t)))
-    u = np.zeros((4, 4), dtype=complex)
-    phase = 0.5 * (s.omega_a + eps) * t
-    u[0, 0] = np.exp(-1j * phase)
-    u[3, 3] = np.exp(1j * phase)
-    u[1, 1] = cos_et - 1j * sfac * half_det
-    u[2, 2] = cos_et + 1j * sfac * half_det
-    u[1, 2] = -1j * sfac * f
-    u[2, 1] = -1j * sfac * f
-    return u
 
 
 def evolve_single_realization(eps: float, t, s: SingleQubitScenario):
@@ -94,42 +43,7 @@ def evolve_single_realization(eps: float, t, s: SingleQubitScenario):
     return rho_pp, rho_pm
 
 
-def _op3(index: int, m: np.ndarray) -> np.ndarray:
-    ops = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
-    ops[index] = m
-    return kron(kron(ops[0], ops[1]), ops[2])
-
-
-def build_h_two(eps_a: float, eps_b: float, s: TwoQubitScenario) -> np.ndarray:
-    """8x8 realization Hamiltonian in the A2 (x) A1 (x) B1 basis.
-
-    The (A1, A2) part is the single-qubit model with random spacing eps_a; the
-    second working qubit B1 only carries the shifted frequency omega_b + eps_b.
-    """
-    f = coupling_strength(eps_a, s.coupling, s.omega_a)
-    h = 0.5 * (s.omega_a * _op3(1, PAULI_Z) + eps_a * _op3(0, PAULI_Z))
-    flip = kron(kron(SIGMA_MINUS, SIGMA_PLUS), IDENTITY_2)
-    h = h + f * (flip + flip.conj().T)
-    h = h + 0.5 * (s.omega_b + eps_b) * _op3(2, PAULI_Z)
-    return h
-
-
-@dataclass
-class XStateElements:
-    """The five nonzero entries (a, b, c, d, z) of the reduced (A1, B1) X state.
-
-    In the standard {|++>, |+->, |-+>, |-->} basis the diagonal is
-    (b, a, d, c) and z sits on the |++><--| corner.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    z: np.ndarray
-
-
-def evolve_two_realization(eps_a: float, eps_b: float, t, s: TwoQubitScenario) -> XStateElements:
+def evolve_two_realization(eps_a: float, eps_b: float, t, s: TwoQubitScenario) -> XState:
     """X-state elements of the two working qubits for one realization.
 
     Closed form with gamma(t) = sin(alpha (omega_a - eps_a) t) and
@@ -149,7 +63,7 @@ def evolve_two_realization(eps_a: float, eps_b: float, t, s: TwoQubitScenario) -
     b = 0.5 * s.x + 0.5 * s.y * (1.0 - c2 * g2)
     c_el = 0.5 * s.y + 0.5 * s.x * (1.0 - c2 * g2)
     z = 0.5 * (s.x + s.y) * zeta * (np.cos(arg) - 1j * gamma / (2.0 * alpha))
-    return XStateElements(a=a, b=b, c=c_el, d=d, z=z)
+    return XState(a=a, b=b, c=c_el, d=d, z=z)
 
 
 def seed_stream(master_seed: int, realization_index: int) -> np.random.Generator:
@@ -174,35 +88,29 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-_SINGLE_COLUMNS = ("rho_pp", "re_rho_pm", "im_rho_pm")
-_TWO_COLUMNS = ("a", "b", "c", "d", "re_z", "im_z")
+# observable: (scenario type, noise specs drawn per realization in this order,
+# names of the real columns that _chunk returns)
+_OBSERVABLES = {
+    "single": (SingleQubitScenario, ("noise",), ("rho_pp", "re_rho_pm", "im_rho_pm")),
+    "two": (TwoQubitScenario, ("noise_a", "noise_b"), ("a", "b", "c", "d", "re_z", "im_z")),
+}
 
 
-def _single_chunk(s, start, stop, master_seed, grid):
-    eps = np.empty(stop - start)
+def _chunk(s, specs, start, stop, master_seed, grid):
+    """Real columns of realizations start..stop-1 (rows) on the grid, in _OBSERVABLES order.
+
+    Realization i draws its spacings, one per spec, from seed_stream(master_seed, i).
+    """
+    eps = np.empty((len(specs), stop - start))
     for i in range(start, stop):
         rng = seed_stream(master_seed, i)
-        eps[i - start] = rng.normal(s.noise.mean, np.sqrt(s.noise.variance))
-    rho_pp, rho_pm = evolve_single_realization(eps[:, None], grid[None, :], s)
-    return {"rho_pp": rho_pp, "re_rho_pm": rho_pm.real, "im_rho_pm": rho_pm.imag}
-
-
-def _two_chunk(s, start, stop, master_seed, grid):
-    eps_a = np.empty(stop - start)
-    eps_b = np.empty(stop - start)
-    for i in range(start, stop):
-        rng = seed_stream(master_seed, i)
-        eps_a[i - start] = rng.normal(s.noise_a.mean, np.sqrt(s.noise_a.variance))
-        eps_b[i - start] = rng.normal(s.noise_b.mean, np.sqrt(s.noise_b.variance))
-    xs = evolve_two_realization(eps_a[:, None], eps_b[:, None], grid[None, :], s)
-    return {
-        "a": xs.a,
-        "b": xs.b,
-        "c": xs.c,
-        "d": xs.d,
-        "re_z": xs.z.real,
-        "im_z": xs.z.imag,
-    }
+        for k, spec in enumerate(specs):
+            eps[k, i - start] = rng.normal(spec.mean, np.sqrt(spec.variance))
+    if isinstance(s, SingleQubitScenario):
+        rho_pp, rho_pm = evolve_single_realization(*eps[:, :, None], grid, s)
+        return rho_pp, rho_pm.real, rho_pm.imag
+    xs = evolve_two_realization(*eps[:, :, None], grid, s)
+    return xs.a, xs.b, xs.c, xs.d, xs.z.real, xs.z.imag
 
 
 def sample_ensemble(
@@ -215,8 +123,8 @@ def sample_ensemble(
     """Arithmetic mean over n realizations of the per-realization elements.
 
     Chunks of fixed size are evaluated (possibly concurrently) and their partial
-    sums are combined in chunk order with Kahan compensation, so the output is
-    bit-identical for a fixed (master_seed, n, grid) regardless of worker count.
+    sums are combined in chunk order, so the output is bit-identical for a
+    fixed (master_seed, n, grid) regardless of worker count.
     Per-column standard errors are reported in ``<name>_se`` columns.
     """
     if n < 1:
@@ -224,27 +132,23 @@ def sample_ensemble(
     grid = np.asarray(grid, dtype=float)
     if observable is None:
         observable = "single" if isinstance(s, SingleQubitScenario) else "two"
-    if observable == "single":
-        names, chunk_fn = _SINGLE_COLUMNS, _single_chunk
-        if not isinstance(s, SingleQubitScenario):
-            raise ValueError("'single' observable needs a SingleQubitScenario")
-    elif observable == "two":
-        names, chunk_fn = _TWO_COLUMNS, _two_chunk
-        if not isinstance(s, TwoQubitScenario):
-            raise ValueError("'two' observable needs a TwoQubitScenario")
-    else:
+    if observable not in _OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}")
+    kind, fields, names = _OBSERVABLES[observable]
+    if not isinstance(s, kind):
+        raise ValueError(f"{observable!r} observable needs a {kind.__name__}")
+    specs = [getattr(s, f) for f in fields]
 
     bounds = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
 
     def run(chunk):
         start, stop = chunk
-        vals = chunk_fn(s, start, stop, master_seed, grid)
+        vals = _chunk(s, specs, start, stop, master_seed, grid)
         count = stop - start
-        sums = {k: v.sum(axis=0) for k, v in vals.items()}
+        sums = [v.sum(axis=0) for v in vals]
         # Squared deviations about the chunk mean: unlike sum(x^2) - n mean^2,
         # this does not cancel catastrophically for near-degenerate samples.
-        m2 = {k: ((v - sums[k] / count) ** 2).sum(axis=0) for k, v in vals.items()}
+        m2 = [((v - total / count) ** 2).sum(axis=0) for v, total in zip(vals, sums)]
         return count, sums, m2
 
     nworkers = worker_count()
@@ -255,19 +159,18 @@ def sample_ensemble(
         partials = [run(chunk) for chunk in bounds]
 
     columns: dict[str, np.ndarray] = {}
-    for name in names:
+    for j, name in enumerate(names):
         total = np.zeros_like(grid)
-        comp = np.zeros_like(grid)
         m2 = np.zeros_like(grid)
         running_mean = np.zeros_like(grid)
         running_count = 0
         for count, sums, m2s in partials:
-            total, comp = _kahan_add(total, comp, sums[name])
+            total = total + sums[j]
             # standard pairwise variance combination, in fixed chunk order
-            chunk_mean = sums[name] / count
+            chunk_mean = sums[j] / count
             new_count = running_count + count
             delta = chunk_mean - running_mean
-            m2 = m2 + m2s[name] + delta**2 * (running_count * count / new_count)
+            m2 = m2 + m2s[j] + delta**2 * (running_count * count / new_count)
             running_mean = running_mean + delta * (count / new_count)
             running_count = new_count
         mean = total / n
@@ -285,10 +188,3 @@ def sample_ensemble(
         "observable": observable,
     }
     return Trajectory(times=grid, columns=columns, meta=meta)
-
-
-def _kahan_add(total, comp, x):
-    y = x - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp

@@ -10,7 +10,7 @@ import numpy as np
 from hensim.analytic import avg_xstate_two, xstate_gap
 from hensim.ensemble import sample_ensemble
 from hensim.linalg import PAULI_Y, validate_density
-from hensim.scenarios import Trajectory, TwoQubitScenario
+from hensim.scenarios import Trajectory, TwoQubitScenario, XState
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -86,10 +86,8 @@ def concurrence_trajectory(
         raise ValueError("Monte Carlo concurrence needs a master seed")
     traj = sample_ensemble(s, n, master_seed, grid, observable="two")
     cols = traj.columns
-    z_abs = np.hypot(cols["re_z"], cols["im_z"])
-    ad = np.maximum(cols["a"] * cols["d"], 0.0)
-    c = np.minimum(2.0 * np.maximum(0.0, z_abs - np.sqrt(ad)), 1.0)
-    return Trajectory(times=grid, columns={"C": c}, meta=traj.meta)
+    xs = XState(cols["a"], cols["b"], cols["c"], cols["d"], cols["re_z"] + 1j * cols["im_z"])
+    return Trajectory(times=grid, columns={"C": concurrence_x(xs)}, meta=traj.meta)
 
 
 FINITE = "finite"
@@ -99,6 +97,11 @@ STATUSES = (FINITE, NO_SUDDEN_DEATH, BEYOND_HORIZON)
 
 # The automatic horizon search gives up once t_max would exceed this.
 _HORIZON = 1e6
+# Points of the first scan grid (made 4 and then 16 times denser if needed),
+# the bisection width, and the points of the verification sweep.
+_GRID_DENSITY = 4000
+_TOL = 1e-8
+_VERIFY_POINTS = 1000
 # Scan and verification grids are evaluated a block of cells at a time, about
 # this many points per array, so memory stays flat however many cells there are.
 # On a 2-core Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3
@@ -206,13 +209,7 @@ def _stays_dead(cells, t_c, t_max, points):
     return ok
 
 
-def find_tc_batch(
-    scenarios,
-    t_max: float | None = None,
-    grid_density: int = 4000,
-    tol: float = 1e-8,
-    verify_points: int = 1000,
-) -> list[CriticalTime]:
+def find_tc_batch(scenarios, t_max: float | None = None) -> list[CriticalTime]:
     """Critical disentanglement times of many scenarios, solved together.
 
     Runs the algorithm of find_tc over all cells at once, on the real-only
@@ -225,7 +222,7 @@ def find_tc_batch(
     results: list[CriticalTime | None] = [None] * params.shape[1]
     dead = (alpha == 0.5) | (va == 0.0) | (xy == 0.0)
     for i in np.flatnonzero(dead):
-        results[i] = CriticalTime(None, None, tol, NO_SUDDEN_DEATH, None, 0)
+        results[i] = CriticalTime(None, None, _TOL, NO_SUDDEN_DEATH, None, 0)
     idx = np.flatnonzero(~dead)
     cells = params[:, idx]
 
@@ -244,7 +241,7 @@ def find_tc_batch(
             pending = grow[~over]
         for k in np.flatnonzero(beyond):
             # t_max: the last horizon tried, where g was still positive
-            results[idx[k]] = CriticalTime(None, None, tol, BEYOND_HORIZON,
+            results[idx[k]] = CriticalTime(None, None, _TOL, BEYOND_HORIZON,
                                            float(horizon[k] / 2.0), 0)
         keep = np.flatnonzero(~beyond)
     else:
@@ -259,36 +256,31 @@ def find_tc_batch(
             raise ValueError(f"t_max={t_max} too small: g(t_max) is still positive")
         keep = np.arange(len(idx))
 
-    for escalations, density in enumerate((grid_density, 4 * grid_density, 16 * grid_density)):
+    for escalations, density in enumerate((_GRID_DENSITY, 4 * _GRID_DENSITY, 16 * _GRID_DENSITY)):
         lo, hi = _last_crossings(cells[:, keep], horizon[keep], density)
         has = ~np.isnan(lo)
         k, lo, hi = keep[has], lo[has], hi[has]
-        t_c = _bisect(cells[:, k], lo, hi, tol)
-        ok = _stays_dead(cells[:, k], t_c, horizon[k], verify_points)
+        t_c = _bisect(cells[:, k], lo, hi, _TOL)
+        ok = _stays_dead(cells[:, k], t_c, horizon[k], _VERIFY_POINTS)
         for i, tc, a, b in zip(k[ok], t_c[ok], lo[ok], hi[ok]):
-            results[idx[i]] = CriticalTime(float(tc), (float(a), float(b)), tol,
+            results[idx[i]] = CriticalTime(float(tc), (float(a), float(b)), _TOL,
                                            FINITE, float(horizon[i]), escalations)
         has[has] = ok
         keep = keep[~has]
         if len(keep) == 0:
             return results
-    raise RuntimeError("could not isolate the last sign change of g(t)")
+    # e.g. g is NaN because alpha^2 overflows, or oscillates faster than the densest grid
+    raise ValueError(f"could not isolate the last sign change of g(t) in {len(keep)} cell(s)")
 
 
-def find_tc(
-    s: TwoQubitScenario,
-    t_max: float | None = None,
-    grid_density: int = 4000,
-    tol: float = 1e-8,
-    verify_points: int = 1000,
-) -> CriticalTime:
+def find_tc(s: TwoQubitScenario, t_max: float | None = None) -> CriticalTime:
     """Critical disentanglement time on the analytic averaged trajectory.
 
     Status "none" (no finite time) when the longitudinal channel is absent
     (alpha = 1/2 or zero longitudinal variance) or the auxiliary mixture is
     pure (xy = 0). Otherwise: grid scan for the last downward sign change of g,
     with the grid made 4 and then 16 times denser while the result fails
-    verification; bisection refinement to ``tol``; then a dense verification
+    verification; bisection refinement to a width of 1e-8; then a dense verification
     sweep over [t_c, t_max].
 
     ``t_max`` must be large enough that sqrt(a d) has essentially reached its
@@ -298,4 +290,4 @@ def find_tc(
 
     This is find_tc_batch on a batch of one.
     """
-    return find_tc_batch([s], t_max, grid_density, tol, verify_points)[0]
+    return find_tc_batch([s], t_max)[0]

@@ -125,6 +125,23 @@ class Trajectory:
             self.columns[name] = col
 
 
+@dataclass
+class XState:
+    """The five nonzero entries (a, b, c, d, z) of a two-qubit X state.
+
+    In the standard {|++>, |+->, |-+>, |-->} basis the diagonal is
+    (b, a, d, c) and z sits on the |++><--| corner; a, b, c, d are real and z
+    is complex. The entries may be scalars or arrays over realizations and
+    times, for one realization or for an ensemble average.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    z: np.ndarray
+
+
 def time_grid(t_max: float, points: int = 400) -> np.ndarray:
     """Uniform grid of ``points`` samples on [0, t_max] (default density 400)."""
     _require_finite(t_max=t_max)

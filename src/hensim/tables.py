@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-from pathlib import Path
-
-import numpy as np
 
 
 def format_float(v) -> str:
@@ -43,28 +40,3 @@ def write_json(path, payload: dict) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def trajectory_table(traj, order: list[str] | None = None):
-    """(header, rows) for a Trajectory, time column first."""
-    names = order if order is not None else sorted(traj.columns)
-    header = ["t"] + names
-    cols = [np.asarray(traj.times)] + [np.asarray(traj.columns[n]) for n in names]
-    rows = [[col[i] for col in cols] for i in range(len(traj.times))]
-    return header, rows
-
-
-def emit_trajectory(path, traj, fmt: str, meta: dict, order=None) -> None:
-    """Write a trajectory as CSV (with a .meta.json sidecar) or as inline JSON."""
-    path = Path(path)
-    header, rows = trajectory_table(traj, order)
-    combined_meta = dict(traj.meta)
-    combined_meta.update(meta)
-    if fmt == "csv":
-        write_csv(path, header, rows)
-        write_json(path.with_suffix(path.suffix + ".meta.json"), combined_meta)
-    elif fmt == "json":
-        data = {name: [float(v) for v in np.asarray(col)]
-                for name, col in [("t", traj.times)] + [(n, traj.columns[n]) for n in header[1:]]}
-        write_json(path, {"meta": combined_meta, "data": data})
-    else:
-        raise ValueError(f"unknown format {fmt!r}")

@@ -1,4 +1,12 @@
-"""Cross-checking suites: closed forms vs oracles, fast paths vs general routes.
+"""Test oracles and the cross-checking suites that compare the closed forms against them.
+
+The oracles are dense realization Hamiltonians, the closed-form single-qubit
+propagator, and the generic matrix exponential and partial trace of
+hensim.linalg; no production path uses them. Basis conventions (|+> first):
+  single-qubit system: 4x4 matrices in the product basis A (x) B, i.e.
+  {|++>, |+->, |-+>, |-->};
+  two-qubit system: 8x8 matrices in the product basis A2 (x) A1 (x) B1
+  (auxiliary qubit first), so tracing out subsystem 0 leaves (A1, B1).
 
 Each check returns (name, passed, detail); the CLI `validate` subcommand turns
 these into a pass/fail report.
@@ -17,21 +25,82 @@ from hensim.analytic import (
     special_transverse_only,
     xstate_gap,
 )
-from hensim.ensemble import (
-    build_h_single,
-    build_h_two,
-    evolve_single_realization,
-    evolve_two_realization,
-    propagator_single_closed,
-    sample_ensemble,
-)
+from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble
 from hensim.entanglement import concurrence_general, concurrence_x, xstate_matrix
-from hensim.linalg import matrix_exponential, partial_trace
+from hensim.linalg import (
+    IDENTITY_2,
+    PAULI_Z,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    kron,
+    matrix_exponential,
+    partial_trace,
+)
 from hensim.scenarios import CouplingLaw, GaussianSpec, SingleQubitScenario, TwoQubitScenario
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 MINUS = np.array([0.0, 1.0], dtype=complex)
 BELL = np.kron(PLUS, PLUS) / np.sqrt(2) + np.kron(MINUS, MINUS) / np.sqrt(2)
+
+
+def coupling_strength(eps: float, law, omega_a: float) -> float:
+    """f(eps) = sqrt(alpha^2 - 1/4) (eps - omega_a); real-valued."""
+    return np.sqrt(law.alpha**2 - 0.25) * (eps - omega_a)
+
+
+def build_h_single(eps: float, s: SingleQubitScenario) -> np.ndarray:
+    """4x4 realization Hamiltonian for the working qubit + auxiliary qubit pair."""
+    f = coupling_strength(eps, s.coupling, s.omega_a)
+    h = 0.5 * (s.omega_a * kron(PAULI_Z, IDENTITY_2) + eps * kron(IDENTITY_2, PAULI_Z))
+    h = h + f * (kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS))
+    return h
+
+
+def _sinct(e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sin(e t) / e with the removable e -> 0 singularity handled (limit t)."""
+    return t * np.sinc(e * t / np.pi)
+
+
+def propagator_single_closed(eps: float, t: float, s: SingleQubitScenario) -> np.ndarray:
+    """Closed-form evolution operator for build_h_single, block by block.
+
+    The {|+->, |-+>} block rotates with energy E = sqrt((omega_a - eps)^2/4 + f^2);
+    |++> and |--> pick up pure phases exp(-+ i (omega_a + eps) t / 2).
+    """
+    f = coupling_strength(eps, s.coupling, s.omega_a)
+    half_det = 0.5 * (s.omega_a - eps)
+    e = np.sqrt(half_det**2 + f**2)
+    cos_et = np.cos(e * t)
+    sfac = _sinct(e, np.asarray(float(t)))
+    u = np.zeros((4, 4), dtype=complex)
+    phase = 0.5 * (s.omega_a + eps) * t
+    u[0, 0] = np.exp(-1j * phase)
+    u[3, 3] = np.exp(1j * phase)
+    u[1, 1] = cos_et - 1j * sfac * half_det
+    u[2, 2] = cos_et + 1j * sfac * half_det
+    u[1, 2] = -1j * sfac * f
+    u[2, 1] = -1j * sfac * f
+    return u
+
+
+def _op3(index: int, m: np.ndarray) -> np.ndarray:
+    ops = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
+    ops[index] = m
+    return kron(kron(ops[0], ops[1]), ops[2])
+
+
+def build_h_two(eps_a: float, eps_b: float, s: TwoQubitScenario) -> np.ndarray:
+    """8x8 realization Hamiltonian in the A2 (x) A1 (x) B1 basis.
+
+    The (A1, A2) part is the single-qubit model with random spacing eps_a; the
+    second working qubit B1 only carries the shifted frequency omega_b + eps_b.
+    """
+    f = coupling_strength(eps_a, s.coupling, s.omega_a)
+    h = 0.5 * (s.omega_a * _op3(1, PAULI_Z) + eps_a * _op3(0, PAULI_Z))
+    flip = kron(kron(SIGMA_MINUS, SIGMA_PLUS), IDENTITY_2)
+    h = h + f * (flip + flip.conj().T)
+    h = h + 0.5 * (s.omega_b + eps_b) * _op3(2, PAULI_Z)
+    return h
 
 
 def random_single_scenario(rng, omega_a=None, variance=1.0) -> SingleQubitScenario:

@@ -19,7 +19,7 @@ from hensim.analytic import (
     thermal_population,
 )
 from hensim.cli import main
-from hensim.ensemble import build_h_single, propagator_single_closed, sample_ensemble
+from hensim.ensemble import sample_ensemble
 from hensim.entanglement import (
     concurrence_general,
     concurrence_x,
@@ -30,6 +30,8 @@ from hensim.entanglement import _gap
 from hensim.linalg import matrix_exponential
 from hensim.scenarios import CouplingLaw
 from hensim.validation import (
+    build_h_single,
+    propagator_single_closed,
     random_single_scenario,
     random_two_scenario,
     two_oracle_xstate,

@@ -188,6 +188,15 @@ class TestTcMap:
         assert 1.0 <= lo <= hi and max(tc for tc in cols["tc"] if tc is not None) < hi
         assert solver["max_escalations"] == 0
 
+    def test_json_and_csv_hold_the_same_cells(self, tmp_path):
+        argv = ["tc-map", "--x", "0.2", "--alpha-range", "0.5", "2",
+                "--var-range", "0.5", "1", "--resolution", "3"]
+        assert run(argv + ["--out", str(tmp_path / "m.csv")]) == EXIT_OK
+        assert run(argv + ["--format", "json", "--out", str(tmp_path / "m.json")]) == EXIT_OK
+        _, cols = read_csv(tmp_path / "m.csv")
+        assert json.loads((tmp_path / "m.json").read_text())["data"] == cols
+        assert cols["tc"].count(None) == 3
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_regime_beyond_horizon_leaves_cells_empty(self, tmp_path, fmt):
         out = tmp_path / f"m.{fmt}"
@@ -208,6 +217,8 @@ class TestTcMap:
         assert meta["solver"]["t_max_range"] is None
 
 
+# Non-finite input, input whose results leave double precision, and an output
+# path that cannot be written; "{tmp}" stands for the test's directory.
 NON_FINITE_ARGV = [
     ["relax", "--omega-a", "nan"],
     ["relax", "--alpha", "inf"],
@@ -222,13 +233,36 @@ NON_FINITE_ARGV = [
      "--resolution", "2"],
     ["tc-map", "--alpha-range", "1", "nan", "--var-range", "0.5", "1", "--resolution", "2"],
     ["tc-map", "--alpha-range", "1", "2", "--var-range", "0.5", "inf", "--resolution", "2"],
+    ["relax", "--omega-a", "4", "--t-max", "1e308", "--points", "3"],
+    ["relax", "--alpha", "1e154"],
+    ["concurrence", "--omega-a", "4", "--t-max", "1e308", "--points", "3", "--format", "json"],
+    ["relax", "--alpha", "1e160"],
+    ["tc-map", "--x", "0.2", "--alpha-range", "1e154", "1e154", "--var-range", "0.1", "2",
+     "--resolution", "2"],
+    ["relax", "--out", "{tmp}/missing/x.csv"],
 ]
 
 
 @pytest.mark.parametrize("argv", NON_FINITE_ARGV, ids=" ".join)
 def test_non_finite_input_rejected(tmp_path, capsys, argv):
     out = tmp_path / "x.out"
-    assert run(argv + ["--out", str(out)]) == EXIT_BAD_INPUT
+    # --out goes first, so that a row's own --out takes precedence
+    argv = [argv[0], "--out", str(out)] + [arg.format(tmp=tmp_path) for arg in argv[1:]]
+    assert run(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"alpha": null}', "5", '{"format": "xml"}',
+                                  '{"xb": true}', '{"points": 2.5}'])
+def test_bad_config_file_rejected(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    code = run(["tc-map", "--config", str(cfg), "--alpha-range", "1", "2",
+                "--var-range", "0.5", "1", "--resolution", "2", "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()

@@ -3,18 +3,18 @@ import pytest
 
 from conftest import single_scenario, two_scenario
 from hensim.ensemble import (
-    build_h_single,
-    build_h_two,
-    coupling_strength,
     evolve_single_realization,
     evolve_two_realization,
-    propagator_single_closed,
     sample_ensemble,
     seed_stream,
 )
 from hensim.linalg import PAULI_Z, kron, matrix_exponential, partial_trace, validate_density
 from hensim.scenarios import CouplingLaw, GaussianSpec
 from hensim.validation import (
+    build_h_single,
+    build_h_two,
+    coupling_strength,
+    propagator_single_closed,
     random_single_scenario,
     random_two_scenario,
     single_oracle_elements,
