@@ -51,6 +51,9 @@ _DEFAULTS = {
 }
 FORMATS = ("csv", "json")
 _INTEGER_KEYS = ("points", "samples", "seed")
+# Monte Carlo provenance copied into the output metadata; no worker count, so
+# that the sidecar is byte-identical for any HENSIM_WORKERS
+_MC_PROVENANCE = ("n", "seed", "rng", "chunk")
 
 
 class BadInput(ValueError):
@@ -173,7 +176,7 @@ def cmd_relax(ns) -> int:
         for name in traj.columns:
             columns[name + "_mc"] = mc.columns[name]
             columns[name + "_mc_se"] = mc.columns[name + "_se"]
-        meta.update(n=mc.meta["n"], seed=mc.meta["seed"])
+        meta.update({key: mc.meta[key] for key in _MC_PROVENANCE})
     _emit(ns.out, cfg["format"], columns, meta)
     return EXIT_OK
 
@@ -188,7 +191,7 @@ def cmd_concurrence(ns) -> int:
     if cfg["samples"]:
         mc = concurrence_trajectory(s, grid, n=int(cfg["samples"]), master_seed=int(cfg["seed"]))
         columns["C_mc"] = mc.columns["C"]
-        meta.update(n=mc.meta["n"], seed=mc.meta["seed"])
+        meta.update({key: mc.meta[key] for key in _MC_PROVENANCE})
     _emit(ns.out, cfg["format"], columns, meta)
     return EXIT_OK
 

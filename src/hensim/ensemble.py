@@ -12,120 +12,129 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from hensim.scenarios import SingleQubitScenario, Trajectory, TwoQubitScenario, XState
+from hensim.scenarios import SingleQubitScenario, Trajectory, TwoQubitScenario
 
 # Fixed chunk size: chunk boundaries must not depend on the worker count, so
 # that the index-ordered reduction is bit-identical for any parallelism.
 _CHUNK = 512
 
 _WORKERS_ENV = "HENSIM_WORKERS"
+_RNG = "splitmix64-boxmuller-v1"  # scheme id of standard_normals, in the output meta
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 counter increment
 
 
-def evolve_single_realization(eps: float, t, s: SingleQubitScenario):
-    """Matrix elements (rho_pp, rho_pm) of the working qubit at time(s) t.
+def evolve_single_realization(eps, t, s: SingleQubitScenario):
+    """Real columns (rho_pp, re rho_pm, im rho_pm) of the working qubit at time(s) t.
 
-    Initial state |->_A (x) (xb|+> + yb|->)_B. Vectorized over t; the results
-    agree with the propagator + partial-trace route to 1e-10.
+    Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
+    and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
+    rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). Broadcasts eps against t
+    and agrees with the propagator + partial-trace route to 1e-10.
     """
-    t = np.asarray(t, dtype=float)
-    c = s.coupling.c
-    alpha = s.coupling.alpha
-    det = eps - s.omega_a
-    rho_pp = 0.5 * c**2 * abs(s.xb) ** 2 * (1.0 - np.cos(2.0 * alpha * det * t))
-    rho_pm = (
-        -1j
-        * c
-        * s.xb
-        * np.conj(s.yb)
-        * np.exp(-0.5j * (eps + s.omega_a) * t)
-        * np.sin(alpha * det * t)
-    )
-    return rho_pp, rho_pm
+    # Every step writes into sin_b or w; empty() of shape () gives 0-d arrays,
+    # so scalars work too. w holds (cos phi, sin phi) interleaved, so that the
+    # rotation by q is one in-place multiply: a real-only rotation would need
+    # two more full-size buffers.
+    shape = np.broadcast_shapes(np.shape(eps), np.shape(t))
+    sin_b, w = np.empty(shape), np.empty(shape, dtype=complex)
+    np.sin(np.multiply(s.coupling.alpha * (eps - s.omega_a), t, out=sin_b), out=sin_b)
+    np.multiply(0.5 * (eps + s.omega_a), t, out=w.real)
+    np.sin(w.real, out=w.imag)
+    np.cos(w.real, out=w.real)
+    w *= np.conj(-1j * s.coupling.c * s.xb * np.conj(s.yb))
+    w.real *= sin_b
+    w.imag *= sin_b
+    np.negative(w.imag, out=w.imag)  # q e^{-i phi} = conj(conj(q) e^{i phi})
+    np.square(sin_b, out=sin_b)
+    sin_b *= s.coupling.c**2 * abs(s.xb) ** 2
+    return sin_b, w.real, w.imag
 
 
-def evolve_two_realization(eps_a: float, eps_b: float, t, s: TwoQubitScenario) -> XState:
-    """X-state elements of the two working qubits for one realization.
+def evolve_two_realization(eps_a, eps_b, t, s: TwoQubitScenario):
+    """Real columns (a, b, c, d, re z, im z) of the two working qubits' X state.
 
-    Closed form with gamma(t) = sin(alpha (omega_a - eps_a) t) and
-    zeta(t) = exp(-i (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2); the
-    coherence bracket is cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha).
-    Agrees with the 8x8 propagator + partial-trace route to 1e-10.
+    With gamma = sin(alpha (omega_a - eps_a) t), a = x c^2 gamma^2 / 2,
+    d = y c^2 gamma^2 / 2, b = (x + y)/2 - d, c = (x + y)/2 - a, and
+    z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
+    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. Broadcasts the spacings
+    against t and agrees with the 8x8 propagator + partial-trace route to 1e-10.
     """
-    t = np.asarray(t, dtype=float)
-    alpha = s.coupling.alpha
     c2 = s.coupling.c ** 2
-    arg = alpha * (s.omega_a - eps_a) * t
-    gamma = np.sin(arg)
-    g2 = gamma**2
-    zeta = np.exp(-0.5j * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b) * t)
-    a = 0.5 * s.x * c2 * g2
-    d = 0.5 * s.y * c2 * g2
-    b = 0.5 * s.x + 0.5 * s.y * (1.0 - c2 * g2)
-    c_el = 0.5 * s.y + 0.5 * s.x * (1.0 - c2 * g2)
-    z = 0.5 * (s.x + s.y) * zeta * (np.cos(arg) - 1j * gamma / (2.0 * alpha))
-    return XState(a=a, b=b, c=c_el, d=d, z=z)
+    h = 0.5 * (s.x + s.y)
+    shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), np.shape(t))
+    cos_g, g, re_z, sin_p, a, im_z = (np.empty(shape) for _ in range(6))
+    np.multiply(s.coupling.alpha * (s.omega_a - eps_a), t, out=cos_g)
+    np.sin(cos_g, out=g)
+    np.cos(cos_g, out=cos_g)
+    np.square(g, out=a)
+    g /= 2.0 * s.coupling.alpha
+    # z = h e^{-i psi} (cos_g - i g), with re_z holding h cos psi and sin_p -h sin psi
+    np.multiply(0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b), t, out=re_z)
+    np.sin(re_z, out=sin_p)
+    np.cos(re_z, out=re_z)
+    re_z *= h
+    sin_p *= -h
+    np.multiply(re_z, g, out=im_z)
+    re_z *= cos_g
+    re_z += np.multiply(sin_p, g, out=g)
+    np.subtract(np.multiply(sin_p, cos_g, out=sin_p), im_z, out=im_z)
+    d = np.multiply(a, 0.5 * s.y * c2, out=g)
+    a *= 0.5 * s.x * c2
+    b = np.subtract(h, d, out=cos_g)
+    c_el = np.subtract(h, a, out=sin_p)
+    return a, b, c_el, d, re_z, im_z
 
 
-def seed_stream(master_seed: int, realization_index: int) -> np.random.Generator:
-    """Independent, reproducible per-realization stream.
+def _mix64(z):
+    """SplitMix64 finalizer, in place on a uint64 array (wraps modulo 2^64)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
-    Counter-based splitting of (master_seed, index) through Philox: distinct
-    indices never share a stream, and the same pair always reproduces the same
-    draws.
+
+def standard_normals(master_seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """Standard normals of realizations start..stop-1: shape (k, stop - start).
+
+    Draw j of realization i is a pure function of (master_seed, i, j), hence
+    independent of chunking and worker count: the SplitMix64 stream keyed by
+    mix(mix(seed) + (i + 1) G) gives words 2j + 1 and 2j + 2, two 53-bit uniforms
+    for one Box-Muller normal.
     """
-    if realization_index < 0:
-        raise ValueError("realization_index must be nonnegative")
-    seq = np.random.SeedSequence(entropy=int(master_seed) & (2**64 - 1),
-                                 spawn_key=(int(realization_index),))
-    return np.random.Generator(np.random.Philox(seq))
+    if start < 0 or stop < start:
+        raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
+    with np.errstate(over="ignore"):
+        seed = _mix64(np.array([int(master_seed) & (2**64 - 1)], dtype=np.uint64))
+        keys = _mix64(np.arange(start + 1, stop + 1, dtype=np.uint64) * _GOLDEN + seed)
+        words = (np.arange(1, 2 * k + 1, dtype=np.uint64) * _GOLDEN)[:, None] + keys
+        u = (_mix64(words) >> 11).astype(float) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))      # 1 - u lies in (0, 1]
+    return r * np.cos(2.0 * np.pi * u[1::2])
 
 
-def worker_count() -> int:
-    """Parallelism for chunk evaluation; HENSIM_WORKERS overrides the default."""
+def worker_count(chunks: int) -> int:
+    """Pool size for `chunks` chunks: HENSIM_WORKERS, else the CPU count; at most `chunks`."""
     env = os.environ.get(_WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if env and not (env.isascii() and env.isdigit() and int(env) >= 1):
+        raise ValueError(f"{_WORKERS_ENV} must be a positive integer, got {env!r}")
+    return min(int(env) if env else os.cpu_count() or 1, chunks)
 
 
 # observable: (scenario type, noise specs drawn per realization in this order,
-# names of the real columns that _chunk returns)
+# names of the real columns that its kernel returns)
 _OBSERVABLES = {
     "single": (SingleQubitScenario, ("noise",), ("rho_pp", "re_rho_pm", "im_rho_pm")),
     "two": (TwoQubitScenario, ("noise_a", "noise_b"), ("a", "b", "c", "d", "re_z", "im_z")),
 }
 
 
-def _chunk(s, specs, start, stop, master_seed, grid):
-    """Real columns of realizations start..stop-1 (rows) on the grid, in _OBSERVABLES order.
+def sample_ensemble(s, n: int, master_seed: int, grid, observable: str | None = None) -> Trajectory:
+    """Arithmetic mean over n realizations, with standard errors in ``<name>_se`` columns.
 
-    Realization i draws its spacings, one per spec, from seed_stream(master_seed, i).
-    """
-    eps = np.empty((len(specs), stop - start))
-    for i in range(start, stop):
-        rng = seed_stream(master_seed, i)
-        for k, spec in enumerate(specs):
-            eps[k, i - start] = rng.normal(spec.mean, np.sqrt(spec.variance))
-    if isinstance(s, SingleQubitScenario):
-        rho_pp, rho_pm = evolve_single_realization(*eps[:, :, None], grid, s)
-        return rho_pp, rho_pm.real, rho_pm.imag
-    xs = evolve_two_realization(*eps[:, :, None], grid, s)
-    return xs.a, xs.b, xs.c, xs.d, xs.z.real, xs.z.imag
-
-
-def sample_ensemble(
-    s,
-    n: int,
-    master_seed: int,
-    grid,
-    observable: str | None = None,
-) -> Trajectory:
-    """Arithmetic mean over n realizations of the per-realization elements.
-
-    Chunks of fixed size are evaluated (possibly concurrently) and their partial
-    sums are combined in chunk order, so the output is bit-identical for a
-    fixed (master_seed, n, grid) regardless of worker count.
-    Per-column standard errors are reported in ``<name>_se`` columns.
+    Chunks of _CHUNK realizations run (possibly concurrently) and are combined
+    in chunk order, so the output is bit-identical for any worker count.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -138,53 +147,39 @@ def sample_ensemble(
     if not isinstance(s, kind):
         raise ValueError(f"{observable!r} observable needs a {kind.__name__}")
     specs = [getattr(s, f) for f in fields]
-
+    evolve = evolve_single_realization if kind is SingleQubitScenario else evolve_two_realization
     bounds = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
 
     def run(chunk):
+        # rows are realizations start..stop-1, one spacing per spec each
         start, stop = chunk
-        vals = _chunk(s, specs, start, stop, master_seed, grid)
+        z = standard_normals(master_seed, start, stop, len(specs))
+        vals = evolve(*(sp.mean + np.sqrt(sp.variance) * zk[:, None] for sp, zk in zip(specs, z)),
+                      grid, s)
         count = stop - start
         sums = [v.sum(axis=0) for v in vals]
-        # Squared deviations about the chunk mean: unlike sum(x^2) - n mean^2,
-        # this does not cancel catastrophically for near-degenerate samples.
-        m2 = [((v - total / count) ** 2).sum(axis=0) for v, total in zip(vals, sums)]
-        return count, sums, m2
+        # squared deviations about the chunk mean, in place (no sum(x^2) - n mean^2 cancellation)
+        for v, total in zip(vals, sums):
+            v -= total / count
+            np.square(v, out=v)
+        return count, sums, [v.sum(axis=0) for v in vals]
 
-    nworkers = worker_count()
-    if nworkers > 1 and len(bounds) > 1:
+    nworkers = worker_count(len(bounds))
+    if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             partials = list(pool.map(run, bounds))
     else:
         partials = [run(chunk) for chunk in bounds]
 
+    # Fixed chunk order: the mean from the chunk sums, the squared deviations
+    # as within-chunk plus between-chunk parts about that mean.
     columns: dict[str, np.ndarray] = {}
     for j, name in enumerate(names):
-        total = np.zeros_like(grid)
-        m2 = np.zeros_like(grid)
-        running_mean = np.zeros_like(grid)
-        running_count = 0
-        for count, sums, m2s in partials:
-            total = total + sums[j]
-            # standard pairwise variance combination, in fixed chunk order
-            chunk_mean = sums[j] / count
-            new_count = running_count + count
-            delta = chunk_mean - running_mean
-            m2 = m2 + m2s[j] + delta**2 * (running_count * count / new_count)
-            running_mean = running_mean + delta * (count / new_count)
-            running_count = new_count
-        mean = total / n
-        if n > 1:
-            se = np.sqrt(m2 / (n - 1) / n)
-        else:
-            se = np.zeros_like(mean)
+        mean = sum(sums[j] for _, sums, _ in partials) / n
+        m2 = sum(m2s[j] + count * (sums[j] / count - mean) ** 2 for count, sums, m2s in partials)
         columns[name] = mean
-        columns[name + "_se"] = se
+        columns[name + "_se"] = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(grid)
 
-    meta = {
-        "source": "monte-carlo",
-        "n": int(n),
-        "seed": int(master_seed),
-        "observable": observable,
-    }
+    meta = {"source": "monte-carlo", "n": int(n), "seed": int(master_seed),
+            "observable": observable, "rng": _RNG, "chunk": _CHUNK}
     return Trajectory(times=grid, columns=columns, meta=meta)

@@ -49,8 +49,13 @@ class CouplingLaw:
 
     @property
     def c(self) -> float:
-        """Amplitude factor sqrt(4 alpha^2 - 1) / (2 alpha), in [0, 1)."""
-        return math.sqrt(4.0 * self.alpha**2 - 1.0) / (2.0 * self.alpha)
+        """Amplitude factor sqrt(1 - 1/(4 alpha^2)) in [0, 1): finite for every finite alpha.
+
+        Formed from r = 1/(2 alpha), which cannot overflow; it rounds to 1.0
+        in double precision from alpha of about 7e7 on.
+        """
+        r = 0.5 / self.alpha
+        return math.sqrt((1.0 - r) * (1.0 + r))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,13 @@ from hensim.linalg import (
     matrix_exponential,
     partial_trace,
 )
-from hensim.scenarios import CouplingLaw, GaussianSpec, SingleQubitScenario, TwoQubitScenario
+from hensim.scenarios import (
+    CouplingLaw,
+    GaussianSpec,
+    SingleQubitScenario,
+    TwoQubitScenario,
+    XState,
+)
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 MINUS = np.array([0.0, 1.0], dtype=complex)
@@ -181,7 +187,8 @@ def check_two_qubit_oracle(n_cases: int, seed: int = 11):
         s = random_two_scenario(rng)
         eps_a, eps_b = rng.uniform(-5, 5, size=2)
         t = rng.uniform(0, 10)
-        xs = evolve_two_realization(eps_a, eps_b, t, s)
+        a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, t, s)
+        xs = XState(a, b, c, d, z=re_z + 1j * im_z)
         worst = max(worst, np.abs(xstate_matrix(xs) - two_oracle_xstate(eps_a, eps_b, t, s)).max())
     return "two-qubit-closed-form-vs-expm", bool(worst <= 1e-10), f"max entry dev {worst:.3e}"
 
@@ -194,9 +201,9 @@ def check_single_elements_oracle(n_cases: int, seed: int = 13):
         s = random_single_scenario(rng)
         eps = rng.uniform(-5, 5)
         t = rng.uniform(0, 10)
-        pp, pm = evolve_single_realization(eps, t, s)
+        pp, re_pm, im_pm = evolve_single_realization(eps, t, s)
         opp, opm = single_oracle_elements(eps, t, s)
-        worst = max(worst, abs(pp - opp), abs(pm - opm))
+        worst = max(worst, abs(pp - opp), abs(re_pm + 1j * im_pm - opm))
     return "single-elements-vs-oracle", bool(worst <= 1e-10), f"max element dev {worst:.3e}"
 
 

@@ -28,7 +28,7 @@ from hensim.entanglement import (
 )
 from hensim.entanglement import _gap
 from hensim.linalg import matrix_exponential
-from hensim.scenarios import CouplingLaw
+from hensim.scenarios import CouplingLaw, XState
 from hensim.validation import (
     build_h_single,
     propagator_single_closed,
@@ -59,7 +59,8 @@ def test_criterion_1_propagator_oracle_equivalence():
         s = random_two_scenario(rng)
         eps_a, eps_b = rng.uniform(-5, 5, size=2)
         t = rng.uniform(0, 10)
-        xs = evolve_two_realization(eps_a, eps_b, t, s)
+        a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, t, s)
+        xs = XState(a, b, c, d, z=re_z + 1j * im_z)
         worst_two = max(
             worst_two, np.abs(xstate_matrix(xs) - two_oracle_xstate(eps_a, eps_b, t, s)).max()
         )

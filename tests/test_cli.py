@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hensim
 from hensim.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from hensim.tables import format_float, read_csv, write_csv
 
@@ -132,6 +137,18 @@ class TestConcurrenceCmd:
 
 
 class TestTcMap:
+    def test_r60_map_matches_reference(self, tmp_path):
+        out = tmp_path / "tc.csv"
+        assert run(["tc-map", "--x", "0.2", "--alpha-range", "0.5", "3", "--var-range", "0.1", "2",
+                    "--resolution", "60", "--out", str(out)]) == EXIT_OK
+        _, cols = read_csv(out)
+        _, ref = read_csv(Path(__file__).resolve().parent.parent / "bench" / "reference"
+                          / "tc_map_r60.csv")
+        assert cols["alpha"] == ref["alpha"] and cols["var_eps_a"] == ref["var_eps_a"]
+        for tc, rtc in zip(cols["tc"], ref["tc"], strict=True):
+            assert (tc is None) == (rtc is None)
+            assert tc is None or abs(tc - rtc) <= 1e-8
+
     def test_alpha_half_column_empty(self, tmp_path):
         out = tmp_path / "tc.csv"
         code = run(["tc-map", "--x", "0.2", "--alpha-range", "0.5", "1.5",
@@ -268,6 +285,42 @@ def test_bad_config_file_rejected(tmp_path, capsys, text):
     assert not out.exists()
 
 
+# Rows whose Monte Carlo part runs on two pool threads; the last one makes
+# those threads overflow, so numpy warns from inside the pool.
+SUBPROCESS_ARGV = [
+    ["--alpha", "1e160", "--samples", "2000", "--points", "10"],
+    ["--alpha", "1e154", "--samples", "2000", "--points", "10"],
+    ["--omega-a", "4", "--t-max", "1e308", "--points", "3", "--samples", "2000"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBPROCESS_ARGV, ids=" ".join)
+def test_one_error_line_from_child_process(tmp_path, argv):
+    # pytest collects warnings of an in-process run itself; only a child
+    # process shows what the command really prints, pool threads included
+    out = tmp_path / "x.csv"
+    src = Path(hensim.__file__).resolve().parent.parent
+    env = {**os.environ, "HENSIM_WORKERS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "hensim.cli", "relax", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_BAD_INPUT
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["abc", "0"])
+def test_bad_worker_count_rejected(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("HENSIM_WORKERS", workers)
+    out = tmp_path / "x.csv"
+    assert run(["relax", "--samples", "600", "--points", "5", "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: HENSIM_WORKERS must be a positive integer")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, tmp_path, monkeypatch):
         argv = ["relax", "--alpha", "2", "--xb", "0.7", "--var-eps-a", "1",
@@ -279,6 +332,22 @@ class TestDeterminism:
             assert run(argv + ["--out", str(out)]) == EXIT_OK
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("command, extra", [("relax", []), ("concurrence", ["--var-eps-b", "0.5"])])
+    def test_sidecar_records_rng_and_is_identical_across_workers(self, tmp_path, monkeypatch,
+                                                                 command, extra):
+        argv = [command, *extra, "--points", "20", "--samples", "1100", "--seed", "5"]
+        sidecars = []
+        for i, workers in enumerate(("1", "2", "8")):
+            monkeypatch.setenv("HENSIM_WORKERS", workers)
+            out = tmp_path / f"run{i}.csv"
+            assert run(argv + ["--out", str(out)]) == EXIT_OK
+            sidecars.append((tmp_path / f"run{i}.csv.meta.json").read_bytes())
+        assert sidecars[0] == sidecars[1] == sidecars[2]
+        meta = json.loads(sidecars[0])
+        assert meta["rng"] == "splitmix64-boxmuller-v1"
+        assert meta["chunk"] == 512
+        assert "workers" not in json.dumps(meta)
 
 
 class TestValidateCmd:

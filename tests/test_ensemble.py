@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,11 @@ from hensim.ensemble import (
     evolve_single_realization,
     evolve_two_realization,
     sample_ensemble,
-    seed_stream,
+    standard_normals,
+    worker_count,
 )
 from hensim.linalg import PAULI_Z, kron, matrix_exponential, partial_trace, validate_density
-from hensim.scenarios import CouplingLaw, GaussianSpec
+from hensim.scenarios import CouplingLaw, GaussianSpec, SingleQubitScenario, XState
 from hensim.validation import (
     build_h_single,
     build_h_two,
@@ -21,6 +25,18 @@ from hensim.validation import (
     two_oracle_xstate,
 )
 from hensim.entanglement import xstate_matrix
+
+
+def single_elements(eps, t, s):
+    """(rho_pp, rho_pm) of one realization, with the complex rho_pm built from its real columns."""
+    pp, re_pm, im_pm = evolve_single_realization(eps, t, s)
+    return pp, re_pm + 1j * im_pm
+
+
+def two_xstate(eps_a, eps_b, t, s) -> XState:
+    """X state of one realization, with the complex z built from its real columns."""
+    a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, t, s)
+    return XState(a, b, c, d, z=re_z + 1j * im_z)
 
 
 class TestCouplingStrength:
@@ -82,26 +98,26 @@ class TestPropagatorClosed:
 
 class TestEvolveSingle:
     def test_initial_ground_state(self):
-        pp, pm = evolve_single_realization(0.7, 0.0, single_scenario())
+        pp, pm = single_elements(0.7, 0.0, single_scenario())
         assert pp == 0.0 and pm == 0.0
 
     def test_decoupled_alpha_half(self):
         s = single_scenario(alpha=0.5)
-        pp, pm = evolve_single_realization(1.3, np.linspace(0, 5, 7), s)
+        pp, pm = single_elements(1.3, np.linspace(0, 5, 7), s)
         assert np.abs(pp).max() == 0.0
         assert np.abs(pm).max() == 0.0
 
     def test_exact_value_at_quarter_period(self):
         # omega_a=0, alpha=1, eps=1, xb=1, t=pi/2: population (3/8)(1 - cos(pi)) = 3/4
         s = single_scenario(omega_a=0.0, alpha=1.0, xb=1.0)
-        pp, _ = evolve_single_realization(1.0, np.pi / 2, s)
+        pp, _ = single_elements(1.0, np.pi / 2, s)
         assert pp == pytest.approx(0.75, abs=1e-14)
 
     def test_matches_propagator_route(self, rng):
         for _ in range(100):
             s = random_single_scenario(rng)
             eps, t = rng.uniform(-5, 5), rng.uniform(0, 10)
-            pp, pm = evolve_single_realization(eps, t, s)
+            pp, pm = single_elements(eps, t, s)
             opp, opm = single_oracle_elements(eps, t, s)
             assert abs(pp - opp) <= 1e-10
             assert abs(pm - opm) <= 1e-10
@@ -141,7 +157,7 @@ class TestBuildHTwo:
 class TestEvolveTwo:
     def test_initial_condition(self):
         s = two_scenario()
-        xs = evolve_two_realization(0.7, 0.3, 0.0, s)
+        xs = two_xstate(0.7, 0.3, 0.0, s)
         assert xs.a == 0.0 and xs.d == 0.0
         # b(0) = x/2 + y/2 and c(0) = y/2 + x/2: unit trace with a = d = 0
         assert xs.b == pytest.approx(0.5, abs=1e-15)
@@ -151,7 +167,7 @@ class TestEvolveTwo:
     def test_decoupled_alpha_half(self):
         s = two_scenario(alpha=0.5)
         ts = np.linspace(0, 5, 11)
-        xs = evolve_two_realization(1.3, 0.7, ts, s)
+        xs = two_xstate(1.3, 0.7, ts, s)
         assert np.abs(xs.a).max() == 0.0 and np.abs(xs.d).max() == 0.0
         assert np.abs(np.abs(xs.z) - 0.5).max() <= 1e-14
 
@@ -160,38 +176,129 @@ class TestEvolveTwo:
             s = random_two_scenario(rng)
             eps_a, eps_b = rng.uniform(-5, 5, size=2)
             t = rng.uniform(0, 10)
-            xs = evolve_two_realization(eps_a, eps_b, t, s)
+            xs = two_xstate(eps_a, eps_b, t, s)
             rho = two_oracle_xstate(eps_a, eps_b, t, s)
             assert np.abs(xstate_matrix(xs) - rho).max() <= 1e-10
 
     def test_assembled_matrix_is_valid_density(self, rng):
         for _ in range(20):
             s = random_two_scenario(rng)
-            xs = evolve_two_realization(rng.uniform(-5, 5), rng.uniform(-5, 5),
-                                        rng.uniform(0, 10), s)
+            xs = two_xstate(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 10), s)
             validate_density(xstate_matrix(xs))
 
 
 class TestSeedStream:
+    """The per-realization draws of standard_normals: draw j of realization i is f(seed, i, j)."""
+
     def test_reproducible(self):
-        a = seed_stream(99, 5).normal(size=20)
-        b = seed_stream(99, 5).normal(size=20)
+        a = standard_normals(99, 5, 6, 20)
+        b = standard_normals(99, 5, 6, 20)
         assert np.array_equal(a, b)
 
     def test_streams_uncorrelated(self):
-        a = seed_stream(42, 0).normal(size=10_000)
-        b = seed_stream(42, 1).normal(size=10_000)
+        a = standard_normals(42, 0, 1, 10_000)[:, 0]
+        b = standard_normals(42, 1, 2, 10_000)[:, 0]
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.05
 
     def test_gaussian_variance(self):
         v = 0.6
-        draws = seed_stream(7, 3).normal(0.0, np.sqrt(v), size=1_000_000)
+        draws = np.sqrt(v) * standard_normals(7, 3, 4, 1_000_000)[:, 0]
         assert draws.var() == pytest.approx(v, rel=0.01)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            seed_stream(1, -1)
+            standard_normals(1, -1, 0, 1)
+
+    def test_independent_of_chunking(self):
+        whole = standard_normals(2024, 0, 1000, 3)
+        assert whole.shape == (3, 1000)
+        assert np.array_equal(whole[:, 300:700], standard_normals(2024, 300, 700, 3))
+        # draw j of a realization does not depend on how many draws are taken
+        assert np.array_equal(whole[:2], standard_normals(2024, 0, 1000, 2))
+
+    def test_sampler_raises_no_runtime_warning(self, monkeypatch):
+        monkeypatch.setenv("HENSIM_WORKERS", "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample_ensemble(two_scenario(var_b=0.5), 1100, 2**64 - 1, np.linspace(0, 5, 20), "two")
+            sample_ensemble(single_scenario(), 700, -3, np.linspace(0, 5, 20), "single")
+
+
+def complex_single(eps, t, s):
+    """The complex-exponential closed form of (rho_pp, rho_pm) that the real kernel replaces."""
+    t = np.asarray(t, dtype=float)
+    c, alpha, det = s.coupling.c, s.coupling.alpha, eps - s.omega_a
+    rho_pp = 0.5 * c**2 * abs(s.xb) ** 2 * (1.0 - np.cos(2.0 * alpha * det * t))
+    rho_pm = (-1j * c * s.xb * np.conj(s.yb) * np.exp(-0.5j * (eps + s.omega_a) * t)
+              * np.sin(alpha * det * t))
+    return rho_pp, rho_pm
+
+
+def complex_two(eps_a, eps_b, t, s):
+    """The complex-exponential closed form of (a, b, c, d, z) that the real kernel replaces."""
+    t = np.asarray(t, dtype=float)
+    alpha, c2 = s.coupling.alpha, s.coupling.c ** 2
+    arg = alpha * (s.omega_a - eps_a) * t
+    g2 = np.sin(arg) ** 2
+    zeta = np.exp(-0.5j * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b) * t)
+    return (0.5 * s.x * c2 * g2, 0.5 * s.x + 0.5 * s.y * (1.0 - c2 * g2),
+            0.5 * s.y + 0.5 * s.x * (1.0 - c2 * g2), 0.5 * s.y * c2 * g2,
+            0.5 * (s.x + s.y) * zeta * (np.cos(arg) - 1j * np.sin(arg) / (2.0 * alpha)))
+
+
+class TestRealKernels:
+    def test_single_matches_complex_form(self, rng):
+        worst = 0.0
+        for _ in range(200):
+            s = random_single_scenario(rng)
+            # give both amplitudes a phase, so that q = -i c xb conj(yb) is fully complex
+            s = SingleQubitScenario(s.omega_a, s.coupling, s.xb * np.exp(1j * rng.uniform(0, 6.3)),
+                                    s.yb * np.exp(1j * rng.uniform(0, 6.3)), s.noise)
+            eps, t = rng.uniform(-5, 5, size=(8, 1)), rng.uniform(0, 10, size=12)
+            pp, re_pm, im_pm = evolve_single_realization(eps, t, s)
+            opp, opm = complex_single(eps, t, s)
+            worst = max(worst, np.abs(pp - opp).max(), np.abs(re_pm + 1j * im_pm - opm).max())
+        assert worst <= 1e-15
+
+    def test_two_matches_complex_form(self, rng):
+        worst = 0.0
+        for _ in range(200):
+            s = random_two_scenario(rng)
+            eps_a, eps_b = rng.uniform(-5, 5, size=(2, 8, 1))
+            t = rng.uniform(0, 10, size=12)
+            a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, t, s)
+            oa, ob, oc, od, oz = complex_two(eps_a, eps_b, t, s)
+            worst = max(worst, *(np.abs(x - y).max() for x, y in
+                                 ((a, oa), (b, ob), (c, oc), (d, od), (re_z + 1j * im_z, oz))))
+        assert worst <= 1e-15
+
+    def test_scalars_give_0d_columns(self):
+        cols = evolve_two_realization(0.7, 0.3, 1.1, two_scenario())
+        assert len(cols) == 6 and all(np.shape(v) == () for v in cols)
+        assert all(np.shape(v) == () for v in evolve_single_realization(0.7, 1.1, single_scenario()))
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", " 2", "1e3"])
+    def test_rejects_non_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("HENSIM_WORKERS", value)
+        with pytest.raises(ValueError, match="^HENSIM_WORKERS must be a positive integer"):
+            worker_count(4)
+
+    def test_capped_at_chunk_count(self, monkeypatch):
+        monkeypatch.setenv("HENSIM_WORKERS", "64")
+        assert worker_count(3) == 3
+        assert worker_count(1) == 1
+        monkeypatch.setenv("HENSIM_WORKERS", "2")
+        assert worker_count(10) == 2
+
+    def test_default_is_cpu_count_capped(self, monkeypatch):
+        monkeypatch.delenv("HENSIM_WORKERS", raising=False)
+        assert worker_count(1) == 1
+        assert worker_count(10_000) == (os.cpu_count() or 1)
+        monkeypatch.setenv("HENSIM_WORKERS", "")
+        assert worker_count(10_000) == (os.cpu_count() or 1)
 
 
 class TestSampleEnsemble:
@@ -203,7 +310,7 @@ class TestSampleEnsemble:
         s = single_scenario(omega_a=2.0, alpha=1.3, variance=0.0)
         grid = np.linspace(0, 4, 33)
         traj = sample_ensemble(s, 50, 11, grid, "single")
-        pp, pm = evolve_single_realization(0.0, grid, s)
+        pp, pm = single_elements(0.0, grid, s)
         assert np.abs(traj.columns["rho_pp"] - pp).max() <= 1e-14
         assert np.abs(traj.columns["re_rho_pm"] - pm.real).max() <= 1e-14
         assert np.abs(traj.columns["rho_pp_se"]).max() <= 1e-14
@@ -212,8 +319,8 @@ class TestSampleEnsemble:
         s = single_scenario(omega_a=1.0, alpha=2.0, variance=0.7)
         grid = np.linspace(0, 3, 17)
         traj = sample_ensemble(s, 1, 123, grid, "single")
-        eps = seed_stream(123, 0).normal(0.0, np.sqrt(0.7))
-        pp, _ = evolve_single_realization(eps, grid, s)
+        eps = np.sqrt(0.7) * standard_normals(123, 0, 1, 1)[0, 0]
+        pp, _ = single_elements(eps, grid, s)
         assert np.abs(traj.columns["rho_pp"] - pp).max() <= 1e-15
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
@@ -257,10 +364,15 @@ class TestSampleEnsemble:
         assert traj.meta["n"] == 10
         assert traj.meta["seed"] == 321
 
+    def test_meta_records_rng_scheme_and_chunk(self):
+        traj = sample_ensemble(two_scenario(), 10, 321, np.linspace(0, 1, 3), "two")
+        assert traj.meta["rng"] == "splitmix64-boxmuller-v1"
+        assert traj.meta["chunk"] == 512
+
     def test_nonzero_mean_is_sampled_not_rejected(self):
         # Monte Carlo permits a nonzero mean; only the analytic formulas refuse it
         s = single_scenario(omega_a=0.0, alpha=1.0, variance=0.0, mean=2.0)
         grid = np.array([0.0, np.pi / 4])
         traj = sample_ensemble(s, 5, 1, grid, "single")
-        pp, _ = evolve_single_realization(2.0, grid, s)
+        pp, _ = single_elements(2.0, grid, s)
         assert np.abs(traj.columns["rho_pp"] - pp).max() <= 1e-14
