@@ -3,6 +3,12 @@
 All averages here assume mean-zero Gaussian level spacings (the moment identity
 behind the closed forms requires it); scenarios carrying a nonzero noise mean
 are rejected rather than silently mis-averaged.
+
+Every Gaussian exponent alpha_k^2 var t^2 (alpha_k is alpha or alpha +- 1/2)
+is formed as square(alpha_k * (sqrt(var) * t)). Squaring alpha first would
+raise OverflowError from alpha of about 1.34e154 on, and give 0 * inf = NaN at
+t = 0 or var = 0; this form is 0 there and at worst inf elsewhere, where the
+envelope is exp(-inf) = 0, its alpha -> infinity limit.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def avg_population_single(t, s: SingleQubitScenario):
     t = np.asarray(t, dtype=float)
     alpha = s.coupling.alpha
     c2 = s.coupling.c ** 2
-    env = np.exp(-2.0 * alpha**2 * s.noise.variance * t**2)
+    env = np.exp(-2.0 * np.square(alpha * (math.sqrt(s.noise.variance) * t)))
     return 0.5 * c2 * abs(s.xb) ** 2 * (1.0 - np.cos(2.0 * alpha * s.omega_a * t) * env)
 
 
@@ -58,10 +64,10 @@ def avg_coherence_single(t, s: SingleQubitScenario):
     _require_mean_zero(s.noise)
     t = np.asarray(t, dtype=float)
     alpha = s.coupling.alpha
-    v = s.noise.variance
+    st = math.sqrt(s.noise.variance) * t
     wa = s.omega_a
-    plus = np.exp(-0.5 * (alpha + 0.5) ** 2 * v * t**2) * np.exp(1j * (alpha - 0.5) * wa * t)
-    minus = np.exp(-0.5 * (alpha - 0.5) ** 2 * v * t**2) * np.exp(-1j * (alpha + 0.5) * wa * t)
+    plus = np.exp(-0.5 * np.square((alpha + 0.5) * st)) * np.exp(1j * (alpha - 0.5) * wa * t)
+    minus = np.exp(-0.5 * np.square((alpha - 0.5) * st)) * np.exp(-1j * (alpha + 0.5) * wa * t)
     return 0.5 * s.coupling.c * s.xb * np.conj(s.yb) * (plus - minus)
 
 
@@ -105,7 +111,7 @@ def dissipation_rate(t, law: CouplingLaw, var: float):
         raise ValueError("t must be nonnegative")
     if var < 0:
         raise ValueError("var must be nonnegative")
-    out = 2.0 * law.alpha**2 * var * t
+    out = 2.0 * np.square(law.alpha * np.sqrt(var * t))
     return float(out) if out.ndim == 0 else out
 
 
@@ -115,9 +121,9 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
     t = np.asarray(t, dtype=float)
     alpha = s.coupling.alpha
     c2 = s.coupling.c ** 2
-    va, vb = s.noise_a.variance, s.noise_b.variance
+    sa, sb = math.sqrt(s.noise_a.variance) * t, math.sqrt(s.noise_b.variance) * t
     wa, wb = s.omega_a, s.omega_b
-    relax = 1.0 - np.cos(2.0 * alpha * wa * t) * np.exp(-2.0 * alpha**2 * va * t**2)
+    relax = 1.0 - np.cos(2.0 * alpha * wa * t) * np.exp(-2.0 * np.square(alpha * sa))
     a = 0.25 * s.x * c2 * relax
     d = 0.25 * s.y * c2 * relax
     b = 0.5 * s.x + 0.5 * s.y * (1.0 - 0.5 * c2 * relax)
@@ -125,17 +131,17 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
     inv2a = 1.0 / (2.0 * alpha)
     branch_plus = (
         np.exp(1j * alpha * wa * t)
-        * np.exp(-0.5 * (alpha + 0.5) ** 2 * va * t**2)
+        * np.exp(-0.5 * np.square((alpha + 0.5) * sa))
         * (1.0 - inv2a)
     )
     branch_minus = (
         np.exp(-1j * alpha * wa * t)
-        * np.exp(-0.5 * (alpha - 0.5) ** 2 * va * t**2)
+        * np.exp(-0.5 * np.square((alpha - 0.5) * sa))
         * (1.0 + inv2a)
     )
     z = (
         0.25
-        * np.exp(-0.5 * vb * t**2)
+        * np.exp(-0.5 * np.square(sb))
         * np.exp(-0.5j * (wa + 2.0 * wb) * t)
         * (branch_plus + branch_minus)
     )
@@ -165,52 +171,39 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     so per-cell parameters of shape (cells, 1) meet a (cells, points) time grid.
     Mean-zero noise is assumed, as in avg_xstate_two.
     """
-    t2 = np.square(t)
     inv2a = 0.5 / np.asarray(alpha, dtype=float)
-    half_va_t2 = 0.5 * var_a * t2
-    p = (1.0 - inv2a) * _decay((alpha + 0.5) ** 2 * half_va_t2)
-    m = (1.0 + inv2a) * _decay((alpha - 0.5) ** 2 * half_va_t2)
+    sa = np.sqrt(0.5 * var_a) * t  # alpha_k^2 va t^2 / 2 = square(alpha_k sa)
+    p = (1.0 - inv2a) * _decay(np.square((alpha + 0.5) * sa))
+    m = (1.0 + inv2a) * _decay(np.square((alpha - 0.5) * sa))
     # cos(0) and exp(0) are exactly 1, so skipping them changes no bit
     cos_term = np.cos(2.0 * alpha * omega_a * t) if np.any(omega_a) else 1.0
     z_abs = 0.25 * np.sqrt(p * p + m * m + 2.0 * p * m * cos_term)
     if np.any(var_b):
-        z_abs = z_abs * _decay(0.5 * var_b * t2)
-    relax = np.abs(1.0 - cos_term * _decay(2.0 * alpha**2 * var_a * t2))
+        z_abs = z_abs * _decay(np.square(np.sqrt(0.5 * var_b) * t))
+    relax = np.abs(1.0 - cos_term * _decay(np.square(2.0 * alpha * sa)))
     return z_abs - 0.25 * (1.0 - inv2a * inv2a) * np.sqrt(xy) * relax
 
 
-def special_no_longitudinal(t, s: TwoQubitScenario):
-    """(|z|, sqrt(a d)) with both noise variances zero (no relaxation at all)."""
-    if s.noise_a.variance != 0.0 or s.noise_b.variance != 0.0:
-        raise ValueError("both noise variances must be zero for this special case")
-    if not s.coupling.alpha > 0.5:
-        raise ValueError("alpha must exceed 1/2 for this special case")
-    return _special_zero_va(t, s)
+def special_zero_va(t, s: TwoQubitScenario):
+    """(|z|, sqrt(a d)) without longitudinal noise (noise_a variance 0): no relaxation.
 
-
-def special_transverse_only(t, s: TwoQubitScenario):
-    """(|z|, sqrt(a d)) with longitudinal noise off but transverse noise on."""
+    Transverse noise (noise_b) only damps |z|; alpha = 1/2 gives sqrt(a d) = 0.
+    """
+    _require_mean_zero(s.noise_a, s.noise_b)
     if s.noise_a.variance != 0.0:
         raise ValueError("noise_a variance must be zero for this special case")
-    if not s.noise_b.variance > 0.0:
-        raise ValueError("noise_b variance must be positive for this special case")
-    return _special_zero_va(t, s)
-
-
-def _special_zero_va(t, s: TwoQubitScenario):
     t = np.asarray(t, dtype=float)
     alpha = s.coupling.alpha
-    inv4a2 = 1.0 / (4.0 * alpha**2)
+    inv4a2 = (0.5 / alpha) ** 2
     cos_term = np.cos(2.0 * alpha * s.omega_a * t)
     z_abs = (
         (math.sqrt(2.0) / 4.0)
-        * np.exp(-0.5 * s.noise_b.variance * t**2)
+        * np.exp(-0.5 * np.square(math.sqrt(s.noise_b.variance) * t))
         * np.sqrt(1.0 + inv4a2 + (1.0 - inv4a2) * cos_term)
     )
     ad_root = (
         math.sqrt(s.x * s.y)
-        * (4.0 * alpha**2 - 1.0)
-        / (16.0 * alpha**2)
+        * 0.25 * (1.0 - inv4a2)
         * (1.0 - cos_term)
     )
     return z_abs, ad_root

@@ -172,7 +172,7 @@ def cmd_relax(ns) -> int:
     columns = {"t": traj.times, **traj.columns}
     meta = {**traj.meta, "config": cfg, "command": "relax"}
     if cfg["samples"]:
-        mc = sample_ensemble(s, int(cfg["samples"]), int(cfg["seed"]), grid, "single")
+        mc = sample_ensemble(s, int(cfg["samples"]), int(cfg["seed"]), grid)
         for name in traj.columns:
             columns[name + "_mc"] = mc.columns[name]
             columns[name + "_mc_se"] = mc.columns[name + "_se"]

@@ -122,32 +122,28 @@ def worker_count(chunks: int) -> int:
     return min(int(env) if env else os.cpu_count() or 1, chunks)
 
 
-# observable: (scenario type, noise specs drawn per realization in this order,
-# names of the real columns that its kernel returns)
+# scenario type: (observable name, noise specs drawn per realization in this
+# order, names of the real columns that its kernel returns)
 _OBSERVABLES = {
-    "single": (SingleQubitScenario, ("noise",), ("rho_pp", "re_rho_pm", "im_rho_pm")),
-    "two": (TwoQubitScenario, ("noise_a", "noise_b"), ("a", "b", "c", "d", "re_z", "im_z")),
+    SingleQubitScenario: ("single", ("noise",), ("rho_pp", "re_rho_pm", "im_rho_pm")),
+    TwoQubitScenario: ("two", ("noise_a", "noise_b"), ("a", "b", "c", "d", "re_z", "im_z")),
 }
 
 
-def sample_ensemble(s, n: int, master_seed: int, grid, observable: str | None = None) -> Trajectory:
+def sample_ensemble(s, n: int, master_seed: int, grid) -> Trajectory:
     """Arithmetic mean over n realizations, with standard errors in ``<name>_se`` columns.
 
+    The observable follows from the scenario type: the working qubit's
+    elements for a SingleQubitScenario, the X state for a TwoQubitScenario.
     Chunks of _CHUNK realizations run (possibly concurrently) and are combined
     in chunk order, so the output is bit-identical for any worker count.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     grid = np.asarray(grid, dtype=float)
-    if observable is None:
-        observable = "single" if isinstance(s, SingleQubitScenario) else "two"
-    if observable not in _OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}")
-    kind, fields, names = _OBSERVABLES[observable]
-    if not isinstance(s, kind):
-        raise ValueError(f"{observable!r} observable needs a {kind.__name__}")
+    observable, fields, names = _OBSERVABLES[type(s)]
     specs = [getattr(s, f) for f in fields]
-    evolve = evolve_single_realization if kind is SingleQubitScenario else evolve_two_realization
+    evolve = evolve_single_realization if observable == "single" else evolve_two_realization
     bounds = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
 
     def run(chunk):

@@ -1,4 +1,7 @@
-"""Concurrence (general and X-state fast path) and the disentanglement time solver."""
+"""X-state concurrence (fast path) and the disentanglement time solver.
+
+The general Wootters concurrence it is checked against lives in hensim.validation.
+"""
 
 from __future__ import annotations
 
@@ -9,29 +12,7 @@ import numpy as np
 
 from hensim.analytic import avg_xstate_two, xstate_gap
 from hensim.ensemble import sample_ensemble
-from hensim.linalg import PAULI_Y, validate_density
 from hensim.scenarios import Trajectory, TwoQubitScenario, XState
-
-_YY = np.kron(PAULI_Y, PAULI_Y)
-
-
-def concurrence_general(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
-
-    The spin-flip spectrum is obtained from the Hermitian matrix
-    sqrt(rho) (sy (x) sy) rho* (sy (x) sy) sqrt(rho), which is similar to the
-    usual non-Hermitian product; negative round-off eigenvalues are clipped.
-    """
-    rho = validate_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit density matrix, got {rho.shape}")
-    w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    m = sqrt_rho @ _YY @ rho.conj() @ _YY @ sqrt_rho
-    kappa = np.linalg.eigvalsh(m)
-    roots = np.sqrt(np.clip(kappa, 0.0, None))[::-1]
-    c = roots[0] - roots[1] - roots[2] - roots[3]
-    return float(min(max(c, 0.0), 1.0))
 
 
 def concurrence_x(elems) -> np.ndarray:
@@ -44,27 +25,6 @@ def concurrence_x(elems) -> np.ndarray:
     val = 2.0 * np.maximum(0.0, np.abs(elems.z) - np.sqrt(np.maximum(ad, 0.0)))
     out = np.minimum(val, 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def xstate_matrix(elems, index=None) -> np.ndarray:
-    """Assemble the 4x4 X-state density matrix in the standard product basis.
-
-    Diagonal (b, a, d, c) with z on the |++><--| corner. ``index`` selects one
-    grid point when the element arrays are time-resolved.
-    """
-
-    def pick(v):
-        v = np.asarray(v)
-        return complex(v if index is None else v[index])
-
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = pick(elems.b)
-    rho[1, 1] = pick(elems.a)
-    rho[2, 2] = pick(elems.d)
-    rho[3, 3] = pick(elems.c)
-    rho[0, 3] = pick(elems.z)
-    rho[3, 0] = np.conj(rho[0, 3])
-    return rho
 
 
 def concurrence_trajectory(
@@ -84,7 +44,7 @@ def concurrence_trajectory(
         )
     if master_seed is None:
         raise ValueError("Monte Carlo concurrence needs a master seed")
-    traj = sample_ensemble(s, n, master_seed, grid, observable="two")
+    traj = sample_ensemble(s, n, master_seed, grid)
     cols = traj.columns
     xs = XState(cols["a"], cols["b"], cols["c"], cols["d"], cols["re_z"] + 1j * cols["im_z"])
     return Trajectory(times=grid, columns={"C": concurrence_x(xs)}, meta=traj.meta)
@@ -209,7 +169,7 @@ def _stays_dead(cells, t_c, t_max, points):
     return ok
 
 
-def find_tc_batch(scenarios, t_max: float | None = None) -> list[CriticalTime]:
+def find_tc_batch(scenarios) -> list[CriticalTime]:
     """Critical disentanglement times of many scenarios, solved together.
 
     Runs the algorithm of find_tc over all cells at once, on the real-only
@@ -228,33 +188,21 @@ def find_tc_batch(scenarios, t_max: float | None = None) -> list[CriticalTime]:
 
     # sqrt(a d) approaches its asymptote like exp(-2 alpha^2 va t^2);
     # t_settle is the 99% point of that envelope
-    t_settle = np.sqrt(math.log(1e2) / (2.0 * alpha[idx] ** 2 * va[idx]))
-    if t_max is None:
-        horizon = np.maximum(2.0 * t_settle, 1.0)
-        beyond = np.zeros(len(idx), dtype=bool)
-        pending = np.arange(len(idx))
-        while len(pending):
-            grow = pending[_cell_gap(horizon[pending], cells[:, pending]) >= 0.0]
-            horizon[grow] *= 2.0
-            over = horizon[grow] > _HORIZON
-            beyond[grow[over]] = True
-            pending = grow[~over]
-        for k in np.flatnonzero(beyond):
-            # t_max: the last horizon tried, where g was still positive
-            results[idx[k]] = CriticalTime(None, None, _TOL, BEYOND_HORIZON,
-                                           float(horizon[k] / 2.0), 0)
-        keep = np.flatnonzero(~beyond)
-    else:
-        horizon = np.full(len(idx), float(t_max))
-        short = np.flatnonzero(t_max < t_settle)
-        if len(short):
-            raise ValueError(
-                f"t_max={t_max} too small: sqrt(a d) has not reached its "
-                f"asymptote (needs about {t_settle[short[0]]:.3g})"
-            )
-        if np.any(_cell_gap(horizon, cells) >= 0.0):
-            raise ValueError(f"t_max={t_max} too small: g(t_max) is still positive")
-        keep = np.arange(len(idx))
+    t_settle = np.sqrt(math.log(1e2) / 2.0) / (alpha[idx] * np.sqrt(va[idx]))
+    horizon = np.maximum(2.0 * t_settle, 1.0)
+    beyond = np.zeros(len(idx), dtype=bool)
+    pending = np.arange(len(idx))
+    while len(pending):
+        grow = pending[_cell_gap(horizon[pending], cells[:, pending]) >= 0.0]
+        horizon[grow] *= 2.0
+        over = horizon[grow] > _HORIZON
+        beyond[grow[over]] = True
+        pending = grow[~over]
+    for k in np.flatnonzero(beyond):
+        # t_max: the last horizon tried, where g was still positive
+        results[idx[k]] = CriticalTime(None, None, _TOL, BEYOND_HORIZON,
+                                       float(horizon[k] / 2.0), 0)
+    keep = np.flatnonzero(~beyond)
 
     for escalations, density in enumerate((_GRID_DENSITY, 4 * _GRID_DENSITY, 16 * _GRID_DENSITY)):
         lo, hi = _last_crossings(cells[:, keep], horizon[keep], density)
@@ -273,21 +221,19 @@ def find_tc_batch(scenarios, t_max: float | None = None) -> list[CriticalTime]:
     raise ValueError(f"could not isolate the last sign change of g(t) in {len(keep)} cell(s)")
 
 
-def find_tc(s: TwoQubitScenario, t_max: float | None = None) -> CriticalTime:
+def find_tc(s: TwoQubitScenario) -> CriticalTime:
     """Critical disentanglement time on the analytic averaged trajectory.
 
     Status "none" (no finite time) when the longitudinal channel is absent
     (alpha = 1/2 or zero longitudinal variance) or the auxiliary mixture is
-    pure (xy = 0). Otherwise: grid scan for the last downward sign change of g,
+    pure (xy = 0). Otherwise the horizon t_max is found by doubling from twice
+    the time sqrt(a d) takes to settle until g(t_max) < 0; if g is still
+    positive past t = 1e6 the status is "beyond-horizon" and t_c is None.
+    Then: grid scan over [0, t_max] for the last downward sign change of g,
     with the grid made 4 and then 16 times denser while the result fails
-    verification; bisection refinement to a width of 1e-8; then a dense verification
-    sweep over [t_c, t_max].
-
-    ``t_max`` must be large enough that sqrt(a d) has essentially reached its
-    asymptote and g(t_max) < 0, or ValueError is raised. When omitted it is
-    found by doubling from twice the settling time; if g is still positive
-    past t = 1e6 the status is "beyond-horizon" and t_c is None.
+    verification; bisection refinement to a width of 1e-8; then a dense
+    verification sweep over [t_c, t_max].
 
     This is find_tc_batch on a batch of one.
     """
-    return find_tc_batch([s], t_max)[0]
+    return find_tc_batch([s])[0]

@@ -20,23 +20,17 @@ from hensim.analytic import (
 )
 from hensim.cli import main
 from hensim.ensemble import sample_ensemble
-from hensim.entanglement import (
+from hensim.entanglement import _gap, concurrence_x, find_tc
+from hensim.scenarios import CouplingLaw
+from hensim.validation import (
+    check_concurrence_dual_path,
+    check_mc_scaling,
+    check_propagator_oracle,
+    check_two_qubit_oracle,
     concurrence_general,
-    concurrence_x,
-    find_tc,
+    random_two_scenario,
     xstate_matrix,
 )
-from hensim.entanglement import _gap
-from hensim.linalg import matrix_exponential
-from hensim.scenarios import CouplingLaw, XState
-from hensim.validation import (
-    build_h_single,
-    propagator_single_closed,
-    random_single_scenario,
-    random_two_scenario,
-    two_oracle_xstate,
-)
-from hensim.ensemble import evolve_two_realization
 
 
 def report(criterion, detail):
@@ -46,24 +40,9 @@ def report(criterion, detail):
 def test_criterion_1_propagator_oracle_equivalence():
     rng = np.random.default_rng(1)
     start = time.monotonic()
-    worst_single = 0.0
-    for _ in range(1000):
-        s = random_single_scenario(rng)  # alpha in [0.5, 5], omega_a in [-5, 5]
-        eps, t = rng.uniform(-5, 5), rng.uniform(0, 10)
-        u = propagator_single_closed(eps, t, s)
-        worst_single = max(
-            worst_single, np.abs(u - matrix_exponential(build_h_single(eps, s), t)).max()
-        )
-    worst_two = 0.0
-    for _ in range(1000):
-        s = random_two_scenario(rng)
-        eps_a, eps_b = rng.uniform(-5, 5, size=2)
-        t = rng.uniform(0, 10)
-        a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, t, s)
-        xs = XState(a, b, c, d, z=re_z + 1j * im_z)
-        worst_two = max(
-            worst_two, np.abs(xstate_matrix(xs) - two_oracle_xstate(eps_a, eps_b, t, s)).max()
-        )
+    # alpha in [0.5, 5], omega_a in [-5, 5]; the two-qubit cases follow on the same generator
+    worst_single = check_propagator_oracle(1000, rng)
+    worst_two = check_two_qubit_oracle(1000, rng)
     elapsed = time.monotonic() - start
     assert worst_single <= 1e-10
     assert worst_two <= 1e-10
@@ -78,7 +57,7 @@ def test_criterion_2_fig1a_reproduction():
     worst_point, worst_plateau = 0.0, 0.0
     for xb, plateau in plateaus.items():
         s = single_scenario(omega_a=0.0, alpha=5.0, xb=xb, variance=1.0)
-        mc = sample_ensemble(s, 8000, 1000 + int(10 * xb), grid, "single")
+        mc = sample_ensemble(s, 8000, 1000 + int(10 * xb), grid)
         dev = np.abs(mc.columns["rho_pp"] - avg_population_single(grid, s)).max()
         worst_point = max(worst_point, dev)
         tail = mc.columns["rho_pp"][grid >= 4.0].mean()
@@ -95,7 +74,7 @@ def test_criterion_3_fig2_reproduction():
     start = time.monotonic()
     s = single_scenario(omega_a=4.0, alpha=1.0, xb=0.9, variance=0.6)
     grid = np.linspace(0.0, 4.0, 400)
-    mc = sample_ensemble(s, 5000, 2024, grid, "single")
+    mc = sample_ensemble(s, 5000, 2024, grid)
     dev_pop = np.abs(mc.columns["rho_pp"] - avg_population_single(grid, s)).max()
     dev_coh = np.abs(mc.columns["re_rho_pm"] - avg_coherence_single(grid, s).real).max()
     elapsed = time.monotonic() - start
@@ -119,11 +98,7 @@ def test_criterion_4_thermal_round_trip():
 
 def test_criterion_5_concurrence_dual_path():
     rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(1000):
-        s = random_two_scenario(rng)
-        xs = avg_xstate_two(rng.uniform(0, 8), s)
-        worst = max(worst, abs(concurrence_x(xs) - concurrence_general(xstate_matrix(xs))))
+    worst = check_concurrence_dual_path(1000, rng)
     assert worst <= 1e-10
 
     def random_unitary():
@@ -187,15 +162,7 @@ def test_criterion_6_sudden_death_classification():
 
 
 def test_criterion_7_monte_carlo_convergence_law():
-    s = single_scenario(omega_a=0.0, alpha=5.0, xb=0.8, variance=1.0)  # Fig. 1(b) middle curve
-    grid = np.linspace(0.0, 5.0, 400)
-    target = avg_population_single(grid, s)
-    ns = [100, 1000, 10000]
-    devs = [
-        np.abs(sample_ensemble(s, n, 7, grid, "single").columns["rho_pp"] - target).max()
-        for n in ns
-    ]
-    slope = np.polyfit(np.log(ns), np.log(devs), 1)[0]
+    slope = check_mc_scaling(7)  # Fig. 1(b) middle curve at N = 100, 1000, 10000
     assert -0.6 <= slope <= -0.4
     report(7, f"fitted exponent {slope:+.3f}")
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -251,11 +252,7 @@ NON_FINITE_ARGV = [
     ["tc-map", "--alpha-range", "1", "nan", "--var-range", "0.5", "1", "--resolution", "2"],
     ["tc-map", "--alpha-range", "1", "2", "--var-range", "0.5", "inf", "--resolution", "2"],
     ["relax", "--omega-a", "4", "--t-max", "1e308", "--points", "3"],
-    ["relax", "--alpha", "1e154"],
     ["concurrence", "--omega-a", "4", "--t-max", "1e308", "--points", "3", "--format", "json"],
-    ["relax", "--alpha", "1e160"],
-    ["tc-map", "--x", "0.2", "--alpha-range", "1e154", "1e154", "--var-range", "0.1", "2",
-     "--resolution", "2"],
     ["relax", "--out", "{tmp}/missing/x.csv"],
 ]
 
@@ -285,11 +282,9 @@ def test_bad_config_file_rejected(tmp_path, capsys, text):
     assert not out.exists()
 
 
-# Rows whose Monte Carlo part runs on two pool threads; the last one makes
-# those threads overflow, so numpy warns from inside the pool.
+# A row whose Monte Carlo part runs on two pool threads and makes them
+# overflow, so numpy warns from inside the pool.
 SUBPROCESS_ARGV = [
-    ["--alpha", "1e160", "--samples", "2000", "--points", "10"],
-    ["--alpha", "1e154", "--samples", "2000", "--points", "10"],
     ["--omega-a", "4", "--t-max", "1e308", "--points", "3", "--samples", "2000"],
 ]
 
@@ -308,6 +303,52 @@ def test_one_error_line_from_child_process(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not out.exists()
+
+
+# alpha past 1e154, where alpha^2 leaves double precision though every average
+# stays finite, with the alpha -> infinity limit of each column for t > 0:
+# relaxed at once under the default unit longitudinal variance, frozen in the
+# initial state with var_eps_a 0 (omega_a is 0, so nothing oscillates).
+RELAXED = {"rho_pp": 0.5, "re_rho_pm": 0.0, "im_rho_pm": 0.0}
+FROZEN = {"rho_pp": 0.0, "re_rho_pm": 0.0, "im_rho_pm": 0.0}
+LARGE_ALPHA_ROWS = [
+    (["relax", "--alpha", "1e154"], RELAXED),
+    (["relax", "--alpha", "1e160"], RELAXED),
+    (["relax", "--alpha", "1e160", "--var-eps-a", "0"], FROZEN),
+    (["relax", "--alpha", "1e160", "--samples", "2000", "--points", "10"], RELAXED),
+    (["relax", "--alpha", "1e154", "--samples", "2000", "--points", "10"], RELAXED),
+    (["relax", "--alpha", "1e160", "--xb", "0.8", "--samples", "2000", "--points", "10"],
+     {**RELAXED, "rho_pp": 0.32}),
+    (["relax", "--alpha", "1e160", "--var-eps-a", "0", "--samples", "2000", "--points", "10"],
+     FROZEN),
+    (["concurrence", "--alpha", "1e160"], {"C": 0.0}),
+    (["concurrence", "--alpha", "1e160", "--var-eps-a", "0"], {"C": 1.0}),
+    (["tc-map", "--x", "0.2", "--alpha-range", "1e154", "1e154", "--var-range", "0.1", "2",
+      "--resolution", "2"], None),
+    (["tc-map", "--x", "0.2", "--alpha-range", "1e160", "1e160", "--var-range", "0", "2",
+      "--resolution", "2"], None),
+]
+
+
+@pytest.mark.parametrize("argv, limits", LARGE_ALPHA_ROWS,
+                         ids=[" ".join(argv) for argv, _ in LARGE_ALPHA_ROWS])
+def test_large_alpha_reaches_its_limit(tmp_path, monkeypatch, argv, limits):
+    monkeypatch.setenv("HENSIM_WORKERS", "2")
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    _, cols = read_csv(out)
+    assert all(v is None or math.isfinite(v) for col in cols.values() for v in col)
+    if argv[0] == "tc-map":
+        # t_c -> 0, resolved to the solver's 1e-8; no sudden death without longitudinal noise
+        for var, tc in zip(cols["var_eps_a"], cols["tc"]):
+            assert (tc is None) == (var == 0.0)
+            assert tc is None or 0.0 < tc <= 1e-8
+        return
+    for name, limit in limits.items():
+        for col in (name, name + "_mc"):
+            se = cols.get(col + "_se", [0.0] * len(cols["t"]))
+            for t, v, e in zip(cols["t"], cols.get(col, ()), se):
+                assert t == 0.0 or abs(v - limit) <= 6.0 * e + 1e-12, (col, t, v, e)
 
 
 @pytest.mark.parametrize("workers", ["abc", "0"])

@@ -12,19 +12,21 @@ from hensim.ensemble import (
     standard_normals,
     worker_count,
 )
-from hensim.linalg import PAULI_Z, kron, matrix_exponential, partial_trace, validate_density
 from hensim.scenarios import CouplingLaw, GaussianSpec, SingleQubitScenario, XState
 from hensim.validation import (
+    PAULI_Z,
     build_h_single,
     build_h_two,
     coupling_strength,
+    matrix_exponential,
     propagator_single_closed,
     random_single_scenario,
     random_two_scenario,
     single_oracle_elements,
     two_oracle_xstate,
+    validate_density,
+    xstate_matrix,
 )
-from hensim.entanglement import xstate_matrix
 
 
 def single_elements(eps, t, s):
@@ -59,7 +61,7 @@ class TestBuildHSingle:
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
 
     def test_conserved_parity(self, rng):
-        zz = kron(PAULI_Z, PAULI_Z)
+        zz = np.kron(PAULI_Z, PAULI_Z)
         for _ in range(20):
             s = random_single_scenario(rng)
             h = build_h_single(rng.uniform(-5, 5), s)
@@ -221,8 +223,8 @@ class TestSeedStream:
         monkeypatch.setenv("HENSIM_WORKERS", "2")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sample_ensemble(two_scenario(var_b=0.5), 1100, 2**64 - 1, np.linspace(0, 5, 20), "two")
-            sample_ensemble(single_scenario(), 700, -3, np.linspace(0, 5, 20), "single")
+            sample_ensemble(two_scenario(var_b=0.5), 1100, 2**64 - 1, np.linspace(0, 5, 20))
+            sample_ensemble(single_scenario(), 700, -3, np.linspace(0, 5, 20))
 
 
 def complex_single(eps, t, s):
@@ -309,7 +311,7 @@ class TestSampleEnsemble:
     def test_degenerate_distribution_equals_deterministic(self):
         s = single_scenario(omega_a=2.0, alpha=1.3, variance=0.0)
         grid = np.linspace(0, 4, 33)
-        traj = sample_ensemble(s, 50, 11, grid, "single")
+        traj = sample_ensemble(s, 50, 11, grid)
         pp, pm = single_elements(0.0, grid, s)
         assert np.abs(traj.columns["rho_pp"] - pp).max() <= 1e-14
         assert np.abs(traj.columns["re_rho_pm"] - pm.real).max() <= 1e-14
@@ -318,7 +320,7 @@ class TestSampleEnsemble:
     def test_n1_equals_single_realization(self):
         s = single_scenario(omega_a=1.0, alpha=2.0, variance=0.7)
         grid = np.linspace(0, 3, 17)
-        traj = sample_ensemble(s, 1, 123, grid, "single")
+        traj = sample_ensemble(s, 1, 123, grid)
         eps = np.sqrt(0.7) * standard_normals(123, 0, 1, 1)[0, 0]
         pp, _ = single_elements(eps, grid, s)
         assert np.abs(traj.columns["rho_pp"] - pp).max() <= 1e-15
@@ -329,7 +331,7 @@ class TestSampleEnsemble:
         results = []
         for workers in ("1", "4"):
             monkeypatch.setenv("HENSIM_WORKERS", workers)
-            results.append(sample_ensemble(s, 2000, 77, grid, "two"))
+            results.append(sample_ensemble(s, 2000, 77, grid))
         for name in results[0].columns:
             assert np.array_equal(results[0].columns[name], results[1].columns[name])
 
@@ -337,7 +339,7 @@ class TestSampleEnsemble:
         # 300 random realizations, assembled into the averaged working-qubit state
         s = single_scenario(omega_a=1.5, alpha=2.0, variance=1.0)
         grid = np.linspace(0, 5, 25)
-        traj = sample_ensemble(s, 300, 5, grid, "single")
+        traj = sample_ensemble(s, 300, 5, grid)
         for i in range(len(grid)):
             pp = traj.columns["rho_pp"][i]
             pm = traj.columns["re_rho_pm"][i] + 1j * traj.columns["im_rho_pm"][i]
@@ -346,7 +348,7 @@ class TestSampleEnsemble:
     def test_averaged_xstate_is_valid_density(self):
         s = two_scenario(var_b=0.3)
         grid = np.linspace(0, 5, 25)
-        traj = sample_ensemble(s, 500, 9, grid, "two")
+        traj = sample_ensemble(s, 500, 9, grid)
         for i in range(len(grid)):
             rho = np.zeros((4, 4), dtype=complex)
             rho[0, 0] = traj.columns["b"][i]
@@ -359,13 +361,13 @@ class TestSampleEnsemble:
 
     def test_meta_records_provenance(self):
         s = single_scenario()
-        traj = sample_ensemble(s, 10, 321, np.linspace(0, 1, 3), "single")
+        traj = sample_ensemble(s, 10, 321, np.linspace(0, 1, 3))
         assert traj.meta["source"] == "monte-carlo"
         assert traj.meta["n"] == 10
         assert traj.meta["seed"] == 321
 
     def test_meta_records_rng_scheme_and_chunk(self):
-        traj = sample_ensemble(two_scenario(), 10, 321, np.linspace(0, 1, 3), "two")
+        traj = sample_ensemble(two_scenario(), 10, 321, np.linspace(0, 1, 3))
         assert traj.meta["rng"] == "splitmix64-boxmuller-v1"
         assert traj.meta["chunk"] == 512
 
@@ -373,6 +375,6 @@ class TestSampleEnsemble:
         # Monte Carlo permits a nonzero mean; only the analytic formulas refuse it
         s = single_scenario(omega_a=0.0, alpha=1.0, variance=0.0, mean=2.0)
         grid = np.array([0.0, np.pi / 4])
-        traj = sample_ensemble(s, 5, 1, grid, "single")
+        traj = sample_ensemble(s, 5, 1, grid)
         pp, _ = single_elements(2.0, grid, s)
         assert np.abs(traj.columns["rho_pp"] - pp).max() <= 1e-14

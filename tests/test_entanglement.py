@@ -8,16 +8,18 @@ from conftest import two_scenario
 from hensim.analytic import avg_xstate_two
 from hensim.entanglement import (
     CriticalTime,
-    concurrence_general,
     concurrence_trajectory,
     concurrence_x,
     find_tc,
     find_tc_batch,
+)
+from hensim.scenarios import GaussianSpec
+from hensim.validation import (
+    DensityMatrixError,
+    concurrence_general,
+    random_two_scenario,
     xstate_matrix,
 )
-from hensim.linalg import DensityMatrixError
-from hensim.scenarios import GaussianSpec
-from hensim.validation import random_two_scenario
 
 
 def bell_density():
@@ -134,7 +136,7 @@ class TestFindTc:
         from hensim.entanglement import _gap
 
         s = two_scenario(var_a=1.0)
-        res = find_tc(s, t_max=10.0)
+        res = find_tc(s)
         assert res.t_c is not None
         assert abs(_gap(res.t_c, s)) <= 1e-7
         assert _gap(res.t_c - 1e-4, s) > 0
@@ -145,7 +147,7 @@ class TestFindTc:
 
     def test_concurrence_zero_beyond_tc(self):
         s = two_scenario(var_a=1.0)
-        res = find_tc(s, t_max=10.0)
+        res = find_tc(s)
         grid = np.linspace(res.t_c, 10.0, 500)
         c = concurrence_x(avg_xstate_two(grid, s))
         assert np.abs(c).max() <= 1e-9
@@ -163,10 +165,6 @@ class TestFindTc:
         s = two_scenario(omega_a=6.0, var_a=0.5, var_b=0.5)
         res = find_tc(s)
         assert res.t_c is not None and res.t_c > 0
-
-    def test_t_max_too_small_rejected(self):
-        with pytest.raises(ValueError, match="t_max"):
-            find_tc(two_scenario(var_a=0.05), t_max=1.0)
 
     def test_monotone_in_alpha_and_variance(self):
         tc = {
@@ -276,12 +274,6 @@ class TestFindTcBatch:
         assert (res.status, res.t_c, res.bracket) == ("beyond-horizon", None, None)
         assert 5e5 < res.t_max <= 1e6
         assert _gap(res.t_max, s) >= 0.0
-
-    def test_explicit_t_max_errors(self):
-        with pytest.raises(ValueError, match="t_max"):
-            find_tc_batch([two_scenario(var_a=1.0), two_scenario(var_a=0.05)], t_max=1.0)
-        with pytest.raises(ValueError, match="still positive"):
-            find_tc(two_scenario(alpha=0.5000005, var_a=0.1), t_max=1e3)
 
     def test_nonzero_mean_rejected(self):
         s = replace(two_scenario(), noise_b=GaussianSpec(0.3, 0.0))

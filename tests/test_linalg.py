@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hensim.linalg import (
-    DensityMatrixError,
-    IDENTITY_2,
-    PAULI_Y,
+from hensim.validation import (
     PAULI_Z,
-    check_state_vector,
-    kron,
+    DensityMatrixError,
     matrix_exponential,
     partial_trace,
     validate_density,
@@ -25,46 +21,6 @@ def bell_density():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1 / np.sqrt(2)
     return np.outer(psi, psi.conj())
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_diagonal_product(self):
-        assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
-
-    def test_spin_flip_matches_scalar_loop(self):
-        # independent scalar-loop expansion of the Kronecker product
-        yy = kron(PAULI_Y, PAULI_Y)
-        expected = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        expected[2 * i + k, 2 * j + l] = PAULI_Y[i, j] * PAULI_Y[k, l]
-        assert np.array_equal(yy, expected)
-        rho = bell_density()
-        flipped = yy @ rho.conj() @ yy
-        manual = np.zeros((4, 4), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    for l in range(4):
-                        manual[i, j] += yy[i, k] * rho.conj()[k, l] * yy[l, j]
-        assert np.abs(flipped - manual).max() < 1e-13
-
-    def test_dimension_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            kron(np.eye(4), np.eye(4))
-
-    def test_associative(self, rng):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
-        c = random_hermitian(rng, 2)
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.abs(left - right).max() <= 1e-13
 
 
 class TestPartialTrace:
@@ -150,8 +106,3 @@ class TestValidateDensity:
         with pytest.raises(DensityMatrixError, match="Hermitian"):
             validate_density(rho)
 
-
-def test_state_vector_norm_check():
-    check_state_vector([1 / np.sqrt(2), 1j / np.sqrt(2)])
-    with pytest.raises(ValueError):
-        check_state_vector([1.0, 0.1])
