@@ -14,20 +14,13 @@ envelope is exp(-inf) = 0, its alpha -> infinity limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from hensim.scenarios import (
-    CouplingLaw,
-    SingleQubitScenario,
-    Trajectory,
-    TwoQubitScenario,
-    XState,
-)
+from hensim.scenarios import CouplingLaw, SingleQubitScenario, Trajectory
 
 
-def _require_mean_zero(*specs):
+def require_mean_zero(*specs):
     for spec in specs:
         if spec.mean != 0.0:
             raise ValueError(
@@ -35,23 +28,12 @@ def _require_mean_zero(*specs):
             )
 
 
-@dataclass(frozen=True)
-class ThermalTarget:
-    """The dimensionless product beta * Delta of a thermal excited-state target."""
-
-    beta_delta: float
-
-    def __post_init__(self):
-        if not (self.beta_delta >= 0.0):
-            raise ValueError(f"beta_delta must be nonnegative, got {self.beta_delta}")
-
-
 def avg_population_single(t, s: SingleQubitScenario):
     """Averaged excited-state population of the working qubit.
 
     (c^2/2) |xb|^2 [1 - cos(2 alpha omega_a t) exp(-2 alpha^2 var t^2)].
     """
-    _require_mean_zero(s.noise)
+    require_mean_zero(s.noise)
     t = np.asarray(t, dtype=float)
     alpha = s.coupling.alpha
     c2 = s.coupling.c ** 2
@@ -61,7 +43,7 @@ def avg_population_single(t, s: SingleQubitScenario):
 
 def avg_coherence_single(t, s: SingleQubitScenario):
     """Averaged coherence of the working qubit (two Gaussian-damped branches)."""
-    _require_mean_zero(s.noise)
+    require_mean_zero(s.noise)
     t = np.asarray(t, dtype=float)
     alpha = s.coupling.alpha
     st = math.sqrt(s.noise.variance) * t
@@ -76,23 +58,19 @@ def steady_population(law: CouplingLaw, xb) -> float:
     return 0.5 * law.c**2 * abs(xb) ** 2
 
 
-def thermal_population(target: ThermalTarget) -> float:
-    """Thermal excited-state probability exp(-bd) / (1 + exp(-bd)) in (0, 1/2]."""
-    e = math.exp(-target.beta_delta)
+def thermal_population(beta_delta: float) -> float:
+    """Thermal excited-state probability exp(-bd) / (1 + exp(-bd)) at bd = beta Delta >= 0."""
+    if not (beta_delta >= 0.0):
+        raise ValueError(f"beta_delta must be nonnegative, got {beta_delta}")
+    e = math.exp(-beta_delta)
     return e / (1.0 + e)
 
 
-def invert_thermal(p_plus: float) -> tuple[float, float]:
-    """Coupling (alpha, xb) whose steady population equals ``p_plus``.
+def invert_thermal(p_plus: float, xb: float = 1.0) -> tuple[float, float]:
+    """Coupling (alpha, |xb|) whose steady population (c^2/2) |xb|^2 equals ``p_plus``.
 
-    Convention: xb = 1 and only alpha is tuned, which is always solvable on
-    [0, 1/2). Use invert_thermal_with_xb to fix xb instead.
+    Only alpha is tuned; at the default xb = 1 every p_plus in [0, 1/2) is reachable.
     """
-    return invert_thermal_with_xb(p_plus, 1.0)
-
-
-def invert_thermal_with_xb(p_plus: float, xb: float) -> tuple[float, float]:
-    """Solve (c^2/2) |xb|^2 = p_plus for alpha at a caller-chosen xb."""
     if not (0.0 <= p_plus < 0.5):
         raise ValueError(f"p_plus must lie in [0, 1/2), got {p_plus}")
     c2 = 2.0 * p_plus / abs(xb) ** 2
@@ -115,39 +93,6 @@ def dissipation_rate(t, law: CouplingLaw, var: float):
     return float(out) if out.ndim == 0 else out
 
 
-def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
-    """Averaged X-state elements of the two working qubits."""
-    _require_mean_zero(s.noise_a, s.noise_b)
-    t = np.asarray(t, dtype=float)
-    alpha = s.coupling.alpha
-    c2 = s.coupling.c ** 2
-    sa, sb = math.sqrt(s.noise_a.variance) * t, math.sqrt(s.noise_b.variance) * t
-    wa, wb = s.omega_a, s.omega_b
-    relax = 1.0 - np.cos(2.0 * alpha * wa * t) * np.exp(-2.0 * np.square(alpha * sa))
-    a = 0.25 * s.x * c2 * relax
-    d = 0.25 * s.y * c2 * relax
-    b = 0.5 * s.x + 0.5 * s.y * (1.0 - 0.5 * c2 * relax)
-    c_el = 0.5 * s.y + 0.5 * s.x * (1.0 - 0.5 * c2 * relax)
-    inv2a = 1.0 / (2.0 * alpha)
-    branch_plus = (
-        np.exp(1j * alpha * wa * t)
-        * np.exp(-0.5 * np.square((alpha + 0.5) * sa))
-        * (1.0 - inv2a)
-    )
-    branch_minus = (
-        np.exp(-1j * alpha * wa * t)
-        * np.exp(-0.5 * np.square((alpha - 0.5) * sa))
-        * (1.0 + inv2a)
-    )
-    z = (
-        0.25
-        * np.exp(-0.5 * np.square(sb))
-        * np.exp(-0.5j * (wa + 2.0 * wb) * t)
-        * (branch_plus + branch_minus)
-    )
-    return XState(a=a, b=b, c=c_el, d=d, z=z)
-
-
 def _decay(x):
     """exp(-x), floored at exp(-300) ~ 5e-131.
 
@@ -159,7 +104,7 @@ def _decay(x):
 
 
 def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
-    """g(t) = |z| - sqrt(a d) of avg_xstate_two in real arithmetic; C = 2 max(0, g).
+    """g(t) = |z| - sqrt(a d) of the averaged X state in real arithmetic; C = 2 max(0, g).
 
     With P = (1 - 1/2a) exp(-(a + 1/2)^2 va t^2/2) and
     M = (1 + 1/2a) exp(-(a - 1/2)^2 va t^2/2):
@@ -169,7 +114,8 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
 
     omega_b only turns the phase of z and drops out. Every argument broadcasts,
     so per-cell parameters of shape (cells, 1) meet a (cells, points) time grid.
-    Mean-zero noise is assumed, as in avg_xstate_two.
+    Mean-zero noise is assumed. hensim.validation checks it against the complex
+    averaged X state, avg_xstate_two.
     """
     inv2a = 0.5 / np.asarray(alpha, dtype=float)
     sa = np.sqrt(0.5 * var_a) * t  # alpha_k^2 va t^2 / 2 = square(alpha_k sa)
@@ -182,31 +128,6 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
         z_abs = z_abs * _decay(np.square(np.sqrt(0.5 * var_b) * t))
     relax = np.abs(1.0 - cos_term * _decay(np.square(2.0 * alpha * sa)))
     return z_abs - 0.25 * (1.0 - inv2a * inv2a) * np.sqrt(xy) * relax
-
-
-def special_zero_va(t, s: TwoQubitScenario):
-    """(|z|, sqrt(a d)) without longitudinal noise (noise_a variance 0): no relaxation.
-
-    Transverse noise (noise_b) only damps |z|; alpha = 1/2 gives sqrt(a d) = 0.
-    """
-    _require_mean_zero(s.noise_a, s.noise_b)
-    if s.noise_a.variance != 0.0:
-        raise ValueError("noise_a variance must be zero for this special case")
-    t = np.asarray(t, dtype=float)
-    alpha = s.coupling.alpha
-    inv4a2 = (0.5 / alpha) ** 2
-    cos_term = np.cos(2.0 * alpha * s.omega_a * t)
-    z_abs = (
-        (math.sqrt(2.0) / 4.0)
-        * np.exp(-0.5 * np.square(math.sqrt(s.noise_b.variance) * t))
-        * np.sqrt(1.0 + inv4a2 + (1.0 - inv4a2) * cos_term)
-    )
-    ad_root = (
-        math.sqrt(s.x * s.y)
-        * 0.25 * (1.0 - inv4a2)
-        * (1.0 - cos_term)
-    )
-    return z_abs, ad_root
 
 
 def single_trajectory(s: SingleQubitScenario, grid) -> Trajectory:

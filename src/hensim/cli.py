@@ -3,12 +3,15 @@
 Configuration is accepted both as flags and as a JSON config file; flags
 override file values, and the merged effective config is echoed into the output
 metadata. Exit codes: 0 success, 1 validation failure, 2 bad input (including
-inputs that overflow double precision and an output path that cannot be written).
+inputs that overflow double precision, sizes that cannot be allocated and an
+output path that cannot be written). Floats are written with 17 significant
+digits, so they read back bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -20,15 +23,15 @@ import numpy as np
 
 from hensim.analytic import single_trajectory
 from hensim.ensemble import sample_ensemble
-from hensim.entanglement import FINITE, STATUSES, concurrence_trajectory, find_tc_batch
+from hensim.entanglement import FINITE, STATUSES, concurrence_trajectory, concurrence_x, find_tc_batch
 from hensim.scenarios import (
     CouplingLaw,
     GaussianSpec,
     SingleQubitScenario,
     TwoQubitScenario,
+    XState,
     time_grid,
 )
-from hensim.tables import write_csv, write_json
 from hensim.validation import run_suite
 
 EXIT_OK = 0
@@ -144,6 +147,25 @@ def _two_scenario(cfg) -> TwoQubitScenario:
     )
 
 
+def format_float(v) -> str:
+    return f"{float(v):.17g}"
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a table; cells may be floats or None (emitted as empty)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else format_float(v) for v in row])
+
+
+def write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _emit(path, fmt, columns: dict, meta: dict) -> None:
     """Write equal-length named columns as CSV plus a <path>.meta.json sidecar, or as one JSON file.
 
@@ -189,8 +211,10 @@ def cmd_concurrence(ns) -> int:
     columns = {"t": traj.times, **traj.columns}
     meta = {**traj.meta, "config": cfg, "command": "concurrence"}
     if cfg["samples"]:
-        mc = concurrence_trajectory(s, grid, n=int(cfg["samples"]), master_seed=int(cfg["seed"]))
-        columns["C_mc"] = mc.columns["C"]
+        mc = sample_ensemble(s, int(cfg["samples"]), int(cfg["seed"]), grid)
+        cols = mc.columns
+        columns["C_mc"] = concurrence_x(
+            XState(cols["a"], cols["b"], cols["c"], cols["d"], cols["re_z"] + 1j * cols["im_z"]))
         meta.update({key: mc.meta[key] for key in _MC_PROVENANCE})
     _emit(ns.out, cfg["format"], columns, meta)
     return EXIT_OK
@@ -295,10 +319,11 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return ns.fn(ns)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         # ValueError includes BadInput; ArithmeticError is an input that
-        # overflows double precision; OSError an output path that cannot be
-        # written (an unreadable config file is already a BadInput)
+        # overflows double precision; MemoryError a size that cannot be
+        # allocated; OSError an output path that cannot be written (an
+        # unreadable config file is already a BadInput)
         detail = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
         print(f"error: {detail}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -1,6 +1,6 @@
-"""X-state concurrence (fast path) and the disentanglement time solver.
+"""X-state concurrence and, on analytic.xstate_gap, the concurrence trajectory and t_c solver.
 
-The general Wootters concurrence it is checked against lives in hensim.validation.
+Their oracles (general Wootters concurrence, averaged X state) live in hensim.validation.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hensim.analytic import avg_xstate_two, xstate_gap
-from hensim.ensemble import sample_ensemble
-from hensim.scenarios import Trajectory, TwoQubitScenario, XState
+from hensim.analytic import require_mean_zero, xstate_gap
+from hensim.scenarios import Trajectory, TwoQubitScenario
 
 
 def concurrence_x(elems) -> np.ndarray:
@@ -27,27 +26,15 @@ def concurrence_x(elems) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def concurrence_trajectory(
-    s: TwoQubitScenario,
-    grid,
-    n: int | None = None,
-    master_seed: int | None = None,
-) -> Trajectory:
-    """Concurrence C(t): analytic when n is None, Monte Carlo otherwise."""
+def concurrence_trajectory(s: TwoQubitScenario, grid) -> Trajectory:
+    """Averaged concurrence C(t) = min(1, 2 max(0, g(t))) on a time grid, g from xstate_gap."""
     grid = np.asarray(grid, dtype=float)
-    if n is None:
-        xs = avg_xstate_two(grid, s)
-        return Trajectory(
-            times=grid,
-            columns={"C": concurrence_x(xs)},
-            meta={"source": "analytic"},
-        )
-    if master_seed is None:
-        raise ValueError("Monte Carlo concurrence needs a master seed")
-    traj = sample_ensemble(s, n, master_seed, grid)
-    cols = traj.columns
-    xs = XState(cols["a"], cols["b"], cols["c"], cols["d"], cols["re_z"] + 1j * cols["im_z"])
-    return Trajectory(times=grid, columns={"C": concurrence_x(xs)}, meta=traj.meta)
+    g = xstate_gap(grid, *_params([s])[:, 0])
+    return Trajectory(
+        times=grid,
+        columns={"C": np.minimum(1.0, 2.0 * np.maximum(0.0, g))},
+        meta={"source": "analytic"},
+    )
 
 
 FINITE = "finite"
@@ -97,8 +84,7 @@ def _params(scenarios) -> np.ndarray:
 
     def values():
         for s in scenarios:
-            if s.noise_a.mean != 0.0 or s.noise_b.mean != 0.0:
-                raise ValueError("find_tc requires mean-zero noise")
+            require_mean_zero(s.noise_a, s.noise_b)
             yield from (s.coupling.alpha, s.noise_a.variance, s.noise_b.variance,
                         s.omega_a, s.x * s.y)
 
@@ -109,11 +95,6 @@ def _cell_gap(t, cells):
     """xstate_gap at t of shape (cells,) or (cells, points) for a (5, cells) parameter block."""
     shape = (-1,) + (1,) * (np.ndim(t) - 1)
     return xstate_gap(t, *(row.reshape(shape) for row in cells))
-
-
-def _gap(t, s: TwoQubitScenario):
-    """g(t) = |z(t)| - sqrt(a(t) d(t)); C(t) = 2 max(0, g(t))."""
-    return xstate_gap(t, *_params([s])[:, 0])
 
 
 def _rows(start, stop, n):

@@ -3,9 +3,12 @@
 This is the only module with dense-matrix code: Pauli operators, the Hermitian
 matrix exponential, partial trace, density-matrix validation, the general
 Wootters concurrence, the dense realization Hamiltonians and the closed-form
-single-qubit propagator. No production path uses them; the CLI imports this
-module only for `validate`. Everything here is small (dimension 8 at most) and
-pure: inputs are never mutated. Basis conventions (|+> first):
+single-qubit propagator. It also holds the complex averaged X state
+(avg_xstate_two) and its special case without longitudinal noise
+(special_zero_va), against which the real-only analytic.xstate_gap is checked.
+No production path uses them; the CLI imports this module only for `validate`.
+Everything here is small (dimension 8 at most) and pure: inputs are never
+mutated. Basis conventions (|+> first):
   single-qubit system: 4x4 matrices in the product basis A (x) B, i.e.
   {|++>, |+->, |-+>, |-->};
   two-qubit system: 8x8 matrices in the product basis A2 (x) A1 (x) B1
@@ -20,18 +23,14 @@ their own seeds and bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from hensim.analytic import (
-    avg_population_single,
-    avg_xstate_two,
-    special_zero_va,
-    xstate_gap,
-)
+from hensim.analytic import avg_population_single, require_mean_zero, xstate_gap
 from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble
-from hensim.entanglement import concurrence_x
+from hensim.entanglement import concurrence_trajectory, concurrence_x
 from hensim.scenarios import (
     CouplingLaw,
     GaussianSpec,
@@ -91,7 +90,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(kept_dim, kept_dim))
 
 
-def matrix_exponential(h, t, herm_tol: float = 1e-12) -> np.ndarray:
+def matrix_exponential(h, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition.
 
     Diagonalize, exponentiate the phases, recompose. Serves as the structurally
@@ -99,35 +98,30 @@ def matrix_exponential(h, t, herm_tol: float = 1e-12) -> np.ndarray:
     """
     h = _as_square(h)
     dev = np.abs(h - h.conj().T).max()
-    if dev > herm_tol:
+    if dev > 1e-12:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
 
 
-def validate_density(
-    rho,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
-    """Check hermiticity, unit trace and positivity; return the validated matrix.
+def validate_density(rho) -> np.ndarray:
+    """Check hermiticity and unit trace to 1e-12, and positivity; return the validated matrix.
 
-    The positivity floor is slightly negative on purpose: finite-sample ensemble
-    averages and round-off produce tiny negative eigenvalues that are not logic
-    errors.
+    The positivity floor, -1e-10, is slightly negative on purpose: finite-sample
+    ensemble averages and round-off produce tiny negative eigenvalues that are
+    not logic errors.
 
     Raises DensityMatrixError naming the violated invariant and its magnitude.
     """
     rho = _as_square(rho)
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
+    if herm > 1e-12:
         raise DensityMatrixError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-12:
         raise DensityMatrixError(f"trace is not 1: |Tr rho - 1| = {abs(tr - 1.0):.3e}")
     lam_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if lam_min < eig_floor:
+    if lam_min < -1e-10:
         raise DensityMatrixError(f"not positive semidefinite: lambda_min = {lam_min:.3e}")
     return rho
 
@@ -151,23 +145,17 @@ def concurrence_general(rho) -> float:
     return float(min(max(c, 0.0), 1.0))
 
 
-def xstate_matrix(elems, index=None) -> np.ndarray:
-    """Assemble the 4x4 X-state density matrix in the standard product basis.
+def xstate_matrix(elems) -> np.ndarray:
+    """Assemble the 4x4 X-state density matrix of scalar elements in the standard product basis.
 
-    Diagonal (b, a, d, c) with z on the |++><--| corner. ``index`` selects one
-    grid point when the element arrays are time-resolved.
+    Diagonal (b, a, d, c) with z on the |++><--| corner.
     """
-
-    def pick(v):
-        v = np.asarray(v)
-        return complex(v if index is None else v[index])
-
     rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = pick(elems.b)
-    rho[1, 1] = pick(elems.a)
-    rho[2, 2] = pick(elems.d)
-    rho[3, 3] = pick(elems.c)
-    rho[0, 3] = pick(elems.z)
+    rho[0, 0] = elems.b
+    rho[1, 1] = elems.a
+    rho[2, 2] = elems.d
+    rho[3, 3] = elems.c
+    rho[0, 3] = elems.z
     rho[3, 0] = np.conj(rho[0, 3])
     return rho
 
@@ -232,9 +220,8 @@ def build_h_two(eps_a: float, eps_b: float, s: TwoQubitScenario) -> np.ndarray:
     return h
 
 
-def random_single_scenario(rng, omega_a=None, variance=1.0) -> SingleQubitScenario:
-    if omega_a is None:
-        omega_a = rng.uniform(-5, 5)
+def random_single_scenario(rng) -> SingleQubitScenario:
+    omega_a = rng.uniform(-5, 5)
     alpha = rng.uniform(0.5, 5.0)
     phi = rng.uniform(0, 2 * np.pi)
     mag = rng.uniform(0, 1)
@@ -245,7 +232,7 @@ def random_single_scenario(rng, omega_a=None, variance=1.0) -> SingleQubitScenar
         coupling=CouplingLaw(float(alpha)),
         xb=complex(xb),
         yb=complex(yb),
-        noise=GaussianSpec(0.0, float(variance)),
+        noise=GaussianSpec(0.0, 1.0),
     )
 
 
@@ -288,6 +275,70 @@ def two_oracle_xstate(eps_a: float, eps_b: float, t: float, s: TwoQubitScenario)
     return partial_trace(rho, [2, 2, 2], {1, 2})
 
 
+def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
+    """Averaged X-state elements of the two working qubits, in complex arithmetic.
+
+    The CLI evaluates the real-only analytic.xstate_gap instead; this form is
+    what check_gap_closed_form and check_concurrence_dual_path compare it with.
+    """
+    require_mean_zero(s.noise_a, s.noise_b)
+    t = np.asarray(t, dtype=float)
+    alpha = s.coupling.alpha
+    c2 = s.coupling.c ** 2
+    sa, sb = math.sqrt(s.noise_a.variance) * t, math.sqrt(s.noise_b.variance) * t
+    wa, wb = s.omega_a, s.omega_b
+    relax = 1.0 - np.cos(2.0 * alpha * wa * t) * np.exp(-2.0 * np.square(alpha * sa))
+    a = 0.25 * s.x * c2 * relax
+    d = 0.25 * s.y * c2 * relax
+    b = 0.5 * s.x + 0.5 * s.y * (1.0 - 0.5 * c2 * relax)
+    c_el = 0.5 * s.y + 0.5 * s.x * (1.0 - 0.5 * c2 * relax)
+    inv2a = 1.0 / (2.0 * alpha)
+    branch_plus = (
+        np.exp(1j * alpha * wa * t)
+        * np.exp(-0.5 * np.square((alpha + 0.5) * sa))
+        * (1.0 - inv2a)
+    )
+    branch_minus = (
+        np.exp(-1j * alpha * wa * t)
+        * np.exp(-0.5 * np.square((alpha - 0.5) * sa))
+        * (1.0 + inv2a)
+    )
+    z = (
+        0.25
+        * np.exp(-0.5 * np.square(sb))
+        * np.exp(-0.5j * (wa + 2.0 * wb) * t)
+        * (branch_plus + branch_minus)
+    )
+    return XState(a=a, b=b, c=c_el, d=d, z=z)
+
+
+def special_zero_va(t, s: TwoQubitScenario):
+    """(|z|, sqrt(a d)) of avg_xstate_two without longitudinal noise (noise_a variance 0).
+
+    Without longitudinal noise there is no relaxation; check_specializations
+    compares this case with the general averages.
+    Transverse noise (noise_b) only damps |z|; alpha = 1/2 gives sqrt(a d) = 0.
+    """
+    require_mean_zero(s.noise_a, s.noise_b)
+    if s.noise_a.variance != 0.0:
+        raise ValueError("noise_a variance must be zero for this special case")
+    t = np.asarray(t, dtype=float)
+    alpha = s.coupling.alpha
+    inv4a2 = (0.5 / alpha) ** 2
+    cos_term = np.cos(2.0 * alpha * s.omega_a * t)
+    z_abs = (
+        (math.sqrt(2.0) / 4.0)
+        * np.exp(-0.5 * np.square(math.sqrt(s.noise_b.variance) * t))
+        * np.sqrt(1.0 + inv4a2 + (1.0 - inv4a2) * cos_term)
+    )
+    ad_root = (
+        math.sqrt(s.x * s.y)
+        * 0.25 * (1.0 - inv4a2)
+        * (1.0 - cos_term)
+    )
+    return z_abs, ad_root
+
+
 def check_propagator_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form propagator from the eigendecomposition exponential."""
     worst = 0.0
@@ -328,15 +379,16 @@ def check_single_elements_oracle(n_cases: int, rng) -> float:
 
 
 def check_concurrence_dual_path(n_cases: int, rng) -> float:
-    """Max deviation of the X-state fast path from the general spin-flip concurrence."""
+    """Max deviation from the general spin-flip concurrence of the X-state fast path and of
+    the CLI's analytic concurrence (concurrence_trajectory, on xstate_gap)."""
     worst = 0.0
     for _ in range(n_cases):
         s = random_two_scenario(rng)
         t = rng.uniform(0, 8)
         xs = avg_xstate_two(t, s)
-        fast = concurrence_x(xs)
         general = concurrence_general(xstate_matrix(xs))
-        worst = max(worst, abs(fast - general))
+        production = concurrence_trajectory(s, [t]).columns["C"][0]
+        worst = max(worst, abs(concurrence_x(xs) - general), abs(production - general))
     return worst
 
 

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from hensim.analytic import xstate_gap
 from hensim.scenarios import CouplingLaw, GaussianSpec, SingleQubitScenario, TwoQubitScenario
 
 
@@ -30,3 +33,25 @@ def two_scenario(omega_a=0.0, omega_b=0.0, alpha=1.0, x=0.2, var_a=0.5, var_b=0.
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+def gap_args(s):
+    """The scenario's arguments of xstate_gap after t: alpha, var_a, var_b, omega_a, xy."""
+    return s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, s.omega_a, s.x * s.y
+
+
+def scenario_gap(t, s):
+    """g(t) = |z(t)| - sqrt(a(t) d(t)) of a two-qubit scenario; C(t) = 2 max(0, g(t))."""
+    return xstate_gap(t, *gap_args(s))
+
+
+def read_csv(path) -> tuple[list[str], dict[str, list[float | None]]]:
+    """Parse a table written by hensim.cli.write_csv; empty fields come back as None."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        columns: dict[str, list[float | None]] = {name: [] for name in header}
+        for row in reader:
+            for name, cell in zip(header, row):
+                columns[name].append(None if cell == "" else float(cell))
+    return header, columns

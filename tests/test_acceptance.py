@@ -8,21 +8,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import single_scenario, two_scenario
+from conftest import scenario_gap, single_scenario, two_scenario
 from hensim.analytic import (
-    ThermalTarget,
     avg_coherence_single,
     avg_population_single,
-    avg_xstate_two,
     invert_thermal,
     steady_population,
     thermal_population,
 )
 from hensim.cli import main
 from hensim.ensemble import sample_ensemble
-from hensim.entanglement import _gap, concurrence_x, find_tc
+from hensim.entanglement import concurrence_x, find_tc
 from hensim.scenarios import CouplingLaw
 from hensim.validation import (
+    avg_xstate_two,
     check_concurrence_dual_path,
     check_mc_scaling,
     check_propagator_oracle,
@@ -91,7 +90,7 @@ def test_criterion_4_thermal_round_trip():
         alpha, xb = invert_thermal(p)
         worst = max(worst, abs(steady_population(CouplingLaw(alpha), xb) - p))
     assert worst <= 1e-12
-    exact = thermal_population(ThermalTarget(math.log(3)))
+    exact = thermal_population(math.log(3))
     assert abs(exact - 0.25) <= 1e-15
     report(4, f"round-trip dev {worst:.2e}, P(ln 3) dev {abs(exact - 0.25):.2e}")
 
@@ -132,7 +131,7 @@ def test_criterion_6_sudden_death_classification():
               two_scenario(omega_a=3.0, alpha=1.0, var_a=0.5, var_b=0.5)):
         res = find_tc(s)
         assert res.t_c is not None and res.t_c > 0
-        assert abs(_gap(res.t_c, s)) <= 1e-7
+        assert abs(scenario_gap(res.t_c, s)) <= 1e-7
         t_end = max(2 * res.t_c, 10.0)
         verify = np.linspace(res.t_c, t_end, 1000)
         assert np.all(concurrence_x(avg_xstate_two(verify, s)) <= 1e-9)

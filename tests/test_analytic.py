@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_scenario, two_scenario
+from conftest import gap_args, single_scenario, two_scenario
 from hensim.analytic import (
-    ThermalTarget,
     avg_coherence_single,
     avg_population_single,
-    avg_xstate_two,
     dissipation_rate,
     invert_thermal,
-    invert_thermal_with_xb,
-    special_zero_va,
     steady_population,
     thermal_population,
     xstate_gap,
@@ -24,9 +20,11 @@ from hensim.ensemble import sample_ensemble
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import CouplingLaw, GaussianSpec
 from hensim.validation import (
+    avg_xstate_two,
     check_gap_closed_form,
     gap_oracle_scenario,
     random_two_scenario,
+    special_zero_va,
     validate_density,
     xstate_matrix,
 )
@@ -96,9 +94,14 @@ class TestThermalMapping:
         assert steady_population(CouplingLaw(5.0), 0.8) == pytest.approx(0.3168, abs=1e-12)
 
     def test_thermal_population_limits(self):
-        assert thermal_population(ThermalTarget(0.0)) == 0.5
-        assert thermal_population(ThermalTarget(1e3)) < 1e-300
-        assert thermal_population(ThermalTarget(math.log(3))) == pytest.approx(0.25, abs=1e-15)
+        assert thermal_population(0.0) == 0.5
+        assert thermal_population(1e3) < 1e-300
+        assert thermal_population(math.log(3)) == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("beta_delta", [-1e-300, -1.0, float("nan")])
+    def test_thermal_population_rejects_negative(self, beta_delta):
+        with pytest.raises(ValueError, match="nonnegative"):
+            thermal_population(beta_delta)
 
     def test_invert_thermal_known_points(self):
         alpha, xb = invert_thermal(0.0)
@@ -117,10 +120,10 @@ class TestThermalMapping:
         assert steady_population(CouplingLaw(alpha), xb) == pytest.approx(p, abs=1e-12)
 
     def test_round_trip_with_chosen_xb(self):
-        alpha, xb = invert_thermal_with_xb(0.2, 0.9)
+        alpha, xb = invert_thermal(0.2, xb=0.9)
         assert steady_population(CouplingLaw(alpha), xb) == pytest.approx(0.2, abs=1e-12)
         with pytest.raises(ValueError):
-            invert_thermal_with_xb(0.4, 0.5)  # needs c^2 >= 1, unreachable
+            invert_thermal(0.4, xb=0.5)  # needs c^2 >= 1, unreachable
 
 
 class TestDissipationRate:
@@ -209,10 +212,6 @@ class TestAvgXStateTwo:
             dev = np.abs(mc.columns[name] - exact)
             bound = np.maximum(4.0 * mc.columns[name + "_se"], 1e-6)
             assert np.all(dev <= bound), name
-
-
-def gap_args(s):
-    return s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, s.omega_a, s.x * s.y
 
 
 class TestXStateGap:

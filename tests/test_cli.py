@@ -1,16 +1,19 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hensim
-from hensim.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from hensim.tables import format_float, read_csv, write_csv
+from conftest import read_csv
+from hensim.cli import EXIT_BAD_INPUT, EXIT_OK, format_float, main, write_csv, write_json
 
 
 def run(argv):
@@ -32,6 +35,32 @@ class TestTables:
         assert got_header == header
         assert cols["a"] == [1.5, -2.25e-17]
         assert cols["b"] == [None, 3.0]
+
+
+def _bits(cells):
+    return [None if v is None else struct.pack("<d", v) for v in cells]
+
+
+EDGE_ROW = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 1.7e308, -1.7e308, None]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(rows=st.lists(st.lists(st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=7, max_size=7), max_size=12))
+@example(rows=[EDGE_ROW, EDGE_ROW[::-1]])
+def test_emitted_cells_round_trip_bit_for_bit(tmp_path_factory, rows):
+    # finite floats, subnormals, -0.0 and None cells come back bit for bit, as
+    # written by the CLI's CSV and JSON writers
+    path = tmp_path_factory.getbasetemp() / "round_trip"
+    header = list("abcdefg")
+    write_csv(path, header, rows)
+    got_header, cols = read_csv(path)
+    assert got_header == header
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    assert all(_bits(cols[name]) == _bits(col) for name, col in columns.items())
+    write_json(path, {"data": columns})
+    got = json.loads(path.read_text())["data"]
+    assert all(_bits(got[name]) == _bits(col) for name, col in columns.items())
 
 
 class TestRelax:
@@ -126,6 +155,15 @@ class TestConcurrenceCmd:
              "--t-max", "4", "--points", "30", "--out", str(out)])
         _, cols = read_csv(out)
         assert np.abs(np.array(cols["C"]) - 1.0).max() <= 1e-12
+
+    def test_omega_b_drops_out_of_analytic_column(self, tmp_path):
+        # omega_b only turns the phase of z, so even at 1e308 the analytic C is the omega_b = 0 one
+        cols = []
+        for wb in ("0", "1e308"):
+            out = tmp_path / f"c{wb}.csv"
+            assert run(["concurrence", "--omega-b", wb, "--points", "20", "--out", str(out)]) == EXIT_OK
+            cols.append(read_csv(out)[1]["C"])
+        assert cols[0] == cols[1]
 
     def test_mc_column(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -235,8 +273,9 @@ class TestTcMap:
         assert meta["solver"]["t_max_range"] is None
 
 
-# Non-finite input, input whose results leave double precision, and an output
-# path that cannot be written; "{tmp}" stands for the test's directory.
+# Non-finite input, input whose results leave double precision, a grid size
+# numpy refuses to allocate up front (7 PiB), and an output path that cannot be
+# written; "{tmp}" stands for the test's directory.
 NON_FINITE_ARGV = [
     ["relax", "--omega-a", "nan"],
     ["relax", "--alpha", "inf"],
@@ -253,6 +292,7 @@ NON_FINITE_ARGV = [
     ["tc-map", "--alpha-range", "1", "2", "--var-range", "0.5", "inf", "--resolution", "2"],
     ["relax", "--omega-a", "4", "--t-max", "1e308", "--points", "3"],
     ["concurrence", "--omega-a", "4", "--t-max", "1e308", "--points", "3", "--format", "json"],
+    ["relax", "--points", "1000000000000000"],
     ["relax", "--out", "{tmp}/missing/x.csv"],
 ]
 

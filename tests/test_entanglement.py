@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import two_scenario
-from hensim.analytic import avg_xstate_two
+from conftest import scenario_gap, two_scenario
+from hensim.ensemble import sample_ensemble
 from hensim.entanglement import (
     CriticalTime,
     concurrence_trajectory,
@@ -13,9 +13,10 @@ from hensim.entanglement import (
     find_tc,
     find_tc_batch,
 )
-from hensim.scenarios import GaussianSpec
+from hensim.scenarios import GaussianSpec, XState
 from hensim.validation import (
     DensityMatrixError,
+    avg_xstate_two,
     concurrence_general,
     random_two_scenario,
     xstate_matrix,
@@ -113,12 +114,25 @@ class TestConcurrenceTrajectory:
         grid = np.linspace(0.0, 5.0, 120)
         s = two_scenario(var_b=0.5)
         exact = concurrence_trajectory(s, grid).columns["C"]
-        mc = concurrence_trajectory(s, grid, n=300, master_seed=404).columns["C"]
+        cols = sample_ensemble(s, 300, 404, grid).columns
+        mc = concurrence_x(XState(cols["a"], cols["b"], cols["c"], cols["d"],
+                                  cols["re_z"] + 1j * cols["im_z"]))
         assert np.abs(mc - exact).max() <= 0.08
 
-    def test_mc_requires_seed(self):
-        with pytest.raises(ValueError):
-            concurrence_trajectory(two_scenario(), np.linspace(0, 1, 5), n=10)
+    def test_matches_complex_averaged_xstate(self, rng):
+        # the real-only closed form against the complex one, on random omega_a, omega_b, var_b
+        grid = np.linspace(0.0, 8.0, 200)
+        worst = 0.0
+        for _ in range(100):
+            s = random_two_scenario(rng)
+            c = concurrence_trajectory(s, grid).columns["C"]
+            worst = max(worst, np.abs(c - concurrence_x(avg_xstate_two(grid, s))).max())
+        assert worst <= 1e-14
+
+    def test_nonzero_mean_rejected(self):
+        s = replace(two_scenario(), noise_a=GaussianSpec(0.3, 1.0))
+        with pytest.raises(ValueError, match="mean-zero"):
+            concurrence_trajectory(s, np.linspace(0.0, 1.0, 5))
 
 
 class TestFindTc:
@@ -133,14 +147,12 @@ class TestFindTc:
         assert find_tc(two_scenario(x=1.0)).t_c is None
 
     def test_solver_invariants(self):
-        from hensim.entanglement import _gap
-
         s = two_scenario(var_a=1.0)
         res = find_tc(s)
         assert res.t_c is not None
-        assert abs(_gap(res.t_c, s)) <= 1e-7
-        assert _gap(res.t_c - 1e-4, s) > 0
-        check = _gap(np.linspace(res.t_c, 10.0, 1000), s)
+        assert abs(scenario_gap(res.t_c, s)) <= 1e-7
+        assert scenario_gap(res.t_c - 1e-4, s) > 0
+        check = scenario_gap(np.linspace(res.t_c, 10.0, 1000), s)
         assert np.all(check <= 1e-10)
         lo, hi = res.bracket
         assert lo <= res.t_c <= hi
@@ -267,13 +279,11 @@ class TestFindTcBatch:
         assert [find_tc(s).escalations for s in ESCALATING] == [1, 2]
 
     def test_beyond_horizon(self):
-        from hensim.entanglement import _gap
-
         s = two_scenario(alpha=0.5000005, var_a=0.1)
         res = find_tc(s)
         assert (res.status, res.t_c, res.bracket) == ("beyond-horizon", None, None)
         assert 5e5 < res.t_max <= 1e6
-        assert _gap(res.t_max, s) >= 0.0
+        assert scenario_gap(res.t_max, s) >= 0.0
 
     def test_nonzero_mean_rejected(self):
         s = replace(two_scenario(), noise_b=GaussianSpec(0.3, 0.0))
