@@ -8,7 +8,10 @@ Every Gaussian exponent alpha_k^2 var t^2 (alpha_k is alpha or alpha +- 1/2)
 is formed as square(alpha_k * (sqrt(var) * t)). Squaring alpha first would
 raise OverflowError from alpha of about 1.34e154 on, and give 0 * inf = NaN at
 t = 0 or var = 0; this form is 0 there and at worst inf elsewhere, where the
-envelope is exp(-inf) = 0, its alpha -> infinity limit.
+envelope is exp(-inf) = 0, its alpha -> infinity limit. Likewise every phase
+alpha_k omega_a t is formed as alpha_k * (omega_a * t), so that it is exactly 0
+at t = 0 however large alpha is; a phase that leaves double precision at t > 0
+is inf, and its cos is NaN.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def avg_population_single(t, s: SingleQubitScenario):
     alpha = s.coupling.alpha
     c2 = s.coupling.c ** 2
     env = np.exp(-2.0 * np.square(alpha * (math.sqrt(s.noise.variance) * t)))
-    return 0.5 * c2 * abs(s.xb) ** 2 * (1.0 - np.cos(2.0 * alpha * s.omega_a * t) * env)
+    return 0.5 * c2 * abs(s.xb) ** 2 * (1.0 - np.cos(alpha * (2.0 * s.omega_a * t)) * env)
 
 
 def avg_coherence_single(t, s: SingleQubitScenario):
@@ -48,8 +51,8 @@ def avg_coherence_single(t, s: SingleQubitScenario):
     alpha = s.coupling.alpha
     st = math.sqrt(s.noise.variance) * t
     wa = s.omega_a
-    plus = np.exp(-0.5 * np.square((alpha + 0.5) * st)) * np.exp(1j * (alpha - 0.5) * wa * t)
-    minus = np.exp(-0.5 * np.square((alpha - 0.5) * st)) * np.exp(-1j * (alpha + 0.5) * wa * t)
+    plus = np.exp(-0.5 * np.square((alpha + 0.5) * st)) * np.exp(1j * ((alpha - 0.5) * (wa * t)))
+    minus = np.exp(-0.5 * np.square((alpha - 0.5) * st)) * np.exp(-1j * ((alpha + 0.5) * (wa * t)))
     return 0.5 * s.coupling.c * s.xb * np.conj(s.yb) * (plus - minus)
 
 
@@ -122,11 +125,11 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     p = (1.0 - inv2a) * _decay(np.square((alpha + 0.5) * sa))
     m = (1.0 + inv2a) * _decay(np.square((alpha - 0.5) * sa))
     # cos(0) and exp(0) are exactly 1, so skipping them changes no bit
-    cos_term = np.cos(2.0 * alpha * omega_a * t) if np.any(omega_a) else 1.0
+    cos_term = np.cos(alpha * (2.0 * omega_a * t)) if np.any(omega_a) else 1.0
     z_abs = 0.25 * np.sqrt(p * p + m * m + 2.0 * p * m * cos_term)
     if np.any(var_b):
         z_abs = z_abs * _decay(np.square(np.sqrt(0.5 * var_b) * t))
-    relax = np.abs(1.0 - cos_term * _decay(np.square(2.0 * alpha * sa)))
+    relax = np.abs(1.0 - cos_term * _decay(np.square(alpha * (2.0 * sa))))
     return z_abs - 0.25 * (1.0 - inv2a * inv2a) * np.sqrt(xy) * relax
 
 

@@ -234,8 +234,8 @@ def _solver_meta(results) -> dict:
 def cmd_tc_map(ns) -> int:
     cfg = merged_config(ns)
     base = _two_scenario(cfg)
-    if base.omega_a != 0.0 or base.noise_b.variance != 0.0:
-        raise BadInput("tc-map requires omega_a = 0 and var_eps_b = 0")
+    if base.omega_a != 0.0:
+        raise BadInput("tc-map requires omega_a = 0")
     alpha_lo, alpha_hi = ns.alpha_range
     var_lo, var_hi = ns.var_range
     if not all(math.isfinite(v) for v in (alpha_lo, alpha_hi, var_lo, var_hi)):

@@ -44,11 +44,14 @@ STATUSES = (FINITE, NO_SUDDEN_DEATH, BEYOND_HORIZON)
 
 # The automatic horizon search gives up once t_max would exceed this.
 _HORIZON = 1e6
-# Points of the first scan grid (made 4 and then 16 times denser if needed),
-# the bisection width, and the points of the verification sweep.
+# Points of the first scan grid for omega_a != 0 (made 4 and then 16 times
+# denser if needed) and of its verification sweep.
 _GRID_DENSITY = 4000
-_TOL = 1e-8
 _VERIFY_POINTS = 1000
+# Stated bound on |t_c - root|. Bisection narrows each bracket to adjacent
+# floats, far below it; the slack covers a reference t_c taken from the top
+# end of a bracket up to this wide.
+_TOL = 1e-8
 # Scan and verification grids are evaluated a block of cells at a time, about
 # this many points per array, so memory stays flat however many cells there are.
 # On a 2-core Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3
@@ -62,10 +65,13 @@ class CriticalTime:
 
     ``status`` is "finite" (t_c is set), "none" (no sudden death: alpha = 1/2,
     no longitudinal noise or a pure auxiliary mixture) or "beyond-horizon"
-    (g(t) is still positive at the largest automatic horizon). ``t_max`` is the
-    horizon that was scanned (for "beyond-horizon", the last one tried; None for
-    "none") and ``escalations`` the number of times the scan grid had to be made
-    denser (0 to 2).
+    (g(t) is still positive at the largest automatic horizon). For "finite",
+    ``bracket`` is a pair of adjacent floats (lo, hi) with g(lo) > 0 >= g(hi)
+    and t_c = hi; ``tolerance`` is the stated bound on |t_c - root|, 1e-8.
+    ``t_max`` is the horizon that was bracketed (for "beyond-horizon", the
+    last one tried; None for "none") and ``escalations`` the number of times
+    the scan grid had to be made denser (0 to 2; always 0 at omega_a = 0,
+    where no scan runs).
     """
 
     t_c: float | None
@@ -129,17 +135,23 @@ def _last_crossings(cells, t_max, density):
     return lo, hi
 
 
-def _bisect(cells, lo, hi, tol):
-    """Bisect every bracket in lock-step until each is at most ``tol`` wide; returns hi."""
+def _bisect(cells, lo, hi):
+    """Bisect every bracket in lock-step until lo and hi are adjacent floats; returns (lo, hi).
+
+    Keeps g(lo) > 0 >= g(hi) where it held at the start; a NaN g moves hi, so
+    the bracket it leaves fails that test.
+    """
     lo, hi = lo.copy(), hi.copy()
-    while True:
-        j = np.flatnonzero(hi - lo > tol)
-        if len(j) == 0:
-            return hi
+    j = np.arange(len(lo))
+    while len(j):
         mid = 0.5 * (lo[j] + hi[j])
+        # the rounded midpoint of adjacent floats is one of them
+        inner = (lo[j] < mid) & (mid < hi[j])
+        j, mid = j[inner], mid[inner]
         up = _cell_gap(mid, cells[:, j]) > 0.0
         lo[j[up]] = mid[up]
         hi[j[~up]] = mid[~up]
+    return lo, hi
 
 
 def _stays_dead(cells, t_c, t_max, points):
@@ -153,13 +165,24 @@ def _stays_dead(cells, t_c, t_max, points):
 def find_tc_batch(scenarios) -> list[CriticalTime]:
     """Critical disentanglement times of many scenarios, solved together.
 
-    Runs the algorithm of find_tc over all cells at once, on the real-only
-    closed form xstate_gap; each cell's result is the one find_tc gives for it
-    alone, whatever the batch around it. ``scenarios`` may be any iterable
-    and is read once.
+    Each cell's horizon t_max is found by doubling from twice the time
+    sqrt(a d) takes to settle until g(t_max) < 0; if g is still positive past
+    t = 1e6 the status is "beyond-horizon" and t_c is None.
+
+    At omega_a = 0 (any var_b) g falls strictly from g(0) = 1/2, so t_c is its
+    only root: [0, t_max] is bisected to adjacent floats, with no scan and no
+    sweep. Otherwise a grid scan over [0, t_max] finds the last downward sign
+    change of g, with the grid made 4 and then 16 times denser while the
+    result fails verification; the scan bracket is bisected to adjacent floats
+    and then verified by a dense sweep over [t_c, t_max]. A NaN g, or a cell
+    whose sign change cannot be isolated, raises ValueError.
+
+    All cells run at once on the real-only closed form xstate_gap; each cell's
+    result is the one it gets alone, whatever the batch around it.
+    ``scenarios`` may be any iterable and is read once.
     """
     params = _params(scenarios)
-    alpha, va, xy = params[0], params[1], params[4]
+    alpha, va, omega_a, xy = params[0], params[1], params[3], params[4]
     results: list[CriticalTime | None] = [None] * params.shape[1]
     dead = (alpha == 0.5) | (va == 0.0) | (xy == 0.0)
     for i in np.flatnonzero(dead):
@@ -185,21 +208,35 @@ def find_tc_batch(scenarios) -> list[CriticalTime]:
                                        float(horizon[k] / 2.0), 0)
     keep = np.flatnonzero(~beyond)
 
+    def solved(k, lo, hi, escalations):
+        for i, a, b in zip(k, lo, hi):
+            results[idx[i]] = CriticalTime(float(b), (float(a), float(b)), _TOL,
+                                           FINITE, float(horizon[i]), escalations)
+
+    monotone = omega_a[idx[keep]] == 0.0
+    k = keep[monotone]
+    lo, hi = _bisect(cells[:, k], np.zeros(len(k)), horizon[k])
+    ok = (_cell_gap(lo, cells[:, k]) > 0.0) & (_cell_gap(hi, cells[:, k]) <= 0.0)
+    solved(k[ok], lo[ok], hi[ok], 0)
+    unresolved = np.count_nonzero(~ok)
+
+    keep = keep[~monotone]
     for escalations, density in enumerate((_GRID_DENSITY, 4 * _GRID_DENSITY, 16 * _GRID_DENSITY)):
+        if len(keep) == 0:
+            break
         lo, hi = _last_crossings(cells[:, keep], horizon[keep], density)
         has = ~np.isnan(lo)
-        k, lo, hi = keep[has], lo[has], hi[has]
-        t_c = _bisect(cells[:, k], lo, hi, _TOL)
-        ok = _stays_dead(cells[:, k], t_c, horizon[k], _VERIFY_POINTS)
-        for i, tc, a, b in zip(k[ok], t_c[ok], lo[ok], hi[ok]):
-            results[idx[i]] = CriticalTime(float(tc), (float(a), float(b)), _TOL,
-                                           FINITE, float(horizon[i]), escalations)
+        k = keep[has]
+        lo, hi = _bisect(cells[:, k], lo[has], hi[has])
+        ok = _stays_dead(cells[:, k], hi, horizon[k], _VERIFY_POINTS)
+        solved(k[ok], lo[ok], hi[ok], escalations)
         has[has] = ok
         keep = keep[~has]
-        if len(keep) == 0:
-            return results
-    # e.g. g is NaN because alpha^2 overflows, or oscillates faster than the densest grid
-    raise ValueError(f"could not isolate the last sign change of g(t) in {len(keep)} cell(s)")
+    unresolved += len(keep)
+    if unresolved:
+        # e.g. g is NaN because a phase overflows, or oscillates faster than the densest grid
+        raise ValueError(f"could not isolate the last sign change of g(t) in {unresolved} cell(s)")
+    return results
 
 
 def find_tc(s: TwoQubitScenario) -> CriticalTime:
@@ -207,13 +244,11 @@ def find_tc(s: TwoQubitScenario) -> CriticalTime:
 
     Status "none" (no finite time) when the longitudinal channel is absent
     (alpha = 1/2 or zero longitudinal variance) or the auxiliary mixture is
-    pure (xy = 0). Otherwise the horizon t_max is found by doubling from twice
-    the time sqrt(a d) takes to settle until g(t_max) < 0; if g is still
-    positive past t = 1e6 the status is "beyond-horizon" and t_c is None.
-    Then: grid scan over [0, t_max] for the last downward sign change of g,
-    with the grid made 4 and then 16 times denser while the result fails
-    verification; bisection refinement to a width of 1e-8; then a dense
-    verification sweep over [t_c, t_max].
+    pure (xy = 0); "beyond-horizon" when g is still positive past t = 1e6.
+    Otherwise t_c is the top end of a bracket of adjacent floats around the
+    root of g: bisected straight from [0, t_max] at omega_a = 0, where g is
+    strictly decreasing, and from the last sign change of a grid scan,
+    verified by a dense sweep, at any other omega_a. See find_tc_batch.
 
     This is find_tc_batch on a batch of one.
     """

@@ -5,7 +5,9 @@ matrix exponential, partial trace, density-matrix validation, the general
 Wootters concurrence, the dense realization Hamiltonians and the closed-form
 single-qubit propagator. It also holds the complex averaged X state
 (avg_xstate_two) and its special case without longitudinal noise
-(special_zero_va), against which the real-only analytic.xstate_gap is checked.
+(special_zero_va), against which the real-only analytic.xstate_gap is checked,
+and the sweep that checks the zero-frequency sudden-death times of
+entanglement.find_tc_batch, which skips its own sweep there (check_tc_bracket).
 No production path uses them; the CLI imports this module only for `validate`.
 Everything here is small (dimension 8 at most) and pure: inputs are never
 mutated. Basis conventions (|+> first):
@@ -30,7 +32,7 @@ import numpy as np
 
 from hensim.analytic import avg_population_single, require_mean_zero, xstate_gap
 from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble
-from hensim.entanglement import concurrence_trajectory, concurrence_x
+from hensim.entanglement import FINITE, concurrence_trajectory, concurrence_x, find_tc_batch
 from hensim.scenarios import (
     CouplingLaw,
     GaussianSpec,
@@ -441,6 +443,38 @@ def check_gap_closed_form(n_cases: int, rng) -> float:
     return worst
 
 
+def check_tc_bracket(n_cases: int, rng) -> float:
+    """Largest g over 1000-point sweeps of [t_c, t_max] in finite zero-frequency cells.
+
+    At omega_a = 0 find_tc_batch bisects [0, t_max] with no scan and no
+    sweep, because g falls strictly there; this measures what that proof
+    promises, on one batch of gap_oracle_scenario cells set to omega_a = 0,
+    with var_b = 0 in every other one (so alpha near 1/2 also reaches
+    "beyond-horizon", which is skipped). Returns inf if some bracket fails
+    g(lo) > 0 >= g(hi).
+    """
+
+    def zero_frequency(i):
+        s = gap_oracle_scenario(rng, i)
+        return replace(s, omega_a=0.0, noise_b=GaussianSpec(0.0, s.noise_b.variance * (i % 2)))
+
+    scenarios = [zero_frequency(i) for i in range(n_cases)]
+    finite = [(s, r) for s, r in zip(scenarios, find_tc_batch(scenarios)) if r.status == FINITE]
+    params = np.array([(s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, 0.0, s.x * s.y)
+                       for s, _ in finite]).T[:, :, None]
+    lo, hi, t_max = np.array([(*r.bracket, r.t_max) for _, r in finite]).T[:, :, None]
+    if not np.all((xstate_gap(lo, *params) > 0.0) & (xstate_gap(hi, *params) <= 0.0)):
+        return math.inf
+    sweep = np.linspace(0.0, 1.0, 1000)
+    worst = -math.inf
+    # 8 cells at a time: arrays of 8,000 points ran the gap twice as fast per
+    # point as one array of all cells (2-core Xeon, numpy 2.4)
+    for b in range(0, len(hi), 8):
+        ts = hi[b:b + 8] + (t_max[b:b + 8] - hi[b:b + 8]) * sweep
+        worst = max(worst, xstate_gap(ts, *params[:, b:b + 8]).max())
+    return float(worst)
+
+
 def _mc_scenario() -> SingleQubitScenario:
     """Zero frequency, alpha 5, xb 0.8, unit variance: the middle curve of Fig. 1(b)."""
     return SingleQubitScenario(
@@ -492,6 +526,7 @@ def run_suite(level: str = "quick"):
         at_most("concurrence-fast-vs-general", check_concurrence_dual_path(n, rng(17)), 1e-10),
         at_most("special-cases-vs-general", check_specializations(50, rng(19)), 1e-12),
         at_most("gap-closed-form-vs-xstate", check_gap_closed_form(50, rng(31)), 1e-12),
+        at_most("tc-bracket-stays-dead", check_tc_bracket(200, rng(37)), 1e-10, "max g"),
     ]
     n_mc = 2000 if level == "quick" else 8000
     dev = check_mc_convergence(n_mc, 23)

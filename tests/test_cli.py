@@ -231,6 +231,20 @@ class TestTcMap:
                     "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_BAD_INPUT
 
+    def test_transverse_noise_pulls_every_cell_earlier(self, tmp_path):
+        # the paper's claim (ii) as a map: t_c at var_eps_b 0.5 lies strictly
+        # below t_c at var_eps_b 0 in every finite cell
+        maps = {}
+        for vb in ("0", "0.5"):
+            out = tmp_path / f"tc_vb{vb}.csv"
+            assert run(["tc-map", "--x", "0.2", "--var-eps-b", vb, "--alpha-range", "0.5", "3",
+                        "--var-range", "0.1", "2", "--resolution", "6",
+                        "--out", str(out)]) == EXIT_OK
+            maps[vb] = read_csv(out)[1]["tc"]
+        assert [tc is None for tc in maps["0"]] == [tc is None for tc in maps["0.5"]]
+        assert maps["0"].count(None) == 6
+        assert all(slow is None or fast < slow for fast, slow in zip(maps["0.5"], maps["0"]))
+
     def test_sidecar_records_solver_diagnostics(self, tmp_path):
         out = tmp_path / "tc.csv"
         assert run(["tc-map", "--x", "0.2", "--alpha-range", "0.5", "2",
@@ -292,6 +306,8 @@ NON_FINITE_ARGV = [
     ["tc-map", "--alpha-range", "1", "2", "--var-range", "0.5", "inf", "--resolution", "2"],
     ["relax", "--omega-a", "4", "--t-max", "1e308", "--points", "3"],
     ["concurrence", "--omega-a", "4", "--t-max", "1e308", "--points", "3", "--format", "json"],
+    ["relax", "--alpha", "1e308", "--omega-a", "4", "--points", "5"],
+    ["concurrence", "--alpha", "1e308", "--omega-a", "1", "--points", "5"],
     ["relax", "--points", "1000000000000000"],
     ["relax", "--out", "{tmp}/missing/x.csv"],
 ]
@@ -348,7 +364,10 @@ def test_one_error_line_from_child_process(tmp_path, argv):
 # alpha past 1e154, where alpha^2 leaves double precision though every average
 # stays finite, with the alpha -> infinity limit of each column for t > 0:
 # relaxed at once under the default unit longitudinal variance, frozen in the
-# initial state with var_eps_a 0 (omega_a is 0, so nothing oscillates).
+# initial state with var_eps_a 0 (omega_a is 0, so nothing oscillates). With
+# omega_a != 0 the phase alpha omega_a t stays finite on a short enough grid
+# (at the default --t-max it is inf, and the command exits 2), and the
+# envelope alone sets the limit.
 RELAXED = {"rho_pp": 0.5, "re_rho_pm": 0.0, "im_rho_pm": 0.0}
 FROZEN = {"rho_pp": 0.0, "re_rho_pm": 0.0, "im_rho_pm": 0.0}
 LARGE_ALPHA_ROWS = [
@@ -363,6 +382,10 @@ LARGE_ALPHA_ROWS = [
      FROZEN),
     (["concurrence", "--alpha", "1e160"], {"C": 0.0}),
     (["concurrence", "--alpha", "1e160", "--var-eps-a", "0"], {"C": 1.0}),
+    (["relax", "--alpha", "1e308", "--omega-a", "4", "--t-max", "1e-300", "--points", "5"],
+     RELAXED),
+    (["concurrence", "--alpha", "1e308", "--omega-a", "1", "--t-max", "1e-300", "--points", "5"],
+     {"C": 0.0}),
     (["tc-map", "--x", "0.2", "--alpha-range", "1e154", "1e154", "--var-range", "0.1", "2",
       "--resolution", "2"], None),
     (["tc-map", "--x", "0.2", "--alpha-range", "1e160", "1e160", "--var-range", "0", "2",

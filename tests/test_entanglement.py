@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scenario_gap, two_scenario
 from hensim.ensemble import sample_ensemble
@@ -289,3 +291,71 @@ class TestFindTcBatch:
         s = replace(two_scenario(), noise_b=GaussianSpec(0.3, 0.0))
         with pytest.raises(ValueError, match="mean-zero"):
             find_tc_batch([two_scenario(), s])
+
+    def test_zero_frequency_cells_bracket_to_adjacent_floats(self):
+        # no scan at omega_a = 0: the bracket is the bisection's own, not a
+        # scan interval, and no grid is ever made denser
+        scenarios = CRITERION_6_GRID + [two_scenario(var_b=0.5), two_scenario(alpha=1e154)]
+        for s, res in zip(scenarios, find_tc_batch(scenarios)):
+            lo, hi = res.bracket
+            assert (res.status, res.t_c, res.escalations) == ("finite", hi, 0)
+            assert hi == np.nextafter(lo, np.inf)
+            assert scenario_gap(lo, s) > 0.0 >= scenario_gap(hi, s)
+
+    def test_root_far_past_one_resolves(self):
+        # g depends on var_a only through var_a t^2, so t_c scales as
+        # 1/sqrt(var_a); near t = 3.7e9 floats are 4.8e-7 apart, and a
+        # bisection that stops at a width of 1e-8 never ends there
+        res = find_tc_batch([two_scenario(alpha=5.0, var_a=1.0),
+                             two_scenario(alpha=5.0, var_a=1e-20)])
+        assert [r.status for r in res] == ["finite", "finite"]
+        assert res[1].t_c * 1e-10 == pytest.approx(res[0].t_c, rel=1e-12)
+
+
+# The paper's two claims over the scenario space, at omega_a = 0 unless stated.
+# alpha in (1/2, 10], var_a in (0, 100], var_b in [0, 100], x in [1e-6, 1 - 1e-6].
+ALPHAS = st.floats(0.5, 10.0, exclude_min=True)
+VAR_AS = st.floats(0.0, 100.0, exclude_min=True)
+VAR_BS = st.floats(0.0, 100.0)
+XS = st.floats(1e-6, 1.0 - 1e-6)
+# Above this floor on (alpha - 1/2)^2 var_a a zero-frequency cell is finite.
+# g(t) <= (1/2) exp(-(alpha - 1/2)^2 var_a t^2 / 2) - (1/4) c^2 sqrt(xy) (1 -
+# exp(-2 alpha^2 var_a t^2)), and the horizon doubling tries some t in
+# (5e5, 1e6]. On these ranges c^2 >= 0.105 (alpha - 1/2) >= 3.3e-7 and
+# sqrt(xy) >= 1e-3, so g < 0 there once (alpha - 1/2)^2 var_a > 1.8e-10.
+FINITE_FLOOR = 1e-9
+
+
+# a tiny var_a puts the horizon past 1e154, where the Gaussian exponents square
+# to inf; analytic takes that as exp(-inf), the envelope's limit
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(cells=st.lists(st.tuples(ALPHAS, VAR_AS, VAR_BS, XS), min_size=1, max_size=8))
+def test_longitudinal_relaxation_always_brings_sudden_death(cells):
+    scenarios = [two_scenario(alpha=a, var_a=va, var_b=vb, x=x) for a, va, vb, x in cells]
+    for s, res in zip(scenarios, find_tc_batch(scenarios)):
+        assert res.status != "none"
+        if (s.coupling.alpha - 0.5) ** 2 * s.noise_a.variance >= FINITE_FLOOR:
+            assert res.status == "finite"
+        if res.status == "finite":
+            lo, hi = res.bracket
+            assert res.t_c == hi == np.nextafter(lo, np.inf)
+            assert scenario_gap(lo, s) > 0.0 >= scenario_gap(hi, s)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(alpha=ALPHAS, var_a=st.floats(0.1, 10.0), x=XS, var_b=st.floats(0.0, 10.0),
+       steps=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+       omega_a=st.floats(-10.0, 10.0).filter(bool))
+def test_transverse_noise_and_frequency_pull_tc_earlier(alpha, var_a, x, var_b, steps, omega_a):
+    var_bs = np.cumsum([var_b, *steps])
+    scenarios = [two_scenario(alpha=alpha, var_a=var_a, var_b=vb, x=x) for vb in var_bs]
+    *by_var_b, turning = find_tc_batch(scenarios + [replace(scenarios[0], omega_a=omega_a)])
+    # more transverse noise keeps a finite t_c finite, and pulls it strictly earlier
+    finite = [res.status == "finite" for res in by_var_b]
+    assert finite == sorted(finite)
+    tcs = [res.t_c for res in by_var_b if res.status == "finite"]
+    assert all(later < earlier for earlier, later in zip(tcs, tcs[1:]))
+    if by_var_b[0].status == "finite":
+        assert turning.status == "finite"
+        assert turning.t_c <= by_var_b[0].t_c + by_var_b[0].tolerance
