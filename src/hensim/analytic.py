@@ -125,11 +125,18 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     p = (1.0 - inv2a) * _decay(np.square((alpha + 0.5) * sa))
     m = (1.0 + inv2a) * _decay(np.square((alpha - 0.5) * sa))
     # cos(0) and exp(0) are exactly 1, so skipping them changes no bit
-    cos_term = np.cos(alpha * (2.0 * omega_a * t)) if np.any(omega_a) else 1.0
+    turning = np.any(omega_a)
+    cos_term = np.cos(alpha * (2.0 * omega_a * t)) if turning else 1.0
     z_abs = 0.25 * np.sqrt(p * p + m * m + 2.0 * p * m * cos_term)
     if np.any(var_b):
         z_abs = z_abs * _decay(np.square(np.sqrt(0.5 * var_b) * t))
-    relax = np.abs(1.0 - cos_term * _decay(np.square(alpha * (2.0 * sa))))
+    # 1 - cos E = (1 - E) + (1 - cos) E, with 1 - E from expm1 so that it does
+    # not cancel to 0 at small exponents; both terms only grow as cos falls
+    # below 1, so g at any omega_a is at most g at omega_a = 0, float for float
+    x = np.square(alpha * (2.0 * sa))
+    relax = -np.expm1(-x)
+    if turning:
+        relax = relax + (1.0 - cos_term) * _decay(x)
     return z_abs - 0.25 * (1.0 - inv2a * inv2a) * np.sqrt(xy) * relax
 
 

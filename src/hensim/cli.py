@@ -227,7 +227,6 @@ def _solver_meta(results) -> dict:
         "tol": results[0].tolerance,
         "status_counts": {st: sum(r.status == st for r in results) for st in STATUSES},
         "t_max_range": [min(horizons), max(horizons)] if horizons else None,
-        "max_escalations": max((r.escalations for r in results), default=0),
     }
 
 

@@ -44,18 +44,16 @@ STATUSES = (FINITE, NO_SUDDEN_DEATH, BEYOND_HORIZON)
 
 # The automatic horizon search gives up once t_max would exceed this.
 _HORIZON = 1e6
-# Points of the first scan grid for omega_a != 0 (made 4 and then 16 times
-# denser if needed) and of its verification sweep.
+# Points of the scan grid over the last phase turn, for omega_a != 0.
 _GRID_DENSITY = 4000
-_VERIFY_POINTS = 1000
 # Stated bound on |t_c - root|. Bisection narrows each bracket to adjacent
 # floats, far below it; the slack covers a reference t_c taken from the top
 # end of a bracket up to this wide.
 _TOL = 1e-8
-# Scan and verification grids are evaluated a block of cells at a time, about
-# this many points per array, so memory stays flat however many cells there are.
-# On a 2-core Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3
-# times slower per point, and smaller ones gained nothing.
+# Scan grids are evaluated a block of cells at a time, about this many points
+# per array, so memory stays flat however many cells there are. On a 2-core
+# Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3 times slower
+# per point, and smaller ones gained nothing.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -65,13 +63,12 @@ class CriticalTime:
 
     ``status`` is "finite" (t_c is set), "none" (no sudden death: alpha = 1/2,
     no longitudinal noise or a pure auxiliary mixture) or "beyond-horizon"
-    (g(t) is still positive at the largest automatic horizon). For "finite",
-    ``bracket`` is a pair of adjacent floats (lo, hi) with g(lo) > 0 >= g(hi)
-    and t_c = hi; ``tolerance`` is the stated bound on |t_c - root|, 1e-8.
-    ``t_max`` is the horizon that was bracketed (for "beyond-horizon", the
-    last one tried; None for "none") and ``escalations`` the number of times
-    the scan grid had to be made denser (0 to 2; always 0 at omega_a = 0,
-    where no scan runs).
+    (the zero-frequency gap, which bounds g from above, is still positive at
+    the largest automatic horizon). For "finite", ``bracket`` is a pair of
+    adjacent floats (lo, hi) with g(lo) > 0 >= g(hi) and t_c = hi;
+    ``tolerance`` is the stated bound on |t_c - root|, 1e-8. ``t_max`` is the
+    horizon that was bracketed (for "beyond-horizon", the last one tried;
+    None for "none").
     """
 
     t_c: float | None
@@ -79,7 +76,6 @@ class CriticalTime:
     tolerance: float
     status: str
     t_max: float | None
-    escalations: int
 
 
 def _params(scenarios) -> np.ndarray:
@@ -103,31 +99,26 @@ def _cell_gap(t, cells):
     return xstate_gap(t, *(row.reshape(shape) for row in cells))
 
 
-def _rows(start, stop, n):
-    """(cells, n) array whose rows are np.linspace(start_i, stop_i, n), value for value."""
-    step = (stop - start) / (n - 1)
-    ts = np.arange(n) * step[:, None] + start[:, None]
-    ts[:, -1] = stop
-    return ts
-
-
-def _blocks(n_cells, points):
-    step = max(1, _BLOCK_POINTS // points)
-    return [slice(i, i + step) for i in range(0, n_cells, step)]
-
-
-def _last_crossings(cells, t_max, density):
+def _last_crossings(cells, start, stop):
     """Bracket (lo, hi) of the last downward sign change of g on each cell's scan grid.
 
-    Cells whose grid shows no such change get a NaN bracket.
+    The grid has _GRID_DENSITY points from start to stop, both included, at
+    distances from stop that grow as the square of the point's index. Near
+    stop, the zero-frequency root, the envelope leaves g so little room that
+    a revival just before a phase turn completes can be narrower than an
+    even grid's spacing. Cells whose grid shows no such change get a NaN
+    bracket.
     """
-    n = len(t_max)
+    n = len(start)
     lo, hi = np.full(n, np.nan), np.full(n, np.nan)
-    for b in _blocks(n, density):
-        ts = _rows(np.zeros_like(t_max[b]), t_max[b], density)
+    back = np.square(np.arange(_GRID_DENSITY)[::-1] / (_GRID_DENSITY - 1))
+    per_block = max(1, _BLOCK_POINTS // _GRID_DENSITY)
+    for b in (slice(i, i + per_block) for i in range(0, n, per_block)):
+        ts = stop[b, None] - back * (stop[b] - start[b])[:, None]
+        ts[:, 0] = start[b]
         pos = _cell_gap(ts, cells[:, b]) > 0.0
         down = pos[:, :-1] & ~pos[:, 1:]
-        last = density - 2 - np.argmax(down[:, ::-1], axis=1)
+        last = _GRID_DENSITY - 2 - np.argmax(down[:, ::-1], axis=1)
         i = np.arange(len(ts))
         found = down[i, last]
         lo[b] = np.where(found, ts[i, last], np.nan)
@@ -154,28 +145,27 @@ def _bisect(cells, lo, hi):
     return lo, hi
 
 
-def _stays_dead(cells, t_c, t_max, points):
-    """Whether g <= 1e-10 on every cell's dense sweep over [t_c, t_max]."""
-    ok = np.empty(len(t_c), dtype=bool)
-    for b in _blocks(len(t_c), points):
-        ok[b] = np.all(_cell_gap(_rows(t_c[b], t_max[b], points), cells[:, b]) <= 1e-10, axis=1)
-    return ok
-
-
 def find_tc_batch(scenarios) -> list[CriticalTime]:
     """Critical disentanglement times of many scenarios, solved together.
 
-    Each cell's horizon t_max is found by doubling from twice the time
-    sqrt(a d) takes to settle until g(t_max) < 0; if g is still positive past
-    t = 1e6 the status is "beyond-horizon" and t_c is None.
+    Every cell is first solved on its envelope g(t; 0), its own gap with
+    omega_a set to 0. The envelope falls strictly from g(0) = 1/2 (any var_b),
+    so its root t_c0 is unique: the horizon t_max is found by doubling from
+    twice the time sqrt(a d) takes to settle until g(t_max; 0) < 0, and
+    [0, t_max] is bisected to adjacent floats (lo0, hi0). If the envelope is
+    still positive past t = 1e6 the status is "beyond-horizon" and t_c is None.
+    At omega_a = 0, (lo0, hi0) is the bracket.
 
-    At omega_a = 0 (any var_b) g falls strictly from g(0) = 1/2, so t_c is its
-    only root: [0, t_max] is bisected to adjacent floats, with no scan and no
-    sweep. Otherwise a grid scan over [0, t_max] finds the last downward sign
-    change of g, with the grid made 4 and then 16 times denser while the
-    result fails verification; the scan bracket is bisected to adjacent floats
-    and then verified by a dense sweep over [t_c, t_max]. A NaN g, or a cell
-    whose sign change cannot be isolated, raises ValueError.
+    At any other omega_a the window rests on one invariant: the computed
+    g(t; omega_a) is at most the computed g(t; 0) for every float t (see
+    analytic.xstate_gap). So g(t; omega_a) <= 0 from hi0 on, and t_c lies in
+    [t_k, hi0], where t_k is the last whole phase turn (a multiple of
+    pi / (alpha |omega_a|)) at or before lo0: there cos = 1 and g(t_k) equals
+    the envelope, which is positive. The window is at most one turn wide; one
+    _GRID_DENSITY-point scan of it finds the last downward sign change of g,
+    which is bisected to adjacent floats. A cell whose final bracket fails
+    g(lo) > 0 >= g(hi) (a NaN g, or a phase finer than float spacing) raises
+    ValueError.
 
     All cells run at once on the real-only closed form xstate_gap; each cell's
     result is the one it gets alone, whatever the batch around it.
@@ -186,9 +176,11 @@ def find_tc_batch(scenarios) -> list[CriticalTime]:
     results: list[CriticalTime | None] = [None] * params.shape[1]
     dead = (alpha == 0.5) | (va == 0.0) | (xy == 0.0)
     for i in np.flatnonzero(dead):
-        results[i] = CriticalTime(None, None, _TOL, NO_SUDDEN_DEATH, None, 0)
+        results[i] = CriticalTime(None, None, _TOL, NO_SUDDEN_DEATH, None)
     idx = np.flatnonzero(~dead)
     cells = params[:, idx]
+    envelope = cells.copy()
+    envelope[3] = 0.0
 
     # sqrt(a d) approaches its asymptote like exp(-2 alpha^2 va t^2);
     # t_settle is the 99% point of that envelope
@@ -197,7 +189,7 @@ def find_tc_batch(scenarios) -> list[CriticalTime]:
     beyond = np.zeros(len(idx), dtype=bool)
     pending = np.arange(len(idx))
     while len(pending):
-        grow = pending[_cell_gap(horizon[pending], cells[:, pending]) >= 0.0]
+        grow = pending[_cell_gap(horizon[pending], envelope[:, pending]) >= 0.0]
         horizon[grow] *= 2.0
         over = horizon[grow] > _HORIZON
         beyond[grow[over]] = True
@@ -205,37 +197,25 @@ def find_tc_batch(scenarios) -> list[CriticalTime]:
     for k in np.flatnonzero(beyond):
         # t_max: the last horizon tried, where g was still positive
         results[idx[k]] = CriticalTime(None, None, _TOL, BEYOND_HORIZON,
-                                       float(horizon[k] / 2.0), 0)
-    keep = np.flatnonzero(~beyond)
+                                       float(horizon[k] / 2.0))
+    k = np.flatnonzero(~beyond)
+    cells, horizon = cells[:, k], horizon[k]
+    lo, hi = _bisect(envelope[:, k], np.zeros(len(k)), horizon)
 
-    def solved(k, lo, hi, escalations):
-        for i, a, b in zip(k, lo, hi):
-            results[idx[i]] = CriticalTime(float(b), (float(a), float(b)), _TOL,
-                                           FINITE, float(horizon[i]), escalations)
+    turning = np.flatnonzero(cells[3] != 0.0)
+    w = cells[:, turning]
+    turn = math.pi / (w[0] * np.abs(w[3]))
+    # fmod is exact, so t_k is lo0 rounded down to a whole turn (0 if turn is inf)
+    t_k = lo[turning] - np.fmod(lo[turning], turn)
+    lo[turning], hi[turning] = _bisect(w, *_last_crossings(w, t_k, hi[turning]))
 
-    monotone = omega_a[idx[keep]] == 0.0
-    k = keep[monotone]
-    lo, hi = _bisect(cells[:, k], np.zeros(len(k)), horizon[k])
-    ok = (_cell_gap(lo, cells[:, k]) > 0.0) & (_cell_gap(hi, cells[:, k]) <= 0.0)
-    solved(k[ok], lo[ok], hi[ok], 0)
-    unresolved = np.count_nonzero(~ok)
-
-    keep = keep[~monotone]
-    for escalations, density in enumerate((_GRID_DENSITY, 4 * _GRID_DENSITY, 16 * _GRID_DENSITY)):
-        if len(keep) == 0:
-            break
-        lo, hi = _last_crossings(cells[:, keep], horizon[keep], density)
-        has = ~np.isnan(lo)
-        k = keep[has]
-        lo, hi = _bisect(cells[:, k], lo[has], hi[has])
-        ok = _stays_dead(cells[:, k], hi, horizon[k], _VERIFY_POINTS)
-        solved(k[ok], lo[ok], hi[ok], escalations)
-        has[has] = ok
-        keep = keep[~has]
-    unresolved += len(keep)
-    if unresolved:
-        # e.g. g is NaN because a phase overflows, or oscillates faster than the densest grid
-        raise ValueError(f"could not isolate the last sign change of g(t) in {unresolved} cell(s)")
+    ok = (_cell_gap(lo, cells) > 0.0) & (_cell_gap(hi, cells) <= 0.0)
+    if not np.all(ok):
+        # e.g. g is NaN because a phase overflows, or turns faster than float spacing
+        raise ValueError(f"could not isolate the last sign change of g(t) in "
+                         f"{np.count_nonzero(~ok)} cell(s)")
+    for i, a, b, t_max in zip(idx[k], lo, hi, horizon):
+        results[i] = CriticalTime(float(b), (float(a), float(b)), _TOL, FINITE, float(t_max))
     return results
 
 
@@ -244,11 +224,12 @@ def find_tc(s: TwoQubitScenario) -> CriticalTime:
 
     Status "none" (no finite time) when the longitudinal channel is absent
     (alpha = 1/2 or zero longitudinal variance) or the auxiliary mixture is
-    pure (xy = 0); "beyond-horizon" when g is still positive past t = 1e6.
-    Otherwise t_c is the top end of a bracket of adjacent floats around the
-    root of g: bisected straight from [0, t_max] at omega_a = 0, where g is
-    strictly decreasing, and from the last sign change of a grid scan,
-    verified by a dense sweep, at any other omega_a. See find_tc_batch.
+    pure (xy = 0); "beyond-horizon" when g at omega_a = 0, which bounds g at
+    any omega_a, is still positive past t = 1e6. Otherwise t_c is the top end
+    of a bracket of adjacent floats around the last root of g: bisected
+    straight from [0, t_max] at omega_a = 0, where g is strictly decreasing,
+    and from the last sign change of a scan over the last phase turn before
+    that zero-frequency root at any other omega_a. See find_tc_batch.
 
     This is find_tc_batch on a batch of one.
     """

@@ -6,8 +6,8 @@ Wootters concurrence, the dense realization Hamiltonians and the closed-form
 single-qubit propagator. It also holds the complex averaged X state
 (avg_xstate_two) and its special case without longitudinal noise
 (special_zero_va), against which the real-only analytic.xstate_gap is checked,
-and the sweep that checks the zero-frequency sudden-death times of
-entanglement.find_tc_batch, which skips its own sweep there (check_tc_bracket).
+and the sweep that checks the sudden-death times of entanglement.find_tc_batch,
+which runs no sweep of its own (check_tc_bracket).
 No production path uses them; the CLI imports this module only for `validate`.
 Everything here is small (dimension 8 at most) and pure: inputs are never
 mutated. Basis conventions (|+> first):
@@ -444,25 +444,31 @@ def check_gap_closed_form(n_cases: int, rng) -> float:
 
 
 def check_tc_bracket(n_cases: int, rng) -> float:
-    """Largest g over 1000-point sweeps of [t_c, t_max] in finite zero-frequency cells.
+    """Largest g over 1000-point sweeps after each finite t_c.
 
-    At omega_a = 0 find_tc_batch bisects [0, t_max] with no scan and no
-    sweep, because g falls strictly there; this measures what that proof
-    promises, on one batch of gap_oracle_scenario cells set to omega_a = 0,
-    with var_b = 0 in every other one (so alpha near 1/2 also reaches
-    "beyond-horizon", which is skipped). Returns inf if some bracket fails
-    g(lo) > 0 >= g(hi).
+    find_tc_batch runs no sweep of its own: at omega_a = 0 g falls strictly,
+    and at any other omega_a it stays at most the zero-frequency gap, whose
+    root t_c0 ends the one phase turn that is scanned. This measures what
+    those proofs promise, on one batch of gap_oracle_scenario cells with
+    var_b = 0 in every other one and omega_a = 0 in every other pair (so
+    alpha near 1/2 also reaches "beyond-horizon", which is skipped). Each
+    sweep covers [t_c, t_max] at omega_a = 0 and [t_c, t_c0] elsewhere, t_c0
+    from solving the cell's zero-frequency twin in the same batch. Returns
+    inf if some bracket fails g(lo) > 0 >= g(hi).
     """
 
-    def zero_frequency(i):
+    def cell(i):
         s = gap_oracle_scenario(rng, i)
-        return replace(s, omega_a=0.0, noise_b=GaussianSpec(0.0, s.noise_b.variance * (i % 2)))
+        return replace(s, omega_a=s.omega_a if i // 2 % 2 else 0.0,
+                       noise_b=GaussianSpec(0.0, s.noise_b.variance * (i % 2)))
 
-    scenarios = [zero_frequency(i) for i in range(n_cases)]
-    finite = [(s, r) for s, r in zip(scenarios, find_tc_batch(scenarios)) if r.status == FINITE]
-    params = np.array([(s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, 0.0, s.x * s.y)
-                       for s, _ in finite]).T[:, :, None]
-    lo, hi, t_max = np.array([(*r.bracket, r.t_max) for _, r in finite]).T[:, :, None]
+    scenarios = [cell(i) for i in range(n_cases)]
+    results = find_tc_batch(scenarios + [replace(s, omega_a=0.0) for s in scenarios])
+    finite = [(s, r, r.t_max if s.omega_a == 0.0 else twin.t_c)
+              for s, r, twin in zip(scenarios, results, results[n_cases:]) if r.status == FINITE]
+    params = np.array([(s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, s.omega_a,
+                        s.x * s.y) for s, _, _ in finite]).T[:, :, None]
+    lo, hi, end = np.array([(*r.bracket, end) for _, r, end in finite]).T[:, :, None]
     if not np.all((xstate_gap(lo, *params) > 0.0) & (xstate_gap(hi, *params) <= 0.0)):
         return math.inf
     sweep = np.linspace(0.0, 1.0, 1000)
@@ -470,7 +476,7 @@ def check_tc_bracket(n_cases: int, rng) -> float:
     # 8 cells at a time: arrays of 8,000 points ran the gap twice as fast per
     # point as one array of all cells (2-core Xeon, numpy 2.4)
     for b in range(0, len(hi), 8):
-        ts = hi[b:b + 8] + (t_max[b:b + 8] - hi[b:b + 8]) * sweep
+        ts = hi[b:b + 8] + (end[b:b + 8] - hi[b:b + 8]) * sweep
         worst = max(worst, xstate_gap(ts, *params[:, b:b + 8]).max())
     return float(worst)
 

@@ -243,6 +243,17 @@ class TestXStateGap:
         assert xstate_gap(50.0, *gap_args(s)) < 0.0
 
 
+# The sudden-death solver scans only the last phase turn before the
+# zero-frequency root; that rests on g at any omega_a being at most g at
+# omega_a = 0, float for float, not just up to rounding.
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(t=st.floats(0.0, 1e3), alpha=st.floats(0.5, 20.0, exclude_min=True),
+       var_a=st.floats(0.0, 100.0), var_b=st.floats(0.0, 100.0), xy=st.floats(0.0, 0.25),
+       omega_a=st.floats(-1e3, 1e3))
+def test_zero_frequency_gap_bounds_every_frequency(t, alpha, var_a, var_b, xy, omega_a):
+    assert xstate_gap(t, alpha, var_a, var_b, omega_a, xy) <= xstate_gap(t, alpha, var_a, var_b, 0.0, xy)
+
+
 class TestSpecialCases:
     def test_no_longitudinal_revivals(self):
         s = two_scenario(omega_a=3.0, alpha=1.0, var_a=0.0, var_b=0.0)

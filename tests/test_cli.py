@@ -256,7 +256,6 @@ class TestTcMap:
         assert solver["status_counts"] == {"finite": 6, "none": 3, "beyond-horizon": 0}
         lo, hi = solver["t_max_range"]
         assert 1.0 <= lo <= hi and max(tc for tc in cols["tc"] if tc is not None) < hi
-        assert solver["max_escalations"] == 0
 
     def test_json_and_csv_hold_the_same_cells(self, tmp_path):
         argv = ["tc-map", "--x", "0.2", "--alpha-range", "0.5", "2",

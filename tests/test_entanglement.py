@@ -189,6 +189,25 @@ class TestFindTc:
         assert tc[(1.0, 1.0)] > tc[(2.0, 1.0)]
         assert tc[(1.0, 1.0)] > tc[(1.0, 2.0)]
 
+    def test_huge_transverse_variance_keeps_pulling_tc_earlier(self):
+        # for large var_b the root is at t of order 1/sqrt(var_b), where
+        # |z| = exp(-var_b t^2 / 2) / 2 and sqrt(a d) = K t^2 / 2 to leading
+        # order, K = c^2 sqrt(xy) alpha^2 var_a; so t_c = sqrt(2 u / var_b)
+        # with u exp(u) = var_b / (2 K)
+        alpha, var_a, x = 1.75, 0.1, 0.2
+        k = (1.0 - 0.25 / alpha**2) * math.sqrt(x * (1.0 - x)) * alpha**2 * var_a
+        tcs = []
+        for var_b in (1e12, 1e16, 1e20, 1e24):
+            tc = find_tc(two_scenario(alpha=alpha, var_a=var_a, x=x, var_b=var_b)).t_c
+            log_r = math.log(var_b / (2.0 * k))
+            u = log_r
+            for _ in range(50):
+                u -= (u + math.log(u) - log_r) / (1.0 + 1.0 / u)
+            if var_b >= 1e16:
+                assert tc == pytest.approx(math.sqrt(2.0 * u / var_b), rel=1e-12, abs=0.0)
+            tcs.append(tc)
+        assert all(later < earlier for earlier, later in zip(tcs, tcs[1:]))
+
     def test_result_dataclass(self):
         res = find_tc(two_scenario(alpha=0.5, var_a=1.0))
         assert isinstance(res, CriticalTime)
@@ -227,7 +246,7 @@ def seed_find_tc(s, grid_density=4000, tol=1e-8, verify_points=1000):
     raise AssertionError("seed solver could not isolate t_c")
 
 
-# grid escalation: 4x denser scan needed for the first, 16x for the second
+# fast-turning cells: hundreds and thousands of phase turns before t_c
 ESCALATING = [
     two_scenario(omega_a=400.0, alpha=0.6, x=0.5, var_a=0.05, var_b=0.5),
     two_scenario(omega_a=1600.0, alpha=2.0, x=0.5, var_a=0.05),
@@ -248,9 +267,23 @@ OSCILLATORY = [
 ]
 
 
+# omega_a != 0 cells whose concurrence revives after g first turns negative,
+# before the zero-frequency root
+REVIVING = [
+    two_scenario(omega_a=4.85, alpha=15.46, var_a=0.01337, x=1.49e-4),
+    two_scenario(omega_a=2.617, alpha=19.0, var_a=0.03324, x=2.16e-5),
+    two_scenario(omega_a=0.8833, alpha=8.893, var_a=0.03512, x=1.58e-4),
+    two_scenario(omega_a=0.8859, alpha=18.23, var_a=0.01664, x=2.18e-5, var_b=0.9508),
+    two_scenario(omega_a=9.82, alpha=10.5, var_a=0.02307, x=3.12e-4),
+    # a phase turn that completes at the zero-frequency root: the last
+    # revival is about 4e-8 wide and ends within 1e-13 of that root
+    two_scenario(omega_a=3333.815460179369, alpha=3.0, var_a=0.1, x=0.4),
+] + ESCALATING
+
+
 class TestFindTcBatch:
     def test_matches_scalar_loop_and_seed_solver(self):
-        scenarios = CRITERION_6_GRID + OSCILLATORY + NO_SUDDEN_DEATH + ESCALATING
+        scenarios = CRITERION_6_GRID + OSCILLATORY + NO_SUDDEN_DEATH
         batch = find_tc_batch(scenarios)
         for s, res in zip(scenarios, batch):
             scalar = find_tc(s).t_c
@@ -276,9 +309,16 @@ class TestFindTcBatch:
             res = find_tc(s)
             assert (res.status, res.t_c, res.t_max) == ("none", None, None)
         res = find_tc(two_scenario(alpha=1.0, var_a=1.0))
-        assert res.status == "finite" and res.escalations == 0
+        assert res.status == "finite"
         assert res.t_c < res.t_max
-        assert [find_tc(s).escalations for s in ESCALATING] == [1, 2]
+
+    @pytest.mark.parametrize("s", REVIVING)
+    def test_concurrence_stays_dead_up_to_zero_frequency_root(self, s):
+        # past the zero-frequency root t_c0, g at any omega_a is at most g at
+        # omega_a = 0, so a revival after t_c could only come before t_c0
+        res, envelope = find_tc_batch([s, replace(s, omega_a=0.0)])
+        ts = np.linspace(res.t_c, envelope.t_c, 100_001)
+        assert concurrence_x(avg_xstate_two(ts, s)).max() <= 1e-9
 
     def test_beyond_horizon(self):
         s = two_scenario(alpha=0.5000005, var_a=0.1)
@@ -294,11 +334,11 @@ class TestFindTcBatch:
 
     def test_zero_frequency_cells_bracket_to_adjacent_floats(self):
         # no scan at omega_a = 0: the bracket is the bisection's own, not a
-        # scan interval, and no grid is ever made denser
+        # scan interval
         scenarios = CRITERION_6_GRID + [two_scenario(var_b=0.5), two_scenario(alpha=1e154)]
         for s, res in zip(scenarios, find_tc_batch(scenarios)):
             lo, hi = res.bracket
-            assert (res.status, res.t_c, res.escalations) == ("finite", hi, 0)
+            assert (res.status, res.t_c) == ("finite", hi)
             assert hi == np.nextafter(lo, np.inf)
             assert scenario_gap(lo, s) > 0.0 >= scenario_gap(hi, s)
 
