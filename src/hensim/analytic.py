@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from hensim.scenarios import CouplingLaw, SingleQubitScenario, Trajectory
+from hensim.scenarios import CouplingLaw, SingleQubitScenario, Trajectory, TwoQubitScenario
 
 
 def require_mean_zero(*specs):
@@ -104,6 +104,12 @@ def _decay(x):
     than 1e-130.
     """
     return np.exp(-np.minimum(x, 300.0))
+
+
+def gap_args(s: TwoQubitScenario) -> tuple[float, float, float, float, float]:
+    """xstate_gap's arguments after t, mean-zero noise checked: alpha, var_a, var_b, omega_a, xy."""
+    require_mean_zero(s.noise_a, s.noise_b)
+    return s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, s.omega_a, s.x * s.y
 
 
 def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):

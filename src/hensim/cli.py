@@ -16,14 +16,19 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
-from itertools import product
 
 import numpy as np
 
-from hensim.analytic import single_trajectory
+from hensim.analytic import gap_args, single_trajectory
 from hensim.ensemble import sample_ensemble
-from hensim.entanglement import FINITE, STATUSES, concurrence_trajectory, concurrence_x, find_tc_batch
+from hensim.entanglement import (
+    FINITE,
+    STATUSES,
+    TOL,
+    concurrence_trajectory,
+    concurrence_x,
+    find_tc_batch,
+)
 from hensim.scenarios import (
     CouplingLaw,
     GaussianSpec,
@@ -224,7 +229,7 @@ def _solver_meta(results) -> dict:
     """Map-wide solver diagnostics for the output metadata; the table itself stays alpha, var, t_c."""
     horizons = [r.t_max for r in results if r.status == FINITE]
     return {
-        "tol": results[0].tolerance,
+        "tol": TOL,
         "status_counts": {st: sum(r.status == st for r in results) for st in STATUSES},
         "t_max_range": [min(horizons), max(horizons)] if horizons else None,
     }
@@ -248,15 +253,12 @@ def cmd_tc_map(ns) -> int:
     res = int(ns.resolution)
     if res < 1:
         raise BadInput("resolution must be >= 1")
-    alphas = np.linspace(alpha_lo, alpha_hi, res).tolist()
-    variances = np.linspace(var_lo, var_hi, res).tolist()
-    # scenarios are generated as the solver reads them, so none is held in memory
-    results = find_tc_batch(
-        replace(base, coupling=CouplingLaw(alpha), noise_a=GaussianSpec(0.0, var))
-        for alpha, var in product(alphas, variances)
-    )
-    columns = {"alpha": [alpha for alpha in alphas for _ in variances],
-               "var_eps_a": variances * res, "tc": [r.t_c for r in results]}
+    alpha, var_a = np.meshgrid(np.linspace(alpha_lo, alpha_hi, res),
+                               np.linspace(var_lo, var_hi, res), indexing="ij")
+    _, _, var_b, omega_a, xy = gap_args(base)
+    results = find_tc_batch(alpha, var_a, var_b, omega_a, xy)
+    columns = {"alpha": alpha.ravel(), "var_eps_a": var_a.ravel(),
+               "tc": [r.t_c for r in results]}
     meta = {"config": cfg, "command": "tc-map", "alpha_range": list(ns.alpha_range),
             "var_range": list(ns.var_range), "resolution": res,
             "solver": _solver_meta(results)}

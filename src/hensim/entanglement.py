@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hensim.analytic import require_mean_zero, xstate_gap
+from hensim.analytic import gap_args, xstate_gap
 from hensim.scenarios import Trajectory, TwoQubitScenario
 
 
@@ -29,7 +29,7 @@ def concurrence_x(elems) -> np.ndarray:
 def concurrence_trajectory(s: TwoQubitScenario, grid) -> Trajectory:
     """Averaged concurrence C(t) = min(1, 2 max(0, g(t))) on a time grid, g from xstate_gap."""
     grid = np.asarray(grid, dtype=float)
-    g = xstate_gap(grid, *_params([s])[:, 0])
+    g = xstate_gap(grid, *gap_args(s))
     return Trajectory(
         times=grid,
         columns={"C": np.minimum(1.0, 2.0 * np.maximum(0.0, g))},
@@ -49,7 +49,7 @@ _GRID_DENSITY = 4000
 # Stated bound on |t_c - root|. Bisection narrows each bracket to adjacent
 # floats, far below it; the slack covers a reference t_c taken from the top
 # end of a bracket up to this wide.
-_TOL = 1e-8
+TOL = 1e-8
 # Scan grids are evaluated a block of cells at a time, about this many points
 # per array, so memory stays flat however many cells there are. On a 2-core
 # Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3 times slower
@@ -65,32 +65,15 @@ class CriticalTime:
     no longitudinal noise or a pure auxiliary mixture) or "beyond-horizon"
     (the zero-frequency gap, which bounds g from above, is still positive at
     the largest automatic horizon). For "finite", ``bracket`` is a pair of
-    adjacent floats (lo, hi) with g(lo) > 0 >= g(hi) and t_c = hi;
-    ``tolerance`` is the stated bound on |t_c - root|, 1e-8. ``t_max`` is the
-    horizon that was bracketed (for "beyond-horizon", the last one tried;
-    None for "none").
+    adjacent floats (lo, hi) with g(lo) > 0 >= g(hi) and t_c = hi, within
+    TOL of the root. ``t_max`` is the horizon that was bracketed (for
+    "beyond-horizon", the last one tried; None for "none").
     """
 
     t_c: float | None
     bracket: tuple[float, float] | None
-    tolerance: float
     status: str
     t_max: float | None
-
-
-def _params(scenarios) -> np.ndarray:
-    """Rows alpha, var_a, var_b, omega_a, xy (one column per cell): the inputs of xstate_gap.
-
-    Reads ``scenarios`` once, so a generator of them is never held in memory.
-    """
-
-    def values():
-        for s in scenarios:
-            require_mean_zero(s.noise_a, s.noise_b)
-            yield from (s.coupling.alpha, s.noise_a.variance, s.noise_b.variance,
-                        s.omega_a, s.x * s.y)
-
-    return np.fromiter(values(), dtype=float).reshape(-1, 5).T
 
 
 def _cell_gap(t, cells):
@@ -145,8 +128,14 @@ def _bisect(cells, lo, hi):
     return lo, hi
 
 
-def find_tc_batch(scenarios) -> list[CriticalTime]:
-    """Critical disentanglement times of many scenarios, solved together.
+def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> list[CriticalTime]:
+    """Critical disentanglement times of many cells, solved together.
+
+    The arguments are xstate_gap's after t (see analytic.gap_args): arrays
+    that broadcast to one value per cell, whose results come in C order. They
+    are not checked again; their domain is what the TwoQubitScenario records
+    or cli.cmd_tc_map's range checks let through (all finite, alpha >= 1/2,
+    variances >= 0, 0 <= xy <= 1/4).
 
     Every cell is first solved on its envelope g(t; 0), its own gap with
     omega_a set to 0. The envelope falls strictly from g(0) = 1/2 (any var_b),
@@ -169,14 +158,14 @@ def find_tc_batch(scenarios) -> list[CriticalTime]:
 
     All cells run at once on the real-only closed form xstate_gap; each cell's
     result is the one it gets alone, whatever the batch around it.
-    ``scenarios`` may be any iterable and is read once.
     """
-    params = _params(scenarios)
-    alpha, va, omega_a, xy = params[0], params[1], params[3], params[4]
+    params = np.array(np.broadcast_arrays(alpha, var_a, var_b, omega_a, xy),
+                      dtype=float).reshape(5, -1)
+    alpha, va, xy = params[0], params[1], params[4]
     results: list[CriticalTime | None] = [None] * params.shape[1]
     dead = (alpha == 0.5) | (va == 0.0) | (xy == 0.0)
     for i in np.flatnonzero(dead):
-        results[i] = CriticalTime(None, None, _TOL, NO_SUDDEN_DEATH, None)
+        results[i] = CriticalTime(None, None, NO_SUDDEN_DEATH, None)
     idx = np.flatnonzero(~dead)
     cells = params[:, idx]
     envelope = cells.copy()
@@ -196,8 +185,7 @@ def find_tc_batch(scenarios) -> list[CriticalTime]:
         pending = grow[~over]
     for k in np.flatnonzero(beyond):
         # t_max: the last horizon tried, where g was still positive
-        results[idx[k]] = CriticalTime(None, None, _TOL, BEYOND_HORIZON,
-                                       float(horizon[k] / 2.0))
+        results[idx[k]] = CriticalTime(None, None, BEYOND_HORIZON, float(horizon[k] / 2.0))
     k = np.flatnonzero(~beyond)
     cells, horizon = cells[:, k], horizon[k]
     lo, hi = _bisect(envelope[:, k], np.zeros(len(k)), horizon)
@@ -215,7 +203,7 @@ def find_tc_batch(scenarios) -> list[CriticalTime]:
         raise ValueError(f"could not isolate the last sign change of g(t) in "
                          f"{np.count_nonzero(~ok)} cell(s)")
     for i, a, b, t_max in zip(idx[k], lo, hi, horizon):
-        results[i] = CriticalTime(float(b), (float(a), float(b)), _TOL, FINITE, float(t_max))
+        results[i] = CriticalTime(float(b), (float(a), float(b)), FINITE, float(t_max))
     return results
 
 
@@ -233,4 +221,4 @@ def find_tc(s: TwoQubitScenario) -> CriticalTime:
 
     This is find_tc_batch on a batch of one.
     """
-    return find_tc_batch([s])[0]
+    return find_tc_batch(*gap_args(s))[0]

@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hensim.analytic import avg_population_single, require_mean_zero, xstate_gap
+from hensim.analytic import avg_population_single, gap_args, require_mean_zero, xstate_gap
 from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble
 from hensim.entanglement import FINITE, concurrence_trajectory, concurrence_x, find_tc_batch
 from hensim.scenarios import (
@@ -437,8 +437,7 @@ def check_gap_closed_form(n_cases: int, rng) -> float:
         s = gap_oracle_scenario(rng, i)
         xs = avg_xstate_two(ts, s)
         exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
-        gap = xstate_gap(ts, s.coupling.alpha, s.noise_a.variance, s.noise_b.variance,
-                         s.omega_a, s.x * s.y)
+        gap = xstate_gap(ts, *gap_args(s))
         worst = max(worst, np.abs(gap - exact).max())
     return worst
 
@@ -462,12 +461,14 @@ def check_tc_bracket(n_cases: int, rng) -> float:
         return replace(s, omega_a=s.omega_a if i // 2 % 2 else 0.0,
                        noise_b=GaussianSpec(0.0, s.noise_b.variance * (i % 2)))
 
-    scenarios = [cell(i) for i in range(n_cases)]
-    results = find_tc_batch(scenarios + [replace(s, omega_a=0.0) for s in scenarios])
-    finite = [(s, r, r.t_max if s.omega_a == 0.0 else twin.t_c)
-              for s, r, twin in zip(scenarios, results, results[n_cases:]) if r.status == FINITE]
-    params = np.array([(s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, s.omega_a,
-                        s.x * s.y) for s, _, _ in finite]).T[:, :, None]
+    params = np.array([gap_args(cell(i)) for i in range(n_cases)]).T
+    twins = params.copy()
+    twins[3] = 0.0
+    results = find_tc_batch(*np.hstack([params, twins]))
+    finite = [(i, r, r.t_max if params[3, i] == 0.0 else twin.t_c)
+              for i, (r, twin) in enumerate(zip(results, results[n_cases:]))
+              if r.status == FINITE]
+    params = params[:, [i for i, _, _ in finite], None]
     lo, hi, end = np.array([(*r.bracket, end) for _, r, end in finite]).T[:, :, None]
     if not np.all((xstate_gap(lo, *params) > 0.0) & (xstate_gap(hi, *params) <= 0.0)):
         return math.inf

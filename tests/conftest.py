@@ -2,9 +2,16 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from hensim.analytic import xstate_gap
+from hensim.analytic import gap_args, xstate_gap
+from hensim.entanglement import find_tc_batch
 from hensim.scenarios import CouplingLaw, GaussianSpec, SingleQubitScenario, TwoQubitScenario
+
+# every property test runs the same examples each run; each test sets only its
+# own max_examples
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def single_scenario(omega_a=0.0, alpha=5.0, xb=0.8, variance=1.0, mean=0.0):
@@ -35,9 +42,9 @@ def rng():
     return np.random.default_rng(20260824)
 
 
-def gap_args(s):
-    """The scenario's arguments of xstate_gap after t: alpha, var_a, var_b, omega_a, xy."""
-    return s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, s.omega_a, s.x * s.y
+def solve_batch(scenarios):
+    """find_tc_batch on a list of scenarios, one cell each, in order."""
+    return find_tc_batch(*np.array([gap_args(s) for s in scenarios]).reshape(-1, 5).T)
 
 
 def scenario_gap(t, s):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gap_args, single_scenario, two_scenario
+from conftest import single_scenario, two_scenario
 from hensim.analytic import (
     avg_coherence_single,
     avg_population_single,
     dissipation_rate,
+    gap_args,
     invert_thermal,
     steady_population,
     thermal_population,
@@ -113,7 +114,7 @@ class TestThermalMapping:
         with pytest.raises(ValueError):
             invert_thermal(0.5)
 
-    @settings(deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(p=st.floats(0.0, 0.499))
     def test_round_trip(self, p):
         alpha, xb = invert_thermal(p)
@@ -246,7 +247,7 @@ class TestXStateGap:
 # The sudden-death solver scans only the last phase turn before the
 # zero-frequency root; that rests on g at any omega_a being at most g at
 # omega_a = 0, float for float, not just up to rounding.
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(t=st.floats(0.0, 1e3), alpha=st.floats(0.5, 20.0, exclude_min=True),
        var_a=st.floats(0.0, 100.0), var_b=st.floats(0.0, 100.0), xy=st.floats(0.0, 0.25),
        omega_a=st.floats(-1e3, 1e3))

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hensim
-from conftest import read_csv
+from conftest import read_csv, two_scenario
 from hensim.cli import EXIT_BAD_INPUT, EXIT_OK, format_float, main, write_csv, write_json
+from hensim.entanglement import find_tc
 
 
 def run(argv):
@@ -44,7 +45,7 @@ def _bits(cells):
 EDGE_ROW = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 1.7e308, -1.7e308, None]
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(rows=st.lists(st.lists(st.none() | st.floats(allow_nan=False, allow_infinity=False),
                               min_size=7, max_size=7), max_size=12))
 @example(rows=[EDGE_ROW, EDGE_ROW[::-1]])
@@ -257,6 +258,16 @@ class TestTcMap:
         lo, hi = solver["t_max_range"]
         assert 1.0 <= lo <= hi and max(tc for tc in cols["tc"] if tc is not None) < hi
 
+    def test_each_cell_is_the_solver_answer_for_its_scenario(self, tmp_path):
+        out = tmp_path / "tc.csv"
+        assert run(["tc-map", "--x", "0.2", "--var-eps-b", "0.5", "--alpha-range", "0.5", "3",
+                    "--var-range", "0", "2", "--resolution", "5", "--out", str(out)]) == EXIT_OK
+        _, cols = read_csv(out)
+        expected = [find_tc(two_scenario(alpha=alpha, var_a=var_a, x=0.2, var_b=0.5)).t_c
+                    for alpha, var_a in zip(cols["alpha"], cols["var_eps_a"])]
+        assert cols["tc"] == expected
+        assert expected.count(None) == 9
+
     def test_json_and_csv_hold_the_same_cells(self, tmp_path):
         argv = ["tc-map", "--x", "0.2", "--alpha-range", "0.5", "2",
                 "--var-range", "0.5", "1", "--resolution", "3"]
@@ -286,9 +297,9 @@ class TestTcMap:
         assert meta["solver"]["t_max_range"] is None
 
 
-# Non-finite input, input whose results leave double precision, a grid size
-# numpy refuses to allocate up front (7 PiB), and an output path that cannot be
-# written; "{tmp}" stands for the test's directory.
+# Non-finite input, input whose results leave double precision, grid sizes
+# numpy refuses to allocate up front (a 7 PiB time grid, a 182 TiB tc-map), and
+# an output path that cannot be written; "{tmp}" stands for the test's directory.
 NON_FINITE_ARGV = [
     ["relax", "--omega-a", "nan"],
     ["relax", "--alpha", "inf"],
@@ -308,6 +319,8 @@ NON_FINITE_ARGV = [
     ["relax", "--alpha", "1e308", "--omega-a", "4", "--points", "5"],
     ["concurrence", "--alpha", "1e308", "--omega-a", "1", "--points", "5"],
     ["relax", "--points", "1000000000000000"],
+    ["tc-map", "--x", "0.2", "--alpha-range", "0.5", "3", "--var-range", "0.1", "2",
+     "--resolution", "5000000"],
     ["relax", "--out", "{tmp}/missing/x.csv"],
 ]
 

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scenario_gap, two_scenario
+from conftest import scenario_gap, solve_batch, two_scenario
 from hensim.ensemble import sample_ensemble
 from hensim.entanglement import (
+    TOL,
     CriticalTime,
     concurrence_trajectory,
     concurrence_x,
     find_tc,
-    find_tc_batch,
 )
 from hensim.scenarios import GaussianSpec, XState
 from hensim.validation import (
@@ -284,14 +284,14 @@ REVIVING = [
 class TestFindTcBatch:
     def test_matches_scalar_loop_and_seed_solver(self):
         scenarios = CRITERION_6_GRID + OSCILLATORY + NO_SUDDEN_DEATH
-        batch = find_tc_batch(scenarios)
+        batch = solve_batch(scenarios)
         for s, res in zip(scenarios, batch):
             scalar = find_tc(s).t_c
             seed = seed_find_tc(s)
             assert (res.t_c is None) == (scalar is None) == (seed is None)
             if res.t_c is not None:
-                assert abs(res.t_c - scalar) <= res.tolerance
-                assert abs(res.t_c - seed) <= res.tolerance
+                assert abs(res.t_c - scalar) <= TOL
+                assert abs(res.t_c - seed) <= TOL
 
     def test_cell_result_independent_of_batch(self):
         # a tc-map-like grid around the oscillatory and escalating cells: the
@@ -299,8 +299,8 @@ class TestFindTcBatch:
         grid = [two_scenario(alpha=a, var_a=v)
                 for a in np.linspace(0.5, 3.0, 9) for v in np.linspace(0.1, 2.0, 9)]
         scenarios = grid + OSCILLATORY + ESCALATING + NO_SUDDEN_DEATH
-        batch = find_tc_batch(scenarios)
-        assert find_tc_batch(scenarios[::-1]) == batch[::-1]
+        batch = solve_batch(scenarios)
+        assert solve_batch(scenarios[::-1]) == batch[::-1]
         for s, res in zip(scenarios, batch):
             assert find_tc(s) == res
 
@@ -316,7 +316,7 @@ class TestFindTcBatch:
     def test_concurrence_stays_dead_up_to_zero_frequency_root(self, s):
         # past the zero-frequency root t_c0, g at any omega_a is at most g at
         # omega_a = 0, so a revival after t_c could only come before t_c0
-        res, envelope = find_tc_batch([s, replace(s, omega_a=0.0)])
+        res, envelope = solve_batch([s, replace(s, omega_a=0.0)])
         ts = np.linspace(res.t_c, envelope.t_c, 100_001)
         assert concurrence_x(avg_xstate_two(ts, s)).max() <= 1e-9
 
@@ -330,13 +330,13 @@ class TestFindTcBatch:
     def test_nonzero_mean_rejected(self):
         s = replace(two_scenario(), noise_b=GaussianSpec(0.3, 0.0))
         with pytest.raises(ValueError, match="mean-zero"):
-            find_tc_batch([two_scenario(), s])
+            solve_batch([two_scenario(), s])
 
     def test_zero_frequency_cells_bracket_to_adjacent_floats(self):
         # no scan at omega_a = 0: the bracket is the bisection's own, not a
         # scan interval
         scenarios = CRITERION_6_GRID + [two_scenario(var_b=0.5), two_scenario(alpha=1e154)]
-        for s, res in zip(scenarios, find_tc_batch(scenarios)):
+        for s, res in zip(scenarios, solve_batch(scenarios)):
             lo, hi = res.bracket
             assert (res.status, res.t_c) == ("finite", hi)
             assert hi == np.nextafter(lo, np.inf)
@@ -346,7 +346,7 @@ class TestFindTcBatch:
         # g depends on var_a only through var_a t^2, so t_c scales as
         # 1/sqrt(var_a); near t = 3.7e9 floats are 4.8e-7 apart, and a
         # bisection that stops at a width of 1e-8 never ends there
-        res = find_tc_batch([two_scenario(alpha=5.0, var_a=1.0),
+        res = solve_batch([two_scenario(alpha=5.0, var_a=1.0),
                              two_scenario(alpha=5.0, var_a=1e-20)])
         assert [r.status for r in res] == ["finite", "finite"]
         assert res[1].t_c * 1e-10 == pytest.approx(res[0].t_c, rel=1e-12)
@@ -369,11 +369,11 @@ FINITE_FLOOR = 1e-9
 # a tiny var_a puts the horizon past 1e154, where the Gaussian exponents square
 # to inf; analytic takes that as exp(-inf), the envelope's limit
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(cells=st.lists(st.tuples(ALPHAS, VAR_AS, VAR_BS, XS), min_size=1, max_size=8))
 def test_longitudinal_relaxation_always_brings_sudden_death(cells):
     scenarios = [two_scenario(alpha=a, var_a=va, var_b=vb, x=x) for a, va, vb, x in cells]
-    for s, res in zip(scenarios, find_tc_batch(scenarios)):
+    for s, res in zip(scenarios, solve_batch(scenarios)):
         assert res.status != "none"
         if (s.coupling.alpha - 0.5) ** 2 * s.noise_a.variance >= FINITE_FLOOR:
             assert res.status == "finite"
@@ -383,14 +383,14 @@ def test_longitudinal_relaxation_always_brings_sudden_death(cells):
             assert scenario_gap(lo, s) > 0.0 >= scenario_gap(hi, s)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(alpha=ALPHAS, var_a=st.floats(0.1, 10.0), x=XS, var_b=st.floats(0.0, 10.0),
        steps=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
        omega_a=st.floats(-10.0, 10.0).filter(bool))
 def test_transverse_noise_and_frequency_pull_tc_earlier(alpha, var_a, x, var_b, steps, omega_a):
     var_bs = np.cumsum([var_b, *steps])
     scenarios = [two_scenario(alpha=alpha, var_a=var_a, var_b=vb, x=x) for vb in var_bs]
-    *by_var_b, turning = find_tc_batch(scenarios + [replace(scenarios[0], omega_a=omega_a)])
+    *by_var_b, turning = solve_batch(scenarios + [replace(scenarios[0], omega_a=omega_a)])
     # more transverse noise keeps a finite t_c finite, and pulls it strictly earlier
     finite = [res.status == "finite" for res in by_var_b]
     assert finite == sorted(finite)
@@ -398,4 +398,4 @@ def test_transverse_noise_and_frequency_pull_tc_earlier(alpha, var_a, x, var_b, 
     assert all(later < earlier for earlier, later in zip(tcs, tcs[1:]))
     if by_var_b[0].status == "finite":
         assert turning.status == "finite"
-        assert turning.t_c <= by_var_b[0].t_c + by_var_b[0].tolerance
+        assert turning.t_c <= by_var_b[0].t_c + TOL

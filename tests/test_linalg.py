@@ -78,7 +78,7 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
-    @settings(deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(t1=st.floats(-10, 10), t2=st.floats(-10, 10), seed=st.integers(0, 2**31))
     def test_unitary_and_group_property(self, t1, t2, seed):
         h = random_hermitian(np.random.default_rng(seed), 4)
