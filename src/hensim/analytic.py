@@ -1,8 +1,8 @@
 """Closed-form ensemble-averaged quantities.
 
-All averages here assume mean-zero Gaussian level spacings (the moment identity
-behind the closed forms requires it); scenarios carrying a nonzero noise mean
-are rejected rather than silently mis-averaged.
+The averages are over the mean-zero Gaussian level spacings of the scenario
+records (hensim.scenarios); the moment identity behind the closed forms
+requires the zero mean.
 
 Every Gaussian exponent alpha_k^2 var t^2 (alpha_k is alpha or alpha +- 1/2)
 is formed as square(alpha_k * (sqrt(var) * t)). Squaring alpha first would
@@ -20,15 +20,7 @@ import math
 
 import numpy as np
 
-from hensim.scenarios import CouplingLaw, SingleQubitScenario, Trajectory, TwoQubitScenario
-
-
-def require_mean_zero(*specs):
-    for spec in specs:
-        if spec.mean != 0.0:
-            raise ValueError(
-                f"closed-form averages require mean-zero noise, got mean {spec.mean}"
-            )
+from hensim.scenarios import SingleQubitScenario, Trajectory, TwoQubitScenario, coupling_c
 
 
 def avg_population_single(t, s: SingleQubitScenario):
@@ -36,29 +28,27 @@ def avg_population_single(t, s: SingleQubitScenario):
 
     (c^2/2) |xb|^2 [1 - cos(2 alpha omega_a t) exp(-2 alpha^2 var t^2)].
     """
-    require_mean_zero(s.noise)
     t = np.asarray(t, dtype=float)
-    alpha = s.coupling.alpha
-    c2 = s.coupling.c ** 2
-    env = np.exp(-2.0 * np.square(alpha * (math.sqrt(s.noise.variance) * t)))
+    alpha = s.alpha
+    c2 = coupling_c(alpha) ** 2
+    env = np.exp(-2.0 * np.square(alpha * (math.sqrt(s.var) * t)))
     return 0.5 * c2 * abs(s.xb) ** 2 * (1.0 - np.cos(alpha * (2.0 * s.omega_a * t)) * env)
 
 
 def avg_coherence_single(t, s: SingleQubitScenario):
     """Averaged coherence of the working qubit (two Gaussian-damped branches)."""
-    require_mean_zero(s.noise)
     t = np.asarray(t, dtype=float)
-    alpha = s.coupling.alpha
-    st = math.sqrt(s.noise.variance) * t
+    alpha = s.alpha
+    st = math.sqrt(s.var) * t
     wa = s.omega_a
     plus = np.exp(-0.5 * np.square((alpha + 0.5) * st)) * np.exp(1j * ((alpha - 0.5) * (wa * t)))
     minus = np.exp(-0.5 * np.square((alpha - 0.5) * st)) * np.exp(-1j * ((alpha + 0.5) * (wa * t)))
-    return 0.5 * s.coupling.c * s.xb * np.conj(s.yb) * (plus - minus)
+    return 0.5 * coupling_c(alpha) * s.xb * np.conj(s.yb) * (plus - minus)
 
 
-def steady_population(law: CouplingLaw, xb) -> float:
+def steady_population(alpha: float, xb) -> float:
     """Envelope limit (c^2/2) |xb|^2 of the averaged population; in [0, 1/2)."""
-    return 0.5 * law.c**2 * abs(xb) ** 2
+    return 0.5 * coupling_c(alpha) ** 2 * abs(xb) ** 2
 
 
 def thermal_population(beta_delta: float) -> float:
@@ -85,17 +75,6 @@ def invert_thermal(p_plus: float, xb: float = 1.0) -> tuple[float, float]:
     return alpha, float(abs(xb))
 
 
-def dissipation_rate(t, law: CouplingLaw, var: float):
-    """Linear-in-time dissipation rate 2 alpha^2 var t."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    if var < 0:
-        raise ValueError("var must be nonnegative")
-    out = 2.0 * np.square(law.alpha * np.sqrt(var * t))
-    return float(out) if out.ndim == 0 else out
-
-
 def _decay(x):
     """exp(-x), floored at exp(-300) ~ 5e-131.
 
@@ -107,9 +86,8 @@ def _decay(x):
 
 
 def gap_args(s: TwoQubitScenario) -> tuple[float, float, float, float, float]:
-    """xstate_gap's arguments after t, mean-zero noise checked: alpha, var_a, var_b, omega_a, xy."""
-    require_mean_zero(s.noise_a, s.noise_b)
-    return s.coupling.alpha, s.noise_a.variance, s.noise_b.variance, s.omega_a, s.x * s.y
+    """xstate_gap's arguments after t: alpha, var_a, var_b, omega_a, xy."""
+    return s.alpha, s.var_a, s.var_b, s.omega_a, s.x * s.y
 
 
 def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
@@ -123,8 +101,7 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
 
     omega_b only turns the phase of z and drops out. Every argument broadcasts,
     so per-cell parameters of shape (cells, 1) meet a (cells, points) time grid.
-    Mean-zero noise is assumed. hensim.validation checks it against the complex
-    averaged X state, avg_xstate_two.
+    hensim.validation checks it against the complex averaged X state, avg_xstate_two.
     """
     inv2a = 0.5 / np.asarray(alpha, dtype=float)
     sa = np.sqrt(0.5 * var_a) * t  # alpha_k^2 va t^2 / 2 = square(alpha_k sa)

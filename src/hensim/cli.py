@@ -29,14 +29,7 @@ from hensim.entanglement import (
     concurrence_x,
     find_tc_batch,
 )
-from hensim.scenarios import (
-    CouplingLaw,
-    GaussianSpec,
-    SingleQubitScenario,
-    TwoQubitScenario,
-    XState,
-    time_grid,
-)
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, XState, time_grid
 from hensim.validation import run_suite
 
 EXIT_OK = 0
@@ -132,23 +125,21 @@ def _single_scenario(cfg) -> SingleQubitScenario:
         raise BadInput(f"xb must lie in [0, 1], got {xb}")
     return SingleQubitScenario(
         omega_a=float(cfg["omega_a"]),
-        coupling=CouplingLaw(float(cfg["alpha"])),
+        alpha=float(cfg["alpha"]),
         xb=xb,
         yb=math.sqrt(1.0 - xb**2),
-        noise=GaussianSpec(0.0, float(cfg["var_eps_a"])),
+        var=float(cfg["var_eps_a"]),
     )
 
 
 def _two_scenario(cfg) -> TwoQubitScenario:
-    x = float(cfg["x"])
     return TwoQubitScenario(
         omega_a=float(cfg["omega_a"]),
         omega_b=float(cfg["omega_b"]),
-        coupling=CouplingLaw(float(cfg["alpha"])),
-        x=x,
-        y=1.0 - x,
-        noise_a=GaussianSpec(0.0, float(cfg["var_eps_a"])),
-        noise_b=GaussianSpec(0.0, float(cfg["var_eps_b"])),
+        alpha=float(cfg["alpha"]),
+        x=float(cfg["x"]),
+        var_a=float(cfg["var_eps_a"]),
+        var_b=float(cfg["var_eps_b"]),
     )
 
 

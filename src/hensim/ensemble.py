@@ -7,12 +7,13 @@ against live in hensim.validation.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from hensim.scenarios import SingleQubitScenario, Trajectory, TwoQubitScenario
+from hensim.scenarios import SingleQubitScenario, Trajectory, TwoQubitScenario, coupling_c
 
 # Fixed chunk size: chunk boundaries must not depend on the worker count, so
 # that the index-ordered reduction is bit-identical for any parallelism.
@@ -37,16 +38,17 @@ def evolve_single_realization(eps, t, s: SingleQubitScenario):
     # two more full-size buffers.
     shape = np.broadcast_shapes(np.shape(eps), np.shape(t))
     sin_b, w = np.empty(shape), np.empty(shape, dtype=complex)
-    np.sin(np.multiply(s.coupling.alpha * (eps - s.omega_a), t, out=sin_b), out=sin_b)
+    c = coupling_c(s.alpha)
+    np.sin(np.multiply(s.alpha * (eps - s.omega_a), t, out=sin_b), out=sin_b)
     np.multiply(0.5 * (eps + s.omega_a), t, out=w.real)
     np.sin(w.real, out=w.imag)
     np.cos(w.real, out=w.real)
-    w *= np.conj(-1j * s.coupling.c * s.xb * np.conj(s.yb))
+    w *= np.conj(-1j * c * s.xb * np.conj(s.yb))
     w.real *= sin_b
     w.imag *= sin_b
     np.negative(w.imag, out=w.imag)  # q e^{-i phi} = conj(conj(q) e^{i phi})
     np.square(sin_b, out=sin_b)
-    sin_b *= s.coupling.c**2 * abs(s.xb) ** 2
+    sin_b *= c**2 * abs(s.xb) ** 2
     return sin_b, w.real, w.imag
 
 
@@ -59,15 +61,15 @@ def evolve_two_realization(eps_a, eps_b, t, s: TwoQubitScenario):
     psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. Broadcasts the spacings
     against t and agrees with the 8x8 propagator + partial-trace route to 1e-10.
     """
-    c2 = s.coupling.c ** 2
+    c2 = coupling_c(s.alpha) ** 2
     h = 0.5 * (s.x + s.y)
     shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), np.shape(t))
     cos_g, g, re_z, sin_p, a, im_z = (np.empty(shape) for _ in range(6))
-    np.multiply(s.coupling.alpha * (s.omega_a - eps_a), t, out=cos_g)
+    np.multiply(s.alpha * (s.omega_a - eps_a), t, out=cos_g)
     np.sin(cos_g, out=g)
     np.cos(cos_g, out=cos_g)
     np.square(g, out=a)
-    g /= 2.0 * s.coupling.alpha
+    g /= 2.0 * s.alpha
     # z = h e^{-i psi} (cos_g - i g), with re_z holding h cos psi and sin_p -h sin psi
     np.multiply(0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b), t, out=re_z)
     np.sin(re_z, out=sin_p)
@@ -122,11 +124,11 @@ def worker_count(chunks: int) -> int:
     return min(int(env) if env else os.cpu_count() or 1, chunks)
 
 
-# scenario type: (observable name, noise specs drawn per realization in this
-# order, names of the real columns that its kernel returns)
+# scenario type: (observable name, variance fields of the spacings drawn per
+# realization in this order, names of the real columns that its kernel returns)
 _OBSERVABLES = {
-    SingleQubitScenario: ("single", ("noise",), ("rho_pp", "re_rho_pm", "im_rho_pm")),
-    TwoQubitScenario: ("two", ("noise_a", "noise_b"), ("a", "b", "c", "d", "re_z", "im_z")),
+    SingleQubitScenario: ("single", ("var",), ("rho_pp", "re_rho_pm", "im_rho_pm")),
+    TwoQubitScenario: ("two", ("var_a", "var_b"), ("a", "b", "c", "d", "re_z", "im_z")),
 }
 
 
@@ -142,16 +144,15 @@ def sample_ensemble(s, n: int, master_seed: int, grid) -> Trajectory:
         raise ValueError("sample count must be >= 1")
     grid = np.asarray(grid, dtype=float)
     observable, fields, names = _OBSERVABLES[type(s)]
-    specs = [getattr(s, f) for f in fields]
+    sigmas = [math.sqrt(getattr(s, f)) for f in fields]
     evolve = evolve_single_realization if observable == "single" else evolve_two_realization
     bounds = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
 
     def run(chunk):
-        # rows are realizations start..stop-1, one spacing per spec each
+        # rows are realizations start..stop-1, one spacing per variance each
         start, stop = chunk
-        z = standard_normals(master_seed, start, stop, len(specs))
-        vals = evolve(*(sp.mean + np.sqrt(sp.variance) * zk[:, None] for sp, zk in zip(specs, z)),
-                      grid, s)
+        z = standard_normals(master_seed, start, stop, len(sigmas))
+        vals = evolve(*(sigma * zk[:, None] for sigma, zk in zip(sigmas, z)), grid, s)
         count = stop - start
         sums = [v.sum(axis=0) for v in vals]
         # squared deviations about the chunk mean, in place (no sum(x^2) - n mean^2 cancellation)

@@ -192,7 +192,10 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> list[CriticalTime]:
 
     turning = np.flatnonzero(cells[3] != 0.0)
     w = cells[:, turning]
-    turn = math.pi / (w[0] * np.abs(w[3]))
+    # alpha |omega_a| may be subnormal: pi over it is inf, which the fmod below
+    # handles (t_k = 0), so the overflow is not worth a warning
+    with np.errstate(over="ignore"):
+        turn = math.pi / (w[0] * np.abs(w[3]))
     # fmod is exact, so t_k is lo0 rounded down to a whole turn (0 if turn is inf)
     t_k = lo[turning] - np.fmod(lo[turning], turn)
     lo[turning], hi[turning] = _bisect(w, *_last_crossings(w, t_k, hi[turning]))

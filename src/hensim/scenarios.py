@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -23,56 +23,43 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Mean and variance of a random level-spacing distribution."""
+def coupling_c(alpha: float) -> float:
+    """Amplitude factor sqrt(1 - 1/(4 alpha^2)) of the coupling law: in [0, 1) for any finite alpha.
 
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        _require_finite(mean=self.mean, variance=self.variance)
-        if not (self.variance >= 0.0):
-            raise ValueError(f"variance must be nonnegative, got {self.variance}")
+    Formed from r = 1/(2 alpha), which cannot overflow; it rounds to 1.0
+    in double precision from alpha of about 7e7 on.
+    """
+    r = 0.5 / alpha
+    return math.sqrt((1.0 - r) * (1.0 + r))
 
 
-@dataclass(frozen=True)
-class CouplingLaw:
-    """Coupling proportional to detuning: f(eps) = sqrt(alpha^2 - 1/4) (eps - omega_a)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _require_finite(alpha=self.alpha)
-        if not (self.alpha >= 0.5):
-            raise ValueError(f"alpha must be >= 1/2, got {self.alpha}")
-
-    @property
-    def c(self) -> float:
-        """Amplitude factor sqrt(1 - 1/(4 alpha^2)) in [0, 1): finite for every finite alpha.
-
-        Formed from r = 1/(2 alpha), which cannot overflow; it rounds to 1.0
-        in double precision from alpha of about 7e7 on.
-        """
-        r = 0.5 / self.alpha
-        return math.sqrt((1.0 - r) * (1.0 + r))
+def _check_model(s, variances):
+    """Every field finite, alpha >= 1/2 and the named variance fields >= 0."""
+    _require_finite(**{f.name: getattr(s, f.name) for f in fields(s)})
+    if not (s.alpha >= 0.5):
+        raise ValueError(f"alpha must be >= 1/2, got {s.alpha}")
+    for name in variances:
+        if not (getattr(s, name) >= 0.0):
+            raise ValueError(f"{name} must be nonnegative, got {getattr(s, name)}")
 
 
 @dataclass(frozen=True)
 class SingleQubitScenario:
     """Working qubit A (frequency omega_a) coupled to auxiliary qubit B.
 
+    B's level spacing is drawn from a mean-zero Gaussian of variance ``var``
+    and sets the coupling f(eps) = sqrt(alpha^2 - 1/4) (eps - omega_a), alpha >= 1/2.
     Initial state: A in its ground state, B in xb|+> + yb|->.
     """
 
     omega_a: float
-    coupling: CouplingLaw
+    alpha: float
     xb: complex
     yb: complex
-    noise: GaussianSpec
+    var: float
 
     def __post_init__(self):
-        _require_finite(omega_a=self.omega_a, xb=self.xb, yb=self.yb)
+        _check_model(self, ("var",))
         norm = abs(self.xb) ** 2 + abs(self.yb) ** 2
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"|xb|^2 + |yb|^2 must be 1, got {norm!r}")
@@ -82,25 +69,28 @@ class SingleQubitScenario:
 class TwoQubitScenario:
     """Two working qubits in a Bell state; the first one coupled to an auxiliary qubit.
 
-    The auxiliary qubit starts in the mixture x |+><+| + y |-><-|; the second
-    working qubit carries a random level-spacing shift (noise_b) producing
-    transverse relaxation.
+    The auxiliary qubit starts in the mixture x |+><+| + y |-><-|, y = 1 - x.
+    Its level spacing is drawn from a mean-zero Gaussian of variance var_a and
+    sets the coupling as in SingleQubitScenario (longitudinal relaxation); the
+    second working qubit's spacing carries a mean-zero Gaussian shift of
+    variance var_b (transverse relaxation).
     """
 
     omega_a: float
     omega_b: float
-    coupling: CouplingLaw
+    alpha: float
     x: float
-    y: float
-    noise_a: GaussianSpec
-    noise_b: GaussianSpec
+    var_a: float
+    var_b: float
 
     def __post_init__(self):
-        _require_finite(omega_a=self.omega_a, omega_b=self.omega_b, x=self.x, y=self.y)
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"mixture weights must be nonnegative, got x={self.x}, y={self.y}")
-        if abs(self.x + self.y - 1.0) > _NORM_TOL:
-            raise ValueError(f"x + y must be 1, got {self.x + self.y!r}")
+        _check_model(self, ("var_a", "var_b"))
+        if not (0.0 <= self.x <= 1.0):
+            raise ValueError(f"x must lie in [0, 1], got {self.x}")
+
+    @property
+    def y(self) -> float:
+        return 1.0 - self.x
 
 
 @dataclass

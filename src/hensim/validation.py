@@ -30,16 +30,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from hensim.analytic import avg_population_single, gap_args, require_mean_zero, xstate_gap
+from hensim.analytic import avg_population_single, gap_args, xstate_gap
 from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble
 from hensim.entanglement import FINITE, concurrence_trajectory, concurrence_x, find_tc_batch
-from hensim.scenarios import (
-    CouplingLaw,
-    GaussianSpec,
-    SingleQubitScenario,
-    TwoQubitScenario,
-    XState,
-)
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, XState, coupling_c
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -162,14 +156,14 @@ def xstate_matrix(elems) -> np.ndarray:
     return rho
 
 
-def coupling_strength(eps: float, law, omega_a: float) -> float:
+def coupling_strength(eps: float, alpha: float, omega_a: float) -> float:
     """f(eps) = sqrt(alpha^2 - 1/4) (eps - omega_a); real-valued."""
-    return np.sqrt(law.alpha**2 - 0.25) * (eps - omega_a)
+    return np.sqrt(alpha**2 - 0.25) * (eps - omega_a)
 
 
 def build_h_single(eps: float, s: SingleQubitScenario) -> np.ndarray:
     """4x4 realization Hamiltonian for the working qubit + auxiliary qubit pair."""
-    f = coupling_strength(eps, s.coupling, s.omega_a)
+    f = coupling_strength(eps, s.alpha, s.omega_a)
     h = 0.5 * (s.omega_a * np.kron(PAULI_Z, IDENTITY_2) + eps * np.kron(IDENTITY_2, PAULI_Z))
     h = h + f * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
     return h
@@ -186,7 +180,7 @@ def propagator_single_closed(eps: float, t: float, s: SingleQubitScenario) -> np
     The {|+->, |-+>} block rotates with energy E = sqrt((omega_a - eps)^2/4 + f^2);
     |++> and |--> pick up pure phases exp(-+ i (omega_a + eps) t / 2).
     """
-    f = coupling_strength(eps, s.coupling, s.omega_a)
+    f = coupling_strength(eps, s.alpha, s.omega_a)
     half_det = 0.5 * (s.omega_a - eps)
     e = np.sqrt(half_det**2 + f**2)
     cos_et = np.cos(e * t)
@@ -214,7 +208,7 @@ def build_h_two(eps_a: float, eps_b: float, s: TwoQubitScenario) -> np.ndarray:
     The (A1, A2) part is the single-qubit model with random spacing eps_a; the
     second working qubit B1 only carries the shifted frequency omega_b + eps_b.
     """
-    f = coupling_strength(eps_a, s.coupling, s.omega_a)
+    f = coupling_strength(eps_a, s.alpha, s.omega_a)
     h = 0.5 * (s.omega_a * _op3(1, PAULI_Z) + eps_a * _op3(0, PAULI_Z))
     flip = np.kron(np.kron(SIGMA_MINUS, SIGMA_PLUS), IDENTITY_2)
     h = h + f * (flip + flip.conj().T)
@@ -231,10 +225,10 @@ def random_single_scenario(rng) -> SingleQubitScenario:
     yb = np.sqrt(1 - mag**2)
     return SingleQubitScenario(
         omega_a=float(omega_a),
-        coupling=CouplingLaw(float(alpha)),
+        alpha=float(alpha),
         xb=complex(xb),
         yb=complex(yb),
-        noise=GaussianSpec(0.0, 1.0),
+        var=1.0,
     )
 
 
@@ -243,11 +237,10 @@ def random_two_scenario(rng) -> TwoQubitScenario:
     return TwoQubitScenario(
         omega_a=float(rng.uniform(-5, 5)),
         omega_b=float(rng.uniform(-5, 5)),
-        coupling=CouplingLaw(float(rng.uniform(0.5, 5.0))),
+        alpha=float(rng.uniform(0.5, 5.0)),
         x=float(x),
-        y=float(1 - x),
-        noise_a=GaussianSpec(0.0, float(rng.uniform(0, 2))),
-        noise_b=GaussianSpec(0.0, float(rng.uniform(0, 2))),
+        var_a=float(rng.uniform(0, 2)),
+        var_b=float(rng.uniform(0, 2)),
     )
 
 
@@ -283,11 +276,10 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
     The CLI evaluates the real-only analytic.xstate_gap instead; this form is
     what check_gap_closed_form and check_concurrence_dual_path compare it with.
     """
-    require_mean_zero(s.noise_a, s.noise_b)
     t = np.asarray(t, dtype=float)
-    alpha = s.coupling.alpha
-    c2 = s.coupling.c ** 2
-    sa, sb = math.sqrt(s.noise_a.variance) * t, math.sqrt(s.noise_b.variance) * t
+    alpha = s.alpha
+    c2 = coupling_c(alpha) ** 2
+    sa, sb = math.sqrt(s.var_a) * t, math.sqrt(s.var_b) * t
     wa, wb = s.omega_a, s.omega_b
     relax = 1.0 - np.cos(2.0 * alpha * wa * t) * np.exp(-2.0 * np.square(alpha * sa))
     a = 0.25 * s.x * c2 * relax
@@ -315,22 +307,21 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
 
 
 def special_zero_va(t, s: TwoQubitScenario):
-    """(|z|, sqrt(a d)) of avg_xstate_two without longitudinal noise (noise_a variance 0).
+    """(|z|, sqrt(a d)) of avg_xstate_two without longitudinal noise (var_a = 0).
 
     Without longitudinal noise there is no relaxation; check_specializations
     compares this case with the general averages.
-    Transverse noise (noise_b) only damps |z|; alpha = 1/2 gives sqrt(a d) = 0.
+    Transverse noise (var_b) only damps |z|; alpha = 1/2 gives sqrt(a d) = 0.
     """
-    require_mean_zero(s.noise_a, s.noise_b)
-    if s.noise_a.variance != 0.0:
-        raise ValueError("noise_a variance must be zero for this special case")
+    if s.var_a != 0.0:
+        raise ValueError("var_a must be zero for this special case")
     t = np.asarray(t, dtype=float)
-    alpha = s.coupling.alpha
+    alpha = s.alpha
     inv4a2 = (0.5 / alpha) ** 2
     cos_term = np.cos(2.0 * alpha * s.omega_a * t)
     z_abs = (
         (math.sqrt(2.0) / 4.0)
-        * np.exp(-0.5 * np.square(math.sqrt(s.noise_b.variance) * t))
+        * np.exp(-0.5 * np.square(math.sqrt(s.var_b) * t))
         * np.sqrt(1.0 + inv4a2 + (1.0 - inv4a2) * cos_term)
     )
     ad_root = (
@@ -401,15 +392,7 @@ def check_specializations(n_cases: int, rng) -> float:
     for _ in range(n_cases):
         base = random_two_scenario(rng)
         for vb in (0.0, rng.uniform(0.1, 2.0)):
-            s = TwoQubitScenario(
-                omega_a=base.omega_a,
-                omega_b=base.omega_b,
-                coupling=CouplingLaw(max(base.coupling.alpha, 0.6)),
-                x=base.x,
-                y=base.y,
-                noise_a=GaussianSpec(0.0, 0.0),
-                noise_b=GaussianSpec(0.0, vb),
-            )
+            s = replace(base, alpha=max(base.alpha, 0.6), var_a=0.0, var_b=vb)
             z_abs, ad_root = special_zero_va(ts, s)
             xs = avg_xstate_two(ts, s)
             worst = max(worst, np.abs(z_abs - np.abs(xs.z)).max())
@@ -422,10 +405,9 @@ def gap_oracle_scenario(rng, i: int) -> TwoQubitScenario:
     and a pure auxiliary mixture (x = 0 or 1) when i % 3 == 2."""
     s = random_two_scenario(rng)
     if i % 3 == 1:
-        s = replace(s, coupling=CouplingLaw(0.5 + 10.0 ** rng.uniform(-9, -1)))
+        s = replace(s, alpha=0.5 + 10.0 ** rng.uniform(-9, -1))
     elif i % 3 == 2:
-        x = float(rng.integers(2))
-        s = replace(s, x=x, y=1.0 - x)
+        s = replace(s, x=float(rng.integers(2)))
     return s
 
 
@@ -458,8 +440,7 @@ def check_tc_bracket(n_cases: int, rng) -> float:
 
     def cell(i):
         s = gap_oracle_scenario(rng, i)
-        return replace(s, omega_a=s.omega_a if i // 2 % 2 else 0.0,
-                       noise_b=GaussianSpec(0.0, s.noise_b.variance * (i % 2)))
+        return replace(s, omega_a=s.omega_a if i // 2 % 2 else 0.0, var_b=s.var_b * (i % 2))
 
     params = np.array([gap_args(cell(i)) for i in range(n_cases)]).T
     twins = params.copy()
@@ -484,9 +465,7 @@ def check_tc_bracket(n_cases: int, rng) -> float:
 
 def _mc_scenario() -> SingleQubitScenario:
     """Zero frequency, alpha 5, xb 0.8, unit variance: the middle curve of Fig. 1(b)."""
-    return SingleQubitScenario(
-        omega_a=0.0, coupling=CouplingLaw(5.0), xb=0.8, yb=0.6, noise=GaussianSpec(0.0, 1.0)
-    )
+    return SingleQubitScenario(omega_a=0.0, alpha=5.0, xb=0.8, yb=0.6, var=1.0)
 
 
 def check_mc_convergence(n: int, master_seed: int) -> float:

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from hensim.analytic import gap_args, xstate_gap
 from hensim.entanglement import find_tc_batch
-from hensim.scenarios import CouplingLaw, GaussianSpec, SingleQubitScenario, TwoQubitScenario
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario
 
 # every property test runs the same examples each run; each test sets only its
 # own max_examples
@@ -14,27 +14,15 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 
 
-def single_scenario(omega_a=0.0, alpha=5.0, xb=0.8, variance=1.0, mean=0.0):
+def single_scenario(omega_a=0.0, alpha=5.0, xb=0.8, variance=1.0):
     xb = float(xb)
     return SingleQubitScenario(
-        omega_a=omega_a,
-        coupling=CouplingLaw(alpha),
-        xb=xb,
-        yb=np.sqrt(1.0 - xb**2),
-        noise=GaussianSpec(mean, variance),
+        omega_a=omega_a, alpha=alpha, xb=xb, yb=np.sqrt(1.0 - xb**2), var=variance
     )
 
 
 def two_scenario(omega_a=0.0, omega_b=0.0, alpha=1.0, x=0.2, var_a=0.5, var_b=0.0):
-    return TwoQubitScenario(
-        omega_a=omega_a,
-        omega_b=omega_b,
-        coupling=CouplingLaw(alpha),
-        x=x,
-        y=1.0 - x,
-        noise_a=GaussianSpec(0.0, var_a),
-        noise_b=GaussianSpec(0.0, var_b),
-    )
+    return TwoQubitScenario(omega_a, omega_b, alpha, x, var_a, var_b)
 
 
 @pytest.fixture

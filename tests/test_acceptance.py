@@ -19,7 +19,6 @@ from hensim.analytic import (
 from hensim.cli import main
 from hensim.ensemble import sample_ensemble
 from hensim.entanglement import concurrence_x, find_tc
-from hensim.scenarios import CouplingLaw
 from hensim.validation import (
     avg_xstate_two,
     check_concurrence_dual_path,
@@ -61,7 +60,7 @@ def test_criterion_2_fig1a_reproduction():
         worst_point = max(worst_point, dev)
         tail = mc.columns["rho_pp"][grid >= 4.0].mean()
         worst_plateau = max(worst_plateau, abs(tail - plateau))
-        assert steady_population(s.coupling, xb) == pytest.approx(plateau, abs=1e-12)
+        assert steady_population(s.alpha, xb) == pytest.approx(plateau, abs=1e-12)
     elapsed = time.monotonic() - start
     assert worst_point <= 0.02
     assert worst_plateau <= 0.02
@@ -88,7 +87,7 @@ def test_criterion_4_thermal_round_trip():
     worst = 0.0
     for p in rng.uniform(0.0, 0.499, size=100):
         alpha, xb = invert_thermal(p)
-        worst = max(worst, abs(steady_population(CouplingLaw(alpha), xb) - p))
+        worst = max(worst, abs(steady_population(alpha, xb) - p))
     assert worst <= 1e-12
     exact = thermal_population(math.log(3))
     assert abs(exact - 0.25) <= 1e-15

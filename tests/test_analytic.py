@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from conftest import single_scenario, two_scenario
 from hensim.analytic import (
     avg_coherence_single,
     avg_population_single,
-    dissipation_rate,
     gap_args,
     invert_thermal,
     steady_population,
@@ -19,7 +17,7 @@ from hensim.analytic import (
 )
 from hensim.ensemble import sample_ensemble
 from hensim.entanglement import concurrence_x
-from hensim.scenarios import CouplingLaw, GaussianSpec
+from hensim.scenarios import coupling_c
 from hensim.validation import (
     avg_xstate_two,
     check_gap_closed_form,
@@ -40,16 +38,11 @@ class TestAvgPopulationSingle:
         s = single_scenario(omega_a=0.0, alpha=5.0, xb=0.8, variance=1.0)
         assert avg_population_single(50.0, s) == pytest.approx(0.3168, abs=1e-12)
 
-    def test_nonzero_mean_rejected(self):
-        s = single_scenario(mean=0.3)
-        with pytest.raises(ValueError, match="mean"):
-            avg_population_single(1.0, s)
-
     def test_bounded_and_monotone_at_zero_frequency(self):
         s = single_scenario(omega_a=0.0, alpha=3.0, xb=0.7, variance=0.8)
         ts = np.linspace(0, 6, 400)
         pop = avg_population_single(ts, s)
-        cap = s.coupling.c**2 * abs(s.xb) ** 2
+        cap = coupling_c(s.alpha)**2 * abs(s.xb) ** 2
         assert np.all(pop >= 0) and np.all(pop <= cap + 1e-15)
         assert np.all(np.diff(pop) >= 0)
 
@@ -74,7 +67,7 @@ class TestAvgCoherenceSingle:
         coh = np.abs(avg_coherence_single(ts, s))
         alpha, v = 1.0, 0.6
         envelope = (
-            0.5 * s.coupling.c * abs(s.xb) * abs(s.yb)
+            0.5 * coupling_c(s.alpha) * abs(s.xb) * abs(s.yb)
             * (np.exp(-0.5 * (alpha + 0.5) ** 2 * v * ts**2)
                + np.exp(-0.5 * (alpha - 0.5) ** 2 * v * ts**2))
         )
@@ -90,9 +83,9 @@ class TestAvgCoherenceSingle:
 
 class TestThermalMapping:
     def test_steady_population_limits(self):
-        assert steady_population(CouplingLaw(0.5), 1.0) == 0.0
-        assert steady_population(CouplingLaw(3.0), 0.0) == 0.0
-        assert steady_population(CouplingLaw(5.0), 0.8) == pytest.approx(0.3168, abs=1e-12)
+        assert steady_population(0.5, 1.0) == 0.0
+        assert steady_population(3.0, 0.0) == 0.0
+        assert steady_population(5.0, 0.8) == pytest.approx(0.3168, abs=1e-12)
 
     def test_thermal_population_limits(self):
         assert thermal_population(0.0) == 0.5
@@ -118,31 +111,25 @@ class TestThermalMapping:
     @given(p=st.floats(0.0, 0.499))
     def test_round_trip(self, p):
         alpha, xb = invert_thermal(p)
-        assert steady_population(CouplingLaw(alpha), xb) == pytest.approx(p, abs=1e-12)
+        assert steady_population(alpha, xb) == pytest.approx(p, abs=1e-12)
 
     def test_round_trip_with_chosen_xb(self):
         alpha, xb = invert_thermal(0.2, xb=0.9)
-        assert steady_population(CouplingLaw(alpha), xb) == pytest.approx(0.2, abs=1e-12)
+        assert steady_population(alpha, xb) == pytest.approx(0.2, abs=1e-12)
         with pytest.raises(ValueError):
             invert_thermal(0.4, xb=0.5)  # needs c^2 >= 1, unreachable
 
 
 class TestDissipationRate:
-    def test_values(self):
-        assert dissipation_rate(0.0, CouplingLaw(1.0), 1.0) == 0.0
-        assert dissipation_rate(2.0, CouplingLaw(1.0), 1.0) == pytest.approx(4.0, abs=1e-15)
-
     def test_envelope_identity_at_zero_frequency(self):
         # -ln(1 - pop/steady) equals 2 alpha^2 var t^2 when omega_a = 0
         s = single_scenario(omega_a=0.0, alpha=1.2, xb=0.9, variance=0.7)
         ts = np.linspace(0.1, 2.0, 50)
         pop = avg_population_single(ts, s)
-        steady = steady_population(s.coupling, s.xb)
+        steady = steady_population(s.alpha, s.xb)
         lhs = -np.log(1.0 - pop / steady)
-        rhs = 2.0 * s.coupling.alpha**2 * s.noise.variance * ts**2
+        rhs = 2.0 * s.alpha**2 * s.var * ts**2
         assert np.abs(lhs - rhs).max() <= 1e-10
-        # same quantity as Gamma(t) * t, since the rate is linear in time
-        assert np.abs(rhs - dissipation_rate(ts, s.coupling, 0.7) * ts).max() <= 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -151,9 +138,6 @@ def test_large_alpha_stays_finite(alpha):
     # alpha^2 leaves double precision; every average keeps its alpha -> infinity
     # limit, and t = 0 or var = 0 gives exponent 0, not 0 * inf
     ts = np.array([0.0, 0.5, 2.0])
-    law = CouplingLaw(alpha)
-    assert dissipation_rate(0.0, law, 1.0) == 0.0
-    assert np.all(dissipation_rate(ts, law, 0.0) == 0.0)
     s = single_scenario(alpha=alpha, xb=0.8)
     assert np.abs(avg_population_single(ts, s) - [0.0, 0.32, 0.32]).max() <= 1e-15
     assert np.array_equal(avg_coherence_single(ts, s), [0.0, 0.0, 0.0])
@@ -192,16 +176,6 @@ class TestAvgXStateTwo:
             assert xs.a + xs.b + xs.c + xs.d == pytest.approx(1.0, abs=1e-12)
             assert abs(xs.z) <= np.sqrt(xs.b * xs.c) + 1e-12
             validate_density(xstate_matrix(xs))
-
-    def test_nonzero_mean_rejected(self):
-        s = two_scenario()
-        bad = type(s)(
-            omega_a=s.omega_a, omega_b=s.omega_b, coupling=s.coupling,
-            x=s.x, y=s.y,
-            noise_a=GaussianSpec(0.5, 1.0), noise_b=s.noise_b,
-        )
-        with pytest.raises(ValueError, match="mean"):
-            avg_xstate_two(1.0, bad)
 
     def test_matches_monte_carlo(self):
         s = two_scenario(var_b=0.3)
@@ -292,8 +266,6 @@ class TestSpecialCases:
     def test_preconditions_enforced(self):
         with pytest.raises(ValueError):
             special_zero_va(1.0, two_scenario(var_a=0.5, var_b=0.0))
-        with pytest.raises(ValueError, match="mean-zero"):
-            special_zero_va(1.0, replace(two_scenario(var_a=0.0), noise_b=GaussianSpec(0.3, 0.5)))
 
 
 def test_concurrence_revival_without_relaxation():

@@ -336,6 +336,28 @@ def test_non_finite_input_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_TC_AXES = ["--alpha-range", "1", "2", "--var-range", "0.5", "1", "--resolution", "2"]
+
+
+# Each model parameter out of its range, with the scenario field that refuses it
+@pytest.mark.parametrize("argv, field", [
+    (["relax", "--var-eps-a", "-1"], "var"),
+    (["concurrence", "--var-eps-a", "-1"], "var_a"),
+    (["concurrence", "--var-eps-b", "-1"], "var_b"),
+    (["concurrence", "--x", "1.5"], "x"),
+    (["concurrence", "--x", "-0.1"], "x"),
+    (["concurrence", "--alpha", "0.4"], "alpha"),
+    (["tc-map", "--var-eps-b", "-1", *_TC_AXES], "var_b"),
+    (["tc-map", "--x", "1.5", *_TC_AXES], "x"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_out_of_range_parameter_names_its_field(tmp_path, capsys, argv, field):
+    out = tmp_path / "x.out"
+    assert run([*argv, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ['{"alpha": null}', "5", '{"format": "xml"}',
                                   '{"xb": true}', '{"points": 2.5}'])
 def test_bad_config_file_rejected(tmp_path, capsys, text):
