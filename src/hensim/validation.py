@@ -7,26 +7,29 @@ single-qubit propagator. It also holds the complex averaged X state
 (avg_xstate_two) and its special case without longitudinal noise
 (special_zero_va), against which the real-only analytic.xstate_gap is checked,
 and the sweep that checks the sudden-death times of entanglement.find_tc_batch,
-which runs no sweep of its own (check_tc_bracket).
-No production path uses them; the CLI imports this module only for `validate`.
-Everything here is small (dimension 8 at most) and pure: inputs are never
-mutated. Basis conventions (|+> first):
+which runs no sweep of its own (check_tc_bracket). No production path uses
+them; the CLI imports this module only for `validate`. The dense functions act
+on one matrix (n, n) or a stack (..., n, n) alike, and never mutate their
+inputs. Basis conventions (|+> first):
   single-qubit system: 4x4 matrices in the product basis A (x) B, i.e.
   {|++>, |+->, |-+>, |-->};
   two-qubit system: 8x8 matrices in the product basis A2 (x) A1 (x) B1
   (auxiliary qubit first), so tracing out subsystem 0 leaves (A1, B1).
 
 Each check_* draws its cases from the generator (or master seed) it is given
-and returns the measured deviation; run_suite holds every check's name, seed,
-case count and bound, and turns them into the (name, passed, detail) lines of
-the CLI `validate` report. The acceptance tests call the same checks with
-their own seeds and bounds.
+and returns the measured deviation; the dense side of a check is one call on
+the stack of all its cases. run_suite holds every check's name, seed, case
+count and bound, and turns them into the (name, passed, detail) lines of the
+CLI `validate` report. The acceptance tests call the same checks with their
+own seeds and bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,27 +44,60 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 _YY = np.kron(PAULI_Y, PAULI_Y)
+# the constant operators of the realization Hamiltonians: Z on one factor of
+# A (x) B, the A-B flip-flop, and Z on one factor of A2 (x) A1 (x) B1
+_Z_A, _Z_B = np.kron(PAULI_Z, IDENTITY_2), np.kron(IDENTITY_2, PAULI_Z)
+_FLIP_AB = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
+_Z_A2, _Z_A1, _Z_B1 = (reduce(np.kron, ops) for ops in ((PAULI_Z, IDENTITY_2, IDENTITY_2),
+                       (IDENTITY_2, PAULI_Z, IDENTITY_2), (IDENTITY_2, IDENTITY_2, PAULI_Z)))
+_FLIP_A2A1 = reduce(np.kron, (SIGMA_MINUS, SIGMA_PLUS, IDENTITY_2)) + reduce(
+    np.kron, (SIGMA_PLUS, SIGMA_MINUS, IDENTITY_2))
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 MINUS = np.array([0.0, 1.0], dtype=complex)
 BELL = np.kron(PLUS, PLUS) / np.sqrt(2) + np.kron(MINUS, MINUS) / np.sqrt(2)
+# the two-qubit initial states: auxiliary qubit up/down, working pair in the Bell state
+_AUX_UP_BELL, _AUX_DOWN_BELL = np.kron(PLUS, BELL), np.kron(MINUS, BELL)
+
+# (low, high) of the uniform draws behind one random scenario, in draw order;
+# a single-qubit scenario has xb = mag e^{i phase}, yb = sqrt(1 - mag^2)
+SINGLE_RANGES = {"omega_a": (-5, 5), "alpha": (0.5, 5.0), "phase": (0, 2 * np.pi), "mag": (0, 1)}
+TWO_RANGES = {"x": (0.0, 1.0), "omega_a": (-5, 5), "omega_b": (-5, 5), "alpha": (0.5, 5.0),
+              "var_a": (0, 2), "var_b": (0, 2)}
 
 
 class DensityMatrixError(ValueError):
     """A candidate density matrix violates hermiticity, trace or positivity."""
 
 
+def _require(ok, measure, error, message: str):
+    """Raise error(message.format(measure)) for the first matrix whose ok is False.
+
+    ok and measure hold one value per matrix (0-d for one matrix); for a stack
+    the message starts with the index of that matrix.
+    """
+    if not ok.all():
+        i = tuple(int(k) for k in np.unravel_index(np.argmin(ok), ok.shape))
+        where = f"matrix {i[0] if len(i) == 1 else i} of the stack: " if i else ""
+        raise error(where + message.format(measure[i]))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix contains non-finite entries")
+    count = np.count_nonzero(~np.isfinite(m), axis=(-2, -1))
+    _require(count == 0, count, ValueError,
+             "matrix contains non-finite entries" if m.ndim == 2 else "{} non-finite entries")
     return m
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
+    """Trace out all subsystems not listed in ``keep``, for each matrix of a stack (..., n, n).
 
     ``dims`` gives the subsystem dimensions in tensor order; ``keep`` is a set
     of subsystem indices to retain. The kept subsystems stay in their original
@@ -69,90 +105,90 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     """
     rho = _as_square(rho)
     dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    if rho.shape[0] != total:
-        raise ValueError(f"dims {dims} do not multiply to matrix dim {rho.shape[0]}")
+    if rho.shape[-1] != int(np.prod(dims)):
+        raise ValueError(f"dims {dims} do not multiply to matrix dim {rho.shape[-1]}")
     keep = sorted({int(k) for k in keep})
     if not keep:
         raise ValueError("keep must name at least one subsystem")
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep {keep} out of range for {len(dims)} subsystems")
     n = len(dims)
-    reshaped = rho.reshape(dims + dims)
+    reshaped = rho.reshape(rho.shape[:-2] + tuple(dims + dims))
     row = list(range(n))
     col = [i + n if i in keep else i for i in range(n)]
-    out = np.einsum(reshaped, row + col)
+    out = np.einsum(reshaped, [Ellipsis] + row + col)
     kept_dim = int(np.prod([dims[k] for k in keep]))
-    return np.ascontiguousarray(out.reshape(kept_dim, kept_dim))
+    return np.ascontiguousarray(out.reshape(rho.shape[:-2] + (kept_dim, kept_dim)))
 
 
 def matrix_exponential(h, t) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via eigendecomposition.
+    """exp(-i h t) for Hermitian h, or each h of a stack (..., n, n), via eigendecomposition.
 
-    Diagonalize, exponentiate the phases, recompose. Serves as the structurally
-    independent oracle for the closed-form propagators.
+    Diagonalize, exponentiate the phases, recompose; t broadcasts against the
+    stack's shape. The structurally independent oracle for the closed-form propagators.
     """
     h = _as_square(h)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > 1e-12:
-        raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
+    dev = np.abs(h - _dagger(h)).max(axis=(-2, -1))
+    _require(dev <= 1e-12, dev, ValueError, "matrix is not Hermitian: max |h - h^dag| = {:.3e}")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    phase = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
+    return (v * phase[..., None, :]) @ _dagger(v)
 
 
 def validate_density(rho) -> np.ndarray:
     """Check hermiticity and unit trace to 1e-12, and positivity; return the validated matrix.
 
-    The positivity floor, -1e-10, is slightly negative on purpose: finite-sample
-    ensemble averages and round-off produce tiny negative eigenvalues that are
-    not logic errors.
+    Every matrix of a stack (..., n, n) must pass. The positivity floor, -1e-10,
+    is slightly negative on purpose: finite-sample ensemble averages and
+    round-off produce tiny negative eigenvalues that are not logic errors.
 
-    Raises DensityMatrixError naming the violated invariant and its magnitude.
+    Raises DensityMatrixError naming the violated invariant, its magnitude and,
+    for a stack, the index of the first matrix that violates it.
     """
     rho = _as_square(rho)
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > 1e-12:
-        raise DensityMatrixError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-12:
-        raise DensityMatrixError(f"trace is not 1: |Tr rho - 1| = {abs(tr - 1.0):.3e}")
-    lam_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if lam_min < -1e-10:
-        raise DensityMatrixError(f"not positive semidefinite: lambda_min = {lam_min:.3e}")
+    herm = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
+    _require(herm <= 1e-12, herm, DensityMatrixError, "not Hermitian: max |rho - rho^dag| = {:.3e}")
+    tr = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    _require(tr <= 1e-12, tr, DensityMatrixError, "trace is not 1: |Tr rho - 1| = {:.3e}")
+    lam_min = np.linalg.eigvalsh((rho + _dagger(rho)) / 2)[..., 0]
+    _require(lam_min >= -1e-10, lam_min, DensityMatrixError,
+             "not positive semidefinite: lambda_min = {:.3e}")
     return rho
 
 
-def concurrence_general(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence_general(rho):
+    """Wootters concurrence of a two-qubit density matrix, or of each in a stack (..., 4, 4).
 
-    The spin-flip spectrum is obtained from the Hermitian matrix
-    sqrt(rho) (sy (x) sy) rho* (sy (x) sy) sqrt(rho), which is similar to the
-    usual non-Hermitian product; negative round-off eigenvalues are clipped.
+    The spin-flip roots are the singular values of sqrt(rho) (sy (x) sy) sqrt(rho)*,
+    whose squares are the eigenvalues of the usual product rho (sy (x) sy) rho* (sy (x) sy).
+    Singular values near 0 come out to round-off, where the square roots of
+    eigenvalues near 0 would be off by up to sqrt(eps), 1.5e-8.
+    Returns a float for one matrix, else an array of the stack's shape.
     """
     rho = validate_density(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, got {rho.shape}")
     w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    m = sqrt_rho @ _YY @ rho.conj() @ _YY @ sqrt_rho
-    kappa = np.linalg.eigvalsh(m)
-    roots = np.sqrt(np.clip(kappa, 0.0, None))[::-1]
-    c = roots[0] - roots[1] - roots[2] - roots[3]
-    return float(min(max(c, 0.0), 1.0))
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+    roots = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)  # descending
+    c = np.clip(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], 0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def xstate_matrix(elems) -> np.ndarray:
-    """Assemble the 4x4 X-state density matrix of scalar elements in the standard product basis.
+    """Assemble the 4x4 X-state density matrix in the standard product basis.
 
-    Diagonal (b, a, d, c) with z on the |++><--| corner.
+    Diagonal (b, a, d, c) with z on the |++><--| corner. Elements of shape S
+    give a stack (*S, 4, 4); scalars give one matrix.
     """
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = elems.b
-    rho[1, 1] = elems.a
-    rho[2, 2] = elems.d
-    rho[3, 3] = elems.c
-    rho[0, 3] = elems.z
-    rho[3, 0] = np.conj(rho[0, 3])
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (elems.a, elems.b, elems.c, elems.d, elems.z)))
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = elems.b
+    rho[..., 1, 1] = elems.a
+    rho[..., 2, 2] = elems.d
+    rho[..., 3, 3] = elems.c
+    rho[..., 0, 3] = elems.z
+    rho[..., 3, 0] = np.conj(rho[..., 0, 3])
     return rho
 
 
@@ -161,17 +197,26 @@ def coupling_strength(eps: float, alpha: float, omega_a: float) -> float:
     return np.sqrt(alpha**2 - 0.25) * (eps - omega_a)
 
 
-def build_h_single(eps: float, s: SingleQubitScenario) -> np.ndarray:
-    """4x4 realization Hamiltonian for the working qubit + auxiliary qubit pair."""
-    f = coupling_strength(eps, s.alpha, s.omega_a)
-    h = 0.5 * (s.omega_a * np.kron(PAULI_Z, IDENTITY_2) + eps * np.kron(IDENTITY_2, PAULI_Z))
-    h = h + f * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
-    return h
+def stack_scenarios(records) -> SimpleNamespace:
+    """Scenario records of one type as one ``s`` whose fields are arrays over the records."""
+    return SimpleNamespace(**{f.name: np.array([getattr(r, f.name) for r in records])
+                              for f in fields(records[0])})
 
 
-def _sinct(e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sin(e t) / e with the removable e -> 0 singularity handled (limit t)."""
-    return t * np.sinc(e * t / np.pi)
+def _per_matrix(*values):
+    """Each value as a float array with two trailing unit axes, to scale a stack of matrices."""
+    return [np.asarray(v, dtype=float)[..., None, None] for v in values]
+
+
+def build_h_single(eps, s: SingleQubitScenario) -> np.ndarray:
+    """4x4 realization Hamiltonian for the working qubit + auxiliary qubit pair.
+
+    eps and s's fields may be arrays (s a stack_scenarios stack); they
+    broadcast to a stack shape S, and the result is (*S, 4, 4).
+    """
+    eps, omega_a, alpha = _per_matrix(eps, s.omega_a, s.alpha)
+    f = coupling_strength(eps, alpha, omega_a)
+    return 0.5 * (omega_a * _Z_A + eps * _Z_B) + f * _FLIP_AB
 
 
 def propagator_single_closed(eps: float, t: float, s: SingleQubitScenario) -> np.ndarray:
@@ -184,89 +229,72 @@ def propagator_single_closed(eps: float, t: float, s: SingleQubitScenario) -> np
     half_det = 0.5 * (s.omega_a - eps)
     e = np.sqrt(half_det**2 + f**2)
     cos_et = np.cos(e * t)
-    sfac = _sinct(e, np.asarray(float(t)))
+    sfac = t * np.sinc(e * t / np.pi)  # sin(E t) / E, whose limit at E = 0 is t
     u = np.zeros((4, 4), dtype=complex)
     phase = 0.5 * (s.omega_a + eps) * t
     u[0, 0] = np.exp(-1j * phase)
     u[3, 3] = np.exp(1j * phase)
     u[1, 1] = cos_et - 1j * sfac * half_det
     u[2, 2] = cos_et + 1j * sfac * half_det
-    u[1, 2] = -1j * sfac * f
-    u[2, 1] = -1j * sfac * f
+    u[1, 2] = u[2, 1] = -1j * sfac * f
     return u
 
 
-def _op3(index: int, m: np.ndarray) -> np.ndarray:
-    ops = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
-    ops[index] = m
-    return np.kron(np.kron(ops[0], ops[1]), ops[2])
-
-
-def build_h_two(eps_a: float, eps_b: float, s: TwoQubitScenario) -> np.ndarray:
+def build_h_two(eps_a, eps_b, s: TwoQubitScenario) -> np.ndarray:
     """8x8 realization Hamiltonian in the A2 (x) A1 (x) B1 basis.
 
     The (A1, A2) part is the single-qubit model with random spacing eps_a; the
     second working qubit B1 only carries the shifted frequency omega_b + eps_b.
+    Stacks as build_h_single does.
     """
-    f = coupling_strength(eps_a, s.alpha, s.omega_a)
-    h = 0.5 * (s.omega_a * _op3(1, PAULI_Z) + eps_a * _op3(0, PAULI_Z))
-    flip = np.kron(np.kron(SIGMA_MINUS, SIGMA_PLUS), IDENTITY_2)
-    h = h + f * (flip + flip.conj().T)
-    h = h + 0.5 * (s.omega_b + eps_b) * _op3(2, PAULI_Z)
-    return h
+    eps_a, eps_b, omega_a, omega_b, alpha = _per_matrix(eps_a, eps_b, s.omega_a, s.omega_b, s.alpha)
+    f = coupling_strength(eps_a, alpha, omega_a)
+    h = 0.5 * (omega_a * _Z_A1 + eps_a * _Z_A2) + f * _FLIP_A2A1
+    return h + 0.5 * (omega_b + eps_b) * _Z_B1
+
+
+def _draw(rng, ranges: dict, n=None) -> np.ndarray:
+    """One uniform draw per (low, high) in ``ranges``, in order; n cases give the rows of (n, k)."""
+    low, high = np.array(list(ranges.values()), dtype=float).T
+    return rng.uniform(low, high, None if n is None else (n, len(ranges)))
+
+
+def _single_scenario(omega_a, alpha, phase, mag) -> SingleQubitScenario:
+    return SingleQubitScenario(omega_a=omega_a, alpha=alpha, xb=complex(mag * np.exp(1j * phase)),
+                               yb=complex(np.sqrt(1 - mag**2)), var=1.0)
 
 
 def random_single_scenario(rng) -> SingleQubitScenario:
-    omega_a = rng.uniform(-5, 5)
-    alpha = rng.uniform(0.5, 5.0)
-    phi = rng.uniform(0, 2 * np.pi)
-    mag = rng.uniform(0, 1)
-    xb = mag * np.exp(1j * phi)
-    yb = np.sqrt(1 - mag**2)
-    return SingleQubitScenario(
-        omega_a=float(omega_a),
-        alpha=float(alpha),
-        xb=complex(xb),
-        yb=complex(yb),
-        var=1.0,
-    )
+    return _single_scenario(*_draw(rng, SINGLE_RANGES).tolist())
+
+
+def _two_scenario(*fields_in_draw_order) -> TwoQubitScenario:
+    return TwoQubitScenario(**dict(zip(TWO_RANGES, fields_in_draw_order)))
 
 
 def random_two_scenario(rng) -> TwoQubitScenario:
-    x = rng.uniform(0.0, 1.0)
-    return TwoQubitScenario(
-        omega_a=float(rng.uniform(-5, 5)),
-        omega_b=float(rng.uniform(-5, 5)),
-        alpha=float(rng.uniform(0.5, 5.0)),
-        x=float(x),
-        var_a=float(rng.uniform(0, 2)),
-        var_b=float(rng.uniform(0, 2)),
-    )
+    return _two_scenario(*_draw(rng, TWO_RANGES).tolist())
 
 
-def single_initial_state(s: SingleQubitScenario) -> np.ndarray:
-    return np.kron(MINUS, s.xb * PLUS + s.yb * MINUS)
+def _outer(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| for each state vector of a stack (..., n)."""
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def two_initial_states() -> tuple[np.ndarray, np.ndarray]:
-    """(psi1, psi2): auxiliary qubit up/down, working pair in the Bell state."""
-    return np.kron(PLUS, BELL), np.kron(MINUS, BELL)
+def single_oracle_elements(eps, t, s: SingleQubitScenario):
+    """(rho_pp, rho_pm) via matrix exponential + partial trace (test oracle); stacks as build_h_single."""
+    b = np.asarray(s.xb)[..., None] * PLUS + np.asarray(s.yb)[..., None] * MINUS
+    psi0 = (MINUS[:, None] * b[..., None, :]).reshape(b.shape[:-1] + (4,))  # |->_A (x) b
+    psi = (matrix_exponential(build_h_single(eps, s), t) @ psi0[..., None])[..., 0]
+    rho_a = partial_trace(_outer(psi), [2, 2], {0})
+    return rho_a[..., 0, 0].real, rho_a[..., 0, 1]
 
 
-def single_oracle_elements(eps: float, t: float, s: SingleQubitScenario):
-    """(rho_pp, rho_pm) via matrix exponential + partial trace (test oracle)."""
-    u = matrix_exponential(build_h_single(eps, s), t)
-    psi = u @ single_initial_state(s)
-    rho_a = partial_trace(np.outer(psi, psi.conj()), [2, 2], {0})
-    return rho_a[0, 0].real, rho_a[0, 1]
-
-
-def two_oracle_xstate(eps_a: float, eps_b: float, t: float, s: TwoQubitScenario) -> np.ndarray:
-    """Reduced (A1, B1) density matrix via the 8x8 exponential (test oracle)."""
+def two_oracle_xstate(eps_a, eps_b, t, s: TwoQubitScenario) -> np.ndarray:
+    """Reduced (A1, B1) density matrix via the 8x8 exponential (test oracle); stacks as build_h_two."""
     u = matrix_exponential(build_h_two(eps_a, eps_b, s), t)
-    psi1, psi2 = two_initial_states()
-    p1, p2 = u @ psi1, u @ psi2
-    rho = s.x * np.outer(p1, p1.conj()) + s.y * np.outer(p2, p2.conj())
+    (x,) = _per_matrix(s.x)
+    rho = x * _outer(u @ _AUX_UP_BELL) + (1.0 - x) * _outer(u @ _AUX_DOWN_BELL)
     return partial_trace(rho, [2, 2, 2], {1, 2})
 
 
@@ -287,22 +315,10 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
     b = 0.5 * s.x + 0.5 * s.y * (1.0 - 0.5 * c2 * relax)
     c_el = 0.5 * s.y + 0.5 * s.x * (1.0 - 0.5 * c2 * relax)
     inv2a = 1.0 / (2.0 * alpha)
-    branch_plus = (
-        np.exp(1j * alpha * wa * t)
-        * np.exp(-0.5 * np.square((alpha + 0.5) * sa))
-        * (1.0 - inv2a)
-    )
-    branch_minus = (
-        np.exp(-1j * alpha * wa * t)
-        * np.exp(-0.5 * np.square((alpha - 0.5) * sa))
-        * (1.0 + inv2a)
-    )
-    z = (
-        0.25
-        * np.exp(-0.5 * np.square(sb))
-        * np.exp(-0.5j * (wa + 2.0 * wb) * t)
-        * (branch_plus + branch_minus)
-    )
+    branch_plus = np.exp(1j * alpha * wa * t) * np.exp(-0.5 * np.square((alpha + 0.5) * sa)) * (1.0 - inv2a)
+    branch_minus = np.exp(-1j * alpha * wa * t) * np.exp(-0.5 * np.square((alpha - 0.5) * sa)) * (1.0 + inv2a)
+    z = (0.25 * np.exp(-0.5 * np.square(sb)) * np.exp(-0.5j * (wa + 2.0 * wb) * t)
+         * (branch_plus + branch_minus))
     return XState(a=a, b=b, c=c_el, d=d, z=z)
 
 
@@ -319,70 +335,54 @@ def special_zero_va(t, s: TwoQubitScenario):
     alpha = s.alpha
     inv4a2 = (0.5 / alpha) ** 2
     cos_term = np.cos(2.0 * alpha * s.omega_a * t)
-    z_abs = (
-        (math.sqrt(2.0) / 4.0)
-        * np.exp(-0.5 * np.square(math.sqrt(s.var_b) * t))
-        * np.sqrt(1.0 + inv4a2 + (1.0 - inv4a2) * cos_term)
-    )
-    ad_root = (
-        math.sqrt(s.x * s.y)
-        * 0.25 * (1.0 - inv4a2)
-        * (1.0 - cos_term)
-    )
+    z_abs = ((math.sqrt(2.0) / 4.0) * np.exp(-0.5 * np.square(math.sqrt(s.var_b) * t))
+             * np.sqrt(1.0 + inv4a2 + (1.0 - inv4a2) * cos_term))
+    ad_root = math.sqrt(s.x * s.y) * 0.25 * (1.0 - inv4a2) * (1.0 - cos_term)
     return z_abs, ad_root
+
+
+def _cases(rng, n_cases: int, make, ranges: dict, **extra):
+    """n_cases draws of ``ranges`` then ``extra``: a make(*fields) record per case, a column per extra."""
+    cases = _draw(rng, {**ranges, **extra}, n_cases)
+    return [make(*row) for row in cases[:, :len(ranges)].tolist()], *cases[:, len(ranges):].T
 
 
 def check_propagator_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form propagator from the eigendecomposition exponential."""
-    worst = 0.0
-    for _ in range(n_cases):
-        s = random_single_scenario(rng)
-        eps = rng.uniform(-5, 5)
-        t = rng.uniform(0, 10)
-        u_closed = propagator_single_closed(eps, t, s)
-        u_oracle = matrix_exponential(build_h_single(eps, s), t)
-        worst = max(worst, np.abs(u_closed - u_oracle).max())
-    return worst
+    scenarios, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
+    closed = np.array([propagator_single_closed(*case) for case in zip(eps.tolist(), t.tolist(), scenarios)])
+    oracle = matrix_exponential(build_h_single(eps, stack_scenarios(scenarios)), t)
+    return float(np.abs(closed - oracle).max())
 
 
 def check_two_qubit_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form X-state elements from the 8x8 propagator route."""
-    worst = 0.0
-    for _ in range(n_cases):
-        s = random_two_scenario(rng)
-        eps_a, eps_b = rng.uniform(-5, 5, size=2)
-        t = rng.uniform(0, 10)
-        a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, t, s)
-        xs = XState(a, b, c, d, z=re_z + 1j * im_z)
-        worst = max(worst, np.abs(xstate_matrix(xs) - two_oracle_xstate(eps_a, eps_b, t, s)).max())
-    return worst
+    scenarios, eps_a, eps_b, t = _cases(rng, n_cases, _two_scenario, TWO_RANGES,
+                                        eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
+    a, b, c, d, re_z, im_z = np.array([evolve_two_realization(*case) for case in zip(
+        eps_a.tolist(), eps_b.tolist(), t.tolist(), scenarios)]).T
+    closed = xstate_matrix(XState(a, b, c, d, z=re_z + 1j * im_z))
+    return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, stack_scenarios(scenarios))).max())
 
 
 def check_single_elements_oracle(n_cases: int, rng) -> float:
     """Max deviation of the closed-form single-qubit elements from the propagator + partial-trace route."""
-    worst = 0.0
-    for _ in range(n_cases):
-        s = random_single_scenario(rng)
-        eps = rng.uniform(-5, 5)
-        t = rng.uniform(0, 10)
-        pp, re_pm, im_pm = evolve_single_realization(eps, t, s)
-        opp, opm = single_oracle_elements(eps, t, s)
-        worst = max(worst, abs(pp - opp), abs(re_pm + 1j * im_pm - opm))
-    return worst
+    scenarios, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
+    pp, re_pm, im_pm = np.array([evolve_single_realization(*case) for case in zip(
+        eps.tolist(), t.tolist(), scenarios)]).T
+    opp, opm = single_oracle_elements(eps, t, stack_scenarios(scenarios))
+    return float(max(np.abs(pp - opp).max(), np.abs(re_pm + 1j * im_pm - opm).max()))
 
 
 def check_concurrence_dual_path(n_cases: int, rng) -> float:
     """Max deviation from the general spin-flip concurrence of the X-state fast path and of
     the CLI's analytic concurrence (concurrence_trajectory, on xstate_gap)."""
-    worst = 0.0
-    for _ in range(n_cases):
-        s = random_two_scenario(rng)
-        t = rng.uniform(0, 8)
-        xs = avg_xstate_two(t, s)
-        general = concurrence_general(xstate_matrix(xs))
-        production = concurrence_trajectory(s, [t]).columns["C"][0]
-        worst = max(worst, abs(concurrence_x(xs) - general), abs(production - general))
-    return worst
+    cases = list(zip(*_cases(rng, n_cases, _two_scenario, TWO_RANGES, t=(0, 8))))
+    per_case = [avg_xstate_two(t, s) for s, t in cases]
+    xs = XState(*(np.array([getattr(x, name) for x in per_case]) for name in "abcdz"))
+    general = concurrence_general(xstate_matrix(xs))
+    production = np.array([concurrence_trajectory(s, [t]).columns["C"][0] for s, t in cases])
+    return float(max(np.abs(concurrence_x(xs) - general).max(), np.abs(production - general).max()))
 
 
 def check_specializations(n_cases: int, rng) -> float:
