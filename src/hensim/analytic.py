@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from hensim.scenarios import SingleQubitScenario, Trajectory, TwoQubitScenario, coupling_c
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c
 
 
 def avg_population_single(t, s: SingleQubitScenario):
@@ -123,13 +123,8 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     return z_abs - 0.25 * (1.0 - inv2a * inv2a) * np.sqrt(xy) * relax
 
 
-def single_trajectory(s: SingleQubitScenario, grid) -> Trajectory:
-    """Analytic averaged trajectory of the working qubit on a time grid."""
+def single_trajectory(s: SingleQubitScenario, grid) -> dict[str, np.ndarray]:
+    """Analytic averaged columns rho_pp, re_rho_pm, im_rho_pm of the working qubit on a time grid."""
     grid = np.asarray(grid, dtype=float)
-    pop = avg_population_single(grid, s)
     coh = avg_coherence_single(grid, s)
-    return Trajectory(
-        times=grid,
-        columns={"rho_pp": pop, "re_rho_pm": coh.real, "im_rho_pm": coh.imag},
-        meta={"source": "analytic"},
-    )
+    return {"rho_pp": avg_population_single(grid, s), "re_rho_pm": coh.real, "im_rho_pm": coh.imag}

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from hensim.analytic import gap_args, single_trajectory
-from hensim.ensemble import sample_ensemble
+from hensim.ensemble import CHUNK, RNG, sample_ensemble
 from hensim.entanglement import (
     FINITE,
     STATUSES,
@@ -29,7 +29,7 @@ from hensim.entanglement import (
     concurrence_x,
     find_tc_batch,
 )
-from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, XState, time_grid
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, time_grid
 from hensim.validation import run_suite
 
 EXIT_OK = 0
@@ -52,9 +52,6 @@ _DEFAULTS = {
 }
 FORMATS = ("csv", "json")
 _INTEGER_KEYS = ("points", "samples", "seed")
-# Monte Carlo provenance copied into the output metadata; no worker count, so
-# that the sidecar is byte-identical for any HENSIM_WORKERS
-_MC_PROVENANCE = ("n", "seed", "rng", "chunk")
 
 
 class BadInput(ValueError):
@@ -174,7 +171,7 @@ def _emit(path, fmt, columns: dict, meta: dict) -> None:
             raise BadInput(f"column {name!r} has non-finite values: the inputs "
                            "exceed the range of double precision")
     if fmt == "csv":
-        write_csv(path, list(columns), zip(*columns.values()))
+        write_csv(path, list(columns), zip(*columns.values(), strict=True))
         write_json(f"{path}.meta.json", meta)
     else:
         data = {name: [None if v is None else float(v) for v in col]
@@ -182,20 +179,30 @@ def _emit(path, fmt, columns: dict, meta: dict) -> None:
         write_json(path, {"meta": meta, "data": data})
 
 
+def _meta(cfg, command) -> dict:
+    """Output metadata of relax and concurrence, with the Monte Carlo provenance when sampled.
+
+    It records no worker count, so that the sidecar is byte-identical for any
+    HENSIM_WORKERS.
+    """
+    meta = {"source": "analytic", "config": cfg, "command": command}
+    if cfg["samples"] is not None:
+        meta.update(n=cfg["samples"], seed=cfg["seed"], rng=RNG, chunk=CHUNK)
+    return meta
+
+
 def cmd_relax(ns) -> int:
     cfg = merged_config(ns)
     s = _single_scenario(cfg)
     grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
-    traj = single_trajectory(s, grid)
-    columns = {"t": traj.times, **traj.columns}
-    meta = {**traj.meta, "config": cfg, "command": "relax"}
-    if cfg["samples"]:
-        mc = sample_ensemble(s, int(cfg["samples"]), int(cfg["seed"]), grid)
-        for name in traj.columns:
-            columns[name + "_mc"] = mc.columns[name]
-            columns[name + "_mc_se"] = mc.columns[name + "_se"]
-        meta.update({key: mc.meta[key] for key in _MC_PROVENANCE})
-    _emit(ns.out, cfg["format"], columns, meta)
+    analytic = single_trajectory(s, grid)
+    columns = {"t": grid, **analytic}
+    if cfg["samples"] is not None:
+        mc = sample_ensemble(s, cfg["samples"], cfg["seed"], grid)
+        for name in analytic:
+            columns[name + "_mc"] = mc[name]
+            columns[name + "_mc_se"] = mc[name + "_se"]
+    _emit(ns.out, cfg["format"], columns, _meta(cfg, "relax"))
     return EXIT_OK
 
 
@@ -203,16 +210,11 @@ def cmd_concurrence(ns) -> int:
     cfg = merged_config(ns)
     s = _two_scenario(cfg)
     grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
-    traj = concurrence_trajectory(s, grid)
-    columns = {"t": traj.times, **traj.columns}
-    meta = {**traj.meta, "config": cfg, "command": "concurrence"}
-    if cfg["samples"]:
-        mc = sample_ensemble(s, int(cfg["samples"]), int(cfg["seed"]), grid)
-        cols = mc.columns
-        columns["C_mc"] = concurrence_x(
-            XState(cols["a"], cols["b"], cols["c"], cols["d"], cols["re_z"] + 1j * cols["im_z"]))
-        meta.update({key: mc.meta[key] for key in _MC_PROVENANCE})
-    _emit(ns.out, cfg["format"], columns, meta)
+    columns = {"t": grid, "C": concurrence_trajectory(s, grid)}
+    if cfg["samples"] is not None:
+        mc = sample_ensemble(s, cfg["samples"], cfg["seed"], grid)
+        columns["C_mc"] = concurrence_x(mc["a"], mc["d"], mc["re_z"] + 1j * mc["im_z"])
+    _emit(ns.out, cfg["format"], columns, _meta(cfg, "concurrence"))
     return EXIT_OK
 
 

@@ -13,14 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from hensim.scenarios import SingleQubitScenario, Trajectory, TwoQubitScenario, coupling_c
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c
 
 # Fixed chunk size: chunk boundaries must not depend on the worker count, so
 # that the index-ordered reduction is bit-identical for any parallelism.
-_CHUNK = 512
+CHUNK = 512
+RNG = "splitmix64-boxmuller-v1"  # scheme id of standard_normals, in the output meta
 
 _WORKERS_ENV = "HENSIM_WORKERS"
-_RNG = "splitmix64-boxmuller-v1"  # scheme id of standard_normals, in the output meta
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 counter increment
 
 
@@ -103,12 +103,12 @@ def standard_normals(master_seed: int, start: int, stop: int, k: int) -> np.ndar
     Draw j of realization i is a pure function of (master_seed, i, j), hence
     independent of chunking and worker count: the SplitMix64 stream keyed by
     mix(mix(seed) + (i + 1) G) gives words 2j + 1 and 2j + 2, two 53-bit uniforms
-    for one Box-Muller normal.
+    for one Box-Muller normal. The seed is one uint64 word, in [0, 2^64).
     """
     if start < 0 or stop < start:
         raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
     with np.errstate(over="ignore"):
-        seed = _mix64(np.array([int(master_seed) & (2**64 - 1)], dtype=np.uint64))
+        seed = _mix64(np.array([int(master_seed)], dtype=np.uint64))
         keys = _mix64(np.arange(start + 1, stop + 1, dtype=np.uint64) * _GOLDEN + seed)
         words = (np.arange(1, 2 * k + 1, dtype=np.uint64) * _GOLDEN)[:, None] + keys
         u = (_mix64(words) >> 11).astype(float) * 2.0**-53
@@ -124,29 +124,36 @@ def worker_count(chunks: int) -> int:
     return min(int(env) if env else os.cpu_count() or 1, chunks)
 
 
-# scenario type: (observable name, variance fields of the spacings drawn per
-# realization in this order, names of the real columns that its kernel returns)
+# scenario type: (name of its kernel in this module, variance fields of the
+# spacings drawn per realization in this order, names of the real columns that
+# the kernel returns). The kernel is looked up when the sampler runs, so that a
+# wrapper installed over it (a tracer, say) sees its calls.
 _OBSERVABLES = {
-    SingleQubitScenario: ("single", ("var",), ("rho_pp", "re_rho_pm", "im_rho_pm")),
-    TwoQubitScenario: ("two", ("var_a", "var_b"), ("a", "b", "c", "d", "re_z", "im_z")),
+    SingleQubitScenario: ("evolve_single_realization", ("var",),
+                          ("rho_pp", "re_rho_pm", "im_rho_pm")),
+    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"),
+                       ("a", "b", "c", "d", "re_z", "im_z")),
 }
 
 
-def sample_ensemble(s, n: int, master_seed: int, grid) -> Trajectory:
-    """Arithmetic mean over n realizations, with standard errors in ``<name>_se`` columns.
+def sample_ensemble(s, n: int, master_seed: int, grid) -> dict[str, np.ndarray]:
+    """Named columns of the mean over n realizations, with standard errors in ``<name>_se``.
 
     The observable follows from the scenario type: the working qubit's
     elements for a SingleQubitScenario, the X state for a TwoQubitScenario.
-    Chunks of _CHUNK realizations run (possibly concurrently) and are combined
+    Chunks of CHUNK realizations run (possibly concurrently) and are combined
     in chunk order, so the output is bit-identical for any worker count.
+    The master seed must lie in [0, 2^64), the key space of standard_normals.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
     grid = np.asarray(grid, dtype=float)
-    observable, fields, names = _OBSERVABLES[type(s)]
+    kernel, fields, names = _OBSERVABLES[type(s)]
+    evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]
-    evolve = evolve_single_realization if observable == "single" else evolve_two_realization
-    bounds = [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
 
     def run(chunk):
         # rows are realizations start..stop-1, one spacing per variance each
@@ -176,7 +183,4 @@ def sample_ensemble(s, n: int, master_seed: int, grid) -> Trajectory:
         m2 = sum(m2s[j] + count * (sums[j] / count - mean) ** 2 for count, sums, m2s in partials)
         columns[name] = mean
         columns[name + "_se"] = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(grid)
-
-    meta = {"source": "monte-carlo", "n": int(n), "seed": int(master_seed),
-            "observable": observable, "rng": _RNG, "chunk": _CHUNK}
-    return Trajectory(times=grid, columns=columns, meta=meta)
+    return columns

@@ -11,30 +11,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from hensim.analytic import gap_args, xstate_gap
-from hensim.scenarios import Trajectory, TwoQubitScenario
+from hensim.scenarios import TwoQubitScenario
 
 
-def concurrence_x(elems) -> np.ndarray:
-    """Fast path for X states: 2 max(0, |z| - sqrt(a d)).
-
-    ``elems`` is anything with attributes a, d, z (per-realization or averaged
-    X-state elements); vectorized over time grids.
-    """
-    ad = np.asarray(elems.a) * np.asarray(elems.d)
-    val = 2.0 * np.maximum(0.0, np.abs(elems.z) - np.sqrt(np.maximum(ad, 0.0)))
-    out = np.minimum(val, 1.0)
-    return float(out) if out.ndim == 0 else out
+def concurrence(g):
+    """C = min(1, 2 max(0, g)) from the X-state gap g = |z| - sqrt(a d)."""
+    return np.minimum(1.0, 2.0 * np.maximum(0.0, g))
 
 
-def concurrence_trajectory(s: TwoQubitScenario, grid) -> Trajectory:
-    """Averaged concurrence C(t) = min(1, 2 max(0, g(t))) on a time grid, g from xstate_gap."""
-    grid = np.asarray(grid, dtype=float)
-    g = xstate_gap(grid, *gap_args(s))
-    return Trajectory(
-        times=grid,
-        columns={"C": np.minimum(1.0, 2.0 * np.maximum(0.0, g))},
-        meta={"source": "analytic"},
-    )
+def concurrence_x(a, d, z):
+    """Concurrence of X states from their entries a, d and complex z; arrays broadcast."""
+    return concurrence(np.abs(z) - np.sqrt(np.maximum(np.multiply(a, d), 0.0)))
+
+
+def concurrence_trajectory(s: TwoQubitScenario, grid) -> np.ndarray:
+    """Averaged concurrence C(t) on a time grid, from g = xstate_gap."""
+    return concurrence(xstate_gap(np.asarray(grid, dtype=float), *gap_args(s)))
 
 
 FINITE = "finite"

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,50 +90,6 @@ class TwoQubitScenario:
     @property
     def y(self) -> float:
         return 1.0 - self.x
-
-
-@dataclass
-class Trajectory:
-    """Time grid plus per-time named value columns, with provenance metadata.
-
-    ``meta`` records at least the source tag ("analytic" or "monte-carlo") and,
-    for sampled trajectories, the sample count and master seed.
-    """
-
-    times: np.ndarray
-    columns: dict[str, np.ndarray]
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or len(self.times) == 0:
-            raise ValueError("times must be a nonempty 1-d grid")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-        for name, col in self.columns.items():
-            col = np.asarray(col)
-            if col.shape != self.times.shape:
-                raise ValueError(
-                    f"column {name!r} has length {col.shape}, expected {self.times.shape}"
-                )
-            self.columns[name] = col
-
-
-@dataclass
-class XState:
-    """The five nonzero entries (a, b, c, d, z) of a two-qubit X state.
-
-    In the standard {|++>, |+->, |-+>, |-->} basis the diagonal is
-    (b, a, d, c) and z sits on the |++><--| corner; a, b, c, d are real and z
-    is complex. The entries may be scalars or arrays over realizations and
-    times, for one realization or for an ensemble average.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    z: np.ndarray
 
 
 def time_grid(t_max: float, points: int = 400) -> np.ndarray:

@@ -3,14 +3,14 @@
 This is the only module with dense-matrix code: Pauli operators, the Hermitian
 matrix exponential, partial trace, density-matrix validation, the general
 Wootters concurrence, the dense realization Hamiltonians and the closed-form
-single-qubit propagator. It also holds the complex averaged X state
-(avg_xstate_two) and its special case without longitudinal noise
-(special_zero_va), against which the real-only analytic.xstate_gap is checked,
-and the sweep that checks the sudden-death times of entanglement.find_tc_batch,
-which runs no sweep of its own (check_tc_bracket). No production path uses
-them; the CLI imports this module only for `validate`. The dense functions act
-on one matrix (n, n) or a stack (..., n, n) alike, and never mutate their
-inputs. Basis conventions (|+> first):
+single-qubit propagator. It also holds the X-state record (XState), the
+complex averaged X state (avg_xstate_two) and its special case without
+longitudinal noise (special_zero_va), against which the real-only
+analytic.xstate_gap is checked, and the sweep that checks the sudden-death
+times of entanglement.find_tc_batch, which runs no sweep of its own
+(check_tc_bracket). No production path uses them; the CLI imports this module
+only for `validate`. The dense functions act on one matrix (n, n) or a stack
+(..., n, n) alike, and never mutate their inputs. Basis conventions (|+> first):
   single-qubit system: 4x4 matrices in the product basis A (x) B, i.e.
   {|++>, |+->, |-+>, |-->};
   two-qubit system: 8x8 matrices in the product basis A2 (x) A1 (x) B1
@@ -27,7 +27,7 @@ own seeds and bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from types import SimpleNamespace
 
@@ -35,8 +35,8 @@ import numpy as np
 
 from hensim.analytic import avg_population_single, gap_args, xstate_gap
 from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble
-from hensim.entanglement import FINITE, concurrence_trajectory, concurrence_x, find_tc_batch
-from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, XState, coupling_c
+from hensim.entanglement import FINITE, concurrence, concurrence_x, find_tc_batch
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,6 +64,23 @@ _AUX_UP_BELL, _AUX_DOWN_BELL = np.kron(PLUS, BELL), np.kron(MINUS, BELL)
 SINGLE_RANGES = {"omega_a": (-5, 5), "alpha": (0.5, 5.0), "phase": (0, 2 * np.pi), "mag": (0, 1)}
 TWO_RANGES = {"x": (0.0, 1.0), "omega_a": (-5, 5), "omega_b": (-5, 5), "alpha": (0.5, 5.0),
               "var_a": (0, 2), "var_b": (0, 2)}
+
+
+@dataclass
+class XState:
+    """The five nonzero entries (a, b, c, d, z) of a two-qubit X state.
+
+    In the standard {|++>, |+->, |-+>, |-->} basis the diagonal is
+    (b, a, d, c) and z sits on the |++><--| corner; a, b, c, d are real and z
+    is complex. The entries may be scalars or arrays over realizations and
+    times, for one realization or for an ensemble average.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    z: np.ndarray
 
 
 class DensityMatrixError(ValueError):
@@ -376,13 +393,14 @@ def check_single_elements_oracle(n_cases: int, rng) -> float:
 
 def check_concurrence_dual_path(n_cases: int, rng) -> float:
     """Max deviation from the general spin-flip concurrence of the X-state fast path and of
-    the CLI's analytic concurrence (concurrence_trajectory, on xstate_gap)."""
-    cases = list(zip(*_cases(rng, n_cases, _two_scenario, TWO_RANGES, t=(0, 8))))
-    per_case = [avg_xstate_two(t, s) for s, t in cases]
+    the CLI's analytic concurrence (concurrence on xstate_gap), all cases in one call each."""
+    scenarios, ts = _cases(rng, n_cases, _two_scenario, TWO_RANGES, t=(0, 8))
+    per_case = [avg_xstate_two(t, s) for s, t in zip(scenarios, ts)]
     xs = XState(*(np.array([getattr(x, name) for x in per_case]) for name in "abcdz"))
     general = concurrence_general(xstate_matrix(xs))
-    production = np.array([concurrence_trajectory(s, [t]).columns["C"][0] for s, t in cases])
-    return float(max(np.abs(concurrence_x(xs) - general).max(), np.abs(production - general).max()))
+    production = concurrence(xstate_gap(ts, *np.array([gap_args(s) for s in scenarios]).T))
+    fast = concurrence_x(xs.a, xs.d, xs.z)
+    return float(max(np.abs(fast - general).max(), np.abs(production - general).max()))
 
 
 def check_specializations(n_cases: int, rng) -> float:
@@ -472,8 +490,8 @@ def check_mc_convergence(n: int, master_seed: int) -> float:
     """Max deviation of the n-sample Monte Carlo population from its analytic average."""
     s = _mc_scenario()
     grid = np.linspace(0.0, 5.0, 200)
-    traj = sample_ensemble(s, n, master_seed, grid)
-    return np.abs(traj.columns["rho_pp"] - avg_population_single(grid, s)).max()
+    mc = sample_ensemble(s, n, master_seed, grid)
+    return np.abs(mc["rho_pp"] - avg_population_single(grid, s)).max()
 
 
 def check_mc_scaling(master_seed: int) -> float:
@@ -484,8 +502,8 @@ def check_mc_scaling(master_seed: int) -> float:
     ns = [100, 1000, 10000]
     devs = []
     for n in ns:
-        traj = sample_ensemble(s, n, master_seed, grid)
-        devs.append(np.abs(traj.columns["rho_pp"] - target).max())
+        mc = sample_ensemble(s, n, master_seed, grid)
+        devs.append(np.abs(mc["rho_pp"] - target).max())
     return np.polyfit(np.log(ns), np.log(devs), 1)[0]
 
 

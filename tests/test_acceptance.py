@@ -56,9 +56,9 @@ def test_criterion_2_fig1a_reproduction():
     for xb, plateau in plateaus.items():
         s = single_scenario(omega_a=0.0, alpha=5.0, xb=xb, variance=1.0)
         mc = sample_ensemble(s, 8000, 1000 + int(10 * xb), grid)
-        dev = np.abs(mc.columns["rho_pp"] - avg_population_single(grid, s)).max()
+        dev = np.abs(mc["rho_pp"] - avg_population_single(grid, s)).max()
         worst_point = max(worst_point, dev)
-        tail = mc.columns["rho_pp"][grid >= 4.0].mean()
+        tail = mc["rho_pp"][grid >= 4.0].mean()
         worst_plateau = max(worst_plateau, abs(tail - plateau))
         assert steady_population(s.alpha, xb) == pytest.approx(plateau, abs=1e-12)
     elapsed = time.monotonic() - start
@@ -73,8 +73,8 @@ def test_criterion_3_fig2_reproduction():
     s = single_scenario(omega_a=4.0, alpha=1.0, xb=0.9, variance=0.6)
     grid = np.linspace(0.0, 4.0, 400)
     mc = sample_ensemble(s, 5000, 2024, grid)
-    dev_pop = np.abs(mc.columns["rho_pp"] - avg_population_single(grid, s)).max()
-    dev_coh = np.abs(mc.columns["re_rho_pm"] - avg_coherence_single(grid, s).real).max()
+    dev_pop = np.abs(mc["rho_pp"] - avg_population_single(grid, s)).max()
+    dev_coh = np.abs(mc["re_rho_pm"] - avg_coherence_single(grid, s).real).max()
     elapsed = time.monotonic() - start
     assert dev_pop <= 0.03
     assert dev_coh <= 0.03
@@ -133,7 +133,8 @@ def test_criterion_6_sudden_death_classification():
         assert abs(scenario_gap(res.t_c, s)) <= 1e-7
         t_end = max(2 * res.t_c, 10.0)
         verify = np.linspace(res.t_c, t_end, 1000)
-        assert np.all(concurrence_x(avg_xstate_two(verify, s)) <= 1e-9)
+        xs = avg_xstate_two(verify, s)
+        assert np.all(concurrence_x(xs.a, xs.d, xs.z) <= 1e-9)
 
     # (c) strict monotone decrease in alpha and variance on the zero-frequency grid
     alphas = np.linspace(0.8, 2.5, 5)

@@ -50,7 +50,7 @@ class TestAvgPopulationSingle:
         s = single_scenario(omega_a=4.0, alpha=1.0, xb=0.9, variance=0.6)
         ts = np.linspace(0, 4, 100)
         mc = sample_ensemble(s, 5000, 101, ts)
-        assert np.abs(mc.columns["rho_pp"] - avg_population_single(ts, s)).max() <= 0.03
+        assert np.abs(mc["rho_pp"] - avg_population_single(ts, s)).max() <= 0.03
 
 
 class TestAvgCoherenceSingle:
@@ -77,7 +77,7 @@ class TestAvgCoherenceSingle:
         s = single_scenario(omega_a=4.0, alpha=1.0, xb=0.9, variance=0.6)
         ts = np.linspace(0, 4, 100)
         mc = sample_ensemble(s, 5000, 202, ts)
-        dev = np.abs(mc.columns["re_rho_pm"] - avg_coherence_single(ts, s).real).max()
+        dev = np.abs(mc["re_rho_pm"] - avg_coherence_single(ts, s).real).max()
         assert dev <= 0.03
 
 
@@ -142,7 +142,7 @@ def test_large_alpha_stays_finite(alpha):
     assert np.abs(avg_population_single(ts, s) - [0.0, 0.32, 0.32]).max() <= 1e-15
     assert np.array_equal(avg_coherence_single(ts, s), [0.0, 0.0, 0.0])
     xs = avg_xstate_two(ts, two_scenario(alpha=alpha, var_a=1.0))
-    assert np.array_equal(concurrence_x(xs), [1.0, 0.0, 0.0])
+    assert np.array_equal(concurrence_x(xs.a, xs.d, xs.z), [1.0, 0.0, 0.0])
     z_abs, ad_root = special_zero_va(ts, two_scenario(alpha=alpha, var_a=0.0, var_b=0.5))
     assert np.abs(z_abs - 0.5 * np.exp(-0.25 * ts**2)).max() <= 1e-15
     assert np.array_equal(ad_root, [0.0, 0.0, 0.0])
@@ -184,8 +184,8 @@ class TestAvgXStateTwo:
         xs = avg_xstate_two(ts, s)
         for name, exact in (("a", xs.a), ("b", xs.b), ("c", xs.c), ("d", xs.d),
                             ("re_z", xs.z.real), ("im_z", xs.z.imag)):
-            dev = np.abs(mc.columns[name] - exact)
-            bound = np.maximum(4.0 * mc.columns[name + "_se"], 1e-6)
+            dev = np.abs(mc[name] - exact)
+            bound = np.maximum(4.0 * mc[name + "_se"], 1e-6)
             assert np.all(dev <= bound), name
 
 
@@ -273,4 +273,4 @@ def test_concurrence_revival_without_relaxation():
     s = two_scenario(omega_a=3.0, alpha=1.0, var_a=0.0, var_b=0.0)
     for n in range(1, 4):
         xs = avg_xstate_two(n * np.pi / 3.0, s)
-        assert concurrence_x(xs) == pytest.approx(1.0, abs=1e-12)
+        assert concurrence_x(xs.a, xs.d, xs.z) == pytest.approx(1.0, abs=1e-12)

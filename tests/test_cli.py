@@ -298,8 +298,10 @@ class TestTcMap:
 
 
 # Non-finite input, input whose results leave double precision, grid sizes
-# numpy refuses to allocate up front (a 7 PiB time grid, a 182 TiB tc-map), and
-# an output path that cannot be written; "{tmp}" stands for the test's directory.
+# numpy refuses to allocate up front (a 7 PiB time grid, a 182 TiB tc-map), a
+# Monte Carlo run of zero samples, seeds outside the sampler's 64-bit key space
+# [0, 2^64), and an output path that cannot be written; "{tmp}" stands for the
+# test's directory.
 NON_FINITE_ARGV = [
     ["relax", "--omega-a", "nan"],
     ["relax", "--alpha", "inf"],
@@ -321,6 +323,11 @@ NON_FINITE_ARGV = [
     ["relax", "--points", "1000000000000000"],
     ["tc-map", "--x", "0.2", "--alpha-range", "0.5", "3", "--var-range", "0.1", "2",
      "--resolution", "5000000"],
+    ["relax", "--samples", "0"],
+    ["concurrence", "--samples", "0", "--format", "json"],
+    ["relax", "--samples", "50", "--seed", "-1"],
+    ["relax", "--samples", "50", "--seed", "18446744073709551616"],
+    ["concurrence", "--samples", "50", "--seed", "1180591620717411303424"],
     ["relax", "--out", "{tmp}/missing/x.csv"],
 ]
 
@@ -355,6 +362,16 @@ def test_out_of_range_parameter_names_its_field(tmp_path, capsys, argv, field):
     assert run([*argv, "--out", str(out)]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_zero_samples_from_config_file_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"samples": 0}')
+    out = tmp_path / "x.csv"
+    assert run(["relax", "--config", str(cfg), "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: sample count must be >= 1\n"
     assert not out.exists()
 
 
@@ -486,6 +503,26 @@ class TestDeterminism:
         assert meta["rng"] == "splitmix64-boxmuller-v1"
         assert meta["chunk"] == 512
         assert "workers" not in json.dumps(meta)
+
+
+def test_sidecar_holds_exactly_its_keys(tmp_path):
+    # the analytic source, the effective config and the command, plus the Monte
+    # Carlo provenance when sampled: a dropped or a stray key fails
+    config = {"omega_a": 0.0, "omega_b": 0.0, "alpha": 1.0, "xb": 1.0, "x": 0.5,
+              "var_eps_a": 1.0, "var_eps_b": 0.0, "t_max": 5.0, "points": 5, "samples": None,
+              "seed": 12345, "format": "csv"}
+    provenance = {"n": 600, "seed": 5, "rng": "splitmix64-boxmuller-v1", "chunk": 512}
+
+    def sidecar(*argv):
+        out = tmp_path / "m.csv"
+        assert run([*argv, "--points", "5", "--out", str(out)]) == EXIT_OK
+        return json.loads((tmp_path / "m.csv.meta.json").read_text())
+
+    for command in ("relax", "concurrence"):
+        analytic = {"source": "analytic", "config": config, "command": command}
+        assert sidecar(command) == analytic
+        assert sidecar(command, "--samples", "600", "--seed", "5") == {
+            **analytic, "config": {**config, "samples": 600, "seed": 5}, **provenance}
 
 
 class TestValidateCmd:

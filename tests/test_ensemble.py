@@ -1,3 +1,4 @@
+import json
 import os
 import warnings
 
@@ -5,16 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import single_scenario, two_scenario
+from hensim.cli import EXIT_OK, main
 from hensim.ensemble import (
+    CHUNK,
+    RNG,
     evolve_single_realization,
     evolve_two_realization,
     sample_ensemble,
     standard_normals,
     worker_count,
 )
-from hensim.scenarios import SingleQubitScenario, XState, coupling_c
+from hensim.scenarios import SingleQubitScenario, coupling_c
 from hensim.validation import (
     PAULI_Z,
+    XState,
     build_h_single,
     build_h_two,
     coupling_strength,
@@ -224,7 +229,7 @@ class TestSeedStream:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sample_ensemble(two_scenario(var_b=0.5), 1100, 2**64 - 1, np.linspace(0, 5, 20))
-            sample_ensemble(single_scenario(), 700, -3, np.linspace(0, 5, 20))
+            sample_ensemble(single_scenario(), 700, 2**64 - 3, np.linspace(0, 5, 20))
 
 
 def complex_single(eps, t, s):
@@ -308,14 +313,21 @@ class TestSampleEnsemble:
         with pytest.raises(ValueError):
             sample_ensemble(single_scenario(), 0, 1, np.linspace(0, 1, 5))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_key_space_rejected(self, seed):
+        # the streams are keyed by a 64-bit word: a wider seed could only wrap
+        # onto the streams of another seed
+        with pytest.raises(ValueError, match="seed must lie in"):
+            sample_ensemble(single_scenario(), 10, seed, np.linspace(0, 1, 5))
+
     def test_degenerate_distribution_equals_deterministic(self):
         s = single_scenario(omega_a=2.0, alpha=1.3, variance=0.0)
         grid = np.linspace(0, 4, 33)
         traj = sample_ensemble(s, 50, 11, grid)
         pp, pm = single_elements(0.0, grid, s)
-        assert np.abs(traj.columns["rho_pp"] - pp).max() <= 1e-14
-        assert np.abs(traj.columns["re_rho_pm"] - pm.real).max() <= 1e-14
-        assert np.abs(traj.columns["rho_pp_se"]).max() <= 1e-14
+        assert np.abs(traj["rho_pp"] - pp).max() <= 1e-14
+        assert np.abs(traj["re_rho_pm"] - pm.real).max() <= 1e-14
+        assert np.abs(traj["rho_pp_se"]).max() <= 1e-14
 
     def test_n1_equals_single_realization(self):
         s = single_scenario(omega_a=1.0, alpha=2.0, variance=0.7)
@@ -323,7 +335,7 @@ class TestSampleEnsemble:
         traj = sample_ensemble(s, 1, 123, grid)
         eps = np.sqrt(0.7) * standard_normals(123, 0, 1, 1)[0, 0]
         pp, _ = single_elements(eps, grid, s)
-        assert np.abs(traj.columns["rho_pp"] - pp).max() <= 1e-15
+        assert np.abs(traj["rho_pp"] - pp).max() <= 1e-15
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
         s = two_scenario(var_b=0.5)
@@ -332,8 +344,28 @@ class TestSampleEnsemble:
         for workers in ("1", "4"):
             monkeypatch.setenv("HENSIM_WORKERS", workers)
             results.append(sample_ensemble(s, 2000, 77, grid))
-        for name in results[0].columns:
-            assert np.array_equal(results[0].columns[name], results[1].columns[name])
+        for name in results[0]:
+            assert np.array_equal(results[0][name], results[1][name])
+
+    # sample_ensemble returns bare columns; the provenance of a sampled run is
+    # the meta that the CLI writes beside them
+    @staticmethod
+    def sampled_meta(tmp_path, command, seed):
+        out = tmp_path / "mc.json"
+        argv = [command, "--samples", "10", "--seed", str(seed), "--points", "3",
+                "--format", "json", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        return json.loads(out.read_text())["meta"]
+
+    def test_meta_records_provenance(self, tmp_path):
+        meta = self.sampled_meta(tmp_path, "relax", 321)
+        assert meta["n"] == 10
+        assert meta["seed"] == 321
+
+    def test_meta_records_rng_scheme_and_chunk(self, tmp_path):
+        meta = self.sampled_meta(tmp_path, "concurrence", 321)
+        assert meta["rng"] == RNG == "splitmix64-boxmuller-v1"
+        assert meta["chunk"] == CHUNK == 512
 
     def test_averaged_single_state_is_valid_density(self):
         # 300 random realizations, assembled into the averaged working-qubit state
@@ -341,8 +373,8 @@ class TestSampleEnsemble:
         grid = np.linspace(0, 5, 25)
         traj = sample_ensemble(s, 300, 5, grid)
         for i in range(len(grid)):
-            pp = traj.columns["rho_pp"][i]
-            pm = traj.columns["re_rho_pm"][i] + 1j * traj.columns["im_rho_pm"][i]
+            pp = traj["rho_pp"][i]
+            pm = traj["re_rho_pm"][i] + 1j * traj["im_rho_pm"][i]
             validate_density(np.array([[pp, pm], [np.conj(pm), 1 - pp]]))
 
     def test_averaged_xstate_is_valid_density(self):
@@ -351,22 +383,10 @@ class TestSampleEnsemble:
         traj = sample_ensemble(s, 500, 9, grid)
         for i in range(len(grid)):
             rho = np.zeros((4, 4), dtype=complex)
-            rho[0, 0] = traj.columns["b"][i]
-            rho[1, 1] = traj.columns["a"][i]
-            rho[2, 2] = traj.columns["d"][i]
-            rho[3, 3] = traj.columns["c"][i]
-            rho[0, 3] = traj.columns["re_z"][i] + 1j * traj.columns["im_z"][i]
+            rho[0, 0] = traj["b"][i]
+            rho[1, 1] = traj["a"][i]
+            rho[2, 2] = traj["d"][i]
+            rho[3, 3] = traj["c"][i]
+            rho[0, 3] = traj["re_z"][i] + 1j * traj["im_z"][i]
             rho[3, 0] = np.conj(rho[0, 3])
             validate_density(rho)
-
-    def test_meta_records_provenance(self):
-        s = single_scenario()
-        traj = sample_ensemble(s, 10, 321, np.linspace(0, 1, 3))
-        assert traj.meta["source"] == "monte-carlo"
-        assert traj.meta["n"] == 10
-        assert traj.meta["seed"] == 321
-
-    def test_meta_records_rng_scheme_and_chunk(self):
-        traj = sample_ensemble(two_scenario(), 10, 321, np.linspace(0, 1, 3))
-        assert traj.meta["rng"] == "splitmix64-boxmuller-v1"
-        assert traj.meta["chunk"] == 512

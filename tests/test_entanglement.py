@@ -17,9 +17,9 @@ from hensim.entanglement import (
     find_tc,
     find_tc_batch,
 )
-from hensim.scenarios import XState
 from hensim.validation import (
     DensityMatrixError,
+    XState,
     avg_xstate_two,
     concurrence_general,
     random_two_scenario,
@@ -39,11 +39,6 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class SimpleX:
-    def __init__(self, a, b, c, d, z):
-        self.a, self.b, self.c, self.d, self.z = a, b, c, d, z
-
-
 class TestConcurrenceGeneral:
     def test_bell_state(self):
         assert concurrence_general(bell_density()) == pytest.approx(1.0, abs=1e-12)
@@ -52,10 +47,10 @@ class TestConcurrenceGeneral:
         assert concurrence_general(np.eye(4) / 4) == 0.0
 
     def test_known_xstate(self):
-        elems = SimpleX(a=0.04, b=0.46, c=0.46, d=0.04, z=0.3)
+        elems = XState(a=0.04, b=0.46, c=0.46, d=0.04, z=0.3)
         rho = xstate_matrix(elems)
         assert concurrence_general(rho) == pytest.approx(0.52, abs=1e-12)
-        assert concurrence_x(elems) == pytest.approx(0.52, abs=1e-15)
+        assert concurrence_x(elems.a, elems.d, elems.z) == pytest.approx(0.52, abs=1e-15)
 
     def test_invalid_density_rejected(self):
         with pytest.raises(DensityMatrixError):
@@ -81,16 +76,16 @@ class TestConcurrenceGeneral:
 class TestConcurrenceX:
     def test_initial_state_maximally_entangled(self):
         xs = avg_xstate_two(0.0, two_scenario())
-        assert concurrence_x(xs) == pytest.approx(1.0, abs=1e-15)
+        assert concurrence_x(xs.a, xs.d, xs.z) == pytest.approx(1.0, abs=1e-15)
 
     def test_clamped_to_zero(self):
-        assert concurrence_x(SimpleX(a=0.25, b=0.25, c=0.25, d=0.25, z=0.1)) == 0.0
+        assert concurrence_x(0.25, 0.25, 0.1) == 0.0
 
     def test_dual_path_agreement(self, rng):
         for _ in range(200):
             s = random_two_scenario(rng)
             xs = avg_xstate_two(rng.uniform(0, 8), s)
-            assert concurrence_x(xs) == pytest.approx(
+            assert concurrence_x(xs.a, xs.d, xs.z) == pytest.approx(
                 concurrence_general(xstate_matrix(xs)), abs=1e-10
             )
 
@@ -100,7 +95,7 @@ class TestConcurrenceTrajectory:
         # larger transverse variance: pointwise smaller C before sudden death
         grid = np.linspace(0.0, 5.0, 400)
         curves = {
-            vb: concurrence_trajectory(two_scenario(var_b=vb), grid).columns["C"]
+            vb: concurrence_trajectory(two_scenario(var_b=vb), grid)
             for vb in (0.0, 0.5, 2.0)
         }
         alive = curves[0.0] > 1e-12
@@ -111,16 +106,15 @@ class TestConcurrenceTrajectory:
 
     def test_constant_one_when_decoupled(self):
         grid = np.linspace(0.0, 5.0, 50)
-        traj = concurrence_trajectory(two_scenario(alpha=0.5, var_a=1.0), grid)
-        assert np.abs(traj.columns["C"] - 1.0).max() <= 1e-12
+        c = concurrence_trajectory(two_scenario(alpha=0.5, var_a=1.0), grid)
+        assert np.abs(c - 1.0).max() <= 1e-12
 
     def test_monte_carlo_close_to_analytic(self):
         grid = np.linspace(0.0, 5.0, 120)
         s = two_scenario(var_b=0.5)
-        exact = concurrence_trajectory(s, grid).columns["C"]
-        cols = sample_ensemble(s, 300, 404, grid).columns
-        mc = concurrence_x(XState(cols["a"], cols["b"], cols["c"], cols["d"],
-                                  cols["re_z"] + 1j * cols["im_z"]))
+        exact = concurrence_trajectory(s, grid)
+        cols = sample_ensemble(s, 300, 404, grid)
+        mc = concurrence_x(cols["a"], cols["d"], cols["re_z"] + 1j * cols["im_z"])
         assert np.abs(mc - exact).max() <= 0.08
 
     def test_matches_complex_averaged_xstate(self, rng):
@@ -129,8 +123,9 @@ class TestConcurrenceTrajectory:
         worst = 0.0
         for _ in range(100):
             s = random_two_scenario(rng)
-            c = concurrence_trajectory(s, grid).columns["C"]
-            worst = max(worst, np.abs(c - concurrence_x(avg_xstate_two(grid, s))).max())
+            c = concurrence_trajectory(s, grid)
+            xs = avg_xstate_two(grid, s)
+            worst = max(worst, np.abs(c - concurrence_x(xs.a, xs.d, xs.z)).max())
         assert worst <= 1e-14
 
 
@@ -160,7 +155,8 @@ class TestFindTc:
         s = two_scenario(var_a=1.0)
         res = find_tc(s)
         grid = np.linspace(res.t_c, 10.0, 500)
-        c = concurrence_x(avg_xstate_two(grid, s))
+        xs = avg_xstate_two(grid, s)
+        c = concurrence_x(xs.a, xs.d, xs.z)
         assert np.abs(c).max() <= 1e-9
 
     def test_unique_sign_change_structure_at_zero_frequency(self):
@@ -315,7 +311,8 @@ class TestFindTcBatch:
         # omega_a = 0, so a revival after t_c could only come before t_c0
         res, envelope = solve_batch([s, replace(s, omega_a=0.0)])
         ts = np.linspace(res.t_c, envelope.t_c, 100_001)
-        assert concurrence_x(avg_xstate_two(ts, s)).max() <= 1e-9
+        xs = avg_xstate_two(ts, s)
+        assert concurrence_x(xs.a, xs.d, xs.z).max() <= 1e-9
 
     def test_beyond_horizon(self):
         s = two_scenario(alpha=0.5000005, var_a=0.1)

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hensim.entanglement import concurrence_x
-from hensim.scenarios import TwoQubitScenario, XState
+from hensim.scenarios import TwoQubitScenario
 from hensim.validation import (
     BELL,
     DensityMatrixError,
+    XState,
     avg_xstate_two,
     build_h_single,
     build_h_two,
@@ -197,6 +198,6 @@ def test_averaged_xstate_is_a_density_matrix(omega_a, omega_b, alpha, x, var_a, 
     xs = avg_xstate_two(np.linspace(0.0, t_max, 64), s)
     rho = validate_density(xstate_matrix(xs))
     assert rho.shape == (64, 4, 4)
-    c = concurrence_x(xs)
+    c = concurrence_x(xs.a, xs.d, xs.z)
     assert np.all((c >= 0.0) & (c <= 1.0))
     assert np.all(np.abs(c - concurrence_general(rho)) <= dense_route_bound(xs.a, xs.d))
