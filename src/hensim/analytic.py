@@ -47,32 +47,12 @@ def avg_coherence_single(t, s: SingleQubitScenario):
 
 
 def steady_population(alpha: float, xb) -> float:
-    """Envelope limit (c^2/2) |xb|^2 of the averaged population; in [0, 1/2)."""
-    return 0.5 * coupling_c(alpha) ** 2 * abs(xb) ** 2
+    """Envelope limit (c^2/2) |xb|^2 of the averaged population; in [0, 1/2).
 
-
-def thermal_population(beta_delta: float) -> float:
-    """Thermal excited-state probability exp(-bd) / (1 + exp(-bd)) at bd = beta Delta >= 0."""
-    if not (beta_delta >= 0.0):
-        raise ValueError(f"beta_delta must be nonnegative, got {beta_delta}")
-    e = math.exp(-beta_delta)
-    return e / (1.0 + e)
-
-
-def invert_thermal(p_plus: float, xb: float = 1.0) -> tuple[float, float]:
-    """Coupling (alpha, |xb|) whose steady population (c^2/2) |xb|^2 equals ``p_plus``.
-
-    Only alpha is tuned; at the default xb = 1 every p_plus in [0, 1/2) is reachable.
+    It is the excited-state probability e^{-bd} / (1 + e^{-bd}) of a qubit at
+    bd = beta Delta = ln((1 - p) / p): the temperature the ensemble mimics.
     """
-    if not (0.0 <= p_plus < 0.5):
-        raise ValueError(f"p_plus must lie in [0, 1/2), got {p_plus}")
-    c2 = 2.0 * p_plus / abs(xb) ** 2
-    if c2 >= 1.0:
-        raise ValueError(
-            f"p_plus={p_plus} is unreachable with xb={xb}: requires c^2={c2} >= 1"
-        )
-    alpha = 1.0 / (2.0 * math.sqrt(1.0 - c2))
-    return alpha, float(abs(xb))
+    return 0.5 * coupling_c(alpha) ** 2 * abs(xb) ** 2
 
 
 def _decay(x):

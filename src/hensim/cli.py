@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from hensim.analytic import gap_args, single_trajectory
+from hensim.analytic import gap_args, single_trajectory, steady_population
 from hensim.ensemble import CHUNK, RNG, sample_ensemble
 from hensim.entanglement import (
     FINITE,
@@ -191,6 +191,18 @@ def _meta(cfg, command) -> dict:
     return meta
 
 
+def _thermal_meta(s: SingleQubitScenario) -> dict:
+    """The temperature a relax run mimics: its steady population p = c^2 |xb|^2 / 2 and
+    beta_delta = beta Delta = ln((1 - p) / p), the thermal state of that population.
+
+    At p = 0 (alpha = 1/2 or xb = 0) beta Delta is infinite, zero temperature,
+    which JSON cannot hold: beta_delta is null there.
+    """
+    p = steady_population(s.alpha, s.xb)
+    return {"steady_population": p,
+            "beta_delta": math.log1p(-p) - math.log(p) if p > 0.0 else None}
+
+
 def cmd_relax(ns) -> int:
     cfg = merged_config(ns)
     s = _single_scenario(cfg)
@@ -202,7 +214,7 @@ def cmd_relax(ns) -> int:
         for name in analytic:
             columns[name + "_mc"] = mc[name]
             columns[name + "_mc_se"] = mc[name + "_se"]
-    _emit(ns.out, cfg["format"], columns, _meta(cfg, "relax"))
+    _emit(ns.out, cfg["format"], columns, {**_meta(cfg, "relax"), **_thermal_meta(s)})
     return EXIT_OK
 
 

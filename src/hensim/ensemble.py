@@ -1,8 +1,9 @@
 """Closed-form single-realization dynamics and their Monte Carlo ensemble average.
 
-Each realization costs O(1) per time point through the closed forms below;
-the dense Hamiltonians, propagators and matrix exponential they are checked
-against live in hensim.validation.
+Each realization costs O(1) per time point through the closed forms below,
+which take a uniform time grid from 0 and build each phase from about
+2 sqrt(N) sin/cos pairs for N points; the dense Hamiltonians, propagators and
+matrix exponential they are checked against live in hensim.validation.
 """
 
 from __future__ import annotations
@@ -24,67 +25,104 @@ _WORKERS_ENV = "HENSIM_WORKERS"
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 counter increment
 
 
-def evolve_single_realization(eps, t, s: SingleQubitScenario):
-    """Real columns (rho_pp, re rho_pm, im rho_pm) of the working qubit at time(s) t.
+def _blocks(n: int) -> tuple[int, int]:
+    """(M, B) of an n-point grid: B = ceil(sqrt(n)) points per block, M = ceil(n / B) blocks.
+
+    M B - n <= B - 1 is the padding that the kernels' buffers carry past the grid.
+    """
+    b = math.isqrt(n - 1) + 1
+    return -(-n // b), b
+
+
+def _phase_table(out, theta, h, scale=1.0):
+    """Fill ``out``, a complex (R, M, B) view, with scale e^{i theta_r t_k}, t_k = k h, k = B m + j.
+
+    theta is a scalar or an (R, 1) column, one angular frequency per row.
+    Entry (r, m, j) is the product of a coarse factor scale e^{i theta_r fl(B m h)}
+    and a fine one e^{i theta_r fl(j h)}: M + B sin/cos pairs per row instead
+    of M B, and one complex multiply per point. Each time is an integer times
+    h, rounded once, like np.linspace(0, t, n)[k].
+
+    Bound, with u = 2^-53: at every point, |out - scale exp(1j theta t_k)|
+    <= |scale| (4 |theta| t_k + 11) u against the pointwise exponential on a
+    linspace grid whose step is h. Each angle fl(theta fl(i h)) lies within
+    2u |theta| i h of theta i h, so the coarse and fine angles sum to within
+    2u |theta| k h of theta k h. The pointwise angle fl(theta t_k) does too,
+    since linspace's t_k lies within u k h of k h (the last point, t itself,
+    included). As |e^{ia} - e^{ib}| <= |a - b|, the angles contribute
+    4u |theta| t_k. With sin and cos within 1 ulp (2u relative), each of the
+    two factors and the pointwise value lies within 2u of its exact value
+    (6u); the two complex products, scale times coarse and coarse times fine,
+    add at most sqrt(5) u each; 6 + 2 sqrt(5) < 11.
+    """
+    rows, m, b = out.shape
+    table = np.empty((rows, m + b), dtype=complex)
+    # the angles go into the imaginary parts, which their sines then overwrite
+    np.multiply(theta, np.concatenate((np.arange(0, m * b, b), np.arange(b))) * h, out=table.imag)
+    np.cos(table.imag, out=table.real)
+    np.sin(table.imag, out=table.imag)
+    coarse, fine = table[:, :m], table[:, m:]
+    coarse *= scale
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=out)
+
+
+def evolve_single_realization(eps, grid, s: SingleQubitScenario):
+    """Real columns (rho_pp, re rho_pm, im rho_pm) of the working qubit on a uniform grid from 0.
 
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
-    rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). Broadcasts eps against t
-    and agrees with the propagator + partial-trace route to 1e-10.
+    rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). The grid must be
+    t_k = k h with h = grid[1] (what sample_ensemble checks); eps is a scalar
+    or a column (R, 1), and the columns have its shape broadcast against the
+    grid's. They agree with the propagator + partial-trace route to 1e-10.
     """
-    # Every step writes into sin_b or w; empty() of shape () gives 0-d arrays,
-    # so scalars work too. w holds (cos phi, sin phi) interleaved, so that the
-    # rotation by q is one in-place multiply: a real-only rotation would need
-    # two more full-size buffers.
-    shape = np.broadcast_shapes(np.shape(eps), np.shape(t))
-    sin_b, w = np.empty(shape), np.empty(shape, dtype=complex)
+    # sin_b and the complex w, padded to M B columns, are the only full-size
+    # buffers; the columns are views of them
+    grid = np.asarray(grid, dtype=float)
+    shape = np.broadcast_shapes(np.shape(eps), grid.shape)
+    rows, (m, b) = math.prod(shape[:-1]), _blocks(grid.size)
+    sin_b, w = np.empty((rows, m * b)), np.empty((rows, m * b), dtype=complex)
     c = coupling_c(s.alpha)
-    np.sin(np.multiply(s.alpha * (eps - s.omega_a), t, out=sin_b), out=sin_b)
-    np.multiply(0.5 * (eps + s.omega_a), t, out=w.real)
-    np.sin(w.real, out=w.imag)
-    np.cos(w.real, out=w.real)
-    w *= np.conj(-1j * c * s.xb * np.conj(s.yb))
+    _phase_table(w.reshape(rows, m, b), s.alpha * (eps - s.omega_a), grid[1])
+    np.copyto(sin_b, w.imag)
+    _phase_table(w.reshape(rows, m, b), -0.5 * (eps + s.omega_a), grid[1],
+                 -1j * c * s.xb * np.conj(s.yb))
     w.real *= sin_b
     w.imag *= sin_b
-    np.negative(w.imag, out=w.imag)  # q e^{-i phi} = conj(conj(q) e^{i phi})
     np.square(sin_b, out=sin_b)
     sin_b *= c**2 * abs(s.xb) ** 2
-    return sin_b, w.real, w.imag
+    return tuple(v[:, :grid.size].reshape(shape) for v in (sin_b, w.real, w.imag))
 
 
-def evolve_two_realization(eps_a, eps_b, t, s: TwoQubitScenario):
-    """Real columns (a, b, c, d, re z, im z) of the two working qubits' X state.
+def evolve_two_realization(eps_a, eps_b, grid, s: TwoQubitScenario):
+    """Real columns (a, b, c, d, re z, im z) of the two working qubits' X state on a uniform grid from 0.
 
     With gamma = sin(alpha (omega_a - eps_a) t), a = x c^2 gamma^2 / 2,
     d = y c^2 gamma^2 / 2, b = (x + y)/2 - d, c = (x + y)/2 - a, and
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
-    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. Broadcasts the spacings
-    against t and agrees with the 8x8 propagator + partial-trace route to 1e-10.
+    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The grid and the
+    spacings are as in evolve_single_realization. The columns agree with the
+    8x8 propagator + partial-trace route to 1e-10.
     """
+    # six reals per point, padded to M B columns: the complex u and z, a and c
+    grid = np.asarray(grid, dtype=float)
+    shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), grid.shape)
+    rows, (m, blk) = math.prod(shape[:-1]), _blocks(grid.size)
     c2 = coupling_c(s.alpha) ** 2
     h = 0.5 * (s.x + s.y)
-    shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), np.shape(t))
-    cos_g, g, re_z, sin_p, a, im_z = (np.empty(shape) for _ in range(6))
-    np.multiply(s.alpha * (s.omega_a - eps_a), t, out=cos_g)
-    np.sin(cos_g, out=g)
-    np.cos(cos_g, out=cos_g)
-    np.square(g, out=a)
-    g /= 2.0 * s.alpha
-    # z = h e^{-i psi} (cos_g - i g), with re_z holding h cos psi and sin_p -h sin psi
-    np.multiply(0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b), t, out=re_z)
-    np.sin(re_z, out=sin_p)
-    np.cos(re_z, out=re_z)
-    re_z *= h
-    sin_p *= -h
-    np.multiply(re_z, g, out=im_z)
-    re_z *= cos_g
-    re_z += np.multiply(sin_p, g, out=g)
-    np.subtract(np.multiply(sin_p, cos_g, out=sin_p), im_z, out=im_z)
-    d = np.multiply(a, 0.5 * s.y * c2, out=g)
+    u, z = (np.empty((rows, m * blk), dtype=complex) for _ in range(2))
+    a, c_el = np.empty((rows, m * blk)), np.empty((rows, m * blk))
+    _phase_table(u.reshape(rows, m, blk), s.alpha * (s.omega_a - eps_a), grid[1])
+    np.square(u.imag, out=a)
+    u.imag /= -2.0 * s.alpha  # u = cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)
+    _phase_table(z.reshape(rows, m, blk), -0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b),
+                 grid[1], h)
+    z *= u
+    d = np.multiply(a, 0.5 * s.y * c2, out=u.imag)
     a *= 0.5 * s.x * c2
-    b = np.subtract(h, d, out=cos_g)
-    c_el = np.subtract(h, a, out=sin_p)
-    return a, b, c_el, d, re_z, im_z
+    b = np.subtract(h, d, out=u.real)
+    np.subtract(h, a, out=c_el)
+    return tuple(v[:, :grid.size].reshape(shape) for v in (a, b, c_el, d, z.real, z.imag))
 
 
 def _mix64(z):
@@ -124,6 +162,22 @@ def worker_count(chunks: int) -> int:
     return min(int(env) if env else os.cpu_count() or 1, chunks)
 
 
+def _uniform_grid(grid) -> np.ndarray:
+    """grid as a float array, checked to be what the kernels take: 1-D, t_k = k grid[1] from t_0 = 0.
+
+    It needs 2 or more points and a positive step, and each point may lie at
+    most 4 ulps of the last point away from k grid[1]: np.linspace(0, t, n)
+    rounds k grid[1] once and ends on t itself, which can lie an ulp or two
+    off.
+    """
+    g = np.asarray(grid, dtype=float)
+    if not (g.ndim == 1 and g.size >= 2 and g[0] == 0.0 and g[1] > 0.0
+            and np.all(np.abs(g - np.arange(g.size) * g[1]) <= 4.0 * np.spacing(g[-1]))):
+        raise ValueError(f"grid must be uniform from 0 (1-D, t_k = k * grid[1], at least 2 points), "
+                         f"got shape {g.shape} starting {g.ravel()[:3].tolist()}")
+    return g
+
+
 # scenario type: (name of its kernel in this module, variance fields of the
 # spacings drawn per realization in this order, names of the real columns that
 # the kernel returns). The kernel is looked up when the sampler runs, so that a
@@ -141,15 +195,19 @@ def sample_ensemble(s, n: int, master_seed: int, grid) -> dict[str, np.ndarray]:
 
     The observable follows from the scenario type: the working qubit's
     elements for a SingleQubitScenario, the X state for a TwoQubitScenario.
-    Chunks of CHUNK realizations run (possibly concurrently) and are combined
-    in chunk order, so the output is bit-identical for any worker count.
+    The grid must be uniform from 0, t_k = k grid[1], as np.linspace(0, t, N)
+    is; any other grid is refused with a ValueError. On it the kernels form
+    each realization's phases from about B + N/B sin/cos pairs instead of N,
+    B = ceil(sqrt(N)). Chunks of CHUNK realizations run (possibly
+    concurrently) and are combined in chunk order, so the output is
+    bit-identical for any worker count.
     The master seed must lie in [0, 2^64), the key space of standard_normals.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
-    grid = np.asarray(grid, dtype=float)
+    grid = _uniform_grid(grid)
     kernel, fields, names = _OBSERVABLES[type(s)]
     evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]

@@ -376,8 +376,10 @@ def check_two_qubit_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form X-state elements from the 8x8 propagator route."""
     scenarios, eps_a, eps_b, t = _cases(rng, n_cases, _two_scenario, TWO_RANGES,
                                         eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
-    a, b, c, d, re_z, im_z = np.array([evolve_two_realization(*case) for case in zip(
-        eps_a.tolist(), eps_b.tolist(), t.tolist(), scenarios)]).T
+    # each case at the 2-point grid [0, t], whose phases are the pointwise ones
+    cols = [evolve_two_realization(ea, eb, [0.0, tc], s)
+            for ea, eb, tc, s in zip(eps_a.tolist(), eps_b.tolist(), t.tolist(), scenarios)]
+    a, b, c, d, re_z, im_z = np.array(cols)[:, :, 1].T
     closed = xstate_matrix(XState(a, b, c, d, z=re_z + 1j * im_z))
     return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, stack_scenarios(scenarios))).max())
 
@@ -385,8 +387,8 @@ def check_two_qubit_oracle(n_cases: int, rng) -> float:
 def check_single_elements_oracle(n_cases: int, rng) -> float:
     """Max deviation of the closed-form single-qubit elements from the propagator + partial-trace route."""
     scenarios, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    pp, re_pm, im_pm = np.array([evolve_single_realization(*case) for case in zip(
-        eps.tolist(), t.tolist(), scenarios)]).T
+    pp, re_pm, im_pm = np.array([evolve_single_realization(e, [0.0, tc], s) for e, tc, s in zip(
+        eps.tolist(), t.tolist(), scenarios)])[:, :, 1].T
     opp, opm = single_oracle_elements(eps, t, stack_scenarios(scenarios))
     return float(max(np.abs(pp - opp).max(), np.abs(re_pm + 1j * im_pm - opm).max()))
 

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,30 @@ def two_scenario(omega_a=0.0, omega_b=0.0, alpha=1.0, x=0.2, var_a=0.5, var_b=0.
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+def thermal_population(beta_delta: float) -> float:
+    """Thermal excited-state probability exp(-bd) / (1 + exp(-bd)) at bd = beta Delta >= 0."""
+    if not (beta_delta >= 0.0):
+        raise ValueError(f"beta_delta must be nonnegative, got {beta_delta}")
+    e = math.exp(-beta_delta)
+    return e / (1.0 + e)
+
+
+def invert_thermal(p_plus: float, xb: float = 1.0) -> tuple[float, float]:
+    """Coupling (alpha, |xb|) whose steady population (c^2/2) |xb|^2 equals ``p_plus``.
+
+    Only alpha is tuned; at the default xb = 1 every p_plus in [0, 1/2) is reachable.
+    """
+    if not (0.0 <= p_plus < 0.5):
+        raise ValueError(f"p_plus must lie in [0, 1/2), got {p_plus}")
+    c2 = 2.0 * p_plus / abs(xb) ** 2
+    if c2 >= 1.0:
+        raise ValueError(
+            f"p_plus={p_plus} is unreachable with xb={xb}: requires c^2={c2} >= 1"
+        )
+    alpha = 1.0 / (2.0 * math.sqrt(1.0 - c2))
+    return alpha, float(abs(xb))
 
 
 def solve_batch(scenarios):

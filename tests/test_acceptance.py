@@ -8,13 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import scenario_gap, single_scenario, two_scenario
+from conftest import invert_thermal, scenario_gap, single_scenario, thermal_population, two_scenario
 from hensim.analytic import (
     avg_coherence_single,
     avg_population_single,
-    invert_thermal,
     steady_population,
-    thermal_population,
 )
 from hensim.cli import main
 from hensim.ensemble import sample_ensemble

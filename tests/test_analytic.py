@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_scenario, two_scenario
+from conftest import invert_thermal, single_scenario, thermal_population, two_scenario
 from hensim.analytic import (
     avg_coherence_single,
     avg_population_single,
     gap_args,
-    invert_thermal,
     steady_population,
-    thermal_population,
     xstate_gap,
 )
 from hensim.ensemble import sample_ensemble

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hensim
-from conftest import read_csv, two_scenario
+from conftest import read_csv, thermal_population, two_scenario
 from hensim.cli import EXIT_BAD_INPUT, EXIT_OK, format_float, main, write_csv, write_json
 from hensim.entanglement import find_tc
 
@@ -518,11 +518,60 @@ def test_sidecar_holds_exactly_its_keys(tmp_path):
         assert run([*argv, "--points", "5", "--out", str(out)]) == EXIT_OK
         return json.loads((tmp_path / "m.csv.meta.json").read_text())
 
-    for command in ("relax", "concurrence"):
-        analytic = {"source": "analytic", "config": config, "command": command}
+    # relax also names the temperature it mimics: at alpha = 1, xb = 1 the
+    # steady population is 3/8, which is thermal at beta Delta = ln(5/3)
+    thermal = {"steady_population": pytest.approx(0.375, rel=1e-15),
+               "beta_delta": pytest.approx(math.log(5.0 / 3.0), rel=1e-15)}
+    for command, extra in (("relax", thermal), ("concurrence", {})):
+        analytic = {"source": "analytic", "config": config, "command": command, **extra}
         assert sidecar(command) == analytic
         assert sidecar(command, "--samples", "600", "--seed", "5") == {
             **analytic, "config": {**config, "samples": 600, "seed": 5}, **provenance}
+
+
+@pytest.mark.parametrize("argv, p", [
+    (["--alpha", "5", "--xb", "0.8"], 0.5 * (1.0 - 1.0 / 100.0) * 0.64),
+    (["--alpha", "0.5"], 0.0),
+    (["--xb", "0"], 0.0),
+])
+def test_relax_sidecar_names_the_mimicked_temperature(tmp_path, argv, p):
+    # p = e^{-bd} / (1 + e^{-bd}); at p = 0 the temperature is zero and bd is null
+    out = tmp_path / "r.csv"
+    assert run(["relax", *argv, "--points", "5", "--out", str(out)]) == EXIT_OK
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert meta["steady_population"] == pytest.approx(p, rel=1e-15, abs=0.0)
+    if p == 0.0:
+        assert meta["beta_delta"] is None
+    else:
+        assert thermal_population(meta["beta_delta"]) == pytest.approx(p, rel=1e-14)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+STRICT_JSON_ARGV = [
+    ["relax"],
+    ["relax", "--samples", "600"],
+    ["relax", "--alpha", "0.5"],
+    ["relax", "--xb", "0", "--samples", "600"],
+    ["concurrence"],
+    ["concurrence", "--samples", "600", "--var-eps-b", "0.5"],
+    ["tc-map", "--x", "0.2", "--alpha-range", "0.5", "3", "--var-range", "0", "2",
+     "--resolution", "3"],
+    ["tc-map", "--x", "0", "--alpha-range", "1", "3", "--var-range", "0.1", "2", "--resolution", "2"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", STRICT_JSON_ARGV, ids=[" ".join(a) for a in STRICT_JSON_ARGV])
+def test_every_sidecar_is_strict_json(tmp_path, argv, fmt):
+    # json.dump would write a non-finite float as Infinity or NaN, which JSON
+    # does not have; every sidecar (or JSON output) must parse without them
+    out = tmp_path / "o.out"
+    assert run([*argv, "--points", "5", "--format", fmt, "--out", str(out)]) == EXIT_OK
+    path = out if fmt == "json" else tmp_path / "o.out.meta.json"
+    json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 class TestValidateCmd:

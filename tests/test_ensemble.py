@@ -10,6 +10,8 @@ from hensim.cli import EXIT_OK, main
 from hensim.ensemble import (
     CHUNK,
     RNG,
+    _blocks,
+    _phase_table,
     evolve_single_realization,
     evolve_two_realization,
     sample_ensemble,
@@ -34,16 +36,31 @@ from hensim.validation import (
 )
 
 
-def single_elements(eps, t, s):
-    """(rho_pp, rho_pm) of one realization, with the complex rho_pm built from its real columns."""
-    pp, re_pm, im_pm = evolve_single_realization(eps, t, s)
+U = 2.0**-53  # unit roundoff
+
+
+def single_elements(eps, grid, s):
+    """(rho_pp, rho_pm) of one realization on a uniform grid, with the complex rho_pm built
+    from its real columns."""
+    pp, re_pm, im_pm = evolve_single_realization(eps, grid, s)
     return pp, re_pm + 1j * im_pm
 
 
-def two_xstate(eps_a, eps_b, t, s) -> XState:
-    """X state of one realization, with the complex z built from its real columns."""
-    a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, t, s)
+def single_at(eps, t, s):
+    """single_elements at one time t, as the last point of the 2-point grid [0, t]."""
+    return tuple(v[..., 1] for v in single_elements(eps, [0.0, t], s))
+
+
+def two_xstate(eps_a, eps_b, grid, s) -> XState:
+    """X state of one realization on a uniform grid, with the complex z built from its real columns."""
+    a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, grid, s)
     return XState(a, b, c, d, z=re_z + 1j * im_z)
+
+
+def two_at(eps_a, eps_b, t, s) -> XState:
+    """two_xstate at one time t, as the last point of the 2-point grid [0, t]."""
+    xs = two_xstate(eps_a, eps_b, [0.0, t], s)
+    return XState(*(getattr(xs, name)[..., 1] for name in "abcdz"))
 
 
 class TestCouplingStrength:
@@ -105,7 +122,7 @@ class TestPropagatorClosed:
 
 class TestEvolveSingle:
     def test_initial_ground_state(self):
-        pp, pm = single_elements(0.7, 0.0, single_scenario())
+        pp, pm = single_at(0.7, 0.0, single_scenario())
         assert pp == 0.0 and pm == 0.0
 
     def test_decoupled_alpha_half(self):
@@ -117,14 +134,14 @@ class TestEvolveSingle:
     def test_exact_value_at_quarter_period(self):
         # omega_a=0, alpha=1, eps=1, xb=1, t=pi/2: population (3/8)(1 - cos(pi)) = 3/4
         s = single_scenario(omega_a=0.0, alpha=1.0, xb=1.0)
-        pp, _ = single_elements(1.0, np.pi / 2, s)
+        pp, _ = single_at(1.0, np.pi / 2, s)
         assert pp == pytest.approx(0.75, abs=1e-14)
 
     def test_matches_propagator_route(self, rng):
         for _ in range(100):
             s = random_single_scenario(rng)
             eps, t = rng.uniform(-5, 5), rng.uniform(0, 10)
-            pp, pm = single_elements(eps, t, s)
+            pp, pm = single_at(eps, t, s)
             opp, opm = single_oracle_elements(eps, t, s)
             assert abs(pp - opp) <= 1e-10
             assert abs(pm - opm) <= 1e-10
@@ -164,7 +181,7 @@ class TestBuildHTwo:
 class TestEvolveTwo:
     def test_initial_condition(self):
         s = two_scenario()
-        xs = two_xstate(0.7, 0.3, 0.0, s)
+        xs = two_at(0.7, 0.3, 0.0, s)
         assert xs.a == 0.0 and xs.d == 0.0
         # b(0) = x/2 + y/2 and c(0) = y/2 + x/2: unit trace with a = d = 0
         assert xs.b == pytest.approx(0.5, abs=1e-15)
@@ -183,14 +200,14 @@ class TestEvolveTwo:
             s = random_two_scenario(rng)
             eps_a, eps_b = rng.uniform(-5, 5, size=2)
             t = rng.uniform(0, 10)
-            xs = two_xstate(eps_a, eps_b, t, s)
+            xs = two_at(eps_a, eps_b, t, s)
             rho = two_oracle_xstate(eps_a, eps_b, t, s)
             assert np.abs(xstate_matrix(xs) - rho).max() <= 1e-10
 
     def test_assembled_matrix_is_valid_density(self, rng):
         for _ in range(20):
             s = random_two_scenario(rng)
-            xs = two_xstate(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 10), s)
+            xs = two_at(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 10), s)
             validate_density(xstate_matrix(xs))
 
 
@@ -255,6 +272,8 @@ def complex_two(eps_a, eps_b, t, s):
 
 
 class TestRealKernels:
+    # each random time t is the last point of the 2-point grid [0, t], whose
+    # phases multiply the pointwise ones by e^0 = 1, exactly
     def test_single_matches_complex_form(self, rng):
         worst = 0.0
         for _ in range(200):
@@ -262,10 +281,11 @@ class TestRealKernels:
             # give both amplitudes a phase, so that q = -i c xb conj(yb) is fully complex
             s = SingleQubitScenario(s.omega_a, s.alpha, s.xb * np.exp(1j * rng.uniform(0, 6.3)),
                                     s.yb * np.exp(1j * rng.uniform(0, 6.3)), s.var)
-            eps, t = rng.uniform(-5, 5, size=(8, 1)), rng.uniform(0, 10, size=12)
-            pp, re_pm, im_pm = evolve_single_realization(eps, t, s)
-            opp, opm = complex_single(eps, t, s)
-            worst = max(worst, np.abs(pp - opp).max(), np.abs(re_pm + 1j * im_pm - opm).max())
+            eps, ts = rng.uniform(-5, 5, size=(8, 1)), rng.uniform(0, 10, size=12)
+            for t in ts:
+                pp, re_pm, im_pm = (v[:, 1:] for v in evolve_single_realization(eps, [0.0, t], s))
+                opp, opm = complex_single(eps, t, s)
+                worst = max(worst, np.abs(pp - opp).max(), np.abs(re_pm + 1j * im_pm - opm).max())
         assert worst <= 1e-15
 
     def test_two_matches_complex_form(self, rng):
@@ -273,17 +293,91 @@ class TestRealKernels:
         for _ in range(200):
             s = random_two_scenario(rng)
             eps_a, eps_b = rng.uniform(-5, 5, size=(2, 8, 1))
-            t = rng.uniform(0, 10, size=12)
-            a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, t, s)
-            oa, ob, oc, od, oz = complex_two(eps_a, eps_b, t, s)
-            worst = max(worst, *(np.abs(x - y).max() for x, y in
-                                 ((a, oa), (b, ob), (c, oc), (d, od), (re_z + 1j * im_z, oz))))
+            ts = rng.uniform(0, 10, size=12)
+            for t in ts:
+                cols = evolve_two_realization(eps_a, eps_b, [0.0, t], s)
+                a, b, c, d, re_z, im_z = (v[:, 1:] for v in cols)
+                oa, ob, oc, od, oz = complex_two(eps_a, eps_b, t, s)
+                worst = max(worst, *(np.abs(x - y).max() for x, y in
+                                     ((a, oa), (b, ob), (c, oc), (d, od), (re_z + 1j * im_z, oz))))
         assert worst <= 1e-15
 
-    def test_scalars_give_0d_columns(self):
-        cols = evolve_two_realization(0.7, 0.3, 1.1, two_scenario())
-        assert len(cols) == 6 and all(np.shape(v) == () for v in cols)
-        assert all(np.shape(v) == () for v in evolve_single_realization(0.7, 1.1, single_scenario()))
+    # On a whole grid each phase lies within _phase_table's bound
+    # (4 |theta| t + 11) u of the pointwise one, times its scale (|q| and
+    # (x + y)/2 are at most 1/2). The sine enters rho_pp, a and d squared, at
+    # most twice its own bound, and rho_pm and z together with the other
+    # phase. The closed forms round a few times more after the phases: 8u
+    # covers them, so 2 (4 (|theta_1| + |theta_2|) t + 11) u + 8u bounds
+    # every column.
+    @pytest.mark.parametrize("n", [2, 21, 400, 401])
+    def test_single_grid_matches_complex_form(self, rng, n):
+        for _ in range(20):
+            s = random_single_scenario(rng)
+            eps, grid = rng.uniform(-5, 5, size=(8, 1)), np.linspace(0.0, rng.uniform(0.5, 10), n)
+            pp, re_pm, im_pm = evolve_single_realization(eps, grid, s)
+            opp, opm = complex_single(eps, grid, s)
+            theta = np.abs(s.alpha * (eps - s.omega_a)) + np.abs(0.5 * (eps + s.omega_a))
+            bound = (8.0 * theta * grid + 30.0) * U
+            assert np.all(np.abs(pp - opp) <= bound)
+            assert np.all(np.abs(re_pm + 1j * im_pm - opm) <= bound)
+
+    @pytest.mark.parametrize("n", [2, 21, 400, 401])
+    def test_two_grid_matches_complex_form(self, rng, n):
+        for _ in range(20):
+            s = random_two_scenario(rng)
+            eps_a, eps_b = rng.uniform(-5, 5, size=(2, 8, 1))
+            grid = np.linspace(0.0, rng.uniform(0.5, 10), n)
+            a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, grid, s)
+            oa, ob, oc, od, oz = complex_two(eps_a, eps_b, grid, s)
+            theta = (np.abs(s.alpha * (s.omega_a - eps_a))
+                     + np.abs(0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b)))
+            bound = (8.0 * theta * grid + 30.0) * U
+            for x, y in ((a, oa), (b, ob), (c, oc), (d, od), (re_z + 1j * im_z, oz)):
+                assert np.all(np.abs(x - y) <= bound)
+
+    @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401])
+    def test_columns_are_grid_shaped_views_of_padded_buffers(self, n):
+        # scalar spacings give (n,) columns and a column of R spacings (R, n).
+        # Every column is a view into the kernel's buffers, which hold as many
+        # reals per point as it has columns, over at most n + B - 1 points
+        grid = np.linspace(0.0, 3.0, n)
+        m, b = _blocks(n)
+        assert n <= m * b <= n + b - 1
+        for kernel, k, s in ((evolve_single_realization, 1, single_scenario()),
+                             (evolve_two_realization, 2, two_scenario(var_b=0.5))):
+            assert all(v.shape == (n,) for v in kernel(*[0.7] * k, grid, s))
+            cols = kernel(*[np.full((5, 1), 0.7)] * k, grid, s)
+            assert all(v.shape == (5, n) and v.base is not None for v in cols)
+            owners = {id(v.base): v.base for v in cols}.values()
+            assert sum(o.nbytes for o in owners) == len(cols) * 5 * m * b * 8
+
+
+class TestPhaseTable:
+    # B = ceil(sqrt(n)) is 20 at the benchmark's 400 points: 19, 20 and 21
+    # points are one short of, exactly and one past a block of that size.
+    # 400 and 401 points carry no padding and 19 columns of it
+    @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401, 1001])
+    @pytest.mark.parametrize("theta_t", [1e-3, 1.0, 40.0, 1e3])
+    def test_matches_pointwise_exponential(self, rng, n, theta_t):
+        # theta_t is the largest |theta| t_max; the bound is the one derived
+        # in _phase_table's docstring, point by point
+        grid = np.linspace(0.0, rng.uniform(0.5, 20.0), n)
+        theta = rng.uniform(-1.0, 1.0, size=(16, 1)) * theta_t / grid[-1]
+        m, b = _blocks(n)
+        out = np.empty((16, m * b), dtype=complex)
+        _phase_table(out.reshape(16, m, b), theta, grid[1])
+        dev = np.abs(out[:, :n] - np.exp(1j * theta * grid))
+        assert np.all(dev <= (4.0 * np.abs(theta) * grid + 11.0) * U)
+
+    def test_scale_multiplies_the_coarse_factors(self, rng):
+        grid = np.linspace(0.0, 3.0, 30)
+        theta = rng.uniform(-5.0, 5.0, size=(4, 1))
+        m, b = _blocks(30)
+        plain, scaled = (np.empty((4, m * b), dtype=complex) for _ in range(2))
+        _phase_table(plain.reshape(4, m, b), theta, grid[1])
+        _phase_table(scaled.reshape(4, m, b), theta, grid[1], 0.3 - 0.4j)
+        # two complex products a side, each within sqrt(5) u of |scale| = 1/2: 2 sqrt(5) u < 8u
+        assert np.abs(scaled - (0.3 - 0.4j) * plain).max() <= 8 * U
 
 
 class TestWorkerCount:
@@ -312,6 +406,17 @@ class TestSampleEnsemble:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             sample_ensemble(single_scenario(), 0, 1, np.linspace(0, 1, 5))
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.5, 5.0, 20),
+        np.concatenate(([0.0], np.sort(np.random.default_rng(3).uniform(0.0, 5.0, 19)))),
+        np.linspace(0.0, 5.0, 20).reshape(2, 10),
+    ], ids=["shifted", "sorted-random", "2-D"])
+    def test_non_uniform_grid_rejected(self, grid):
+        # the kernels build every phase from t_k = k grid[1]
+        with pytest.raises(ValueError, match="^grid must be uniform from 0") as exc:
+            sample_ensemble(single_scenario(), 10, 1, grid)
+        assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_key_space_rejected(self, seed):

@@ -396,3 +396,31 @@ def test_transverse_noise_and_frequency_pull_tc_earlier(alpha, var_a, x, var_b, 
     if by_var_b[0].status == "finite":
         assert turning.status == "finite"
         assert turning.t_c <= by_var_b[0].t_c + TOL
+
+
+# At omega_a = 0, xstate_gap reads t only through fl(k_a t) and fl(k_b t),
+# k = fl(sqrt(v / 2)), and it is nonincreasing in both (monotone roundings of
+# exp, expm1, sqrt, products and sums; |z| falls and sqrt(a d) rises). So
+# scaling both variances by lambda is a change of time unit: t_c(lambda v) =
+# t_c(v) / sqrt(lambda). In floats, with u = 2^-53, each scaled k is
+# sqrt(lambda) k (1 + delta), |delta| <= 2.5u (u for lambda v, u/2 of it
+# through the sqrt, u for the sqrt and u for the unscaled k). Let T =
+# sqrt(lambda) t_c' for the scaled t_c'. The scaled gap is <= 0 at t_c', so
+# the gap is <= 0 at every float from T (1 + 2.5u) on, and t_c, one float
+# (2u) above the last positive one, is at most T (1 + 4.5u). The scaled gap
+# is > 0 one float below t_c', so the gap is > 0 at every float up to
+# T (1 - 2u) (1 - 2.5u), and t_c lies above that. Forming sqrt(lambda) t_c'
+# rounds twice (2u): the law holds to 6.5u t_c, plus terms in u^2.
+SCALING_LAW_BOUND = 7 * 2.0**-53
+
+
+@settings(max_examples=100)
+@given(alpha=st.floats(0.6, 10.0), var_a=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+       var_b=st.one_of(st.just(0.0), st.floats(-3.0, 1.0).map(lambda e: 10.0**e)),
+       xy=st.floats(0.01, 0.25), lam=st.floats(-4.0, 4.0).map(lambda e: 10.0**e))
+def test_tc_scaling_law(alpha, var_a, var_b, xy, lam):
+    # on these ranges t_c stays below about 1e3, and 1e5 after the slowest
+    # scaling: both cells are finite, far inside the 1e6 horizon
+    base, scaled = find_tc_batch(alpha, [var_a, lam * var_a], [var_b, lam * var_b], 0.0, xy)
+    assert base.status == scaled.status == "finite"
+    assert abs(math.sqrt(lam) * scaled.t_c - base.t_c) <= SCALING_LAW_BOUND * base.t_c
