@@ -1,11 +1,15 @@
 """Command-line front end: relax, concurrence, tc-map and validate subcommands.
 
-Configuration is accepted both as flags and as a JSON config file; flags
-override file values, and the merged effective config is echoed into the output
-metadata. Exit codes: 0 success, 1 validation failure, 2 bad input (including
-inputs that overflow double precision, sizes that cannot be allocated and an
-output path that cannot be written). Floats are written with 17 significant
-digits, so they read back bit for bit.
+Each command takes only the settings it reads (_READS): relax omega_a, alpha,
+xb and var_eps_a; concurrence omega_a, alpha, x, var_eps_a and var_eps_b; both
+also t_max, points, samples, seed and format; tc-map x, var_eps_b and format,
+besides its axis flags. Each comes as a flag or from a JSON config file over the
+same keys; flags override file values, and the output metadata echoes exactly
+the command's settings. Exit codes: 0 success, 1 validation failure, 2 bad
+input, one error line (including a malformed flag, inputs that overflow double
+precision, sizes that cannot be allocated and an output path that cannot be
+written). Floats are written with 17 significant digits, so they read back bit
+for bit.
 """
 
 from __future__ import annotations
@@ -36,66 +40,72 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BAD_INPUT = 2
 
-_DEFAULTS = {
-    "omega_a": 0.0,
-    "omega_b": 0.0,
-    "alpha": 1.0,
-    "xb": 1.0,
-    "x": 0.5,
-    "var_eps_a": 1.0,
-    "var_eps_b": 0.0,
-    "t_max": 5.0,
-    "points": 400,
-    "samples": None,
-    "seed": 12345,
-    "format": "csv",
-}
 FORMATS = ("csv", "json")
-_INTEGER_KEYS = ("points", "samples", "seed")
+# Every setting a command can read: its flag type (or its choices), default and
+# help. The key is the flag's name with "_" for "-", and its config-file key.
+_SETTINGS = {
+    "omega_a": (float, 0.0, "working-qubit frequency"),
+    "alpha": (float, 1.0, "coupling-law parameter (>= 1/2)"),
+    "xb": (float, 1.0, "auxiliary-qubit |+> amplitude (yb = sqrt(1-xb^2))"),
+    "x": (float, 0.5, "auxiliary mixture weight (y = 1 - x)"),
+    "var_eps_a": (float, 1.0, "longitudinal spacing variance"),
+    "var_eps_b": (float, 0.0, "transverse spacing variance"),
+    "t_max": (float, 5.0, "time-grid endpoint"),
+    "points": (int, 400, "time-grid point count"),
+    "samples": (int, None, "Monte Carlo sample count (omit for analytic only)"),
+    "seed": (int, 12345, "master seed for the sample streams"),
+    "format": (FORMATS, "csv", "output format (default csv)"),
+}
+# The settings each command reads: its flags, its config-file keys and its echoed
+# config. relax and concurrence share the time grid, the sampling and the format.
+_TRAJECTORY = ("t_max", "points", "samples", "seed", "format")
+_READS = {
+    "relax": ("omega_a", "alpha", "xb", "var_eps_a", *_TRAJECTORY),
+    "concurrence": ("omega_a", "alpha", "x", "var_eps_a", "var_eps_b", *_TRAJECTORY),
+    "tc-map": ("x", "var_eps_b", "format"),
+}
 
 
 class BadInput(ValueError):
     """Configuration or flag error; maps to exit code 2, like every ValueError."""
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--omega-a", dest="omega_a", type=float, help="working-qubit frequency")
-    sub.add_argument("--omega-b", dest="omega_b", type=float, help="second working-qubit frequency")
-    sub.add_argument("--alpha", type=float, help="coupling-law parameter (>= 1/2)")
-    sub.add_argument("--xb", type=float, help="auxiliary-qubit |+> amplitude (yb = sqrt(1-xb^2))")
-    sub.add_argument("--x", type=float, help="auxiliary mixture weight (y = 1 - x)")
-    sub.add_argument("--var-eps-a", dest="var_eps_a", type=float, help="longitudinal spacing variance")
-    sub.add_argument("--var-eps-b", dest="var_eps_b", type=float, help="transverse spacing variance")
-    sub.add_argument("--t-max", dest="t_max", type=float, help="time-grid endpoint")
-    sub.add_argument("--points", type=int, help="time-grid point count")
-    sub.add_argument("--samples", type=int, help="Monte Carlo sample count (omit for analytic only)")
-    sub.add_argument("--seed", type=int, help="master seed for the sample streams")
-    sub.add_argument("--out", required=True, help="output file path")
-    sub.add_argument("--format", choices=FORMATS, help="output format (default csv)")
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise BadInput, for main's one error line; subparsers share it.
+
+    Abbreviated flags are refused, so that relax cannot read --x as --xb.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise BadInput(f"{self.prog}: {message}")
 
 
 def _check_file_value(key, val) -> None:
     """Refuse a config-file value whose type the matching flag would not accept."""
-    if key == "format":
-        ok, kind = val in FORMATS, "'csv' or 'json'"
-    elif key in _INTEGER_KEYS:
-        ok, kind = type(val) is int or (key == "samples" and val is None), "an integer"
+    kind, default, _ = _SETTINGS[key]
+    if kind is float:
+        ok, name = type(val) in (int, float), "a number"
+    elif kind is int:
+        ok, name = type(val) is int or (val is None and default is None), "an integer"
     else:
-        ok, kind = type(val) in (int, float), "a number"
+        ok, name = val in kind, " or ".join(map(repr, kind))
     if not ok:
-        raise BadInput(f"config key {key!r} must be {kind}, got {json.dumps(val)}")
+        raise BadInput(f"config key {key!r} must be {name}, got {json.dumps(val)}")
 
 
 def merged_config(ns: argparse.Namespace) -> dict:
-    """Defaults <- config file <- explicit flags, in increasing precedence.
+    """The settings the command reads: defaults <- config file <- explicit flags.
 
-    The config file must hold a JSON object over the flag names, each value of
-    the flag's type: a number, an integer for points, samples (or null) and
-    seed, and "csv" or "json" for format.
+    The config file must hold a JSON object over the command's own keys, each
+    value of the flag's type: a number, an integer for points, samples (or
+    null) and seed, and "csv" or "json" for format.
     """
-    cfg = dict(_DEFAULTS)
-    if getattr(ns, "config", None):
+    keys = _READS[ns.command]
+    cfg = {key: _SETTINGS[key][1] for key in keys}
+    if ns.config:
         try:
             with open(ns.config) as fh:
                 from_file = json.load(fh)
@@ -103,14 +113,14 @@ def merged_config(ns: argparse.Namespace) -> dict:
             raise BadInput(f"cannot read config file {ns.config}: {exc}") from exc
         if not isinstance(from_file, dict):
             raise BadInput(f"config file {ns.config} must hold a JSON object")
-        unknown = set(from_file) - set(_DEFAULTS)
+        unknown = set(from_file) - set(keys)
         if unknown:
             raise BadInput(f"unknown config keys: {sorted(unknown)}")
         for key, val in from_file.items():
             _check_file_value(key, val)
         cfg.update(from_file)
-    for key in _DEFAULTS:
-        val = getattr(ns, key, None)
+    for key in keys:
+        val = getattr(ns, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -120,24 +130,17 @@ def _single_scenario(cfg) -> SingleQubitScenario:
     xb = float(cfg["xb"])
     if not 0.0 <= xb <= 1.0:
         raise BadInput(f"xb must lie in [0, 1], got {xb}")
-    return SingleQubitScenario(
-        omega_a=float(cfg["omega_a"]),
-        alpha=float(cfg["alpha"]),
-        xb=xb,
-        yb=math.sqrt(1.0 - xb**2),
-        var=float(cfg["var_eps_a"]),
-    )
+    return SingleQubitScenario(omega_a=float(cfg["omega_a"]), alpha=float(cfg["alpha"]), xb=xb,
+                               yb=math.sqrt(1.0 - xb**2), var=float(cfg["var_eps_a"]))
 
 
-def _two_scenario(cfg) -> TwoQubitScenario:
-    return TwoQubitScenario(
-        omega_a=float(cfg["omega_a"]),
-        omega_b=float(cfg["omega_b"]),
-        alpha=float(cfg["alpha"]),
-        x=float(cfg["x"]),
-        var_a=float(cfg["var_eps_a"]),
-        var_b=float(cfg["var_eps_b"]),
-    )
+def _two_scenario(cfg, **model) -> TwoQubitScenario:
+    """A concurrence or tc-map record: x and var_b from cfg, omega_a, alpha and var_a given.
+
+    omega_b is 0: it turns only the phase of z, which every realization shares,
+    so no column depends on it.
+    """
+    return TwoQubitScenario(omega_b=0.0, x=float(cfg["x"]), var_b=float(cfg["var_eps_b"]), **model)
 
 
 def format_float(v) -> str:
@@ -220,7 +223,8 @@ def cmd_relax(ns) -> int:
 
 def cmd_concurrence(ns) -> int:
     cfg = merged_config(ns)
-    s = _two_scenario(cfg)
+    s = _two_scenario(cfg, omega_a=float(cfg["omega_a"]), alpha=float(cfg["alpha"]),
+                      var_a=float(cfg["var_eps_a"]))
     grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
     columns = {"t": grid, "C": concurrence_trajectory(s, grid)}
     if cfg["samples"] is not None:
@@ -242,25 +246,17 @@ def _solver_meta(results) -> dict:
 
 def cmd_tc_map(ns) -> int:
     cfg = merged_config(ns)
-    base = _two_scenario(cfg)
-    if base.omega_a != 0.0:
-        raise BadInput("tc-map requires omega_a = 0")
-    alpha_lo, alpha_hi = ns.alpha_range
-    var_lo, var_hi = ns.var_range
-    if not all(math.isfinite(v) for v in (alpha_lo, alpha_hi, var_lo, var_hi)):
-        raise BadInput("ranges must be finite")
-    if alpha_lo < 0.5:
-        raise BadInput(f"alpha range must stay >= 1/2, got lower bound {alpha_lo}")
-    if var_lo < 0:
-        raise BadInput(f"variance range must be nonnegative, got lower bound {var_lo}")
-    if alpha_hi < alpha_lo or var_hi < var_lo:
+    # the records of the corners (alpha_lo, var_lo) and (alpha_hi, var_hi) check every range value
+    lo, hi = (_two_scenario(cfg, omega_a=0.0, alpha=alpha, var_a=var)
+              for alpha, var in zip(ns.alpha_range, ns.var_range))
+    if hi.alpha < lo.alpha or hi.var_a < lo.var_a:
         raise BadInput("ranges must be increasing")
     res = int(ns.resolution)
     if res < 1:
         raise BadInput("resolution must be >= 1")
-    alpha, var_a = np.meshgrid(np.linspace(alpha_lo, alpha_hi, res),
-                               np.linspace(var_lo, var_hi, res), indexing="ij")
-    _, _, var_b, omega_a, xy = gap_args(base)
+    alpha, var_a = np.meshgrid(np.linspace(lo.alpha, hi.alpha, res),
+                               np.linspace(lo.var_a, hi.var_a, res), indexing="ij")
+    _, _, var_b, omega_a, xy = gap_args(lo)
     results = find_tc_batch(alpha, var_a, var_b, omega_a, xy)
     columns = {"alpha": alpha.ravel(), "var_eps_a": var_a.ravel(),
                "tc": [r.t_c for r in results]}
@@ -281,29 +277,34 @@ def cmd_validate(ns) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+def _command(sub, name, fn, text):
+    """A subparser that takes exactly the settings _READS lists for ``name``."""
+    p = sub.add_parser(name, help=text)
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    for key in _READS[name]:
+        kind, _, helptext = _SETTINGS[key]
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=helptext, **typed)
+    p.add_argument("--out", required=True, help="output file path")
+    p.set_defaults(fn=fn)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hensim",
         description="Hamiltonian-ensemble qubit relaxation and disentanglement experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_relax = sub.add_parser("relax", help="single-qubit averaged relaxation curves")
-    _add_common(p_relax)
-    p_relax.set_defaults(fn=cmd_relax)
-
-    p_conc = sub.add_parser("concurrence", help="two-working-qubit concurrence C(t)")
-    _add_common(p_conc)
-    p_conc.set_defaults(fn=cmd_concurrence)
-
-    p_tc = sub.add_parser("tc-map", help="critical disentanglement time over (alpha, variance)")
-    _add_common(p_tc)
+    _command(sub, "relax", cmd_relax, "single-qubit averaged relaxation curves")
+    _command(sub, "concurrence", cmd_concurrence, "two-working-qubit concurrence C(t)")
+    p_tc = _command(sub, "tc-map", cmd_tc_map,
+                    "critical disentanglement time over (alpha, variance)")
     p_tc.add_argument("--alpha-range", dest="alpha_range", type=float, nargs=2,
                       metavar=("LO", "HI"), required=True)
     p_tc.add_argument("--var-range", dest="var_range", type=float, nargs=2,
                       metavar=("LO", "HI"), required=True)
     p_tc.add_argument("--resolution", type=int, required=True, help="grid points per axis")
-    p_tc.set_defaults(fn=cmd_tc_map)
 
     p_val = sub.add_parser("validate", help="run the oracle cross-check suites")
     p_val.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -313,12 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit:  # only -h exits the parser; its errors raise BadInput
+            return EXIT_OK
         # a non-finite result is refused by _emit, so numpy's warnings about
         # the overflow behind it would only add lines to the one error line;
         # the filter is process-wide, so it also covers the sampler's threads

@@ -126,8 +126,8 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> list[CriticalTime]:
     The arguments are xstate_gap's after t (see analytic.gap_args): arrays
     that broadcast to one value per cell, whose results come in C order. They
     are not checked again; their domain is what the TwoQubitScenario records
-    or cli.cmd_tc_map's range checks let through (all finite, alpha >= 1/2,
-    variances >= 0, 0 <= xy <= 1/4).
+    let through (all finite, alpha >= 1/2, variances >= 0, 0 <= xy <= 1/4),
+    as cli.cmd_tc_map checks by building the records of its map's corners.
 
     Every cell is first solved on its envelope g(t; 0), its own gap with
     omega_a set to 0. The envelope falls strictly from g(0) = 1/2 (any var_b),

@@ -157,15 +157,6 @@ class TestConcurrenceCmd:
         _, cols = read_csv(out)
         assert np.abs(np.array(cols["C"]) - 1.0).max() <= 1e-12
 
-    def test_omega_b_drops_out_of_analytic_column(self, tmp_path):
-        # omega_b only turns the phase of z, so even at 1e308 the analytic C is the omega_b = 0 one
-        cols = []
-        for wb in ("0", "1e308"):
-            out = tmp_path / f"c{wb}.csv"
-            assert run(["concurrence", "--omega-b", wb, "--points", "20", "--out", str(out)]) == EXIT_OK
-            cols.append(read_csv(out)[1]["C"])
-        assert cols[0] == cols[1]
-
     def test_mc_column(self, tmp_path):
         out = tmp_path / "c.csv"
         code = run(["concurrence", "--x", "0.2", "--alpha", "1", "--var-eps-a", "0.5",
@@ -224,12 +215,6 @@ class TestTcMap:
     def test_rejects_alpha_below_half(self, tmp_path):
         code = run(["tc-map", "--alpha-range", "0.3", "1", "--var-range", "0.5", "1",
                     "--resolution", "2", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_BAD_INPUT
-
-    def test_rejects_nonzero_omega_a(self, tmp_path):
-        code = run(["tc-map", "--omega-a", "1", "--alpha-range", "1", "2",
-                    "--var-range", "0.5", "1", "--resolution", "2",
-                    "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_BAD_INPUT
 
     def test_transverse_noise_pulls_every_cell_earlier(self, tmp_path):
@@ -307,12 +292,9 @@ NON_FINITE_ARGV = [
     ["relax", "--alpha", "inf"],
     ["relax", "--var-eps-a", "inf"],
     ["relax", "--t-max", "inf"],
-    ["concurrence", "--omega-b", "inf", "--format", "json"],
     ["concurrence", "--x", "nan"],
     ["concurrence", "--var-eps-b=-inf"],
     ["tc-map", "--x", "nan", "--alpha-range", "1", "2", "--var-range", "0.5", "1",
-     "--resolution", "2"],
-    ["tc-map", "--omega-b", "inf", "--alpha-range", "1", "2", "--var-range", "0.5", "1",
      "--resolution", "2"],
     ["tc-map", "--alpha-range", "1", "nan", "--var-range", "0.5", "1", "--resolution", "2"],
     ["tc-map", "--alpha-range", "1", "2", "--var-range", "0.5", "inf", "--resolution", "2"],
@@ -344,6 +326,8 @@ def test_non_finite_input_rejected(tmp_path, capsys, argv):
 
 
 _TC_AXES = ["--alpha-range", "1", "2", "--var-range", "0.5", "1", "--resolution", "2"]
+# what each output command needs besides --out
+BASE_ARGV = {"relax": [], "concurrence": [], "tc-map": _TC_AXES}
 
 
 # Each model parameter out of its range, with the scenario field that refuses it
@@ -375,14 +359,22 @@ def test_zero_samples_from_config_file_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ['{"alpha": null}', "5", '{"format": "xml"}',
-                                  '{"xb": true}', '{"points": 2.5}'])
-def test_bad_config_file_rejected(tmp_path, capsys, text):
+# each key a row sets is one its command reads, so the row tests the type check
+BAD_CONFIG_ROWS = [
+    ("relax", '{"alpha": null}'),
+    ("tc-map", "5"),
+    ("tc-map", '{"format": "xml"}'),
+    ("relax", '{"xb": true}'),
+    ("relax", '{"points": 2.5}'),
+]
+
+
+@pytest.mark.parametrize("command, text", BAD_CONFIG_ROWS, ids=[text for _, text in BAD_CONFIG_ROWS])
+def test_bad_config_file_rejected(tmp_path, capsys, command, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "x.csv"
-    code = run(["tc-map", "--config", str(cfg), "--alpha-range", "1", "2",
-                "--var-range", "0.5", "1", "--resolution", "2", "--out", str(out)])
+    code = run([command, "--config", str(cfg), *BASE_ARGV[command], "--out", str(out)])
     assert code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -505,17 +497,23 @@ class TestDeterminism:
         assert "workers" not in json.dumps(meta)
 
 
+GRID_CONFIG = {"t_max": 5.0, "points": 5, "samples": None, "seed": 12345, "format": "csv"}
+SIDECAR_CONFIG = {
+    "relax": {"omega_a": 0.0, "alpha": 1.0, "xb": 1.0, "var_eps_a": 1.0, **GRID_CONFIG},
+    "concurrence": {"omega_a": 0.0, "alpha": 1.0, "x": 0.5, "var_eps_a": 1.0, "var_eps_b": 0.0,
+                    **GRID_CONFIG},
+    "tc-map": {"x": 0.5, "var_eps_b": 0.0, "format": "csv"},
+}
+
+
 def test_sidecar_holds_exactly_its_keys(tmp_path):
-    # the analytic source, the effective config and the command, plus the Monte
-    # Carlo provenance when sampled: a dropped or a stray key fails
-    config = {"omega_a": 0.0, "omega_b": 0.0, "alpha": 1.0, "xb": 1.0, "x": 0.5,
-              "var_eps_a": 1.0, "var_eps_b": 0.0, "t_max": 5.0, "points": 5, "samples": None,
-              "seed": 12345, "format": "csv"}
+    # the analytic source, the command's own effective config and the command,
+    # plus the Monte Carlo provenance when sampled: a dropped or a stray key fails
     provenance = {"n": 600, "seed": 5, "rng": "splitmix64-boxmuller-v1", "chunk": 512}
 
     def sidecar(*argv):
         out = tmp_path / "m.csv"
-        assert run([*argv, "--points", "5", "--out", str(out)]) == EXIT_OK
+        assert run([*argv, "--out", str(out)]) == EXIT_OK
         return json.loads((tmp_path / "m.csv.meta.json").read_text())
 
     # relax also names the temperature it mimics: at alpha = 1, xb = 1 the
@@ -523,10 +521,44 @@ def test_sidecar_holds_exactly_its_keys(tmp_path):
     thermal = {"steady_population": pytest.approx(0.375, rel=1e-15),
                "beta_delta": pytest.approx(math.log(5.0 / 3.0), rel=1e-15)}
     for command, extra in (("relax", thermal), ("concurrence", {})):
+        config = SIDECAR_CONFIG[command]
         analytic = {"source": "analytic", "config": config, "command": command, **extra}
-        assert sidecar(command) == analytic
-        assert sidecar(command, "--samples", "600", "--seed", "5") == {
+        assert sidecar(command, "--points", "5") == analytic
+        assert sidecar(command, "--points", "5", "--samples", "600", "--seed", "5") == {
             **analytic, "config": {**config, "samples": 600, "seed": 5}, **provenance}
+    meta = sidecar("tc-map", *_TC_AXES)
+    assert meta == {"config": SIDECAR_CONFIG["tc-map"], "command": "tc-map",
+                    "alpha_range": [1.0, 2.0], "var_range": [0.5, 1.0], "resolution": 2,
+                    "solver": meta["solver"]}
+    assert set(meta["solver"]) == {"tol", "status_counts", "t_max_range"}
+
+
+# The model and grid settings each command does not read, refused both as a
+# flag and as a config-file key
+DROPPED = {
+    "relax": ("omega_b", "x", "var_eps_b"),
+    "concurrence": ("omega_b", "xb"),
+    "tc-map": ("omega_a", "omega_b", "alpha", "xb", "var_eps_a", "t_max", "points", "samples",
+               "seed"),
+}
+DROPPED_ROWS = [(command, key) for command, keys in DROPPED.items() for key in keys]
+
+
+@pytest.mark.parametrize("command, key", DROPPED_ROWS, ids=[" ".join(r) for r in DROPPED_ROWS])
+def test_no_command_reads_a_setting_it_does_not_list(tmp_path, capsys, command, key):
+    # as a flag, the setting is an unrecognized argument
+    out = tmp_path / "x.csv"
+    argv = [command, *BASE_ARGV[command], "--out", str(out)]
+    assert run([*argv, "--" + key.replace("_", "-"), "1"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # as a config-file key, it is an unknown key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert run([*argv, "--config", str(cfg)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config keys: [{key!r}]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, p", [
@@ -569,7 +601,8 @@ def test_every_sidecar_is_strict_json(tmp_path, argv, fmt):
     # json.dump would write a non-finite float as Infinity or NaN, which JSON
     # does not have; every sidecar (or JSON output) must parse without them
     out = tmp_path / "o.out"
-    assert run([*argv, "--points", "5", "--format", fmt, "--out", str(out)]) == EXIT_OK
+    points = [] if argv[0] == "tc-map" else ["--points", "5"]
+    assert run([*argv, *points, "--format", fmt, "--out", str(out)]) == EXIT_OK
     path = out if fmt == "json" else tmp_path / "o.out.meta.json"
     json.loads(path.read_text(), parse_constant=_refuse_constant)
 
@@ -584,3 +617,27 @@ class TestValidateCmd:
 
 def test_unknown_command_exit_code():
     assert run(["frobnicate"]) == EXIT_BAD_INPUT
+
+
+# A malformed command line gets the one error line of every other bad input
+PARSER_ERROR_ARGV = [
+    ["relax", "--points", "abc", "--out", "{tmp}/x.csv"],
+    ["relax", "--bogus", "1", "--out", "{tmp}/x.csv"],
+    ["tc-map"],
+    ["frobnicate"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ERROR_ARGV, ids=" ".join)
+def test_parser_error_is_one_line(tmp_path, capsys, argv):
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["relax", "-h"], ["tc-map", "--help"]], ids=" ".join)
+def test_help_exits_zero(capsys, argv):
+    assert run(argv) == EXIT_OK
+    assert "usage: hensim" in capsys.readouterr().out
