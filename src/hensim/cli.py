@@ -234,12 +234,12 @@ def cmd_concurrence(ns) -> int:
     return EXIT_OK
 
 
-def _solver_meta(results) -> dict:
+def _solver_meta(cells) -> dict:
     """Map-wide solver diagnostics for the output metadata; the table itself stays alpha, var, t_c."""
-    horizons = [r.t_max for r in results if r.status == FINITE]
+    horizons = cells["t_max"][cells["status"] == FINITE].tolist()
     return {
         "tol": TOL,
-        "status_counts": {st: sum(r.status == st for r in results) for st in STATUSES},
+        "status_counts": {st: int(np.count_nonzero(cells["status"] == st)) for st in STATUSES},
         "t_max_range": [min(horizons), max(horizons)] if horizons else None,
     }
 
@@ -257,12 +257,13 @@ def cmd_tc_map(ns) -> int:
     alpha, var_a = np.meshgrid(np.linspace(lo.alpha, hi.alpha, res),
                                np.linspace(lo.var_a, hi.var_a, res), indexing="ij")
     _, _, var_b, omega_a, xy = gap_args(lo)
-    results = find_tc_batch(alpha, var_a, var_b, omega_a, xy)
-    columns = {"alpha": alpha.ravel(), "var_eps_a": var_a.ravel(),
-               "tc": [r.t_c for r in results]}
+    cells = find_tc_batch(alpha, var_a, var_b, omega_a, xy)
+    # a cell without a finite t_c is empty (None), never NaN, which _emit refuses
+    tc = [t if st == FINITE else None for t, st in zip(cells["t_c"].tolist(), cells["status"])]
+    columns = {"alpha": alpha.ravel(), "var_eps_a": var_a.ravel(), "tc": tc}
     meta = {"config": cfg, "command": "tc-map", "alpha_range": list(ns.alpha_range),
             "var_range": list(ns.var_range), "resolution": res,
-            "solver": _solver_meta(results)}
+            "solver": _solver_meta(cells)}
     _emit(ns.out, cfg["format"], columns, meta)
     return EXIT_OK
 

@@ -168,7 +168,8 @@ def _uniform_grid(grid) -> np.ndarray:
     It needs 2 or more points and a positive step, and each point may lie at
     most 4 ulps of the last point away from k grid[1]: np.linspace(0, t, n)
     rounds k grid[1] once and ends on t itself, which can lie an ulp or two
-    off.
+    off while the step is a normal float (scenarios.time_grid refuses a
+    subnormal one).
     """
     g = np.asarray(grid, dtype=float)
     if not (g.ndim == 1 and g.size >= 2 and g[0] == 0.0 and g[1] > 0.0

@@ -1,17 +1,16 @@
 """X-state concurrence and, on analytic.xstate_gap, the concurrence trajectory and t_c solver.
 
+The solver returns plain columns (status, lo, t_c, t_max), one entry per cell.
 Their oracles (general Wootters concurrence, averaged X state) live in hensim.validation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from hensim.analytic import gap_args, xstate_gap
-from hensim.scenarios import TwoQubitScenario
 
 
 def concurrence(g):
@@ -24,8 +23,8 @@ def concurrence_x(a, d, z):
     return concurrence(np.abs(z) - np.sqrt(np.maximum(np.multiply(a, d), 0.0)))
 
 
-def concurrence_trajectory(s: TwoQubitScenario, grid) -> np.ndarray:
-    """Averaged concurrence C(t) on a time grid, from g = xstate_gap."""
+def concurrence_trajectory(s, grid) -> np.ndarray:
+    """Averaged concurrence C(t) of a TwoQubitScenario on a time grid, from g = xstate_gap."""
     return concurrence(xstate_gap(np.asarray(grid, dtype=float), *gap_args(s)))
 
 
@@ -47,25 +46,6 @@ TOL = 1e-8
 # Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3 times slower
 # per point, and smaller ones gained nothing.
 _BLOCK_POINTS = 1 << 13
-
-
-@dataclass(slots=True)
-class CriticalTime:
-    """Smallest time after which the concurrence stays zero, and how it was found.
-
-    ``status`` is "finite" (t_c is set), "none" (no sudden death: alpha = 1/2,
-    no longitudinal noise or a pure auxiliary mixture) or "beyond-horizon"
-    (the zero-frequency gap, which bounds g from above, is still positive at
-    the largest automatic horizon). For "finite", ``bracket`` is a pair of
-    adjacent floats (lo, hi) with g(lo) > 0 >= g(hi) and t_c = hi, within
-    TOL of the root. ``t_max`` is the horizon that was bracketed (for
-    "beyond-horizon", the last one tried; None for "none").
-    """
-
-    t_c: float | None
-    bracket: tuple[float, float] | None
-    status: str
-    t_max: float | None
 
 
 def _cell_gap(t, cells):
@@ -120,21 +100,30 @@ def _bisect(cells, lo, hi):
     return lo, hi
 
 
-def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> list[CriticalTime]:
-    """Critical disentanglement times of many cells, solved together.
+def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
+    """Critical disentanglement times of many cells, solved together, as named columns.
 
     The arguments are xstate_gap's after t (see analytic.gap_args): arrays
-    that broadcast to one value per cell, whose results come in C order. They
-    are not checked again; their domain is what the TwoQubitScenario records
-    let through (all finite, alpha >= 1/2, variances >= 0, 0 <= xy <= 1/4),
-    as cli.cmd_tc_map checks by building the records of its map's corners.
+    that broadcast to one value per cell. They are not checked again; their
+    domain is what the TwoQubitScenario records let through (all finite,
+    alpha >= 1/2, variances >= 0, 0 <= xy <= 1/4), as cli.cmd_tc_map checks
+    by building the records of its map's corners.
+
+    It returns four equal-length columns, one entry per cell in C order.
+    ``status`` is one of STATUSES: "finite", "none" (no sudden death: alpha =
+    1/2, no longitudinal noise or a pure auxiliary mixture) or "beyond-horizon"
+    (the zero-frequency gap, which bounds g from above, is still positive at
+    the largest automatic horizon). ``lo`` and ``t_c`` are adjacent floats with
+    g(lo) > 0 >= g(t_c), t_c within TOL of the root; both are NaN unless finite.
+    ``t_max`` is the horizon bracketed (for "beyond-horizon", the last one
+    tried), NaN for "none".
 
     Every cell is first solved on its envelope g(t; 0), its own gap with
     omega_a set to 0. The envelope falls strictly from g(0) = 1/2 (any var_b),
     so its root t_c0 is unique: the horizon t_max is found by doubling from
     twice the time sqrt(a d) takes to settle until g(t_max; 0) < 0, and
     [0, t_max] is bisected to adjacent floats (lo0, hi0). If the envelope is
-    still positive past t = 1e6 the status is "beyond-horizon" and t_c is None.
+    still positive past t = 1e6 the status is "beyond-horizon".
     At omega_a = 0, (lo0, hi0) is the bracket.
 
     At any other omega_a the window rests on one invariant: the computed
@@ -154,11 +143,10 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> list[CriticalTime]:
     params = np.array(np.broadcast_arrays(alpha, var_a, var_b, omega_a, xy),
                       dtype=float).reshape(5, -1)
     alpha, va, xy = params[0], params[1], params[4]
-    results: list[CriticalTime | None] = [None] * params.shape[1]
-    dead = (alpha == 0.5) | (va == 0.0) | (xy == 0.0)
-    for i in np.flatnonzero(dead):
-        results[i] = CriticalTime(None, None, NO_SUDDEN_DEATH, None)
-    idx = np.flatnonzero(~dead)
+    out = {name: np.full(params.shape[1], np.nan) for name in ("t_c", "lo", "t_max")}
+    # an object column: a string one as wide as "none" would cut "finite" to "fini"
+    out["status"] = np.full(params.shape[1], NO_SUDDEN_DEATH, dtype=object)
+    idx = np.flatnonzero(~((alpha == 0.5) | (va == 0.0) | (xy == 0.0)))
     cells = params[:, idx]
     envelope = cells.copy()
     envelope[3] = 0.0
@@ -175,12 +163,11 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> list[CriticalTime]:
         over = horizon[grow] > _HORIZON
         beyond[grow[over]] = True
         pending = grow[~over]
-    for k in np.flatnonzero(beyond):
-        # t_max: the last horizon tried, where g was still positive
-        results[idx[k]] = CriticalTime(None, None, BEYOND_HORIZON, float(horizon[k] / 2.0))
-    k = np.flatnonzero(~beyond)
-    cells, horizon = cells[:, k], horizon[k]
-    lo, hi = _bisect(envelope[:, k], np.zeros(len(k)), horizon)
+    out["status"][idx] = np.where(beyond, BEYOND_HORIZON, FINITE)
+    # beyond the horizon, t_max is the last horizon tried, where g was still positive
+    out["t_max"][idx] = np.where(beyond, horizon / 2.0, horizon)
+    idx, cells = idx[~beyond], cells[:, ~beyond]
+    lo, hi = _bisect(envelope[:, ~beyond], np.zeros(len(idx)), horizon[~beyond])
 
     turning = np.flatnonzero(cells[3] != 0.0)
     w = cells[:, turning]
@@ -197,23 +184,6 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> list[CriticalTime]:
         # e.g. g is NaN because a phase overflows, or turns faster than float spacing
         raise ValueError(f"could not isolate the last sign change of g(t) in "
                          f"{np.count_nonzero(~ok)} cell(s)")
-    for i, a, b, t_max in zip(idx[k], lo, hi, horizon):
-        results[i] = CriticalTime(float(b), (float(a), float(b)), FINITE, float(t_max))
-    return results
+    out["lo"][idx], out["t_c"][idx] = lo, hi
+    return out
 
-
-def find_tc(s: TwoQubitScenario) -> CriticalTime:
-    """Critical disentanglement time on the analytic averaged trajectory.
-
-    Status "none" (no finite time) when the longitudinal channel is absent
-    (alpha = 1/2 or zero longitudinal variance) or the auxiliary mixture is
-    pure (xy = 0); "beyond-horizon" when g at omega_a = 0, which bounds g at
-    any omega_a, is still positive past t = 1e6. Otherwise t_c is the top end
-    of a bracket of adjacent floats around the last root of g: bisected
-    straight from [0, t_max] at omega_a = 0, where g is strictly decreasing,
-    and from the last sign change of a scan over the last phase turn before
-    that zero-frequency root at any other omega_a. See find_tc_batch.
-
-    This is find_tc_batch on a batch of one.
-    """
-    return find_tc_batch(*gap_args(s))[0]

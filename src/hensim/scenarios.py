@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,6 +96,9 @@ class TwoQubitScenario:
 def time_grid(t_max: float, points: int = 400) -> np.ndarray:
     """Uniform grid of ``points`` samples on [0, t_max] (default density 400)."""
     _require_finite(t_max=t_max)
-    if t_max <= 0 or points < 2:
-        raise ValueError("need t_max > 0 and at least 2 points")
+    # at a subnormal step, np.linspace's points stray up to (points - 1) / 2
+    # subnormal units from k * step, more than sample_ensemble's grid check allows
+    if points < 2 or t_max / (points - 1) < sys.float_info.min:
+        raise ValueError(f"need at least 2 points and t_max >= (points - 1) * {sys.float_info.min!r}"
+                         f" (a normal time step), got t_max = {t_max!r} at {points} points")
     return np.linspace(0.0, float(t_max), int(points))

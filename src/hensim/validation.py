@@ -6,10 +6,10 @@ Wootters concurrence, the dense realization Hamiltonians and the closed-form
 single-qubit propagator. It also holds the X-state record (XState), the
 complex averaged X state (avg_xstate_two) and its special case without
 longitudinal noise (special_zero_va), against which the real-only
-analytic.xstate_gap is checked, and the sweep that checks the sudden-death
-times of entanglement.find_tc_batch, which runs no sweep of its own
-(check_tc_bracket). No production path uses them; the CLI imports this module
-only for `validate`. The dense functions act on one matrix (n, n) or a stack
+analytic.xstate_gap is checked, and the sweep that checks the brackets (lo,
+t_c) in the columns of entanglement.find_tc_batch, which runs no sweep of its
+own (check_tc_bracket). No production path uses them; the CLI imports this
+module only for `validate`. The dense functions act on one matrix (n, n) or a stack
 (..., n, n) alike, and never mutate their inputs. Basis conventions (|+> first):
   single-qubit system: 4x4 matrices in the product basis A (x) B, i.e.
   {|++>, |+->, |-+>, |-->};
@@ -465,12 +465,11 @@ def check_tc_bracket(n_cases: int, rng) -> float:
     params = np.array([gap_args(cell(i)) for i in range(n_cases)]).T
     twins = params.copy()
     twins[3] = 0.0
-    results = find_tc_batch(*np.hstack([params, twins]))
-    finite = [(i, r, r.t_max if params[3, i] == 0.0 else twin.t_c)
-              for i, (r, twin) in enumerate(zip(results, results[n_cases:]))
-              if r.status == FINITE]
-    params = params[:, [i for i, _, _ in finite], None]
-    lo, hi, end = np.array([(*r.bracket, end) for _, r, end in finite]).T[:, :, None]
+    cells = find_tc_batch(*np.hstack([params, twins]))
+    finite = np.flatnonzero(cells["status"][:n_cases] == FINITE)
+    end = np.where(params[3] == 0.0, cells["t_max"][:n_cases], cells["t_c"][n_cases:])
+    lo, hi, end = (col[finite, None] for col in (cells["lo"], cells["t_c"], end))
+    params = params[:, finite, None]
     if not np.all((xstate_gap(lo, *params) > 0.0) & (xstate_gap(hi, *params) <= 0.0)):
         return math.inf
     sweep = np.linspace(0.0, 1.0, 1000)

@@ -1,5 +1,6 @@
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,8 +57,25 @@ def invert_thermal(p_plus: float, xb: float = 1.0) -> tuple[float, float]:
 
 
 def solve_batch(scenarios):
-    """find_tc_batch on a list of scenarios, one cell each, in order."""
-    return find_tc_batch(*np.array([gap_args(s) for s in scenarios]).reshape(-1, 5).T)
+    """find_tc_batch on a list of scenarios, one cell each, as one record per cell in order.
+
+    A record holds the cell's status, t_c, t_max and bracket (lo, t_c), with
+    None where the solver's column holds NaN (bracket None unless finite).
+    """
+    cols = find_tc_batch(*np.array([gap_args(s) for s in scenarios]).reshape(-1, 5).T)
+
+    def none_if_nan(v):
+        return None if math.isnan(v) else v
+
+    return [SimpleNamespace(status=status, t_c=none_if_nan(t_c), t_max=none_if_nan(t_max),
+                            bracket=None if math.isnan(lo) else (lo, t_c))
+            for status, t_c, lo, t_max in zip(cols["status"], cols["t_c"].tolist(),
+                                              cols["lo"].tolist(), cols["t_max"].tolist())]
+
+
+def find_tc(s):
+    """The solver's record of one scenario (see solve_batch): a batch of one."""
+    return solve_batch([s])[0]
 
 
 def scenario_gap(t, s):

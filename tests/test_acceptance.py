@@ -8,7 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import invert_thermal, scenario_gap, single_scenario, thermal_population, two_scenario
+from conftest import (
+    find_tc,
+    invert_thermal,
+    scenario_gap,
+    single_scenario,
+    thermal_population,
+    two_scenario,
+)
 from hensim.analytic import (
     avg_coherence_single,
     avg_population_single,
@@ -16,7 +23,7 @@ from hensim.analytic import (
 )
 from hensim.cli import main
 from hensim.ensemble import sample_ensemble
-from hensim.entanglement import concurrence_x, find_tc
+from hensim.entanglement import concurrence_x
 from hensim.validation import (
     avg_xstate_two,
     check_concurrence_dual_path,

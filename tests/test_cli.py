@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hensim
-from conftest import read_csv, thermal_population, two_scenario
+from conftest import find_tc, read_csv, thermal_population, two_scenario
+from hensim.analytic import gap_args
 from hensim.cli import EXIT_BAD_INPUT, EXIT_OK, format_float, main, write_csv, write_json
-from hensim.entanglement import find_tc
+from hensim.entanglement import STATUSES, find_tc_batch
+from hensim.scenarios import time_grid
 
 
 def run(argv):
@@ -281,11 +284,25 @@ class TestTcMap:
         assert meta["solver"]["status_counts"] == counts
         assert meta["solver"]["t_max_range"] is None
 
+    def test_status_counts_are_the_solver_column_counts(self, tmp_path):
+        # alpha = 1/2 is "none", var_a = 0.1 next to it "beyond-horizon", the rest finite
+        out = tmp_path / "m.csv"
+        assert run(["tc-map", "--x", "0.2", "--alpha-range", "0.5", "0.500001",
+                    "--var-range", "0.1", "1e12", "--resolution", "3", "--out", str(out)]) == EXIT_OK
+        _, cols = read_csv(out)
+        counts = json.loads((tmp_path / "m.csv.meta.json").read_text())["solver"]["status_counts"]
+        _, _, var_b, omega_a, xy = gap_args(two_scenario(x=0.2))
+        status = find_tc_batch(cols["alpha"], cols["var_eps_a"], var_b, omega_a, xy)["status"]
+        assert counts == {st: status.tolist().count(st) for st in STATUSES}
+        assert counts == {"finite": 4, "none": 3, "beyond-horizon": 2}
+        assert cols["tc"].count(None) == counts["none"] + counts["beyond-horizon"]
+
 
 # Non-finite input, input whose results leave double precision, grid sizes
 # numpy refuses to allocate up front (a 7 PiB time grid, a 182 TiB tc-map), a
 # Monte Carlo run of zero samples, seeds outside the sampler's 64-bit key space
-# [0, 2^64), and an output path that cannot be written; "{tmp}" stands for the
+# [0, 2^64), a subnormal time step t_max / (points - 1) with or without
+# --samples, and an output path that cannot be written; "{tmp}" stands for the
 # test's directory.
 NON_FINITE_ARGV = [
     ["relax", "--omega-a", "nan"],
@@ -310,6 +327,10 @@ NON_FINITE_ARGV = [
     ["relax", "--samples", "50", "--seed", "-1"],
     ["relax", "--samples", "50", "--seed", "18446744073709551616"],
     ["concurrence", "--samples", "50", "--seed", "1180591620717411303424"],
+    ["relax", "--t-max", "1e-306"],
+    ["relax", "--t-max", "1e-306", "--samples", "600"],
+    ["concurrence", "--t-max", "1e-310"],
+    ["concurrence", "--t-max", "1e-310", "--samples", "600"],
     ["relax", "--out", "{tmp}/missing/x.csv"],
 ]
 
@@ -323,6 +344,21 @@ def test_non_finite_input_rejected(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["relax", "concurrence"])
+def test_smallest_normal_time_step_runs_sampled(tmp_path, command):
+    # the smallest t_max that the default 400 points accept also passes the
+    # sampler's grid check, and the float below it is refused by name
+    tiny = sys.float_info.min
+    t_max = 399.0 * tiny
+    while t_max / 399.0 < tiny:
+        t_max = math.nextafter(t_max, math.inf)
+    below = math.nextafter(t_max, 0.0)
+    with pytest.raises(ValueError, match=re.escape(f"got t_max = {below!r} at 400 points")):
+        time_grid(below, 400)
+    assert run([command, "--t-max", repr(t_max), "--samples", "600",
+                "--out", str(tmp_path / "x.csv")]) == EXIT_OK
 
 
 _TC_AXES = ["--alpha-range", "1", "2", "--var-range", "0.5", "1", "--resolution", "2"]

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scenario_gap, solve_batch, two_scenario
+from conftest import find_tc, scenario_gap, solve_batch, two_scenario
+from hensim.analytic import gap_args
 from hensim.ensemble import sample_ensemble
 from hensim.entanglement import (
     TOL,
-    CriticalTime,
     concurrence_trajectory,
     concurrence_x,
-    find_tc,
     find_tc_batch,
 )
 from hensim.validation import (
@@ -201,11 +200,6 @@ class TestFindTc:
             tcs.append(tc)
         assert all(later < earlier for earlier, later in zip(tcs, tcs[1:]))
 
-    def test_result_dataclass(self):
-        res = find_tc(two_scenario(alpha=0.5, var_a=1.0))
-        assert isinstance(res, CriticalTime)
-        assert res.bracket is None
-
 
 def seed_find_tc(s, grid_density=4000, tol=1e-8, verify_points=1000):
     """The scalar solver as it stood before the batch one: one scenario, avg_xstate_two."""
@@ -345,8 +339,27 @@ class TestFindTcBatch:
         # starts at t = 0 and the answer is the zero-frequency cell's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            turning = find_tc_batch(1.0, 0.5, 0.0, 1e-310, 0.16)[0]
-        assert turning == find_tc_batch(1.0, 0.5, 0.0, 0.0, 0.16)[0]
+            turning = find_tc_batch(1.0, 0.5, 0.0, 1e-310, 0.16)
+        zero = find_tc_batch(1.0, 0.5, 0.0, 0.0, 0.16)
+        assert turning.keys() == zero.keys()
+        assert all(np.array_equal(turning[name], zero[name]) for name in zero)
+
+    def test_column_contract(self):
+        # a finite, a "none", a "beyond-horizon" and a turning cell, passed as a
+        # 2 x 2 block: the columns are flat, in C order
+        scenarios = [two_scenario(alpha=1.0, var_a=1.0), two_scenario(alpha=0.5, var_a=1.0),
+                     two_scenario(alpha=0.5000005, var_a=1.0),
+                     two_scenario(omega_a=6.0, var_a=0.5, var_b=0.5)]
+        cols = find_tc_batch(*np.array([gap_args(s) for s in scenarios]).T.reshape(5, 2, 2))
+        assert set(cols) == {"t_c", "lo", "t_max", "status"}
+        assert all(col.shape == (4,) for col in cols.values())
+        assert cols["status"].tolist() == ["finite", "none", "beyond-horizon", "finite"]
+        # NaN exactly where the status leaves a column without a value
+        nan = {name: np.isnan(cols[name]).tolist() for name in ("t_c", "lo", "t_max")}
+        assert nan == {"t_c": [False, True, True, False], "lo": [False, True, True, False],
+                       "t_max": [False, True, False, False]}
+        finite = cols["status"] == "finite"
+        assert np.array_equal(np.nextafter(cols["lo"][finite], np.inf), cols["t_c"][finite])
 
 
 # The paper's two claims over the scenario space, at omega_a = 0 unless stated.
@@ -421,6 +434,7 @@ SCALING_LAW_BOUND = 7 * 2.0**-53
 def test_tc_scaling_law(alpha, var_a, var_b, xy, lam):
     # on these ranges t_c stays below about 1e3, and 1e5 after the slowest
     # scaling: both cells are finite, far inside the 1e6 horizon
-    base, scaled = find_tc_batch(alpha, [var_a, lam * var_a], [var_b, lam * var_b], 0.0, xy)
-    assert base.status == scaled.status == "finite"
-    assert abs(math.sqrt(lam) * scaled.t_c - base.t_c) <= SCALING_LAW_BOUND * base.t_c
+    cols = find_tc_batch(alpha, [var_a, lam * var_a], [var_b, lam * var_b], 0.0, xy)
+    assert cols["status"].tolist() == ["finite", "finite"]
+    base, scaled = cols["t_c"]
+    assert abs(math.sqrt(lam) * scaled - base) <= SCALING_LAW_BOUND * base
