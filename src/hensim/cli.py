@@ -7,9 +7,9 @@ besides its axis flags. Each comes as a flag or from a JSON config file over the
 same keys; flags override file values, and the output metadata echoes exactly
 the command's settings. Exit codes: 0 success, 1 validation failure, 2 bad
 input, one error line (including a malformed flag, inputs that overflow double
-precision, sizes that cannot be allocated and an output path that cannot be
-written). Floats are written with 17 significant digits, so they read back bit
-for bit.
+precision, sizes that cannot be allocated, a tc-map past physical memory and
+an output path that cannot be written). Floats are written with 17 significant
+digits, so they read back bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -26,6 +27,7 @@ import numpy as np
 from hensim.analytic import gap_args, single_trajectory, steady_population
 from hensim.ensemble import CHUNK, RNG, sample_ensemble
 from hensim.entanglement import (
+    CELL_BYTES,
     FINITE,
     STATUSES,
     TOL,
@@ -147,13 +149,37 @@ def format_float(v) -> str:
     return f"{float(v):.17g}"
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a table; cells may be floats or None (emitted as empty)."""
+# Rows formatted and written at a time, so that no formatted copy of a whole
+# table is ever held.
+_BLOCK_ROWS = 512
+
+
+def _cell_texts(col) -> list[str]:
+    """format_float of each cell of a column slice, "" for None; an array holds no None."""
+    if isinstance(col, np.ndarray):
+        return [f"{v:.17g}" for v in col.tolist()]
+    return ["" if v is None else f"{v:.17g}" for v in col]
+
+
+def write_csv(path, columns: dict) -> None:
+    """Write equal-length named columns as a table; cells are numbers or None (emitted as empty).
+
+    The bytes are those csv.writer writes for the same rows, formatted a
+    block of rows at a time, column by column: no formatted cell holds a
+    comma, quote or line break, so none is quoted.
+    """
+    lengths = {len(col) for col in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"columns must have one equal length, got lengths {sorted(lengths)}")
+    (n,) = lengths
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else format_float(v) for v in row])
+        csv.writer(fh).writerow(columns)
+        for i in range(0, n, _BLOCK_ROWS):
+            block = [_cell_texts(col[i:i + _BLOCK_ROWS]) for col in columns.values()]
+            if len(block) == 1:
+                # csv.writer quotes a record that is a single empty field
+                block = [[v or '""' for v in block[0]]]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def write_json(path, payload: dict) -> None:
@@ -170,14 +196,17 @@ def _emit(path, fmt, columns: dict, meta: dict) -> None:
     FORMATS, which merged_config checked before any work was done.
     """
     for name, col in columns.items():
-        if not all(v is None or math.isfinite(v) for v in col):
+        finite = (np.isfinite(col).all() if isinstance(col, np.ndarray)
+                  else all(v is None or math.isfinite(v) for v in col))
+        if not finite:
             raise BadInput(f"column {name!r} has non-finite values: the inputs "
                            "exceed the range of double precision")
     if fmt == "csv":
-        write_csv(path, list(columns), zip(*columns.values(), strict=True))
+        write_csv(path, columns)
         write_json(f"{path}.meta.json", meta)
     else:
-        data = {name: [None if v is None else float(v) for v in col]
+        data = {name: col.tolist() if isinstance(col, np.ndarray)
+                else [None if v is None else float(v) for v in col]
                 for name, col in columns.items()}
         write_json(path, {"meta": meta, "data": data})
 
@@ -244,6 +273,16 @@ def _solver_meta(cells) -> dict:
     }
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    # sysconf returns -1 for a limit it does not know
+    return size * pages if size > 0 and pages > 0 else None
+
+
 def cmd_tc_map(ns) -> int:
     cfg = merged_config(ns)
     # the records of the corners (alpha_lo, var_lo) and (alpha_hi, var_hi) check every range value
@@ -254,6 +293,10 @@ def cmd_tc_map(ns) -> int:
     res = int(ns.resolution)
     if res < 1:
         raise BadInput("resolution must be >= 1")
+    need, memory = res * res * CELL_BYTES, _physical_memory()
+    if memory is not None and need > memory:
+        raise BadInput(f"a {res} x {res} map needs about {need:.3g} bytes, more than the "
+                       f"{memory:.3g} bytes of physical memory")
     alpha, var_a = np.meshgrid(np.linspace(lo.alpha, hi.alpha, res),
                                np.linspace(lo.var_a, hi.var_a, res), indexing="ij")
     _, _, var_b, omega_a, xy = gap_args(lo)

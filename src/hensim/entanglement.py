@@ -46,6 +46,12 @@ TOL = 1e-8
 # Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3 times slower
 # per point, and smaller ones gained nothing.
 _BLOCK_POINTS = 1 << 13
+# Peak memory find_tc_batch takes per cell, rounded up: tracemalloc read 555
+# bytes per cell at 90,000 cells (numpy 2.4). cli.cmd_tc_map budgets a map by it.
+CELL_BYTES = 600
+# Relative half-width of a bracket guessed from a scaled root: 8 units of
+# rounding (u = 2^-53), room for the rounding of the guess and of g.
+_GUESS_SLACK = 8.0 * 2.0**-53
 
 
 def _cell_gap(t, cells):
@@ -81,14 +87,14 @@ def _last_crossings(cells, start, stop):
     return lo, hi
 
 
-def _bisect(cells, lo, hi):
-    """Bisect every bracket in lock-step until lo and hi are adjacent floats; returns (lo, hi).
+def _bisect(cells, lo, hi, j=None):
+    """Bisect the brackets of cells j (default all) in place and in lock-step until lo and hi
+    are adjacent floats; returns (lo, hi).
 
     Keeps g(lo) > 0 >= g(hi) where it held at the start; a NaN g moves hi, so
     the bracket it leaves fails that test.
     """
-    lo, hi = lo.copy(), hi.copy()
-    j = np.arange(len(lo))
+    j = np.arange(len(lo)) if j is None else j
     while len(j):
         mid = 0.5 * (lo[j] + hi[j])
         # the rounded midpoint of adjacent floats is one of them
@@ -98,6 +104,47 @@ def _bisect(cells, lo, hi):
         lo[j[up]] = mid[up]
         hi[j[~up]] = mid[~up]
     return lo, hi
+
+
+def _groups(envelope):
+    """(rep, member): every cell at var_b = 0 that shares (alpha, xy) with an earlier one,
+    and the first cell of its group in C order, its representative."""
+    shared = np.flatnonzero(envelope[2] == 0.0)
+    # lexsort is stable, so each group runs in C order and starts at its representative
+    order = shared[np.lexsort(envelope[np.ix_((4, 0), shared)])]
+    key = envelope[np.ix_((0, 4), order)]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
+    return order[np.flatnonzero(first)[np.cumsum(first) - 1]][~first], order[~first]
+
+
+def _scaled_guesses(envelope, lo, hi, rep, member):
+    """Set each member's bracket to its representative's root hi[rep], scaled to the member's
+    var_a and widened by (1 -+ _GUESS_SLACK), wherever g(lo) > 0 >= g(hi) holds there."""
+    cells = envelope[:, member]
+    # a guess may under- or overflow at extreme variance ratios; such a cell
+    # fails the bracket test and keeps the bracket it had
+    with np.errstate(all="ignore"):
+        guess = hi[rep] * np.sqrt(envelope[1, rep] / cells[1])
+        start, stop = guess * (1.0 - _GUESS_SLACK), guess * (1.0 + _GUESS_SLACK)
+        held = (np.isfinite(guess) & (_cell_gap(start, cells) > 0.0)
+                & (_cell_gap(stop, cells) <= 0.0))
+    lo[member[held]], hi[member[held]] = start[held], stop[held]
+
+
+def _envelope_roots(envelope, horizon):
+    """Bracket (lo, hi) of adjacent floats around each envelope's root below its horizon.
+
+    Groups at var_b = 0 solve their representative on [0, horizon] and bracket
+    the others' scaled guesses, as find_tc_batch describes.
+    """
+    rep, member = _groups(envelope)
+    lo, hi = np.zeros(len(horizon)), horizon.copy()
+    solo = np.ones(len(lo), dtype=bool)
+    solo[member] = False
+    _bisect(envelope, lo, hi, np.flatnonzero(solo))
+    _scaled_guesses(envelope, lo, hi, rep, member)
+    return _bisect(envelope, lo, hi, member)
 
 
 def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
@@ -126,7 +173,25 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     still positive past t = 1e6 the status is "beyond-horizon".
     At omega_a = 0, (lo0, hi0) is the bracket.
 
-    At any other omega_a the window rests on one invariant: the computed
+    At var_b = 0 the envelope depends on var_a only through sqrt(var_a) t:
+    cells that share (alpha, xy) share one root up to a change of time unit,
+    and form a group whose roots scale as 1/sqrt(var_a). Each group's
+    representative, its first cell in C order within the horizon, bisects
+    [0, t_max] as above. Every other cell keeps its own horizon search (so
+    t_max and "beyond-horizon" are its own), guesses t_rep sqrt(v_rep / v)
+    and brackets the guess by (1 -+ 8u), u = 2^-53; if g(lo) > 0 >= g(hi)
+    holds there, it bisects that bracket to adjacent floats in about 5 rounds
+    instead of 60. A guess that under- or overflows, or a bracket that fails,
+    falls back to bisecting [0, t_max]. The computed envelope never rises with
+    t (it reads t only through rounded products with it, and each rounding is
+    monotone), so it changes sign at one pair of adjacent floats, which every
+    bracket that holds bisects to: each cell's columns are bit-identical to
+    those it gets alone, and a group of one is the full solve. Cells with
+    var_b != 0 gain nothing: the ratio var_b / var_a that shapes their
+    envelope changes along the variance axis, so no two of a map's cells
+    share a root.
+
+    At omega_a != 0 the window rests on one invariant: the computed
     g(t; omega_a) is at most the computed g(t; 0) for every float t (see
     analytic.xstate_gap). So g(t; omega_a) <= 0 from hi0 on, and t_c lies in
     [t_k, hi0], where t_k is the last whole phase turn (a multiple of
@@ -167,7 +232,7 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     # beyond the horizon, t_max is the last horizon tried, where g was still positive
     out["t_max"][idx] = np.where(beyond, horizon / 2.0, horizon)
     idx, cells = idx[~beyond], cells[:, ~beyond]
-    lo, hi = _bisect(envelope[:, ~beyond], np.zeros(len(idx)), horizon[~beyond])
+    lo, hi = _envelope_roots(envelope[:, ~beyond], horizon[~beyond])
 
     turning = np.flatnonzero(cells[3] != 0.0)
     w = cells[:, turning]

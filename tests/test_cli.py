@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -34,7 +35,7 @@ class TestTables:
         path = tmp_path / "t.csv"
         header = ["a", "b"]
         rows = [[1.5, None], [-2.25e-17, 3.0]]
-        write_csv(path, header, rows)
+        write_csv(path, {name: [row[i] for row in rows] for i, name in enumerate(header)})
         got_header, cols = read_csv(path)
         assert got_header == header
         assert cols["a"] == [1.5, -2.25e-17]
@@ -57,14 +58,38 @@ def test_emitted_cells_round_trip_bit_for_bit(tmp_path_factory, rows):
     # written by the CLI's CSV and JSON writers
     path = tmp_path_factory.getbasetemp() / "round_trip"
     header = list("abcdefg")
-    write_csv(path, header, rows)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    write_csv(path, columns)
     got_header, cols = read_csv(path)
     assert got_header == header
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     assert all(_bits(cols[name]) == _bits(col) for name, col in columns.items())
     write_json(path, {"data": columns})
     got = json.loads(path.read_text())["data"]
     assert all(_bits(got[name]) == _bits(col) for name, col in columns.items())
+
+
+# all eight columns, and one alone: csv.writer quotes a row that is one empty field
+@pytest.mark.parametrize("header", [[*"abcdefg", "t"], ["g"]], ids=["eight", "one"])
+def test_blocks_write_the_bytes_of_csv_writer(tmp_path, header):
+    # 1,100 rows span three blocks of formatted rows; edge values, -0.0 and
+    # empty cells sit on both sides of each block boundary, in list columns
+    # and (without None) in the array column t
+    rng = np.random.default_rng(11)
+    rows = (rng.normal(size=(1100, 8)) * 10.0 ** rng.integers(-300, 300, (1100, 8))).tolist()
+    for k in (0, 510, 511, 512, 513, 1022, 1023, 1024, 1025, 1099):
+        rows[k][:7] = EDGE_ROW[k % 7:] + EDGE_ROW[:k % 7]
+        rows[k][7] = EDGE_ROW[k % 6]
+    index = {name: i for i, name in enumerate("abcdefgt")}
+    rows = [[row[index[name]] for name in header] for row in rows]
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    if "t" in columns:
+        columns["t"] = np.array(columns["t"])
+    write_csv(tmp_path / "blocks.csv", columns)
+    with open(tmp_path / "stdlib.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([["" if v is None else format_float(v) for v in row] for row in rows])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "stdlib.csv").read_bytes()
 
 
 class TestRelax:
@@ -265,6 +290,18 @@ class TestTcMap:
         assert json.loads((tmp_path / "m.json").read_text())["data"] == cols
         assert cols["tc"].count(None) == 3
 
+    @pytest.mark.parametrize("var_b", ["0", "0.5"])
+    def test_json_data_is_the_csv_cells_bit_for_bit(self, tmp_path, var_b):
+        # 1,225 rows: the CSV is written in three blocks of rows
+        argv = ["tc-map", "--x", "0.2", "--var-eps-b", var_b, "--alpha-range", "0.5", "3",
+                "--var-range", "0.1", "2", "--resolution", "35"]
+        assert run(argv + ["--out", str(tmp_path / "m.csv")]) == EXIT_OK
+        assert run(argv + ["--format", "json", "--out", str(tmp_path / "m.json")]) == EXIT_OK
+        _, cols = read_csv(tmp_path / "m.csv")
+        data = json.loads((tmp_path / "m.json").read_text())["data"]
+        assert data.keys() == cols.keys() == {"alpha", "var_eps_a", "tc"}
+        assert all(_bits(data[name]) == _bits(cols[name]) for name in cols)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_regime_beyond_horizon_leaves_cells_empty(self, tmp_path, fmt):
         out = tmp_path / f"m.{fmt}"
@@ -299,11 +336,11 @@ class TestTcMap:
 
 
 # Non-finite input, input whose results leave double precision, grid sizes
-# numpy refuses to allocate up front (a 7 PiB time grid, a 182 TiB tc-map), a
-# Monte Carlo run of zero samples, seeds outside the sampler's 64-bit key space
-# [0, 2^64), a subnormal time step t_max / (points - 1) with or without
-# --samples, and an output path that cannot be written; "{tmp}" stands for the
-# test's directory.
+# refused up front (a 7 PiB time grid numpy will not allocate, a tc-map past
+# physical memory), a Monte Carlo run of zero samples, seeds outside the
+# sampler's 64-bit key space [0, 2^64), a subnormal time step
+# t_max / (points - 1) with or without --samples, and an output path that
+# cannot be written; "{tmp}" stands for the test's directory.
 NON_FINITE_ARGV = [
     ["relax", "--omega-a", "nan"],
     ["relax", "--alpha", "inf"],
@@ -343,6 +380,25 @@ def test_non_finite_input_rejected(tmp_path, capsys, argv):
     assert run(argv) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no os.sysconf to read memory from")
+@pytest.mark.parametrize("resolution", ["5000000", "1000000000"])
+def test_tc_map_past_physical_memory_refused_before_any_grid(tmp_path, capsys, monkeypatch,
+                                                              resolution):
+    # only sizes the budget refuses up front: 1.5e16 and 6e20 bytes of solver
+    # memory, past any machine's; building a grid would fail the test
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = tmp_path / "m.csv"
+    assert run(["tc-map", "--alpha-range", "0.5", "3", "--var-range", "0.1", "2",
+                "--resolution", resolution, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a {resolution} x {resolution} map needs about ")
+    assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import find_tc, scenario_gap, solve_batch, two_scenario
@@ -438,3 +438,36 @@ def test_tc_scaling_law(alpha, var_a, var_b, xy, lam):
     assert cols["status"].tolist() == ["finite", "finite"]
     base, scaled = cols["t_c"]
     assert abs(math.sqrt(lam) * scaled - base) <= SCALING_LAW_BOUND * base
+
+
+# A grid's rows share alpha and x, so at var_b = 0 each row is one group whose
+# cells bracket a guess scaled from its first cell's root. Variances over 40
+# decades reach roots past the horizon; the examples at alpha = 1e160 reach
+# a subnormal root, whose guessed bracket fails, and variance ratios of
+# 1e+-600, whose guesses under- and overflow: those cells fall back to the
+# full bisection. Bit i of ``turning`` (``transverse``) gives cell i an
+# omega_a (a var_b) of its own; omega_a only at var_a >= 1e-6 and alpha <= 10,
+# since a root near 1e10 leaves the last whole phase turn inexact in floats,
+# and the solver refuses such a cell alone or in a batch.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=40)
+@given(alphas=st.lists(ALPHAS, min_size=1, max_size=3),
+       var_exps=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=5),
+       x=XS, turning=st.integers(0, 2**15 - 1), transverse=st.integers(0, 2**15 - 1))
+@example(alphas=[1e160], var_exps=[300.0, -300.0, math.log10(0.5)], x=0.2, turning=0,
+         transverse=0)
+@example(alphas=[1e160, 2.0], var_exps=[-300.0, 300.0, 0.0], x=0.2, turning=0b100000,
+         transverse=0b10)
+@example(alphas=[1e160], var_exps=[math.log10(0.5), 300.0], x=0.2, turning=0, transverse=0)
+def test_grouped_cells_are_bit_identical_to_solving_alone(alphas, var_exps, x, turning,
+                                                           transverse):
+    grid = [two_scenario(alpha=a, var_a=10.0**e, x=x,
+                         omega_a=3.0 if turning >> i & 1 and a <= 10.0 and e >= -6.0 else 0.0,
+                         var_b=0.5 if transverse >> i & 1 else 0.0)
+            for i, (a, e) in enumerate((a, e) for a in alphas for e in var_exps)]
+    cols = find_tc_batch(*np.array([gap_args(s) for s in grid]).T.reshape(5, len(alphas), -1))
+    for i, s in enumerate(grid):
+        alone = find_tc_batch(*gap_args(s))
+        assert alone["status"].tolist() == cols["status"][i:i + 1].tolist()
+        for name in ("lo", "t_c", "t_max"):
+            assert alone[name].tobytes() == cols[name][i:i + 1].tobytes(), (name, s)
