@@ -60,7 +60,8 @@ def _decay(x):
 
     Without the floor the tails underflow into subnormals, on which exp and
     every later product run several times slower; the floor moves g by less
-    than 1e-130.
+    than 1e-130. It also hides the roots of g where c^2 sqrt(xy) is about
+    1e-130 or less: there the floored |z| stays above sqrt(a d) for all t.
     """
     return np.exp(-np.minimum(x, 300.0))
 
@@ -74,7 +75,9 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     """g(t) = |z| - sqrt(a d) of the averaged X state in real arithmetic; C = 2 max(0, g).
 
     With P = (1 - 1/2a) exp(-(a + 1/2)^2 va t^2/2) and
-    M = (1 + 1/2a) exp(-(a - 1/2)^2 va t^2/2):
+    M = (1 + 1/2a) exp(-(a - 1/2)^2 va t^2/2), whose factors are formed as
+    (a -+ 1/2) / a and c^2 = 1 - 1/4a^2 as their product (a - 1/2 is exact
+    for a <= 1, so nothing cancels near a = 1/2):
 
         |z| = (1/4) exp(-vb t^2/2) sqrt(P^2 + M^2 + 2 P M cos(2 a wa t))
         sqrt(a d) = (1/4) c^2 sqrt(xy) |1 - cos(2 a wa t) exp(-2 a^2 va t^2)|
@@ -83,10 +86,12 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     so per-cell parameters of shape (cells, 1) meet a (cells, points) time grid.
     hensim.validation checks it against the complex averaged X state, avg_xstate_two.
     """
-    inv2a = 0.5 / np.asarray(alpha, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    above, below = alpha + 0.5, alpha - 0.5
+    p_amp, m_amp = below / alpha, above / alpha
     sa = np.sqrt(0.5 * var_a) * t  # alpha_k^2 va t^2 / 2 = square(alpha_k sa)
-    p = (1.0 - inv2a) * _decay(np.square((alpha + 0.5) * sa))
-    m = (1.0 + inv2a) * _decay(np.square((alpha - 0.5) * sa))
+    p = p_amp * _decay(np.square(above * sa))
+    m = m_amp * _decay(np.square(below * sa))
     # cos(0) and exp(0) are exactly 1, so skipping them changes no bit
     turning = np.any(omega_a)
     cos_term = np.cos(alpha * (2.0 * omega_a * t)) if turning else 1.0
@@ -100,7 +105,7 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     relax = -np.expm1(-x)
     if turning:
         relax = relax + (1.0 - cos_term) * _decay(x)
-    return z_abs - 0.25 * (1.0 - inv2a * inv2a) * np.sqrt(xy) * relax
+    return z_abs - 0.25 * (p_amp * m_amp) * np.sqrt(xy) * relax
 
 
 def single_trajectory(s: SingleQubitScenario, grid) -> dict[str, np.ndarray]:

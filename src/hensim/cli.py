@@ -265,11 +265,11 @@ def cmd_concurrence(ns) -> int:
 
 def _solver_meta(cells) -> dict:
     """Map-wide solver diagnostics for the output metadata; the table itself stays alpha, var, t_c."""
-    horizons = cells["t_max"][cells["status"] == FINITE].tolist()
+    bounds = cells["t_max"][cells["status"] == FINITE].tolist()
     return {
         "tol": TOL,
         "status_counts": {st: int(np.count_nonzero(cells["status"] == st)) for st in STATUSES},
-        "t_max_range": [min(horizons), max(horizons)] if horizons else None,
+        "t_max_range": [min(bounds), max(bounds)] if bounds else None,
     }
 
 

@@ -30,17 +30,18 @@ def concurrence_trajectory(s, grid) -> np.ndarray:
 
 FINITE = "finite"
 NO_SUDDEN_DEATH = "none"
-BEYOND_HORIZON = "beyond-horizon"
-STATUSES = (FINITE, NO_SUDDEN_DEATH, BEYOND_HORIZON)
+UNRESOLVED = "unresolved"
+STATUSES = (FINITE, NO_SUDDEN_DEATH, UNRESOLVED)
 
-# The automatic horizon search gives up once t_max would exceed this.
-_HORIZON = 1e6
 # Points of the scan grid over the last phase turn, for omega_a != 0.
 _GRID_DENSITY = 4000
-# Stated bound on |t_c - root|. Bisection narrows each bracket to adjacent
-# floats, far below it; the slack covers a reference t_c taken from the top
-# end of a bracket up to this wide.
-TOL = 1e-8
+# Stated bound |t_c - root| <= TOL t_c at omega_a = 0, where analytic._decay's
+# floor does not act. Rounding moves the computed ln|z| and ln sqrt(a d) by a
+# few u = 2^-53 plus about 4u times their slopes in ln t; at the root the slope
+# of their difference is at least 2 ln 2 ((1/4) exp(-(delta^2 va + vb) t^2 / 2)
+# <= |z| = sqrt(a d) < 1/8). So the computed root lies within about 10u t_c of
+# the root, and t_c one float (2u) above it: TOL leaves a margin of 4.
+TOL = 1e-14
 # Scan grids are evaluated a block of cells at a time, about this many points
 # per array, so memory stays flat however many cells there are. On a 2-core
 # Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3 times slower
@@ -132,21 +133,6 @@ def _scaled_guesses(envelope, lo, hi, rep, member):
     lo[member[held]], hi[member[held]] = start[held], stop[held]
 
 
-def _envelope_roots(envelope, horizon):
-    """Bracket (lo, hi) of adjacent floats around each envelope's root below its horizon.
-
-    Groups at var_b = 0 solve their representative on [0, horizon] and bracket
-    the others' scaled guesses, as find_tc_batch describes.
-    """
-    rep, member = _groups(envelope)
-    lo, hi = np.zeros(len(horizon)), horizon.copy()
-    solo = np.ones(len(lo), dtype=bool)
-    solo[member] = False
-    _bisect(envelope, lo, hi, np.flatnonzero(solo))
-    _scaled_guesses(envelope, lo, hi, rep, member)
-    return _bisect(envelope, lo, hi, member)
-
-
 def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     """Critical disentanglement times of many cells, solved together, as named columns.
 
@@ -158,38 +144,43 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
 
     It returns four equal-length columns, one entry per cell in C order.
     ``status`` is one of STATUSES: "finite", "none" (no sudden death: alpha =
-    1/2, no longitudinal noise or a pure auxiliary mixture) or "beyond-horizon"
-    (the zero-frequency gap, which bounds g from above, is still positive at
-    the largest automatic horizon). ``lo`` and ``t_c`` are adjacent floats with
-    g(lo) > 0 >= g(t_c), t_c within TOL of the root; both are NaN unless finite.
-    ``t_max`` is the horizon bracketed (for "beyond-horizon", the last one
-    tried), NaN for "none".
+    1/2, no longitudinal noise or a pure auxiliary mixture) or "unresolved"
+    (below). ``lo`` and ``t_c`` are adjacent floats with g(lo) > 0 >= g(t_c),
+    |t_c - root| <= TOL t_c; both are NaN unless finite. ``t_max`` is the
+    bound T below, NaN for "none".
 
     Every cell is first solved on its envelope g(t; 0), its own gap with
     omega_a set to 0. The envelope falls strictly from g(0) = 1/2 (any var_b),
-    so its root t_c0 is unique: the horizon t_max is found by doubling from
-    twice the time sqrt(a d) takes to settle until g(t_max; 0) < 0, and
-    [0, t_max] is bisected to adjacent floats (lo0, hi0). If the envelope is
-    still positive past t = 1e6 the status is "beyond-horizon".
+    so its root t_c0 is unique. With delta = alpha - 1/2, |z| <= (1/2)
+    exp(-(delta^2 va + vb) t^2 / 2), as P + M <= 2 exp(-delta^2 va t^2 / 2)
+    (see analytic.xstate_gap), and sqrt(a d) >= (1/8) c^2 sqrt(xy) once
+    exp(-2 alpha^2 va t^2) <= 1/2. So g(t; 0) <= 0 for every t >= T,
+
+        T = max(sqrt(ln 2 / 2) / (alpha sqrt(va)),
+                sqrt(2 ln(4 / (c^2 sqrt(xy)))) / sqrt(delta^2 va + vb)),
+
+    taken 1e-12 relative and 16 of the smallest subnormals wider for
+    rounding. The status is "finite" where the computed g(T; 0) <= 0, and
+    [0, T] is bisected to adjacent floats (lo0, hi0). It is "unresolved"
+    where rounding hides the root: the decay floor of analytic._decay at
+    c^2 sqrt(xy) below about 1e-130, or va / 2 rounding to 0 at va = 5e-324.
     At omega_a = 0, (lo0, hi0) is the bracket.
 
     At var_b = 0 the envelope depends on var_a only through sqrt(var_a) t:
     cells that share (alpha, xy) share one root up to a change of time unit,
     and form a group whose roots scale as 1/sqrt(var_a). Each group's
-    representative, its first cell in C order within the horizon, bisects
-    [0, t_max] as above. Every other cell keeps its own horizon search (so
-    t_max and "beyond-horizon" are its own), guesses t_rep sqrt(v_rep / v)
-    and brackets the guess by (1 -+ 8u), u = 2^-53; if g(lo) > 0 >= g(hi)
-    holds there, it bisects that bracket to adjacent floats in about 5 rounds
-    instead of 60. A guess that under- or overflows, or a bracket that fails,
-    falls back to bisecting [0, t_max]. The computed envelope never rises with
-    t (it reads t only through rounded products with it, and each rounding is
-    monotone), so it changes sign at one pair of adjacent floats, which every
-    bracket that holds bisects to: each cell's columns are bit-identical to
-    those it gets alone, and a group of one is the full solve. Cells with
-    var_b != 0 gain nothing: the ratio var_b / var_a that shapes their
-    envelope changes along the variance axis, so no two of a map's cells
-    share a root.
+    representative, its first finite cell in C order, bisects [0, T] as
+    above. Every other cell guesses t_rep sqrt(v_rep / v) and brackets the
+    guess by (1 -+ 8u), u = 2^-53; if g(lo) > 0 >= g(hi) holds there, it
+    bisects that bracket to adjacent floats in about 5 rounds instead of 60.
+    A guess that under- or overflows, or a bracket that fails, falls back to
+    bisecting [0, T]. The computed envelope never rises with t (it reads t
+    only through rounded products with it, and each rounding is monotone), so
+    it changes sign at one pair of adjacent floats, which every bracket that
+    holds bisects to: each cell's columns are bit-identical to those it gets
+    alone, and a group of one is the full solve. Cells with var_b != 0 gain
+    nothing: the ratio var_b / var_a that shapes their envelope changes along
+    the variance axis, so no two of a map's cells share a root.
 
     At omega_a != 0 the window rests on one invariant: the computed
     g(t; omega_a) is at most the computed g(t; 0) for every float t (see
@@ -207,32 +198,34 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     """
     params = np.array(np.broadcast_arrays(alpha, var_a, var_b, omega_a, xy),
                       dtype=float).reshape(5, -1)
-    alpha, va, xy = params[0], params[1], params[4]
     out = {name: np.full(params.shape[1], np.nan) for name in ("t_c", "lo", "t_max")}
     # an object column: a string one as wide as "none" would cut "finite" to "fini"
     out["status"] = np.full(params.shape[1], NO_SUDDEN_DEATH, dtype=object)
-    idx = np.flatnonzero(~((alpha == 0.5) | (va == 0.0) | (xy == 0.0)))
+    idx = np.flatnonzero((params[0] != 0.5) & (params[1] != 0.0) & (params[4] != 0.0))
     cells = params[:, idx]
+    alpha, va, vb, _, xy = cells
+    # T, divided one factor at a time and summed by hypot so that nothing
+    # overflows (alpha sqrt(va) = inf would make it 0)
+    delta = alpha - 0.5
+    k = np.sqrt(2.0 * np.log(4.0 / (delta / alpha * ((alpha + 0.5) / alpha)) / np.sqrt(xy)))
+    t_max = (1.0 + 1e-12) * np.maximum(math.sqrt(math.log(2.0) / 2.0) / alpha / np.sqrt(va),
+                                       k / delta / np.hypot(np.sqrt(va), np.sqrt(vb) / delta))
+    t_max += 16 * 5e-324
     envelope = cells.copy()
     envelope[3] = 0.0
-
-    # sqrt(a d) approaches its asymptote like exp(-2 alpha^2 va t^2);
-    # t_settle is the 99% point of that envelope
-    t_settle = np.sqrt(math.log(1e2) / 2.0) / (alpha[idx] * np.sqrt(va[idx]))
-    horizon = np.maximum(2.0 * t_settle, 1.0)
-    beyond = np.zeros(len(idx), dtype=bool)
-    pending = np.arange(len(idx))
-    while len(pending):
-        grow = pending[_cell_gap(horizon[pending], envelope[:, pending]) >= 0.0]
-        horizon[grow] *= 2.0
-        over = horizon[grow] > _HORIZON
-        beyond[grow[over]] = True
-        pending = grow[~over]
-    out["status"][idx] = np.where(beyond, BEYOND_HORIZON, FINITE)
-    # beyond the horizon, t_max is the last horizon tried, where g was still positive
-    out["t_max"][idx] = np.where(beyond, horizon / 2.0, horizon)
-    idx, cells = idx[~beyond], cells[:, ~beyond]
-    lo, hi = _envelope_roots(envelope[:, ~beyond], horizon[~beyond])
+    finite = _cell_gap(t_max, envelope) <= 0.0
+    out["status"][idx] = np.where(finite, FINITE, UNRESOLVED)
+    out["t_max"][idx] = t_max
+    idx, cells, envelope, hi = idx[finite], cells[:, finite], envelope[:, finite], t_max[finite]
+    # the envelope roots: a group member at var_b = 0 (see above) bisects its
+    # scaled guess where that bracket holds, every other cell [0, T]
+    lo = np.zeros(len(idx))
+    rep, member = _groups(envelope)
+    solo = np.ones(len(lo), dtype=bool)
+    solo[member] = False
+    _bisect(envelope, lo, hi, np.flatnonzero(solo))
+    _scaled_guesses(envelope, lo, hi, rep, member)
+    _bisect(envelope, lo, hi, member)
 
     turning = np.flatnonzero(cells[3] != 0.0)
     w = cells[:, turning]

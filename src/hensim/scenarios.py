@@ -26,11 +26,12 @@ def _require_finite(**values):
 def coupling_c(alpha: float) -> float:
     """Amplitude factor sqrt(1 - 1/(4 alpha^2)) of the coupling law: in [0, 1) for any finite alpha.
 
-    Formed from r = 1/(2 alpha), which cannot overflow; it rounds to 1.0
-    in double precision from alpha of about 7e7 on.
+    Formed as the product of (alpha -+ 1/2) / alpha, which cannot overflow
+    and, since alpha - 1/2 is exact for alpha <= 1, does not cancel near
+    alpha = 1/2; it rounds to 1.0 in double precision from alpha of about
+    7e7 on.
     """
-    r = 0.5 / alpha
-    return math.sqrt((1.0 - r) * (1.0 + r))
+    return math.sqrt((alpha - 0.5) / alpha * ((alpha + 0.5) / alpha))
 
 
 def _check_model(s, variances):

@@ -451,11 +451,11 @@ def check_tc_bracket(n_cases: int, rng) -> float:
     and at any other omega_a it stays at most the zero-frequency gap, whose
     root t_c0 ends the one phase turn that is scanned. This measures what
     those proofs promise, on one batch of gap_oracle_scenario cells with
-    var_b = 0 in every other one and omega_a = 0 in every other pair (so
-    alpha near 1/2 also reaches "beyond-horizon", which is skipped). Each
-    sweep covers [t_c, t_max] at omega_a = 0 and [t_c, t_c0] elsewhere, t_c0
-    from solving the cell's zero-frequency twin in the same batch. Returns
-    inf if some bracket fails g(lo) > 0 >= g(hi).
+    var_b = 0 in every other one and omega_a = 0 in every other pair. Each
+    sweep covers [t_c, T] at omega_a = 0, T the solver's closed-form bound
+    (its t_max), and [t_c, t_c0] elsewhere, t_c0 from solving the cell's
+    zero-frequency twin in the same batch. Returns inf if some bracket fails
+    g(lo) > 0 >= g(hi).
     """
 
     def cell(i):

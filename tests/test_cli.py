@@ -17,7 +17,7 @@ import hensim
 from conftest import find_tc, read_csv, thermal_population, two_scenario
 from hensim.analytic import gap_args
 from hensim.cli import EXIT_BAD_INPUT, EXIT_OK, format_float, main, write_csv, write_json
-from hensim.entanglement import STATUSES, find_tc_batch
+from hensim.entanglement import STATUSES, TOL, find_tc_batch
 from hensim.scenarios import time_grid
 
 
@@ -266,10 +266,10 @@ class TestTcMap:
         header, cols = read_csv(out)
         assert header == ["alpha", "var_eps_a", "tc"]
         solver = json.loads((tmp_path / "tc.csv.meta.json").read_text())["solver"]
-        assert solver["tol"] == 1e-8
-        assert solver["status_counts"] == {"finite": 6, "none": 3, "beyond-horizon": 0}
+        assert solver["tol"] == TOL
+        assert solver["status_counts"] == {"finite": 6, "none": 3, "unresolved": 0}
         lo, hi = solver["t_max_range"]
-        assert 1.0 <= lo <= hi and max(tc for tc in cols["tc"] if tc is not None) < hi
+        assert 0.0 < lo <= hi and max(tc for tc in cols["tc"] if tc is not None) < hi
 
     def test_each_cell_is_the_solver_answer_for_its_scenario(self, tmp_path):
         out = tmp_path / "tc.csv"
@@ -303,36 +303,41 @@ class TestTcMap:
         assert all(_bits(data[name]) == _bits(cols[name]) for name in cols)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_regime_beyond_horizon_leaves_cells_empty(self, tmp_path, fmt):
-        out = tmp_path / f"m.{fmt}"
-        code = run(["tc-map", "--x", "0.2", "--alpha-range", "0.5", "0.500001",
-                    "--var-range", "0.1", "2", "--resolution", "3", "--format", fmt,
-                    "--out", str(out)])
-        assert code == EXIT_OK
-        counts = {"finite": 0, "none": 3, "beyond-horizon": 6}
-        if fmt == "csv":
-            _, cols = read_csv(out)
-            meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+    def test_unresolved_regime_leaves_cells_empty(self, tmp_path, fmt):
+        def tc_map(*argv):
+            out = tmp_path / f"m.{fmt}"
+            assert run(["tc-map", *argv, "--var-range", "0.1", "2", "--resolution", "3",
+                        "--format", fmt, "--out", str(out)]) == EXIT_OK
+            if fmt == "json":
+                payload = json.loads(out.read_text())
+                return payload["data"], payload["meta"]["solver"]
             assert "nan" not in out.read_text().lower()
-        else:
-            payload = json.loads(out.read_text())
-            cols, meta = payload["data"], payload["meta"]
+            return read_csv(out)[1], json.loads((tmp_path / "m.csv.meta.json").read_text())["solver"]
+
+        # roots from about 4e6 to 3e7 next to alpha = 1/2, past any fixed horizon
+        cols, solver = tc_map("--x", "0.2", "--alpha-range", "0.5", "0.500001")
+        assert cols["tc"][:3] == [None] * 3 and all(tc > 1e6 for tc in cols["tc"][3:])
+        assert solver["status_counts"] == {"finite": 6, "none": 3, "unresolved": 0}
+        # at x = 1e-280 the decay floor keeps |z| above sqrt(a d): no root resolves
+        cols, solver = tc_map("--x", "1e-280", "--alpha-range", "1", "2")
         assert cols["tc"] == [None] * 9
-        assert meta["solver"]["status_counts"] == counts
-        assert meta["solver"]["t_max_range"] is None
+        assert solver["status_counts"] == {"finite": 0, "none": 0, "unresolved": 9}
+        assert solver["t_max_range"] is None
 
     def test_status_counts_are_the_solver_column_counts(self, tmp_path):
-        # alpha = 1/2 is "none", var_a = 0.1 next to it "beyond-horizon", the rest finite
+        # alpha = 1/2 is "none"; at sqrt(xy) = 1.26e-130, c^2 sqrt(xy) lies below
+        # the decay floor's 1.03e-130 at alpha = 1 ("unresolved") and above it
+        # at alpha = 3/2 (finite)
         out = tmp_path / "m.csv"
-        assert run(["tc-map", "--x", "0.2", "--alpha-range", "0.5", "0.500001",
+        assert run(["tc-map", "--x", "1.6e-260", "--alpha-range", "0.5", "1.5",
                     "--var-range", "0.1", "1e12", "--resolution", "3", "--out", str(out)]) == EXIT_OK
         _, cols = read_csv(out)
         counts = json.loads((tmp_path / "m.csv.meta.json").read_text())["solver"]["status_counts"]
-        _, _, var_b, omega_a, xy = gap_args(two_scenario(x=0.2))
+        _, _, var_b, omega_a, xy = gap_args(two_scenario(x=1.6e-260))
         status = find_tc_batch(cols["alpha"], cols["var_eps_a"], var_b, omega_a, xy)["status"]
         assert counts == {st: status.tolist().count(st) for st in STATUSES}
-        assert counts == {"finite": 4, "none": 3, "beyond-horizon": 2}
-        assert cols["tc"].count(None) == counts["none"] + counts["beyond-horizon"]
+        assert counts == {"finite": 3, "none": 3, "unresolved": 3}
+        assert cols["tc"].count(None) == counts["none"] + counts["unresolved"]
 
 
 # Non-finite input, input whose results leave double precision, grid sizes
@@ -525,6 +530,15 @@ LARGE_ALPHA_ROWS = [
       "--resolution", "2"], None),
     (["tc-map", "--x", "0.2", "--alpha-range", "1e160", "1e160", "--var-range", "0", "2",
       "--resolution", "2"], None),
+    # one-cell maps whose t_c is pinned bit for bit: alpha sqrt(var_a) or
+    # (alpha - 1/2)^2 var_a overflows (a bound on t_c formed naively would be 0),
+    # and roots of 1 and 2 subnormal units
+    *((["tc-map", "--x", "0.2", "--alpha-range", alpha, alpha, "--var-range", var, var,
+        "--resolution", "1"], {"tc": [tc]})
+      for alpha, var, tc in [("1e308", "100", 1.795009207101734e-309),
+                             ("1e200", "1e250", 5e-324),
+                             ("1e160", "2", 1.2692631826339237e-160),
+                             ("1e308", "4e30", 1e-323)]),
 ]
 
 
@@ -537,10 +551,11 @@ def test_large_alpha_reaches_its_limit(tmp_path, monkeypatch, argv, limits):
     _, cols = read_csv(out)
     assert all(v is None or math.isfinite(v) for col in cols.values() for v in col)
     if argv[0] == "tc-map":
-        # t_c -> 0, resolved to the solver's 1e-8; no sudden death without longitudinal noise
+        # t_c -> 0; no sudden death without longitudinal noise
         for var, tc in zip(cols["var_eps_a"], cols["tc"]):
             assert (tc is None) == (var == 0.0)
             assert tc is None or 0.0 < tc <= 1e-8
+        assert limits is None or cols["tc"] == limits["tc"]
         return
     for name, limit in limits.items():
         for col in (name, name + "_mc"):
