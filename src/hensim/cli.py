@@ -7,9 +7,10 @@ besides its axis flags. Each comes as a flag or from a JSON config file over the
 same keys; flags override file values, and the output metadata echoes exactly
 the command's settings. Exit codes: 0 success, 1 validation failure, 2 bad
 input, one error line (including a malformed flag, inputs that overflow double
-precision, sizes that cannot be allocated, a tc-map past physical memory and
-an output path that cannot be written). Floats are written with 17 significant
-digits, so they read back bit for bit.
+precision, sizes that cannot be allocated, a tc-map or a Monte Carlo run's
+sampler workspaces past physical memory and an output path that cannot be
+written). Floats are written with 17 significant digits, so they read back
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import warnings
 import numpy as np
 
 from hensim.analytic import gap_args, single_trajectory, steady_population
-from hensim.ensemble import CHUNK, RNG, sample_ensemble
+from hensim.ensemble import CHUNK, RNG, sample_ensemble, worker_count, workspace_bytes
 from hensim.entanglement import (
     CELL_BYTES,
     FINITE,
@@ -235,9 +236,23 @@ def _thermal_meta(s: SingleQubitScenario) -> dict:
             "beta_delta": math.log1p(-p) - math.log(p) if p > 0.0 else None}
 
 
+def _check_sampler_memory(cfg, s) -> None:
+    """Refuse a sampled run whose threads' workspaces (ensemble.workspace_bytes) exceed physical
+    memory, before any grid is built; the sampler and time_grid refuse a bad n or point count."""
+    n, points = cfg["samples"], int(cfg["points"])
+    if n is None or n < 1 or points < 2:
+        return
+    workers = worker_count(-(-n // CHUNK))
+    need, memory = workers * workspace_bytes(s, n, points), _physical_memory()
+    if memory is not None and need > memory:
+        raise BadInput(f"{workers} sampler thread(s) at {points} points need about {need:.3g} bytes "
+                       f"of workspace, more than the {memory:.3g} bytes of physical memory")
+
+
 def cmd_relax(ns) -> int:
     cfg = merged_config(ns)
     s = _single_scenario(cfg)
+    _check_sampler_memory(cfg, s)
     grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
     analytic = single_trajectory(s, grid)
     columns = {"t": grid, **analytic}
@@ -254,6 +269,7 @@ def cmd_concurrence(ns) -> int:
     cfg = merged_config(ns)
     s = _two_scenario(cfg, omega_a=float(cfg["omega_a"]), alpha=float(cfg["alpha"]),
                       var_a=float(cfg["var_eps_a"]))
+    _check_sampler_memory(cfg, s)
     grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
     columns = {"t": grid, "C": concurrence_trajectory(s, grid)}
     if cfg["samples"] is not None:

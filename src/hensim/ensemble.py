@@ -4,12 +4,21 @@ Each realization costs O(1) per time point through the closed forms below,
 which take a uniform time grid from 0 and build each phase from about
 2 sqrt(N) sin/cos pairs for N points; the dense Hamiltonians, propagators and
 matrix exponential they are checked against live in hensim.validation.
+
+A realization carries three reals per point, one real and one complex column:
+rho_pp and rho_pm for one working qubit, gamma^2 and z for the X state of two,
+whose a, b, c and d are affine in gamma^2 (xstate_diagonal). A sampler chunk
+reduces only those, and sample_ensemble maps the means and standard errors
+onto the named columns. The kernels write into a workspace (workspace) that
+each sampler thread allocates once per call, min(CHUNK, n) rows by M B points,
+the grid padded to whole blocks; workspace_bytes gives its size.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -66,63 +75,93 @@ def _phase_table(out, theta, h, scale=1.0):
     np.multiply(coarse[:, :, None], fine[:, None, :], out=out)
 
 
-def evolve_single_realization(eps, grid, s: SingleQubitScenario):
-    """Real columns (rho_pp, re rho_pm, im rho_pm) of the working qubit on a uniform grid from 0.
+def workspace(s, rows: int, points: int) -> tuple[np.ndarray, ...]:
+    """The buffers a kernel writes into for up to ``rows`` realizations on a ``points``-point grid.
+
+    One real and one complex (rows, M B) array, and for a TwoQubitScenario a
+    second complex one: M B = ceil(points / B) B, B = ceil(sqrt(points)), is
+    the grid padded to whole blocks (_blocks). The kernels' columns are views
+    of these buffers, so they hold only until the next kernel call on the
+    same workspace. workspace_bytes gives their size.
+    """
+    m, b = _blocks(points)
+    return (np.empty((rows, m * b)),
+            *(np.empty((rows, m * b), dtype=complex) for _ in range(_OBSERVABLES[type(s)][2])))
+
+
+def workspace_bytes(s, n: int, points: int) -> int:
+    """Bytes of the workspace that each sampler thread allocates for an n-realization run.
+
+    Its rows are min(CHUNK, n) by M B points (workspace): 8 + 16 bytes per
+    point for a SingleQubitScenario and 8 + 2 * 16 for a TwoQubitScenario.
+    """
+    m, b = _blocks(points)
+    return min(CHUNK, n) * m * b * (8 + 16 * _OBSERVABLES[type(s)][2])
+
+
+def evolve_single_realization(eps, grid, s: SingleQubitScenario, ws):
+    """Columns (rho_pp, rho_pm) of the working qubit on a uniform grid from 0, real and complex.
 
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
     rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). The grid must be
     t_k = k h with h = grid[1] (what sample_ensemble checks); eps is a scalar
     or a column (R, 1), and the columns have its shape broadcast against the
-    grid's. They agree with the propagator + partial-trace route to 1e-10.
+    grid's. They are views of the first R rows of ``ws``, a workspace(s, R',
+    N) with R' >= R, and agree with the propagator + partial-trace route to
+    1e-10.
     """
-    # sin_b and the complex w, padded to M B columns, are the only full-size
-    # buffers; the columns are views of them
     grid = np.asarray(grid, dtype=float)
     shape = np.broadcast_shapes(np.shape(eps), grid.shape)
     rows, (m, b) = math.prod(shape[:-1]), _blocks(grid.size)
-    sin_b, w = np.empty((rows, m * b)), np.empty((rows, m * b), dtype=complex)
+    sin_b, w = (v[:rows] for v in ws)
     c = coupling_c(s.alpha)
     _phase_table(w.reshape(rows, m, b), s.alpha * (eps - s.omega_a), grid[1])
     np.copyto(sin_b, w.imag)
     _phase_table(w.reshape(rows, m, b), -0.5 * (eps + s.omega_a), grid[1],
                  -1j * c * s.xb * np.conj(s.yb))
-    w.real *= sin_b
-    w.imag *= sin_b
+    w *= sin_b
     np.square(sin_b, out=sin_b)
     sin_b *= c**2 * abs(s.xb) ** 2
-    return tuple(v[:, :grid.size].reshape(shape) for v in (sin_b, w.real, w.imag))
+    return tuple(v[:, :grid.size].reshape(shape) for v in (sin_b, w))
 
 
-def evolve_two_realization(eps_a, eps_b, grid, s: TwoQubitScenario):
-    """Real columns (a, b, c, d, re z, im z) of the two working qubits' X state on a uniform grid from 0.
+def evolve_two_realization(eps_a, eps_b, grid, s: TwoQubitScenario, ws):
+    """Columns (gamma^2, z) of the two working qubits' X state on a uniform grid from 0, real and complex.
 
-    With gamma = sin(alpha (omega_a - eps_a) t), a = x c^2 gamma^2 / 2,
-    d = y c^2 gamma^2 / 2, b = (x + y)/2 - d, c = (x + y)/2 - a, and
+    With gamma = sin(alpha (omega_a - eps_a) t), the diagonal (a, b, c, d) is
+    affine in gamma^2 (xstate_diagonal), and
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
-    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The grid and the
-    spacings are as in evolve_single_realization. The columns agree with the
-    8x8 propagator + partial-trace route to 1e-10.
+    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The grid, the
+    spacings and ``ws`` are as in evolve_single_realization; ws's second
+    complex buffer holds cos - i gamma / (2 alpha). The X state agrees with
+    the 8x8 propagator + partial-trace route to 1e-10.
     """
-    # six reals per point, padded to M B columns: the complex u and z, a and c
     grid = np.asarray(grid, dtype=float)
     shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), grid.shape)
     rows, (m, blk) = math.prod(shape[:-1]), _blocks(grid.size)
-    c2 = coupling_c(s.alpha) ** 2
-    h = 0.5 * (s.x + s.y)
-    u, z = (np.empty((rows, m * blk), dtype=complex) for _ in range(2))
-    a, c_el = np.empty((rows, m * blk)), np.empty((rows, m * blk))
+    gamma2, z, u = (v[:rows] for v in ws)
     _phase_table(u.reshape(rows, m, blk), s.alpha * (s.omega_a - eps_a), grid[1])
-    np.square(u.imag, out=a)
+    np.square(u.imag, out=gamma2)
     u.imag /= -2.0 * s.alpha  # u = cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)
     _phase_table(z.reshape(rows, m, blk), -0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b),
-                 grid[1], h)
+                 grid[1], 0.5 * (s.x + s.y))
     z *= u
-    d = np.multiply(a, 0.5 * s.y * c2, out=u.imag)
-    a *= 0.5 * s.x * c2
-    b = np.subtract(h, d, out=u.real)
-    np.subtract(h, a, out=c_el)
-    return tuple(v[:, :grid.size].reshape(shape) for v in (a, b, c_el, d, z.real, z.imag))
+    return tuple(v[:, :grid.size].reshape(shape) for v in (gamma2, z))
+
+
+def xstate_diagonal(gamma2, s: TwoQubitScenario):
+    """(a, b, c, d) of the X state at gamma^2 (evolve_two_realization's real column).
+
+    a = x c^2 gamma^2 / 2, d = y c^2 gamma^2 / 2, b = (x + y)/2 - d and
+    c = (x + y)/2 - a: affine in gamma^2, so the mean of gamma^2 maps onto the
+    means of all four, and its standard error, scaled by x c^2 / 2 and
+    y c^2 / 2, is that of a and c and that of b and d.
+    """
+    c2 = coupling_c(s.alpha) ** 2
+    h = 0.5 * (s.x + s.y)
+    a, d = 0.5 * s.x * c2 * gamma2, 0.5 * s.y * c2 * gamma2
+    return a, h - d, h - a, d
 
 
 def _mix64(z):
@@ -179,15 +218,33 @@ def _uniform_grid(grid) -> np.ndarray:
     return g
 
 
+def _single_columns(s, pp, pm):
+    """Named columns of the working qubit from the (mean, se) of rho_pp and of rho_pm's interleaved reals."""
+    return {"rho_pp": pp[0], "rho_pp_se": pp[1],
+            "re_rho_pm": pm[0][0::2], "re_rho_pm_se": pm[1][0::2],
+            "im_rho_pm": pm[0][1::2], "im_rho_pm_se": pm[1][1::2]}
+
+
+def _two_columns(s, gamma2, z):
+    """Named columns of the X state from the (mean, se) of gamma^2 and of z's interleaved reals.
+
+    a and d are gamma^2 scaled, so gamma^2's standard error scaled alike is
+    theirs; b and c are constants minus d and a, so b's is d's and c's is a's.
+    """
+    a, b, c, d = xstate_diagonal(gamma2[0], s)
+    a_se, _, _, d_se = xstate_diagonal(gamma2[1], s)
+    return {"a": a, "a_se": a_se, "b": b, "b_se": d_se, "c": c, "c_se": a_se, "d": d, "d_se": d_se,
+            "re_z": z[0][0::2], "re_z_se": z[1][0::2], "im_z": z[0][1::2], "im_z_se": z[1][1::2]}
+
+
 # scenario type: (name of its kernel in this module, variance fields of the
-# spacings drawn per realization in this order, names of the real columns that
-# the kernel returns). The kernel is looked up when the sampler runs, so that a
-# wrapper installed over it (a tracer, say) sees its calls.
+# spacings drawn per realization in this order, complex buffers of its
+# workspace, the named columns from the (mean, se) of its real and complex
+# column). The kernel is looked up when the sampler runs, so that
+# a wrapper installed over it (a tracer, say) sees its calls.
 _OBSERVABLES = {
-    SingleQubitScenario: ("evolve_single_realization", ("var",),
-                          ("rho_pp", "re_rho_pm", "im_rho_pm")),
-    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"),
-                       ("a", "b", "c", "d", "re_z", "im_z")),
+    SingleQubitScenario: ("evolve_single_realization", ("var",), 1, _single_columns),
+    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), 2, _two_columns),
 }
 
 
@@ -195,13 +252,22 @@ def sample_ensemble(s, n: int, master_seed: int, grid) -> dict[str, np.ndarray]:
     """Named columns of the mean over n realizations, with standard errors in ``<name>_se``.
 
     The observable follows from the scenario type: the working qubit's
-    elements for a SingleQubitScenario, the X state for a TwoQubitScenario.
-    The grid must be uniform from 0, t_k = k grid[1], as np.linspace(0, t, N)
-    is; any other grid is refused with a ValueError. On it the kernels form
-    each realization's phases from about B + N/B sin/cos pairs instead of N,
-    B = ceil(sqrt(N)). Chunks of CHUNK realizations run (possibly
-    concurrently) and are combined in chunk order, so the output is
-    bit-identical for any worker count.
+    elements (rho_pp, re_rho_pm, im_rho_pm) for a SingleQubitScenario, the X
+    state (a, b, c, d, re_z, im_z) for a TwoQubitScenario. The grid must be
+    uniform from 0, t_k = k grid[1], as np.linspace(0, t, N) is; any other
+    grid is refused with a ValueError. On it the kernels form each
+    realization's phases from about B + N/B sin/cos pairs instead of N,
+    B = ceil(sqrt(N)).
+
+    Chunks of CHUNK realizations run (possibly concurrently) and are combined
+    in chunk order, so the output is bit-identical for any worker count. A
+    chunk reduces only the reals a realization carries: its kernel's real
+    column and its complex column read as 2N interleaved reals, three reals
+    per point. Each worker thread allocates one workspace of min(CHUNK, n)
+    rows by M B points per call (workspace_bytes) and reuses it for all its
+    chunks; a short last chunk takes its first rows. The two-qubit a, b, c
+    and d and their standard errors follow from the mean and standard error
+    of gamma^2 (xstate_diagonal).
     The master seed must lie in [0, 2^64), the key space of standard_normals.
     """
     if n < 1:
@@ -209,16 +275,20 @@ def sample_ensemble(s, n: int, master_seed: int, grid) -> dict[str, np.ndarray]:
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
     grid = _uniform_grid(grid)
-    kernel, fields, names = _OBSERVABLES[type(s)]
+    kernel, fields, _, named = _OBSERVABLES[type(s)]
     evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]
     bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
+    local = threading.local()
 
     def run(chunk):
         # rows are realizations start..stop-1, one spacing per variance each
         start, stop = chunk
+        if not hasattr(local, "ws"):
+            local.ws = workspace(s, min(CHUNK, n), grid.size)
         z = standard_normals(master_seed, start, stop, len(sigmas))
-        vals = evolve(*(sigma * zk[:, None] for sigma, zk in zip(sigmas, z)), grid, s)
+        real, cplx = evolve(*(sigma * zk[:, None] for sigma, zk in zip(sigmas, z)), grid, s, local.ws)
+        vals = (real, cplx.view(float))
         count = stop - start
         sums = [v.sum(axis=0) for v in vals]
         # squared deviations about the chunk mean, in place (no sum(x^2) - n mean^2 cancellation)
@@ -236,10 +306,9 @@ def sample_ensemble(s, n: int, master_seed: int, grid) -> dict[str, np.ndarray]:
 
     # Fixed chunk order: the mean from the chunk sums, the squared deviations
     # as within-chunk plus between-chunk parts about that mean.
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(names):
+    stats = []
+    for j in range(2):
         mean = sum(sums[j] for _, sums, _ in partials) / n
         m2 = sum(m2s[j] + count * (sums[j] / count - mean) ** 2 for count, sums, m2s in partials)
-        columns[name] = mean
-        columns[name + "_se"] = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(grid)
-    return columns
+        stats.append((mean, np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)))
+    return named(s, *stats)

@@ -34,7 +34,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from hensim.analytic import avg_population_single, gap_args, xstate_gap
-from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble
+from hensim.ensemble import (
+    evolve_single_realization,
+    evolve_two_realization,
+    sample_ensemble,
+    workspace,
+    xstate_diagonal,
+)
 from hensim.entanglement import FINITE, concurrence, concurrence_x, find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c
 
@@ -377,20 +383,22 @@ def check_two_qubit_oracle(n_cases: int, rng) -> float:
     scenarios, eps_a, eps_b, t = _cases(rng, n_cases, _two_scenario, TWO_RANGES,
                                         eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
     # each case at the 2-point grid [0, t], whose phases are the pointwise ones
-    cols = [evolve_two_realization(ea, eb, [0.0, tc], s)
+    cols = [evolve_two_realization(ea, eb, [0.0, tc], s, workspace(s, 1, 2))
             for ea, eb, tc, s in zip(eps_a.tolist(), eps_b.tolist(), t.tolist(), scenarios)]
-    a, b, c, d, re_z, im_z = np.array(cols)[:, :, 1].T
-    closed = xstate_matrix(XState(a, b, c, d, z=re_z + 1j * im_z))
+    # the kernel gives gamma^2 and z; the diagonal (a, b, c, d) is affine in gamma^2
+    diagonal = np.array([xstate_diagonal(gamma2[1], s) for (gamma2, _), s in zip(cols, scenarios)])
+    closed = xstate_matrix(XState(*diagonal.T, z=np.array([z[1] for _, z in cols])))
     return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, stack_scenarios(scenarios))).max())
 
 
 def check_single_elements_oracle(n_cases: int, rng) -> float:
     """Max deviation of the closed-form single-qubit elements from the propagator + partial-trace route."""
     scenarios, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    pp, re_pm, im_pm = np.array([evolve_single_realization(e, [0.0, tc], s) for e, tc, s in zip(
-        eps.tolist(), t.tolist(), scenarios)])[:, :, 1].T
+    cols = [evolve_single_realization(e, [0.0, tc], s, workspace(s, 1, 2))
+            for e, tc, s in zip(eps.tolist(), t.tolist(), scenarios)]
+    pp, pm = (np.array([col[i][1] for col in cols]) for i in range(2))
     opp, opm = single_oracle_elements(eps, t, stack_scenarios(scenarios))
-    return float(max(np.abs(pp - opp).max(), np.abs(re_pm + 1j * im_pm - opm).max()))
+    return float(max(np.abs(pp - opp).max(), np.abs(pm - opm).max()))
 
 
 def check_concurrence_dual_path(n_cases: int, rng) -> float:

@@ -407,6 +407,35 @@ def test_tc_map_past_physical_memory_refused_before_any_grid(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["relax", "concurrence"])
+def test_sampler_workspace_past_physical_memory_refused_before_any_grid(tmp_path, capsys, monkeypatch,
+                                                                      command, workers):
+    # a machine of 1 MB: 2,000 samples at 400 points take a 512 x 400 workspace
+    # of 4.9 MB (relax) or 8.2 MB (concurrence) per thread, refused up front
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setenv("HENSIM_WORKERS", workers)
+    monkeypatch.setattr("hensim.cli._physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr("hensim.cli.time_grid", no_grid)
+    out = tmp_path / "mc.csv"
+    assert run([command, "--samples", "2000", "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {workers} sampler thread(s) at 400 points need about ")
+    assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["relax", "concurrence"])
+def test_sampler_budget_leaves_analytic_runs_and_fitting_runs_alone(tmp_path, monkeypatch, command):
+    # the analytic columns use no workspace; 10 samples at 400 points take a
+    # 10 x 400 one of at most 164 kB
+    monkeypatch.setattr("hensim.cli._physical_memory", lambda: 1 << 20)
+    assert run([command, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+    assert run([command, "--samples", "10", "--out", str(tmp_path / "mc.csv")]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["relax", "concurrence"])
 def test_smallest_normal_time_step_runs_sampled(tmp_path, command):
     # the smallest t_max that the default 400 points accept also passes the

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 
@@ -17,6 +18,9 @@ from hensim.ensemble import (
     sample_ensemble,
     standard_normals,
     worker_count,
+    workspace,
+    workspace_bytes,
+    xstate_diagonal,
 )
 from hensim.scenarios import SingleQubitScenario, coupling_c
 from hensim.validation import (
@@ -39,11 +43,17 @@ from hensim.validation import (
 U = 2.0**-53  # unit roundoff
 
 
+def kernel(s, *eps, grid):
+    """The scenario's kernel on the spacings ``eps``, in a workspace of exactly its rows."""
+    evolve = evolve_single_realization if isinstance(s, SingleQubitScenario) else evolve_two_realization
+    grid = np.asarray(grid, dtype=float)
+    rows = math.prod(np.broadcast_shapes(*map(np.shape, eps), grid.shape)[:-1])
+    return evolve(*eps, grid, s, workspace(s, rows, grid.size))
+
+
 def single_elements(eps, grid, s):
-    """(rho_pp, rho_pm) of one realization on a uniform grid, with the complex rho_pm built
-    from its real columns."""
-    pp, re_pm, im_pm = evolve_single_realization(eps, grid, s)
-    return pp, re_pm + 1j * im_pm
+    """(rho_pp, rho_pm) of one realization on a uniform grid."""
+    return kernel(s, eps, grid=grid)
 
 
 def single_at(eps, t, s):
@@ -52,9 +62,9 @@ def single_at(eps, t, s):
 
 
 def two_xstate(eps_a, eps_b, grid, s) -> XState:
-    """X state of one realization on a uniform grid, with the complex z built from its real columns."""
-    a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, grid, s)
-    return XState(a, b, c, d, z=re_z + 1j * im_z)
+    """X state of one realization on a uniform grid, its diagonal from the kernel's gamma^2."""
+    gamma2, z = kernel(s, eps_a, eps_b, grid=grid)
+    return XState(*xstate_diagonal(gamma2, s), z=z)
 
 
 def two_at(eps_a, eps_b, t, s) -> XState:
@@ -283,9 +293,9 @@ class TestRealKernels:
                                     s.yb * np.exp(1j * rng.uniform(0, 6.3)), s.var)
             eps, ts = rng.uniform(-5, 5, size=(8, 1)), rng.uniform(0, 10, size=12)
             for t in ts:
-                pp, re_pm, im_pm = (v[:, 1:] for v in evolve_single_realization(eps, [0.0, t], s))
+                pp, pm = (v[:, 1:] for v in single_elements(eps, [0.0, t], s))
                 opp, opm = complex_single(eps, t, s)
-                worst = max(worst, np.abs(pp - opp).max(), np.abs(re_pm + 1j * im_pm - opm).max())
+                worst = max(worst, np.abs(pp - opp).max(), np.abs(pm - opm).max())
         assert worst <= 1e-15
 
     def test_two_matches_complex_form(self, rng):
@@ -295,11 +305,10 @@ class TestRealKernels:
             eps_a, eps_b = rng.uniform(-5, 5, size=(2, 8, 1))
             ts = rng.uniform(0, 10, size=12)
             for t in ts:
-                cols = evolve_two_realization(eps_a, eps_b, [0.0, t], s)
-                a, b, c, d, re_z, im_z = (v[:, 1:] for v in cols)
+                xs = two_xstate(eps_a, eps_b, [0.0, t], s)
                 oa, ob, oc, od, oz = complex_two(eps_a, eps_b, t, s)
-                worst = max(worst, *(np.abs(x - y).max() for x, y in
-                                     ((a, oa), (b, ob), (c, oc), (d, od), (re_z + 1j * im_z, oz))))
+                worst = max(worst, *(np.abs(getattr(xs, name)[:, 1:] - y).max() for name, y in
+                                     zip("abcdz", (oa, ob, oc, od, oz))))
         assert worst <= 1e-15
 
     # On a whole grid each phase lies within _phase_table's bound
@@ -314,12 +323,12 @@ class TestRealKernels:
         for _ in range(20):
             s = random_single_scenario(rng)
             eps, grid = rng.uniform(-5, 5, size=(8, 1)), np.linspace(0.0, rng.uniform(0.5, 10), n)
-            pp, re_pm, im_pm = evolve_single_realization(eps, grid, s)
+            pp, pm = single_elements(eps, grid, s)
             opp, opm = complex_single(eps, grid, s)
             theta = np.abs(s.alpha * (eps - s.omega_a)) + np.abs(0.5 * (eps + s.omega_a))
             bound = (8.0 * theta * grid + 30.0) * U
             assert np.all(np.abs(pp - opp) <= bound)
-            assert np.all(np.abs(re_pm + 1j * im_pm - opm) <= bound)
+            assert np.all(np.abs(pm - opm) <= bound)
 
     @pytest.mark.parametrize("n", [2, 21, 400, 401])
     def test_two_grid_matches_complex_form(self, rng, n):
@@ -327,29 +336,34 @@ class TestRealKernels:
             s = random_two_scenario(rng)
             eps_a, eps_b = rng.uniform(-5, 5, size=(2, 8, 1))
             grid = np.linspace(0.0, rng.uniform(0.5, 10), n)
-            a, b, c, d, re_z, im_z = evolve_two_realization(eps_a, eps_b, grid, s)
+            xs = two_xstate(eps_a, eps_b, grid, s)
             oa, ob, oc, od, oz = complex_two(eps_a, eps_b, grid, s)
             theta = (np.abs(s.alpha * (s.omega_a - eps_a))
                      + np.abs(0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b)))
             bound = (8.0 * theta * grid + 30.0) * U
-            for x, y in ((a, oa), (b, ob), (c, oc), (d, od), (re_z + 1j * im_z, oz)):
-                assert np.all(np.abs(x - y) <= bound)
+            for name, y in zip("abcdz", (oa, ob, oc, od, oz)):
+                assert np.all(np.abs(getattr(xs, name) - y) <= bound)
 
     @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401])
     def test_columns_are_grid_shaped_views_of_padded_buffers(self, n):
-        # scalar spacings give (n,) columns and a column of R spacings (R, n).
-        # Every column is a view into the kernel's buffers, which hold as many
-        # reals per point as it has columns, over at most n + B - 1 points
+        # scalar spacings give (n,) columns and a column of R spacings (R, n):
+        # one real and one complex column, views of the first R rows of the
+        # workspace's first two buffers, which pad the grid to at most
+        # n + B - 1 points and take workspace_bytes between them
         grid = np.linspace(0.0, 3.0, n)
         m, b = _blocks(n)
         assert n <= m * b <= n + b - 1
-        for kernel, k, s in ((evolve_single_realization, 1, single_scenario()),
-                             (evolve_two_realization, 2, two_scenario(var_b=0.5))):
-            assert all(v.shape == (n,) for v in kernel(*[0.7] * k, grid, s))
-            cols = kernel(*[np.full((5, 1), 0.7)] * k, grid, s)
-            assert all(v.shape == (5, n) and v.base is not None for v in cols)
-            owners = {id(v.base): v.base for v in cols}.values()
-            assert sum(o.nbytes for o in owners) == len(cols) * 5 * m * b * 8
+        for evolve, k, s, reals in ((evolve_single_realization, 1, single_scenario(), 3),
+                                    (evolve_two_realization, 2, two_scenario(var_b=0.5), 5)):
+            ws = workspace(s, 8, n)
+            assert all(v.shape == (8, m * b) and v.flags.c_contiguous for v in ws)
+            assert sum(v.nbytes for v in ws) == reals * 8 * m * b * 8 == workspace_bytes(s, 8, n)
+            cols = evolve(*[0.7] * k, grid, s, ws)
+            assert [v.shape for v in cols] == [(n,), (n,)]
+            cols = evolve(*[np.full((5, 1), 0.7)] * k, grid, s, ws)
+            assert [(v.shape, v.dtype.kind) for v in cols] == [((5, n), "f"), ((5, n), "c")]
+            for col, buf in zip(cols, ws):
+                assert np.shares_memory(col, buf[:5]) and not np.shares_memory(col, buf[5:])
 
 
 class TestPhaseTable:
@@ -451,6 +465,39 @@ class TestSampleEnsemble:
             results.append(sample_ensemble(s, 2000, 77, grid))
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_two_qubit_uneven_last_chunk_matches_direct_statistics(self, monkeypatch, workers):
+        # 700 = 512 + 188 realizations: the last chunk runs on the first 188
+        # rows of a workspace. Each of the 12 columns is the direct mean or
+        # standard error over the same draws, to a few ulps
+        monkeypatch.setenv("HENSIM_WORKERS", workers)
+        s, n, grid = two_scenario(omega_a=1.5, alpha=1.7, x=0.3, var_b=0.4), 700, np.linspace(0, 5, 400)
+        mc = sample_ensemble(s, n, 61, grid)
+        za, zb = standard_normals(61, 0, n, 2)
+        gamma2, z = kernel(s, math.sqrt(s.var_a) * za[:, None], math.sqrt(s.var_b) * zb[:, None], grid=grid)
+        direct = dict(zip("abcd", xstate_diagonal(gamma2, s)), re_z=z.real, im_z=z.imag)
+        for name, v in direct.items():
+            assert np.abs(mc[name] - v.mean(axis=0)).max() <= 1e-15, name
+            assert np.abs(mc[name + "_se"] - v.std(axis=0, ddof=1) / math.sqrt(n)).max() <= 1e-15, name
+        assert np.array_equal(mc["b_se"], mc["d_se"]) and np.array_equal(mc["c_se"], mc["a_se"])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_thread_allocates_one_workspace_per_call(self, monkeypatch, workers):
+        # 5 chunks on `workers` threads: one workspace of min(CHUNK, n) rows each
+        monkeypatch.setenv("HENSIM_WORKERS", str(workers))
+        made = []
+
+        def counted(s, rows, points):
+            made.append(rows)
+            return workspace(s, rows, points)
+
+        monkeypatch.setattr("hensim.ensemble.workspace", counted)
+        sample_ensemble(two_scenario(var_b=0.5), 4 * CHUNK + 100, 3, np.linspace(0, 5, 30))
+        assert 1 <= len(made) <= workers and set(made) == {CHUNK}
+        made.clear()
+        sample_ensemble(single_scenario(), 100, 3, np.linspace(0, 5, 30))
+        assert made == [100]
 
     # sample_ensemble returns bare columns; the provenance of a sampled run is
     # the meta that the CLI writes beside them
