@@ -37,7 +37,6 @@ from hensim.entanglement import (
     find_tc_batch,
 )
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, time_grid
-from hensim.validation import run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -328,6 +327,9 @@ def cmd_tc_map(ns) -> int:
 
 
 def cmd_validate(ns) -> int:
+    # the oracle suite is imported here, so that no other command pays its import
+    from hensim.validation import run_suite
+
     results = run_suite(ns.level)
     ok = True
     for name, passed, detail in results:

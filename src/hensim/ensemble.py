@@ -44,13 +44,14 @@ def _blocks(n: int) -> tuple[int, int]:
 
 
 def _phase_table(out, theta, h, scale=1.0):
-    """Fill ``out``, a complex (R, M, B) view, with scale e^{i theta_r t_k}, t_k = k h, k = B m + j.
+    """Fill ``out``, a complex (R, M, B) view, with scale e^{i theta_r t_k}, t_k = k h_r, k = B m + j.
 
-    theta is a scalar or an (R, 1) column, one angular frequency per row.
-    Entry (r, m, j) is the product of a coarse factor scale e^{i theta_r fl(B m h)}
-    and a fine one e^{i theta_r fl(j h)}: M + B sin/cos pairs per row instead
+    theta, h and scale are each a scalar or an (R, 1) column, one value per
+    row; a column h gives each row its own grid, a stack of cases.
+    Entry (r, m, j) is the product of a coarse factor scale_r e^{i theta_r fl(B m h_r)}
+    and a fine one e^{i theta_r fl(j h_r)}: M + B sin/cos pairs per row instead
     of M B, and one complex multiply per point. Each time is an integer times
-    h, rounded once, like np.linspace(0, t, n)[k].
+    h_r, rounded once, like np.linspace(0, t, n)[k].
 
     Bound, with u = 2^-53: at every point, |out - scale exp(1j theta t_k)|
     <= |scale| (4 |theta| t_k + 11) u against the pointwise exponential on a
@@ -105,25 +106,27 @@ def evolve_single_realization(eps, grid, s: SingleQubitScenario, ws):
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
     rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). The grid must be
-    t_k = k h with h = grid[1] (what sample_ensemble checks); eps is a scalar
-    or a column (R, 1), and the columns have its shape broadcast against the
-    grid's. They are views of the first R rows of ``ws``, a workspace(s, R',
-    N) with R' >= R, and agree with the propagator + partial-trace route to
-    1e-10.
+    t_k = k h with h = grid[..., 1] (what sample_ensemble checks). It is one
+    grid (N,), or a stack (R, N) of R grids, one step per row; eps is a
+    scalar or a column (R, 1), and s is a record or a stack whose fields are
+    scalars or (R, 1) columns (validation.stack_scenarios). The columns have
+    the broadcast shape of eps and the grid, (N,) or (R, N). They are views
+    of the first R rows of ``ws``, a workspace(record, R', N) with R' >= R,
+    and agree with the propagator + partial-trace route to 1e-10.
     """
     grid = np.asarray(grid, dtype=float)
     shape = np.broadcast_shapes(np.shape(eps), grid.shape)
-    rows, (m, b) = math.prod(shape[:-1]), _blocks(grid.size)
+    rows, (m, b), h = math.prod(shape[:-1]), _blocks(grid.shape[-1]), grid[..., 1:2]
     sin_b, w = (v[:rows] for v in ws)
     c = coupling_c(s.alpha)
-    _phase_table(w.reshape(rows, m, b), s.alpha * (eps - s.omega_a), grid[1])
+    _phase_table(w.reshape(rows, m, b), s.alpha * (eps - s.omega_a), h)
     np.copyto(sin_b, w.imag)
-    _phase_table(w.reshape(rows, m, b), -0.5 * (eps + s.omega_a), grid[1],
+    _phase_table(w.reshape(rows, m, b), -0.5 * (eps + s.omega_a), h,
                  -1j * c * s.xb * np.conj(s.yb))
     w *= sin_b
     np.square(sin_b, out=sin_b)
     sin_b *= c**2 * abs(s.xb) ** 2
-    return tuple(v[:, :grid.size].reshape(shape) for v in (sin_b, w))
+    return tuple(v[:, :grid.shape[-1]].reshape(shape) for v in (sin_b, w))
 
 
 def evolve_two_realization(eps_a, eps_b, grid, s: TwoQubitScenario, ws):
@@ -132,22 +135,23 @@ def evolve_two_realization(eps_a, eps_b, grid, s: TwoQubitScenario, ws):
     With gamma = sin(alpha (omega_a - eps_a) t), the diagonal (a, b, c, d) is
     affine in gamma^2 (xstate_diagonal), and
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
-    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The grid, the
-    spacings and ``ws`` are as in evolve_single_realization; ws's second
-    complex buffer holds cos - i gamma / (2 alpha). The X state agrees with
-    the 8x8 propagator + partial-trace route to 1e-10.
+    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The grid (N,) or
+    (R, N), the spacings, the record or stack s (whose stack carries y) and
+    ``ws`` are as in evolve_single_realization; ws's second complex buffer
+    holds cos - i gamma / (2 alpha). The X state agrees with the 8x8
+    propagator + partial-trace route to 1e-10.
     """
     grid = np.asarray(grid, dtype=float)
     shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), grid.shape)
-    rows, (m, blk) = math.prod(shape[:-1]), _blocks(grid.size)
+    rows, (m, blk), h = math.prod(shape[:-1]), _blocks(grid.shape[-1]), grid[..., 1:2]
     gamma2, z, u = (v[:rows] for v in ws)
-    _phase_table(u.reshape(rows, m, blk), s.alpha * (s.omega_a - eps_a), grid[1])
+    _phase_table(u.reshape(rows, m, blk), s.alpha * (s.omega_a - eps_a), h)
     np.square(u.imag, out=gamma2)
     u.imag /= -2.0 * s.alpha  # u = cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)
     _phase_table(z.reshape(rows, m, blk), -0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b),
-                 grid[1], 0.5 * (s.x + s.y))
+                 h, 0.5 * (s.x + s.y))
     z *= u
-    return tuple(v[:, :grid.size].reshape(shape) for v in (gamma2, z))
+    return tuple(v[:, :grid.shape[-1]].reshape(shape) for v in (gamma2, z))
 
 
 def xstate_diagonal(gamma2, s: TwoQubitScenario):
@@ -157,6 +161,7 @@ def xstate_diagonal(gamma2, s: TwoQubitScenario):
     c = (x + y)/2 - a: affine in gamma^2, so the mean of gamma^2 maps onto the
     means of all four, and its standard error, scaled by x c^2 / 2 and
     y c^2 / 2, is that of a and c and that of b and d.
+    s may also be a stack whose (R, 1) field columns meet gamma^2 of shape (R, N).
     """
     c2 = coupling_c(s.alpha) ** 2
     h = 0.5 * (s.x + s.y)

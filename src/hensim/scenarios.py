@@ -8,7 +8,6 @@ constructed they can be shared freely across workers.
 from __future__ import annotations
 
 import cmath
-import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -23,15 +22,16 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def coupling_c(alpha: float) -> float:
+def coupling_c(alpha):
     """Amplitude factor sqrt(1 - 1/(4 alpha^2)) of the coupling law: in [0, 1) for any finite alpha.
 
-    Formed as the product of (alpha -+ 1/2) / alpha, which cannot overflow
-    and, since alpha - 1/2 is exact for alpha <= 1, does not cancel near
+    alpha is a scalar or an array, one value per scenario of a stack. Formed
+    as the product of (alpha -+ 1/2) / alpha, which cannot overflow and,
+    since alpha - 1/2 is exact for alpha <= 1, does not cancel near
     alpha = 1/2; it rounds to 1.0 in double precision from alpha of about
     7e7 on.
     """
-    return math.sqrt((alpha - 0.5) / alpha * ((alpha + 0.5) / alpha))
+    return np.sqrt((alpha - 0.5) / alpha * ((alpha + 0.5) / alpha))
 
 
 def _check_model(s, variances):

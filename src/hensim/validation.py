@@ -17,8 +17,12 @@ module only for `validate`. The dense functions act on one matrix (n, n) or a st
   (auxiliary qubit first), so tracing out subsystem 0 leaves (A1, B1).
 
 Each check_* draws its cases from the generator (or master seed) it is given
-and returns the measured deviation; the dense side of a check is one call on
-the stack of all its cases. run_suite holds every check's name, seed, case
+and returns the measured deviation. A per-case check makes one call per side
+on the stack of all its cases: the closed forms and the realization kernels
+take a stack_scenarios stack (its fields as (R, 1) columns where each case has
+a grid of its own) as the dense oracle does. check_specializations alone runs
+case by case, as stacking its 257-point grids would cost more memory than the
+time it would save. run_suite holds every check's name, seed, case
 count and bound, and turns them into the (name, passed, detail) lines of the
 CLI `validate` report. The acceptance tests call the same checks with their
 own seeds and bounds.
@@ -216,14 +220,29 @@ def xstate_matrix(elems) -> np.ndarray:
 
 
 def coupling_strength(eps: float, alpha: float, omega_a: float) -> float:
-    """f(eps) = sqrt(alpha^2 - 1/4) (eps - omega_a); real-valued."""
-    return np.sqrt(alpha**2 - 0.25) * (eps - omega_a)
+    """f(eps) = sqrt(alpha^2 - 1/4) (eps - omega_a); real-valued.
+
+    np.square, here and in propagator_single_closed, rounds a scalar as it
+    rounds each entry of a stack; a float's ** 2 can round an ulp apart, and
+    the phase E t would carry that ulp.
+    """
+    return np.sqrt(np.square(alpha) - 0.25) * (eps - omega_a)
 
 
 def stack_scenarios(records) -> SimpleNamespace:
-    """Scenario records of one type as one ``s`` whose fields are arrays over the records."""
-    return SimpleNamespace(**{f.name: np.array([getattr(r, f.name) for r in records])
-                              for f in fields(records[0])})
+    """Scenario records of one type as one ``s`` whose fields are arrays (R,) over the R records.
+
+    A stack of TwoQubitScenario records also carries y, each record's y.
+    """
+    names = [f.name for f in fields(records[0])]
+    if isinstance(records[0], TwoQubitScenario):
+        names.append("y")
+    return SimpleNamespace(**{name: np.array([getattr(r, name) for r in records]) for name in names})
+
+
+def _columns(s) -> SimpleNamespace:
+    """A stack's fields as (R, 1) columns, to meet per-case rows (R, N) such as a stack of grids."""
+    return SimpleNamespace(**{name: v[:, None] for name, v in vars(s).items()})
 
 
 def _per_matrix(*values):
@@ -242,24 +261,26 @@ def build_h_single(eps, s: SingleQubitScenario) -> np.ndarray:
     return 0.5 * (omega_a * _Z_A + eps * _Z_B) + f * _FLIP_AB
 
 
-def propagator_single_closed(eps: float, t: float, s: SingleQubitScenario) -> np.ndarray:
+def propagator_single_closed(eps, t, s: SingleQubitScenario) -> np.ndarray:
     """Closed-form evolution operator for build_h_single, block by block.
 
     The {|+->, |-+>} block rotates with energy E = sqrt((omega_a - eps)^2/4 + f^2);
     |++> and |--> pick up pure phases exp(-+ i (omega_a + eps) t / 2).
+    eps, t and s's fields may be arrays (s a stack_scenarios stack); they
+    broadcast to a stack shape S, and the result is (*S, 4, 4).
     """
     f = coupling_strength(eps, s.alpha, s.omega_a)
     half_det = 0.5 * (s.omega_a - eps)
-    e = np.sqrt(half_det**2 + f**2)
+    e = np.sqrt(np.square(half_det) + np.square(f))
     cos_et = np.cos(e * t)
     sfac = t * np.sinc(e * t / np.pi)  # sin(E t) / E, whose limit at E = 0 is t
-    u = np.zeros((4, 4), dtype=complex)
+    u = np.zeros(np.shape(cos_et) + (4, 4), dtype=complex)
     phase = 0.5 * (s.omega_a + eps) * t
-    u[0, 0] = np.exp(-1j * phase)
-    u[3, 3] = np.exp(1j * phase)
-    u[1, 1] = cos_et - 1j * sfac * half_det
-    u[2, 2] = cos_et + 1j * sfac * half_det
-    u[1, 2] = u[2, 1] = -1j * sfac * f
+    u[..., 0, 0] = np.exp(-1j * phase)
+    u[..., 3, 3] = np.exp(1j * phase)
+    u[..., 1, 1] = cos_et - 1j * sfac * half_det
+    u[..., 2, 2] = cos_et + 1j * sfac * half_det
+    u[..., 1, 2] = u[..., 2, 1] = -1j * sfac * f
     return u
 
 
@@ -326,11 +347,13 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
 
     The CLI evaluates the real-only analytic.xstate_gap instead; this form is
     what check_gap_closed_form and check_concurrence_dual_path compare it with.
+    t and s's fields broadcast: a stack's (R,) fields meet one t per case
+    (R,), and its (R, 1) columns meet a time grid (N,).
     """
     t = np.asarray(t, dtype=float)
     alpha = s.alpha
     c2 = coupling_c(alpha) ** 2
-    sa, sb = math.sqrt(s.var_a) * t, math.sqrt(s.var_b) * t
+    sa, sb = np.sqrt(s.var_a) * t, np.sqrt(s.var_b) * t
     wa, wb = s.omega_a, s.omega_b
     relax = 1.0 - np.cos(2.0 * alpha * wa * t) * np.exp(-2.0 * np.square(alpha * sa))
     a = 0.25 * s.x * c2 * relax
@@ -351,16 +374,17 @@ def special_zero_va(t, s: TwoQubitScenario):
     Without longitudinal noise there is no relaxation; check_specializations
     compares this case with the general averages.
     Transverse noise (var_b) only damps |z|; alpha = 1/2 gives sqrt(a d) = 0.
+    Stacks as avg_xstate_two does.
     """
-    if s.var_a != 0.0:
+    if np.any(s.var_a != 0.0):
         raise ValueError("var_a must be zero for this special case")
     t = np.asarray(t, dtype=float)
     alpha = s.alpha
     inv4a2 = (0.5 / alpha) ** 2
     cos_term = np.cos(2.0 * alpha * s.omega_a * t)
-    z_abs = ((math.sqrt(2.0) / 4.0) * np.exp(-0.5 * np.square(math.sqrt(s.var_b) * t))
+    z_abs = ((math.sqrt(2.0) / 4.0) * np.exp(-0.5 * np.square(np.sqrt(s.var_b) * t))
              * np.sqrt(1.0 + inv4a2 + (1.0 - inv4a2) * cos_term))
-    ad_root = math.sqrt(s.x * s.y) * 0.25 * (1.0 - inv4a2) * (1.0 - cos_term)
+    ad_root = np.sqrt(s.x * s.y) * 0.25 * (1.0 - inv4a2) * (1.0 - cos_term)
     return z_abs, ad_root
 
 
@@ -373,31 +397,39 @@ def _cases(rng, n_cases: int, make, ranges: dict, **extra):
 def check_propagator_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form propagator from the eigendecomposition exponential."""
     scenarios, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    closed = np.array([propagator_single_closed(*case) for case in zip(eps.tolist(), t.tolist(), scenarios)])
-    oracle = matrix_exponential(build_h_single(eps, stack_scenarios(scenarios)), t)
+    s = stack_scenarios(scenarios)
+    closed = propagator_single_closed(eps, t, s)
+    oracle = matrix_exponential(build_h_single(eps, s), t)
     return float(np.abs(closed - oracle).max())
+
+
+def _endpoints(t) -> np.ndarray:
+    """The 2-point grids [0, t_r] of a stack of cases, as the rows of (R, 2).
+
+    A kernel's phases on such a grid are the pointwise ones at t_r.
+    """
+    return t[:, None] * [0.0, 1.0]
 
 
 def check_two_qubit_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form X-state elements from the 8x8 propagator route."""
     scenarios, eps_a, eps_b, t = _cases(rng, n_cases, _two_scenario, TWO_RANGES,
                                         eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
-    # each case at the 2-point grid [0, t], whose phases are the pointwise ones
-    cols = [evolve_two_realization(ea, eb, [0.0, tc], s, workspace(s, 1, 2))
-            for ea, eb, tc, s in zip(eps_a.tolist(), eps_b.tolist(), t.tolist(), scenarios)]
+    s = stack_scenarios(scenarios)
+    gamma2, z = evolve_two_realization(eps_a[:, None], eps_b[:, None], _endpoints(t), _columns(s),
+                                       workspace(scenarios[0], n_cases, 2))
     # the kernel gives gamma^2 and z; the diagonal (a, b, c, d) is affine in gamma^2
-    diagonal = np.array([xstate_diagonal(gamma2[1], s) for (gamma2, _), s in zip(cols, scenarios)])
-    closed = xstate_matrix(XState(*diagonal.T, z=np.array([z[1] for _, z in cols])))
-    return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, stack_scenarios(scenarios))).max())
+    closed = xstate_matrix(XState(*xstate_diagonal(gamma2[:, 1], s), z=z[:, 1]))
+    return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, s)).max())
 
 
 def check_single_elements_oracle(n_cases: int, rng) -> float:
     """Max deviation of the closed-form single-qubit elements from the propagator + partial-trace route."""
     scenarios, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    cols = [evolve_single_realization(e, [0.0, tc], s, workspace(s, 1, 2))
-            for e, tc, s in zip(eps.tolist(), t.tolist(), scenarios)]
-    pp, pm = (np.array([col[i][1] for col in cols]) for i in range(2))
-    opp, opm = single_oracle_elements(eps, t, stack_scenarios(scenarios))
+    s = stack_scenarios(scenarios)
+    pp, pm = (v[:, 1] for v in evolve_single_realization(eps[:, None], _endpoints(t), _columns(s),
+                                                           workspace(scenarios[0], n_cases, 2)))
+    opp, opm = single_oracle_elements(eps, t, s)
     return float(max(np.abs(pp - opp).max(), np.abs(pm - opm).max()))
 
 
@@ -405,10 +437,10 @@ def check_concurrence_dual_path(n_cases: int, rng) -> float:
     """Max deviation from the general spin-flip concurrence of the X-state fast path and of
     the CLI's analytic concurrence (concurrence on xstate_gap), all cases in one call each."""
     scenarios, ts = _cases(rng, n_cases, _two_scenario, TWO_RANGES, t=(0, 8))
-    per_case = [avg_xstate_two(t, s) for s, t in zip(scenarios, ts)]
-    xs = XState(*(np.array([getattr(x, name) for x in per_case]) for name in "abcdz"))
+    s = stack_scenarios(scenarios)
+    xs = avg_xstate_two(ts, s)
     general = concurrence_general(xstate_matrix(xs))
-    production = concurrence(xstate_gap(ts, *np.array([gap_args(s) for s in scenarios]).T))
+    production = concurrence(xstate_gap(ts, *gap_args(s)))
     fast = concurrence_x(xs.a, xs.d, xs.z)
     return float(max(np.abs(fast - general).max(), np.abs(production - general).max()))
 
@@ -442,14 +474,10 @@ def gap_oracle_scenario(rng, i: int) -> TwoQubitScenario:
 def check_gap_closed_form(n_cases: int, rng) -> float:
     """Max deviation of the real-only sudden-death gap from |z| - sqrt(a d) of the averaged X state."""
     ts = np.linspace(0.0, 10.0, 64)
-    worst = 0.0
-    for i in range(n_cases):
-        s = gap_oracle_scenario(rng, i)
-        xs = avg_xstate_two(ts, s)
-        exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
-        gap = xstate_gap(ts, *gap_args(s))
-        worst = max(worst, np.abs(gap - exact).max())
-    return worst
+    s = _columns(stack_scenarios([gap_oracle_scenario(rng, i) for i in range(n_cases)]))
+    xs = avg_xstate_two(ts, s)
+    exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
+    return float(np.abs(xstate_gap(ts, *gap_args(s)) - exact).max())
 
 
 def check_tc_bracket(n_cases: int, rng) -> float:

@@ -26,6 +26,7 @@ from hensim.scenarios import SingleQubitScenario, coupling_c
 from hensim.validation import (
     PAULI_Z,
     XState,
+    _columns,
     build_h_single,
     build_h_two,
     coupling_strength,
@@ -34,6 +35,7 @@ from hensim.validation import (
     random_single_scenario,
     random_two_scenario,
     single_oracle_elements,
+    stack_scenarios,
     two_oracle_xstate,
     validate_density,
     xstate_matrix,
@@ -392,6 +394,43 @@ class TestPhaseTable:
         _phase_table(scaled.reshape(4, m, b), theta, grid[1], 0.3 - 0.4j)
         # two complex products a side, each within sqrt(5) u of |scale| = 1/2: 2 sqrt(5) u < 8u
         assert np.abs(scaled - (0.3 - 0.4j) * plain).max() <= 8 * U
+
+
+class TestStackOfCases:
+    # R cases, each with its own scenario, spacings and grid: the kernels take
+    # the scenarios as (R, 1) columns (validation._columns) and the grids as
+    # the rows of (R, N), one step per row, and match R one-row calls. rho_pp
+    # is not bit-equal to them: numpy's array abs of a complex xb can round one
+    # ulp off Python's abs of the record's xb
+    R = 37
+
+    def cases(self, rng, n, random_scenario):
+        records = [random_scenario(rng) for _ in range(self.R)]
+        grids = np.linspace(0.0, rng.uniform(0.5, 10.0, self.R), n, axis=1)
+        return records, _columns(stack_scenarios(records)), grids
+
+    @pytest.mark.parametrize("n", [2, 30])
+    def test_single_matches_one_row_calls(self, rng, n):
+        records, s, grids = self.cases(rng, n, random_single_scenario)
+        eps = rng.uniform(-5, 5, size=(self.R, 1))
+        stacked = evolve_single_realization(eps, grids, s, workspace(records[0], self.R, n))
+        assert [v.shape for v in stacked] == [(self.R, n)] * 2
+        for r, record in enumerate(records):
+            for col, row in zip(stacked, kernel(record, eps[r, 0], grid=grids[r])):
+                assert np.abs(col[r] - row).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 30])
+    def test_two_matches_one_row_calls(self, rng, n):
+        records, s, grids = self.cases(rng, n, random_two_scenario)
+        eps_a, eps_b = rng.uniform(-5, 5, size=(2, self.R, 1))
+        gamma2, z = evolve_two_realization(eps_a, eps_b, grids, s, workspace(records[0], self.R, n))
+        assert gamma2.shape == z.shape == (self.R, n)
+        diagonal = xstate_diagonal(gamma2, s)
+        for r, record in enumerate(records):
+            one = XState(*(v[r] for v in diagonal), z=z[r])
+            row = two_xstate(eps_a[r, 0], eps_b[r, 0], grids[r], record)
+            for name in "abcdz":
+                assert np.abs(getattr(one, name) - getattr(row, name)).max() <= 1e-15
 
 
 class TestWorkerCount:

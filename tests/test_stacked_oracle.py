@@ -1,29 +1,35 @@
-"""The dense oracle on stacks (..., n, n): one call on a stack equals a loop of
-single-matrix calls, a stacked error names the first bad matrix, and the
-averaged X state is a density matrix over the scenario field space."""
+"""The dense oracle and the closed forms on stacks: one call on a stack equals
+a loop of single-case calls, each per-case check makes one call per side, a
+stacked error names the first bad matrix, and the averaged X state is a
+density matrix over the scenario field space."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hensim.validation as validation
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import TwoQubitScenario
 from hensim.validation import (
     BELL,
     DensityMatrixError,
     XState,
+    _columns,
     avg_xstate_two,
     build_h_single,
     build_h_two,
     concurrence_general,
     matrix_exponential,
     partial_trace,
+    propagator_single_closed,
     random_single_scenario,
     random_two_scenario,
     single_oracle_elements,
+    special_zero_va,
     stack_scenarios,
     two_oracle_xstate,
     validate_density,
@@ -108,6 +114,40 @@ class TestStackEqualsLoop:
         assert_stack_equals_loop(two_oracle_xstate(eps_a, eps_b, ts, s),
                                  [two_oracle_xstate(*case) for case in zip(eps_a, eps_b, ts, records)])
 
+    def test_propagator_single_closed(self, rng):
+        records = [random_single_scenario(rng) for _ in range(K)]
+        eps, ts = rng.uniform(-5, 5, K), rng.uniform(0, 10, K)
+        assert_stack_equals_loop(propagator_single_closed(eps, ts, stack_scenarios(records)),
+                                 [propagator_single_closed(*case) for case in zip(eps, ts, records)])
+
+    def test_avg_xstate_two(self, rng):
+        # one time per case against the stack's (R,) fields, and a grid
+        # against its (R, 1) columns
+        records = [random_two_scenario(rng) for _ in range(K)]
+        s, ts, grid = stack_scenarios(records), rng.uniform(0, 8, K), np.linspace(0.0, 10.0, 64)
+        per_case, on_grid = avg_xstate_two(ts, s), avg_xstate_two(grid, _columns(s))
+        for name in "abcdz":
+            assert_stack_equals_loop(getattr(per_case, name),
+                                     [getattr(avg_xstate_two(t, r), name) for t, r in zip(ts, records)])
+            assert_stack_equals_loop(getattr(on_grid, name),
+                                     [getattr(avg_xstate_two(grid, r), name) for r in records])
+
+    def test_special_zero_va(self, rng):
+        records = [replace(random_two_scenario(rng), var_a=0.0) for _ in range(K)]
+        grid = np.linspace(0.0, 10.0, 64)
+        stacked = special_zero_va(grid, _columns(stack_scenarios(records)))
+        loop = [special_zero_va(grid, r) for r in records]
+        for i in range(2):
+            assert_stack_equals_loop(stacked[i], [case[i] for case in loop])
+        records[3] = replace(records[3], var_a=0.5)
+        with pytest.raises(ValueError, match="var_a must be zero"):
+            special_zero_va(grid, _columns(stack_scenarios(records)))
+
+    def test_two_qubit_stack_carries_y(self, rng):
+        records = [random_two_scenario(rng) for _ in range(K)]
+        assert stack_scenarios(records).y.tolist() == [r.y for r in records]
+        assert not hasattr(stack_scenarios([random_single_scenario(rng)]), "y")
+
     def test_one_matrix_comes_back_two_dimensional(self, rng):
         rho = two_qubit_densities(rng)[2]
         r1, r2 = random_single_scenario(rng), random_two_scenario(rng)
@@ -118,6 +158,34 @@ class TestStackEqualsLoop:
         assert xstate_matrix(avg_xstate_two(1.0, r2)).shape == (4, 4)
         assert build_h_single(0.3, r1).shape == (4, 4)
         assert build_h_two(0.3, -0.2, r2).shape == (8, 8)
+
+
+# each per-case check against the closed form and the oracle it compares:
+# one call each, whatever the number of cases
+ONE_CALL_PER_SIDE = [
+    ("check_propagator_oracle", ("propagator_single_closed", "matrix_exponential")),
+    ("check_single_elements_oracle", ("evolve_single_realization", "single_oracle_elements")),
+    ("check_two_qubit_oracle", ("evolve_two_realization", "two_oracle_xstate")),
+    ("check_concurrence_dual_path", ("avg_xstate_two", "xstate_gap", "concurrence_general")),
+    ("check_gap_closed_form", ("xstate_gap", "avg_xstate_two")),
+]
+
+
+@pytest.mark.parametrize("n_cases", [3, 40])
+@pytest.mark.parametrize("check, sides", ONE_CALL_PER_SIDE, ids=[c for c, _ in ONE_CALL_PER_SIDE])
+def test_each_check_makes_one_call_per_side(monkeypatch, rng, check, sides, n_cases):
+    calls = dict.fromkeys(sides, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in sides:
+        monkeypatch.setattr(validation, name, counted(name, getattr(validation, name)))
+    getattr(validation, check)(n_cases, rng)
+    assert calls == dict.fromkeys(sides, 1)
 
 
 def trace_stack():
