@@ -145,17 +145,13 @@ def _two_scenario(cfg, **model) -> TwoQubitScenario:
     return TwoQubitScenario(omega_b=0.0, x=float(cfg["x"]), var_b=float(cfg["var_eps_b"]), **model)
 
 
-def format_float(v) -> str:
-    return f"{float(v):.17g}"
-
-
 # Rows formatted and written at a time, so that no formatted copy of a whole
 # table is ever held.
 _BLOCK_ROWS = 512
 
 
 def _cell_texts(col) -> list[str]:
-    """format_float of each cell of a column slice, "" for None; an array holds no None."""
+    """Each cell of a column slice to 17 significant digits, "" for None; an array holds no None."""
     if isinstance(col, np.ndarray):
         return [f"{v:.17g}" for v in col.tolist()]
     return ["" if v is None else f"{v:.17g}" for v in col]

@@ -11,7 +11,10 @@ whose a, b, c and d are affine in gamma^2 (xstate_diagonal). A sampler chunk
 reduces only those, and sample_ensemble maps the means and standard errors
 onto the named columns. The kernels write into a workspace (workspace) that
 each sampler thread allocates once per call, min(CHUNK, n) rows by M B points,
-the grid padded to whole blocks; workspace_bytes gives its size.
+the grid padded to whole blocks; workspace_bytes gives its size. The kernels
+(evolve_*) also take a stack of R cases, each with its own grid, as the rows
+of one call: a record whose fields are (R, 1) columns, as the oracle suite in
+hensim.validation passes them.
 """
 
 from __future__ import annotations
@@ -108,11 +111,11 @@ def evolve_single_realization(eps, grid, s: SingleQubitScenario, ws):
     rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). The grid must be
     t_k = k h with h = grid[..., 1] (what sample_ensemble checks). It is one
     grid (N,), or a stack (R, N) of R grids, one step per row; eps is a
-    scalar or a column (R, 1), and s is a record or a stack whose fields are
-    scalars or (R, 1) columns (validation.stack_scenarios). The columns have
-    the broadcast shape of eps and the grid, (N,) or (R, N). They are views
-    of the first R rows of ``ws``, a workspace(record, R', N) with R' >= R,
-    and agree with the propagator + partial-trace route to 1e-10.
+    scalar or a column (R, 1), and s is a record whose fields are scalars or
+    (R, 1) columns. The columns have the broadcast shape of eps and the grid,
+    (N,) or (R, N). They are views of the first R rows of ``ws``, a
+    workspace(s, R', N) with R' >= R, and agree with the propagator +
+    partial-trace route to 1e-10.
     """
     grid = np.asarray(grid, dtype=float)
     shape = np.broadcast_shapes(np.shape(eps), grid.shape)
@@ -136,10 +139,10 @@ def evolve_two_realization(eps_a, eps_b, grid, s: TwoQubitScenario, ws):
     affine in gamma^2 (xstate_diagonal), and
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
     psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The grid (N,) or
-    (R, N), the spacings, the record or stack s (whose stack carries y) and
-    ``ws`` are as in evolve_single_realization; ws's second complex buffer
-    holds cos - i gamma / (2 alpha). The X state agrees with the 8x8
-    propagator + partial-trace route to 1e-10.
+    (R, N), the spacings, the record s and ``ws`` are as in
+    evolve_single_realization; ws's second complex buffer holds
+    cos - i gamma / (2 alpha). The X state agrees with the 8x8 propagator +
+    partial-trace route to 1e-10.
     """
     grid = np.asarray(grid, dtype=float)
     shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), grid.shape)
@@ -161,7 +164,7 @@ def xstate_diagonal(gamma2, s: TwoQubitScenario):
     c = (x + y)/2 - a: affine in gamma^2, so the mean of gamma^2 maps onto the
     means of all four, and its standard error, scaled by x c^2 / 2 and
     y c^2 / 2, is that of a and c and that of b and d.
-    s may also be a stack whose (R, 1) field columns meet gamma^2 of shape (R, N).
+    s's fields may be (R, 1) columns, to meet gamma^2 of shape (R, N).
     """
     c2 = coupling_c(s.alpha) ** 2
     h = 0.5 * (s.x + s.y)
@@ -223,14 +226,14 @@ def _uniform_grid(grid) -> np.ndarray:
     return g
 
 
-def _single_columns(s, pp, pm):
+def _single_named(s, pp, pm):
     """Named columns of the working qubit from the (mean, se) of rho_pp and of rho_pm's interleaved reals."""
     return {"rho_pp": pp[0], "rho_pp_se": pp[1],
             "re_rho_pm": pm[0][0::2], "re_rho_pm_se": pm[1][0::2],
             "im_rho_pm": pm[0][1::2], "im_rho_pm_se": pm[1][1::2]}
 
 
-def _two_columns(s, gamma2, z):
+def _two_named(s, gamma2, z):
     """Named columns of the X state from the (mean, se) of gamma^2 and of z's interleaved reals.
 
     a and d are gamma^2 scaled, so gamma^2's standard error scaled alike is
@@ -248,8 +251,8 @@ def _two_columns(s, gamma2, z):
 # column). The kernel is looked up when the sampler runs, so that
 # a wrapper installed over it (a tracer, say) sees its calls.
 _OBSERVABLES = {
-    SingleQubitScenario: ("evolve_single_realization", ("var",), 1, _single_columns),
-    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), 2, _two_columns),
+    SingleQubitScenario: ("evolve_single_realization", ("var",), 1, _single_named),
+    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), 2, _two_named),
 }
 
 

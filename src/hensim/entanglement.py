@@ -163,7 +163,8 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     rounding. The status is "finite" where the computed g(T; 0) <= 0, and
     [0, T] is bisected to adjacent floats (lo0, hi0). It is "unresolved"
     where rounding hides the root: the decay floor of analytic._decay at
-    c^2 sqrt(xy) below about 1e-130, or va / 2 rounding to 0 at va = 5e-324.
+    c^2 sqrt(xy) below about 1e-130, or va / 2 rounding to 0 at va = 5e-324
+    (and at omega_a != 0 a final bracket that fails, below).
     At omega_a = 0, (lo0, hi0) is the bracket.
 
     At var_b = 0 the envelope depends on var_a only through sqrt(var_a) t:
@@ -190,8 +191,10 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     the envelope, which is positive. The window is at most one turn wide; one
     _GRID_DENSITY-point scan of it finds the last downward sign change of g,
     which is bisected to adjacent floats. A cell whose final bracket fails
-    g(lo) > 0 >= g(hi) (a NaN g, or a phase finer than float spacing) raises
-    ValueError.
+    g(lo) > 0 >= g(hi) is "unresolved", with its t_max: g is NaN, or the
+    phase turns are too fine for the floats near the root (at t near 3e10,
+    say, a multiple of the rounded turn is no longer a whole turn). Only a
+    cell at omega_a != 0 can fail it.
 
     All cells run at once on the real-only closed form xstate_gap; each cell's
     result is the one it gets alone, whatever the batch around it.
@@ -238,10 +241,7 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     lo[turning], hi[turning] = _bisect(w, *_last_crossings(w, t_k, hi[turning]))
 
     ok = (_cell_gap(lo, cells) > 0.0) & (_cell_gap(hi, cells) <= 0.0)
-    if not np.all(ok):
-        # e.g. g is NaN because a phase overflows, or turns faster than float spacing
-        raise ValueError(f"could not isolate the last sign change of g(t) in "
-                         f"{np.count_nonzero(~ok)} cell(s)")
-    out["lo"][idx], out["t_c"][idx] = lo, hi
+    out["status"][idx[~ok]] = UNRESOLVED
+    out["lo"][idx[ok]], out["t_c"][idx[ok]] = lo[ok], hi[ok]
     return out
 

@@ -2,12 +2,14 @@
 
 All values are dimensionless: frequencies in units of omega_0, times in units
 of 1/omega_0 (omega_0 = 1 throughout). Records are frozen dataclasses; once
-constructed they can be shared freely across workers.
+constructed they can be shared freely across workers. A record's fields are
+scalars, or for a stack of cases arrays that broadcast together, one entry
+per case (the oracle suite's stacks hold (R, 1) columns); every entry is
+checked, and a scalar record's messages name its own values.
 """
 
 from __future__ import annotations
 
-import cmath
 import sys
 from dataclasses import dataclass, fields
 
@@ -16,10 +18,22 @@ import numpy as np
 _NORM_TOL = 1e-12
 
 
+def _require(ok, value, message: str):
+    """Raise ValueError(message.format(v)) unless ok holds for every entry.
+
+    v is value itself where ok is a scalar; for a stack (ok an array of
+    value's shape) it is the first entry of value where ok fails, as a Python
+    number, so the message reads as that entry's scalar record would.
+    """
+    if not np.all(ok):
+        if np.ndim(ok):
+            value = np.asarray(value)[~ok][0].item()
+        raise ValueError(message.format(value))
+
+
 def _require_finite(**values):
     for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        _require(np.isfinite(value), value, f"{name} must be finite, got {{!r}}")
 
 
 def coupling_c(alpha):
@@ -37,11 +51,9 @@ def coupling_c(alpha):
 def _check_model(s, variances):
     """Every field finite, alpha >= 1/2 and the named variance fields >= 0."""
     _require_finite(**{f.name: getattr(s, f.name) for f in fields(s)})
-    if not (s.alpha >= 0.5):
-        raise ValueError(f"alpha must be >= 1/2, got {s.alpha}")
+    _require(s.alpha >= 0.5, s.alpha, "alpha must be >= 1/2, got {}")
     for name in variances:
-        if not (getattr(s, name) >= 0.0):
-            raise ValueError(f"{name} must be nonnegative, got {getattr(s, name)}")
+        _require(getattr(s, name) >= 0.0, getattr(s, name), f"{name} must be nonnegative, got {{}}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +74,7 @@ class SingleQubitScenario:
     def __post_init__(self):
         _check_model(self, ("var",))
         norm = abs(self.xb) ** 2 + abs(self.yb) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"|xb|^2 + |yb|^2 must be 1, got {norm!r}")
+        _require(abs(norm - 1.0) <= _NORM_TOL, norm, "|xb|^2 + |yb|^2 must be 1, got {!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +97,7 @@ class TwoQubitScenario:
 
     def __post_init__(self):
         _check_model(self, ("var_a", "var_b"))
-        if not (0.0 <= self.x <= 1.0):
-            raise ValueError(f"x must lie in [0, 1], got {self.x}")
+        _require((0.0 <= self.x) & (self.x <= 1.0), self.x, "x must lie in [0, 1], got {}")
 
     @property
     def y(self) -> float:

@@ -17,23 +17,20 @@ module only for `validate`. The dense functions act on one matrix (n, n) or a st
   (auxiliary qubit first), so tracing out subsystem 0 leaves (A1, B1).
 
 Each check_* draws its cases from the generator (or master seed) it is given
-and returns the measured deviation. A per-case check makes one call per side
-on the stack of all its cases: the closed forms and the realization kernels
-take a stack_scenarios stack (its fields as (R, 1) columns where each case has
-a grid of its own) as the dense oracle does. check_specializations alone runs
-case by case, as stacking its 257-point grids would cost more memory than the
-time it would save. run_suite holds every check's name, seed, case
-count and bound, and turns them into the (name, passed, detail) lines of the
-CLI `validate` report. The acceptance tests call the same checks with their
-own seeds and bounds.
+and returns the measured deviation. A per-case check holds all its cases in
+one scenario record whose fields are (R, 1) columns, one row per case, and
+makes one call per side on it: the closed forms and the realization kernels
+take that record as the dense oracle does. run_suite holds every check's
+name, seed, case count and bound, and turns them into the (name, passed,
+detail) lines of the CLI `validate` report. The acceptance tests call the
+same checks with their own seeds and bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import reduce
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +42,7 @@ from hensim.ensemble import (
     workspace,
     xstate_diagonal,
 )
-from hensim.entanglement import FINITE, concurrence, concurrence_x, find_tc_batch
+from hensim.entanglement import FINITE, UNRESOLVED, concurrence, concurrence_x, find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -229,22 +226,6 @@ def coupling_strength(eps: float, alpha: float, omega_a: float) -> float:
     return np.sqrt(np.square(alpha) - 0.25) * (eps - omega_a)
 
 
-def stack_scenarios(records) -> SimpleNamespace:
-    """Scenario records of one type as one ``s`` whose fields are arrays (R,) over the R records.
-
-    A stack of TwoQubitScenario records also carries y, each record's y.
-    """
-    names = [f.name for f in fields(records[0])]
-    if isinstance(records[0], TwoQubitScenario):
-        names.append("y")
-    return SimpleNamespace(**{name: np.array([getattr(r, name) for r in records]) for name in names})
-
-
-def _columns(s) -> SimpleNamespace:
-    """A stack's fields as (R, 1) columns, to meet per-case rows (R, N) such as a stack of grids."""
-    return SimpleNamespace(**{name: v[:, None] for name, v in vars(s).items()})
-
-
 def _per_matrix(*values):
     """Each value as a float array with two trailing unit axes, to scale a stack of matrices."""
     return [np.asarray(v, dtype=float)[..., None, None] for v in values]
@@ -253,7 +234,7 @@ def _per_matrix(*values):
 def build_h_single(eps, s: SingleQubitScenario) -> np.ndarray:
     """4x4 realization Hamiltonian for the working qubit + auxiliary qubit pair.
 
-    eps and s's fields may be arrays (s a stack_scenarios stack); they
+    eps and s's fields may be arrays (s a record of a stack of cases); they
     broadcast to a stack shape S, and the result is (*S, 4, 4).
     """
     eps, omega_a, alpha = _per_matrix(eps, s.omega_a, s.alpha)
@@ -266,7 +247,7 @@ def propagator_single_closed(eps, t, s: SingleQubitScenario) -> np.ndarray:
 
     The {|+->, |-+>} block rotates with energy E = sqrt((omega_a - eps)^2/4 + f^2);
     |++> and |--> pick up pure phases exp(-+ i (omega_a + eps) t / 2).
-    eps, t and s's fields may be arrays (s a stack_scenarios stack); they
+    eps, t and s's fields may be arrays (s a record of a stack of cases); they
     broadcast to a stack shape S, and the result is (*S, 4, 4).
     """
     f = coupling_strength(eps, s.alpha, s.omega_a)
@@ -304,8 +285,9 @@ def _draw(rng, ranges: dict, n=None) -> np.ndarray:
 
 
 def _single_scenario(omega_a, alpha, phase, mag) -> SingleQubitScenario:
-    return SingleQubitScenario(omega_a=omega_a, alpha=alpha, xb=complex(mag * np.exp(1j * phase)),
-                               yb=complex(np.sqrt(1 - mag**2)), var=1.0)
+    """The record of one draw of SINGLE_RANGES, or of a stack of them as columns."""
+    return SingleQubitScenario(omega_a=omega_a, alpha=alpha, xb=mag * np.exp(1j * phase),
+                               yb=np.sqrt(1 - mag**2), var=1.0)
 
 
 def random_single_scenario(rng) -> SingleQubitScenario:
@@ -347,8 +329,9 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
 
     The CLI evaluates the real-only analytic.xstate_gap instead; this form is
     what check_gap_closed_form and check_concurrence_dual_path compare it with.
-    t and s's fields broadcast: a stack's (R,) fields meet one t per case
-    (R,), and its (R, 1) columns meet a time grid (N,).
+    t and s's fields broadcast: s is a record whose fields are scalars or
+    (R, 1) columns, and its columns meet one t per case (R, 1) or a time grid
+    (N,).
     """
     t = np.asarray(t, dtype=float)
     alpha = s.alpha
@@ -389,46 +372,42 @@ def special_zero_va(t, s: TwoQubitScenario):
 
 
 def _cases(rng, n_cases: int, make, ranges: dict, **extra):
-    """n_cases draws of ``ranges`` then ``extra``: a make(*fields) record per case, a column per extra."""
-    cases = _draw(rng, {**ranges, **extra}, n_cases)
-    return [make(*row) for row in cases[:, :len(ranges)].tolist()], *cases[:, len(ranges):].T
+    """n_cases draws of ``ranges`` then ``extra``, one case per row, as (R, 1) columns:
+    the make(*columns) record of ``ranges``, then one column per extra."""
+    columns = _draw(rng, {**ranges, **extra}, n_cases).T[..., None]
+    return make(*columns[:len(ranges)]), *columns[len(ranges):]
 
 
 def check_propagator_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form propagator from the eigendecomposition exponential."""
-    scenarios, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    s = stack_scenarios(scenarios)
+    s, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
     closed = propagator_single_closed(eps, t, s)
     oracle = matrix_exponential(build_h_single(eps, s), t)
     return float(np.abs(closed - oracle).max())
 
 
 def _endpoints(t) -> np.ndarray:
-    """The 2-point grids [0, t_r] of a stack of cases, as the rows of (R, 2).
+    """The 2-point grids [0, t_r] of a stack of cases (t a column (R, 1)), as the rows of (R, 2).
 
     A kernel's phases on such a grid are the pointwise ones at t_r.
     """
-    return t[:, None] * [0.0, 1.0]
+    return t * [0.0, 1.0]
 
 
 def check_two_qubit_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form X-state elements from the 8x8 propagator route."""
-    scenarios, eps_a, eps_b, t = _cases(rng, n_cases, _two_scenario, TWO_RANGES,
-                                        eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
-    s = stack_scenarios(scenarios)
-    gamma2, z = evolve_two_realization(eps_a[:, None], eps_b[:, None], _endpoints(t), _columns(s),
-                                       workspace(scenarios[0], n_cases, 2))
+    s, eps_a, eps_b, t = _cases(rng, n_cases, _two_scenario, TWO_RANGES,
+                                eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
+    gamma2, z = evolve_two_realization(eps_a, eps_b, _endpoints(t), s, workspace(s, n_cases, 2))
     # the kernel gives gamma^2 and z; the diagonal (a, b, c, d) is affine in gamma^2
-    closed = xstate_matrix(XState(*xstate_diagonal(gamma2[:, 1], s), z=z[:, 1]))
+    closed = xstate_matrix(XState(*xstate_diagonal(gamma2[:, 1:], s), z=z[:, 1:]))
     return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, s)).max())
 
 
 def check_single_elements_oracle(n_cases: int, rng) -> float:
     """Max deviation of the closed-form single-qubit elements from the propagator + partial-trace route."""
-    scenarios, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    s = stack_scenarios(scenarios)
-    pp, pm = (v[:, 1] for v in evolve_single_realization(eps[:, None], _endpoints(t), _columns(s),
-                                                           workspace(scenarios[0], n_cases, 2)))
+    s, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
+    pp, pm = (v[:, 1:] for v in evolve_single_realization(eps, _endpoints(t), s, workspace(s, n_cases, 2)))
     opp, opm = single_oracle_elements(eps, t, s)
     return float(max(np.abs(pp - opp).max(), np.abs(pm - opm).max()))
 
@@ -436,8 +415,7 @@ def check_single_elements_oracle(n_cases: int, rng) -> float:
 def check_concurrence_dual_path(n_cases: int, rng) -> float:
     """Max deviation from the general spin-flip concurrence of the X-state fast path and of
     the CLI's analytic concurrence (concurrence on xstate_gap), all cases in one call each."""
-    scenarios, ts = _cases(rng, n_cases, _two_scenario, TWO_RANGES, t=(0, 8))
-    s = stack_scenarios(scenarios)
+    s, ts = _cases(rng, n_cases, _two_scenario, TWO_RANGES, t=(0, 8))
     xs = avg_xstate_two(ts, s)
     general = concurrence_general(xstate_matrix(xs))
     production = concurrence(xstate_gap(ts, *gap_args(s)))
@@ -446,35 +424,41 @@ def check_concurrence_dual_path(n_cases: int, rng) -> float:
 
 
 def check_specializations(n_cases: int, rng) -> float:
-    """Max deviation of the zero-longitudinal-variance special case from the general averages."""
-    worst = 0.0
+    """Max deviation of the zero-longitudinal-variance special case from the general averages.
+
+    Each case runs at var_b = 0 and at its drawn vb: var_b is a (2, R, 1)
+    stack of the two, which the other fields' (R, 1) columns meet.
+    """
     ts = np.linspace(0, 10, 257)
-    for _ in range(n_cases):
-        base = random_two_scenario(rng)
-        for vb in (0.0, rng.uniform(0.1, 2.0)):
-            s = replace(base, alpha=max(base.alpha, 0.6), var_a=0.0, var_b=vb)
-            z_abs, ad_root = special_zero_va(ts, s)
-            xs = avg_xstate_two(ts, s)
-            worst = max(worst, np.abs(z_abs - np.abs(xs.z)).max())
-            worst = max(worst, np.abs(ad_root - np.sqrt(np.maximum(xs.a * xs.d, 0))).max())
-    return worst
+    s, vb = _cases(rng, n_cases, _two_scenario, TWO_RANGES, vb=(0.1, 2.0))
+    s = replace(s, alpha=np.maximum(s.alpha, 0.6), var_a=0.0, var_b=np.stack([0.0 * vb, vb]))
+    z_abs, ad_root = special_zero_va(ts, s)
+    xs = avg_xstate_two(ts, s)
+    return float(max(np.abs(z_abs - np.abs(xs.z)).max(),
+                     np.abs(ad_root - np.sqrt(np.maximum(xs.a * xs.d, 0))).max()))
 
 
-def gap_oracle_scenario(rng, i: int) -> TwoQubitScenario:
-    """random_two_scenario, with alpha within 1e-9 to 1e-1 of 1/2 when i % 3 == 1
-    and a pure auxiliary mixture (x = 0 or 1) when i % 3 == 2."""
-    s = random_two_scenario(rng)
-    if i % 3 == 1:
-        s = replace(s, alpha=0.5 + 10.0 ** rng.uniform(-9, -1))
-    elif i % 3 == 2:
-        s = replace(s, x=float(rng.integers(2)))
-    return s
+def gap_oracle_cases(rng, n: int) -> TwoQubitScenario:
+    """n random_two_scenario draws as one record of (n, 1) columns: case i has alpha within
+    1e-9 to 1e-1 of 1/2 when i % 3 == 1 and a pure auxiliary mixture (x = 0 or 1) when
+    i % 3 == 2. The draws come case by case, as n random_two_scenario calls and their
+    extra draws make them: rng.integers takes half of a buffered 64-bit word, an
+    order that no one array draw reproduces."""
+    rows = []
+    for i in range(n):
+        case = dict(zip(TWO_RANGES, _draw(rng, TWO_RANGES)))
+        if i % 3 == 1:
+            case["alpha"] = 0.5 + 10.0 ** rng.uniform(-9, -1)
+        elif i % 3 == 2:
+            case["x"] = float(rng.integers(2))
+        rows.append(list(case.values()))
+    return _two_scenario(*np.array(rows).T[..., None])
 
 
 def check_gap_closed_form(n_cases: int, rng) -> float:
     """Max deviation of the real-only sudden-death gap from |z| - sqrt(a d) of the averaged X state."""
     ts = np.linspace(0.0, 10.0, 64)
-    s = _columns(stack_scenarios([gap_oracle_scenario(rng, i) for i in range(n_cases)]))
+    s = gap_oracle_cases(rng, n_cases)
     xs = avg_xstate_two(ts, s)
     exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
     return float(np.abs(xstate_gap(ts, *gap_args(s)) - exact).max())
@@ -486,19 +470,17 @@ def check_tc_bracket(n_cases: int, rng) -> float:
     find_tc_batch runs no sweep of its own: at omega_a = 0 g falls strictly,
     and at any other omega_a it stays at most the zero-frequency gap, whose
     root t_c0 ends the one phase turn that is scanned. This measures what
-    those proofs promise, on one batch of gap_oracle_scenario cells with
+    those proofs promise, on one batch of gap_oracle_cases cells with
     var_b = 0 in every other one and omega_a = 0 in every other pair. Each
     sweep covers [t_c, T] at omega_a = 0, T the solver's closed-form bound
     (its t_max), and [t_c, t_c0] elsewhere, t_c0 from solving the cell's
-    zero-frequency twin in the same batch. Returns inf if some bracket fails
-    g(lo) > 0 >= g(hi).
+    zero-frequency twin in the same batch. Returns inf if some cell is
+    unresolved (their roots reach about 5e9, and none should be) or if some
+    bracket fails g(lo) > 0 >= g(hi).
     """
-
-    def cell(i):
-        s = gap_oracle_scenario(rng, i)
-        return replace(s, omega_a=s.omega_a if i // 2 % 2 else 0.0, var_b=s.var_b * (i % 2))
-
-    params = np.array([gap_args(cell(i)) for i in range(n_cases)]).T
+    s, i = gap_oracle_cases(rng, n_cases), np.arange(n_cases)[:, None]
+    s = replace(s, omega_a=np.where(i // 2 % 2, s.omega_a, 0.0), var_b=s.var_b * (i % 2))
+    params = np.hstack(gap_args(s)).T
     twins = params.copy()
     twins[3] = 0.0
     cells = find_tc_batch(*np.hstack([params, twins]))
@@ -506,7 +488,8 @@ def check_tc_bracket(n_cases: int, rng) -> float:
     end = np.where(params[3] == 0.0, cells["t_max"][:n_cases], cells["t_c"][n_cases:])
     lo, hi, end = (col[finite, None] for col in (cells["lo"], cells["t_c"], end))
     params = params[:, finite, None]
-    if not np.all((xstate_gap(lo, *params) > 0.0) & (xstate_gap(hi, *params) <= 0.0)):
+    if np.any(cells["status"] == UNRESOLVED) or not np.all(
+            (xstate_gap(lo, *params) > 0.0) & (xstate_gap(hi, *params) <= 0.0)):
         return math.inf
     sweep = np.linspace(0.0, 1.0, 1000)
     worst = -math.inf

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,13 @@ def single_scenario(omega_a=0.0, alpha=5.0, xb=0.8, variance=1.0):
 
 def two_scenario(omega_a=0.0, omega_b=0.0, alpha=1.0, x=0.2, var_a=0.5, var_b=0.0):
     return TwoQubitScenario(omega_a, omega_b, alpha, x, var_a, var_b)
+
+
+def stack(records, shape=(-1, 1)):
+    """Scenario records of one type as one record of the stack of their cases: each field
+    holds the records' values in order, reshaped to ``shape`` ((R, 1) columns by default)."""
+    return type(records[0])(*(np.reshape([getattr(r, f.name) for r in records], shape)
+                              for f in fields(records[0])))
 
 
 @pytest.fixture

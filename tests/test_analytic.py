@@ -19,7 +19,7 @@ from hensim.scenarios import coupling_c
 from hensim.validation import (
     avg_xstate_two,
     check_gap_closed_form,
-    gap_oracle_scenario,
+    gap_oracle_cases,
     random_two_scenario,
     special_zero_va,
     validate_density,
@@ -189,15 +189,13 @@ class TestAvgXStateTwo:
 
 class TestXStateGap:
     def test_matches_xstate_elements(self, rng):
-        # random omega_a != 0 and var_b > 0; alpha near 1/2 and x in {0, 1} in turn
-        worst = 0.0
-        for i in range(500):
-            s = gap_oracle_scenario(rng, i)
-            ts = np.sort(rng.uniform(0.0, 12.0, 40))
-            xs = avg_xstate_two(ts, s)
-            exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
-            worst = max(worst, np.abs(xstate_gap(ts, *gap_args(s)) - exact).max())
-        assert worst <= 1e-12
+        # random omega_a != 0 and var_b > 0; alpha near 1/2 and x in {0, 1} in
+        # turn; 40 times per case
+        s = gap_oracle_cases(rng, 500)
+        ts = np.sort(rng.uniform(0.0, 12.0, (500, 40)), axis=1)
+        xs = avg_xstate_two(ts, s)
+        exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
+        assert np.abs(xstate_gap(ts, *gap_args(s)) - exact).max() <= 1e-12
 
     def test_validation_check_passes(self):
         assert check_gap_closed_form(50, np.random.default_rng(31)) <= 1e-12

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import single_scenario, two_scenario
+from conftest import single_scenario, stack, two_scenario
 from hensim.cli import EXIT_OK, main
 from hensim.ensemble import (
     CHUNK,
@@ -26,7 +26,6 @@ from hensim.scenarios import SingleQubitScenario, coupling_c
 from hensim.validation import (
     PAULI_Z,
     XState,
-    _columns,
     build_h_single,
     build_h_two,
     coupling_strength,
@@ -35,7 +34,6 @@ from hensim.validation import (
     random_single_scenario,
     random_two_scenario,
     single_oracle_elements,
-    stack_scenarios,
     two_oracle_xstate,
     validate_density,
     xstate_matrix,
@@ -398,7 +396,7 @@ class TestPhaseTable:
 
 class TestStackOfCases:
     # R cases, each with its own scenario, spacings and grid: the kernels take
-    # the scenarios as (R, 1) columns (validation._columns) and the grids as
+    # the scenarios as one record of (R, 1) columns and the grids as
     # the rows of (R, N), one step per row, and match R one-row calls. rho_pp
     # is not bit-equal to them: numpy's array abs of a complex xb can round one
     # ulp off Python's abs of the record's xb
@@ -407,13 +405,13 @@ class TestStackOfCases:
     def cases(self, rng, n, random_scenario):
         records = [random_scenario(rng) for _ in range(self.R)]
         grids = np.linspace(0.0, rng.uniform(0.5, 10.0, self.R), n, axis=1)
-        return records, _columns(stack_scenarios(records)), grids
+        return records, stack(records), grids
 
     @pytest.mark.parametrize("n", [2, 30])
     def test_single_matches_one_row_calls(self, rng, n):
         records, s, grids = self.cases(rng, n, random_single_scenario)
         eps = rng.uniform(-5, 5, size=(self.R, 1))
-        stacked = evolve_single_realization(eps, grids, s, workspace(records[0], self.R, n))
+        stacked = evolve_single_realization(eps, grids, s, workspace(s, self.R, n))
         assert [v.shape for v in stacked] == [(self.R, n)] * 2
         for r, record in enumerate(records):
             for col, row in zip(stacked, kernel(record, eps[r, 0], grid=grids[r])):
@@ -423,7 +421,7 @@ class TestStackOfCases:
     def test_two_matches_one_row_calls(self, rng, n):
         records, s, grids = self.cases(rng, n, random_two_scenario)
         eps_a, eps_b = rng.uniform(-5, 5, size=(2, self.R, 1))
-        gamma2, z = evolve_two_realization(eps_a, eps_b, grids, s, workspace(records[0], self.R, n))
+        gamma2, z = evolve_two_realization(eps_a, eps_b, grids, s, workspace(s, self.R, n))
         assert gamma2.shape == z.shape == (self.R, n)
         diagonal = xstate_diagonal(gamma2, s)
         for r, record in enumerate(records):

@@ -321,6 +321,20 @@ class TestFindTcBatch:
         assert (res.status, res.t_c, res.bracket) == ("unresolved", None, None)
         assert math.isfinite(res.t_max) and scenario_gap(res.t_max, s) > 0.0
 
+    def test_turning_cell_whose_last_turn_is_inexact_is_unresolved(self):
+        # a root near 3e10, where a multiple of the rounded phase turn is no
+        # longer a whole turn: the final bracket fails, and that cell alone is
+        # unresolved, while its zero-frequency twin and the cell after it solve
+        cols = find_tc_batch(2.0, [1e-21, 1e-21, 0.5], 0.0, [3.0, 0.0, 3.0], 0.25)
+        assert cols["status"].tolist() == ["unresolved", "finite", "finite"]
+        assert np.isnan(cols["lo"][0]) and np.isnan(cols["t_c"][0])
+        assert math.isfinite(cols["t_max"][0]) and cols["t_max"][0] == cols["t_max"][1]
+        assert 3e10 < cols["t_c"][1] < cols["t_max"][1]
+        alone = find_tc_batch(2.0, 1e-21, 0.0, 3.0, 0.25)
+        assert alone["status"].tolist() == ["unresolved"]
+        assert np.isnan(alone["lo"][0]) and np.isnan(alone["t_c"][0])
+        assert alone["t_max"].tobytes() == cols["t_max"][:1].tobytes()
+
     def test_zero_frequency_cells_bracket_to_adjacent_floats(self):
         # no scan at omega_a = 0: the bracket is the bisection's own, not a
         # scan interval
@@ -471,9 +485,7 @@ def test_tc_within_tol_of_the_extended_precision_root(delta, var_a, var_b, x):
 # a subnormal root, whose guessed bracket fails, and variance ratios of
 # 1e+-600, whose guesses under- and overflow: those cells fall back to the
 # full bisection. Bit i of ``turning`` (``transverse``) gives cell i an
-# omega_a (a var_b) of its own; omega_a only at var_a >= 1e-6 and alpha <= 10,
-# since a root near 1e10 leaves the last whole phase turn inexact in floats,
-# and the solver refuses such a cell alone or in a batch.
+# omega_a (a var_b) of its own.
 @settings(max_examples=40)
 @given(alphas=st.lists(ALPHAS, min_size=1, max_size=3),
        var_exps=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=5),
@@ -486,7 +498,7 @@ def test_tc_within_tol_of_the_extended_precision_root(delta, var_a, var_b, x):
 def test_grouped_cells_are_bit_identical_to_solving_alone(alphas, var_exps, x, turning,
                                                            transverse):
     grid = [two_scenario(alpha=a, var_a=10.0**e, x=x,
-                         omega_a=3.0 if turning >> i & 1 and a <= 10.0 and e >= -6.0 else 0.0,
+                         omega_a=3.0 if turning >> i & 1 else 0.0,
                          var_b=0.5 if transverse >> i & 1 else 0.0)
             for i, (a, e) in enumerate((a, e) for a in alphas for e in var_exps)]
     cols = find_tc_batch(*np.array([gap_args(s) for s in grid]).T.reshape(5, len(alphas), -1))

@@ -2,10 +2,14 @@
 
 hensim.validation holds the dense-matrix oracles and the complex averaged X
 state that the real-only closed forms are checked against. Only the CLI's
-`validate` command reaches it; no other module imports it or numpy.linalg.
+`validate` command reaches it; no other module imports it or numpy.linalg,
+and importing the CLI and building its parser leaves it unimported.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +58,18 @@ def test_only_cli_imports_validation():
     importers = {name for name, tree in MODULES.items()
                  if "hensim.validation" in imported_modules(tree)}
     assert importers == {"cli"}
+
+
+def test_cli_start_leaves_validation_unimported():
+    # what every command runs before its own work; validate imports the
+    # oracle inside its command function
+    code = ("import sys, hensim.cli; hensim.cli.build_parser(); "
+            "print('hensim.validation' in sys.modules, 'hensim.ensemble' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("name", sorted(set(MODULES) - {"validation"}))

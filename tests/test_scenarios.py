@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,3 +57,49 @@ class TestCouplingFactor:
                 # both forms lose digits like 1/c as c -> 0, so compare the squares
                 assert abs(c * c - old * old) <= 1e-15
         assert coupling_c(0.5) == 0.0
+
+
+
+class TestStackedRecords:
+    # one record of R cases holds (R, 1) columns; one bad entry refuses the
+    # whole stack with the message that entry's own scalar record gets
+    R = 4
+    GOOD = {SingleQubitScenario: {"omega_a": 0.0, "alpha": 1.0, "xb": 0.8 + 0j, "yb": 0.6 + 0j,
+                                  "var": 1.0},
+            TwoQubitScenario: {"omega_a": 0.0, "omega_b": 0.0, "alpha": 1.0, "x": 0.2, "var_a": 1.0,
+                               "var_b": 0.0}}
+
+    def columns(self, record):
+        return {name: np.full((self.R, 1), v) for name, v in self.GOOD[record].items()}
+
+    def test_good_stack_is_accepted(self):
+        s = TwoQubitScenario(**self.columns(TwoQubitScenario))
+        assert s.alpha.shape == (self.R, 1) and np.array_equal(s.y, np.full((self.R, 1), 0.8))
+        assert SingleQubitScenario(**self.columns(SingleQubitScenario)).xb.shape == (self.R, 1)
+
+    @pytest.mark.parametrize("record, field, bad, message", [
+        (TwoQubitScenario, "alpha", 0.3, "alpha must be >= 1/2, got 0.3"),
+        (SingleQubitScenario, "alpha", 0.3, "alpha must be >= 1/2, got 0.3"),
+        (TwoQubitScenario, "x", 1.5, "x must lie in [0, 1], got 1.5"),
+        (TwoQubitScenario, "var_b", -1.0, "var_b must be nonnegative, got -1.0"),
+        (TwoQubitScenario, "var_a", -1.0, "var_a must be nonnegative, got -1.0"),
+        (SingleQubitScenario, "var", -1.0, "var must be nonnegative, got -1.0"),
+        (TwoQubitScenario, "omega_a", math.nan, "omega_a must be finite, got nan"),
+        (SingleQubitScenario, "omega_a", math.nan, "omega_a must be finite, got nan"),
+        (SingleQubitScenario, "xb", complex(math.inf, 0.0), "xb must be finite, got (inf+0j)"),
+        (SingleQubitScenario, "xb", 0.9 + 0j, "|xb|^2 + |yb|^2 must be 1, got 1.17"),
+        (SingleQubitScenario, "yb", 0.5j, "|xb|^2 + |yb|^2 must be 1, got 0.89"),
+    ])
+    def test_one_bad_entry_refuses_the_stack(self, record, field, bad, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            record(**{**self.GOOD[record], field: bad})
+        columns = self.columns(record)
+        columns[field][2] = bad
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            record(**columns)
+
+    def test_message_names_the_first_bad_entry(self):
+        columns = self.columns(TwoQubitScenario)
+        columns["alpha"][1], columns["alpha"][3] = 0.4, 0.3
+        with pytest.raises(ValueError, match=r"^alpha must be >= 1/2, got 0\.4$"):
+            TwoQubitScenario(**columns)

@@ -3,6 +3,7 @@ a loop of single-case calls, each per-case check makes one call per side, a
 stacked error names the first bad matrix, and the averaged X state is a
 density matrix over the scenario field space."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -12,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hensim.validation as validation
+from conftest import stack
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import TwoQubitScenario
 from hensim.validation import (
     BELL,
     DensityMatrixError,
     XState,
-    _columns,
     avg_xstate_two,
     build_h_single,
     build_h_two,
@@ -30,7 +31,6 @@ from hensim.validation import (
     random_two_scenario,
     single_oracle_elements,
     special_zero_va,
-    stack_scenarios,
     two_oracle_xstate,
     validate_density,
     xstate_matrix,
@@ -98,7 +98,7 @@ class TestStackEqualsLoop:
     def test_build_h_single_and_its_oracle(self, rng):
         records = [random_single_scenario(rng) for _ in range(K)]
         eps, ts = rng.uniform(-5, 5, K), rng.uniform(0, 10, K)
-        s = stack_scenarios(records)
+        s = stack(records, (-1,))
         assert_stack_equals_loop(build_h_single(eps, s), [build_h_single(e, r) for e, r in zip(eps, records)])
         opp, opm = single_oracle_elements(eps, ts, s)
         loop = [single_oracle_elements(*case) for case in zip(eps, ts, records)]
@@ -108,7 +108,7 @@ class TestStackEqualsLoop:
     def test_build_h_two_and_its_oracle(self, rng):
         records = [random_two_scenario(rng) for _ in range(K)]
         eps_a, eps_b, ts = rng.uniform(-5, 5, (2, K)).tolist() + [rng.uniform(0, 10, K)]
-        s = stack_scenarios(records)
+        s = stack(records, (-1,))
         assert_stack_equals_loop(build_h_two(eps_a, eps_b, s),
                                  [build_h_two(*case) for case in zip(eps_a, eps_b, records)])
         assert_stack_equals_loop(two_oracle_xstate(eps_a, eps_b, ts, s),
@@ -117,15 +117,14 @@ class TestStackEqualsLoop:
     def test_propagator_single_closed(self, rng):
         records = [random_single_scenario(rng) for _ in range(K)]
         eps, ts = rng.uniform(-5, 5, K), rng.uniform(0, 10, K)
-        assert_stack_equals_loop(propagator_single_closed(eps, ts, stack_scenarios(records)),
+        assert_stack_equals_loop(propagator_single_closed(eps, ts, stack(records, (-1,))),
                                  [propagator_single_closed(*case) for case in zip(eps, ts, records)])
 
     def test_avg_xstate_two(self, rng):
-        # one time per case against the stack's (R,) fields, and a grid
-        # against its (R, 1) columns
+        # one time per case against (R,) fields, and a grid against (R, 1) columns
         records = [random_two_scenario(rng) for _ in range(K)]
-        s, ts, grid = stack_scenarios(records), rng.uniform(0, 8, K), np.linspace(0.0, 10.0, 64)
-        per_case, on_grid = avg_xstate_two(ts, s), avg_xstate_two(grid, _columns(s))
+        ts, grid = rng.uniform(0, 8, K), np.linspace(0.0, 10.0, 64)
+        per_case, on_grid = avg_xstate_two(ts, stack(records, (-1,))), avg_xstate_two(grid, stack(records))
         for name in "abcdz":
             assert_stack_equals_loop(getattr(per_case, name),
                                      [getattr(avg_xstate_two(t, r), name) for t, r in zip(ts, records)])
@@ -135,18 +134,19 @@ class TestStackEqualsLoop:
     def test_special_zero_va(self, rng):
         records = [replace(random_two_scenario(rng), var_a=0.0) for _ in range(K)]
         grid = np.linspace(0.0, 10.0, 64)
-        stacked = special_zero_va(grid, _columns(stack_scenarios(records)))
+        stacked = special_zero_va(grid, stack(records))
         loop = [special_zero_va(grid, r) for r in records]
         for i in range(2):
             assert_stack_equals_loop(stacked[i], [case[i] for case in loop])
         records[3] = replace(records[3], var_a=0.5)
         with pytest.raises(ValueError, match="var_a must be zero"):
-            special_zero_va(grid, _columns(stack_scenarios(records)))
+            special_zero_va(grid, stack(records))
 
     def test_two_qubit_stack_carries_y(self, rng):
+        # y = 1 - x is a property, so a stacked record has each case's y
         records = [random_two_scenario(rng) for _ in range(K)]
-        assert stack_scenarios(records).y.tolist() == [r.y for r in records]
-        assert not hasattr(stack_scenarios([random_single_scenario(rng)]), "y")
+        s = stack(records)
+        assert s.y.shape == (K, 1) and s.y.ravel().tolist() == [r.y for r in records]
 
     def test_one_matrix_comes_back_two_dimensional(self, rng):
         rho = two_qubit_densities(rng)[2]
@@ -168,6 +168,8 @@ ONE_CALL_PER_SIDE = [
     ("check_two_qubit_oracle", ("evolve_two_realization", "two_oracle_xstate")),
     ("check_concurrence_dual_path", ("avg_xstate_two", "xstate_gap", "concurrence_general")),
     ("check_gap_closed_form", ("xstate_gap", "avg_xstate_two")),
+    ("check_specializations", ("special_zero_va", "avg_xstate_two")),
+    ("check_tc_bracket", ("find_tc_batch",)),
 ]
 
 
@@ -269,3 +271,17 @@ def test_averaged_xstate_is_a_density_matrix(omega_a, omega_b, alpha, x, var_a, 
     c = concurrence_x(xs.a, xs.d, xs.z)
     assert np.all((c >= 0.0) & (c <= 1.0))
     assert np.all(np.abs(c - concurrence_general(rho)) <= dense_route_bound(xs.a, xs.d))
+
+
+def test_tc_bracket_check_fails_on_an_unresolved_cell(monkeypatch, rng):
+    # none of the check's cells should be unresolved; one that is fails it
+    solve = validation.find_tc_batch
+
+    def one_unresolved(*params):
+        cells = solve(*params)
+        cells["status"][0] = "unresolved"
+        return cells
+
+    assert validation.check_tc_bracket(8, rng) <= 1e-10
+    monkeypatch.setattr(validation, "find_tc_batch", one_unresolved)
+    assert validation.check_tc_bracket(8, rng) == math.inf
