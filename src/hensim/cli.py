@@ -231,6 +231,23 @@ def _thermal_meta(s: SingleQubitScenario) -> dict:
             "beta_delta": math.log1p(-p) - math.log(p) if p > 0.0 else None}
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    # sysconf returns -1 for a limit it does not know
+    return size * pages if size > 0 and pages > 0 else None
+
+
+def _check_memory(need, subject) -> None:
+    """Refuse a run whose ``need`` bytes exceed physical memory; ``subject`` opens the error line."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise BadInput(f"{subject}, more than the {memory:.3g} bytes of physical memory")
+
+
 def _check_sampler_memory(cfg, s) -> None:
     """Refuse a sampled run whose threads' workspaces (ensemble.workspace_bytes) exceed physical
     memory, before any grid is built; the sampler and time_grid refuse a bad n or point count."""
@@ -238,10 +255,9 @@ def _check_sampler_memory(cfg, s) -> None:
     if n is None or n < 1 or points < 2:
         return
     workers = worker_count(-(-n // CHUNK))
-    need, memory = workers * workspace_bytes(s, n, points), _physical_memory()
-    if memory is not None and need > memory:
-        raise BadInput(f"{workers} sampler thread(s) at {points} points need about {need:.3g} bytes "
-                       f"of workspace, more than the {memory:.3g} bytes of physical memory")
+    need = workers * workspace_bytes(s, n, points)
+    _check_memory(need, f"{workers} sampler thread(s) at {points} points need about "
+                        f"{need:.3g} bytes of workspace")
 
 
 def cmd_relax(ns) -> int:
@@ -284,16 +300,6 @@ def _solver_meta(cells) -> dict:
     }
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where os.sysconf cannot tell."""
-    try:
-        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-    # sysconf returns -1 for a limit it does not know
-    return size * pages if size > 0 and pages > 0 else None
-
-
 def cmd_tc_map(ns) -> int:
     cfg = merged_config(ns)
     # the records of the corners (alpha_lo, var_lo) and (alpha_hi, var_hi) check every range value
@@ -304,10 +310,8 @@ def cmd_tc_map(ns) -> int:
     res = int(ns.resolution)
     if res < 1:
         raise BadInput("resolution must be >= 1")
-    need, memory = res * res * CELL_BYTES, _physical_memory()
-    if memory is not None and need > memory:
-        raise BadInput(f"a {res} x {res} map needs about {need:.3g} bytes, more than the "
-                       f"{memory:.3g} bytes of physical memory")
+    need = res * res * CELL_BYTES
+    _check_memory(need, f"a {res} x {res} map needs about {need:.3g} bytes")
     alpha, var_a = np.meshgrid(np.linspace(lo.alpha, hi.alpha, res),
                                np.linspace(lo.var_a, hi.var_a, res), indexing="ij")
     _, _, var_b, omega_a, xy = gap_args(lo)

@@ -35,12 +35,12 @@ STATUSES = (FINITE, NO_SUDDEN_DEATH, UNRESOLVED)
 
 # Points of the scan grid over the last phase turn, for omega_a != 0.
 _GRID_DENSITY = 4000
-# Stated bound |t_c - root| <= TOL t_c at omega_a = 0, where analytic._decay's
-# floor does not act. Rounding moves the computed ln|z| and ln sqrt(a d) by a
-# few u = 2^-53 plus about 4u times their slopes in ln t; at the root the slope
-# of their difference is at least 2 ln 2 ((1/4) exp(-(delta^2 va + vb) t^2 / 2)
-# <= |z| = sqrt(a d) < 1/8). So the computed root lies within about 10u t_c of
-# the root, and t_c one float (2u) above it: TOL leaves a margin of 4.
+# Stated bound |t_c - root| <= TOL t_c at omega_a = 0. Each factor of |z| = (1/4)
+# exp(-vb t^2/2) M (1 + r), r <= 1, and of sqrt(a d) is a constant times a function
+# of one exponent E, formed to about 7u (u = 2^-53), of slope 2E in ln t. So rounding
+# moves ln|z| - ln sqrt(a d) by about 8u plus 3.5u times its slope in ln t, at least
+# 2 ln 2 at the root (each term falls; 1/8 > |z| >= exp(-(delta^2 va + vb) t^2/2) / 4):
+# the root by about 10u t_c, t_c one float (2u) above it. TOL ~ 90u: a margin of 7.
 TOL = 1e-14
 # Scan grids are evaluated a block of cells at a time, about this many points
 # per array, so memory stays flat however many cells there are. On a 2-core
@@ -162,9 +162,8 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     taken 1e-12 relative and 16 of the smallest subnormals wider for
     rounding. The status is "finite" where the computed g(T; 0) <= 0, and
     [0, T] is bisected to adjacent floats (lo0, hi0). It is "unresolved"
-    where rounding hides the root: the decay floor of analytic._decay at
-    c^2 sqrt(xy) below about 1e-130, or va / 2 rounding to 0 at va = 5e-324
-    (and at omega_a != 0 a final bracket that fails, below).
+    where rounding hides the root: va / 2 rounding to 0 at va = 5e-324 (and
+    at omega_a != 0 a final bracket that fails, below); never a tiny x.
     At omega_a = 0, (lo0, hi0) is the bracket.
 
     At var_b = 0 the envelope depends on var_a only through sqrt(var_a) t:

@@ -306,8 +306,8 @@ class TestTcMap:
     def test_unresolved_regime_leaves_cells_empty(self, tmp_path, fmt):
         def tc_map(*argv):
             out = tmp_path / f"m.{fmt}"
-            assert run(["tc-map", *argv, "--var-range", "0.1", "2", "--resolution", "3",
-                        "--format", fmt, "--out", str(out)]) == EXIT_OK
+            assert run(["tc-map", *argv, "--resolution", "3", "--format", fmt,
+                        "--out", str(out)]) == EXIT_OK
             if fmt == "json":
                 payload = json.loads(out.read_text())
                 return payload["data"], payload["meta"]["solver"]
@@ -315,29 +315,42 @@ class TestTcMap:
             return read_csv(out)[1], json.loads((tmp_path / "m.csv.meta.json").read_text())["solver"]
 
         # roots from about 4e6 to 3e7 next to alpha = 1/2, past any fixed horizon
-        cols, solver = tc_map("--x", "0.2", "--alpha-range", "0.5", "0.500001")
+        cols, solver = tc_map("--x", "0.2", "--alpha-range", "0.5", "0.500001",
+                              "--var-range", "0.1", "2")
         assert cols["tc"][:3] == [None] * 3 and all(tc > 1e6 for tc in cols["tc"][3:])
         assert solver["status_counts"] == {"finite": 6, "none": 3, "unresolved": 0}
-        # at x = 1e-280 the decay floor keeps |z| above sqrt(a d): no root resolves
-        cols, solver = tc_map("--x", "1e-280", "--alpha-range", "1", "2")
+        # at var_eps_a = 5e-324, var_a / 2 rounds to 0 and the computed gap
+        # never falls: no root resolves
+        cols, solver = tc_map("--x", "0.2", "--alpha-range", "1", "2",
+                              "--var-range", "5e-324", "5e-324")
         assert cols["tc"] == [None] * 9
         assert solver["status_counts"] == {"finite": 0, "none": 0, "unresolved": 9}
         assert solver["t_max_range"] is None
 
     def test_status_counts_are_the_solver_column_counts(self, tmp_path):
-        # alpha = 1/2 is "none"; at sqrt(xy) = 1.26e-130, c^2 sqrt(xy) lies below
-        # the decay floor's 1.03e-130 at alpha = 1 ("unresolved") and above it
-        # at alpha = 3/2 (finite)
+        # alpha = 1/2 is "none"; at var_eps_a = 5e-324, var_a / 2 rounds to 0
+        # ("unresolved"); the other cells are finite, at sqrt(xy) = 1.26e-130 too
         out = tmp_path / "m.csv"
         assert run(["tc-map", "--x", "1.6e-260", "--alpha-range", "0.5", "1.5",
-                    "--var-range", "0.1", "1e12", "--resolution", "3", "--out", str(out)]) == EXIT_OK
+                    "--var-range", "5e-324", "1e12", "--resolution", "3", "--out", str(out)]) == EXIT_OK
         _, cols = read_csv(out)
         counts = json.loads((tmp_path / "m.csv.meta.json").read_text())["solver"]["status_counts"]
         _, _, var_b, omega_a, xy = gap_args(two_scenario(x=1.6e-260))
         status = find_tc_batch(cols["alpha"], cols["var_eps_a"], var_b, omega_a, xy)["status"]
         assert counts == {st: status.tolist().count(st) for st in STATUSES}
-        assert counts == {"finite": 3, "none": 3, "unresolved": 3}
+        assert counts == {"finite": 4, "none": 3, "unresolved": 2}
         assert cols["tc"].count(None) == counts["none"] + counts["unresolved"]
+
+    def test_tiny_mixture_weight_resolves_every_root(self, tmp_path):
+        # c^2 sqrt(xy) of about 1e-150: the roots lie from t = 12 to 111, and
+        # only the alpha = 1/2 cells, without sudden death, are empty
+        out = tmp_path / "m.csv"
+        assert run(["tc-map", "--x", "1e-300", "--alpha-range", "0.5", "2",
+                    "--var-range", "0.1", "2", "--resolution", "3", "--out", str(out)]) == EXIT_OK
+        _, cols = read_csv(out)
+        solver = json.loads((tmp_path / "m.csv.meta.json").read_text())["solver"]
+        assert solver["status_counts"] == {"finite": 6, "none": 3, "unresolved": 0}
+        assert [a for a, tc in zip(cols["alpha"], cols["tc"]) if tc is None] == [0.5] * 3
 
 
 # Non-finite input, input whose results leave double precision, grid sizes

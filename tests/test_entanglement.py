@@ -314,9 +314,9 @@ class TestFindTcBatch:
         s = two_scenario(alpha=0.5000005, var_a=0.1)
         res = find_tc(s)
         assert res.status == "finite" and 3e7 < res.t_c < res.t_max
-        # at c^2 sqrt(xy) ~ 1e-140 the decay floor keeps |z| above sqrt(a d):
-        # the bound T is finite, but the computed gap is still positive there
-        s = two_scenario(x=1e-280)
+        # at var_a = 5e-324, var_a / 2 rounds to 0 and the computed gap stays
+        # at 1/2: the bound T is finite, but the gap is still positive there
+        s = two_scenario(var_a=5e-324)
         res = find_tc(s)
         assert (res.status, res.t_c, res.bracket) == ("unresolved", None, None)
         assert math.isfinite(res.t_max) and scenario_gap(res.t_max, s) > 0.0
@@ -368,7 +368,7 @@ class TestFindTcBatch:
         # a finite, a "none", an "unresolved" and a turning cell, passed as a
         # 2 x 2 block: the columns are flat, in C order
         scenarios = [two_scenario(alpha=1.0, var_a=1.0), two_scenario(alpha=0.5, var_a=1.0),
-                     two_scenario(var_a=1.0, x=1e-280),
+                     two_scenario(var_a=5e-324),
                      two_scenario(omega_a=6.0, var_a=0.5, var_b=0.5)]
         cols = find_tc_batch(*np.array([gap_args(s) for s in scenarios]).T.reshape(5, 2, 2))
         assert set(cols) == {"t_c", "lo", "t_max", "status"}
@@ -450,7 +450,7 @@ def test_tc_scaling_law(alpha, var_a, var_b, xy, lam):
 
 
 def longdouble_gap(t, alpha, var_a, var_b, xy):
-    """The zero-frequency gap of double inputs, evaluated in np.longdouble without a decay floor."""
+    """The zero-frequency gap of double inputs, evaluated in np.longdouble."""
     t, alpha, var_a, var_b, xy = (np.longdouble(v) for v in (t, alpha, var_a, var_b, xy))
     half = np.longdouble(0.5)
     p_amp, m_amp = (alpha - half) / alpha, (alpha + half) / alpha
@@ -462,13 +462,20 @@ def longdouble_gap(t, alpha, var_a, var_b, xy):
 
 # TOL states |t_c - root| <= TOL t_c. Against the root of the gap in extended
 # precision, the gap changes sign between t_c (1 - TOL) and t_c (1 + TOL),
-# with alpha - 1/2 from 1e-9 to 10 and roots up to about 1e11.
+# with alpha - 1/2 from 1e-9 to 10 and roots up to about 1e12. The mixture
+# weight x also reaches down from 1e-262 to 5e-324, where sqrt(xy) is 1e-131
+# to 2.2e-162 and |z| falls below it before the root.
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="np.longdouble is double precision on this platform")
 @settings(max_examples=100)
 @given(delta=st.floats(-9.0, 1.0).map(lambda e: 10.0**e),
        var_a=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
-       var_b=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)), x=XS)
+       var_b=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+       x=st.one_of(XS, st.floats(-323.3, -262.0).map(lambda e: 10.0**e)))
+@example(delta=0.5, var_a=1.0, var_b=0.0, x=1e-262)
+@example(delta=0.5, var_a=1.0, var_b=0.0, x=5e-324)
+@example(delta=1e-9, var_a=1e-3, var_b=0.0, x=5e-324)
+@example(delta=10.0, var_a=1e3, var_b=1e3, x=5e-324)
 def test_tc_within_tol_of_the_extended_precision_root(delta, var_a, var_b, x):
     alpha, var_a, var_b, _, xy = gap_args(two_scenario(alpha=0.5 + delta, var_a=var_a,
                                                        var_b=var_b, x=x))
