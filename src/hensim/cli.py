@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from hensim.analytic import gap_args, single_trajectory, steady_population
-from hensim.ensemble import CHUNK, RNG, sample_ensemble, worker_count, workspace_bytes
+from hensim.ensemble import CHUNK, RNG, sample_ensemble, worker_count, workspace_bytes, xstate_diagonal
 from hensim.entanglement import (
     CELL_BYTES,
     FINITE,
@@ -264,11 +264,12 @@ def cmd_relax(ns) -> int:
     cfg = merged_config(ns)
     s = _single_scenario(cfg)
     _check_sampler_memory(cfg, s)
-    grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
+    t_max, points = float(cfg["t_max"]), int(cfg["points"])
+    grid = time_grid(t_max, points)
     analytic = single_trajectory(s, grid)
     columns = {"t": grid, **analytic}
     if cfg["samples"] is not None:
-        mc = sample_ensemble(s, cfg["samples"], cfg["seed"], grid)
+        mc = sample_ensemble(s, cfg["samples"], cfg["seed"], t_max, points)
         for name in analytic:
             columns[name + "_mc"] = mc[name]
             columns[name + "_mc_se"] = mc[name + "_se"]
@@ -281,11 +282,13 @@ def cmd_concurrence(ns) -> int:
     s = _two_scenario(cfg, omega_a=float(cfg["omega_a"]), alpha=float(cfg["alpha"]),
                       var_a=float(cfg["var_eps_a"]))
     _check_sampler_memory(cfg, s)
-    grid = time_grid(float(cfg["t_max"]), int(cfg["points"]))
+    t_max, points = float(cfg["t_max"]), int(cfg["points"])
+    grid = time_grid(t_max, points)
     columns = {"t": grid, "C": concurrence_trajectory(s, grid)}
     if cfg["samples"] is not None:
-        mc = sample_ensemble(s, cfg["samples"], cfg["seed"], grid)
-        columns["C_mc"] = concurrence_x(mc["a"], mc["d"], mc["re_z"] + 1j * mc["im_z"])
+        mc = sample_ensemble(s, cfg["samples"], cfg["seed"], t_max, points)
+        a, _, _, d = xstate_diagonal(mc["gamma2"], s)
+        columns["C_mc"] = concurrence_x(a, d, mc["re_z"] + 1j * mc["im_z"])
     _emit(ns.out, cfg["format"], columns, _meta(cfg, "concurrence"))
     return EXIT_OK
 

@@ -8,13 +8,13 @@ matrix exponential they are checked against live in hensim.validation.
 A realization carries three reals per point, one real and one complex column:
 rho_pp and rho_pm for one working qubit, gamma^2 and z for the X state of two,
 whose a, b, c and d are affine in gamma^2 (xstate_diagonal). A sampler chunk
-reduces only those, and sample_ensemble maps the means and standard errors
-onto the named columns. The kernels write into a workspace (workspace) that
-each sampler thread allocates once per call, min(CHUNK, n) rows by M B points,
-the grid padded to whole blocks; workspace_bytes gives its size. The kernels
-(evolve_*) also take a stack of R cases, each with its own grid, as the rows
-of one call: a record whose fields are (R, 1) columns, as the oracle suite in
-hensim.validation passes them.
+reduces only those, and sample_ensemble returns their means and standard
+errors under the kernel's column names. The kernels write into a workspace
+(workspace) that each sampler thread allocates once per call, min(CHUNK, n)
+rows by M B points, the grid padded to whole blocks; workspace_bytes gives its
+size. The kernels (evolve_*) also take a stack of R cases, each with its own
+grid, as the rows of one call: a record whose fields are (R, 1) columns, as
+the oracle suite in hensim.validation passes them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, time_grid
 
 # Fixed chunk size: chunk boundaries must not depend on the worker count, so
 # that the index-ordered reduction is bit-identical for any parallelism.
@@ -109,7 +109,7 @@ def evolve_single_realization(eps, grid, s: SingleQubitScenario, ws):
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
     rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). The grid must be
-    t_k = k h with h = grid[..., 1] (what sample_ensemble checks). It is one
+    t_k = k h with h = grid[..., 1] (as time_grid builds it). It is one
     grid (N,), or a stack (R, N) of R grids, one step per row; eps is a
     scalar or a column (R, 1), and s is a record whose fields are scalars or
     (R, 1) columns. The columns have the broadcast shape of eps and the grid,
@@ -209,61 +209,26 @@ def worker_count(chunks: int) -> int:
     return min(int(env) if env else os.cpu_count() or 1, chunks)
 
 
-def _uniform_grid(grid) -> np.ndarray:
-    """grid as a float array, checked to be what the kernels take: 1-D, t_k = k grid[1] from t_0 = 0.
-
-    It needs 2 or more points and a positive step, and each point may lie at
-    most 4 ulps of the last point away from k grid[1]: np.linspace(0, t, n)
-    rounds k grid[1] once and ends on t itself, which can lie an ulp or two
-    off while the step is a normal float (scenarios.time_grid refuses a
-    subnormal one).
-    """
-    g = np.asarray(grid, dtype=float)
-    if not (g.ndim == 1 and g.size >= 2 and g[0] == 0.0 and g[1] > 0.0
-            and np.all(np.abs(g - np.arange(g.size) * g[1]) <= 4.0 * np.spacing(g[-1]))):
-        raise ValueError(f"grid must be uniform from 0 (1-D, t_k = k * grid[1], at least 2 points), "
-                         f"got shape {g.shape} starting {g.ravel()[:3].tolist()}")
-    return g
-
-
-def _single_named(s, pp, pm):
-    """Named columns of the working qubit from the (mean, se) of rho_pp and of rho_pm's interleaved reals."""
-    return {"rho_pp": pp[0], "rho_pp_se": pp[1],
-            "re_rho_pm": pm[0][0::2], "re_rho_pm_se": pm[1][0::2],
-            "im_rho_pm": pm[0][1::2], "im_rho_pm_se": pm[1][1::2]}
-
-
-def _two_named(s, gamma2, z):
-    """Named columns of the X state from the (mean, se) of gamma^2 and of z's interleaved reals.
-
-    a and d are gamma^2 scaled, so gamma^2's standard error scaled alike is
-    theirs; b and c are constants minus d and a, so b's is d's and c's is a's.
-    """
-    a, b, c, d = xstate_diagonal(gamma2[0], s)
-    a_se, _, _, d_se = xstate_diagonal(gamma2[1], s)
-    return {"a": a, "a_se": a_se, "b": b, "b_se": d_se, "c": c, "c_se": a_se, "d": d, "d_se": d_se,
-            "re_z": z[0][0::2], "re_z_se": z[1][0::2], "im_z": z[0][1::2], "im_z_se": z[1][1::2]}
-
-
 # scenario type: (name of its kernel in this module, variance fields of the
 # spacings drawn per realization in this order, complex buffers of its
-# workspace, the named columns from the (mean, se) of its real and complex
-# column). The kernel is looked up when the sampler runs, so that
-# a wrapper installed over it (a tracer, say) sees its calls.
+# workspace, names of its kernel's real and complex column). The kernel is
+# looked up when the sampler runs, so that a wrapper installed over it (a
+# tracer, say) sees its calls.
 _OBSERVABLES = {
-    SingleQubitScenario: ("evolve_single_realization", ("var",), 1, _single_named),
-    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), 2, _two_named),
+    SingleQubitScenario: ("evolve_single_realization", ("var",), 1, ("rho_pp", "rho_pm")),
+    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), 2, ("gamma2", "z")),
 }
 
 
-def sample_ensemble(s, n: int, master_seed: int, grid) -> dict[str, np.ndarray]:
-    """Named columns of the mean over n realizations, with standard errors in ``<name>_se``.
+def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> dict[str, np.ndarray]:
+    """Named columns of the mean over n realizations on time_grid(t_max, points), with
+    standard errors in ``<name>_se``.
 
-    The observable follows from the scenario type: the working qubit's
-    elements (rho_pp, re_rho_pm, im_rho_pm) for a SingleQubitScenario, the X
-    state (a, b, c, d, re_z, im_z) for a TwoQubitScenario. The grid must be
-    uniform from 0, t_k = k grid[1], as np.linspace(0, t, N) is; any other
-    grid is refused with a ValueError. On it the kernels form each
+    The columns are the scenario type's kernel's: its real column and the
+    real and imaginary parts of its complex one, rho_pp, re_rho_pm and
+    im_rho_pm for a SingleQubitScenario, gamma2, re_z and im_z for a
+    TwoQubitScenario, whose X-state diagonal is affine in gamma^2
+    (xstate_diagonal). On the grid, uniform from 0, the kernels form each
     realization's phases from about B + N/B sin/cos pairs instead of N,
     B = ceil(sqrt(N)).
 
@@ -273,17 +238,15 @@ def sample_ensemble(s, n: int, master_seed: int, grid) -> dict[str, np.ndarray]:
     column and its complex column read as 2N interleaved reals, three reals
     per point. Each worker thread allocates one workspace of min(CHUNK, n)
     rows by M B points per call (workspace_bytes) and reuses it for all its
-    chunks; a short last chunk takes its first rows. The two-qubit a, b, c
-    and d and their standard errors follow from the mean and standard error
-    of gamma^2 (xstate_diagonal).
+    chunks; a short last chunk takes its first rows.
     The master seed must lie in [0, 2^64), the key space of standard_normals.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
-    grid = _uniform_grid(grid)
-    kernel, fields, _, named = _OBSERVABLES[type(s)]
+    grid = time_grid(t_max, points)
+    kernel, fields, _, (real_name, cplx_name) = _OBSERVABLES[type(s)]
     evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]
     bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
@@ -319,4 +282,8 @@ def sample_ensemble(s, n: int, master_seed: int, grid) -> dict[str, np.ndarray]:
         mean = sum(sums[j] for _, sums, _ in partials) / n
         m2 = sum(m2s[j] + count * (sums[j] / count - mean) ** 2 for count, sums, m2s in partials)
         stats.append((mean, np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)))
-    return named(s, *stats)
+    (mean, se), (cmean, cse) = stats
+    # the complex column's reals interleave its real and imaginary parts
+    return {real_name: mean, f"{real_name}_se": se,
+            f"re_{cplx_name}": cmean[0::2], f"re_{cplx_name}_se": cse[0::2],
+            f"im_{cplx_name}": cmean[1::2], f"im_{cplx_name}_se": cse[1::2]}

@@ -1,6 +1,6 @@
 """X-state concurrence and, on analytic.xstate_gap, the concurrence trajectory and t_c solver.
 
-The solver returns plain columns (status, lo, t_c, t_max), one entry per cell.
+The solver returns plain columns (status, t_c, t_max), one entry per cell.
 Their oracles (general Wootters concurrence, averaged X state) live in hensim.validation.
 """
 
@@ -142,12 +142,13 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     alpha >= 1/2, variances >= 0, 0 <= xy <= 1/4), as cli.cmd_tc_map checks
     by building the records of its map's corners.
 
-    It returns four equal-length columns, one entry per cell in C order.
+    It returns three equal-length columns, one entry per cell in C order.
     ``status`` is one of STATUSES: "finite", "none" (no sudden death: alpha =
     1/2, no longitudinal noise or a pure auxiliary mixture) or "unresolved"
-    (below). ``lo`` and ``t_c`` are adjacent floats with g(lo) > 0 >= g(t_c),
-    |t_c - root| <= TOL t_c; both are NaN unless finite. ``t_max`` is the
-    bound T below, NaN for "none".
+    (below). ``t_c`` is the upper end of the adjacent floats
+    (nextafter(t_c, 0), t_c) around the root, g(nextafter(t_c, 0)) > 0 >= g(t_c),
+    |t_c - root| <= TOL t_c; NaN unless finite. ``t_max`` is the bound T
+    below, NaN for "none".
 
     Every cell is first solved on its envelope g(t; 0), its own gap with
     omega_a set to 0. The envelope falls strictly from g(0) = 1/2 (any var_b),
@@ -200,7 +201,7 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     """
     params = np.array(np.broadcast_arrays(alpha, var_a, var_b, omega_a, xy),
                       dtype=float).reshape(5, -1)
-    out = {name: np.full(params.shape[1], np.nan) for name in ("t_c", "lo", "t_max")}
+    out = {name: np.full(params.shape[1], np.nan) for name in ("t_c", "t_max")}
     # an object column: a string one as wide as "none" would cut "finite" to "fini"
     out["status"] = np.full(params.shape[1], NO_SUDDEN_DEATH, dtype=object)
     idx = np.flatnonzero((params[0] != 0.5) & (params[1] != 0.0) & (params[4] != 0.0))
@@ -241,6 +242,6 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
 
     ok = (_cell_gap(lo, cells) > 0.0) & (_cell_gap(hi, cells) <= 0.0)
     out["status"][idx[~ok]] = UNRESOLVED
-    out["lo"][idx[ok]], out["t_c"][idx[ok]] = lo[ok], hi[ok]
+    out["t_c"][idx[ok]] = hi[ok]
     return out
 

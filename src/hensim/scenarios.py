@@ -107,8 +107,8 @@ class TwoQubitScenario:
 def time_grid(t_max: float, points: int = 400) -> np.ndarray:
     """Uniform grid of ``points`` samples on [0, t_max] (default density 400)."""
     _require_finite(t_max=t_max)
-    # at a subnormal step, np.linspace's points stray up to (points - 1) / 2
-    # subnormal units from k * step, more than sample_ensemble's grid check allows
+    # the kernels evaluate at k * step, and at a subnormal step np.linspace's
+    # points stray up to (points - 1) / 2 subnormal units from those times
     if points < 2 or t_max / (points - 1) < sys.float_info.min:
         raise ValueError(f"need at least 2 points and t_max >= (points - 1) * {sys.float_info.min!r}"
                          f" (a normal time step), got t_max = {t_max!r} at {points} points")

@@ -6,9 +6,9 @@ Wootters concurrence, the dense realization Hamiltonians and the closed-form
 single-qubit propagator. It also holds the X-state record (XState), the
 complex averaged X state (avg_xstate_two) and its special case without
 longitudinal noise (special_zero_va), against which the real-only
-analytic.xstate_gap is checked, and the sweep that checks the brackets (lo,
-t_c) in the columns of entanglement.find_tc_batch, which runs no sweep of its
-own (check_tc_bracket). No production path uses them; the CLI imports this
+analytic.xstate_gap is checked, and the sweep that checks the brackets
+(nextafter(t_c, 0), t_c) of entanglement.find_tc_batch's roots, which runs no
+sweep of its own (check_tc_bracket). No production path uses them; the CLI imports this
 module only for `validate`. The dense functions act on one matrix (n, n) or a stack
 (..., n, n) alike, and never mutate their inputs. Basis conventions (|+> first):
   single-qubit system: 4x4 matrices in the product basis A (x) B, i.e.
@@ -43,7 +43,7 @@ from hensim.ensemble import (
     xstate_diagonal,
 )
 from hensim.entanglement import FINITE, UNRESOLVED, concurrence, concurrence_x, find_tc_batch
-from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, time_grid
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -290,16 +290,8 @@ def _single_scenario(omega_a, alpha, phase, mag) -> SingleQubitScenario:
                                yb=np.sqrt(1 - mag**2), var=1.0)
 
 
-def random_single_scenario(rng) -> SingleQubitScenario:
-    return _single_scenario(*_draw(rng, SINGLE_RANGES).tolist())
-
-
 def _two_scenario(*fields_in_draw_order) -> TwoQubitScenario:
     return TwoQubitScenario(**dict(zip(TWO_RANGES, fields_in_draw_order)))
-
-
-def random_two_scenario(rng) -> TwoQubitScenario:
-    return _two_scenario(*_draw(rng, TWO_RANGES).tolist())
 
 
 def _outer(psi: np.ndarray) -> np.ndarray:
@@ -439,11 +431,11 @@ def check_specializations(n_cases: int, rng) -> float:
 
 
 def gap_oracle_cases(rng, n: int) -> TwoQubitScenario:
-    """n random_two_scenario draws as one record of (n, 1) columns: case i has alpha within
+    """n draws of TWO_RANGES as one record of (n, 1) columns: case i has alpha within
     1e-9 to 1e-1 of 1/2 when i % 3 == 1 and a pure auxiliary mixture (x = 0 or 1) when
-    i % 3 == 2. The draws come case by case, as n random_two_scenario calls and their
-    extra draws make them: rng.integers takes half of a buffered 64-bit word, an
-    order that no one array draw reproduces."""
+    i % 3 == 2. The draws come case by case, each _draw(rng, TWO_RANGES) followed by
+    its extra draw: rng.integers takes half of a buffered 64-bit word, an order that
+    no one array draw reproduces."""
     rows = []
     for i in range(n):
         case = dict(zip(TWO_RANGES, _draw(rng, TWO_RANGES)))
@@ -486,7 +478,8 @@ def check_tc_bracket(n_cases: int, rng) -> float:
     cells = find_tc_batch(*np.hstack([params, twins]))
     finite = np.flatnonzero(cells["status"][:n_cases] == FINITE)
     end = np.where(params[3] == 0.0, cells["t_max"][:n_cases], cells["t_c"][n_cases:])
-    lo, hi, end = (col[finite, None] for col in (cells["lo"], cells["t_c"], end))
+    hi, end = (col[finite, None] for col in (cells["t_c"], end))
+    lo = np.nextafter(hi, 0.0)
     params = params[:, finite, None]
     if np.any(cells["status"] == UNRESOLVED) or not np.all(
             (xstate_gap(lo, *params) > 0.0) & (xstate_gap(hi, *params) <= 0.0)):
@@ -509,20 +502,18 @@ def _mc_scenario() -> SingleQubitScenario:
 def check_mc_convergence(n: int, master_seed: int) -> float:
     """Max deviation of the n-sample Monte Carlo population from its analytic average."""
     s = _mc_scenario()
-    grid = np.linspace(0.0, 5.0, 200)
-    mc = sample_ensemble(s, n, master_seed, grid)
-    return np.abs(mc["rho_pp"] - avg_population_single(grid, s)).max()
+    mc = sample_ensemble(s, n, master_seed, 5.0, 200)
+    return np.abs(mc["rho_pp"] - avg_population_single(time_grid(5.0, 200), s)).max()
 
 
 def check_mc_scaling(master_seed: int) -> float:
     """Fitted exponent of the max Monte Carlo deviation against N = 100, 1000, 10000 (ideally -1/2)."""
     s = _mc_scenario()
-    grid = np.linspace(0.0, 5.0, 400)
-    target = avg_population_single(grid, s)
+    target = avg_population_single(time_grid(5.0, 400), s)
     ns = [100, 1000, 10000]
     devs = []
     for n in ns:
-        mc = sample_ensemble(s, n, master_seed, grid)
+        mc = sample_ensemble(s, n, master_seed, 5.0, 400)
         devs.append(np.abs(mc["rho_pp"] - target).max())
     return np.polyfit(np.log(ns), np.log(devs), 1)[0]
 

@@ -10,6 +10,7 @@ from hypothesis import settings
 from hensim.analytic import gap_args, xstate_gap
 from hensim.entanglement import find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario
+from hensim.validation import SINGLE_RANGES, TWO_RANGES, _draw, _single_scenario, _two_scenario
 
 # every property test runs the same examples each run; each test sets only its
 # own max_examples
@@ -33,6 +34,16 @@ def stack(records, shape=(-1, 1)):
     holds the records' values in order, reshaped to ``shape`` ((R, 1) columns by default)."""
     return type(records[0])(*(np.reshape([getattr(r, f.name) for r in records], shape)
                               for f in fields(records[0])))
+
+
+def random_single_scenario(rng) -> SingleQubitScenario:
+    """One case of SINGLE_RANGES, drawn in _draw(rng, SINGLE_RANGES) order, as a scalar record."""
+    return _single_scenario(*_draw(rng, SINGLE_RANGES).tolist())
+
+
+def random_two_scenario(rng) -> TwoQubitScenario:
+    """One case of TWO_RANGES, drawn in _draw(rng, TWO_RANGES) order, as a scalar record."""
+    return _two_scenario(*_draw(rng, TWO_RANGES).tolist())
 
 
 @pytest.fixture
@@ -68,7 +79,8 @@ def solve_batch(scenarios):
     """find_tc_batch on a list of scenarios, one cell each, as one record per cell in order.
 
     A record holds the cell's status, t_c, t_max and bracket (lo, t_c), with
-    None where the solver's column holds NaN (bracket None unless finite).
+    None where the solver's column holds NaN (bracket None unless finite);
+    lo = nextafter(t_c, 0), the float below t_c that the solver's bisection ends on.
     """
     cols = find_tc_batch(*np.array([gap_args(s) for s in scenarios]).reshape(-1, 5).T)
 
@@ -76,9 +88,9 @@ def solve_batch(scenarios):
         return None if math.isnan(v) else v
 
     return [SimpleNamespace(status=status, t_c=none_if_nan(t_c), t_max=none_if_nan(t_max),
-                            bracket=None if math.isnan(lo) else (lo, t_c))
-            for status, t_c, lo, t_max in zip(cols["status"], cols["t_c"].tolist(),
-                                              cols["lo"].tolist(), cols["t_max"].tolist())]
+                            bracket=None if math.isnan(t_c) else (math.nextafter(t_c, 0.0), t_c))
+            for status, t_c, t_max in zip(cols["status"], cols["t_c"].tolist(),
+                                          cols["t_max"].tolist())]
 
 
 def find_tc(s):

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     find_tc,
     invert_thermal,
+    random_two_scenario,
     scenario_gap,
     single_scenario,
     thermal_population,
@@ -31,7 +32,6 @@ from hensim.validation import (
     check_propagator_oracle,
     check_two_qubit_oracle,
     concurrence_general,
-    random_two_scenario,
     xstate_matrix,
 )
 
@@ -60,7 +60,7 @@ def test_criterion_2_fig1a_reproduction():
     worst_point, worst_plateau = 0.0, 0.0
     for xb, plateau in plateaus.items():
         s = single_scenario(omega_a=0.0, alpha=5.0, xb=xb, variance=1.0)
-        mc = sample_ensemble(s, 8000, 1000 + int(10 * xb), grid)
+        mc = sample_ensemble(s, 8000, 1000 + int(10 * xb), 5.0, 400)
         dev = np.abs(mc["rho_pp"] - avg_population_single(grid, s)).max()
         worst_point = max(worst_point, dev)
         tail = mc["rho_pp"][grid >= 4.0].mean()
@@ -77,7 +77,7 @@ def test_criterion_3_fig2_reproduction():
     start = time.monotonic()
     s = single_scenario(omega_a=4.0, alpha=1.0, xb=0.9, variance=0.6)
     grid = np.linspace(0.0, 4.0, 400)
-    mc = sample_ensemble(s, 5000, 2024, grid)
+    mc = sample_ensemble(s, 5000, 2024, 4.0, 400)
     dev_pop = np.abs(mc["rho_pp"] - avg_population_single(grid, s)).max()
     dev_coh = np.abs(mc["re_rho_pm"] - avg_coherence_single(grid, s).real).max()
     elapsed = time.monotonic() - start

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import invert_thermal, single_scenario, thermal_population, two_scenario
+from conftest import (
+    invert_thermal,
+    random_two_scenario,
+    single_scenario,
+    thermal_population,
+    two_scenario,
+)
 from hensim.analytic import (
     avg_coherence_single,
     avg_population_single,
@@ -13,14 +19,13 @@ from hensim.analytic import (
     steady_population,
     xstate_gap,
 )
-from hensim.ensemble import sample_ensemble
+from hensim.ensemble import sample_ensemble, xstate_diagonal
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import coupling_c
 from hensim.validation import (
     avg_xstate_two,
     check_gap_closed_form,
     gap_oracle_cases,
-    random_two_scenario,
     special_zero_va,
     validate_density,
     xstate_matrix,
@@ -47,7 +52,7 @@ class TestAvgPopulationSingle:
     def test_matches_monte_carlo_fig2_setting(self):
         s = single_scenario(omega_a=4.0, alpha=1.0, xb=0.9, variance=0.6)
         ts = np.linspace(0, 4, 100)
-        mc = sample_ensemble(s, 5000, 101, ts)
+        mc = sample_ensemble(s, 5000, 101, 4.0, 100)
         assert np.abs(mc["rho_pp"] - avg_population_single(ts, s)).max() <= 0.03
 
 
@@ -74,7 +79,7 @@ class TestAvgCoherenceSingle:
     def test_matches_monte_carlo_fig2_setting(self):
         s = single_scenario(omega_a=4.0, alpha=1.0, xb=0.9, variance=0.6)
         ts = np.linspace(0, 4, 100)
-        mc = sample_ensemble(s, 5000, 202, ts)
+        mc = sample_ensemble(s, 5000, 202, 4.0, 100)
         dev = np.abs(mc["re_rho_pm"] - avg_coherence_single(ts, s).real).max()
         assert dev <= 0.03
 
@@ -178,12 +183,17 @@ class TestAvgXStateTwo:
     def test_matches_monte_carlo(self):
         s = two_scenario(var_b=0.3)
         ts = np.linspace(0, 5, 60)
-        mc = sample_ensemble(s, 10_000, 303, ts)
+        mc = sample_ensemble(s, 10_000, 303, 5.0, 60)
         xs = avg_xstate_two(ts, s)
-        for name, exact in (("a", xs.a), ("b", xs.b), ("c", xs.c), ("d", xs.d),
-                            ("re_z", xs.z.real), ("im_z", xs.z.imag)):
-            dev = np.abs(mc[name] - exact)
-            bound = np.maximum(4.0 * mc[name + "_se"], 1e-6)
+        a, b, c, d = xstate_diagonal(mc["gamma2"], s)
+        # a and c are gamma^2 scaled by x c^2 / 2 (plus a constant), b and d by y c^2 / 2
+        a_se, _, _, d_se = xstate_diagonal(mc["gamma2_se"], s)
+        for name, got, se, exact in (("a", a, a_se, xs.a), ("b", b, d_se, xs.b),
+                                     ("c", c, a_se, xs.c), ("d", d, d_se, xs.d),
+                                     ("re_z", mc["re_z"], mc["re_z_se"], xs.z.real),
+                                     ("im_z", mc["im_z"], mc["im_z_se"], xs.z.imag)):
+            dev = np.abs(got - exact)
+            bound = np.maximum(4.0 * se, 1e-6)
             assert np.all(dev <= bound), name
 
 

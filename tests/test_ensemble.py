@@ -6,7 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import single_scenario, stack, two_scenario
+from conftest import (
+    random_single_scenario,
+    random_two_scenario,
+    single_scenario,
+    stack,
+    two_scenario,
+)
 from hensim.cli import EXIT_OK, main
 from hensim.ensemble import (
     CHUNK,
@@ -31,8 +37,6 @@ from hensim.validation import (
     coupling_strength,
     matrix_exponential,
     propagator_single_closed,
-    random_single_scenario,
-    random_two_scenario,
     single_oracle_elements,
     two_oracle_xstate,
     validate_density,
@@ -251,12 +255,33 @@ class TestSeedStream:
         # draw j of a realization does not depend on how many draws are taken
         assert np.array_equal(whole[:2], standard_normals(2024, 0, 1000, 2))
 
+    # Known answers of the splitmix64-boxmuller-v1 stream and of the chunked
+    # reduction: a change to either changes these digits, even where the
+    # statistics still hold. The slack covers numpy's SIMD sin, cos and log,
+    # which may differ by an ulp between CPUs.
+    def test_known_normals(self):
+        expected = [1.261492204096212, 0.6600643340891037, -0.764635989528546, 0.11736995063103073,
+                    0.05944391063385891, 0.3871334213079332, 1.5314120460843554, -1.1065805608172916]
+        got = standard_normals(2024, 0, 4, 2)
+        assert got.shape == (2, 4)
+        np.testing.assert_allclose(got.ravel(), expected, rtol=0.0, atol=1e-13)
+
+    def test_known_two_chunk_means(self):
+        s = two_scenario(omega_a=0.7, omega_b=0.3, alpha=1.2, x=0.3, var_a=0.5, var_b=0.4)
+        mc = sample_ensemble(s, 600, 2024, 3.0, 5)  # chunks of 512 and 88 realizations
+        np.testing.assert_allclose(
+            mc["gamma2"], [0.0, 0.41918954265174063, 0.5193182746843771, 0.48521653078591326,
+                           0.493819858201296], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(
+            mc["re_z"], [0.5, 0.2124856517704989, -0.08356079655496933, -0.07020348967433794,
+                         -0.015384715549499344], rtol=0.0, atol=1e-13)
+
     def test_sampler_raises_no_runtime_warning(self, monkeypatch):
         monkeypatch.setenv("HENSIM_WORKERS", "2")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sample_ensemble(two_scenario(var_b=0.5), 1100, 2**64 - 1, np.linspace(0, 5, 20))
-            sample_ensemble(single_scenario(), 700, 2**64 - 3, np.linspace(0, 5, 20))
+            sample_ensemble(two_scenario(var_b=0.5), 1100, 2**64 - 1, 5.0, 20)
+            sample_ensemble(single_scenario(), 700, 2**64 - 3, 5.0, 20)
 
 
 def complex_single(eps, t, s):
@@ -456,30 +481,19 @@ class TestWorkerCount:
 class TestSampleEnsemble:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
-            sample_ensemble(single_scenario(), 0, 1, np.linspace(0, 1, 5))
-
-    @pytest.mark.parametrize("grid", [
-        np.linspace(0.5, 5.0, 20),
-        np.concatenate(([0.0], np.sort(np.random.default_rng(3).uniform(0.0, 5.0, 19)))),
-        np.linspace(0.0, 5.0, 20).reshape(2, 10),
-    ], ids=["shifted", "sorted-random", "2-D"])
-    def test_non_uniform_grid_rejected(self, grid):
-        # the kernels build every phase from t_k = k grid[1]
-        with pytest.raises(ValueError, match="^grid must be uniform from 0") as exc:
-            sample_ensemble(single_scenario(), 10, 1, grid)
-        assert "\n" not in str(exc.value)
+            sample_ensemble(single_scenario(), 0, 1, 1.0, 5)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_key_space_rejected(self, seed):
         # the streams are keyed by a 64-bit word: a wider seed could only wrap
         # onto the streams of another seed
         with pytest.raises(ValueError, match="seed must lie in"):
-            sample_ensemble(single_scenario(), 10, seed, np.linspace(0, 1, 5))
+            sample_ensemble(single_scenario(), 10, seed, 1.0, 5)
 
     def test_degenerate_distribution_equals_deterministic(self):
         s = single_scenario(omega_a=2.0, alpha=1.3, variance=0.0)
         grid = np.linspace(0, 4, 33)
-        traj = sample_ensemble(s, 50, 11, grid)
+        traj = sample_ensemble(s, 50, 11, 4.0, 33)
         pp, pm = single_elements(0.0, grid, s)
         assert np.abs(traj["rho_pp"] - pp).max() <= 1e-14
         assert np.abs(traj["re_rho_pm"] - pm.real).max() <= 1e-14
@@ -488,36 +502,38 @@ class TestSampleEnsemble:
     def test_n1_equals_single_realization(self):
         s = single_scenario(omega_a=1.0, alpha=2.0, variance=0.7)
         grid = np.linspace(0, 3, 17)
-        traj = sample_ensemble(s, 1, 123, grid)
+        traj = sample_ensemble(s, 1, 123, 3.0, 17)
         eps = np.sqrt(0.7) * standard_normals(123, 0, 1, 1)[0, 0]
         pp, _ = single_elements(eps, grid, s)
         assert np.abs(traj["rho_pp"] - pp).max() <= 1e-15
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
         s = two_scenario(var_b=0.5)
-        grid = np.linspace(0, 5, 40)
         results = []
         for workers in ("1", "4"):
             monkeypatch.setenv("HENSIM_WORKERS", workers)
-            results.append(sample_ensemble(s, 2000, 77, grid))
+            results.append(sample_ensemble(s, 2000, 77, 5.0, 40))
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_two_qubit_uneven_last_chunk_matches_direct_statistics(self, monkeypatch, workers):
         # 700 = 512 + 188 realizations: the last chunk runs on the first 188
-        # rows of a workspace. Each of the 12 columns is the direct mean or
-        # standard error over the same draws, to a few ulps
+        # rows of a workspace. Each of the 6 columns is the direct mean or
+        # standard error over the same draws, to 1e-15; gamma^2's, up to 1,
+        # to 16 U (its mean differs by 10 U: the chunk sums and numpy's
+        # pairwise sum round apart)
         monkeypatch.setenv("HENSIM_WORKERS", workers)
         s, n, grid = two_scenario(omega_a=1.5, alpha=1.7, x=0.3, var_b=0.4), 700, np.linspace(0, 5, 400)
-        mc = sample_ensemble(s, n, 61, grid)
+        mc = sample_ensemble(s, n, 61, 5.0, 400)
         za, zb = standard_normals(61, 0, n, 2)
         gamma2, z = kernel(s, math.sqrt(s.var_a) * za[:, None], math.sqrt(s.var_b) * zb[:, None], grid=grid)
-        direct = dict(zip("abcd", xstate_diagonal(gamma2, s)), re_z=z.real, im_z=z.imag)
+        direct = {"gamma2": gamma2, "re_z": z.real, "im_z": z.imag}
+        assert set(mc) == {*direct, *(name + "_se" for name in direct)}
         for name, v in direct.items():
-            assert np.abs(mc[name] - v.mean(axis=0)).max() <= 1e-15, name
-            assert np.abs(mc[name + "_se"] - v.std(axis=0, ddof=1) / math.sqrt(n)).max() <= 1e-15, name
-        assert np.array_equal(mc["b_se"], mc["d_se"]) and np.array_equal(mc["c_se"], mc["a_se"])
+            bound = 16 * U if name == "gamma2" else 1e-15
+            assert np.abs(mc[name] - v.mean(axis=0)).max() <= bound, name
+            assert np.abs(mc[name + "_se"] - v.std(axis=0, ddof=1) / math.sqrt(n)).max() <= bound, name
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_thread_allocates_one_workspace_per_call(self, monkeypatch, workers):
@@ -530,10 +546,10 @@ class TestSampleEnsemble:
             return workspace(s, rows, points)
 
         monkeypatch.setattr("hensim.ensemble.workspace", counted)
-        sample_ensemble(two_scenario(var_b=0.5), 4 * CHUNK + 100, 3, np.linspace(0, 5, 30))
+        sample_ensemble(two_scenario(var_b=0.5), 4 * CHUNK + 100, 3, 5.0, 30)
         assert 1 <= len(made) <= workers and set(made) == {CHUNK}
         made.clear()
-        sample_ensemble(single_scenario(), 100, 3, np.linspace(0, 5, 30))
+        sample_ensemble(single_scenario(), 100, 3, 5.0, 30)
         assert made == [100]
 
     # sample_ensemble returns bare columns; the provenance of a sampled run is
@@ -559,23 +575,14 @@ class TestSampleEnsemble:
     def test_averaged_single_state_is_valid_density(self):
         # 300 random realizations, assembled into the averaged working-qubit state
         s = single_scenario(omega_a=1.5, alpha=2.0, variance=1.0)
-        grid = np.linspace(0, 5, 25)
-        traj = sample_ensemble(s, 300, 5, grid)
-        for i in range(len(grid)):
+        traj = sample_ensemble(s, 300, 5, 5.0, 25)
+        for i in range(25):
             pp = traj["rho_pp"][i]
             pm = traj["re_rho_pm"][i] + 1j * traj["im_rho_pm"][i]
             validate_density(np.array([[pp, pm], [np.conj(pm), 1 - pp]]))
 
     def test_averaged_xstate_is_valid_density(self):
         s = two_scenario(var_b=0.3)
-        grid = np.linspace(0, 5, 25)
-        traj = sample_ensemble(s, 500, 9, grid)
-        for i in range(len(grid)):
-            rho = np.zeros((4, 4), dtype=complex)
-            rho[0, 0] = traj["b"][i]
-            rho[1, 1] = traj["a"][i]
-            rho[2, 2] = traj["d"][i]
-            rho[3, 3] = traj["c"][i]
-            rho[0, 3] = traj["re_z"][i] + 1j * traj["im_z"][i]
-            rho[3, 0] = np.conj(rho[0, 3])
-            validate_density(rho)
+        traj = sample_ensemble(s, 500, 9, 5.0, 25)
+        a, b, c, d = xstate_diagonal(traj["gamma2"], s)
+        validate_density(xstate_matrix(XState(a, b, c, d, traj["re_z"] + 1j * traj["im_z"])))

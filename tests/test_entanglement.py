@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import find_tc, scenario_gap, solve_batch, two_scenario
+from conftest import find_tc, random_two_scenario, scenario_gap, solve_batch, two_scenario
 from hensim.analytic import gap_args
-from hensim.ensemble import sample_ensemble
+from hensim.ensemble import sample_ensemble, xstate_diagonal
 from hensim.entanglement import (
     TOL,
     concurrence_trajectory,
@@ -21,7 +21,6 @@ from hensim.validation import (
     XState,
     avg_xstate_two,
     concurrence_general,
-    random_two_scenario,
     xstate_matrix,
 )
 
@@ -112,8 +111,9 @@ class TestConcurrenceTrajectory:
         grid = np.linspace(0.0, 5.0, 120)
         s = two_scenario(var_b=0.5)
         exact = concurrence_trajectory(s, grid)
-        cols = sample_ensemble(s, 300, 404, grid)
-        mc = concurrence_x(cols["a"], cols["d"], cols["re_z"] + 1j * cols["im_z"])
+        cols = sample_ensemble(s, 300, 404, 5.0, 120)
+        a, _, _, d = xstate_diagonal(cols["gamma2"], s)
+        mc = concurrence_x(a, d, cols["re_z"] + 1j * cols["im_z"])
         assert np.abs(mc - exact).max() <= 0.08
 
     def test_matches_complex_averaged_xstate(self, rng):
@@ -327,12 +327,12 @@ class TestFindTcBatch:
         # unresolved, while its zero-frequency twin and the cell after it solve
         cols = find_tc_batch(2.0, [1e-21, 1e-21, 0.5], 0.0, [3.0, 0.0, 3.0], 0.25)
         assert cols["status"].tolist() == ["unresolved", "finite", "finite"]
-        assert np.isnan(cols["lo"][0]) and np.isnan(cols["t_c"][0])
+        assert np.isnan(cols["t_c"][0])
         assert math.isfinite(cols["t_max"][0]) and cols["t_max"][0] == cols["t_max"][1]
         assert 3e10 < cols["t_c"][1] < cols["t_max"][1]
         alone = find_tc_batch(2.0, 1e-21, 0.0, 3.0, 0.25)
         assert alone["status"].tolist() == ["unresolved"]
-        assert np.isnan(alone["lo"][0]) and np.isnan(alone["t_c"][0])
+        assert np.isnan(alone["t_c"][0])
         assert alone["t_max"].tobytes() == cols["t_max"][:1].tobytes()
 
     def test_zero_frequency_cells_bracket_to_adjacent_floats(self):
@@ -342,7 +342,6 @@ class TestFindTcBatch:
         for s, res in zip(scenarios, solve_batch(scenarios)):
             lo, hi = res.bracket
             assert (res.status, res.t_c) == ("finite", hi)
-            assert hi == np.nextafter(lo, np.inf)
             assert scenario_gap(lo, s) > 0.0 >= scenario_gap(hi, s)
 
     def test_root_far_past_one_resolves(self):
@@ -371,15 +370,16 @@ class TestFindTcBatch:
                      two_scenario(var_a=5e-324),
                      two_scenario(omega_a=6.0, var_a=0.5, var_b=0.5)]
         cols = find_tc_batch(*np.array([gap_args(s) for s in scenarios]).T.reshape(5, 2, 2))
-        assert set(cols) == {"t_c", "lo", "t_max", "status"}
+        assert set(cols) == {"t_c", "t_max", "status"}
         assert all(col.shape == (4,) for col in cols.values())
         assert cols["status"].tolist() == ["finite", "none", "unresolved", "finite"]
         # NaN exactly where the status leaves a column without a value
-        nan = {name: np.isnan(cols[name]).tolist() for name in ("t_c", "lo", "t_max")}
-        assert nan == {"t_c": [False, True, True, False], "lo": [False, True, True, False],
-                       "t_max": [False, True, False, False]}
-        finite = cols["status"] == "finite"
-        assert np.array_equal(np.nextafter(cols["lo"][finite], np.inf), cols["t_c"][finite])
+        nan = {name: np.isnan(cols[name]).tolist() for name in ("t_c", "t_max")}
+        assert nan == {"t_c": [False, True, True, False], "t_max": [False, True, False, False]}
+        # each finite t_c ends a bracket of adjacent floats: g changes sign right below it
+        for i in (0, 3):
+            t_c = cols["t_c"][i]
+            assert scenario_gap(np.nextafter(t_c, 0.0), scenarios[i]) > 0.0 >= scenario_gap(t_c, scenarios[i])
 
 
 # The paper's two claims over the scenario space, at omega_a = 0 unless stated.
@@ -398,7 +398,6 @@ def test_longitudinal_relaxation_always_brings_sudden_death(cells):
     for s, res in zip(scenarios, solve_batch(scenarios)):
         assert res.status == "finite"
         lo, hi = res.bracket
-        assert res.t_c == hi == np.nextafter(lo, np.inf)
         assert scenario_gap(lo, s) > 0.0 >= scenario_gap(hi, s)
 
 
@@ -512,5 +511,5 @@ def test_grouped_cells_are_bit_identical_to_solving_alone(alphas, var_exps, x, t
     for i, s in enumerate(grid):
         alone = find_tc_batch(*gap_args(s))
         assert alone["status"].tolist() == cols["status"][i:i + 1].tolist()
-        for name in ("lo", "t_c", "t_max"):
+        for name in ("t_c", "t_max"):
             assert alone[name].tobytes() == cols[name][i:i + 1].tobytes(), (name, s)

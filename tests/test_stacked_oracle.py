@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hensim.validation as validation
-from conftest import stack
+from conftest import random_single_scenario, random_two_scenario, stack
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import TwoQubitScenario
 from hensim.validation import (
@@ -27,8 +27,6 @@ from hensim.validation import (
     matrix_exponential,
     partial_trace,
     propagator_single_closed,
-    random_single_scenario,
-    random_two_scenario,
     single_oracle_elements,
     special_zero_va,
     two_oracle_xstate,
