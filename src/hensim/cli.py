@@ -151,9 +151,15 @@ _BLOCK_ROWS = 512
 
 
 def _cell_texts(col) -> list[str]:
-    """Each cell of a column slice to 17 significant digits, "" for None; an array holds no None."""
+    """Each cell of a column slice to 17 significant digits, "" for None; an array holds no None.
+
+    An array's distinct values are formatted once each; they are told apart
+    by their bits, so that 0.0 and -0.0 keep their own texts.
+    """
     if isinstance(col, np.ndarray):
-        return [f"{v:.17g}" for v in col.tolist()]
+        bits, index = np.unique(col.view(np.int64), return_inverse=True)
+        texts = [f"{v:.17g}" for v in bits.view(float).tolist()]
+        return [texts[i] for i in index.tolist()]
     return ["" if v is None else f"{v:.17g}" for v in col]
 
 

@@ -1,9 +1,11 @@
 """Closed-form single-realization dynamics and their Monte Carlo ensemble average.
 
 Each realization costs O(1) per time point through the closed forms below,
-which take a uniform time grid from 0 and build each phase from about
-2 sqrt(N) sin/cos pairs for N points; the dense Hamiltonians, propagators and
-matrix exponential they are checked against live in hensim.validation.
+which take the sampler's (t_max, points), the times t_k = k h with
+h = t_max / (points - 1) of time_grid(t_max, points), and build each phase
+from about 2 sqrt(N) sin/cos pairs for N points; the dense Hamiltonians,
+propagators and matrix exponential they are checked against live in
+hensim.validation.
 
 A realization carries three reals per point, one real and one complex column:
 rho_pp and rho_pm for one working qubit, gamma^2 and z for the X state of two,
@@ -13,8 +15,8 @@ errors under the kernel's column names. The kernels write into a workspace
 (workspace) that each sampler thread allocates once per call, min(CHUNK, n)
 rows by M B points, the grid padded to whole blocks; workspace_bytes gives its
 size. The kernels (evolve_*) also take a stack of R cases, each with its own
-grid, as the rows of one call: a record whose fields are (R, 1) columns, as
-the oracle suite in hensim.validation passes them.
+t_max, as the rows of one call: a record and a t_max whose fields are (R, 1)
+columns, as the oracle suite in hensim.validation passes them.
 """
 
 from __future__ import annotations
@@ -103,23 +105,23 @@ def workspace_bytes(s, n: int, points: int) -> int:
     return min(CHUNK, n) * m * b * (8 + 16 * _OBSERVABLES[type(s)][2])
 
 
-def evolve_single_realization(eps, grid, s: SingleQubitScenario, ws):
-    """Columns (rho_pp, rho_pm) of the working qubit on a uniform grid from 0, real and complex.
+def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, ws):
+    """Columns (rho_pp, rho_pm) of the working qubit at t_k = k h, real and complex.
 
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
-    rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). The grid must be
-    t_k = k h with h = grid[..., 1] (as time_grid builds it). It is one
-    grid (N,), or a stack (R, N) of R grids, one step per row; eps is a
-    scalar or a column (R, 1), and s is a record whose fields are scalars or
-    (R, 1) columns. The columns have the broadcast shape of eps and the grid,
-    (N,) or (R, N). They are views of the first R rows of ``ws``, a
+    rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). The step
+    h = t_max / (points - 1) is bit for bit time_grid(t_max, points)[1], so
+    the times are those of that grid. t_max is a scalar or a column (R, 1)
+    of R grids' ends, a stack of cases; eps is a scalar or a column (R, 1),
+    and s is a record whose fields are scalars or (R, 1) columns. The
+    columns have the broadcast shape of eps, t_max and (points,), (N,) or
+    (R, N). They are views of the first R rows of ``ws``, a
     workspace(s, R', N) with R' >= R, and agree with the propagator +
     partial-trace route to 1e-10.
     """
-    grid = np.asarray(grid, dtype=float)
-    shape = np.broadcast_shapes(np.shape(eps), grid.shape)
-    rows, (m, b), h = math.prod(shape[:-1]), _blocks(grid.shape[-1]), grid[..., 1:2]
+    shape = np.broadcast_shapes(np.shape(eps), np.shape(t_max), (points,))
+    rows, (m, b), h = math.prod(shape[:-1]), _blocks(points), t_max / (points - 1)
     sin_b, w = (v[:rows] for v in ws)
     c = coupling_c(s.alpha)
     _phase_table(w.reshape(rows, m, b), s.alpha * (eps - s.omega_a), h)
@@ -129,24 +131,23 @@ def evolve_single_realization(eps, grid, s: SingleQubitScenario, ws):
     w *= sin_b
     np.square(sin_b, out=sin_b)
     sin_b *= c**2 * abs(s.xb) ** 2
-    return tuple(v[:, :grid.shape[-1]].reshape(shape) for v in (sin_b, w))
+    return tuple(v[:, :points].reshape(shape) for v in (sin_b, w))
 
 
-def evolve_two_realization(eps_a, eps_b, grid, s: TwoQubitScenario, ws):
-    """Columns (gamma^2, z) of the two working qubits' X state on a uniform grid from 0, real and complex.
+def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario, ws):
+    """Columns (gamma^2, z) of the two working qubits' X state at t_k = k h, real and complex.
 
     With gamma = sin(alpha (omega_a - eps_a) t), the diagonal (a, b, c, d) is
     affine in gamma^2 (xstate_diagonal), and
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
-    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The grid (N,) or
-    (R, N), the spacings, the record s and ``ws`` are as in
+    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The step h, t_max
+    (a scalar or (R, 1)), the spacings, the record s and ``ws`` are as in
     evolve_single_realization; ws's second complex buffer holds
     cos - i gamma / (2 alpha). The X state agrees with the 8x8 propagator +
     partial-trace route to 1e-10.
     """
-    grid = np.asarray(grid, dtype=float)
-    shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), grid.shape)
-    rows, (m, blk), h = math.prod(shape[:-1]), _blocks(grid.shape[-1]), grid[..., 1:2]
+    shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), np.shape(t_max), (points,))
+    rows, (m, blk), h = math.prod(shape[:-1]), _blocks(points), t_max / (points - 1)
     gamma2, z, u = (v[:rows] for v in ws)
     _phase_table(u.reshape(rows, m, blk), s.alpha * (s.omega_a - eps_a), h)
     np.square(u.imag, out=gamma2)
@@ -154,7 +155,7 @@ def evolve_two_realization(eps_a, eps_b, grid, s: TwoQubitScenario, ws):
     _phase_table(z.reshape(rows, m, blk), -0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b),
                  h, 0.5 * (s.x + s.y))
     z *= u
-    return tuple(v[:, :grid.shape[-1]].reshape(shape) for v in (gamma2, z))
+    return tuple(v[:, :points].reshape(shape) for v in (gamma2, z))
 
 
 def xstate_diagonal(gamma2, s: TwoQubitScenario):
@@ -245,7 +246,7 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
         raise ValueError("sample count must be >= 1")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
-    grid = time_grid(t_max, points)
+    time_grid(t_max, points)  # its refusal of a bad t_max or point count
     kernel, fields, _, (real_name, cplx_name) = _OBSERVABLES[type(s)]
     evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]
@@ -256,9 +257,10 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
         # rows are realizations start..stop-1, one spacing per variance each
         start, stop = chunk
         if not hasattr(local, "ws"):
-            local.ws = workspace(s, min(CHUNK, n), grid.size)
+            local.ws = workspace(s, min(CHUNK, n), points)
         z = standard_normals(master_seed, start, stop, len(sigmas))
-        real, cplx = evolve(*(sigma * zk[:, None] for sigma, zk in zip(sigmas, z)), grid, s, local.ws)
+        eps = (sigma * zk[:, None] for sigma, zk in zip(sigmas, z))
+        real, cplx = evolve(*eps, t_max, points, s, local.ws)
         vals = (real, cplx.view(float))
         count = stop - start
         sums = [v.sum(axis=0) for v in vals]
@@ -268,12 +270,8 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
             np.square(v, out=v)
         return count, sums, [v.sum(axis=0) for v in vals]
 
-    nworkers = worker_count(len(bounds))
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            partials = list(pool.map(run, bounds))
-    else:
-        partials = [run(chunk) for chunk in bounds]
+    with ThreadPoolExecutor(max_workers=worker_count(len(bounds))) as pool:
+        partials = list(pool.map(run, bounds))
 
     # Fixed chunk order: the mean from the chunk sums, the squared deviations
     # as within-chunk plus between-chunk parts about that mean.

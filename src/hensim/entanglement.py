@@ -42,11 +42,12 @@ _GRID_DENSITY = 4000
 # 2 ln 2 at the root (each term falls; 1/8 > |z| >= exp(-(delta^2 va + vb) t^2/2) / 4):
 # the root by about 10u t_c, t_c one float (2u) above it. TOL ~ 90u: a margin of 7.
 TOL = 1e-14
-# Scan grids are evaluated a block of cells at a time, about this many points
-# per array, so memory stays flat however many cells there are. On a 2-core
-# Xeon (numpy 2.4) blocks past about 10k points ran the gap 2-3 times slower
-# per point, and smaller ones gained nothing.
-_BLOCK_POINTS = 1 << 13
+# Scan grids, and the gap sweeps of hensim.validation, are evaluated a block of
+# cells at a time, about this many points per array, so memory stays flat
+# however many cells there are. On a 2-core Xeon (numpy 2.4) blocks past about
+# 10k points ran the gap 2-3 times slower per point, and smaller ones gained
+# nothing.
+BLOCK_POINTS = 1 << 13
 # Peak memory find_tc_batch takes per cell, rounded up: tracemalloc read 555
 # bytes per cell at 90,000 cells (numpy 2.4). cli.cmd_tc_map budgets a map by it.
 CELL_BYTES = 600
@@ -74,7 +75,7 @@ def _last_crossings(cells, start, stop):
     n = len(start)
     lo, hi = np.full(n, np.nan), np.full(n, np.nan)
     back = np.square(np.arange(_GRID_DENSITY)[::-1] / (_GRID_DENSITY - 1))
-    per_block = max(1, _BLOCK_POINTS // _GRID_DENSITY)
+    per_block = max(1, BLOCK_POINTS // _GRID_DENSITY)
     for b in (slice(i, i + per_block) for i in range(0, n, per_block)):
         ts = stop[b, None] - back * (stop[b] - start[b])[:, None]
         ts[:, 0] = start[b]

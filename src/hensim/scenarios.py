@@ -104,8 +104,8 @@ class TwoQubitScenario:
         return 1.0 - self.x
 
 
-def time_grid(t_max: float, points: int = 400) -> np.ndarray:
-    """Uniform grid of ``points`` samples on [0, t_max] (default density 400)."""
+def time_grid(t_max: float, points: int) -> np.ndarray:
+    """Uniform grid of ``points`` samples on [0, t_max]."""
     _require_finite(t_max=t_max)
     # the kernels evaluate at k * step, and at a subnormal step np.linspace's
     # points stray up to (points - 1) / 2 subnormal units from those times

@@ -42,7 +42,7 @@ from hensim.ensemble import (
     workspace,
     xstate_diagonal,
 )
-from hensim.entanglement import FINITE, UNRESOLVED, concurrence, concurrence_x, find_tc_batch
+from hensim.entanglement import BLOCK_POINTS, FINITE, UNRESOLVED, concurrence, concurrence_x, find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, time_grid
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -378,20 +378,13 @@ def check_propagator_oracle(n_cases: int, rng) -> float:
     return float(np.abs(closed - oracle).max())
 
 
-def _endpoints(t) -> np.ndarray:
-    """The 2-point grids [0, t_r] of a stack of cases (t a column (R, 1)), as the rows of (R, 2).
-
-    A kernel's phases on such a grid are the pointwise ones at t_r.
-    """
-    return t * [0.0, 1.0]
-
-
 def check_two_qubit_oracle(n_cases: int, rng) -> float:
     """Max entry deviation of the closed-form X-state elements from the 8x8 propagator route."""
     s, eps_a, eps_b, t = _cases(rng, n_cases, _two_scenario, TWO_RANGES,
                                 eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
-    gamma2, z = evolve_two_realization(eps_a, eps_b, _endpoints(t), s, workspace(s, n_cases, 2))
-    # the kernel gives gamma^2 and z; the diagonal (a, b, c, d) is affine in gamma^2
+    # column 1 of the kernel's 2-point grid [0, t] is the pointwise value at t;
+    # it gives gamma^2 and z, and the diagonal (a, b, c, d) is affine in gamma^2
+    gamma2, z = evolve_two_realization(eps_a, eps_b, t, 2, s, workspace(s, n_cases, 2))
     closed = xstate_matrix(XState(*xstate_diagonal(gamma2[:, 1:], s), z=z[:, 1:]))
     return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, s)).max())
 
@@ -399,7 +392,7 @@ def check_two_qubit_oracle(n_cases: int, rng) -> float:
 def check_single_elements_oracle(n_cases: int, rng) -> float:
     """Max deviation of the closed-form single-qubit elements from the propagator + partial-trace route."""
     s, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    pp, pm = (v[:, 1:] for v in evolve_single_realization(eps, _endpoints(t), s, workspace(s, n_cases, 2)))
+    pp, pm = (v[:, 1:] for v in evolve_single_realization(eps, t, 2, s, workspace(s, n_cases, 2)))
     opp, opm = single_oracle_elements(eps, t, s)
     return float(max(np.abs(pp - opp).max(), np.abs(pm - opm).max()))
 
@@ -486,11 +479,10 @@ def check_tc_bracket(n_cases: int, rng) -> float:
         return math.inf
     sweep = np.linspace(0.0, 1.0, 1000)
     worst = -math.inf
-    # 8 cells at a time: arrays of 8,000 points ran the gap twice as fast per
-    # point as one array of all cells (2-core Xeon, numpy 2.4)
-    for b in range(0, len(hi), 8):
-        ts = hi[b:b + 8] + (end[b:b + 8] - hi[b:b + 8]) * sweep
-        worst = max(worst, xstate_gap(ts, *params[:, b:b + 8]).max())
+    per_block = BLOCK_POINTS // sweep.size
+    for b in (slice(i, i + per_block) for i in range(0, len(hi), per_block)):
+        ts = hi[b] + (end[b] - hi[b]) * sweep
+        worst = max(worst, xstate_gap(ts, *params[:, b]).max())
     return float(worst)
 
 

@@ -73,7 +73,9 @@ def test_emitted_cells_round_trip_bit_for_bit(tmp_path_factory, rows):
 def test_blocks_write_the_bytes_of_csv_writer(tmp_path, header):
     # 1,100 rows span three blocks of formatted rows; edge values, -0.0 and
     # empty cells sit on both sides of each block boundary, in list columns
-    # and (without None) in the array column t
+    # and (without None) in the array column t. Beside t, the array column r
+    # repeats 0.0, -0.0 and a few other values in every block: each distinct
+    # value is formatted once, and 0.0 and -0.0 must keep their own texts
     rng = np.random.default_rng(11)
     rows = (rng.normal(size=(1100, 8)) * 10.0 ** rng.integers(-300, 300, (1100, 8))).tolist()
     for k in (0, 510, 511, 512, 513, 1022, 1023, 1024, 1025, 1099):
@@ -84,6 +86,9 @@ def test_blocks_write_the_bytes_of_csv_writer(tmp_path, header):
     columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     if "t" in columns:
         columns["t"] = np.array(columns["t"])
+        columns["r"] = np.resize([0.0, -0.0, 1.5, -0.0, 5e-324, 0.0, -1.7e308], len(rows))
+        rows = [[*row, r] for row, r in zip(rows, columns["r"].tolist())]
+        header = [*header, "r"]
     write_csv(tmp_path / "blocks.csv", columns)
     with open(tmp_path / "stdlib.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

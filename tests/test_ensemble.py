@@ -28,7 +28,7 @@ from hensim.ensemble import (
     workspace_bytes,
     xstate_diagonal,
 )
-from hensim.scenarios import SingleQubitScenario, coupling_c
+from hensim.scenarios import SingleQubitScenario, coupling_c, time_grid
 from hensim.validation import (
     PAULI_Z,
     XState,
@@ -47,33 +47,32 @@ from hensim.validation import (
 U = 2.0**-53  # unit roundoff
 
 
-def kernel(s, *eps, grid):
+def kernel(s, *eps, t_max, points):
     """The scenario's kernel on the spacings ``eps``, in a workspace of exactly its rows."""
     evolve = evolve_single_realization if isinstance(s, SingleQubitScenario) else evolve_two_realization
-    grid = np.asarray(grid, dtype=float)
-    rows = math.prod(np.broadcast_shapes(*map(np.shape, eps), grid.shape)[:-1])
-    return evolve(*eps, grid, s, workspace(s, rows, grid.size))
+    rows = math.prod(np.broadcast_shapes(*map(np.shape, eps), np.shape(t_max), (points,))[:-1])
+    return evolve(*eps, t_max, points, s, workspace(s, rows, points))
 
 
-def single_elements(eps, grid, s):
-    """(rho_pp, rho_pm) of one realization on a uniform grid."""
-    return kernel(s, eps, grid=grid)
+def single_elements(eps, t_max, points, s):
+    """(rho_pp, rho_pm) of one realization on time_grid(t_max, points)."""
+    return kernel(s, eps, t_max=t_max, points=points)
 
 
 def single_at(eps, t, s):
     """single_elements at one time t, as the last point of the 2-point grid [0, t]."""
-    return tuple(v[..., 1] for v in single_elements(eps, [0.0, t], s))
+    return tuple(v[..., 1] for v in single_elements(eps, t, 2, s))
 
 
-def two_xstate(eps_a, eps_b, grid, s) -> XState:
-    """X state of one realization on a uniform grid, its diagonal from the kernel's gamma^2."""
-    gamma2, z = kernel(s, eps_a, eps_b, grid=grid)
+def two_xstate(eps_a, eps_b, t_max, points, s) -> XState:
+    """X state of one realization on time_grid(t_max, points), its diagonal from the kernel's gamma^2."""
+    gamma2, z = kernel(s, eps_a, eps_b, t_max=t_max, points=points)
     return XState(*xstate_diagonal(gamma2, s), z=z)
 
 
 def two_at(eps_a, eps_b, t, s) -> XState:
     """two_xstate at one time t, as the last point of the 2-point grid [0, t]."""
-    xs = two_xstate(eps_a, eps_b, [0.0, t], s)
+    xs = two_xstate(eps_a, eps_b, t, 2, s)
     return XState(*(getattr(xs, name)[..., 1] for name in "abcdz"))
 
 
@@ -141,7 +140,7 @@ class TestEvolveSingle:
 
     def test_decoupled_alpha_half(self):
         s = single_scenario(alpha=0.5)
-        pp, pm = single_elements(1.3, np.linspace(0, 5, 7), s)
+        pp, pm = single_elements(1.3, 5.0, 7, s)
         assert np.abs(pp).max() == 0.0
         assert np.abs(pm).max() == 0.0
 
@@ -204,8 +203,7 @@ class TestEvolveTwo:
 
     def test_decoupled_alpha_half(self):
         s = two_scenario(alpha=0.5)
-        ts = np.linspace(0, 5, 11)
-        xs = two_xstate(1.3, 0.7, ts, s)
+        xs = two_xstate(1.3, 0.7, 5.0, 11, s)
         assert np.abs(xs.a).max() == 0.0 and np.abs(xs.d).max() == 0.0
         assert np.abs(np.abs(xs.z) - 0.5).max() <= 1e-14
 
@@ -318,7 +316,7 @@ class TestRealKernels:
                                     s.yb * np.exp(1j * rng.uniform(0, 6.3)), s.var)
             eps, ts = rng.uniform(-5, 5, size=(8, 1)), rng.uniform(0, 10, size=12)
             for t in ts:
-                pp, pm = (v[:, 1:] for v in single_elements(eps, [0.0, t], s))
+                pp, pm = (v[:, 1:] for v in single_elements(eps, t, 2, s))
                 opp, opm = complex_single(eps, t, s)
                 worst = max(worst, np.abs(pp - opp).max(), np.abs(pm - opm).max())
         assert worst <= 1e-15
@@ -330,7 +328,7 @@ class TestRealKernels:
             eps_a, eps_b = rng.uniform(-5, 5, size=(2, 8, 1))
             ts = rng.uniform(0, 10, size=12)
             for t in ts:
-                xs = two_xstate(eps_a, eps_b, [0.0, t], s)
+                xs = two_xstate(eps_a, eps_b, t, 2, s)
                 oa, ob, oc, od, oz = complex_two(eps_a, eps_b, t, s)
                 worst = max(worst, *(np.abs(getattr(xs, name)[:, 1:] - y).max() for name, y in
                                      zip("abcdz", (oa, ob, oc, od, oz))))
@@ -347,8 +345,9 @@ class TestRealKernels:
     def test_single_grid_matches_complex_form(self, rng, n):
         for _ in range(20):
             s = random_single_scenario(rng)
-            eps, grid = rng.uniform(-5, 5, size=(8, 1)), np.linspace(0.0, rng.uniform(0.5, 10), n)
-            pp, pm = single_elements(eps, grid, s)
+            eps, t_max = rng.uniform(-5, 5, size=(8, 1)), rng.uniform(0.5, 10)
+            grid = time_grid(t_max, n)
+            pp, pm = single_elements(eps, t_max, n, s)
             opp, opm = complex_single(eps, grid, s)
             theta = np.abs(s.alpha * (eps - s.omega_a)) + np.abs(0.5 * (eps + s.omega_a))
             bound = (8.0 * theta * grid + 30.0) * U
@@ -360,8 +359,9 @@ class TestRealKernels:
         for _ in range(20):
             s = random_two_scenario(rng)
             eps_a, eps_b = rng.uniform(-5, 5, size=(2, 8, 1))
-            grid = np.linspace(0.0, rng.uniform(0.5, 10), n)
-            xs = two_xstate(eps_a, eps_b, grid, s)
+            t_max = rng.uniform(0.5, 10)
+            grid = time_grid(t_max, n)
+            xs = two_xstate(eps_a, eps_b, t_max, n, s)
             oa, ob, oc, od, oz = complex_two(eps_a, eps_b, grid, s)
             theta = (np.abs(s.alpha * (s.omega_a - eps_a))
                      + np.abs(0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b)))
@@ -375,7 +375,6 @@ class TestRealKernels:
         # one real and one complex column, views of the first R rows of the
         # workspace's first two buffers, which pad the grid to at most
         # n + B - 1 points and take workspace_bytes between them
-        grid = np.linspace(0.0, 3.0, n)
         m, b = _blocks(n)
         assert n <= m * b <= n + b - 1
         for evolve, k, s, reals in ((evolve_single_realization, 1, single_scenario(), 3),
@@ -383,9 +382,9 @@ class TestRealKernels:
             ws = workspace(s, 8, n)
             assert all(v.shape == (8, m * b) and v.flags.c_contiguous for v in ws)
             assert sum(v.nbytes for v in ws) == reals * 8 * m * b * 8 == workspace_bytes(s, 8, n)
-            cols = evolve(*[0.7] * k, grid, s, ws)
+            cols = evolve(*[0.7] * k, 3.0, n, s, ws)
             assert [v.shape for v in cols] == [(n,), (n,)]
-            cols = evolve(*[np.full((5, 1), 0.7)] * k, grid, s, ws)
+            cols = evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws)
             assert [(v.shape, v.dtype.kind) for v in cols] == [((5, n), "f"), ((5, n), "c")]
             for col, buf in zip(cols, ws):
                 assert np.shares_memory(col, buf[:5]) and not np.shares_memory(col, buf[5:])
@@ -421,37 +420,36 @@ class TestPhaseTable:
 
 class TestStackOfCases:
     # R cases, each with its own scenario, spacings and grid: the kernels take
-    # the scenarios as one record of (R, 1) columns and the grids as
-    # the rows of (R, N), one step per row, and match R one-row calls. rho_pp
+    # the scenarios as one record of (R, 1) columns and the grids' ends as an
+    # (R, 1) column t_max, and match R one-row calls. rho_pp
     # is not bit-equal to them: numpy's array abs of a complex xb can round one
     # ulp off Python's abs of the record's xb
     R = 37
 
     def cases(self, rng, n, random_scenario):
         records = [random_scenario(rng) for _ in range(self.R)]
-        grids = np.linspace(0.0, rng.uniform(0.5, 10.0, self.R), n, axis=1)
-        return records, stack(records), grids
+        return records, stack(records), rng.uniform(0.5, 10.0, (self.R, 1))
 
     @pytest.mark.parametrize("n", [2, 30])
     def test_single_matches_one_row_calls(self, rng, n):
-        records, s, grids = self.cases(rng, n, random_single_scenario)
+        records, s, t_max = self.cases(rng, n, random_single_scenario)
         eps = rng.uniform(-5, 5, size=(self.R, 1))
-        stacked = evolve_single_realization(eps, grids, s, workspace(s, self.R, n))
+        stacked = evolve_single_realization(eps, t_max, n, s, workspace(s, self.R, n))
         assert [v.shape for v in stacked] == [(self.R, n)] * 2
         for r, record in enumerate(records):
-            for col, row in zip(stacked, kernel(record, eps[r, 0], grid=grids[r])):
+            for col, row in zip(stacked, single_elements(eps[r, 0], t_max[r, 0], n, record)):
                 assert np.abs(col[r] - row).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 30])
     def test_two_matches_one_row_calls(self, rng, n):
-        records, s, grids = self.cases(rng, n, random_two_scenario)
+        records, s, t_max = self.cases(rng, n, random_two_scenario)
         eps_a, eps_b = rng.uniform(-5, 5, size=(2, self.R, 1))
-        gamma2, z = evolve_two_realization(eps_a, eps_b, grids, s, workspace(s, self.R, n))
+        gamma2, z = evolve_two_realization(eps_a, eps_b, t_max, n, s, workspace(s, self.R, n))
         assert gamma2.shape == z.shape == (self.R, n)
         diagonal = xstate_diagonal(gamma2, s)
         for r, record in enumerate(records):
             one = XState(*(v[r] for v in diagonal), z=z[r])
-            row = two_xstate(eps_a[r, 0], eps_b[r, 0], grids[r], record)
+            row = two_xstate(eps_a[r, 0], eps_b[r, 0], t_max[r, 0], n, record)
             for name in "abcdz":
                 assert np.abs(getattr(one, name) - getattr(row, name)).max() <= 1e-15
 
@@ -492,19 +490,17 @@ class TestSampleEnsemble:
 
     def test_degenerate_distribution_equals_deterministic(self):
         s = single_scenario(omega_a=2.0, alpha=1.3, variance=0.0)
-        grid = np.linspace(0, 4, 33)
         traj = sample_ensemble(s, 50, 11, 4.0, 33)
-        pp, pm = single_elements(0.0, grid, s)
+        pp, pm = single_elements(0.0, 4.0, 33, s)
         assert np.abs(traj["rho_pp"] - pp).max() <= 1e-14
         assert np.abs(traj["re_rho_pm"] - pm.real).max() <= 1e-14
         assert np.abs(traj["rho_pp_se"]).max() <= 1e-14
 
     def test_n1_equals_single_realization(self):
         s = single_scenario(omega_a=1.0, alpha=2.0, variance=0.7)
-        grid = np.linspace(0, 3, 17)
         traj = sample_ensemble(s, 1, 123, 3.0, 17)
         eps = np.sqrt(0.7) * standard_normals(123, 0, 1, 1)[0, 0]
-        pp, _ = single_elements(eps, grid, s)
+        pp, _ = single_elements(eps, 3.0, 17, s)
         assert np.abs(traj["rho_pp"] - pp).max() <= 1e-15
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
@@ -524,10 +520,11 @@ class TestSampleEnsemble:
         # to 16 U (its mean differs by 10 U: the chunk sums and numpy's
         # pairwise sum round apart)
         monkeypatch.setenv("HENSIM_WORKERS", workers)
-        s, n, grid = two_scenario(omega_a=1.5, alpha=1.7, x=0.3, var_b=0.4), 700, np.linspace(0, 5, 400)
+        s, n = two_scenario(omega_a=1.5, alpha=1.7, x=0.3, var_b=0.4), 700
         mc = sample_ensemble(s, n, 61, 5.0, 400)
         za, zb = standard_normals(61, 0, n, 2)
-        gamma2, z = kernel(s, math.sqrt(s.var_a) * za[:, None], math.sqrt(s.var_b) * zb[:, None], grid=grid)
+        gamma2, z = kernel(s, math.sqrt(s.var_a) * za[:, None], math.sqrt(s.var_b) * zb[:, None],
+                           t_max=5.0, points=400)
         direct = {"gamma2": gamma2, "re_z": z.real, "im_z": z.imag}
         assert set(mc) == {*direct, *(name + "_se" for name in direct)}
         for name, v in direct.items():

@@ -1,8 +1,11 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, time_grid
 
@@ -58,6 +61,21 @@ class TestCouplingFactor:
                 assert abs(c * c - old * old) <= 1e-15
         assert coupling_c(0.5) == 0.0
 
+
+
+@settings(max_examples=500)
+@given(data=st.data(), points=st.integers(2, 10**4))
+@example(data=None, points=2)
+@example(data=None, points=10**4)
+def test_grid_step_is_the_kernels_step(data, points):
+    # the realization kernels evaluate at k * (t_max / (points - 1)): that step
+    # is time_grid's second point bit for bit, from the smallest normal step
+    # (t_max = (points - 1) * 2^-1022, taken when data is None) to t_max = 1e300
+    floor = (points - 1) * sys.float_info.min
+    t_max = floor if data is None else data.draw(st.floats(floor, 1e300))
+    step = t_max / (points - 1)
+    assert step >= sys.float_info.min
+    assert time_grid(t_max, points)[1].tobytes() == np.float64(step).tobytes()
 
 
 class TestStackedRecords:
