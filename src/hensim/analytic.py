@@ -18,8 +18,6 @@ cos is NaN.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c
@@ -33,7 +31,7 @@ def avg_population_single(t, s: SingleQubitScenario):
     t = np.asarray(t, dtype=float)
     alpha = s.alpha
     c2 = coupling_c(alpha) ** 2
-    env = np.exp(-2.0 * np.square(alpha * (math.sqrt(s.var) * t)))
+    env = np.exp(-2.0 * np.square(alpha * (np.sqrt(s.var) * t)))
     return 0.5 * c2 * abs(s.xb) ** 2 * (1.0 - np.cos(alpha * (2.0 * s.omega_a * t)) * env)
 
 
@@ -41,7 +39,7 @@ def avg_coherence_single(t, s: SingleQubitScenario):
     """Averaged coherence of the working qubit (two Gaussian-damped branches)."""
     t = np.asarray(t, dtype=float)
     alpha = s.alpha
-    st = math.sqrt(s.var) * t
+    st = np.sqrt(s.var) * t
     wa = s.omega_a
     plus = np.exp(-0.5 * np.square((alpha + 0.5) * st)) * np.exp(1j * ((alpha - 0.5) * (wa * t)))
     minus = np.exp(-0.5 * np.square((alpha - 0.5) * st)) * np.exp(-1j * ((alpha + 0.5) * (wa * t)))

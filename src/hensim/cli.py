@@ -7,10 +7,10 @@ besides its axis flags. Each comes as a flag or from a JSON config file over the
 same keys; flags override file values, and the output metadata echoes exactly
 the command's settings. Exit codes: 0 success, 1 validation failure, 2 bad
 input, one error line (including a malformed flag, inputs that overflow double
-precision, sizes that cannot be allocated, a tc-map or a Monte Carlo run's
-sampler workspaces past physical memory and an output path that cannot be
-written). Floats are written with 17 significant digits, so they read back
-bit for bit.
+precision, sizes that cannot be allocated, a tc-map's cells or a relax or
+concurrence run's per-point arrays past physical memory and an output path that
+cannot be written). Floats are written with 17 significant digits, so they read
+back bit for bit.
 """
 
 from __future__ import annotations
@@ -237,6 +237,16 @@ def _thermal_meta(s: SingleQubitScenario) -> dict:
             "beta_delta": math.log1p(-p) - math.log(p) if p > 0.0 else None}
 
 
+# Peak bytes a relax or concurrence run takes per grid point besides its sampler
+# workspaces and chunk partials, rounded up: tracemalloc read 328 (relax) and 120
+# (concurrence) bytes per point between 1e5 and 4e5 points, on a one-sample JSON
+# run, the largest form, less its 24-byte workspace and 48-byte partials (numpy 2.4).
+_POINT_BYTES = {"relax": 350, "concurrence": 150}
+# sample_ensemble keeps each chunk's sums and squared deviations, six reals per
+# point, until it combines them in chunk order.
+_CHUNK_POINT_BYTES = 48
+
+
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where os.sysconf cannot tell."""
     try:
@@ -254,22 +264,27 @@ def _check_memory(need, subject) -> None:
         raise BadInput(f"{subject}, more than the {memory:.3g} bytes of physical memory")
 
 
-def _check_sampler_memory(cfg, s) -> None:
-    """Refuse a sampled run whose threads' workspaces (ensemble.workspace_bytes) exceed physical
-    memory, before any grid is built; the sampler and time_grid refuse a bad n or point count."""
+def _check_trajectory_memory(cfg, command) -> None:
+    """Refuse a relax or concurrence run whose per-point arrays exceed physical memory, before any
+    grid is built: _POINT_BYTES per point and, when sampled, each chunk's partials and each
+    sampler thread's workspace (ensemble.workspace_bytes). The sampler and time_grid refuse a
+    bad n or point count."""
     n, points = cfg["samples"], int(cfg["points"])
-    if n is None or n < 1 or points < 2:
+    if points < 2:
         return
-    workers = worker_count(-(-n // CHUNK))
-    need = workers * workspace_bytes(s, n, points)
-    _check_memory(need, f"{workers} sampler thread(s) at {points} points need about "
-                        f"{need:.3g} bytes of workspace")
+    need, threads = points * _POINT_BYTES[command], ""
+    if n is not None and n >= 1:
+        chunks = -(-n // CHUNK)
+        workers = worker_count(chunks)
+        need += points * chunks * _CHUNK_POINT_BYTES + workers * workspace_bytes(n, points)
+        threads = f" with {workers} sampler thread(s)"
+    _check_memory(need, f"{command} at {points} points{threads} needs about {need:.3g} bytes")
 
 
 def cmd_relax(ns) -> int:
     cfg = merged_config(ns)
     s = _single_scenario(cfg)
-    _check_sampler_memory(cfg, s)
+    _check_trajectory_memory(cfg, "relax")
     t_max, points = float(cfg["t_max"]), int(cfg["points"])
     grid = time_grid(t_max, points)
     analytic = single_trajectory(s, grid)
@@ -287,7 +302,7 @@ def cmd_concurrence(ns) -> int:
     cfg = merged_config(ns)
     s = _two_scenario(cfg, omega_a=float(cfg["omega_a"]), alpha=float(cfg["alpha"]),
                       var_a=float(cfg["var_eps_a"]))
-    _check_sampler_memory(cfg, s)
+    _check_trajectory_memory(cfg, "concurrence")
     t_max, points = float(cfg["t_max"]), int(cfg["points"])
     grid = time_grid(t_max, points)
     columns = {"t": grid, "C": concurrence_trajectory(s, grid)}

@@ -11,9 +11,10 @@ A realization carries three reals per point, one real and one complex column:
 rho_pp and rho_pm for one working qubit, gamma^2 and z for the X state of two,
 whose a, b, c and d are affine in gamma^2 (xstate_diagonal). A sampler chunk
 reduces only those, and sample_ensemble returns their means and standard
-errors under the kernel's column names. The kernels write into a workspace
-(workspace) that each sampler thread allocates once per call, min(CHUNK, n)
-rows by M B points, the grid padded to whole blocks; workspace_bytes gives its
+errors under the kernel's column names. Both kernels write their columns in
+place into a workspace of just those (workspace), one real and one complex
+buffer that each sampler thread allocates once per call, min(CHUNK, n) rows
+by M B points, the grid padded to whole blocks; workspace_bytes gives its
 size. The kernels (evolve_*) also take a stack of R cases, each with its own
 t_max, as the rows of one call: a record and a t_max whose fields are (R, 1)
 columns, as the oracle suite in hensim.validation passes them.
@@ -48,29 +49,30 @@ def _blocks(n: int) -> tuple[int, int]:
     return -(-n // b), b
 
 
-def _phase_table(out, theta, h, scale=1.0):
-    """Fill ``out``, a complex (R, M, B) view, with scale e^{i theta_r t_k}, t_k = k h_r, k = B m + j.
+def _phase_factors(shape, theta, h, scale=1.0):
+    """Factors (R, M, 1) and (R, 1, B) whose product is scale e^{i theta_r t_k}, t_k = k h_r, k = B m + j.
 
-    theta, h and scale are each a scalar or an (R, 1) column, one value per
-    row; a column h gives each row its own grid, a stack of cases.
-    Entry (r, m, j) is the product of a coarse factor scale_r e^{i theta_r fl(B m h_r)}
-    and a fine one e^{i theta_r fl(j h_r)}: M + B sin/cos pairs per row instead
-    of M B, and one complex multiply per point. Each time is an integer times
-    h_r, rounded once, like np.linspace(0, t, n)[k].
+    ``shape`` is (R, M, B); theta, h and scale are scalars or (R, 1) columns,
+    one value per row (a column h gives each row its own grid, a stack of
+    cases). The factors are scale_r e^{i theta_r fl(B m h_r)} and
+    e^{i theta_r fl(j h_r)}, M + B sin/cos pairs per row instead of M B; each
+    time is an integer times h_r, rounded once, like np.linspace(0, t, n)[k].
+    A caller writes their product (_phase_table) or multiplies a buffer by each.
 
-    Bound, with u = 2^-53: at every point, |out - scale exp(1j theta t_k)|
-    <= |scale| (4 |theta| t_k + 11) u against the pointwise exponential on a
-    linspace grid whose step is h. Each angle fl(theta fl(i h)) lies within
-    2u |theta| i h of theta i h, so the coarse and fine angles sum to within
-    2u |theta| k h of theta k h. The pointwise angle fl(theta t_k) does too,
-    since linspace's t_k lies within u k h of k h (the last point, t itself,
-    included). As |e^{ia} - e^{ib}| <= |a - b|, the angles contribute
-    4u |theta| t_k. With sin and cos within 1 ulp (2u relative), each of the
-    two factors and the pointwise value lies within 2u of its exact value
-    (6u); the two complex products, scale times coarse and coarse times fine,
-    add at most sqrt(5) u each; 6 + 2 sqrt(5) < 11.
+    Bound, with u = 2^-53: at every point the product lies within
+    |scale| (4 |theta| t_k + 11) u of scale exp(1j theta t_k) on a linspace
+    grid of step h, and a buffer w times both factors within
+    |w| |scale| (4 |theta| t_k + 18) u of w * (scale * exp(1j theta t_k)).
+    The coarse and fine angles fl(theta fl(i h)) sum to within 2u |theta| k h
+    of theta k h, and so does fl(theta t_k), as linspace's t_k lies within
+    u k h of k h; as |e^{ia} - e^{ib}| <= |a - b|, the angles contribute
+    4u |theta| t_k. Each factor and the pointwise value lies within 2u of
+    its exact value (sin and cos within 1 ulp), 6u; each complex product
+    adds at most sqrt(5) u: scale times coarse and coarse times fine
+    (6 + 2 sqrt(5) < 11), or scale times coarse, w times each factor, and
+    scale and w times the pointwise value (6 + 5 sqrt(5) < 18).
     """
-    rows, m, b = out.shape
+    rows, m, b = shape
     table = np.empty((rows, m + b), dtype=complex)
     # the angles go into the imaginary parts, which their sines then overwrite
     np.multiply(theta, np.concatenate((np.arange(0, m * b, b), np.arange(b))) * h, out=table.imag)
@@ -78,31 +80,29 @@ def _phase_table(out, theta, h, scale=1.0):
     np.sin(table.imag, out=table.imag)
     coarse, fine = table[:, :m], table[:, m:]
     coarse *= scale
-    np.multiply(coarse[:, :, None], fine[:, None, :], out=out)
+    return coarse[:, :, None], fine[:, None, :]
 
 
-def workspace(s, rows: int, points: int) -> tuple[np.ndarray, ...]:
-    """The buffers a kernel writes into for up to ``rows`` realizations on a ``points``-point grid.
+def _phase_table(out, theta, h, scale=1.0):
+    """Fill ``out``, a complex (R, M, B) view, with scale e^{i theta_r t_k} (_phase_factors)."""
+    np.multiply(*_phase_factors(out.shape, theta, h, scale), out=out)
 
-    One real and one complex (rows, M B) array, and for a TwoQubitScenario a
-    second complex one: M B = ceil(points / B) B, B = ceil(sqrt(points)), is
-    the grid padded to whole blocks (_blocks). The kernels' columns are views
-    of these buffers, so they hold only until the next kernel call on the
-    same workspace. workspace_bytes gives their size.
+
+def workspace(rows: int, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """One real and one complex (rows, M B) buffer, a realization's three reals per point, for
+    up to ``rows`` realizations of either kernel on a ``points``-point grid padded to M B points
+    (_blocks). The kernels' columns are views of them, which hold only until the next kernel
+    call on the same workspace; workspace_bytes gives their size.
     """
     m, b = _blocks(points)
-    return (np.empty((rows, m * b)),
-            *(np.empty((rows, m * b), dtype=complex) for _ in range(_OBSERVABLES[type(s)][2])))
+    return np.empty((rows, m * b)), np.empty((rows, m * b), dtype=complex)
 
 
-def workspace_bytes(s, n: int, points: int) -> int:
-    """Bytes of the workspace that each sampler thread allocates for an n-realization run.
-
-    Its rows are min(CHUNK, n) by M B points (workspace): 8 + 16 bytes per
-    point for a SingleQubitScenario and 8 + 2 * 16 for a TwoQubitScenario.
-    """
+def workspace_bytes(n: int, points: int) -> int:
+    """Bytes of the workspace that each sampler thread allocates for an n-realization run:
+    min(CHUNK, n) rows by M B points (workspace), 8 + 16 bytes per point."""
     m, b = _blocks(points)
-    return min(CHUNK, n) * m * b * (8 + 16 * _OBSERVABLES[type(s)][2])
+    return min(CHUNK, n) * m * b * 24
 
 
 def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, ws):
@@ -117,7 +117,7 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
     and s is a record whose fields are scalars or (R, 1) columns. The
     columns have the broadcast shape of eps, t_max and (points,), (N,) or
     (R, N). They are views of the first R rows of ``ws``, a
-    workspace(s, R', N) with R' >= R, and agree with the propagator +
+    workspace(R', N) with R' >= R, and agree with the propagator +
     partial-trace route to 1e-10.
     """
     shape = np.broadcast_shapes(np.shape(eps), np.shape(t_max), (points,))
@@ -142,19 +142,20 @@ def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
     psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The step h, t_max
     (a scalar or (R, 1)), the spacings, the record s and ``ws`` are as in
-    evolve_single_realization; ws's second complex buffer holds
-    cos - i gamma / (2 alpha). The X state agrees with the 8x8 propagator +
-    partial-trace route to 1e-10.
+    evolve_single_realization; z is formed in place, cos - i gamma / (2 alpha)
+    first, then times each factor of the second phase (_phase_factors). The
+    X state agrees with the 8x8 propagator + partial-trace route to 1e-10.
     """
     shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), np.shape(t_max), (points,))
     rows, (m, blk), h = math.prod(shape[:-1]), _blocks(points), t_max / (points - 1)
-    gamma2, z, u = (v[:rows] for v in ws)
-    _phase_table(u.reshape(rows, m, blk), s.alpha * (s.omega_a - eps_a), h)
-    np.square(u.imag, out=gamma2)
-    u.imag /= -2.0 * s.alpha  # u = cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)
-    _phase_table(z.reshape(rows, m, blk), -0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b),
-                 h, 0.5 * (s.x + s.y))
-    z *= u
+    gamma2, z = (v[:rows] for v in ws)
+    zb = z.reshape(rows, m, blk)
+    _phase_table(zb, s.alpha * (s.omega_a - eps_a), h)
+    np.square(z.imag, out=gamma2)
+    z.imag /= -2.0 * s.alpha  # z = cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)
+    for factor in _phase_factors(zb.shape, -0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b),
+                                 h, 0.5 * (s.x + s.y)):
+        zb *= factor
     return tuple(v[:, :points].reshape(shape) for v in (gamma2, z))
 
 
@@ -211,13 +212,12 @@ def worker_count(chunks: int) -> int:
 
 
 # scenario type: (name of its kernel in this module, variance fields of the
-# spacings drawn per realization in this order, complex buffers of its
-# workspace, names of its kernel's real and complex column). The kernel is
-# looked up when the sampler runs, so that a wrapper installed over it (a
-# tracer, say) sees its calls.
+# spacings drawn per realization in this order, names of its kernel's real and
+# complex column). The kernel is looked up when the sampler runs, so that a
+# wrapper installed over it (a tracer, say) sees its calls.
 _OBSERVABLES = {
-    SingleQubitScenario: ("evolve_single_realization", ("var",), 1, ("rho_pp", "rho_pm")),
-    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), 2, ("gamma2", "z")),
+    SingleQubitScenario: ("evolve_single_realization", ("var",), ("rho_pp", "rho_pm")),
+    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), ("gamma2", "z")),
 }
 
 
@@ -247,7 +247,7 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
     time_grid(t_max, points)  # its refusal of a bad t_max or point count
-    kernel, fields, _, (real_name, cplx_name) = _OBSERVABLES[type(s)]
+    kernel, fields, (real_name, cplx_name) = _OBSERVABLES[type(s)]
     evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]
     bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
@@ -257,7 +257,7 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
         # rows are realizations start..stop-1, one spacing per variance each
         start, stop = chunk
         if not hasattr(local, "ws"):
-            local.ws = workspace(s, min(CHUNK, n), points)
+            local.ws = workspace(min(CHUNK, n), points)
         z = standard_normals(master_seed, start, stop, len(sigmas))
         eps = (sigma * zk[:, None] for sigma, zk in zip(sigmas, z))
         real, cplx = evolve(*eps, t_max, points, s, local.ws)

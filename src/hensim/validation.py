@@ -384,7 +384,7 @@ def check_two_qubit_oracle(n_cases: int, rng) -> float:
                                 eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
     # column 1 of the kernel's 2-point grid [0, t] is the pointwise value at t;
     # it gives gamma^2 and z, and the diagonal (a, b, c, d) is affine in gamma^2
-    gamma2, z = evolve_two_realization(eps_a, eps_b, t, 2, s, workspace(s, n_cases, 2))
+    gamma2, z = evolve_two_realization(eps_a, eps_b, t, 2, s, workspace(n_cases, 2))
     closed = xstate_matrix(XState(*xstate_diagonal(gamma2[:, 1:], s), z=z[:, 1:]))
     return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, s)).max())
 
@@ -392,7 +392,7 @@ def check_two_qubit_oracle(n_cases: int, rng) -> float:
 def check_single_elements_oracle(n_cases: int, rng) -> float:
     """Max deviation of the closed-form single-qubit elements from the propagator + partial-trace route."""
     s, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    pp, pm = (v[:, 1:] for v in evolve_single_realization(eps, t, 2, s, workspace(s, n_cases, 2)))
+    pp, pm = (v[:, 1:] for v in evolve_single_realization(eps, t, 2, s, workspace(n_cases, 2)))
     opp, opm = single_oracle_elements(eps, t, s)
     return float(max(np.abs(pp - opp).max(), np.abs(pm - opm).max()))
 

@@ -359,8 +359,8 @@ class TestTcMap:
 
 
 # Non-finite input, input whose results leave double precision, grid sizes
-# refused up front (a 7 PiB time grid numpy will not allocate, a tc-map past
-# physical memory), a Monte Carlo run of zero samples, seeds outside the
+# refused up front (a 7 PiB time grid and a tc-map, both past physical
+# memory), a Monte Carlo run of zero samples, seeds outside the
 # sampler's 64-bit key space [0, 2^64), a subnormal time step
 # t_max / (points - 1) with or without --samples, and an output path that
 # cannot be written; "{tmp}" stands for the test's directory.
@@ -430,7 +430,7 @@ def test_tc_map_past_physical_memory_refused_before_any_grid(tmp_path, capsys, m
 def test_sampler_workspace_past_physical_memory_refused_before_any_grid(tmp_path, capsys, monkeypatch,
                                                                       command, workers):
     # a machine of 1 MB: 2,000 samples at 400 points take a 512 x 400 workspace
-    # of 4.9 MB (relax) or 8.2 MB (concurrence) per thread, refused up front
+    # of 4.9 MB per thread for either command, refused up front
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
@@ -440,15 +440,40 @@ def test_sampler_workspace_past_physical_memory_refused_before_any_grid(tmp_path
     out = tmp_path / "mc.csv"
     assert run([command, "--samples", "2000", "--out", str(out)]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {workers} sampler thread(s) at 400 points need about ")
+    assert err.startswith(f"error: {command} at 400 points with {workers} sampler thread(s) needs about ")
+    assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [None, "1", "1000000000"])
+@pytest.mark.parametrize("command", ["relax", "concurrence"])
+def test_every_per_point_array_is_budgeted_before_any_grid(tmp_path, capsys, monkeypatch, command,
+                                                           samples):
+    # a machine of 100 MB: a million points take 350 MB (relax) or 150 MB
+    # (concurrence) of columns, sampled or not, and at 2 points 10^9 samples
+    # keep 1,953,125 chunks' partials of 96 bytes each, 188 MB; the workspace
+    # of 512 rows by 2 points is 24 kB
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setenv("HENSIM_WORKERS", "1")
+    monkeypatch.setattr("hensim.cli._physical_memory", lambda: 100 << 20)
+    monkeypatch.setattr("hensim.cli.time_grid", no_grid)
+    out = tmp_path / "big.csv"
+    points = "2" if samples == "1000000000" else "1000000"
+    argv = [command, "--points", points, "--out", str(out)] + (["--samples", samples] if samples else [])
+    assert run(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    threads = " with 1 sampler thread(s)" if samples else ""
+    assert err.startswith(f"error: {command} at {points} points{threads} needs about ")
     assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["relax", "concurrence"])
 def test_sampler_budget_leaves_analytic_runs_and_fitting_runs_alone(tmp_path, monkeypatch, command):
-    # the analytic columns use no workspace; 10 samples at 400 points take a
-    # 10 x 400 one of at most 164 kB
+    # at 400 points the columns take at most 140 kB; 10 samples add a
+    # 10 x 400 workspace of 96 kB
     monkeypatch.setattr("hensim.cli._physical_memory", lambda: 1 << 20)
     assert run([command, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
     assert run([command, "--samples", "10", "--out", str(tmp_path / "mc.csv")]) == EXIT_OK

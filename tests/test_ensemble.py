@@ -18,6 +18,7 @@ from hensim.ensemble import (
     CHUNK,
     RNG,
     _blocks,
+    _phase_factors,
     _phase_table,
     evolve_single_realization,
     evolve_two_realization,
@@ -51,7 +52,7 @@ def kernel(s, *eps, t_max, points):
     """The scenario's kernel on the spacings ``eps``, in a workspace of exactly its rows."""
     evolve = evolve_single_realization if isinstance(s, SingleQubitScenario) else evolve_two_realization
     rows = math.prod(np.broadcast_shapes(*map(np.shape, eps), np.shape(t_max), (points,))[:-1])
-    return evolve(*eps, t_max, points, s, workspace(s, rows, points))
+    return evolve(*eps, t_max, points, s, workspace(rows, points))
 
 
 def single_elements(eps, t_max, points, s):
@@ -373,15 +374,16 @@ class TestRealKernels:
     def test_columns_are_grid_shaped_views_of_padded_buffers(self, n):
         # scalar spacings give (n,) columns and a column of R spacings (R, n):
         # one real and one complex column, views of the first R rows of the
-        # workspace's first two buffers, which pad the grid to at most
-        # n + B - 1 points and take workspace_bytes between them
+        # workspace's two buffers, which pad the grid to at most n + B - 1
+        # points and take workspace_bytes, three reals per point, between them
         m, b = _blocks(n)
         assert n <= m * b <= n + b - 1
-        for evolve, k, s, reals in ((evolve_single_realization, 1, single_scenario(), 3),
-                                    (evolve_two_realization, 2, two_scenario(var_b=0.5), 5)):
-            ws = workspace(s, 8, n)
+        for evolve, k, s in ((evolve_single_realization, 1, single_scenario()),
+                             (evolve_two_realization, 2, two_scenario(var_b=0.5))):
+            ws = workspace(8, n)
+            assert [v.dtype.kind for v in ws] == ["f", "c"]
             assert all(v.shape == (8, m * b) and v.flags.c_contiguous for v in ws)
-            assert sum(v.nbytes for v in ws) == reals * 8 * m * b * 8 == workspace_bytes(s, 8, n)
+            assert sum(v.nbytes for v in ws) == 3 * 8 * m * b * 8 == workspace_bytes(8, n)
             cols = evolve(*[0.7] * k, 3.0, n, s, ws)
             assert [v.shape for v in cols] == [(n,), (n,)]
             cols = evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws)
@@ -417,6 +419,22 @@ class TestPhaseTable:
         # two complex products a side, each within sqrt(5) u of |scale| = 1/2: 2 sqrt(5) u < 8u
         assert np.abs(scaled - (0.3 - 0.4j) * plain).max() <= 8 * U
 
+    @pytest.mark.parametrize("n", [2, 19, 21, 400, 401])
+    @pytest.mark.parametrize("theta_t", [1e-3, 1.0, 40.0, 1e3])
+    def test_factors_multiplied_into_a_buffer(self, rng, n, theta_t):
+        # a buffer w times each factor in turn lies within the docstring's
+        # |w| |scale| (4 |theta| t + 18) u of w times the scaled pointwise exponential
+        grid = np.linspace(0.0, rng.uniform(0.5, 20.0), n)
+        theta = rng.uniform(-1.0, 1.0, size=(16, 1)) * theta_t / grid[-1]
+        scale = 0.5 * np.exp(1j * rng.uniform(0.0, 6.3, size=(16, 1)))
+        m, b = _blocks(n)
+        w = rng.uniform(-1.0, 1.0, size=(16, m * b)) + 1j * rng.uniform(-1.0, 1.0, size=(16, m * b))
+        out = w.copy()
+        for factor in _phase_factors((16, m, b), theta, grid[1], scale):
+            out.reshape(16, m, b)[:] *= factor
+        dev = np.abs(out[:, :n] - w[:, :n] * (scale * np.exp(1j * theta * grid)))
+        assert np.all(dev <= np.abs(w[:, :n]) * np.abs(scale) * (4.0 * np.abs(theta) * grid + 18.0) * U)
+
 
 class TestStackOfCases:
     # R cases, each with its own scenario, spacings and grid: the kernels take
@@ -434,7 +452,7 @@ class TestStackOfCases:
     def test_single_matches_one_row_calls(self, rng, n):
         records, s, t_max = self.cases(rng, n, random_single_scenario)
         eps = rng.uniform(-5, 5, size=(self.R, 1))
-        stacked = evolve_single_realization(eps, t_max, n, s, workspace(s, self.R, n))
+        stacked = evolve_single_realization(eps, t_max, n, s, workspace(self.R, n))
         assert [v.shape for v in stacked] == [(self.R, n)] * 2
         for r, record in enumerate(records):
             for col, row in zip(stacked, single_elements(eps[r, 0], t_max[r, 0], n, record)):
@@ -444,7 +462,7 @@ class TestStackOfCases:
     def test_two_matches_one_row_calls(self, rng, n):
         records, s, t_max = self.cases(rng, n, random_two_scenario)
         eps_a, eps_b = rng.uniform(-5, 5, size=(2, self.R, 1))
-        gamma2, z = evolve_two_realization(eps_a, eps_b, t_max, n, s, workspace(s, self.R, n))
+        gamma2, z = evolve_two_realization(eps_a, eps_b, t_max, n, s, workspace(self.R, n))
         assert gamma2.shape == z.shape == (self.R, n)
         diagonal = xstate_diagonal(gamma2, s)
         for r, record in enumerate(records):
@@ -538,9 +556,9 @@ class TestSampleEnsemble:
         monkeypatch.setenv("HENSIM_WORKERS", str(workers))
         made = []
 
-        def counted(s, rows, points):
+        def counted(rows, points):
             made.append(rows)
-            return workspace(s, rows, points)
+            return workspace(rows, points)
 
         monkeypatch.setattr("hensim.ensemble.workspace", counted)
         sample_ensemble(two_scenario(var_b=0.5), 4 * CHUNK + 100, 3, 5.0, 30)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import hensim.validation as validation
 from conftest import random_single_scenario, random_two_scenario, stack
+from hensim.analytic import avg_coherence_single, avg_population_single
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import TwoQubitScenario
 from hensim.validation import (
@@ -117,6 +118,15 @@ class TestStackEqualsLoop:
         eps, ts = rng.uniform(-5, 5, K), rng.uniform(0, 10, K)
         assert_stack_equals_loop(propagator_single_closed(eps, ts, stack(records, (-1,))),
                                  [propagator_single_closed(*case) for case in zip(eps, ts, records)])
+
+    @pytest.mark.parametrize("closed_form", [avg_population_single, avg_coherence_single])
+    def test_single_qubit_averages(self, rng, closed_form):
+        # one time per case against (R,) fields, and a grid against (R, 1) columns
+        records = [random_single_scenario(rng) for _ in range(K)]
+        ts, grid = rng.uniform(0, 8, K), np.linspace(0.0, 10.0, 64)
+        assert_stack_equals_loop(closed_form(ts, stack(records, (-1,))),
+                                 [closed_form(t, r) for t, r in zip(ts, records)])
+        assert_stack_equals_loop(closed_form(grid, stack(records)), [closed_form(grid, r) for r in records])
 
     def test_avg_xstate_two(self, rng):
         # one time per case against (R,) fields, and a grid against (R, 1) columns
