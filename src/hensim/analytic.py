@@ -43,7 +43,7 @@ def avg_coherence_single(t, s: SingleQubitScenario):
     wa = s.omega_a
     plus = np.exp(-0.5 * np.square((alpha + 0.5) * st)) * np.exp(1j * ((alpha - 0.5) * (wa * t)))
     minus = np.exp(-0.5 * np.square((alpha - 0.5) * st)) * np.exp(-1j * ((alpha + 0.5) * (wa * t)))
-    return 0.5 * coupling_c(alpha) * s.xb * np.conj(s.yb) * (plus - minus)
+    return 0.5 * coupling_c(alpha) * s.xb * s.yb * (plus - minus)
 
 
 def steady_population(alpha: float, xb) -> float:
@@ -75,7 +75,8 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     envelope is squared or floored: at a root, M >= 2 sqrt(a d) ~ c^2 sqrt(xy) / 4
     > 1e-178 wherever M has decayed far, so |z| keeps full precision there.
 
-    omega_b only turns the phase of z and drops out. Every argument broadcasts,
+    Only |z| enters, so g holds in any frame of the second working qubit, whose
+    mean frequency no record carries (hensim.scenarios). Every argument broadcasts,
     so per-cell parameters of shape (cells, 1) meet a (cells, points) time grid.
     hensim.validation checks it against the complex averaged X state, avg_xstate_two.
     """

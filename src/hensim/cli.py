@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from hensim.analytic import gap_args, single_trajectory, steady_population
-from hensim.ensemble import CHUNK, RNG, sample_ensemble, worker_count, workspace_bytes, xstate_diagonal
+from hensim.ensemble import CHUNK, RNG, sample_ensemble, sampler_bytes, xstate_diagonal
 from hensim.entanglement import (
     CELL_BYTES,
     FINITE,
@@ -133,16 +133,12 @@ def _single_scenario(cfg) -> SingleQubitScenario:
     if not 0.0 <= xb <= 1.0:
         raise BadInput(f"xb must lie in [0, 1], got {xb}")
     return SingleQubitScenario(omega_a=float(cfg["omega_a"]), alpha=float(cfg["alpha"]), xb=xb,
-                               yb=math.sqrt(1.0 - xb**2), var=float(cfg["var_eps_a"]))
+                               var=float(cfg["var_eps_a"]))
 
 
 def _two_scenario(cfg, **model) -> TwoQubitScenario:
-    """A concurrence or tc-map record: x and var_b from cfg, omega_a, alpha and var_a given.
-
-    omega_b is 0: it turns only the phase of z, which every realization shares,
-    so no column depends on it.
-    """
-    return TwoQubitScenario(omega_b=0.0, x=float(cfg["x"]), var_b=float(cfg["var_eps_b"]), **model)
+    """A concurrence or tc-map record: x and var_b from cfg, omega_a, alpha and var_a given."""
+    return TwoQubitScenario(x=float(cfg["x"]), var_b=float(cfg["var_eps_b"]), **model)
 
 
 # Rows formatted and written at a time, so that no formatted copy of a whole
@@ -238,13 +234,10 @@ def _thermal_meta(s: SingleQubitScenario) -> dict:
 
 
 # Peak bytes a relax or concurrence run takes per grid point besides its sampler
-# workspaces and chunk partials, rounded up: tracemalloc read 328 (relax) and 120
+# (ensemble.sampler_bytes), rounded up: tracemalloc read 328 (relax) and 120
 # (concurrence) bytes per point between 1e5 and 4e5 points, on a one-sample JSON
 # run, the largest form, less its 24-byte workspace and 48-byte partials (numpy 2.4).
 _POINT_BYTES = {"relax": 350, "concurrence": 150}
-# sample_ensemble keeps each chunk's sums and squared deviations, six reals per
-# point, until it combines them in chunk order.
-_CHUNK_POINT_BYTES = 48
 
 
 def _physical_memory() -> int | None:
@@ -266,17 +259,15 @@ def _check_memory(need, subject) -> None:
 
 def _check_trajectory_memory(cfg, command) -> None:
     """Refuse a relax or concurrence run whose per-point arrays exceed physical memory, before any
-    grid is built: _POINT_BYTES per point and, when sampled, each chunk's partials and each
-    sampler thread's workspace (ensemble.workspace_bytes). The sampler and time_grid refuse a
-    bad n or point count."""
+    grid is built: _POINT_BYTES per point and, when sampled, the sampler's own
+    (ensemble.sampler_bytes). The sampler and time_grid refuse a bad n or point count."""
     n, points = cfg["samples"], int(cfg["points"])
     if points < 2:
         return
     need, threads = points * _POINT_BYTES[command], ""
     if n is not None and n >= 1:
-        chunks = -(-n // CHUNK)
-        workers = worker_count(chunks)
-        need += points * chunks * _CHUNK_POINT_BYTES + workers * workspace_bytes(n, points)
+        workers, sampler = sampler_bytes(n, points)
+        need += sampler
         threads = f" with {workers} sampler thread(s)"
     _check_memory(need, f"{command} at {points} points{threads} needs about {need:.3g} bytes")
 

@@ -14,8 +14,8 @@ reduces only those, and sample_ensemble returns their means and standard
 errors under the kernel's column names. Both kernels write their columns in
 place into a workspace of just those (workspace), one real and one complex
 buffer that each sampler thread allocates once per call, min(CHUNK, n) rows
-by M B points, the grid padded to whole blocks; workspace_bytes gives its
-size. The kernels (evolve_*) also take a stack of R cases, each with its own
+by M B points, the grid padded to whole blocks; sampler_bytes gives a run's
+memory. The kernels (evolve_*) also take a stack of R cases, each with its own
 t_max, as the rows of one call: a record and a t_max whose fields are (R, 1)
 columns, as the oracle suite in hensim.validation passes them.
 """
@@ -92,17 +92,20 @@ def workspace(rows: int, points: int) -> tuple[np.ndarray, np.ndarray]:
     """One real and one complex (rows, M B) buffer, a realization's three reals per point, for
     up to ``rows`` realizations of either kernel on a ``points``-point grid padded to M B points
     (_blocks). The kernels' columns are views of them, which hold only until the next kernel
-    call on the same workspace; workspace_bytes gives their size.
+    call on the same workspace.
     """
     m, b = _blocks(points)
     return np.empty((rows, m * b)), np.empty((rows, m * b), dtype=complex)
 
 
-def workspace_bytes(n: int, points: int) -> int:
-    """Bytes of the workspace that each sampler thread allocates for an n-realization run:
-    min(CHUNK, n) rows by M B points (workspace), 8 + 16 bytes per point."""
+def sampler_bytes(n: int, points: int) -> tuple[int, int]:
+    """(threads, bytes) of sample_ensemble's n-realization run on a ``points``-point grid:
+    each thread's workspace, min(CHUNK, n) rows by M B points at 24 bytes, and each chunk's
+    sums and squared deviations, 48 bytes per grid point, kept until the combine."""
+    chunks = -(-n // CHUNK)
+    threads = worker_count(chunks)
     m, b = _blocks(points)
-    return min(CHUNK, n) * m * b * 24
+    return threads, threads * min(CHUNK, n) * m * b * 24 + chunks * points * 48
 
 
 def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, ws):
@@ -110,7 +113,7 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
 
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
-    rho_pm = q e^{-i phi} sin beta, q = -i c xb conj(yb). The step
+    rho_pm = q e^{-i phi} sin beta, q = -i c xb yb. The step
     h = t_max / (points - 1) is bit for bit time_grid(t_max, points)[1], so
     the times are those of that grid. t_max is a scalar or a column (R, 1)
     of R grids' ends, a stack of cases; eps is a scalar or a column (R, 1),
@@ -127,7 +130,7 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
     _phase_table(w.reshape(rows, m, b), s.alpha * (eps - s.omega_a), h)
     np.copyto(sin_b, w.imag)
     _phase_table(w.reshape(rows, m, b), -0.5 * (eps + s.omega_a), h,
-                 -1j * c * s.xb * np.conj(s.yb))
+                 -1j * c * s.xb * s.yb)
     w *= sin_b
     np.square(sin_b, out=sin_b)
     sin_b *= c**2 * abs(s.xb) ** 2
@@ -140,8 +143,9 @@ def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario
     With gamma = sin(alpha (omega_a - eps_a) t), the diagonal (a, b, c, d) is
     affine in gamma^2 (xstate_diagonal), and
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
-    psi = (omega_a + eps_a + 2 omega_b + 2 eps_b) t / 2. The step h, t_max
-    (a scalar or (R, 1)), the spacings, the record s and ``ws`` are as in
+    psi = (omega_a + eps_a + 2 eps_b) t / 2, in the frame of the second working
+    qubit's mean frequency (no record has it: hensim.scenarios). The step h,
+    t_max (a scalar or (R, 1)), the spacings, the record s and ``ws`` are as in
     evolve_single_realization; z is formed in place, cos - i gamma / (2 alpha)
     first, then times each factor of the second phase (_phase_factors). The
     X state agrees with the 8x8 propagator + partial-trace route to 1e-10.
@@ -153,8 +157,8 @@ def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario
     _phase_table(zb, s.alpha * (s.omega_a - eps_a), h)
     np.square(z.imag, out=gamma2)
     z.imag /= -2.0 * s.alpha  # z = cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)
-    for factor in _phase_factors(zb.shape, -0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b),
-                                 h, 0.5 * (s.x + s.y)):
+    for factor in _phase_factors(zb.shape, -0.5 * (s.omega_a + eps_a + 2.0 * eps_b), h,
+                                 0.5 * (s.x + s.y)):
         zb *= factor
     return tuple(v[:, :points].reshape(shape) for v in (gamma2, z))
 
@@ -238,7 +242,7 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     chunk reduces only the reals a realization carries: its kernel's real
     column and its complex column read as 2N interleaved reals, three reals
     per point. Each worker thread allocates one workspace of min(CHUNK, n)
-    rows by M B points per call (workspace_bytes) and reuses it for all its
+    rows by M B points per call (workspace) and reuses it for all its
     chunks; a short last chunk takes its first rows.
     The master seed must lie in [0, 2^64), the key space of standard_normals.
     """

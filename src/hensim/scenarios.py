@@ -1,5 +1,10 @@
 """Parameter records for ensemble experiments.
 
+A record holds only what can change an output: yb = sqrt(1 - |xb|^2) follows
+from xb, as a global phase of the auxiliary state changes nothing, and no
+record has the second working qubit's mean frequency, which only turns z by a
+local phase that concurrence cannot see.
+
 All values are dimensionless: frequencies in units of omega_0, times in units
 of 1/omega_0 (omega_0 = 1 throughout). Records are frozen dataclasses; once
 constructed they can be shared freely across workers. A record's fields are
@@ -14,8 +19,6 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-_NORM_TOL = 1e-12
 
 
 def _require(ok, value, message: str):
@@ -62,19 +65,22 @@ class SingleQubitScenario:
 
     B's level spacing is drawn from a mean-zero Gaussian of variance ``var``
     and sets the coupling f(eps) = sqrt(alpha^2 - 1/4) (eps - omega_a), alpha >= 1/2.
-    Initial state: A in its ground state, B in xb|+> + yb|->.
+    Initial state: A in its ground state, B in xb|+> + yb|->, |xb| <= 1 and
+    yb = sqrt(1 - |xb|^2) real.
     """
 
     omega_a: float
     alpha: float
     xb: complex
-    yb: complex
     var: float
 
     def __post_init__(self):
         _check_model(self, ("var",))
-        norm = abs(self.xb) ** 2 + abs(self.yb) ** 2
-        _require(abs(norm - 1.0) <= _NORM_TOL, norm, "|xb|^2 + |yb|^2 must be 1, got {!r}")
+        _require(abs(self.xb) <= 1.0, abs(self.xb), "|xb| must be <= 1, got {}")
+
+    @property
+    def yb(self) -> float:
+        return np.sqrt(1.0 - np.abs(self.xb) ** 2)
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,6 @@ class TwoQubitScenario:
     """
 
     omega_a: float
-    omega_b: float
     alpha: float
     x: float
     var_a: float

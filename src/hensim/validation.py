@@ -67,10 +67,10 @@ BELL = np.kron(PLUS, PLUS) / np.sqrt(2) + np.kron(MINUS, MINUS) / np.sqrt(2)
 _AUX_UP_BELL, _AUX_DOWN_BELL = np.kron(PLUS, BELL), np.kron(MINUS, BELL)
 
 # (low, high) of the uniform draws behind one random scenario, in draw order;
-# a single-qubit scenario has xb = mag e^{i phase}, yb = sqrt(1 - mag^2)
+# a single-qubit scenario has xb = mag e^{i phase}
 SINGLE_RANGES = {"omega_a": (-5, 5), "alpha": (0.5, 5.0), "phase": (0, 2 * np.pi), "mag": (0, 1)}
-TWO_RANGES = {"x": (0.0, 1.0), "omega_a": (-5, 5), "omega_b": (-5, 5), "alpha": (0.5, 5.0),
-              "var_a": (0, 2), "var_b": (0, 2)}
+TWO_RANGES = {"x": (0.0, 1.0), "omega_a": (-5, 5), "alpha": (0.5, 5.0), "var_a": (0, 2),
+              "var_b": (0, 2)}
 
 
 @dataclass
@@ -269,13 +269,14 @@ def build_h_two(eps_a, eps_b, s: TwoQubitScenario) -> np.ndarray:
     """8x8 realization Hamiltonian in the A2 (x) A1 (x) B1 basis.
 
     The (A1, A2) part is the single-qubit model with random spacing eps_a; the
-    second working qubit B1 only carries the shifted frequency omega_b + eps_b.
+    second working qubit B1 only carries its random shift eps_b, in the frame of
+    its mean frequency (no record has it: hensim.scenarios).
     Stacks as build_h_single does.
     """
-    eps_a, eps_b, omega_a, omega_b, alpha = _per_matrix(eps_a, eps_b, s.omega_a, s.omega_b, s.alpha)
+    eps_a, eps_b, omega_a, alpha = _per_matrix(eps_a, eps_b, s.omega_a, s.alpha)
     f = coupling_strength(eps_a, alpha, omega_a)
     h = 0.5 * (omega_a * _Z_A1 + eps_a * _Z_A2) + f * _FLIP_A2A1
-    return h + 0.5 * (omega_b + eps_b) * _Z_B1
+    return h + 0.5 * eps_b * _Z_B1
 
 
 def _draw(rng, ranges: dict, n=None) -> np.ndarray:
@@ -286,8 +287,7 @@ def _draw(rng, ranges: dict, n=None) -> np.ndarray:
 
 def _single_scenario(omega_a, alpha, phase, mag) -> SingleQubitScenario:
     """The record of one draw of SINGLE_RANGES, or of a stack of them as columns."""
-    return SingleQubitScenario(omega_a=omega_a, alpha=alpha, xb=mag * np.exp(1j * phase),
-                               yb=np.sqrt(1 - mag**2), var=1.0)
+    return SingleQubitScenario(omega_a=omega_a, alpha=alpha, xb=mag * np.exp(1j * phase), var=1.0)
 
 
 def _two_scenario(*fields_in_draw_order) -> TwoQubitScenario:
@@ -323,13 +323,14 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
     what check_gap_closed_form and check_concurrence_dual_path compare it with.
     t and s's fields broadcast: s is a record whose fields are scalars or
     (R, 1) columns, and its columns meet one t per case (R, 1) or a time grid
-    (N,).
+    (N,). z is in the frame of the second working qubit's mean frequency, as in
+    ensemble.evolve_two_realization.
     """
     t = np.asarray(t, dtype=float)
     alpha = s.alpha
     c2 = coupling_c(alpha) ** 2
     sa, sb = np.sqrt(s.var_a) * t, np.sqrt(s.var_b) * t
-    wa, wb = s.omega_a, s.omega_b
+    wa = s.omega_a
     relax = 1.0 - np.cos(2.0 * alpha * wa * t) * np.exp(-2.0 * np.square(alpha * sa))
     a = 0.25 * s.x * c2 * relax
     d = 0.25 * s.y * c2 * relax
@@ -338,8 +339,7 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
     inv2a = 1.0 / (2.0 * alpha)
     branch_plus = np.exp(1j * alpha * wa * t) * np.exp(-0.5 * np.square((alpha + 0.5) * sa)) * (1.0 - inv2a)
     branch_minus = np.exp(-1j * alpha * wa * t) * np.exp(-0.5 * np.square((alpha - 0.5) * sa)) * (1.0 + inv2a)
-    z = (0.25 * np.exp(-0.5 * np.square(sb)) * np.exp(-0.5j * (wa + 2.0 * wb) * t)
-         * (branch_plus + branch_minus))
+    z = 0.25 * np.exp(-0.5 * np.square(sb)) * np.exp(-0.5j * wa * t) * (branch_plus + branch_minus)
     return XState(a=a, b=b, c=c_el, d=d, z=z)
 
 
@@ -426,18 +426,11 @@ def check_specializations(n_cases: int, rng) -> float:
 def gap_oracle_cases(rng, n: int) -> TwoQubitScenario:
     """n draws of TWO_RANGES as one record of (n, 1) columns: case i has alpha within
     1e-9 to 1e-1 of 1/2 when i % 3 == 1 and a pure auxiliary mixture (x = 0 or 1) when
-    i % 3 == 2. The draws come case by case, each _draw(rng, TWO_RANGES) followed by
-    its extra draw: rng.integers takes half of a buffered 64-bit word, an order that
-    no one array draw reproduces."""
-    rows = []
-    for i in range(n):
-        case = dict(zip(TWO_RANGES, _draw(rng, TWO_RANGES)))
-        if i % 3 == 1:
-            case["alpha"] = 0.5 + 10.0 ** rng.uniform(-9, -1)
-        elif i % 3 == 2:
-            case["x"] = float(rng.integers(2))
-        rows.append(list(case.values()))
-    return _two_scenario(*np.array(rows).T[..., None])
+    i % 3 == 2."""
+    s, near, pure = _cases(rng, n, _two_scenario, TWO_RANGES, near=(-9, -1), pure=(0, 2))
+    i = np.arange(n)[:, None] % 3
+    return replace(s, alpha=np.where(i == 1, 0.5 + 10.0 ** near, s.alpha),
+                   x=np.where(i == 2, np.floor(pure), s.x))
 
 
 def check_gap_closed_form(n_cases: int, rng) -> float:
@@ -488,7 +481,7 @@ def check_tc_bracket(n_cases: int, rng) -> float:
 
 def _mc_scenario() -> SingleQubitScenario:
     """Zero frequency, alpha 5, xb 0.8, unit variance: the middle curve of Fig. 1(b)."""
-    return SingleQubitScenario(omega_a=0.0, alpha=5.0, xb=0.8, yb=0.6, var=1.0)
+    return SingleQubitScenario(omega_a=0.0, alpha=5.0, xb=0.8, var=1.0)
 
 
 def check_mc_convergence(n: int, master_seed: int) -> float:

@@ -19,14 +19,11 @@ settings.load_profile("deterministic")
 
 
 def single_scenario(omega_a=0.0, alpha=5.0, xb=0.8, variance=1.0):
-    xb = float(xb)
-    return SingleQubitScenario(
-        omega_a=omega_a, alpha=alpha, xb=xb, yb=np.sqrt(1.0 - xb**2), var=variance
-    )
+    return SingleQubitScenario(omega_a=omega_a, alpha=alpha, xb=float(xb), var=variance)
 
 
-def two_scenario(omega_a=0.0, omega_b=0.0, alpha=1.0, x=0.2, var_a=0.5, var_b=0.0):
-    return TwoQubitScenario(omega_a, omega_b, alpha, x, var_a, var_b)
+def two_scenario(omega_a=0.0, alpha=1.0, x=0.2, var_a=0.5, var_b=0.0):
+    return TwoQubitScenario(omega_a, alpha, x, var_a, var_b)
 
 
 def stack(records, shape=(-1, 1)):

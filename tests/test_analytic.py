@@ -210,6 +210,18 @@ class TestXStateGap:
     def test_validation_check_passes(self):
         assert check_gap_closed_form(50, np.random.default_rng(31)) <= 1e-12
 
+    def test_oracle_cases_take_turns(self, rng):
+        # case i has alpha within 1e-9 to 1e-1 of 1/2 when i % 3 == 1, a pure
+        # mixture (x = 0 or 1) when i % 3 == 2, and TWO_RANGES' draws otherwise
+        s = gap_oracle_cases(rng, 300)
+        assert s.alpha.shape == s.x.shape == (300, 1)
+        near = s.alpha[1::3] - 0.5
+        assert np.all((0.99e-9 <= near) & (near <= 0.1))
+        assert set(np.unique(s.x[2::3])) == {0.0, 1.0}
+        plain = np.delete(np.arange(300), np.s_[2::3])
+        assert np.all(s.x[plain] < 1.0) and len(np.unique(s.x[plain])) == 200
+        assert np.all(s.alpha[0::3] >= 0.5) and len(np.unique(s.alpha[0::3])) == 100
+
     def test_per_cell_broadcast_equals_each_row(self, rng):
         scenarios = [random_two_scenario(rng) for _ in range(7)]
         cols = [np.array(col)[:, None] for col in zip(*map(gap_args, scenarios))]

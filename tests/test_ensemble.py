@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,10 +24,10 @@ from hensim.ensemble import (
     evolve_single_realization,
     evolve_two_realization,
     sample_ensemble,
+    sampler_bytes,
     standard_normals,
     worker_count,
     workspace,
-    workspace_bytes,
     xstate_diagonal,
 )
 from hensim.scenarios import SingleQubitScenario, coupling_c, time_grid
@@ -186,7 +187,7 @@ class TestBuildHTwo:
             # A-part in (A2, A1) order: swap the single-qubit builder's factors
             swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
             ha = swap @ build_h_single(eps_a, sub) @ swap
-            wb = 0.5 * (s.omega_b + eps_b)
+            wb = 0.5 * eps_b
             expected = np.sort(np.concatenate([np.linalg.eigvalsh(ha) + wb,
                                                np.linalg.eigvalsh(ha) - wb]))
             assert np.abs(np.sort(np.linalg.eigvalsh(h)) - expected).max() <= 1e-12
@@ -265,15 +266,17 @@ class TestSeedStream:
         assert got.shape == (2, 4)
         np.testing.assert_allclose(got.ravel(), expected, rtol=0.0, atol=1e-13)
 
+    # re_z's digits are the direct mean of complex_two's z over the 600
+    # realizations' draws, not the sampler's own output
     def test_known_two_chunk_means(self):
-        s = two_scenario(omega_a=0.7, omega_b=0.3, alpha=1.2, x=0.3, var_a=0.5, var_b=0.4)
+        s = two_scenario(omega_a=0.7, alpha=1.2, x=0.3, var_a=0.5, var_b=0.4)
         mc = sample_ensemble(s, 600, 2024, 3.0, 5)  # chunks of 512 and 88 realizations
         np.testing.assert_allclose(
             mc["gamma2"], [0.0, 0.41918954265174063, 0.5193182746843771, 0.48521653078591326,
                            0.493819858201296], rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(
-            mc["re_z"], [0.5, 0.2124856517704989, -0.08356079655496933, -0.07020348967433794,
-                         -0.015384715549499344], rtol=0.0, atol=1e-13)
+            mc["re_z"], [0.5, 0.26347742902799576, -0.01926494254862904, -0.061446454197074465,
+                         -0.02739435176167292], rtol=0.0, atol=1e-13)
 
     def test_sampler_raises_no_runtime_warning(self, monkeypatch):
         monkeypatch.setenv("HENSIM_WORKERS", "2")
@@ -288,7 +291,7 @@ def complex_single(eps, t, s):
     t = np.asarray(t, dtype=float)
     c, alpha, det = coupling_c(s.alpha), s.alpha, eps - s.omega_a
     rho_pp = 0.5 * c**2 * abs(s.xb) ** 2 * (1.0 - np.cos(2.0 * alpha * det * t))
-    rho_pm = (-1j * c * s.xb * np.conj(s.yb) * np.exp(-0.5j * (eps + s.omega_a) * t)
+    rho_pm = (-1j * c * s.xb * s.yb * np.exp(-0.5j * (eps + s.omega_a) * t)
               * np.sin(alpha * det * t))
     return rho_pp, rho_pm
 
@@ -299,7 +302,7 @@ def complex_two(eps_a, eps_b, t, s):
     alpha, c2 = s.alpha, coupling_c(s.alpha) ** 2
     arg = alpha * (s.omega_a - eps_a) * t
     g2 = np.sin(arg) ** 2
-    zeta = np.exp(-0.5j * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b) * t)
+    zeta = np.exp(-0.5j * (s.omega_a + eps_a + 2.0 * eps_b) * t)
     return (0.5 * s.x * c2 * g2, 0.5 * s.x + 0.5 * s.y * (1.0 - c2 * g2),
             0.5 * s.y + 0.5 * s.x * (1.0 - c2 * g2), 0.5 * s.y * c2 * g2,
             0.5 * (s.x + s.y) * zeta * (np.cos(arg) - 1j * np.sin(arg) / (2.0 * alpha)))
@@ -311,10 +314,9 @@ class TestRealKernels:
     def test_single_matches_complex_form(self, rng):
         worst = 0.0
         for _ in range(200):
+            # xb = mag e^{i phase} is drawn with a random phase, so that
+            # q = -i c xb yb is fully complex
             s = random_single_scenario(rng)
-            # give both amplitudes a phase, so that q = -i c xb conj(yb) is fully complex
-            s = SingleQubitScenario(s.omega_a, s.alpha, s.xb * np.exp(1j * rng.uniform(0, 6.3)),
-                                    s.yb * np.exp(1j * rng.uniform(0, 6.3)), s.var)
             eps, ts = rng.uniform(-5, 5, size=(8, 1)), rng.uniform(0, 10, size=12)
             for t in ts:
                 pp, pm = (v[:, 1:] for v in single_elements(eps, t, 2, s))
@@ -365,7 +367,7 @@ class TestRealKernels:
             xs = two_xstate(eps_a, eps_b, t_max, n, s)
             oa, ob, oc, od, oz = complex_two(eps_a, eps_b, grid, s)
             theta = (np.abs(s.alpha * (s.omega_a - eps_a))
-                     + np.abs(0.5 * (s.omega_a + eps_a + 2.0 * s.omega_b + 2.0 * eps_b)))
+                     + np.abs(0.5 * (s.omega_a + eps_a + 2.0 * eps_b)))
             bound = (8.0 * theta * grid + 30.0) * U
             for name, y in zip("abcdz", (oa, ob, oc, od, oz)):
                 assert np.all(np.abs(getattr(xs, name) - y) <= bound)
@@ -375,7 +377,8 @@ class TestRealKernels:
         # scalar spacings give (n,) columns and a column of R spacings (R, n):
         # one real and one complex column, views of the first R rows of the
         # workspace's two buffers, which pad the grid to at most n + B - 1
-        # points and take workspace_bytes, three reals per point, between them
+        # points and take three reals per point between them: sampler_bytes
+        # of one chunk on one thread, less its 48-byte partials per grid point
         m, b = _blocks(n)
         assert n <= m * b <= n + b - 1
         for evolve, k, s in ((evolve_single_realization, 1, single_scenario()),
@@ -383,7 +386,8 @@ class TestRealKernels:
             ws = workspace(8, n)
             assert [v.dtype.kind for v in ws] == ["f", "c"]
             assert all(v.shape == (8, m * b) and v.flags.c_contiguous for v in ws)
-            assert sum(v.nbytes for v in ws) == 3 * 8 * m * b * 8 == workspace_bytes(8, n)
+            assert sum(v.nbytes for v in ws) == 3 * 8 * m * b * 8
+            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 48 * n)
             cols = evolve(*[0.7] * k, 3.0, n, s, ws)
             assert [v.shape for v in cols] == [(n,), (n,)]
             cols = evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws)
@@ -566,6 +570,27 @@ class TestSampleEnsemble:
         made.clear()
         sample_ensemble(single_scenario(), 100, 3, 5.0, 30)
         assert made == [100]
+
+    @pytest.mark.parametrize("scenario", [single_scenario(), two_scenario(var_b=0.5)],
+                             ids=["single", "two"])
+    def test_sampler_bytes_counts_most_of_the_traced_peak(self, monkeypatch, scenario):
+        # 1,100 realizations are 3 chunks on one thread: its workspace of 512
+        # rows and the 3 chunks' partials at 400 points. Their traced peak
+        # adds about 12% of per-chunk scratch, whose phase tables grow like
+        # sqrt(points) per row
+        monkeypatch.setenv("HENSIM_WORKERS", "1")
+        threads, need = sampler_bytes(1100, 400)
+        assert (threads, need) == (1, 512 * 400 * 24 + 3 * 400 * 48)
+        tracemalloc.start()
+        try:
+            sample_ensemble(scenario, 1100, 7, 5.0, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert need <= peak <= 1.25 * need
+        monkeypatch.setenv("HENSIM_WORKERS", "2")
+        assert sampler_bytes(1100, 400) == (2, 2 * 512 * 400 * 24 + 3 * 400 * 48)
+        assert sampler_bytes(100, 401) == (1, 100 * 21 * 20 * 24 + 401 * 48)
 
     # sample_ensemble returns bare columns; the provenance of a sampled run is
     # the meta that the CLI writes beside them

@@ -117,7 +117,7 @@ class TestConcurrenceTrajectory:
         assert np.abs(mc - exact).max() <= 0.08
 
     def test_matches_complex_averaged_xstate(self, rng):
-        # the real-only closed form against the complex one, on random omega_a, omega_b, var_b
+        # the real-only closed form against the complex one, on random omega_a and var_b
         grid = np.linspace(0.0, 8.0, 200)
         worst = 0.0
         for _ in range(100):

@@ -12,12 +12,12 @@ from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, 
 BAD = [math.nan, math.inf, -math.inf]
 
 
-def single(omega_a=0.0, xb=0.8, yb=0.6, var=1.0):
-    return SingleQubitScenario(omega_a, 1.0, xb, yb, var)
+def single(omega_a=0.0, xb=0.8, var=1.0):
+    return SingleQubitScenario(omega_a, 1.0, xb, var)
 
 
-def two(omega_a=0.0, omega_b=0.0, alpha=1.0, x=0.2, var_b=0.0):
-    return TwoQubitScenario(omega_a, omega_b, alpha, x, 1.0, var_b)
+def two(omega_a=0.0, alpha=1.0, x=0.2, var_b=0.0):
+    return TwoQubitScenario(omega_a, alpha, x, 1.0, var_b)
 
 
 @pytest.mark.parametrize("bad", BAD)
@@ -28,11 +28,9 @@ def two(omega_a=0.0, omega_b=0.0, alpha=1.0, x=0.2, var_b=0.0):
     lambda v: single(omega_a=v),
     lambda v: single(xb=complex(v, 0.0)),
     lambda v: two(omega_a=v),
-    lambda v: two(omega_b=v),
     lambda v: two(x=v),
     lambda v: time_grid(v, 10),
-], ids=["var_b", "variance", "alpha", "single-omega_a", "xb", "two-omega_a", "omega_b", "x",
-        "t_max"])
+], ids=["var_b", "variance", "alpha", "single-omega_a", "xb", "two-omega_a", "x", "t_max"])
 def test_non_finite_rejected(build, bad):
     with pytest.raises(ValueError, match="must be finite"):
         build(bad)
@@ -82,10 +80,8 @@ class TestStackedRecords:
     # one record of R cases holds (R, 1) columns; one bad entry refuses the
     # whole stack with the message that entry's own scalar record gets
     R = 4
-    GOOD = {SingleQubitScenario: {"omega_a": 0.0, "alpha": 1.0, "xb": 0.8 + 0j, "yb": 0.6 + 0j,
-                                  "var": 1.0},
-            TwoQubitScenario: {"omega_a": 0.0, "omega_b": 0.0, "alpha": 1.0, "x": 0.2, "var_a": 1.0,
-                               "var_b": 0.0}}
+    GOOD = {SingleQubitScenario: {"omega_a": 0.0, "alpha": 1.0, "xb": 0.8 + 0j, "var": 1.0},
+            TwoQubitScenario: {"omega_a": 0.0, "alpha": 1.0, "x": 0.2, "var_a": 1.0, "var_b": 0.0}}
 
     def columns(self, record):
         return {name: np.full((self.R, 1), v) for name, v in self.GOOD[record].items()}
@@ -94,6 +90,15 @@ class TestStackedRecords:
         s = TwoQubitScenario(**self.columns(TwoQubitScenario))
         assert s.alpha.shape == (self.R, 1) and np.array_equal(s.y, np.full((self.R, 1), 0.8))
         assert SingleQubitScenario(**self.columns(SingleQubitScenario)).xb.shape == (self.R, 1)
+
+    def test_yb_follows_from_xb(self):
+        # yb = sqrt(1 - |xb|^2), a real column for a stack of complex amplitudes
+        xb = np.array([[0.0], [0.6j], [0.8 * np.exp(2j)], [1.0]])
+        s = SingleQubitScenario(0.0, 1.0, xb, 1.0)
+        assert s.yb.shape == (self.R, 1) and s.yb.dtype == float
+        assert np.array_equal(s.yb, np.sqrt(1.0 - np.abs(xb) ** 2))
+        np.testing.assert_allclose(s.yb, [[1.0], [0.8], [0.6], [0.0]], rtol=0.0, atol=1e-15)
+        assert single(xb=0.6).yb == np.sqrt(1.0 - 0.6**2)
 
     @pytest.mark.parametrize("record, field, bad, message", [
         (TwoQubitScenario, "alpha", 0.3, "alpha must be >= 1/2, got 0.3"),
@@ -105,8 +110,7 @@ class TestStackedRecords:
         (TwoQubitScenario, "omega_a", math.nan, "omega_a must be finite, got nan"),
         (SingleQubitScenario, "omega_a", math.nan, "omega_a must be finite, got nan"),
         (SingleQubitScenario, "xb", complex(math.inf, 0.0), "xb must be finite, got (inf+0j)"),
-        (SingleQubitScenario, "xb", 0.9 + 0j, "|xb|^2 + |yb|^2 must be 1, got 1.17"),
-        (SingleQubitScenario, "yb", 0.5j, "|xb|^2 + |yb|^2 must be 1, got 0.89"),
+        (SingleQubitScenario, "xb", 0.9 + 1.2j, "|xb| must be <= 1, got 1.5"),
     ])
     def test_one_bad_entry_refuses_the_stack(self, record, field, bad, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):

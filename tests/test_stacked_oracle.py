@@ -269,10 +269,10 @@ def dense_route_bound(a, d):
 
 
 @settings(max_examples=100)
-@given(omega_a=st.floats(-20, 20), omega_b=st.floats(-20, 20), alpha=st.floats(0.5, 100),
-       x=st.floats(0, 1), var_a=st.floats(0, 10), var_b=st.floats(0, 10), t_max=st.floats(0, 50))
-def test_averaged_xstate_is_a_density_matrix(omega_a, omega_b, alpha, x, var_a, var_b, t_max):
-    s = TwoQubitScenario(omega_a, omega_b, alpha, x, var_a, var_b)
+@given(omega_a=st.floats(-20, 20), alpha=st.floats(0.5, 100), x=st.floats(0, 1),
+       var_a=st.floats(0, 10), var_b=st.floats(0, 10), t_max=st.floats(0, 50))
+def test_averaged_xstate_is_a_density_matrix(omega_a, alpha, x, var_a, var_b, t_max):
+    s = TwoQubitScenario(omega_a, alpha, x, var_a, var_b)
     xs = avg_xstate_two(np.linspace(0.0, t_max, 64), s)
     rho = validate_density(xstate_matrix(xs))
     assert rho.shape == (64, 4, 4)
