@@ -100,12 +100,13 @@ def workspace(rows: int, points: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sampler_bytes(n: int, points: int) -> tuple[int, int]:
     """(threads, bytes) of sample_ensemble's n-realization run on a ``points``-point grid:
-    each thread's workspace, min(CHUNK, n) rows by M B points at 24 bytes, and each chunk's
-    sums and squared deviations, 48 bytes per grid point, kept until the combine."""
+    each thread's workspace, min(CHUNK, n) rows by M B points at 24 bytes, and its phase
+    tables (_phase_factors), as many rows by M + B complex values, and each chunk's sums and
+    squared deviations, 48 bytes per grid point, kept until the combine."""
     chunks = -(-n // CHUNK)
     threads = worker_count(chunks)
     m, b = _blocks(points)
-    return threads, threads * min(CHUNK, n) * m * b * 24 + chunks * points * 48
+    return threads, threads * min(CHUNK, n) * (m * b * 24 + (m + b) * 16) + chunks * points * 48
 
 
 def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, ws):

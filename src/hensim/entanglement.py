@@ -48,12 +48,15 @@ TOL = 1e-14
 # 10k points ran the gap 2-3 times slower per point, and smaller ones gained
 # nothing.
 BLOCK_POINTS = 1 << 13
-# Peak memory find_tc_batch takes per cell, rounded up: tracemalloc read 555
-# bytes per cell at 90,000 cells (numpy 2.4). cli.cmd_tc_map budgets a map by it.
+# Peak memory find_tc_batch takes per cell, rounded up: tracemalloc read 463
+# bytes per cell at 90,000 cells at var_b = 0, and 456 at var_b = 0.5
+# (numpy 2.4). cli.cmd_tc_map budgets a map by it.
 CELL_BYTES = 600
-# Relative half-width of a bracket guessed from a scaled root: 8 units of
+# Relative half-width of a bracket around a guessed root: 8 units of
 # rounding (u = 2^-53), room for the rounding of the guess and of g.
 _GUESS_SLACK = 8.0 * 2.0**-53
+# Newton steps from the left that _newton_guesses takes (see find_tc_batch)
+_NEWTON_STEPS = 5
 
 
 def _cell_gap(t, cells):
@@ -120,18 +123,41 @@ def _groups(envelope):
     return order[np.flatnonzero(first)[np.cumsum(first) - 1]][~first], order[~first]
 
 
-def _scaled_guesses(envelope, lo, hi, rep, member):
-    """Set each member's bracket to its representative's root hi[rep], scaled to the member's
-    var_a and widened by (1 -+ _GUESS_SLACK), wherever g(lo) > 0 >= g(hi) holds there."""
-    cells = envelope[:, member]
-    # a guess may under- or overflow at extreme variance ratios; such a cell
-    # fails the bracket test and keeps the bracket it had
+def _bracket_guesses(cells, lo, hi, j, guess):
+    """Set the brackets of cells j to their guesses widened by (1 -+ _GUESS_SLACK), wherever
+    g(lo) > 0 >= g(hi) holds there; every other cell keeps the bracket it had."""
+    cells = cells[:, j]
+    # a guess may be NaN, under- or overflow; such a cell fails the bracket test
     with np.errstate(all="ignore"):
-        guess = hi[rep] * np.sqrt(envelope[1, rep] / cells[1])
         start, stop = guess * (1.0 - _GUESS_SLACK), guess * (1.0 + _GUESS_SLACK)
         held = (np.isfinite(guess) & (_cell_gap(start, cells) > 0.0)
                 & (_cell_gap(stop, cells) <= 0.0))
-    lo[member[held]], hi[member[held]] = start[held], stop[held]
+    lo[j[held]], hi[j[held]] = start[held], stop[held]
+
+
+def _scaled_guesses(envelope, lo, hi, rep, member):
+    """Set each member's bracket to its representative's root hi[rep], scaled to the member's
+    var_a and widened by (1 -+ _GUESS_SLACK), wherever g(lo) > 0 >= g(hi) holds there."""
+    # extreme variance ratios under- or overflow the guess
+    with np.errstate(all="ignore"):
+        guess = hi[rep] * np.sqrt(envelope[1, rep] / envelope[1, member])
+    _bracket_guesses(envelope, lo, hi, member, guess)
+
+
+def _newton_guesses(envelope):
+    """Each cell's envelope root, sqrt(q) after _NEWTON_STEPS Newton steps on h(q) from
+    q0 = L / K (see find_tc_batch); NaN or inf where the closed form leaves double precision."""
+    alpha, va, vb, _, xy = envelope
+    delta = alpha - 0.5
+    with np.errstate(all="ignore"):
+        lead = -np.log(delta / alpha * np.sqrt(xy))  # L
+        slope = 0.5 * (np.square(delta) * va + vb)  # K
+        rho, c, b = delta / (alpha + 0.5), alpha * va, 2.0 * np.square(alpha) * va
+        q = lead / slope
+        for _ in range(_NEWTON_STEPS):
+            h = lead - slope * q + np.log1p(rho * np.exp(-c * q)) - np.log(-np.expm1(-b * q))
+            q = q + h / (slope + c / (1.0 + np.exp(c * q) / rho) + b / np.expm1(b * q))
+        return np.sqrt(q)
 
 
 def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
@@ -163,26 +189,42 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
 
     taken 1e-12 relative and 16 of the smallest subnormals wider for
     rounding. The status is "finite" where the computed g(T; 0) <= 0, and
-    [0, T] is bisected to adjacent floats (lo0, hi0). It is "unresolved"
-    where rounding hides the root: va / 2 rounding to 0 at va = 5e-324 (and
-    at omega_a != 0 a final bracket that fails, below); never a tiny x.
-    At omega_a = 0, (lo0, hi0) is the bracket.
+    the root is bisected to adjacent floats (lo0, hi0), from a bracket of an
+    estimate (below) or from [0, T]. It is "unresolved" where rounding hides
+    the root: va / 2 rounding to 0 at va = 5e-324 (and at omega_a != 0 a
+    final bracket that fails, below); never a tiny x. At omega_a = 0,
+    (lo0, hi0) is the bracket.
+
+    A full solve estimates the root by Newton's method in q = t^2 on the
+    envelope's log-ratio, which has the same root,
+
+        h(q) = ln|z| - ln sqrt(a d)
+             = L - K q + log1p(rho exp(-alpha va q)) - ln(-expm1(-2 alpha^2 va q)),
+
+    L = -ln((delta / alpha) sqrt(xy)) >= ln 2, K = (delta^2 va + vb) / 2 and
+    rho = delta / (alpha + 1/2). The last two terms are >= 0, so the root of
+    L - K q, q0 = L / K, lies at or left of the root of h. Both terms are
+    convex and falling in q, so h is too, and each step from the left rises
+    without passing the root: _NEWTON_STEPS steps from q0 reach it to a few
+    units of rounding on every map measured. The estimate sqrt(q) is
+    bracketed by (1 -+ 8u), u = 2^-53; if g(lo) > 0 >= g(hi) holds there,
+    the bracket is bisected to adjacent floats in about 5 rounds instead of
+    60. An estimate that is not finite (the closed form leaves double
+    precision), or a bracket that fails, falls back to bisecting [0, T].
 
     At var_b = 0 the envelope depends on var_a only through sqrt(var_a) t:
     cells that share (alpha, xy) share one root up to a change of time unit,
     and form a group whose roots scale as 1/sqrt(var_a). Each group's
-    representative, its first finite cell in C order, bisects [0, T] as
-    above. Every other cell guesses t_rep sqrt(v_rep / v) and brackets the
-    guess by (1 -+ 8u), u = 2^-53; if g(lo) > 0 >= g(hi) holds there, it
-    bisects that bracket to adjacent floats in about 5 rounds instead of 60.
-    A guess that under- or overflows, or a bracket that fails, falls back to
-    bisecting [0, T]. The computed envelope never rises with t (it reads t
-    only through rounded products with it, and each rounding is monotone), so
-    it changes sign at one pair of adjacent floats, which every bracket that
-    holds bisects to: each cell's columns are bit-identical to those it gets
-    alone, and a group of one is the full solve. Cells with var_b != 0 gain
-    nothing: the ratio var_b / var_a that shapes their envelope changes along
-    the variance axis, so no two of a map's cells share a root.
+    representative, its first finite cell in C order, takes the full solve
+    above. Every other cell guesses t_rep sqrt(v_rep / v) and brackets that
+    guess the same way, with the same fallback. The computed envelope never
+    rises with t (it reads t only through rounded products with it, and each
+    rounding is monotone), so it changes sign at one pair of adjacent floats,
+    which every bracket that holds bisects to: each cell's columns are
+    bit-identical to those it gets alone, or by bisecting [0, T], and a group
+    of one is the full solve. Cells with var_b != 0 form no groups: the ratio
+    var_b / var_a that shapes their envelope changes along the variance axis,
+    so no two of a map's cells share a root, and each takes the full solve.
 
     At omega_a != 0 the window rests on one invariant: the computed
     g(t; omega_a) is at most the computed g(t; 0) for every float t (see
@@ -221,13 +263,15 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     out["status"][idx] = np.where(finite, FINITE, UNRESOLVED)
     out["t_max"][idx] = t_max
     idx, cells, envelope, hi = idx[finite], cells[:, finite], envelope[:, finite], t_max[finite]
-    # the envelope roots: a group member at var_b = 0 (see above) bisects its
-    # scaled guess where that bracket holds, every other cell [0, T]
+    # the envelope roots: every full solve, then each group member at var_b = 0
+    # (see above), bisects the bracket of its guess where that holds, else [0, T]
     lo = np.zeros(len(idx))
     rep, member = _groups(envelope)
     solo = np.ones(len(lo), dtype=bool)
     solo[member] = False
-    _bisect(envelope, lo, hi, np.flatnonzero(solo))
+    solo = np.flatnonzero(solo)
+    _bracket_guesses(envelope, lo, hi, solo, _newton_guesses(envelope[:, solo]))
+    _bisect(envelope, lo, hi, solo)
     _scaled_guesses(envelope, lo, hi, rep, member)
     _bisect(envelope, lo, hi, member)
 

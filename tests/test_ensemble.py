@@ -379,6 +379,7 @@ class TestRealKernels:
         # workspace's two buffers, which pad the grid to at most n + B - 1
         # points and take three reals per point between them: sampler_bytes
         # of one chunk on one thread, less its 48-byte partials per grid point
+        # and its phase tables, M + B complex values per row
         m, b = _blocks(n)
         assert n <= m * b <= n + b - 1
         for evolve, k, s in ((evolve_single_realization, 1, single_scenario()),
@@ -387,7 +388,8 @@ class TestRealKernels:
             assert [v.dtype.kind for v in ws] == ["f", "c"]
             assert all(v.shape == (8, m * b) and v.flags.c_contiguous for v in ws)
             assert sum(v.nbytes for v in ws) == 3 * 8 * m * b * 8
-            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 48 * n)
+            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 48 * n
+                                           + 8 * (m + b) * 16)
             cols = evolve(*[0.7] * k, 3.0, n, s, ws)
             assert [v.shape for v in cols] == [(n,), (n,)]
             cols = evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws)
@@ -574,23 +576,23 @@ class TestSampleEnsemble:
     @pytest.mark.parametrize("scenario", [single_scenario(), two_scenario(var_b=0.5)],
                              ids=["single", "two"])
     def test_sampler_bytes_counts_most_of_the_traced_peak(self, monkeypatch, scenario):
-        # 1,100 realizations are 3 chunks on one thread: its workspace of 512
-        # rows and the 3 chunks' partials at 400 points. Their traced peak
-        # adds about 12% of per-chunk scratch, whose phase tables grow like
-        # sqrt(points) per row
+        # 1,100 realizations are 3 chunks on one thread: its workspace and
+        # phase tables of 512 rows (400 and 20 + 20 values per row) and the 3
+        # chunks' partials at 400 points. Their traced peak adds about 5% of
+        # other per-chunk scratch
         monkeypatch.setenv("HENSIM_WORKERS", "1")
         threads, need = sampler_bytes(1100, 400)
-        assert (threads, need) == (1, 512 * 400 * 24 + 3 * 400 * 48)
+        assert (threads, need) == (1, 512 * (400 * 24 + 40 * 16) + 3 * 400 * 48)
         tracemalloc.start()
         try:
             sample_ensemble(scenario, 1100, 7, 5.0, 400)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert need <= peak <= 1.25 * need
+        assert need <= peak <= 1.10 * need
         monkeypatch.setenv("HENSIM_WORKERS", "2")
-        assert sampler_bytes(1100, 400) == (2, 2 * 512 * 400 * 24 + 3 * 400 * 48)
-        assert sampler_bytes(100, 401) == (1, 100 * 21 * 20 * 24 + 401 * 48)
+        assert sampler_bytes(1100, 400) == (2, 2 * 512 * (400 * 24 + 40 * 16) + 3 * 400 * 48)
+        assert sampler_bytes(100, 401) == (1, 100 * (21 * 20 * 24 + 41 * 16) + 401 * 48)
 
     # sample_ensemble returns bare columns; the provenance of a sampled run is
     # the meta that the CLI writes beside them

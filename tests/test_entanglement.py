@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import find_tc, random_two_scenario, scenario_gap, solve_batch, two_scenario
+from hensim import entanglement
 from hensim.analytic import gap_args
 from hensim.ensemble import sample_ensemble, xstate_diagonal
 from hensim.entanglement import (
@@ -513,3 +514,61 @@ def test_grouped_cells_are_bit_identical_to_solving_alone(alphas, var_exps, x, t
         assert alone["status"].tolist() == cols["status"][i:i + 1].tolist()
         for name in ("t_c", "t_max"):
             assert alone[name].tobytes() == cols[name][i:i + 1].tobytes(), (name, s)
+
+
+def tc_map_args(resolution, var_b):
+    """find_tc_batch's arguments for `tc-map --x 0.2 --var-eps-b <var_b> --alpha-range 0.5 3
+    --var-range 0.1 2 --resolution <resolution>`."""
+    alpha, var_a = np.meshgrid(np.linspace(0.5, 3.0, resolution),
+                               np.linspace(0.1, 2.0, resolution), indexing="ij")
+    _, _, var_b, omega_a, xy = gap_args(two_scenario(x=0.2, var_b=var_b))
+    return alpha, var_a, var_b, omega_a, xy
+
+
+# A full solve brackets its Newton estimate in one round of two gap calls and
+# bisects it in about 5 more; a cell that falls back to [0, T] adds about 55
+# rounds. Besides those, a batch evaluates g once at T, twice for its group
+# members' brackets and twice for its final check, and at var_b = 0 the
+# members bisect in about 5 rounds of their own.
+@pytest.mark.parametrize("resolution, var_b, most", [(20, 0.5, 16), (60, 0.0, 20)])
+def test_full_solves_start_from_a_newton_estimate(monkeypatch, resolution, var_b, most):
+    calls = []
+
+    def counted(t, cells):
+        calls.append(t)
+        return cell_gap(t, cells)
+
+    cell_gap = entanglement._cell_gap
+    monkeypatch.setattr(entanglement, "_cell_gap", counted)
+    find_tc_batch(*tc_map_args(resolution, var_b))
+    assert len(calls) <= most
+
+
+# Every full solve (a var_b = 0 group representative, or any cell at var_b != 0)
+# brackets a Newton estimate of its envelope root. Without one it bisects
+# [0, T], as a cell whose estimate does not hold does; either bracket bisects
+# to the one pair of adjacent floats where the computed envelope changes sign,
+# so the columns are the same bytes. alpha - 1/2 and var_a span 23 and 11
+# decades, x reaches the smallest subnormal, and bit i of ``turning`` gives
+# cell i an omega_a of 3.
+@settings(max_examples=60)
+@given(deltas=st.lists(st.floats(-15.0, 8.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
+       var_as=st.lists(st.floats(-3.0, 8.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
+       var_b=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+       x=st.one_of(XS, st.floats(-323.3, -1.0).map(lambda e: 10.0**e)),
+       turning=st.integers(0, 2**9 - 1))
+@example(deltas=[1e-15, 1e160], var_as=[1e-3, 1e300], var_b=0.0, x=5e-324, turning=0b0101)
+@example(deltas=[1e-15, 1e160], var_as=[1e300, 1.0], var_b=1e3, x=5e-324, turning=0b1010)
+@example(deltas=[1e-15], var_as=[1e8], var_b=1e-3, x=0.2, turning=0)
+def test_newton_brackets_bisect_to_the_plain_bisection(deltas, var_as, var_b, x, turning):
+    grid = [two_scenario(alpha=0.5 + d, var_a=va, x=x, var_b=var_b,
+                         omega_a=3.0 if turning >> i & 1 else 0.0)
+            for i, (d, va) in enumerate((d, va) for d in deltas for va in var_as)]
+    args = np.array([gap_args(s) for s in grid]).T.reshape(5, len(deltas), -1)
+    newton = find_tc_batch(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entanglement, "_newton_guesses", lambda cells: np.full(cells.shape[1], np.nan))
+        plain = find_tc_batch(*args)
+    assert newton["status"].tolist() == plain["status"].tolist()
+    for name in ("t_c", "t_max"):
+        assert newton[name].tobytes() == plain[name].tobytes(), name
