@@ -48,9 +48,9 @@ TOL = 1e-14
 # 10k points ran the gap 2-3 times slower per point, and smaller ones gained
 # nothing.
 BLOCK_POINTS = 1 << 13
-# Peak memory find_tc_batch takes per cell, rounded up: tracemalloc read 463
-# bytes per cell at 90,000 cells at var_b = 0, and 456 at var_b = 0.5
-# (numpy 2.4). cli.cmd_tc_map budgets a map by it.
+# Peak memory find_tc_batch takes per cell, rounded up: tracemalloc read 379
+# bytes per cell at 90,000 cells at var_b = 0 and at var_b = 0.5 (numpy 2.4).
+# cli.cmd_tc_map budgets a map by it.
 CELL_BYTES = 600
 # Relative half-width of a bracket around a guessed root: 8 units of
 # rounding (u = 2^-53), room for the rounding of the guess and of g.
@@ -92,56 +92,35 @@ def _last_crossings(cells, start, stop):
     return lo, hi
 
 
-def _bisect(cells, lo, hi, j=None):
-    """Bisect the brackets of cells j (default all) in place and in lock-step until lo and hi
-    are adjacent floats; returns (lo, hi).
+def _bisect(cells, lo, hi):
+    """Bisect every cell's bracket in place and in lock-step until lo and hi are adjacent
+    floats; returns (lo, hi).
 
     Keeps g(lo) > 0 >= g(hi) where it held at the start; a NaN g moves hi, so
-    the bracket it leaves fails that test.
+    the bracket it leaves fails that test. A NaN bracket is left as it is.
     """
-    j = np.arange(len(lo)) if j is None else j
-    while len(j):
+    j = np.arange(len(lo))
+    while True:
         mid = 0.5 * (lo[j] + hi[j])
         # the rounded midpoint of adjacent floats is one of them
         inner = (lo[j] < mid) & (mid < hi[j])
         j, mid = j[inner], mid[inner]
+        if not len(j):
+            return lo, hi
         up = _cell_gap(mid, cells[:, j]) > 0.0
         lo[j[up]] = mid[up]
         hi[j[~up]] = mid[~up]
-    return lo, hi
 
 
-def _groups(envelope):
-    """(rep, member): every cell at var_b = 0 that shares (alpha, xy) with an earlier one,
-    and the first cell of its group in C order, its representative."""
-    shared = np.flatnonzero(envelope[2] == 0.0)
-    # lexsort is stable, so each group runs in C order and starts at its representative
-    order = shared[np.lexsort(envelope[np.ix_((4, 0), shared)])]
-    key = envelope[np.ix_((0, 4), order)]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
-    return order[np.flatnonzero(first)[np.cumsum(first) - 1]][~first], order[~first]
-
-
-def _bracket_guesses(cells, lo, hi, j, guess):
-    """Set the brackets of cells j to their guesses widened by (1 -+ _GUESS_SLACK), wherever
+def _bracket_guesses(cells, lo, hi, guess):
+    """Set each cell's bracket to its guess widened by (1 -+ _GUESS_SLACK), wherever
     g(lo) > 0 >= g(hi) holds there; every other cell keeps the bracket it had."""
-    cells = cells[:, j]
     # a guess may be NaN, under- or overflow; such a cell fails the bracket test
     with np.errstate(all="ignore"):
         start, stop = guess * (1.0 - _GUESS_SLACK), guess * (1.0 + _GUESS_SLACK)
         held = (np.isfinite(guess) & (_cell_gap(start, cells) > 0.0)
                 & (_cell_gap(stop, cells) <= 0.0))
-    lo[j[held]], hi[j[held]] = start[held], stop[held]
-
-
-def _scaled_guesses(envelope, lo, hi, rep, member):
-    """Set each member's bracket to its representative's root hi[rep], scaled to the member's
-    var_a and widened by (1 -+ _GUESS_SLACK), wherever g(lo) > 0 >= g(hi) holds there."""
-    # extreme variance ratios under- or overflow the guess
-    with np.errstate(all="ignore"):
-        guess = hi[rep] * np.sqrt(envelope[1, rep] / envelope[1, member])
-    _bracket_guesses(envelope, lo, hi, member, guess)
+    lo[held], hi[held] = start[held], stop[held]
 
 
 def _newton_guesses(envelope):
@@ -195,7 +174,7 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     final bracket that fails, below); never a tiny x. At omega_a = 0,
     (lo0, hi0) is the bracket.
 
-    A full solve estimates the root by Newton's method in q = t^2 on the
+    Every cell estimates its root by Newton's method in q = t^2 on the
     envelope's log-ratio, which has the same root,
 
         h(q) = ln|z| - ln sqrt(a d)
@@ -211,20 +190,11 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     the bracket is bisected to adjacent floats in about 5 rounds instead of
     60. An estimate that is not finite (the closed form leaves double
     precision), or a bracket that fails, falls back to bisecting [0, T].
-
-    At var_b = 0 the envelope depends on var_a only through sqrt(var_a) t:
-    cells that share (alpha, xy) share one root up to a change of time unit,
-    and form a group whose roots scale as 1/sqrt(var_a). Each group's
-    representative, its first finite cell in C order, takes the full solve
-    above. Every other cell guesses t_rep sqrt(v_rep / v) and brackets that
-    guess the same way, with the same fallback. The computed envelope never
-    rises with t (it reads t only through rounded products with it, and each
-    rounding is monotone), so it changes sign at one pair of adjacent floats,
-    which every bracket that holds bisects to: each cell's columns are
-    bit-identical to those it gets alone, or by bisecting [0, T], and a group
-    of one is the full solve. Cells with var_b != 0 form no groups: the ratio
-    var_b / var_a that shapes their envelope changes along the variance axis,
-    so no two of a map's cells share a root, and each takes the full solve.
+    The computed envelope never rises with t (it reads t only through
+    rounded products with it, and each rounding is monotone), so it changes
+    sign at one pair of adjacent floats, which every bracket that holds
+    bisects to: each cell's columns are bit-identical to those it gets by
+    bisecting [0, T].
 
     At omega_a != 0 the window rests on one invariant: the computed
     g(t; omega_a) is at most the computed g(t; 0) for every float t (see
@@ -245,8 +215,8 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     params = np.array(np.broadcast_arrays(alpha, var_a, var_b, omega_a, xy),
                       dtype=float).reshape(5, -1)
     out = {name: np.full(params.shape[1], np.nan) for name in ("t_c", "t_max")}
-    # an object column: a string one as wide as "none" would cut "finite" to "fini"
-    out["status"] = np.full(params.shape[1], NO_SUDDEN_DEATH, dtype=object)
+    # each cell's index into STATUSES: 0 finite, 1 none, 2 unresolved
+    code = np.ones(params.shape[1], dtype=np.int8)
     idx = np.flatnonzero((params[0] != 0.5) & (params[1] != 0.0) & (params[4] != 0.0))
     cells = params[:, idx]
     alpha, va, vb, _, xy = cells
@@ -260,20 +230,14 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     envelope = cells.copy()
     envelope[3] = 0.0
     finite = _cell_gap(t_max, envelope) <= 0.0
-    out["status"][idx] = np.where(finite, FINITE, UNRESOLVED)
+    code[idx] = np.where(finite, 0, 2)
     out["t_max"][idx] = t_max
     idx, cells, envelope, hi = idx[finite], cells[:, finite], envelope[:, finite], t_max[finite]
-    # the envelope roots: every full solve, then each group member at var_b = 0
-    # (see above), bisects the bracket of its guess where that holds, else [0, T]
+    # the envelope roots: each cell bisects the bracket of its Newton estimate
+    # where that holds, else [0, T] (see above)
     lo = np.zeros(len(idx))
-    rep, member = _groups(envelope)
-    solo = np.ones(len(lo), dtype=bool)
-    solo[member] = False
-    solo = np.flatnonzero(solo)
-    _bracket_guesses(envelope, lo, hi, solo, _newton_guesses(envelope[:, solo]))
-    _bisect(envelope, lo, hi, solo)
-    _scaled_guesses(envelope, lo, hi, rep, member)
-    _bisect(envelope, lo, hi, member)
+    _bracket_guesses(envelope, lo, hi, _newton_guesses(envelope))
+    _bisect(envelope, lo, hi)
 
     turning = np.flatnonzero(cells[3] != 0.0)
     w = cells[:, turning]
@@ -286,7 +250,8 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     lo[turning], hi[turning] = _bisect(w, *_last_crossings(w, t_k, hi[turning]))
 
     ok = (_cell_gap(lo, cells) > 0.0) & (_cell_gap(hi, cells) <= 0.0)
-    out["status"][idx[~ok]] = UNRESOLVED
+    code[idx[~ok]] = 2
     out["t_c"][idx[ok]] = hi[ok]
+    # an object column of STATUSES' own strings, not a fixed-width string array
+    out["status"] = np.array(STATUSES, dtype=object)[code]
     return out
-

@@ -486,13 +486,12 @@ def test_tc_within_tol_of_the_extended_precision_root(delta, var_a, var_b, x):
     assert longdouble_gap(t_c * (1 + np.longdouble(TOL)), alpha, var_a, var_b, xy) <= 0.0
 
 
-# A grid's rows share alpha and x, so at var_b = 0 each row is one group whose
-# cells bracket a guess scaled from its first cell's root. Variances over 40
-# decades reach roots of 1e10 and more; the examples at alpha = 1e160 reach
-# a subnormal root, whose guessed bracket fails, and variance ratios of
-# 1e+-600, whose guesses under- and overflow: those cells fall back to the
-# full bisection. Bit i of ``turning`` (``transverse``) gives cell i an
-# omega_a (a var_b) of its own.
+# A grid's rows share alpha and x, and each cell brackets its own Newton
+# estimate. Variances over 40 decades reach roots of 1e10 and more; at
+# alpha = 1e160 (the examples) the closed form behind the estimate leaves
+# double precision, so those cells, one with a subnormal root, bisect [0, T]
+# in the same batch as cells whose brackets hold. Bit i of ``turning``
+# (``transverse``) gives cell i an omega_a (a var_b) of its own.
 @settings(max_examples=40)
 @given(alphas=st.lists(ALPHAS, min_size=1, max_size=3),
        var_exps=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=5),
@@ -502,7 +501,7 @@ def test_tc_within_tol_of_the_extended_precision_root(delta, var_a, var_b, x):
 @example(alphas=[1e160, 2.0], var_exps=[-300.0, 300.0, 0.0], x=0.2, turning=0b100000,
          transverse=0b10)
 @example(alphas=[1e160], var_exps=[math.log10(0.5), 300.0], x=0.2, turning=0, transverse=0)
-def test_grouped_cells_are_bit_identical_to_solving_alone(alphas, var_exps, x, turning,
+def test_batched_cells_are_bit_identical_to_solving_alone(alphas, var_exps, x, turning,
                                                            transverse):
     grid = [two_scenario(alpha=a, var_a=10.0**e, x=x,
                          omega_a=3.0 if turning >> i & 1 else 0.0,
@@ -525,32 +524,31 @@ def tc_map_args(resolution, var_b):
     return alpha, var_a, var_b, omega_a, xy
 
 
-# A full solve brackets its Newton estimate in one round of two gap calls and
+# Each cell brackets its Newton estimate in one round of two gap calls and
 # bisects it in about 5 more; a cell that falls back to [0, T] adds about 55
-# rounds. Besides those, a batch evaluates g once at T, twice for its group
-# members' brackets and twice for its final check, and at var_b = 0 the
-# members bisect in about 5 rounds of their own.
-@pytest.mark.parametrize("resolution, var_b, most", [(20, 0.5, 16), (60, 0.0, 20)])
-def test_full_solves_start_from_a_newton_estimate(monkeypatch, resolution, var_b, most):
-    calls = []
+# rounds. Besides those, a batch evaluates g once at T and twice for its final
+# check, and never over a block of 0 cells.
+@pytest.mark.parametrize("resolution, var_b", [(20, 0.5), (60, 0.0)])
+def test_full_solves_start_from_a_newton_estimate(monkeypatch, resolution, var_b):
+    blocks = []
 
     def counted(t, cells):
-        calls.append(t)
+        blocks.append(cells.shape[1])
         return cell_gap(t, cells)
 
     cell_gap = entanglement._cell_gap
     monkeypatch.setattr(entanglement, "_cell_gap", counted)
     find_tc_batch(*tc_map_args(resolution, var_b))
-    assert len(calls) <= most
+    assert len(blocks) <= 12
+    assert 0 not in blocks
 
 
-# Every full solve (a var_b = 0 group representative, or any cell at var_b != 0)
-# brackets a Newton estimate of its envelope root. Without one it bisects
-# [0, T], as a cell whose estimate does not hold does; either bracket bisects
-# to the one pair of adjacent floats where the computed envelope changes sign,
-# so the columns are the same bytes. alpha - 1/2 and var_a span 23 and 11
-# decades, x reaches the smallest subnormal, and bit i of ``turning`` gives
-# cell i an omega_a of 3.
+# Every cell brackets a Newton estimate of its envelope root. Without one it
+# bisects [0, T], as a cell whose estimate does not hold does; either bracket
+# bisects to the one pair of adjacent floats where the computed envelope
+# changes sign, so the columns are the same bytes. alpha - 1/2 and var_a span
+# 23 and 11 decades, x reaches the smallest subnormal, and bit i of
+# ``turning`` gives cell i an omega_a of 3.
 @settings(max_examples=60)
 @given(deltas=st.lists(st.floats(-15.0, 8.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
        var_as=st.lists(st.floats(-3.0, 8.0).map(lambda e: 10.0**e), min_size=1, max_size=3),
