@@ -234,20 +234,61 @@ def _thermal_meta(s: SingleQubitScenario) -> dict:
 
 
 # Peak bytes a relax or concurrence run takes per grid point besides its sampler
-# (ensemble.sampler_bytes), rounded up: tracemalloc read 328 (relax) and 120
+# (ensemble.sampler_bytes), with room: tracemalloc read 399 (relax) and 192
 # (concurrence) bytes per point between 1e5 and 4e5 points, on a one-sample JSON
-# run, the largest form, less its 24-byte workspace and 48-byte partials (numpy 2.4).
+# run, the largest form, of which sampler_bytes counts 168 (numpy 2.4).
 _POINT_BYTES = {"relax": 350, "concurrence": 150}
 
 
+# The process's cgroup membership and the cgroup filesystem's mount point.
+_CGROUP = ("/proc/self/cgroup", "/sys/fs/cgroup")
+_NO_LIMIT = 1 << 62  # a cgroup limit this large is none: v1 writes 2^63 less a page
+
+
+def _cgroup_memory() -> int | None:
+    """The process's cgroup memory limit in bytes, the lowest on its cgroup's path from the
+    mount point: memory.max under cgroup v2, memory.limit_in_bytes under v1. None where no
+    file is set ("max", or at least _NO_LIMIT) or none can be read."""
+    membership, mount = _CGROUP
+    try:
+        with open(membership) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return None
+    limits = []
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        if fields[1] == "":
+            root, name = mount, "memory.max"
+        elif "memory" in fields[1].split(","):
+            root, name = os.path.join(mount, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [p for p in fields[2].split("/") if p]
+        for depth in range(len(parts) + 1):
+            try:
+                with open(os.path.join(root, *parts[:depth], name)) as fh:
+                    value = fh.read().strip()
+            except OSError:
+                continue
+            if value.isdigit() and int(value) < _NO_LIMIT:
+                limits.append(int(value))
+    return min(limits, default=None)
+
+
 def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    """Bytes of memory the process may take: the lower of physical memory (os.sysconf) and
+    its cgroup limit (_cgroup_memory), or None where neither can tell."""
     try:
         size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return None
-    # sysconf returns -1 for a limit it does not know
-    return size * pages if size > 0 and pages > 0 else None
+        size = pages = -1
+    limits = [_cgroup_memory()]
+    if size > 0 and pages > 0:  # sysconf returns -1 for a limit it does not know
+        limits.append(size * pages)
+    return min((v for v in limits if v is not None), default=None)
 
 
 def _check_memory(need, subject) -> None:

@@ -14,8 +14,11 @@ reduces only those, and sample_ensemble returns their means and standard
 errors under the kernel's column names. Both kernels write their columns in
 place into a workspace of just those (workspace), one real and one complex
 buffer that each sampler thread allocates once per call, min(CHUNK, n) rows
-by M B points, the grid padded to whole blocks; sampler_bytes gives a run's
-memory. The kernels (evolve_*) also take a stack of R cases, each with its own
+by M B points, the grid padded to whole blocks. The single-qubit kernel writes
+sin beta as one batched matmul of small sine factors (_sine_factors), the
+other phases as tables or factors of e^{i theta t} (_phase_factors). A run
+folds its chunks as they finish, so its memory, which sampler_bytes gives, is
+flat in n. The kernels (evolve_*) also take a stack of R cases, each with its own
 t_max, as the rows of one call: a record and a t_max whose fields are (R, 1)
 columns, as the oracle suite in hensim.validation passes them.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -83,6 +87,25 @@ def _phase_factors(shape, theta, h, scale=1.0):
     return coarse[:, :, None], fine[:, None, :]
 
 
+def _sine_factors(rows: int, m: int, b: int, theta, h):
+    """Contiguous factors (R, M, 2) and (R, 2, B) whose matmul is sin(theta_r t_k), t_k = k h_r.
+
+    They hold [sin, cos] of the coarse angles and [cos; sin] of the fine ones,
+    the angles of _phase_factors, so by angle addition their product is the
+    imaginary part of its table, within the same (4 |theta| t_k + 11) u of
+    np.sin(theta t_k); theta and h are as there. Both factors are contiguous:
+    numpy's matmul takes BLAS only then.
+    """
+    angles = np.multiply(theta, np.concatenate((np.arange(0, m * b, b), np.arange(b))) * h)
+    coarse, fine = angles[..., :m], angles[..., m:]
+    left, right = np.empty((rows, m, 2)), np.empty((rows, 2, b))
+    np.sin(coarse, out=left[..., 0])
+    np.cos(coarse, out=left[..., 1])
+    np.cos(fine, out=right[:, 0])
+    np.sin(fine, out=right[:, 1])
+    return left, right
+
+
 def _phase_table(out, theta, h, scale=1.0):
     """Fill ``out``, a complex (R, M, B) view, with scale e^{i theta_r t_k} (_phase_factors)."""
     np.multiply(*_phase_factors(out.shape, theta, h, scale), out=out)
@@ -100,13 +123,14 @@ def workspace(rows: int, points: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sampler_bytes(n: int, points: int) -> tuple[int, int]:
     """(threads, bytes) of sample_ensemble's n-realization run on a ``points``-point grid:
-    each thread's workspace, min(CHUNK, n) rows by M B points at 24 bytes, and its phase
-    tables (_phase_factors), as many rows by M + B complex values, and each chunk's sums and
-    squared deviations, 48 bytes per grid point, kept until the combine."""
-    chunks = -(-n // CHUNK)
-    threads = worker_count(chunks)
+    each thread's workspace, min(CHUNK, n) rows by M B points at 24 bytes, and its per-call
+    scratch, as many rows by M + B values at 24 bytes (the angles and two sine factors of
+    _sine_factors, more than _phase_factors' complex table), and the sums and squared
+    deviations, 48 bytes per grid point, of the 2 x threads chunks that may wait ahead of the
+    fold and of the fold itself. Nothing grows with n past CHUNK."""
+    threads = worker_count(-(-n // CHUNK))
     m, b = _blocks(points)
-    return threads, threads * min(CHUNK, n) * (m * b * 24 + (m + b) * 16) + chunks * points * 48
+    return threads, threads * min(CHUNK, n) * (m + b + m * b) * 24 + (2 * threads + 1) * points * 48
 
 
 def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, ws):
@@ -114,7 +138,9 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
 
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
-    rho_pm = q e^{-i phi} sin beta, q = -i c xb yb. The step
+    rho_pm = q e^{-i phi} sin beta, q = -i c xb yb: sin beta is the matmul
+    of _sine_factors, written into the real buffer, and q e^{-i phi} a phase
+    table (_phase_table) in the complex one, which sin beta then scales. The step
     h = t_max / (points - 1) is bit for bit time_grid(t_max, points)[1], so
     the times are those of that grid. t_max is a scalar or a column (R, 1)
     of R grids' ends, a stack of cases; eps is a scalar or a column (R, 1),
@@ -128,8 +154,8 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
     rows, (m, b), h = math.prod(shape[:-1]), _blocks(points), t_max / (points - 1)
     sin_b, w = (v[:rows] for v in ws)
     c = coupling_c(s.alpha)
-    _phase_table(w.reshape(rows, m, b), s.alpha * (eps - s.omega_a), h)
-    np.copyto(sin_b, w.imag)
+    np.matmul(*_sine_factors(rows, m, b, s.alpha * (eps - s.omega_a), h),
+              out=sin_b.reshape(rows, m, b))
     _phase_table(w.reshape(rows, m, b), -0.5 * (eps + s.omega_a), h,
                  -1j * c * s.xb * s.yb)
     w *= sin_b
@@ -216,6 +242,18 @@ def worker_count(chunks: int) -> int:
     return min(int(env) if env else os.cpu_count() or 1, chunks)
 
 
+def _in_order(pool, fn, items, ahead: int):
+    """Yield fn(item) for each item, in order, run on ``pool`` with at most ``ahead``
+    items submitted and not yet yielded, so that at most that many results wait."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 # scenario type: (name of its kernel in this module, variance fields of the
 # spacings drawn per realization in this order, names of its kernel's real and
 # complex column). The kernel is looked up when the sampler runs, so that a
@@ -238,8 +276,10 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     realization's phases from about B + N/B sin/cos pairs instead of N,
     B = ceil(sqrt(N)).
 
-    Chunks of CHUNK realizations run (possibly concurrently) and are combined
-    in chunk order, so the output is bit-identical for any worker count. A
+    Chunks of CHUNK realizations run (possibly concurrently), at most 2 per
+    worker submitted ahead, and fold into running sums and squared deviations
+    in chunk order as they finish, so the output is bit-identical for any
+    worker count and the memory is flat in n (sampler_bytes). A
     chunk reduces only the reals a realization carries: its kernel's real
     column and its complex column read as 2N interleaved reals, three reals
     per point. Each worker thread allocates one workspace of min(CHUNK, n)
@@ -269,21 +309,29 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
         vals = (real, cplx.view(float))
         count = stop - start
         sums = [v.sum(axis=0) for v in vals]
-        # squared deviations about the chunk mean, in place (no sum(x^2) - n mean^2 cancellation)
+        # squared deviations about the chunk mean (no sum(x^2) - n mean^2 cancellation)
         for v, total in zip(vals, sums):
             v -= total / count
-            np.square(v, out=v)
-        return count, sums, [v.sum(axis=0) for v in vals]
+        return count, sums, [np.einsum("ij,ij->j", v, v) for v in vals]
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(bounds))) as pool:
-        partials = list(pool.map(run, bounds))
+    # Each chunk folds into a running count, sums and squared deviations in
+    # chunk order, with the pairwise update of Chan, Golub & LeVeque:
+    # M2 = M2_A + M2_B + delta^2 n_A n_B / (n_A + n_B), delta the difference
+    # of the two means. The sums add in chunk order from 0, as sum() adds them.
+    seen, sums, m2s = 0, [0, 0], [0, 0]
+    workers = worker_count(len(bounds))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for count, chunk_sums, chunk_m2s in _in_order(pool, run, bounds, 2 * workers):
+            for j in range(2):
+                if seen:
+                    delta = chunk_sums[j] / count - sums[j] / seen
+                    chunk_m2s[j] += m2s[j] + delta**2 * (seen * count / (seen + count))
+                sums[j], m2s[j] = sums[j] + chunk_sums[j], chunk_m2s[j]
+            seen += count
 
-    # Fixed chunk order: the mean from the chunk sums, the squared deviations
-    # as within-chunk plus between-chunk parts about that mean.
     stats = []
-    for j in range(2):
-        mean = sum(sums[j] for _, sums, _ in partials) / n
-        m2 = sum(m2s[j] + count * (sums[j] / count - mean) ** 2 for count, sums, m2s in partials)
+    for total, m2 in zip(sums, m2s):
+        mean = total / n
         stats.append((mean, np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)))
     (mean, se), (cmean, cse) = stats
     # the complex column's reals interleave its real and imaginary parts

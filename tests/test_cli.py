@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 import hensim
 from conftest import find_tc, read_csv, thermal_population, two_scenario
 from hensim.analytic import gap_args
-from hensim.cli import EXIT_BAD_INPUT, EXIT_OK, main, write_csv, write_json
+from hensim.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_OK,
+    _cgroup_memory,
+    _physical_memory,
+    main,
+    write_csv,
+    write_json,
+)
 from hensim.entanglement import STATUSES, TOL, find_tc_batch
 from hensim.scenarios import time_grid
 
@@ -450,9 +458,9 @@ def test_sampler_workspace_past_physical_memory_refused_before_any_grid(tmp_path
 def test_every_per_point_array_is_budgeted_before_any_grid(tmp_path, capsys, monkeypatch, command,
                                                            samples):
     # a machine of 100 MB: a million points take 350 MB (relax) or 150 MB
-    # (concurrence) of columns, sampled or not, and at 2 points 10^9 samples
-    # keep 1,953,125 chunks' partials of 96 bytes each, 188 MB; the workspace
-    # of 512 rows by 2 points is 24 kB
+    # (concurrence) of columns, sampled or not; 10^9 samples at 10,000 points
+    # take 3.5 or 1.5 MB of columns and a 512-row workspace and scratch of 125 MB, as
+    # many as 1,024 samples would (the chunks fold as they finish)
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
@@ -460,13 +468,63 @@ def test_every_per_point_array_is_budgeted_before_any_grid(tmp_path, capsys, mon
     monkeypatch.setattr("hensim.cli._physical_memory", lambda: 100 << 20)
     monkeypatch.setattr("hensim.cli.time_grid", no_grid)
     out = tmp_path / "big.csv"
-    points = "2" if samples == "1000000000" else "1000000"
+    points = "10000" if samples == "1000000000" else "1000000"
     argv = [command, "--points", points, "--out", str(out)] + (["--samples", samples] if samples else [])
     assert run(argv) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     threads = " with 1 sampler thread(s)" if samples else ""
     assert err.startswith(f"error: {command} at {points} points{threads} needs about ")
     assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def cgroup_files(tmp_path, membership, limits):
+    """A /proc/self/cgroup text and {path under the mount point: file text}, as _CGROUP."""
+    (tmp_path / "cgroup").write_text(membership)
+    for path, text in limits.items():
+        (tmp_path / "fs" / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / path).write_text(text)
+    return str(tmp_path / "cgroup"), str(tmp_path / "fs")
+
+
+HUGE = "9223372036854771712\n"  # cgroup v1's "no limit", 2^63 less a page
+
+
+@pytest.mark.parametrize("membership, limits, expected", [
+    # v2: the lowest memory.max on the path from the mount point; "max" is none
+    ("0::/a/b/c\n", {"memory.max": "max\n", "a/memory.max": "3145728\n",
+                      "a/b/memory.max": "5242880\n", "a/b/c/memory.max": "max\n"}, 3 << 20),
+    # v2 at the mount point itself, as a container with its own cgroup namespace sees it
+    ("0::/\n", {"memory.max": "1048576\n"}, 1 << 20),
+    # v1: memory.limit_in_bytes under the memory controller's mount
+    ("5:cpu,cpuacct:/x\n4:memory:/x\n", {"memory/memory.limit_in_bytes": HUGE,
+                                           "memory/x/memory.limit_in_bytes": "2097152\n"}, 2 << 20),
+    ("4:memory:/x\n", {"memory/x/memory.limit_in_bytes": HUGE}, None),
+    ("0::/a\n", {"a/memory.max": "max\n"}, None),
+    ("0::/a\n", {}, None),
+], ids=["v2-parent", "v2-root", "v1", "v1-none", "v2-none", "no-file"])
+def test_cgroup_memory_limit(tmp_path, monkeypatch, membership, limits, expected):
+    monkeypatch.setattr("hensim.cli._CGROUP", cgroup_files(tmp_path, membership, limits))
+    assert _cgroup_memory() == expected
+    if expected is not None:  # below any machine's physical memory
+        assert _physical_memory() == expected
+
+
+def test_unreadable_cgroup_membership_is_no_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr("hensim.cli._CGROUP", (str(tmp_path / "absent"), str(tmp_path)))
+    assert _cgroup_memory() is None
+
+
+def test_run_past_a_cgroup_limit_is_refused(tmp_path, capsys, monkeypatch):
+    # a 4 MB cgroup: 2,000 samples at 400 points take a 5.4 MB workspace and
+    # scratch, and would be killed past the limit instead of exiting 2
+    monkeypatch.setenv("HENSIM_WORKERS", "1")
+    monkeypatch.setattr("hensim.cli._CGROUP", cgroup_files(tmp_path, "0::/\n", {"memory.max": "4194304\n"}))
+    out = tmp_path / "mc.csv"
+    assert run(["relax", "--samples", "2000", "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: relax at 400 points with 1 sampler thread(s) needs about ")
+    assert err.endswith(" more than the 4.19e+06 bytes of physical memory\n")
     assert not out.exists()
 
 

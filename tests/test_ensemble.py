@@ -3,6 +3,7 @@ import math
 import os
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from hensim.ensemble import (
     RNG,
     _blocks,
     _phase_factors,
+    _in_order,
     _phase_table,
+    _sine_factors,
     evolve_single_realization,
     evolve_two_realization,
     sample_ensemble,
@@ -378,8 +381,9 @@ class TestRealKernels:
         # one real and one complex column, views of the first R rows of the
         # workspace's two buffers, which pad the grid to at most n + B - 1
         # points and take three reals per point between them: sampler_bytes
-        # of one chunk on one thread, less its 48-byte partials per grid point
-        # and its phase tables, M + B complex values per row
+        # of one chunk on one thread, less its scratch of M + B values per row
+        # at 24 bytes and the 48-byte partials per grid point of two chunks
+        # ahead and the fold
         m, b = _blocks(n)
         assert n <= m * b <= n + b - 1
         for evolve, k, s in ((evolve_single_realization, 1, single_scenario()),
@@ -388,8 +392,8 @@ class TestRealKernels:
             assert [v.dtype.kind for v in ws] == ["f", "c"]
             assert all(v.shape == (8, m * b) and v.flags.c_contiguous for v in ws)
             assert sum(v.nbytes for v in ws) == 3 * 8 * m * b * 8
-            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 48 * n
-                                           + 8 * (m + b) * 16)
+            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 8 * (m + b) * 24
+                                           + 3 * 48 * n)
             cols = evolve(*[0.7] * k, 3.0, n, s, ws)
             assert [v.shape for v in cols] == [(n,), (n,)]
             cols = evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws)
@@ -440,6 +444,23 @@ class TestPhaseTable:
             out.reshape(16, m, b)[:] *= factor
         dev = np.abs(out[:, :n] - w[:, :n] * (scale * np.exp(1j * theta * grid)))
         assert np.all(dev <= np.abs(w[:, :n]) * np.abs(scale) * (4.0 * np.abs(theta) * grid + 18.0) * U)
+
+    @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401])
+    @pytest.mark.parametrize("theta_rows", [False, True], ids=["theta", "theta_col"])
+    @pytest.mark.parametrize("h_rows", [False, True], ids=["h", "h_col"])
+    def test_sine_factors_multiply_to_the_pointwise_sine(self, rng, n, theta_rows, h_rows):
+        # a scalar or an (R, 1) column each of theta and h: the factors' matmul
+        # is the imaginary part of _phase_table's product, within its bound
+        # (4 |theta| t + 11) u of np.sin(theta t_k) on time_grid
+        t_max = rng.uniform(0.5, 20.0, size=(16, 1)) if h_rows else rng.uniform(0.5, 20.0)
+        grid = np.array([time_grid(t, n) for t in np.broadcast_to(t_max, (16, 1))[:, 0]])
+        theta = rng.uniform(-100.0, 100.0, size=(16, 1) if theta_rows else ()) / t_max
+        m, b = _blocks(n)
+        left, right = _sine_factors(16, m, b, theta, t_max / (n - 1))
+        assert left.shape == (16, m, 2) and right.shape == (16, 2, b)
+        assert left.flags.c_contiguous and right.flags.c_contiguous
+        sine = np.matmul(left, right).reshape(16, m * b)[:, :n]
+        assert np.all(np.abs(sine - np.sin(theta * grid)) <= (4.0 * np.abs(theta) * grid + 11.0) * U)
 
 
 class TestStackOfCases:
@@ -556,6 +577,34 @@ class TestSampleEnsemble:
             assert np.abs(mc[name] - v.mean(axis=0)).max() <= bound, name
             assert np.abs(mc[name + "_se"] - v.std(axis=0, ddof=1) / math.sqrt(n)).max() <= bound, name
 
+    def test_folded_chunks_match_direct_statistics(self, monkeypatch):
+        # 4 CHUNK + 100 realizations fold 5 chunks, the last short, into
+        # running sums and squared deviations: each column is the direct mean
+        # or standard error over the same draws
+        monkeypatch.setenv("HENSIM_WORKERS", "2")
+        s, n = single_scenario(omega_a=1.5, alpha=1.7, variance=0.6), 4 * CHUNK + 100
+        mc = sample_ensemble(s, n, 5, 5.0, 30)
+        eps = math.sqrt(s.var) * standard_normals(5, 0, n, 1)[0][:, None]
+        pp, pm = kernel(s, eps, t_max=5.0, points=30)
+        for name, v in {"rho_pp": pp, "re_rho_pm": pm.real, "im_rho_pm": pm.imag}.items():
+            assert np.abs(mc[name] - v.mean(axis=0)).max() <= 1e-15, name
+            assert np.abs(mc[name + "_se"] - v.std(axis=0, ddof=1) / math.sqrt(n)).max() <= 1e-15, name
+
+    def test_results_wait_at_most_the_window(self):
+        # _in_order yields in order and submits at most `ahead` items past
+        # the one it yields
+        submitted = []
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args[0])
+                return super().submit(fn, *args)
+
+        with Pool(max_workers=2) as pool:
+            for i, got in enumerate(_in_order(pool, lambda k: k * k, range(20), 4)):
+                assert got == i * i and len(submitted) <= i + 4
+        assert submitted == list(range(20))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_thread_allocates_one_workspace_per_call(self, monkeypatch, workers):
         # 5 chunks on `workers` threads: one workspace of min(CHUNK, n) rows each
@@ -577,12 +626,12 @@ class TestSampleEnsemble:
                              ids=["single", "two"])
     def test_sampler_bytes_counts_most_of_the_traced_peak(self, monkeypatch, scenario):
         # 1,100 realizations are 3 chunks on one thread: its workspace and
-        # phase tables of 512 rows (400 and 20 + 20 values per row) and the 3
-        # chunks' partials at 400 points. Their traced peak adds about 5% of
-        # other per-chunk scratch
+        # scratch of 512 rows (400 and 20 + 20 values per row) and the
+        # partials of the 2 chunks ahead and the fold at 400 points. Their
+        # traced peak adds a few % of other per-chunk scratch
         monkeypatch.setenv("HENSIM_WORKERS", "1")
         threads, need = sampler_bytes(1100, 400)
-        assert (threads, need) == (1, 512 * (400 * 24 + 40 * 16) + 3 * 400 * 48)
+        assert (threads, need) == (1, 512 * (400 + 40) * 24 + 3 * 400 * 48)
         tracemalloc.start()
         try:
             sample_ensemble(scenario, 1100, 7, 5.0, 400)
@@ -591,8 +640,26 @@ class TestSampleEnsemble:
             tracemalloc.stop()
         assert need <= peak <= 1.10 * need
         monkeypatch.setenv("HENSIM_WORKERS", "2")
-        assert sampler_bytes(1100, 400) == (2, 2 * 512 * (400 * 24 + 40 * 16) + 3 * 400 * 48)
-        assert sampler_bytes(100, 401) == (1, 100 * (21 * 20 * 24 + 41 * 16) + 401 * 48)
+        assert sampler_bytes(1100, 400) == (2, 2 * 512 * (400 + 40) * 24 + 5 * 400 * 48)
+        assert sampler_bytes(100, 401) == (1, 100 * (21 * 20 + 41) * 24 + 3 * 401 * 48)
+        # flat in n: 10^9 realizations count as much as 1,024
+        assert sampler_bytes(10**9, 400) == sampler_bytes(2 * CHUNK, 400)
+
+    @pytest.mark.parametrize("scenario", [single_scenario(), two_scenario(var_b=0.5)],
+                             ids=["single", "two"])
+    def test_traced_peak_is_flat_in_the_sample_count(self, monkeypatch, scenario):
+        # 100 chunks fold as they finish, so their partials do not pile up:
+        # the peak of 51,200 realizations lies within 5% of one chunk's
+        monkeypatch.setenv("HENSIM_WORKERS", "1")
+        peaks = []
+        for n in (CHUNK, 100 * CHUNK):
+            tracemalloc.start()
+            try:
+                sample_ensemble(scenario, n, 7, 5.0, 400)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     # sample_ensemble returns bare columns; the provenance of a sampled run is
     # the meta that the CLI writes beside them
