@@ -60,16 +60,25 @@ def gap_args(s: TwoQubitScenario) -> tuple[float, float, float, float, float]:
     return s.alpha, s.var_a, s.var_b, s.omega_a, s.x * s.y
 
 
+def ad_root(relax, alpha, xy):
+    """sqrt(a d) = (1/4) c^2 sqrt(xy) relax, with c^2 formed as ((a - 1/2) / a) ((a + 1/2) / a).
+
+    relax is 1 - cos(2 a wa t) exp(-2 a^2 va t^2) in xstate_gap, and 2 gamma^2 for a
+    realization or a Monte Carlo mean (the CLI's C_mc); arguments broadcast."""
+    alpha = np.asarray(alpha, dtype=float)
+    return 0.25 * (((alpha - 0.5) / alpha) * ((alpha + 0.5) / alpha)) * np.sqrt(xy) * relax
+
+
 def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     """g(t) = |z| - sqrt(a d) of the averaged X state in real arithmetic; C = 2 max(0, g).
 
     With M = (1 + 1/2a) exp(-(a - 1/2)^2 va t^2/2) and r = P / M =
     ((a - 1/2) / (a + 1/2)) exp(-a va t^2), the ratio to M of the other branch
-    P = (1 - 1/2a) exp(-(a + 1/2)^2 va t^2/2) (factors formed as (a -+ 1/2) / a,
-    c^2 = 1 - 1/4a^2 as their product; a - 1/2 is exact for a <= 1):
+    P = (1 - 1/2a) exp(-(a + 1/2)^2 va t^2/2) (factors formed as (a -+ 1/2) / a;
+    a - 1/2 is exact for a <= 1):
 
         |z| = (1/4) exp(-vb t^2/2) M sqrt(1 + r (r + 2 cos(2 a wa t)))
-        sqrt(a d) = (1/4) c^2 sqrt(xy) |1 - cos(2 a wa t) exp(-2 a^2 va t^2)|
+        sqrt(a d) = ad_root(|1 - cos(2 a wa t) exp(-2 a^2 va t^2)|, a, xy)
 
     r comes from its own exponent, never as P / M, so it stays in [0, 1]. No
     envelope is squared or floored: at a root, M >= 2 sqrt(a d) ~ c^2 sqrt(xy) / 4
@@ -82,7 +91,7 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     """
     alpha = np.asarray(alpha, dtype=float)
     above, below = alpha + 0.5, alpha - 0.5
-    p_amp, m_amp = below / alpha, above / alpha
+    m_amp = above / alpha
     sa = np.sqrt(0.5 * var_a) * t  # alpha_k^2 va t^2 / 2 = square(alpha_k sa)
     m = m_amp * np.exp(-np.square(below * sa))
     r = (below / above) * np.exp(-(alpha * sa) * (2.0 * sa))
@@ -100,7 +109,7 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     relax = -np.expm1(-x)
     if turning:
         relax = relax + (1.0 - cos_term) * np.exp(-x)
-    return z_abs - 0.25 * (p_amp * m_amp) * np.sqrt(xy) * relax
+    return z_abs - ad_root(relax, alpha, xy)
 
 
 def single_trajectory(s: SingleQubitScenario, grid) -> dict[str, np.ndarray]:

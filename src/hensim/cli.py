@@ -25,15 +25,15 @@ import warnings
 
 import numpy as np
 
-from hensim.analytic import gap_args, single_trajectory, steady_population
-from hensim.ensemble import CHUNK, RNG, sample_ensemble, sampler_bytes, xstate_diagonal
+from hensim.analytic import ad_root, gap_args, single_trajectory, steady_population
+from hensim.ensemble import CHUNK, RNG, sample_ensemble, sampler_bytes
 from hensim.entanglement import (
     CELL_BYTES,
     FINITE,
     STATUSES,
     TOL,
+    concurrence,
     concurrence_trajectory,
-    concurrence_x,
     find_tc_batch,
 )
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, time_grid
@@ -234,10 +234,11 @@ def _thermal_meta(s: SingleQubitScenario) -> dict:
 
 
 # Peak bytes a relax or concurrence run takes per grid point besides its sampler
-# (ensemble.sampler_bytes), with room: tracemalloc read 399 (relax) and 192
-# (concurrence) bytes per point between 1e5 and 4e5 points, on a one-sample JSON
-# run, the largest form, of which sampler_bytes counts 168 (numpy 2.4).
-_POINT_BYTES = {"relax": 350, "concurrence": 150}
+# (ensemble.sampler_bytes), with at most 15% room. Traced slopes between 1e5 and
+# 4e5 points (tracemalloc, one worker, numpy 2.4), relax and concurrence: 160 and
+# 80 B analytic-only, 400 and 176 B with one sample, of which sampler_bytes counts
+# 168, all as JSON (CSV takes less): needs of max(160, 232) and max(80, 8) B.
+_POINT_BYTES = {"relax": 260, "concurrence": 90}
 
 
 # The process's cgroup membership and the cgroup filesystem's mount point.
@@ -340,8 +341,9 @@ def cmd_concurrence(ns) -> int:
     columns = {"t": grid, "C": concurrence_trajectory(s, grid)}
     if cfg["samples"] is not None:
         mc = sample_ensemble(s, cfg["samples"], cfg["seed"], t_max, points)
-        a, _, _, d = xstate_diagonal(mc["gamma2"], s)
-        columns["C_mc"] = concurrence_x(a, d, mc["re_z"] + 1j * mc["im_z"])
+        # the gap of the mean X state, whose sqrt(a d) is linear in the mean of gamma^2
+        gap = np.hypot(mc["re_z"], mc["im_z"]) - ad_root(2.0 * mc["gamma2"], s.alpha, s.x * s.y)
+        columns["C_mc"] = concurrence(gap)
     _emit(ns.out, cfg["format"], columns, _meta(cfg, "concurrence"))
     return EXIT_OK
 

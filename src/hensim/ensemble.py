@@ -9,7 +9,8 @@ hensim.validation.
 
 A realization carries three reals per point, one real and one complex column:
 rho_pp and rho_pm for one working qubit, gamma^2 and z for the X state of two,
-whose a, b, c and d are affine in gamma^2 (xstate_diagonal). A sampler chunk
+whose a, b, c and d are affine in gamma^2 (hensim.validation.xstate_diagonal;
+the CLI needs only sqrt(a d), analytic.ad_root of 2 gamma^2). A sampler chunk
 reduces only those, and sample_ensemble returns their means and standard
 errors under the kernel's column names. Both kernels write their columns in
 place into a workspace of just those (workspace), one real and one complex
@@ -161,14 +162,16 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
     w *= sin_b
     np.square(sin_b, out=sin_b)
     sin_b *= c**2 * abs(s.xb) ** 2
-    return tuple(v[:, :points].reshape(shape) for v in (sin_b, w))
+    # a tuple display: tuple() of a generator resizes a 10-slot tuple, and CPython's
+    # free list keeps each such tuple once freed, 56 B a chunk up to 2,000 of them
+    return sin_b[:, :points].reshape(shape), w[:, :points].reshape(shape)
 
 
 def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario, ws):
     """Columns (gamma^2, z) of the two working qubits' X state at t_k = k h, real and complex.
 
     With gamma = sin(alpha (omega_a - eps_a) t), the diagonal (a, b, c, d) is
-    affine in gamma^2 (xstate_diagonal), and
+    affine in gamma^2 (hensim.validation.xstate_diagonal), and
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
     psi = (omega_a + eps_a + 2 eps_b) t / 2, in the frame of the second working
     qubit's mean frequency (no record has it: hensim.scenarios). The step h,
@@ -187,22 +190,7 @@ def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario
     for factor in _phase_factors(zb.shape, -0.5 * (s.omega_a + eps_a + 2.0 * eps_b), h,
                                  0.5 * (s.x + s.y)):
         zb *= factor
-    return tuple(v[:, :points].reshape(shape) for v in (gamma2, z))
-
-
-def xstate_diagonal(gamma2, s: TwoQubitScenario):
-    """(a, b, c, d) of the X state at gamma^2 (evolve_two_realization's real column).
-
-    a = x c^2 gamma^2 / 2, d = y c^2 gamma^2 / 2, b = (x + y)/2 - d and
-    c = (x + y)/2 - a: affine in gamma^2, so the mean of gamma^2 maps onto the
-    means of all four, and its standard error, scaled by x c^2 / 2 and
-    y c^2 / 2, is that of a and c and that of b and d.
-    s's fields may be (R, 1) columns, to meet gamma^2 of shape (R, N).
-    """
-    c2 = coupling_c(s.alpha) ** 2
-    h = 0.5 * (s.x + s.y)
-    a, d = 0.5 * s.x * c2 * gamma2, 0.5 * s.y * c2 * gamma2
-    return a, h - d, h - a, d
+    return gamma2[:, :points].reshape(shape), z[:, :points].reshape(shape)  # a display, as above
 
 
 def _mix64(z):
@@ -271,10 +259,9 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     The columns are the scenario type's kernel's: its real column and the
     real and imaginary parts of its complex one, rho_pp, re_rho_pm and
     im_rho_pm for a SingleQubitScenario, gamma2, re_z and im_z for a
-    TwoQubitScenario, whose X-state diagonal is affine in gamma^2
-    (xstate_diagonal). On the grid, uniform from 0, the kernels form each
-    realization's phases from about B + N/B sin/cos pairs instead of N,
-    B = ceil(sqrt(N)).
+    TwoQubitScenario, whose X-state diagonal is affine in gamma^2. On the
+    grid, uniform from 0, the kernels form each realization's phases from
+    about B + N/B sin/cos pairs instead of N, B = ceil(sqrt(N)).
 
     Chunks of CHUNK realizations run (possibly concurrently), at most 2 per
     worker submitted ahead, and fold into running sums and squared deviations
@@ -295,12 +282,11 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     kernel, fields, (real_name, cplx_name) = _OBSERVABLES[type(s)]
     evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]
-    bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
     local = threading.local()
 
-    def run(chunk):
+    def run(start):
         # rows are realizations start..stop-1, one spacing per variance each
-        start, stop = chunk
+        stop = min(start + CHUNK, n)
         if not hasattr(local, "ws"):
             local.ws = workspace(min(CHUNK, n), points)
         z = standard_normals(master_seed, start, stop, len(sigmas))
@@ -319,9 +305,10 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     # M2 = M2_A + M2_B + delta^2 n_A n_B / (n_A + n_B), delta the difference
     # of the two means. The sums add in chunk order from 0, as sum() adds them.
     seen, sums, m2s = 0, [0, 0], [0, 0]
-    workers = worker_count(len(bounds))
+    # chunk starts come from a range, so nothing is listed per chunk
+    workers = worker_count(-(-n // CHUNK))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for count, chunk_sums, chunk_m2s in _in_order(pool, run, bounds, 2 * workers):
+        for count, chunk_sums, chunk_m2s in _in_order(pool, run, range(0, n, CHUNK), 2 * workers):
             for j in range(2):
                 if seen:
                     delta = chunk_sums[j] / count - sums[j] / seen

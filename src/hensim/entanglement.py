@@ -1,5 +1,8 @@
 """X-state concurrence and, on analytic.xstate_gap, the concurrence trajectory and t_c solver.
 
+Every concurrence the CLI writes is concurrence(g) of an X-state gap g = |z| - sqrt(a d):
+C of xstate_gap, C_mc of the Monte Carlo mean X state's gap (analytic.ad_root).
+concurrence_x, the same on X-state entries, serves the oracle suite and the tests.
 The solver returns plain columns (status, t_c, t_max), one entry per cell.
 Their oracles (general Wootters concurrence, averaged X state) live in hensim.validation.
 """

@@ -4,9 +4,9 @@ This is the only module with dense-matrix code: Pauli operators, the Hermitian
 matrix exponential, partial trace, density-matrix validation, the general
 Wootters concurrence, the dense realization Hamiltonians and the closed-form
 single-qubit propagator. It also holds the X-state record (XState), the
-complex averaged X state (avg_xstate_two) and its special case without
-longitudinal noise (special_zero_va), against which the real-only
-analytic.xstate_gap is checked, and the sweep that checks the brackets
+diagonal of an X state at gamma^2 (xstate_diagonal) and the complex averaged X
+state (avg_xstate_two), against which the real-only analytic.xstate_gap is
+checked, and the sweep that checks the brackets
 (nextafter(t_c, 0), t_c) of entanglement.find_tc_batch's roots, which runs no
 sweep of its own (check_tc_bracket). No production path uses them; the CLI imports this
 module only for `validate`. The dense functions act on one matrix (n, n) or a stack
@@ -35,13 +35,7 @@ from functools import reduce
 import numpy as np
 
 from hensim.analytic import avg_population_single, gap_args, xstate_gap
-from hensim.ensemble import (
-    evolve_single_realization,
-    evolve_two_realization,
-    sample_ensemble,
-    workspace,
-    xstate_diagonal,
-)
+from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble, workspace
 from hensim.entanglement import BLOCK_POINTS, FINITE, UNRESOLVED, concurrence, concurrence_x, find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, time_grid
 
@@ -199,6 +193,21 @@ def concurrence_general(rho):
     return float(c) if c.ndim == 0 else c
 
 
+def xstate_diagonal(gamma2, s: TwoQubitScenario):
+    """(a, b, c, d) of the X state at gamma^2 (ensemble.evolve_two_realization's real column).
+
+    a = x c^2 gamma^2 / 2, d = y c^2 gamma^2 / 2, b = (x + y)/2 - d and
+    c = (x + y)/2 - a: affine in gamma^2, so the mean of gamma^2 maps onto the
+    means of all four, and its standard error, scaled by x c^2 / 2 and
+    y c^2 / 2, is that of a and c and that of b and d.
+    s's fields may be (R, 1) columns, to meet gamma^2 of shape (R, N).
+    """
+    c2 = coupling_c(s.alpha) ** 2
+    h = 0.5 * (s.x + s.y)
+    a, d = 0.5 * s.x * c2 * gamma2, 0.5 * s.y * c2 * gamma2
+    return a, h - d, h - a, d
+
+
 def xstate_matrix(elems) -> np.ndarray:
     """Assemble the 4x4 X-state density matrix in the standard product basis.
 
@@ -328,39 +337,15 @@ def avg_xstate_two(t, s: TwoQubitScenario) -> XState:
     """
     t = np.asarray(t, dtype=float)
     alpha = s.alpha
-    c2 = coupling_c(alpha) ** 2
     sa, sb = np.sqrt(s.var_a) * t, np.sqrt(s.var_b) * t
     wa = s.omega_a
+    # the diagonal is a realization's at gamma^2 = relax / 2, the mean of sin^2
     relax = 1.0 - np.cos(2.0 * alpha * wa * t) * np.exp(-2.0 * np.square(alpha * sa))
-    a = 0.25 * s.x * c2 * relax
-    d = 0.25 * s.y * c2 * relax
-    b = 0.5 * s.x + 0.5 * s.y * (1.0 - 0.5 * c2 * relax)
-    c_el = 0.5 * s.y + 0.5 * s.x * (1.0 - 0.5 * c2 * relax)
     inv2a = 1.0 / (2.0 * alpha)
     branch_plus = np.exp(1j * alpha * wa * t) * np.exp(-0.5 * np.square((alpha + 0.5) * sa)) * (1.0 - inv2a)
     branch_minus = np.exp(-1j * alpha * wa * t) * np.exp(-0.5 * np.square((alpha - 0.5) * sa)) * (1.0 + inv2a)
     z = 0.25 * np.exp(-0.5 * np.square(sb)) * np.exp(-0.5j * wa * t) * (branch_plus + branch_minus)
-    return XState(a=a, b=b, c=c_el, d=d, z=z)
-
-
-def special_zero_va(t, s: TwoQubitScenario):
-    """(|z|, sqrt(a d)) of avg_xstate_two without longitudinal noise (var_a = 0).
-
-    Without longitudinal noise there is no relaxation; check_specializations
-    compares this case with the general averages.
-    Transverse noise (var_b) only damps |z|; alpha = 1/2 gives sqrt(a d) = 0.
-    Stacks as avg_xstate_two does.
-    """
-    if np.any(s.var_a != 0.0):
-        raise ValueError("var_a must be zero for this special case")
-    t = np.asarray(t, dtype=float)
-    alpha = s.alpha
-    inv4a2 = (0.5 / alpha) ** 2
-    cos_term = np.cos(2.0 * alpha * s.omega_a * t)
-    z_abs = ((math.sqrt(2.0) / 4.0) * np.exp(-0.5 * np.square(np.sqrt(s.var_b) * t))
-             * np.sqrt(1.0 + inv4a2 + (1.0 - inv4a2) * cos_term))
-    ad_root = np.sqrt(s.x * s.y) * 0.25 * (1.0 - inv4a2) * (1.0 - cos_term)
-    return z_abs, ad_root
+    return XState(*xstate_diagonal(0.5 * relax, s), z=z)
 
 
 def _cases(rng, n_cases: int, make, ranges: dict, **extra):
@@ -409,18 +394,21 @@ def check_concurrence_dual_path(n_cases: int, rng) -> float:
 
 
 def check_specializations(n_cases: int, rng) -> float:
-    """Max deviation of the zero-longitudinal-variance special case from the general averages.
+    """Max entry deviation of the averaged X state without longitudinal noise (var_a = 0)
+    from the one realization that ensemble is, eps_a = 0, with eps_b = 0 and z damped by
+    E[e^{-i eps_b t}] = exp(-var_b t^2 / 2).
 
     Each case runs at var_b = 0 and at its drawn vb: var_b is a (2, R, 1)
     stack of the two, which the other fields' (R, 1) columns meet.
     """
-    ts = np.linspace(0, 10, 257)
+    ts = time_grid(10.0, 257)
     s, vb = _cases(rng, n_cases, _two_scenario, TWO_RANGES, vb=(0.1, 2.0))
     s = replace(s, alpha=np.maximum(s.alpha, 0.6), var_a=0.0, var_b=np.stack([0.0 * vb, vb]))
-    z_abs, ad_root = special_zero_va(ts, s)
+    eps = np.zeros((n_cases, 1))
+    gamma2, z = evolve_two_realization(eps, eps, 10.0, ts.size, s, workspace(n_cases, ts.size))
+    realization = (*xstate_diagonal(gamma2, s), z * np.exp(-0.5 * np.square(np.sqrt(s.var_b) * ts)))
     xs = avg_xstate_two(ts, s)
-    return float(max(np.abs(z_abs - np.abs(xs.z)).max(),
-                     np.abs(ad_root - np.sqrt(np.maximum(xs.a * xs.d, 0))).max()))
+    return float(max(np.abs(v - getattr(xs, k)).max() for k, v in zip("abcdz", realization)))
 
 
 def gap_oracle_cases(rng, n: int) -> TwoQubitScenario:

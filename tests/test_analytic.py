@@ -19,15 +19,15 @@ from hensim.analytic import (
     steady_population,
     xstate_gap,
 )
-from hensim.ensemble import sample_ensemble, xstate_diagonal
+from hensim.ensemble import evolve_two_realization, sample_ensemble, workspace
 from hensim.entanglement import concurrence_x
-from hensim.scenarios import coupling_c
+from hensim.scenarios import coupling_c, time_grid
 from hensim.validation import (
     avg_xstate_two,
     check_gap_closed_form,
     gap_oracle_cases,
-    special_zero_va,
     validate_density,
+    xstate_diagonal,
     xstate_matrix,
 )
 
@@ -146,9 +146,11 @@ def test_large_alpha_stays_finite(alpha):
     assert np.array_equal(avg_coherence_single(ts, s), [0.0, 0.0, 0.0])
     xs = avg_xstate_two(ts, two_scenario(alpha=alpha, var_a=1.0))
     assert np.array_equal(concurrence_x(xs.a, xs.d, xs.z), [1.0, 0.0, 0.0])
-    z_abs, ad_root = special_zero_va(ts, two_scenario(alpha=alpha, var_a=0.0, var_b=0.5))
-    assert np.abs(z_abs - 0.5 * np.exp(-0.25 * ts**2)).max() <= 1e-15
-    assert np.array_equal(ad_root, [0.0, 0.0, 0.0])
+    s = two_scenario(alpha=alpha, var_a=0.0, var_b=0.5)
+    xs = avg_xstate_two(ts, s)
+    assert np.abs(np.abs(xs.z) - 0.5 * np.exp(-0.25 * ts**2)).max() <= 1e-15
+    assert np.array_equal(xs.a, [0.0, 0.0, 0.0]) and np.array_equal(xs.d, [0.0, 0.0, 0.0])
+    assert np.abs(xstate_gap(ts, *gap_args(s)) - 0.5 * np.exp(-0.25 * ts**2)).max() <= 1e-15
 
 
 class TestAvgXStateTwo:
@@ -248,42 +250,53 @@ def test_zero_frequency_gap_bounds_every_frequency(t, alpha, var_a, var_b, xy, o
 
 
 class TestSpecialCases:
+    """Without longitudinal noise (var_a = 0) the ensemble over eps_a is the one
+    realization eps_a = 0: no relaxation, and var_b only damps |z|."""
+
     def test_no_longitudinal_revivals(self):
         s = two_scenario(omega_a=3.0, alpha=1.0, var_a=0.0, var_b=0.0)
-        for n in range(1, 4):
-            t = n * np.pi / (1.0 * 3.0)
-            z_abs, ad_root = special_zero_va(t, s)
-            assert z_abs == pytest.approx(0.5, abs=1e-12)
-            assert ad_root == pytest.approx(0.0, abs=1e-12)
+        ts = np.arange(1, 4) * np.pi / (1.0 * 3.0)
+        xs = avg_xstate_two(ts, s)
+        assert np.abs(np.abs(xs.z) - 0.5).max() <= 1e-12
+        assert np.sqrt(xs.a * xs.d).max() <= 1e-12
+        assert np.abs(xstate_gap(ts, *gap_args(s)) - 0.5).max() <= 1e-12
 
     def test_no_longitudinal_quarter_period(self):
         alpha, wa = 1.3, 2.0
         s = two_scenario(omega_a=wa, alpha=alpha, var_a=0.0, var_b=0.0)
         # cos(2 alpha omega_a t) = 0 at t = pi / (4 alpha omega_a)
-        z_abs, _ = special_zero_va(np.pi / (4 * alpha * wa), s)
-        assert z_abs == pytest.approx(
+        xs = avg_xstate_two(np.pi / (4 * alpha * wa), s)
+        assert abs(xs.z) == pytest.approx(
             np.sqrt(2) / 4 * np.sqrt(1 + 1 / (4 * alpha**2)), abs=1e-12
         )
 
     def test_matches_general_formula(self):
+        # the gap at var_a = 0, alpha = 1/2 included, against the complex average
         ts = np.linspace(0, 8, 200)
         for alpha, var_b in ((1.4, 0.0), (1.4, 0.5), (0.5, 0.0), (0.5, 0.5)):
             s = two_scenario(omega_a=3.0, alpha=alpha, var_a=0.0, var_b=var_b)
-            z_abs, ad_root = special_zero_va(ts, s)
             xs = avg_xstate_two(ts, s)
-            assert np.abs(z_abs - np.abs(xs.z)).max() <= 1e-12
-            assert np.abs(ad_root - np.sqrt(np.maximum(xs.a * xs.d, 0))).max() <= 1e-12
+            exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
+            assert np.abs(xstate_gap(ts, *gap_args(s)) - exact).max() <= 1e-12
 
     def test_transverse_only_decays_and_touches_zero(self):
         s = two_scenario(omega_a=3.0, alpha=1.0, var_a=0.0, var_b=0.5)
-        z_abs, _ = special_zero_va(50.0, s)
-        assert z_abs < 1e-200
-        _, ad_root = special_zero_va(2 * np.pi / (2 * 1.0 * 3.0), s)
-        assert ad_root == pytest.approx(0.0, abs=1e-12)
+        assert abs(avg_xstate_two(50.0, s).z) < 1e-200
+        xs = avg_xstate_two(2 * np.pi / (2 * 1.0 * 3.0), s)
+        assert np.sqrt(xs.a * xs.d) == pytest.approx(0.0, abs=1e-12)
 
-    def test_preconditions_enforced(self):
-        with pytest.raises(ValueError):
-            special_zero_va(1.0, two_scenario(var_a=0.5, var_b=0.0))
+    def test_average_is_the_zero_spacing_realization(self):
+        # what check_specializations compares, at alpha = 1/2 too (its cases
+        # keep alpha >= 0.6): avg_xstate_two at var_a = 0 against the
+        # realization at eps_a = eps_b = 0, z damped by exp(-var_b t^2 / 2)
+        ts = time_grid(8.0, 200)
+        for alpha in (0.5, 1.4):
+            s = two_scenario(omega_a=3.0, alpha=alpha, var_a=0.0, var_b=0.5)
+            gamma2, z = evolve_two_realization(0.0, 0.0, 8.0, 200, s, workspace(1, 200))
+            xs = avg_xstate_two(ts, s)
+            for got, want in zip((xs.a, xs.b, xs.c, xs.d, xs.z),
+                                 (*xstate_diagonal(gamma2, s), z * np.exp(-0.25 * ts**2))):
+                assert np.abs(got - want).max() <= 1e-12
 
 
 def test_concurrence_revival_without_relaxation():

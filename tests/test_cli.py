@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import gc
+import io
 import json
 import math
 import os
@@ -6,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +23,16 @@ from hensim.analytic import gap_args
 from hensim.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
+    FORMATS,
+    _POINT_BYTES,
+    _READS,
     _cgroup_memory,
     _physical_memory,
     main,
     write_csv,
     write_json,
 )
+from hensim.ensemble import sampler_bytes
 from hensim.entanglement import STATUSES, TOL, find_tc_batch
 from hensim.scenarios import time_grid
 
@@ -414,6 +422,84 @@ def test_non_finite_input_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# The extreme floats of the exit-code contract, then valid values of each float setting
+EXTREME_FLOATS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "1.7e308", "-1.7e308", "inf", "-inf", "nan"]
+VALID_FLOATS = {"omega_a": ["0", "4"], "alpha": ["0.5", "1", "5"], "xb": ["0.8", "1"],
+                "x": ["0.2", "1"], "var_eps_a": ["0.5", "2"], "var_eps_b": ["0", "0.5"],
+                "t_max": ["5"], "alpha_range": ["0.5", "1", "3"], "var_range": ["0.1", "2"]}
+
+
+def float_values(key):
+    """A valid value of the float setting ``key`` two times in three, else an extreme float."""
+    valid = st.sampled_from(VALID_FLOATS[key])
+    return st.one_of(valid, valid, st.sampled_from(EXTREME_FLOATS))
+
+
+SETTING_VALUES = {
+    **{key: float_values(key) for key in VALID_FLOATS},
+    "points": st.integers(-1, 17),
+    "samples": st.sampled_from([1, 600, 600, 0]),
+    "seed": st.sampled_from([0, 7, 2**64 - 1, -1, 2**64]),
+    "format": st.sampled_from(FORMATS),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command with a random subset of the settings it reads (_READS), each drawn from
+    valid values and the extreme floats; --points always, so that a run takes at most 17
+    points, and tc-map also gets its axes. A setting is written
+    --flag=value, so that a negative value is not read as a flag; an axis takes two
+    tokens after its flag, where most negative values are (an exit-2 parser error)."""
+    command = draw(st.sampled_from(sorted(_READS)))
+    chosen = draw(st.sets(st.sampled_from(_READS[command]))) | {"points"}
+    values = [(key, [draw(SETTING_VALUES[key])]) for key in _READS[command] if key in chosen]
+    if command == "tc-map":
+        values += [(key, [draw(float_values(key)), draw(float_values(key))])
+                   for key in ("alpha_range", "var_range")]
+        values.append(("resolution", [draw(st.integers(-1, 3))]))
+    argv = [command]
+    for key, value in values:
+        flag = "--" + key.replace("_", "-")
+        argv += [f"{flag}={value[0]}"] if len(value) == 1 else [flag, *value]
+    return argv
+
+
+@settings(max_examples=200)
+@given(argv=command_lines())
+# C_mc, the Monte Carlo gap's concurrence, past double precision and at its edges
+@example(argv=["concurrence", "--alpha=1.7e308", "--samples=600", "--points=17"])
+@example(argv=["concurrence", "--x=5e-324", "--var-eps-a=1e-300", "--samples=1", "--points=17",
+               "--format=json"])
+@example(argv=["concurrence", "--alpha=0.5", "--var-eps-b=1.7e308", "--samples=600", "--points=17"])
+def test_every_command_line_exits_0_with_finite_cells_or_2_with_one_error_line(tmp_path_factory,
+                                                                               argv):
+    # at most 17 points, 600 samples and resolution 3; no other exit code, no
+    # traceback and no escaped warning (RuntimeWarnings are errors here)
+    out = tmp_path_factory.mktemp("exit") / "o.out"
+    sidecar = Path(f"{out}.meta.json")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run([*argv, "--out", str(out)])
+    err = stderr.getvalue()
+    assert stdout.getvalue() == ""
+    if code == EXIT_BAD_INPUT:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists() and not sidecar.exists()
+        return
+    assert code == EXIT_OK and err == ""
+    if "--format=json" in argv:
+        payload = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        columns = payload["data"]
+    else:
+        json.loads(sidecar.read_text(), parse_constant=_refuse_constant)
+        columns = read_csv(out)[1]
+    assert columns
+    for name, col in columns.items():
+        # only a tc-map cell without a finite t_c is empty
+        assert all(math.isfinite(v) if v is not None else name == "tc" for v in col), name
+
+
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no os.sysconf to read memory from")
 @pytest.mark.parametrize("resolution", ["5000000", "1000000000"])
 def test_tc_map_past_physical_memory_refused_before_any_grid(tmp_path, capsys, monkeypatch,
@@ -457,15 +543,15 @@ def test_sampler_workspace_past_physical_memory_refused_before_any_grid(tmp_path
 @pytest.mark.parametrize("command", ["relax", "concurrence"])
 def test_every_per_point_array_is_budgeted_before_any_grid(tmp_path, capsys, monkeypatch, command,
                                                            samples):
-    # a machine of 100 MB: a million points take 350 MB (relax) or 150 MB
+    # a machine of 64 MB: a million points take 260 MB (relax) or 90 MB
     # (concurrence) of columns, sampled or not; 10^9 samples at 10,000 points
-    # take 3.5 or 1.5 MB of columns and a 512-row workspace and scratch of 125 MB, as
+    # take 2.6 or 0.9 MB of columns and a 512-row workspace and scratch of 125 MB, as
     # many as 1,024 samples would (the chunks fold as they finish)
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
     monkeypatch.setenv("HENSIM_WORKERS", "1")
-    monkeypatch.setattr("hensim.cli._physical_memory", lambda: 100 << 20)
+    monkeypatch.setattr("hensim.cli._physical_memory", lambda: 64 << 20)
     monkeypatch.setattr("hensim.cli.time_grid", no_grid)
     out = tmp_path / "big.csv"
     points = "10000" if samples == "1000000000" else "1000000"
@@ -476,6 +562,41 @@ def test_every_per_point_array_is_budgeted_before_any_grid(tmp_path, capsys, mon
     assert err.startswith(f"error: {command} at {points} points{threads} needs about ")
     assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
     assert not out.exists()
+
+
+def traced_peak(argv):
+    """Peak traced bytes of one successful run; a collection first, so that no earlier
+    test's garbage sets the baseline."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["relax", "concurrence"])
+def test_point_budget_holds_each_form_with_little_room(tmp_path, monkeypatch, command):
+    # the traced peak's slope in the point count, analytic-only and with one
+    # sample, as CSV and as JSON, against the budget's: _POINT_BYTES, plus
+    # sampler_bytes' slope when sampled. The need is the largest slope, less
+    # the sampler's, and _POINT_BYTES leaves it at most 15% room. Here the
+    # JSON slopes bind: 160 and 400 B for relax, 85 and 181 B for concurrence
+    monkeypatch.setenv("HENSIM_WORKERS", "1")
+    lo, hi = 1000, 4000
+    # a first run traces one-time allocations too
+    assert run([command, "--points", str(lo), "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    need = 0.0
+    for samples in ([], ["--samples", "1"]):
+        sampler = (sampler_bytes(1, hi)[1] - sampler_bytes(1, lo)[1]) / (hi - lo) if samples else 0.0
+        for fmt in FORMATS:
+            peaks = [traced_peak([command, "--points", str(points), "--format", fmt, *samples,
+                                  "--out", str(tmp_path / f"o.{fmt}")]) for points in (lo, hi)]
+            slope = (peaks[1] - peaks[0]) / (hi - lo)
+            assert slope <= _POINT_BYTES[command] + sampler, (samples, fmt, slope)
+            need = max(need, slope - sampler)
+    assert _POINT_BYTES[command] <= 1.15 * need
 
 
 def cgroup_files(tmp_path, membership, limits):

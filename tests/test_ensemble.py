@@ -31,7 +31,6 @@ from hensim.ensemble import (
     standard_normals,
     worker_count,
     workspace,
-    xstate_diagonal,
 )
 from hensim.scenarios import SingleQubitScenario, coupling_c, time_grid
 from hensim.validation import (
@@ -45,6 +44,7 @@ from hensim.validation import (
     single_oracle_elements,
     two_oracle_xstate,
     validate_density,
+    xstate_diagonal,
     xstate_matrix,
 )
 
@@ -660,6 +660,22 @@ class TestSampleEnsemble:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_nothing_is_listed_per_chunk(self, monkeypatch):
+        # at 2 points a chunk's own arrays are small, so anything kept per
+        # chunk (a list of 391 chunks' bounds, or tuples that CPython's free
+        # list holds once freed) would show: 200,000 realizations peak within
+        # 10% of 5,120
+        monkeypatch.setenv("HENSIM_WORKERS", "1")
+        peaks = []
+        for n in (10 * CHUNK, 200_000):
+            tracemalloc.start()
+            try:
+                sample_ensemble(single_scenario(), n, 7, 5.0, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     # sample_ensemble returns bare columns; the provenance of a sampled run is
     # the meta that the CLI writes beside them

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import find_tc, random_two_scenario, scenario_gap, solve_batch, two_scenario
 from hensim import entanglement
-from hensim.analytic import gap_args
-from hensim.ensemble import sample_ensemble, xstate_diagonal
+from hensim.analytic import ad_root, gap_args
+from hensim.ensemble import sample_ensemble
 from hensim.entanglement import (
     TOL,
+    concurrence,
     concurrence_trajectory,
     concurrence_x,
     find_tc_batch,
@@ -22,8 +23,15 @@ from hensim.validation import (
     XState,
     avg_xstate_two,
     concurrence_general,
+    xstate_diagonal,
     xstate_matrix,
 )
+
+
+def mc_concurrence(cols, s):
+    """C_mc as cmd_concurrence forms it from sample_ensemble's columns."""
+    gap = np.hypot(cols["re_z"], cols["im_z"]) - ad_root(2.0 * cols["gamma2"], s.alpha, s.x * s.y)
+    return concurrence(gap)
 
 
 def bell_density():
@@ -113,9 +121,18 @@ class TestConcurrenceTrajectory:
         s = two_scenario(var_b=0.5)
         exact = concurrence_trajectory(s, grid)
         cols = sample_ensemble(s, 300, 404, 5.0, 120)
-        a, _, _, d = xstate_diagonal(cols["gamma2"], s)
-        mc = concurrence_x(a, d, cols["re_z"] + 1j * cols["im_z"])
+        mc = mc_concurrence(cols, s)
         assert np.abs(mc - exact).max() <= 0.08
+
+    def test_monte_carlo_gap_is_that_of_the_mean_xstate(self, rng):
+        # the CLI's C_mc reads sqrt(a d) off the mean of gamma^2 alone; the
+        # mean X state's full diagonal gives it to a few units of rounding
+        for _ in range(20):
+            s = random_two_scenario(rng)
+            cols = sample_ensemble(s, 40, int(rng.integers(2**63)), 6.0, 50)
+            a, _, _, d = xstate_diagonal(cols["gamma2"], s)
+            full = concurrence_x(a, d, cols["re_z"] + 1j * cols["im_z"])
+            assert np.abs(mc_concurrence(cols, s) - full).max() <= 1e-15
 
     def test_matches_complex_averaged_xstate(self, rng):
         # the real-only closed form against the complex one, on random omega_a and var_b

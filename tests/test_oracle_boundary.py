@@ -16,7 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hensim"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
-ORACLE_ONLY = ("XState", "avg_xstate_two", "special_zero_va")
+ORACLE_ONLY = ("XState", "avg_xstate_two", "xstate_diagonal")
 
 
 def imported_modules(tree):

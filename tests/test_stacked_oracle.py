@@ -5,7 +5,6 @@ density matrix over the scenario field space."""
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +28,9 @@ from hensim.validation import (
     partial_trace,
     propagator_single_closed,
     single_oracle_elements,
-    special_zero_va,
     two_oracle_xstate,
     validate_density,
+    xstate_diagonal,
     xstate_matrix,
 )
 
@@ -139,16 +138,14 @@ class TestStackEqualsLoop:
             assert_stack_equals_loop(getattr(on_grid, name),
                                      [getattr(avg_xstate_two(grid, r), name) for r in records])
 
-    def test_special_zero_va(self, rng):
-        records = [replace(random_two_scenario(rng), var_a=0.0) for _ in range(K)]
-        grid = np.linspace(0.0, 10.0, 64)
-        stacked = special_zero_va(grid, stack(records))
-        loop = [special_zero_va(grid, r) for r in records]
-        for i in range(2):
+    def test_xstate_diagonal(self, rng):
+        # (R, 1) columns meet a gamma^2 table of shape (R, N)
+        records = [random_two_scenario(rng) for _ in range(K)]
+        gamma2 = rng.uniform(0.0, 1.0, (K, 64))
+        stacked = xstate_diagonal(gamma2, stack(records))
+        loop = [xstate_diagonal(g, r) for g, r in zip(gamma2, records)]
+        for i in range(4):
             assert_stack_equals_loop(stacked[i], [case[i] for case in loop])
-        records[3] = replace(records[3], var_a=0.5)
-        with pytest.raises(ValueError, match="var_a must be zero"):
-            special_zero_va(grid, stack(records))
 
     def test_two_qubit_stack_carries_y(self, rng):
         # y = 1 - x is a property, so a stacked record has each case's y
@@ -176,7 +173,7 @@ ONE_CALL_PER_SIDE = [
     ("check_two_qubit_oracle", ("evolve_two_realization", "two_oracle_xstate")),
     ("check_concurrence_dual_path", ("avg_xstate_two", "xstate_gap", "concurrence_general")),
     ("check_gap_closed_form", ("xstate_gap", "avg_xstate_two")),
-    ("check_specializations", ("special_zero_va", "avg_xstate_two")),
+    ("check_specializations", ("evolve_two_realization", "avg_xstate_two")),
     ("check_tc_bracket", ("find_tc_batch",)),
 ]
 
