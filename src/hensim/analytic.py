@@ -55,11 +55,6 @@ def steady_population(alpha: float, xb) -> float:
     return 0.5 * coupling_c(alpha) ** 2 * abs(xb) ** 2
 
 
-def gap_args(s: TwoQubitScenario) -> tuple[float, float, float, float, float]:
-    """xstate_gap's arguments after t: alpha, var_a, var_b, omega_a, xy."""
-    return s.alpha, s.var_a, s.var_b, s.omega_a, s.x * s.y
-
-
 def ad_root(relax, alpha, xy):
     """sqrt(a d) = (1/4) c^2 sqrt(xy) relax, with c^2 formed as ((a - 1/2) / a) ((a + 1/2) / a).
 
@@ -69,8 +64,8 @@ def ad_root(relax, alpha, xy):
     return 0.25 * (((alpha - 0.5) / alpha) * ((alpha + 0.5) / alpha)) * np.sqrt(xy) * relax
 
 
-def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
-    """g(t) = |z| - sqrt(a d) of the averaged X state in real arithmetic; C = 2 max(0, g).
+def xstate_gap(t, s: TwoQubitScenario):
+    """g(t) = |z| - sqrt(a d) of the averaged X state of s in real arithmetic; C = 2 max(0, g).
 
     With M = (1 + 1/2a) exp(-(a - 1/2)^2 va t^2/2) and r = P / M =
     ((a - 1/2) / (a + 1/2)) exp(-a va t^2), the ratio to M of the other branch
@@ -85,22 +80,22 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     > 1e-178 wherever M has decayed far, so |z| keeps full precision there.
 
     Only |z| enters, so g holds in any frame of the second working qubit, whose
-    mean frequency no record carries (hensim.scenarios). Every argument broadcasts,
-    so per-cell parameters of shape (cells, 1) meet a (cells, points) time grid.
+    mean frequency no record carries (hensim.scenarios). t and the fields of s
+    broadcast, so a stack of cells in (cells, 1) columns meets a (cells, points) grid.
     hensim.validation checks it against the complex averaged X state, avg_xstate_two.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = np.asarray(s.alpha, dtype=float)
     above, below = alpha + 0.5, alpha - 0.5
     m_amp = above / alpha
-    sa = np.sqrt(0.5 * var_a) * t  # alpha_k^2 va t^2 / 2 = square(alpha_k sa)
+    sa = np.sqrt(0.5 * s.var_a) * t  # alpha_k^2 va t^2 / 2 = square(alpha_k sa)
     m = m_amp * np.exp(-np.square(below * sa))
     r = (below / above) * np.exp(-(alpha * sa) * (2.0 * sa))
     # cos(0) and exp(0) are exactly 1, so skipping them changes no bit
-    turning = np.any(omega_a)
-    cos_term = np.cos(alpha * (2.0 * omega_a * t)) if turning else 1.0
+    turning = np.any(s.omega_a)
+    cos_term = np.cos(alpha * (2.0 * s.omega_a * t)) if turning else 1.0
     z_abs = 0.25 * m * np.sqrt(1.0 + r * (r + 2.0 * cos_term))
-    if np.any(var_b):
-        z_abs = z_abs * np.exp(-np.square(np.sqrt(0.5 * var_b) * t))
+    if np.any(s.var_b):
+        z_abs = z_abs * np.exp(-np.square(np.sqrt(0.5 * s.var_b) * t))
     # 1 - cos E = (1 - E) + (1 - cos) E, with 1 - E from expm1 so that it does
     # not cancel to 0 at small exponents; both terms only grow as cos falls
     # below 1, and |z| only falls (monotone roundings after cos_term, r, m >= 0),
@@ -109,7 +104,7 @@ def xstate_gap(t, alpha, var_a, var_b, omega_a, xy):
     relax = -np.expm1(-x)
     if turning:
         relax = relax + (1.0 - cos_term) * np.exp(-x)
-    return z_abs - ad_root(relax, alpha, xy)
+    return z_abs - ad_root(relax, alpha, s.x * s.y)
 
 
 def single_trajectory(s: SingleQubitScenario, grid) -> dict[str, np.ndarray]:

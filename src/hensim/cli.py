@@ -20,12 +20,14 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
-from hensim.analytic import ad_root, gap_args, single_trajectory, steady_population
+from hensim.analytic import ad_root, single_trajectory, steady_population
 from hensim.ensemble import CHUNK, RNG, sample_ensemble, sampler_bytes
 from hensim.entanglement import (
     CELL_BYTES,
@@ -75,11 +77,14 @@ class BadInput(ValueError):
 class _Parser(argparse.ArgumentParser):
     """A parser whose errors raise BadInput, for main's one error line; subparsers share it.
 
-    Abbreviated flags are refused, so that relax cannot read --x as --xb.
+    Abbreviated flags are refused, so that relax cannot read --x as --xb; a negative
+    number in any form float() reads (-1e-3, -inf, -nan) is a value, never a flag.
     """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise BadInput(f"{self.prog}: {message}")
@@ -372,8 +377,7 @@ def cmd_tc_map(ns) -> int:
     _check_memory(need, f"a {res} x {res} map needs about {need:.3g} bytes")
     alpha, var_a = np.meshgrid(np.linspace(lo.alpha, hi.alpha, res),
                                np.linspace(lo.var_a, hi.var_a, res), indexing="ij")
-    _, _, var_b, omega_a, xy = gap_args(lo)
-    cells = find_tc_batch(alpha, var_a, var_b, omega_a, xy)
+    cells = find_tc_batch(replace(lo, alpha=alpha, var_a=var_a))
     # a cell without a finite t_c is empty (None), never NaN, which _emit refuses
     tc = [t if st == FINITE else None for t, st in zip(cells["t_c"].tolist(), cells["status"])]
     columns = {"alpha": alpha.ravel(), "var_eps_a": var_a.ravel(), "tc": tc}

@@ -3,17 +3,20 @@
 Every concurrence the CLI writes is concurrence(g) of an X-state gap g = |z| - sqrt(a d):
 C of xstate_gap, C_mc of the Monte Carlo mean X state's gap (analytic.ad_root).
 concurrence_x, the same on X-state entries, serves the oracle suite and the tests.
-The solver returns plain columns (status, t_c, t_max), one entry per cell.
+The solver takes its cells as one TwoQubitScenario whose fields broadcast to one
+value per cell, and returns plain columns (status, t_c, t_max), one entry per cell.
 Their oracles (general Wootters concurrence, averaged X state) live in hensim.validation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 
-from hensim.analytic import gap_args, xstate_gap
+from hensim.analytic import xstate_gap
+from hensim.scenarios import TwoQubitScenario, subset
 
 
 def concurrence(g):
@@ -28,7 +31,7 @@ def concurrence_x(a, d, z):
 
 def concurrence_trajectory(s, grid) -> np.ndarray:
     """Averaged concurrence C(t) of a TwoQubitScenario on a time grid, from g = xstate_gap."""
-    return concurrence(xstate_gap(np.asarray(grid, dtype=float), *gap_args(s)))
+    return concurrence(xstate_gap(np.asarray(grid, dtype=float), s))
 
 
 FINITE = "finite"
@@ -51,21 +54,15 @@ TOL = 1e-14
 # 10k points ran the gap 2-3 times slower per point, and smaller ones gained
 # nothing.
 BLOCK_POINTS = 1 << 13
-# Peak memory find_tc_batch takes per cell, rounded up: tracemalloc read 379
-# bytes per cell at 90,000 cells at var_b = 0 and at var_b = 0.5 (numpy 2.4).
-# cli.cmd_tc_map budgets a map by it.
+# Peak memory find_tc_batch takes per cell, rounded up: tracemalloc read 283
+# bytes per cell at 90,000 cells (a 300 x 300 map) at var_b = 0 and at
+# var_b = 0.5 (numpy 2.4). cli.cmd_tc_map budgets a map by it.
 CELL_BYTES = 600
 # Relative half-width of a bracket around a guessed root: 8 units of
 # rounding (u = 2^-53), room for the rounding of the guess and of g.
 _GUESS_SLACK = 8.0 * 2.0**-53
 # Newton steps from the left that _newton_guesses takes (see find_tc_batch)
 _NEWTON_STEPS = 5
-
-
-def _cell_gap(t, cells):
-    """xstate_gap at t of shape (cells,) or (cells, points) for a (5, cells) parameter block."""
-    shape = (-1,) + (1,) * (np.ndim(t) - 1)
-    return xstate_gap(t, *(row.reshape(shape) for row in cells))
 
 
 def _last_crossings(cells, start, stop):
@@ -76,7 +73,7 @@ def _last_crossings(cells, start, stop):
     stop, the zero-frequency root, the envelope leaves g so little room that
     a revival just before a phase turn completes can be narrower than an
     even grid's spacing. Cells whose grid shows no such change get a NaN
-    bracket.
+    bracket. The record's fields are flat, one entry per cell.
     """
     n = len(start)
     lo, hi = np.full(n, np.nan), np.full(n, np.nan)
@@ -85,7 +82,7 @@ def _last_crossings(cells, start, stop):
     for b in (slice(i, i + per_block) for i in range(0, n, per_block)):
         ts = stop[b, None] - back * (stop[b] - start[b])[:, None]
         ts[:, 0] = start[b]
-        pos = _cell_gap(ts, cells[:, b]) > 0.0
+        pos = xstate_gap(ts, subset(cells, (b, None))) > 0.0
         down = pos[:, :-1] & ~pos[:, 1:]
         last = _GRID_DENSITY - 2 - np.argmax(down[:, ::-1], axis=1)
         i = np.arange(len(ts))
@@ -101,18 +98,22 @@ def _bisect(cells, lo, hi):
 
     Keeps g(lo) > 0 >= g(hi) where it held at the start; a NaN g moves hi, so
     the bracket it leaves fails that test. A NaN bracket is left as it is.
+    The open cells' record is gathered again only on a round that closed one.
     """
     j = np.arange(len(lo))
-    while True:
+    while len(j):
         mid = 0.5 * (lo[j] + hi[j])
         # the rounded midpoint of adjacent floats is one of them
         inner = (lo[j] < mid) & (mid < hi[j])
-        j, mid = j[inner], mid[inner]
-        if not len(j):
-            return lo, hi
-        up = _cell_gap(mid, cells[:, j]) > 0.0
+        if not inner.all():
+            j, mid = j[inner], mid[inner]
+            if not len(j):
+                break
+            cells = subset(cells, inner)
+        up = xstate_gap(mid, cells) > 0.0
         lo[j[up]] = mid[up]
         hi[j[~up]] = mid[~up]
+    return lo, hi
 
 
 def _bracket_guesses(cells, lo, hi, guess):
@@ -121,15 +122,15 @@ def _bracket_guesses(cells, lo, hi, guess):
     # a guess may be NaN, under- or overflow; such a cell fails the bracket test
     with np.errstate(all="ignore"):
         start, stop = guess * (1.0 - _GUESS_SLACK), guess * (1.0 + _GUESS_SLACK)
-        held = (np.isfinite(guess) & (_cell_gap(start, cells) > 0.0)
-                & (_cell_gap(stop, cells) <= 0.0))
+        held = (np.isfinite(guess) & (xstate_gap(start, cells) > 0.0)
+                & (xstate_gap(stop, cells) <= 0.0))
     lo[held], hi[held] = start[held], stop[held]
 
 
 def _newton_guesses(envelope):
     """Each cell's envelope root, sqrt(q) after _NEWTON_STEPS Newton steps on h(q) from
     q0 = L / K (see find_tc_batch); NaN or inf where the closed form leaves double precision."""
-    alpha, va, vb, _, xy = envelope
+    alpha, va, vb, xy = envelope.alpha, envelope.var_a, envelope.var_b, envelope.x * envelope.y
     delta = alpha - 0.5
     with np.errstate(all="ignore"):
         lead = -np.log(delta / alpha * np.sqrt(xy))  # L
@@ -142,14 +143,13 @@ def _newton_guesses(envelope):
         return np.sqrt(q)
 
 
-def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
+def find_tc_batch(s: TwoQubitScenario) -> dict[str, np.ndarray]:
     """Critical disentanglement times of many cells, solved together, as named columns.
 
-    The arguments are xstate_gap's after t (see analytic.gap_args): arrays
-    that broadcast to one value per cell. They are not checked again; their
-    domain is what the TwoQubitScenario records let through (all finite,
-    alpha >= 1/2, variances >= 0, 0 <= xy <= 1/4), as cli.cmd_tc_map checks
-    by building the records of its map's corners.
+    The cells are those of the record s, whose fields broadcast to one value
+    per cell (a scalar record is one cell); the record has checked every
+    entry (all finite, alpha >= 1/2, variances >= 0, x in [0, 1]), and xy is
+    x y, y = 1 - x, as in analytic.xstate_gap.
 
     It returns three equal-length columns, one entry per cell in C order.
     ``status`` is one of STATUSES: "finite", "none" (no sudden death: alpha =
@@ -215,14 +215,14 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     All cells run at once on the real-only closed form xstate_gap; each cell's
     result is the one it gets alone, whatever the batch around it.
     """
-    params = np.array(np.broadcast_arrays(alpha, var_a, var_b, omega_a, xy),
-                      dtype=float).reshape(5, -1)
-    out = {name: np.full(params.shape[1], np.nan) for name in ("t_c", "t_max")}
+    s = TwoQubitScenario(*(np.ravel(v) for v in np.broadcast_arrays(
+        *(np.asarray(getattr(s, f.name), dtype=float) for f in fields(s)))))
+    out = {name: np.full(s.alpha.size, np.nan) for name in ("t_c", "t_max")}
     # each cell's index into STATUSES: 0 finite, 1 none, 2 unresolved
-    code = np.ones(params.shape[1], dtype=np.int8)
-    idx = np.flatnonzero((params[0] != 0.5) & (params[1] != 0.0) & (params[4] != 0.0))
-    cells = params[:, idx]
-    alpha, va, vb, _, xy = cells
+    code = np.ones(s.alpha.size, dtype=np.int8)
+    idx = np.flatnonzero((s.alpha != 0.5) & (s.var_a != 0.0) & (s.x * s.y != 0.0))
+    cells = subset(s, idx)
+    alpha, va, vb, xy = cells.alpha, cells.var_a, cells.var_b, cells.x * cells.y
     # T, divided one factor at a time and summed by hypot so that nothing
     # overflows (alpha sqrt(va) = inf would make it 0)
     delta = alpha - 0.5
@@ -230,29 +230,28 @@ def find_tc_batch(alpha, var_a, var_b, omega_a, xy) -> dict[str, np.ndarray]:
     t_max = (1.0 + 1e-12) * np.maximum(math.sqrt(math.log(2.0) / 2.0) / alpha / np.sqrt(va),
                                        k / delta / np.hypot(np.sqrt(va), np.sqrt(vb) / delta))
     t_max += 16 * 5e-324
-    envelope = cells.copy()
-    envelope[3] = 0.0
-    finite = _cell_gap(t_max, envelope) <= 0.0
+    finite = xstate_gap(t_max, replace(cells, omega_a=0.0)) <= 0.0
     code[idx] = np.where(finite, 0, 2)
     out["t_max"][idx] = t_max
-    idx, cells, envelope, hi = idx[finite], cells[:, finite], envelope[:, finite], t_max[finite]
+    idx, cells, hi = idx[finite], subset(cells, finite), t_max[finite]
+    envelope = replace(cells, omega_a=0.0)
     # the envelope roots: each cell bisects the bracket of its Newton estimate
     # where that holds, else [0, T] (see above)
     lo = np.zeros(len(idx))
     _bracket_guesses(envelope, lo, hi, _newton_guesses(envelope))
     _bisect(envelope, lo, hi)
 
-    turning = np.flatnonzero(cells[3] != 0.0)
-    w = cells[:, turning]
+    turning = np.flatnonzero(cells.omega_a != 0.0)
+    w = subset(cells, turning)
     # alpha |omega_a| may be subnormal: pi over it is inf, which the fmod below
     # handles (t_k = 0), so the overflow is not worth a warning
     with np.errstate(over="ignore"):
-        turn = math.pi / (w[0] * np.abs(w[3]))
+        turn = math.pi / (w.alpha * np.abs(w.omega_a))
     # fmod is exact, so t_k is lo0 rounded down to a whole turn (0 if turn is inf)
     t_k = lo[turning] - np.fmod(lo[turning], turn)
     lo[turning], hi[turning] = _bisect(w, *_last_crossings(w, t_k, hi[turning]))
 
-    ok = (_cell_gap(lo, cells) > 0.0) & (_cell_gap(hi, cells) <= 0.0)
+    ok = (xstate_gap(lo, cells) > 0.0) & (xstate_gap(hi, cells) <= 0.0)
     code[idx[~ok]] = 2
     out["t_c"][idx[ok]] = hi[ok]
     # an object column of STATUSES' own strings, not a fixed-width string array

@@ -16,7 +16,7 @@ checked, and a scalar record's messages name its own values.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -107,6 +107,11 @@ class TwoQubitScenario:
     @property
     def y(self) -> float:
         return 1.0 - self.x
+
+
+def subset(s, keep):
+    """The record of the cases of stack s that ``keep`` indexes; a scalar field stays as it is."""
+    return replace(s, **{name: v[keep] for name, v in vars(s).items() if np.ndim(v)})
 
 
 def time_grid(t_max: float, points: int) -> np.ndarray:

@@ -34,10 +34,10 @@ from functools import reduce
 
 import numpy as np
 
-from hensim.analytic import avg_population_single, gap_args, xstate_gap
+from hensim.analytic import avg_population_single, xstate_gap
 from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble, workspace
 from hensim.entanglement import BLOCK_POINTS, FINITE, UNRESOLVED, concurrence, concurrence_x, find_tc_batch
-from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, time_grid
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, subset, time_grid
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -388,7 +388,7 @@ def check_concurrence_dual_path(n_cases: int, rng) -> float:
     s, ts = _cases(rng, n_cases, _two_scenario, TWO_RANGES, t=(0, 8))
     xs = avg_xstate_two(ts, s)
     general = concurrence_general(xstate_matrix(xs))
-    production = concurrence(xstate_gap(ts, *gap_args(s)))
+    production = concurrence(xstate_gap(ts, s))
     fast = concurrence_x(xs.a, xs.d, xs.z)
     return float(max(np.abs(fast - general).max(), np.abs(production - general).max()))
 
@@ -427,7 +427,7 @@ def check_gap_closed_form(n_cases: int, rng) -> float:
     s = gap_oracle_cases(rng, n_cases)
     xs = avg_xstate_two(ts, s)
     exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
-    return float(np.abs(xstate_gap(ts, *gap_args(s)) - exact).max())
+    return float(np.abs(xstate_gap(ts, s) - exact).max())
 
 
 def check_tc_bracket(n_cases: int, rng) -> float:
@@ -440,30 +440,27 @@ def check_tc_bracket(n_cases: int, rng) -> float:
     var_b = 0 in every other one and omega_a = 0 in every other pair. Each
     sweep covers [t_c, T] at omega_a = 0, T the solver's closed-form bound
     (its t_max), and [t_c, t_c0] elsewhere, t_c0 from solving the cell's
-    zero-frequency twin in the same batch. Returns inf if some cell is
-    unresolved (their roots reach about 5e9, and none should be) or if some
-    bracket fails g(lo) > 0 >= g(hi).
+    zero-frequency twin in the same batch, omega_a stacked with 0 to (2, R, 1).
+    Returns inf if some cell is unresolved (their roots reach about 5e9, and
+    none should be) or if some bracket fails g(lo) > 0 >= g(hi).
     """
     s, i = gap_oracle_cases(rng, n_cases), np.arange(n_cases)[:, None]
     s = replace(s, omega_a=np.where(i // 2 % 2, s.omega_a, 0.0), var_b=s.var_b * (i % 2))
-    params = np.hstack(gap_args(s)).T
-    twins = params.copy()
-    twins[3] = 0.0
-    cells = find_tc_batch(*np.hstack([params, twins]))
+    cells = find_tc_batch(replace(s, omega_a=np.stack([s.omega_a, np.zeros_like(s.omega_a)])))
     finite = np.flatnonzero(cells["status"][:n_cases] == FINITE)
-    end = np.where(params[3] == 0.0, cells["t_max"][:n_cases], cells["t_c"][n_cases:])
+    end = np.where(s.omega_a[:, 0] == 0.0, cells["t_max"][:n_cases], cells["t_c"][n_cases:])
     hi, end = (col[finite, None] for col in (cells["t_c"], end))
     lo = np.nextafter(hi, 0.0)
-    params = params[:, finite, None]
+    s = subset(s, finite)
     if np.any(cells["status"] == UNRESOLVED) or not np.all(
-            (xstate_gap(lo, *params) > 0.0) & (xstate_gap(hi, *params) <= 0.0)):
+            (xstate_gap(lo, s) > 0.0) & (xstate_gap(hi, s) <= 0.0)):
         return math.inf
     sweep = np.linspace(0.0, 1.0, 1000)
     worst = -math.inf
     per_block = BLOCK_POINTS // sweep.size
     for b in (slice(i, i + per_block) for i in range(0, len(hi), per_block)):
         ts = hi[b] + (end[b] - hi[b]) * sweep
-        worst = max(worst, xstate_gap(ts, *params[:, b]).max())
+        worst = max(worst, xstate_gap(ts, subset(s, b)).max())
     return float(worst)
 
 

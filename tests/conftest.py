@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hensim.analytic import gap_args, xstate_gap
+from hensim.analytic import xstate_gap
 from hensim.entanglement import find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario
 from hensim.validation import SINGLE_RANGES, TWO_RANGES, _draw, _single_scenario, _two_scenario
@@ -79,7 +79,7 @@ def solve_batch(scenarios):
     None where the solver's column holds NaN (bracket None unless finite);
     lo = nextafter(t_c, 0), the float below t_c that the solver's bisection ends on.
     """
-    cols = find_tc_batch(*np.array([gap_args(s) for s in scenarios]).reshape(-1, 5).T)
+    cols = find_tc_batch(stack(scenarios, (-1,)))
 
     def none_if_nan(v):
         return None if math.isnan(v) else v
@@ -97,7 +97,7 @@ def find_tc(s):
 
 def scenario_gap(t, s):
     """g(t) = |z(t)| - sqrt(a(t) d(t)) of a two-qubit scenario; C(t) = 2 max(0, g(t))."""
-    return xstate_gap(t, *gap_args(s))
+    return xstate_gap(t, s)
 
 
 def read_csv(path) -> tuple[list[str], dict[str, list[float | None]]]:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from conftest import (
     invert_thermal,
     random_two_scenario,
     single_scenario,
+    stack,
     thermal_population,
     two_scenario,
 )
 from hensim.analytic import (
     avg_coherence_single,
     avg_population_single,
-    gap_args,
     steady_population,
     xstate_gap,
 )
@@ -150,7 +151,7 @@ def test_large_alpha_stays_finite(alpha):
     xs = avg_xstate_two(ts, s)
     assert np.abs(np.abs(xs.z) - 0.5 * np.exp(-0.25 * ts**2)).max() <= 1e-15
     assert np.array_equal(xs.a, [0.0, 0.0, 0.0]) and np.array_equal(xs.d, [0.0, 0.0, 0.0])
-    assert np.abs(xstate_gap(ts, *gap_args(s)) - 0.5 * np.exp(-0.25 * ts**2)).max() <= 1e-15
+    assert np.abs(xstate_gap(ts, s) - 0.5 * np.exp(-0.25 * ts**2)).max() <= 1e-15
 
 
 class TestAvgXStateTwo:
@@ -207,7 +208,7 @@ class TestXStateGap:
         ts = np.sort(rng.uniform(0.0, 12.0, (500, 40)), axis=1)
         xs = avg_xstate_two(ts, s)
         exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
-        assert np.abs(xstate_gap(ts, *gap_args(s)) - exact).max() <= 1e-12
+        assert np.abs(xstate_gap(ts, s) - exact).max() <= 1e-12
 
     def test_validation_check_passes(self):
         assert check_gap_closed_form(50, np.random.default_rng(31)) <= 1e-12
@@ -226,16 +227,15 @@ class TestXStateGap:
 
     def test_per_cell_broadcast_equals_each_row(self, rng):
         scenarios = [random_two_scenario(rng) for _ in range(7)]
-        cols = [np.array(col)[:, None] for col in zip(*map(gap_args, scenarios))]
         ts = np.linspace(0.0, 6.0, 33) * np.linspace(1.0, 2.0, 7)[:, None]
-        table = xstate_gap(ts, *cols)
+        table = xstate_gap(ts, stack(scenarios))
         for row, s, t in zip(table, scenarios, ts):
-            assert np.array_equal(row, xstate_gap(t, *gap_args(s)))
+            assert np.array_equal(row, xstate_gap(t, s))
 
     def test_value_at_zero_and_sign_of_tail(self):
         s = two_scenario(alpha=1.0, var_a=1.0)
-        assert xstate_gap(0.0, *gap_args(s)) == 0.5
-        assert xstate_gap(50.0, *gap_args(s)) < 0.0
+        assert xstate_gap(0.0, s) == 0.5
+        assert xstate_gap(50.0, s) < 0.0
 
 
 # The sudden-death solver scans only the last phase turn before the
@@ -243,10 +243,12 @@ class TestXStateGap:
 # omega_a = 0, float for float, not just up to rounding.
 @settings(max_examples=200)
 @given(t=st.floats(0.0, 1e3), alpha=st.floats(0.5, 20.0, exclude_min=True),
-       var_a=st.floats(0.0, 100.0), var_b=st.floats(0.0, 100.0), xy=st.floats(0.0, 0.25),
+       var_a=st.floats(0.0, 100.0), var_b=st.floats(0.0, 100.0), x=st.floats(0.0, 0.5),
        omega_a=st.floats(-1e3, 1e3))
-def test_zero_frequency_gap_bounds_every_frequency(t, alpha, var_a, var_b, xy, omega_a):
-    assert xstate_gap(t, alpha, var_a, var_b, omega_a, xy) <= xstate_gap(t, alpha, var_a, var_b, 0.0, xy)
+def test_zero_frequency_gap_bounds_every_frequency(t, alpha, var_a, var_b, x, omega_a):
+    # x in [0, 1/2] reaches every xy = x (1 - x) in [0, 1/4]
+    s = two_scenario(omega_a=omega_a, alpha=alpha, x=x, var_a=var_a, var_b=var_b)
+    assert xstate_gap(t, s) <= xstate_gap(t, replace(s, omega_a=0.0))
 
 
 class TestSpecialCases:
@@ -259,7 +261,7 @@ class TestSpecialCases:
         xs = avg_xstate_two(ts, s)
         assert np.abs(np.abs(xs.z) - 0.5).max() <= 1e-12
         assert np.sqrt(xs.a * xs.d).max() <= 1e-12
-        assert np.abs(xstate_gap(ts, *gap_args(s)) - 0.5).max() <= 1e-12
+        assert np.abs(xstate_gap(ts, s) - 0.5).max() <= 1e-12
 
     def test_no_longitudinal_quarter_period(self):
         alpha, wa = 1.3, 2.0
@@ -277,7 +279,7 @@ class TestSpecialCases:
             s = two_scenario(omega_a=3.0, alpha=alpha, var_a=0.0, var_b=var_b)
             xs = avg_xstate_two(ts, s)
             exact = np.abs(xs.z) - np.sqrt(np.maximum(xs.a * xs.d, 0.0))
-            assert np.abs(xstate_gap(ts, *gap_args(s)) - exact).max() <= 1e-12
+            assert np.abs(xstate_gap(ts, s) - exact).max() <= 1e-12
 
     def test_transverse_only_decays_and_touches_zero(self):
         s = two_scenario(omega_a=3.0, alpha=1.0, var_a=0.0, var_b=0.5)

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 import hensim
 from conftest import find_tc, read_csv, thermal_population, two_scenario
-from hensim.analytic import gap_args
 from hensim.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -356,8 +356,8 @@ class TestTcMap:
                     "--var-range", "5e-324", "1e12", "--resolution", "3", "--out", str(out)]) == EXIT_OK
         _, cols = read_csv(out)
         counts = json.loads((tmp_path / "m.csv.meta.json").read_text())["solver"]["status_counts"]
-        _, _, var_b, omega_a, xy = gap_args(two_scenario(x=1.6e-260))
-        status = find_tc_batch(cols["alpha"], cols["var_eps_a"], var_b, omega_a, xy)["status"]
+        status = find_tc_batch(replace(two_scenario(x=1.6e-260), alpha=np.array(cols["alpha"]),
+                                       var_a=np.array(cols["var_eps_a"])))["status"]
         assert counts == {st: status.tolist().count(st) for st in STATUSES}
         assert counts == {"finite": 4, "none": 3, "unresolved": 2}
         assert cols["tc"].count(None) == counts["none"] + counts["unresolved"]
@@ -448,9 +448,8 @@ SETTING_VALUES = {
 def command_lines(draw):
     """A command with a random subset of the settings it reads (_READS), each drawn from
     valid values and the extreme floats; --points always, so that a run takes at most 17
-    points, and tc-map also gets its axes. A setting is written
-    --flag=value, so that a negative value is not read as a flag; an axis takes two
-    tokens after its flag, where most negative values are (an exit-2 parser error)."""
+    points, and tc-map also gets its axes. A setting is written --flag=value; an axis
+    takes two tokens after its flag, where a negative value is read as a number too."""
     command = draw(st.sampled_from(sorted(_READS)))
     chosen = draw(st.sets(st.sampled_from(_READS[command]))) | {"points"}
     values = [(key, [draw(SETTING_VALUES[key])]) for key in _READS[command] if key in chosen]
@@ -993,6 +992,30 @@ def test_parser_error_is_one_line(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_negative_value_in_exponent_form_is_a_number(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["relax", "--omega-a", "-1e-3", "--points", "20", "--out", str(out)]) == EXIT_OK
+    assert json.loads(Path(f"{out}.meta.json").read_text())["config"]["omega_a"] == -0.001
+
+
+# A negative value in exponent form, or an infinite one, reaches the check of its
+# setting; a token that is no number stays the parser's own error
+@pytest.mark.parametrize("argv, line", [
+    (["tc-map", "--x", "0.2", "--alpha-range", "0.5", "3", "--var-range", "0.1", "-1e-300",
+      "--resolution", "3"], "var_a must be nonnegative, got -1e-300"),
+    (["tc-map", "--alpha-range", "-1E+2", "3", "--var-range", "0.1", "2", "--resolution", "3"],
+     "alpha must be >= 1/2, got -100.0"),
+    (["relax", "--omega-a", "-inf"], "omega_a must be finite, got -inf"),
+    (["concurrence", "--omega-a", "-Infinity"], "omega_a must be finite, got -inf"),
+    (["relax", "--omega-a", "-x"], "hensim relax: argument --omega-a: expected one argument"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_negative_value_reaches_its_check(tmp_path, capsys, argv, line):
+    out = tmp_path / "x.out"
+    assert run([*argv, "--out", str(out)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["relax", "-h"], ["tc-map", "--help"]], ids=" ".join)

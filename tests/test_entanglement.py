@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import find_tc, random_two_scenario, scenario_gap, solve_batch, two_scenario
+from conftest import find_tc, random_two_scenario, scenario_gap, solve_batch, stack, two_scenario
 from hensim import entanglement
-from hensim.analytic import ad_root, gap_args
+from hensim.analytic import ad_root
 from hensim.ensemble import sample_ensemble
 from hensim.entanglement import (
     TOL,
@@ -23,9 +23,11 @@ from hensim.validation import (
     XState,
     avg_xstate_two,
     concurrence_general,
+    gap_oracle_cases,
     xstate_diagonal,
     xstate_matrix,
 )
+from hensim.scenarios import TwoQubitScenario, subset
 
 
 def mc_concurrence(cols, s):
@@ -343,12 +345,14 @@ class TestFindTcBatch:
         # a root near 3e10, where a multiple of the rounded phase turn is no
         # longer a whole turn: the final bracket fails, and that cell alone is
         # unresolved, while its zero-frequency twin and the cell after it solve
-        cols = find_tc_batch(2.0, [1e-21, 1e-21, 0.5], 0.0, [3.0, 0.0, 3.0], 0.25)
+        s = two_scenario(omega_a=3.0, alpha=2.0, x=0.5, var_a=1e-21)
+        cols = find_tc_batch(replace(s, omega_a=np.array([3.0, 0.0, 3.0]),
+                                     var_a=np.array([1e-21, 1e-21, 0.5])))
         assert cols["status"].tolist() == ["unresolved", "finite", "finite"]
         assert np.isnan(cols["t_c"][0])
         assert math.isfinite(cols["t_max"][0]) and cols["t_max"][0] == cols["t_max"][1]
         assert 3e10 < cols["t_c"][1] < cols["t_max"][1]
-        alone = find_tc_batch(2.0, 1e-21, 0.0, 3.0, 0.25)
+        alone = find_tc_batch(s)
         assert alone["status"].tolist() == ["unresolved"]
         assert np.isnan(alone["t_c"][0])
         assert alone["t_max"].tobytes() == cols["t_max"][:1].tobytes()
@@ -376,8 +380,8 @@ class TestFindTcBatch:
         # starts at t = 0 and the answer is the zero-frequency cell's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            turning = find_tc_batch(1.0, 0.5, 0.0, 1e-310, 0.16)
-        zero = find_tc_batch(1.0, 0.5, 0.0, 0.0, 0.16)
+            turning = find_tc_batch(two_scenario(omega_a=1e-310))
+        zero = find_tc_batch(two_scenario(omega_a=0.0))
         assert turning.keys() == zero.keys()
         assert all(np.array_equal(turning[name], zero[name]) for name in zero)
 
@@ -387,7 +391,7 @@ class TestFindTcBatch:
         scenarios = [two_scenario(alpha=1.0, var_a=1.0), two_scenario(alpha=0.5, var_a=1.0),
                      two_scenario(var_a=5e-324),
                      two_scenario(omega_a=6.0, var_a=0.5, var_b=0.5)]
-        cols = find_tc_batch(*np.array([gap_args(s) for s in scenarios]).T.reshape(5, 2, 2))
+        cols = find_tc_batch(stack(scenarios, (2, 2)))
         assert set(cols) == {"t_c", "t_max", "status"}
         assert all(col.shape == (4,) for col in cols.values())
         assert cols["status"].tolist() == ["finite", "none", "unresolved", "finite"]
@@ -456,11 +460,12 @@ SCALING_LAW_BOUND = 7 * 2.0**-53
 @settings(max_examples=100)
 @given(alpha=st.floats(0.6, 10.0), var_a=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
        var_b=st.one_of(st.just(0.0), st.floats(-3.0, 1.0).map(lambda e: 10.0**e)),
-       xy=st.floats(0.01, 0.25), lam=st.floats(-4.0, 4.0).map(lambda e: 10.0**e))
-def test_tc_scaling_law(alpha, var_a, var_b, xy, lam):
-    # on these ranges t_c stays below about 1e3, and 1e5 after the slowest
-    # scaling: both cells are finite
-    cols = find_tc_batch(alpha, [var_a, lam * var_a], [var_b, lam * var_b], 0.0, xy)
+       x=st.floats(0.5 - math.sqrt(0.24), 0.5), lam=st.floats(-4.0, 4.0).map(lambda e: 10.0**e))
+def test_tc_scaling_law(alpha, var_a, var_b, x, lam):
+    # xy = x (1 - x) in [0.01, 1/4]; on these ranges t_c stays below about
+    # 1e3, and 1e5 after the slowest scaling: both cells are finite
+    cols = find_tc_batch(two_scenario(alpha=alpha, x=x, var_a=np.array([var_a, lam * var_a]),
+                                      var_b=np.array([var_b, lam * var_b])))
     assert cols["status"].tolist() == ["finite", "finite"]
     base, scaled = cols["t_c"]
     assert abs(math.sqrt(lam) * scaled - base) <= SCALING_LAW_BOUND * base
@@ -494,13 +499,13 @@ def longdouble_gap(t, alpha, var_a, var_b, xy):
 @example(delta=1e-9, var_a=1e-3, var_b=0.0, x=5e-324)
 @example(delta=10.0, var_a=1e3, var_b=1e3, x=5e-324)
 def test_tc_within_tol_of_the_extended_precision_root(delta, var_a, var_b, x):
-    alpha, var_a, var_b, _, xy = gap_args(two_scenario(alpha=0.5 + delta, var_a=var_a,
-                                                       var_b=var_b, x=x))
-    cols = find_tc_batch(alpha, var_a, var_b, 0.0, xy)
+    s = two_scenario(alpha=0.5 + delta, var_a=var_a, var_b=var_b, x=x)
+    cols = find_tc_batch(s)
     assert cols["status"].tolist() == ["finite"]
     t_c = np.longdouble(cols["t_c"][0])
-    assert longdouble_gap(t_c * (1 - np.longdouble(TOL)), alpha, var_a, var_b, xy) > 0.0
-    assert longdouble_gap(t_c * (1 + np.longdouble(TOL)), alpha, var_a, var_b, xy) <= 0.0
+    args = s.alpha, s.var_a, s.var_b, s.x * s.y
+    assert longdouble_gap(t_c * (1 - np.longdouble(TOL)), *args) > 0.0
+    assert longdouble_gap(t_c * (1 + np.longdouble(TOL)), *args) <= 0.0
 
 
 # A grid's rows share alpha and x, and each cell brackets its own Newton
@@ -524,40 +529,63 @@ def test_batched_cells_are_bit_identical_to_solving_alone(alphas, var_exps, x, t
                          omega_a=3.0 if turning >> i & 1 else 0.0,
                          var_b=0.5 if transverse >> i & 1 else 0.0)
             for i, (a, e) in enumerate((a, e) for a in alphas for e in var_exps)]
-    cols = find_tc_batch(*np.array([gap_args(s) for s in grid]).T.reshape(5, len(alphas), -1))
+    cols = find_tc_batch(stack(grid, (len(alphas), -1)))
     for i, s in enumerate(grid):
-        alone = find_tc_batch(*gap_args(s))
+        alone = find_tc_batch(s)
         assert alone["status"].tolist() == cols["status"][i:i + 1].tolist()
         for name in ("t_c", "t_max"):
             assert alone[name].tobytes() == cols[name][i:i + 1].tobytes(), (name, s)
 
 
-def tc_map_args(resolution, var_b):
-    """find_tc_batch's arguments for `tc-map --x 0.2 --var-eps-b <var_b> --alpha-range 0.5 3
-    --var-range 0.1 2 --resolution <resolution>`."""
+def test_stacked_fields_solve_one_cell_per_entry_in_c_order(rng):
+    # omega_a a (2, R, 1) stack of each case's own and 0, as check_tc_bracket
+    # solves its zero-frequency twins, the other fields (R, 1) columns; the
+    # cases take turns at alpha near 1/2 and at a pure mixture ("none")
+    base = gap_oracle_cases(rng, 12)
+    cols = find_tc_batch(replace(base, omega_a=np.stack([base.omega_a, 0.0 * base.omega_a])))
+    assert all(col.shape == (24,) for col in cols.values())
+    assert set(cols["status"]) == {"finite", "none"}
+    for i, (k, r) in enumerate(np.ndindex(2, 12)):
+        alone = find_tc_batch(replace(subset(base, r), omega_a=base.omega_a[r] * (1 - k)))
+        assert alone["status"].tolist() == cols["status"][i:i + 1].tolist()
+        for name in ("t_c", "t_max"):
+            assert alone[name].tobytes() == cols[name][i:i + 1].tobytes(), (name, k, r)
+
+
+def tc_map_cells(resolution, var_b):
+    """The record find_tc_batch solves for `tc-map --x 0.2 --var-eps-b <var_b> --alpha-range
+    0.5 3 --var-range 0.1 2 --resolution <resolution>`."""
     alpha, var_a = np.meshgrid(np.linspace(0.5, 3.0, resolution),
                                np.linspace(0.1, 2.0, resolution), indexing="ij")
-    _, _, var_b, omega_a, xy = gap_args(two_scenario(x=0.2, var_b=var_b))
-    return alpha, var_a, var_b, omega_a, xy
+    return replace(two_scenario(x=0.2, var_b=var_b), alpha=alpha, var_a=var_a)
 
 
 # Each cell brackets its Newton estimate in one round of two gap calls and
 # bisects it in about 5 more; a cell that falls back to [0, T] adds about 55
 # rounds. Besides those, a batch evaluates g once at T and twice for its final
-# check, and never over a block of 0 cells.
+# check, and never over a block of 0 cells. A record checks every entry it is
+# built with, so the solver builds one only when its cells change: a bisection
+# round gathers its open cells again only when some bracket closed.
 @pytest.mark.parametrize("resolution, var_b", [(20, 0.5), (60, 0.0)])
 def test_full_solves_start_from_a_newton_estimate(monkeypatch, resolution, var_b):
-    blocks = []
+    blocks, records = [], []
 
-    def counted(t, cells):
-        blocks.append(cells.shape[1])
-        return cell_gap(t, cells)
+    def counted(t, s):
+        blocks.append(s.alpha.size)
+        return gap(t, s)
 
-    cell_gap = entanglement._cell_gap
-    monkeypatch.setattr(entanglement, "_cell_gap", counted)
-    find_tc_batch(*tc_map_args(resolution, var_b))
+    def checked(record):
+        records.append(record)
+        check(record)
+
+    gap, check = entanglement.xstate_gap, TwoQubitScenario.__post_init__
+    s = tc_map_cells(resolution, var_b)
+    monkeypatch.setattr(entanglement, "xstate_gap", counted)
+    monkeypatch.setattr(TwoQubitScenario, "__post_init__", checked)
+    find_tc_batch(s)
     assert len(blocks) <= 12
     assert 0 not in blocks
+    assert len(records) <= 10
 
 
 # Every cell brackets a Newton estimate of its envelope root. Without one it
@@ -579,11 +607,11 @@ def test_newton_brackets_bisect_to_the_plain_bisection(deltas, var_as, var_b, x,
     grid = [two_scenario(alpha=0.5 + d, var_a=va, x=x, var_b=var_b,
                          omega_a=3.0 if turning >> i & 1 else 0.0)
             for i, (d, va) in enumerate((d, va) for d in deltas for va in var_as)]
-    args = np.array([gap_args(s) for s in grid]).T.reshape(5, len(deltas), -1)
-    newton = find_tc_batch(*args)
+    cells = stack(grid, (len(deltas), -1))
+    newton = find_tc_batch(cells)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(entanglement, "_newton_guesses", lambda cells: np.full(cells.shape[1], np.nan))
-        plain = find_tc_batch(*args)
+        mp.setattr(entanglement, "_newton_guesses", lambda s: np.full(s.alpha.shape, np.nan))
+        plain = find_tc_batch(cells)
     assert newton["status"].tolist() == plain["status"].tolist()
     for name in ("t_c", "t_max"):
         assert newton[name].tobytes() == plain[name].tobytes(), name

@@ -282,8 +282,8 @@ def test_tc_bracket_check_fails_on_an_unresolved_cell(monkeypatch, rng):
     # none of the check's cells should be unresolved; one that is fails it
     solve = validation.find_tc_batch
 
-    def one_unresolved(*params):
-        cells = solve(*params)
+    def one_unresolved(s):
+        cells = solve(s)
         cells["status"][0] = "unresolved"
         return cells
 
