@@ -30,7 +30,6 @@ import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -307,6 +306,8 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     seen, sums, m2s = 0, [0, 0], [0, 0]
     # chunk starts come from a range, so nothing is listed per chunk
     workers = worker_count(-(-n // CHUNK))
+    # imported here so that the analytic commands do not load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for count, chunk_sums, chunk_m2s in _in_order(pool, run, range(0, n, CHUNK), 2 * workers):
             for j in range(2):

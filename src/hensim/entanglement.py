@@ -221,7 +221,7 @@ def find_tc_batch(s: TwoQubitScenario) -> dict[str, np.ndarray]:
     # each cell's index into STATUSES: 0 finite, 1 none, 2 unresolved
     code = np.ones(s.alpha.size, dtype=np.int8)
     idx = np.flatnonzero((s.alpha != 0.5) & (s.var_a != 0.0) & (s.x * s.y != 0.0))
-    cells = subset(s, idx)
+    cells, envelope = subset(s, idx), subset(replace(s, omega_a=0.0), idx)
     alpha, va, vb, xy = cells.alpha, cells.var_a, cells.var_b, cells.x * cells.y
     # T, divided one factor at a time and summed by hypot so that nothing
     # overflows (alpha sqrt(va) = inf would make it 0)
@@ -230,11 +230,11 @@ def find_tc_batch(s: TwoQubitScenario) -> dict[str, np.ndarray]:
     t_max = (1.0 + 1e-12) * np.maximum(math.sqrt(math.log(2.0) / 2.0) / alpha / np.sqrt(va),
                                        k / delta / np.hypot(np.sqrt(va), np.sqrt(vb) / delta))
     t_max += 16 * 5e-324
-    finite = xstate_gap(t_max, replace(cells, omega_a=0.0)) <= 0.0
+    finite = xstate_gap(t_max, envelope) <= 0.0
     code[idx] = np.where(finite, 0, 2)
     out["t_max"][idx] = t_max
-    idx, cells, hi = idx[finite], subset(cells, finite), t_max[finite]
-    envelope = replace(cells, omega_a=0.0)
+    idx, hi = idx[finite], t_max[finite]
+    cells, envelope = subset(cells, finite), subset(envelope, finite)
     # the envelope roots: each cell bisects the bracket of its Newton estimate
     # where that holds, else [0, T] (see above)
     lo = np.zeros(len(idx))

@@ -9,14 +9,15 @@ All values are dimensionless: frequencies in units of omega_0, times in units
 of 1/omega_0 (omega_0 = 1 throughout). Records are frozen dataclasses; once
 constructed they can be shared freely across workers. A record's fields are
 scalars, or for a stack of cases arrays that broadcast together, one entry
-per case (the oracle suite's stacks hold (R, 1) columns); every entry is
-checked, and a scalar record's messages name its own values.
+per case (the oracle suite's stacks hold (R, 1) columns). A record built from
+outside values (a constructor or dataclasses.replace) checks every entry, its
+messages naming the bad entry's own value; subset reuses a stack's checked entries.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,8 +111,13 @@ class TwoQubitScenario:
 
 
 def subset(s, keep):
-    """The record of the cases of stack s that ``keep`` indexes; a scalar field stays as it is."""
-    return replace(s, **{name: v[keep] for name, v in vars(s).items() if np.ndim(v)})
+    """The record of the cases of stack s that ``keep`` indexes; a scalar field stays as it is.
+
+    It reuses s's entries without a second check: each was checked when s was
+    built, and hensim never writes a record's arrays in place."""
+    out = object.__new__(type(s))
+    vars(out).update(vars(s), **{name: v[keep] for name, v in vars(s).items() if np.ndim(v)})
+    return out
 
 
 def time_grid(t_max: float, points: int) -> np.ndarray:

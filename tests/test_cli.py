@@ -751,6 +751,21 @@ def test_one_error_line_from_child_process(tmp_path, argv):
     assert not out.exists()
 
 
+def test_parser_loads_neither_the_oracles_nor_the_thread_pool():
+    # the analytic commands never sample, and only `validate` needs the oracle
+    # suite, so building the parser loads neither; a fresh interpreter shows
+    # what the import itself loads
+    src = Path(hensim.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, hensim.cli; hensim.cli.build_parser(); "
+            "print(sorted({'hensim.validation', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # alpha past 1e154, where alpha^2 leaves double precision though every average
 # stays finite, with the alpha -> infinity limit of each column for t > 0:
 # relaxed at once under the default unit longitudinal variance, frozen in the

@@ -22,6 +22,7 @@ from hensim.validation import (
     DensityMatrixError,
     XState,
     avg_xstate_two,
+    check_tc_bracket,
     concurrence_general,
     gap_oracle_cases,
     xstate_diagonal,
@@ -552,22 +553,28 @@ def test_stacked_fields_solve_one_cell_per_entry_in_c_order(rng):
             assert alone[name].tobytes() == cols[name][i:i + 1].tobytes(), (name, k, r)
 
 
-def tc_map_cells(resolution, var_b):
+def tc_map_cells(resolution, var_b, omega_a=0.0):
     """The record find_tc_batch solves for `tc-map --x 0.2 --var-eps-b <var_b> --alpha-range
-    0.5 3 --var-range 0.1 2 --resolution <resolution>`."""
+    0.5 3 --var-range 0.1 2 --resolution <resolution>`, with every cell at omega_a."""
     alpha, var_a = np.meshgrid(np.linspace(0.5, 3.0, resolution),
                                np.linspace(0.1, 2.0, resolution), indexing="ij")
-    return replace(two_scenario(x=0.2, var_b=var_b), alpha=alpha, var_a=var_a)
+    return replace(two_scenario(omega_a=omega_a, x=0.2, var_b=var_b), alpha=alpha, var_a=var_a)
 
 
 # Each cell brackets its Newton estimate in one round of two gap calls and
 # bisects it in about 5 more; a cell that falls back to [0, T] adds about 55
 # rounds. Besides those, a batch evaluates g once at T and twice for its final
-# check, and never over a block of 0 cells. A record checks every entry it is
-# built with, so the solver builds one only when its cells change: a bisection
-# round gathers its open cells again only when some bracket closed.
-@pytest.mark.parametrize("resolution, var_b", [(20, 0.5), (60, 0.0)])
-def test_full_solves_start_from_a_newton_estimate(monkeypatch, resolution, var_b):
+# check, and never over a block of 0 cells. At omega_a = 3 every finite cell
+# also scans its last phase turn, 2 cells per gap call (190 calls at r20), and
+# bisects the bracket found there in about 40 more rounds. A record is checked
+# where it enters: the solver checks its flattened input and builds its
+# zero-frequency envelope once; every other record it uses (the live and
+# finite cells, a scan block, a bisection round's open cells) is a subset of
+# those two, which is not checked again.
+@pytest.mark.parametrize("resolution, var_b, omega_a, max_blocks",
+                         [(20, 0.5, 0.0, 12), (60, 0.0, 0.0, 12), (20, 0.0, 3.0, 250)])
+def test_full_solves_start_from_a_newton_estimate(monkeypatch, resolution, var_b, omega_a,
+                                                  max_blocks):
     blocks, records = [], []
 
     def counted(t, s):
@@ -579,13 +586,30 @@ def test_full_solves_start_from_a_newton_estimate(monkeypatch, resolution, var_b
         check(record)
 
     gap, check = entanglement.xstate_gap, TwoQubitScenario.__post_init__
-    s = tc_map_cells(resolution, var_b)
+    s = tc_map_cells(resolution, var_b, omega_a)
     monkeypatch.setattr(entanglement, "xstate_gap", counted)
     monkeypatch.setattr(TwoQubitScenario, "__post_init__", checked)
     find_tc_batch(s)
-    assert len(blocks) <= 12
+    assert len(blocks) <= max_blocks
     assert 0 not in blocks
-    assert len(records) <= 10
+    assert len(records) <= 2
+
+
+# check_tc_bracket checks its drawn cases and their stacks as it builds them;
+# the finite cells and each sweep block are subsets, so the number of checks
+# does not grow with the number of cases.
+def test_tc_bracket_checks_do_not_grow_with_its_cases(monkeypatch):
+    counts, check = [], TwoQubitScenario.__post_init__
+
+    def checked(record):
+        counts[-1] += 1
+        check(record)
+
+    monkeypatch.setattr(TwoQubitScenario, "__post_init__", checked)
+    for n_cases in (50, 200):
+        counts.append(0)
+        assert check_tc_bracket(n_cases, np.random.default_rng(37)) <= 1e-10
+    assert counts[0] == counts[1]
 
 
 # Every cell brackets a Newton estimate of its envelope root. Without one it

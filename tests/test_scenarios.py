@@ -1,13 +1,14 @@
 import math
 import re
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, time_grid
+from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, subset, time_grid
 
 BAD = [math.nan, math.inf, -math.inf]
 
@@ -125,3 +126,41 @@ class TestStackedRecords:
         columns["alpha"][1], columns["alpha"][3] = 0.4, 0.3
         with pytest.raises(ValueError, match=r"^alpha must be >= 1/2, got 0\.4$"):
             TwoQubitScenario(**columns)
+
+
+class TestSubset:
+    # subset reuses the checked entries of the stack it takes its cases from:
+    # it runs no check, and gives the record dataclasses.replace would build
+    # from the same gathered fields; every record built from outside values is
+    # still checked
+    STACKS = {
+        TwoQubitScenario: dict(omega_a=3.0, alpha=np.linspace(0.5, 3.0, 6), x=0.2,
+                               var_a=np.linspace(0.1, 2.0, 6), var_b=np.arange(6.0)),
+        SingleQubitScenario: dict(omega_a=np.arange(6.0), alpha=2.0,
+                                  xb=0.6 * np.exp(1j * np.arange(6.0)), var=1.0),
+    }
+    KEEPS = {"mask": np.array([True, False, True, True, False, True]),
+             "index": np.array([4, 0, 0, 2]), "slice": slice(1, 5), "column": (slice(2, 6), None)}
+
+    @pytest.mark.parametrize("keep", KEEPS.values(), ids=KEEPS.keys())
+    @pytest.mark.parametrize("record", STACKS, ids=lambda r: r.__name__)
+    def test_subset_reuses_checked_entries(self, monkeypatch, record, keep):
+        s = record(**self.STACKS[record])
+        built = replace(s, **{name: v[keep] for name, v in vars(s).items() if np.ndim(v)})
+        checks = []
+        monkeypatch.setattr(record, "__post_init__", lambda r: checks.append(r))
+        out = subset(s, keep)
+        assert checks == [] and type(out) is record
+        for f in fields(record):
+            got, want = getattr(out, f.name), getattr(built, f.name)
+            assert np.shape(got) == np.shape(want), f.name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+    def test_records_from_outside_values_are_still_checked(self):
+        s = TwoQubitScenario(**self.STACKS[TwoQubitScenario])
+        with pytest.raises(ValueError, match=r"^alpha must be >= 1/2, got 0\.3$"):
+            replace(subset(s, slice(1, 3)), alpha=0.3)
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got 1\.5$"):
+            TwoQubitScenario(**{**self.STACKS[TwoQubitScenario], "x": 1.5})
+        with pytest.raises(ValueError, match=r"^var must be nonnegative, got -1\.0$"):
+            SingleQubitScenario(**{**self.STACKS[SingleQubitScenario], "var": -1.0})
