@@ -1,27 +1,24 @@
 """Closed-form single-realization dynamics and their Monte Carlo ensemble average.
 
-Each realization costs O(1) per time point through the closed forms below,
-which take the sampler's (t_max, points), the times t_k = k h with
-h = t_max / (points - 1) of time_grid(t_max, points), and build each phase
-from about 2 sqrt(N) sin/cos pairs for N points; the dense Hamiltonians,
+A realization costs O(1) per time point through one closed form (_evolve) at
+the times t_k = k h, h = t_max / (points - 1), of time_grid(t_max, points): a
+real column scale sin^2(theta t) and a complex one
+e^{i chi t} (u cos(theta t) + v sin(theta t)), three reals per point. Each
+kernel (evolve_*) maps its scenario to theta, chi, scale, u and v: rho_pp and
+rho_pm for one working qubit, gamma^2 and z for the X state of two, whose a,
+b, c and d are affine in gamma^2 (hensim.validation.xstate_diagonal; the CLI
+needs only sqrt(a d), analytic.ad_root of 2 gamma^2). The dense Hamiltonians,
 propagators and matrix exponential they are checked against live in
 hensim.validation.
 
-A realization carries three reals per point, one real and one complex column:
-rho_pp and rho_pm for one working qubit, gamma^2 and z for the X state of two,
-whose a, b, c and d are affine in gamma^2 (hensim.validation.xstate_diagonal;
-the CLI needs only sqrt(a d), analytic.ad_root of 2 gamma^2). A sampler chunk
-reduces only those, and sample_ensemble returns their means and standard
-errors under the kernel's column names. Both kernels write their columns in
-place into a workspace of just those (workspace), one real and one complex
-buffer that each sampler thread allocates once per call, min(CHUNK, n) rows
-by M B points, the grid padded to whole blocks. The single-qubit kernel writes
-sin beta as one batched matmul of small sine factors (_sine_factors), the
-other phases as tables or factors of e^{i theta t} (_phase_factors). A run
-folds its chunks as they finish, so its memory, which sampler_bytes gives, is
-flat in n. The kernels (evolve_*) also take a stack of R cases, each with its own
-t_max, as the rows of one call: a record and a t_max whose fields are (R, 1)
-columns, as the oracle suite in hensim.validation passes them.
+sample_ensemble reduces those columns to means and standard errors. The
+kernels write them in place into a workspace of one real and one complex
+buffer (workspace) that each sampler thread allocates once per call,
+min(CHUNK, n) rows by M B points, the grid padded to whole blocks, and a run
+folds its chunks as they finish, so its memory (sampler_bytes) is flat in n.
+The kernels also take a stack of R cases, each with its own t_max, as the rows
+of one call: a record and a t_max whose fields are (R, 1) columns, as the
+oracle suite in hensim.validation passes them.
 """
 
 from __future__ import annotations
@@ -53,62 +50,34 @@ def _blocks(n: int) -> tuple[int, int]:
     return -(-n // b), b
 
 
-def _phase_factors(shape, theta, h, scale=1.0):
-    """Factors (R, M, 1) and (R, 1, B) whose product is scale e^{i theta_r t_k}, t_k = k h_r, k = B m + j.
-
-    ``shape`` is (R, M, B); theta, h and scale are scalars or (R, 1) columns,
-    one value per row (a column h gives each row its own grid, a stack of
-    cases). The factors are scale_r e^{i theta_r fl(B m h_r)} and
-    e^{i theta_r fl(j h_r)}, M + B sin/cos pairs per row instead of M B; each
-    time is an integer times h_r, rounded once, like np.linspace(0, t, n)[k].
-    A caller writes their product (_phase_table) or multiplies a buffer by each.
-
-    Bound, with u = 2^-53: at every point the product lies within
-    |scale| (4 |theta| t_k + 11) u of scale exp(1j theta t_k) on a linspace
-    grid of step h, and a buffer w times both factors within
-    |w| |scale| (4 |theta| t_k + 18) u of w * (scale * exp(1j theta t_k)).
-    The coarse and fine angles fl(theta fl(i h)) sum to within 2u |theta| k h
-    of theta k h, and so does fl(theta t_k), as linspace's t_k lies within
-    u k h of k h; as |e^{ia} - e^{ib}| <= |a - b|, the angles contribute
-    4u |theta| t_k. Each factor and the pointwise value lies within 2u of
-    its exact value (sin and cos within 1 ulp), 6u; each complex product
-    adds at most sqrt(5) u: scale times coarse and coarse times fine
-    (6 + 2 sqrt(5) < 11), or scale times coarse, w times each factor, and
-    scale and w times the pointwise value (6 + 5 sqrt(5) < 18).
-    """
-    rows, m, b = shape
-    table = np.empty((rows, m + b), dtype=complex)
-    # the angles go into the imaginary parts, which their sines then overwrite
-    np.multiply(theta, np.concatenate((np.arange(0, m * b, b), np.arange(b))) * h, out=table.imag)
-    np.cos(table.imag, out=table.real)
-    np.sin(table.imag, out=table.imag)
-    coarse, fine = table[:, :m], table[:, m:]
-    coarse *= scale
-    return coarse[:, :, None], fine[:, None, :]
-
-
 def _sine_factors(rows: int, m: int, b: int, theta, h):
-    """Contiguous factors (R, M, 2) and (R, 2, B) whose matmul is sin(theta_r t_k), t_k = k h_r.
+    """Contiguous factors (R, M, 2) and (R, 2, B) whose matmul is sin(theta_r t_k), t_k = k h_r, k = B m + j.
 
-    They hold [sin, cos] of the coarse angles and [cos; sin] of the fine ones,
-    the angles of _phase_factors, so by angle addition their product is the
-    imaginary part of its table, within the same (4 |theta| t_k + 11) u of
-    np.sin(theta t_k); theta and h are as there. Both factors are contiguous:
-    numpy's matmul takes BLAS only then.
+    theta and h are scalars or (R, 1) columns (a column h gives each row its
+    own grid). The factors hold [sin, cos] of the coarse angles
+    fl(theta_r fl(B m h_r)) and [cos; sin] of the fine ones fl(theta_r fl(j h_r)),
+    M + B sin/cos pairs per row instead of M B, each time an integer times h_r
+    rounded once, like np.linspace(0, t, n)[k]; the coarse cos + i sin times
+    the fine one is the phase e^{i theta_r t_k}. numpy's matmul takes BLAS only
+    for contiguous factors.
+
+    Bound: every point of that sine and that phase lies within
+    (4 |theta| t_k + 11) 2^-53 of np.sin(theta t_k) and np.exp(1j theta t_k) on
+    a linspace grid of step h. The coarse and fine angles sum to within
+    2^-52 |theta| k h of theta k h, and so does fl(theta t_k), as linspace's t_k
+    lies within 2^-53 k h of k h; as |e^{ia} - e^{ib}| <= |a - b|, the angles
+    give 4 |theta| t_k. In units of 2^-53, each factor and the pointwise value
+    lies within 2 of its exact value (sin and cos within 1 ulp), and the
+    product, complex or the matmul's, adds sqrt(5): 6 + sqrt(5) < 11.
     """
-    angles = np.multiply(theta, np.concatenate((np.arange(0, m * b, b), np.arange(b))) * h)
-    coarse, fine = angles[..., :m], angles[..., m:]
     left, right = np.empty((rows, m, 2)), np.empty((rows, 2, b))
-    np.sin(coarse, out=left[..., 0])
-    np.cos(coarse, out=left[..., 1])
-    np.cos(fine, out=right[:, 0])
-    np.sin(fine, out=right[:, 1])
+    # each angle goes into its sine's place, which the sine then overwrites
+    for sin, cos, steps in ((left[..., 0], left[..., 1], np.arange(0, m * b, b)),
+                            (right[:, 1], right[:, 0], np.arange(b))):
+        np.multiply(theta, steps * h, out=sin)
+        np.cos(sin, out=cos)
+        np.sin(sin, out=sin)
     return left, right
-
-
-def _phase_table(out, theta, h, scale=1.0):
-    """Fill ``out``, a complex (R, M, B) view, with scale e^{i theta_r t_k} (_phase_factors)."""
-    np.multiply(*_phase_factors(out.shape, theta, h, scale), out=out)
 
 
 def workspace(rows: int, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,13 +93,65 @@ def workspace(rows: int, points: int) -> tuple[np.ndarray, np.ndarray]:
 def sampler_bytes(n: int, points: int) -> tuple[int, int]:
     """(threads, bytes) of sample_ensemble's n-realization run on a ``points``-point grid:
     each thread's workspace, min(CHUNK, n) rows by M B points at 24 bytes, and its per-call
-    scratch, as many rows by M + B values at 24 bytes (the angles and two sine factors of
-    _sine_factors, more than _phase_factors' complex table), and the sums and squared
+    scratch, as many rows by 32 (M + 2 B) bytes (_evolve's peak), and the sums and squared
     deviations, 48 bytes per grid point, of the 2 x threads chunks that may wait ahead of the
     fold and of the fold itself. Nothing grows with n past CHUNK."""
     threads = worker_count(-(-n // CHUNK))
     m, b = _blocks(points)
-    return threads, threads * min(CHUNK, n) * (m + b + m * b) * 24 + (2 * threads + 1) * points * 48
+    return threads, threads * min(CHUNK, n) * (24 * m * b + 32 * (m + 2 * b)) + (2 * threads + 1) * points * 48
+
+
+def _evolve(ws, shape, h, theta, chi, scale, u, v):
+    """Columns scale sin^2(theta t_k), real, and e^{i chi t_k} (u cos(theta t_k) + v sin(theta t_k)),
+    complex, at t_k = k h: views of ``ws`` shaped ``shape``, R rows of N points.
+
+    h, theta, chi, scale, u and v are scalars or (R, 1) columns. With
+    [sin a, cos a] and [cos f; sin f] the factors of theta's coarse and fine
+    angles (_sine_factors), the real column is their matmul, squared and
+    scaled, and by angle addition the complex one the matmul of e^{i chi a}
+    [sin a, cos a] and e^{i chi f} [v cos f - u sin f; u cos f + v sin f], each
+    phase cos + i sin of chi's factors. Each factor is freed once used, so the
+    scratch peaks at 32 (M + 2 B) bytes a row (sampler_bytes).
+
+    Bound, with S = |u| + |v| per row: every point of the complex column lies
+    within S (4 (|theta| + |chi|) t_k + 35) 2^-53 of np.exp(1j chi t_k) *
+    (u np.cos(theta t_k) + v np.sin(theta t_k)) on a linspace grid of step h.
+    The value moves by at most S per unit of either angle, so the angles give
+    4 (|theta| + |chi|) t_k as in _sine_factors. In units of S 2^-53, a fine
+    entry lies within 4 of its exact value (factors 2, products 1, sum 1) and
+    within 9 times its phase (2, product sqrt(5)); a coarse entry, of norm at
+    most 1, within 5 (factor 2, phase 2, product 1). The matmul carries these
+    as sqrt(2) 9 + sqrt(2) 5 (|sin| + |cos| <= sqrt(2), and the fine entries'
+    squared norms sum to |u|^2 + |v|^2) and rounds within sqrt(2) 4; the
+    pointwise value rounds within 9 (cos and sin 2, products and sum 2, exp 2,
+    product sqrt(5)): sqrt(2) 18 + 9 < 35.
+    """
+    rows, points = math.prod(shape[:-1]), shape[-1]
+    (m, b), (real, cplx) = _blocks(points), (w[:rows] for w in ws)
+    left, right = _sine_factors(rows, m, b, theta, h)
+    np.matmul(left, right, out=real.reshape(rows, m, b))
+    np.square(real, out=real)
+    real *= scale
+    # [v cos f - u sin f; u cos f + v sin f] = [[v, -u], [u, v]] @ [cos f; sin f], part by part
+    mix = np.stack(np.broadcast_arrays(v, -u, u, v), axis=-1).reshape(-1, 2, 2)
+    fine = np.empty((rows, 2, b), dtype=complex)
+    np.matmul(mix.real, right, out=fine.real)
+    np.matmul(mix.imag, right, out=fine.imag)
+    del right
+    chi_left, chi_right = _sine_factors(rows, m, b, chi, h)
+    phase = np.empty((rows, 1, b), dtype=complex)
+    phase.real, phase.imag = chi_right[:, :1], chi_right[:, 1:]
+    del chi_right
+    fine *= phase
+    del phase
+    coarse = np.empty((rows, m, 2), dtype=complex)
+    np.multiply(left, chi_left[..., 1:], out=coarse.real)
+    np.multiply(left, chi_left[..., :1], out=coarse.imag)
+    del left, chi_left
+    np.matmul(coarse, fine, out=cplx.reshape(rows, m, b))
+    # a tuple display: tuple() of a generator resizes a 10-slot tuple, and CPython's
+    # free list keeps each such tuple once freed, 56 B a chunk up to 2,000 of them
+    return real[:, :points].reshape(shape), cplx[:, :points].reshape(shape)
 
 
 def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, ws):
@@ -138,32 +159,18 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
 
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
-    rho_pm = q e^{-i phi} sin beta, q = -i c xb yb: sin beta is the matmul
-    of _sine_factors, written into the real buffer, and q e^{-i phi} a phase
-    table (_phase_table) in the complex one, which sin beta then scales. The step
-    h = t_max / (points - 1) is bit for bit time_grid(t_max, points)[1], so
-    the times are those of that grid. t_max is a scalar or a column (R, 1)
-    of R grids' ends, a stack of cases; eps is a scalar or a column (R, 1),
-    and s is a record whose fields are scalars or (R, 1) columns. The
-    columns have the broadcast shape of eps, t_max and (points,), (N,) or
-    (R, N). They are views of the first R rows of ``ws``, a
-    workspace(R', N) with R' >= R, and agree with the propagator +
-    partial-trace route to 1e-10.
+    rho_pm = q e^{-i phi} sin beta, q = -i c xb yb: _evolve at theta = alpha (eps - omega_a),
+    chi = -(eps + omega_a) / 2, scale = c^2 |xb|^2, u = 0 and v = q. h = t_max / (points - 1)
+    is bit for bit time_grid(t_max, points)[1]. t_max and eps are scalars or (R, 1) columns
+    (a column t_max holds R grids' ends, a stack of cases), and s a record of scalars or
+    (R, 1) columns. The columns have the broadcast shape of eps, t_max and (points,), are
+    views of the first R rows of ``ws``, a workspace(R', N) with R' >= R, and agree with the
+    propagator + partial-trace route to 1e-10.
     """
     shape = np.broadcast_shapes(np.shape(eps), np.shape(t_max), (points,))
-    rows, (m, b), h = math.prod(shape[:-1]), _blocks(points), t_max / (points - 1)
-    sin_b, w = (v[:rows] for v in ws)
     c = coupling_c(s.alpha)
-    np.matmul(*_sine_factors(rows, m, b, s.alpha * (eps - s.omega_a), h),
-              out=sin_b.reshape(rows, m, b))
-    _phase_table(w.reshape(rows, m, b), -0.5 * (eps + s.omega_a), h,
-                 -1j * c * s.xb * s.yb)
-    w *= sin_b
-    np.square(sin_b, out=sin_b)
-    sin_b *= c**2 * abs(s.xb) ** 2
-    # a tuple display: tuple() of a generator resizes a 10-slot tuple, and CPython's
-    # free list keeps each such tuple once freed, 56 B a chunk up to 2,000 of them
-    return sin_b[:, :points].reshape(shape), w[:, :points].reshape(shape)
+    return _evolve(ws, shape, t_max / (points - 1), s.alpha * (eps - s.omega_a),
+                   -0.5 * (eps + s.omega_a), c**2 * abs(s.xb) ** 2, 0.0, -1j * c * s.xb * s.yb)
 
 
 def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario, ws):
@@ -173,23 +180,16 @@ def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario
     affine in gamma^2 (hensim.validation.xstate_diagonal), and
     z = (x + y)/2 e^{-i psi} (cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)),
     psi = (omega_a + eps_a + 2 eps_b) t / 2, in the frame of the second working
-    qubit's mean frequency (no record has it: hensim.scenarios). The step h,
-    t_max (a scalar or (R, 1)), the spacings, the record s and ``ws`` are as in
-    evolve_single_realization; z is formed in place, cos - i gamma / (2 alpha)
-    first, then times each factor of the second phase (_phase_factors). The
-    X state agrees with the 8x8 propagator + partial-trace route to 1e-10.
+    qubit's mean frequency (no record has it: hensim.scenarios): _evolve at
+    theta = alpha (omega_a - eps_a), chi = -(omega_a + eps_a + 2 eps_b) / 2, scale = 1,
+    u = (x + y)/2 and v = -i (x + y) / (4 alpha). h, t_max, the spacings, s and ``ws`` are
+    as in evolve_single_realization. The X state agrees with the 8x8 propagator +
+    partial-trace route to 1e-10.
     """
     shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), np.shape(t_max), (points,))
-    rows, (m, blk), h = math.prod(shape[:-1]), _blocks(points), t_max / (points - 1)
-    gamma2, z = (v[:rows] for v in ws)
-    zb = z.reshape(rows, m, blk)
-    _phase_table(zb, s.alpha * (s.omega_a - eps_a), h)
-    np.square(z.imag, out=gamma2)
-    z.imag /= -2.0 * s.alpha  # z = cos(alpha (omega_a - eps_a) t) - i gamma / (2 alpha)
-    for factor in _phase_factors(zb.shape, -0.5 * (s.omega_a + eps_a + 2.0 * eps_b), h,
-                                 0.5 * (s.x + s.y)):
-        zb *= factor
-    return gamma2[:, :points].reshape(shape), z[:, :points].reshape(shape)  # a display, as above
+    u = 0.5 * (s.x + s.y)
+    return _evolve(ws, shape, t_max / (points - 1), s.alpha * (s.omega_a - eps_a),
+                   -0.5 * (s.omega_a + eps_a + 2.0 * eps_b), 1.0, u, -1j * (u / (2.0 * s.alpha)))
 
 
 def _mix64(z):
@@ -222,11 +222,13 @@ def standard_normals(master_seed: int, start: int, stop: int, k: int) -> np.ndar
 
 
 def worker_count(chunks: int) -> int:
-    """Pool size for `chunks` chunks: HENSIM_WORKERS, else the CPU count; at most `chunks`."""
+    """Pool size for `chunks` chunks: HENSIM_WORKERS, else the number of CPUs the process may
+    run on (its affinity mask where the OS has one, else the CPU count); at most `chunks`."""
     env = os.environ.get(_WORKERS_ENV)
     if env and not (env.isascii() and env.isdigit() and int(env) >= 1):
         raise ValueError(f"{_WORKERS_ENV} must be a positive integer, got {env!r}")
-    return min(int(env) if env else os.cpu_count() or 1, chunks)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(int(env) if env else cpus or 1, chunks)
 
 
 def _in_order(pool, fn, items, ahead: int):
@@ -258,19 +260,16 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     The columns are the scenario type's kernel's: its real column and the
     real and imaginary parts of its complex one, rho_pp, re_rho_pm and
     im_rho_pm for a SingleQubitScenario, gamma2, re_z and im_z for a
-    TwoQubitScenario, whose X-state diagonal is affine in gamma^2. On the
-    grid, uniform from 0, the kernels form each realization's phases from
-    about B + N/B sin/cos pairs instead of N, B = ceil(sqrt(N)).
+    TwoQubitScenario, whose X-state diagonal is affine in gamma^2.
 
     Chunks of CHUNK realizations run (possibly concurrently), at most 2 per
     worker submitted ahead, and fold into running sums and squared deviations
     in chunk order as they finish, so the output is bit-identical for any
-    worker count and the memory is flat in n (sampler_bytes). A
-    chunk reduces only the reals a realization carries: its kernel's real
-    column and its complex column read as 2N interleaved reals, three reals
-    per point. Each worker thread allocates one workspace of min(CHUNK, n)
-    rows by M B points per call (workspace) and reuses it for all its
-    chunks; a short last chunk takes its first rows.
+    worker count and the memory is flat in n (sampler_bytes). A chunk
+    reduces its kernel's real column and its complex one read as 2N
+    interleaved reals. Each worker thread allocates one workspace of
+    min(CHUNK, n) rows by M B points per call (workspace) and reuses it for
+    all its chunks; a short last chunk takes its first rows.
     The master seed must lie in [0, 2^64), the key space of standard_normals.
     """
     if n < 1:

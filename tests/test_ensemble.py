@@ -20,9 +20,8 @@ from hensim.ensemble import (
     CHUNK,
     RNG,
     _blocks,
-    _phase_factors,
+    _evolve,
     _in_order,
-    _phase_table,
     _sine_factors,
     evolve_single_realization,
     evolve_two_realization,
@@ -340,7 +339,7 @@ class TestRealKernels:
                                      zip("abcdz", (oa, ob, oc, od, oz))))
         assert worst <= 1e-15
 
-    # On a whole grid each phase lies within _phase_table's bound
+    # On a whole grid each phase lies within _sine_factors' bound
     # (4 |theta| t + 11) u of the pointwise one, times its scale (|q| and
     # (x + y)/2 are at most 1/2). The sine enters rho_pp, a and d squared, at
     # most twice its own bound, and rho_pm and z together with the other
@@ -381,9 +380,9 @@ class TestRealKernels:
         # one real and one complex column, views of the first R rows of the
         # workspace's two buffers, which pad the grid to at most n + B - 1
         # points and take three reals per point between them: sampler_bytes
-        # of one chunk on one thread, less its scratch of M + B values per row
-        # at 24 bytes and the 48-byte partials per grid point of two chunks
-        # ahead and the fold
+        # of one chunk on one thread, less its scratch of 32 (M + 2 B) bytes
+        # per row and the 48-byte partials per grid point of two chunks ahead
+        # and the fold
         m, b = _blocks(n)
         assert n <= m * b <= n + b - 1
         for evolve, k, s in ((evolve_single_realization, 1, single_scenario()),
@@ -392,7 +391,7 @@ class TestRealKernels:
             assert [v.dtype.kind for v in ws] == ["f", "c"]
             assert all(v.shape == (8, m * b) and v.flags.c_contiguous for v in ws)
             assert sum(v.nbytes for v in ws) == 3 * 8 * m * b * 8
-            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 8 * (m + b) * 24
+            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 8 * 32 * (m + 2 * b)
                                            + 3 * 48 * n)
             cols = evolve(*[0.7] * k, 3.0, n, s, ws)
             assert [v.shape for v in cols] == [(n,), (n,)]
@@ -402,56 +401,55 @@ class TestRealKernels:
                 assert np.shares_memory(col, buf[:5]) and not np.shares_memory(col, buf[5:])
 
 
-class TestPhaseTable:
+class TestFactors:
     # B = ceil(sqrt(n)) is 20 at the benchmark's 400 points: 19, 20 and 21
     # points are one short of, exactly and one past a block of that size.
     # 400 and 401 points carry no padding and 19 columns of it
     @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401, 1001])
     @pytest.mark.parametrize("theta_t", [1e-3, 1.0, 40.0, 1e3])
-    def test_matches_pointwise_exponential(self, rng, n, theta_t):
-        # theta_t is the largest |theta| t_max; the bound is the one derived
-        # in _phase_table's docstring, point by point
+    def test_factors_assemble_the_pointwise_phase(self, rng, n, theta_t):
+        # theta_t is the largest |chi| t_max: the coarse cos + i sin times the
+        # fine one lies within _sine_factors' bound (4 |chi| t + 11) u of
+        # np.exp(1j chi t), point by point
         grid = np.linspace(0.0, rng.uniform(0.5, 20.0), n)
-        theta = rng.uniform(-1.0, 1.0, size=(16, 1)) * theta_t / grid[-1]
+        chi = rng.uniform(-1.0, 1.0, size=(16, 1)) * theta_t / grid[-1]
         m, b = _blocks(n)
-        out = np.empty((16, m * b), dtype=complex)
-        _phase_table(out.reshape(16, m, b), theta, grid[1])
-        dev = np.abs(out[:, :n] - np.exp(1j * theta * grid))
-        assert np.all(dev <= (4.0 * np.abs(theta) * grid + 11.0) * U)
+        left, right = _sine_factors(16, m, b, chi, grid[1])
+        coarse, fine = left[..., 1] + 1j * left[..., 0], right[:, 0] + 1j * right[:, 1]
+        phase = (coarse[:, :, None] * fine[:, None, :]).reshape(16, m * b)[:, :n]
+        dev = np.abs(phase - np.exp(1j * chi * grid))
+        assert np.all(dev <= (4.0 * np.abs(chi) * grid + 11.0) * U)
 
-    def test_scale_multiplies_the_coarse_factors(self, rng):
-        grid = np.linspace(0.0, 3.0, 30)
-        theta = rng.uniform(-5.0, 5.0, size=(4, 1))
-        m, b = _blocks(30)
-        plain, scaled = (np.empty((4, m * b), dtype=complex) for _ in range(2))
-        _phase_table(plain.reshape(4, m, b), theta, grid[1])
-        _phase_table(scaled.reshape(4, m, b), theta, grid[1], 0.3 - 0.4j)
-        # two complex products a side, each within sqrt(5) u of |scale| = 1/2: 2 sqrt(5) u < 8u
-        assert np.abs(scaled - (0.3 - 0.4j) * plain).max() <= 8 * U
-
-    @pytest.mark.parametrize("n", [2, 19, 21, 400, 401])
+    @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401, 1001])
     @pytest.mark.parametrize("theta_t", [1e-3, 1.0, 40.0, 1e3])
-    def test_factors_multiplied_into_a_buffer(self, rng, n, theta_t):
-        # a buffer w times each factor in turn lies within the docstring's
-        # |w| |scale| (4 |theta| t + 18) u of w times the scaled pointwise exponential
+    @pytest.mark.parametrize("field_rows", [False, True], ids=["fields", "field_cols"])
+    def test_evolve_matches_the_pointwise_form(self, rng, n, theta_t, field_rows):
+        # theta_t is the largest |theta| t_max and |chi| t_max; scale, u and v
+        # are scalars or (R, 1) columns. The complex column lies within the
+        # bound derived in _evolve's docstring, (|u| + |v|) (4 (|theta| + |chi|) t + 35) u,
+        # of the pointwise form, and the real column is scale times the
+        # square of _sine_factors' sine, bit for bit
         grid = np.linspace(0.0, rng.uniform(0.5, 20.0), n)
-        theta = rng.uniform(-1.0, 1.0, size=(16, 1)) * theta_t / grid[-1]
-        scale = 0.5 * np.exp(1j * rng.uniform(0.0, 6.3, size=(16, 1)))
+        theta, chi = rng.uniform(-1.0, 1.0, size=(2, 16, 1)) * theta_t / grid[-1]
+        size = (16, 1) if field_rows else ()
+        scale = rng.uniform(0.0, 1.0, size=size)
+        u, v = rng.uniform(0.0, 0.5, size=(2, *size)) * np.exp(1j * rng.uniform(0.0, 6.3, size=(2, *size)))
         m, b = _blocks(n)
-        w = rng.uniform(-1.0, 1.0, size=(16, m * b)) + 1j * rng.uniform(-1.0, 1.0, size=(16, m * b))
-        out = w.copy()
-        for factor in _phase_factors((16, m, b), theta, grid[1], scale):
-            out.reshape(16, m, b)[:] *= factor
-        dev = np.abs(out[:, :n] - w[:, :n] * (scale * np.exp(1j * theta * grid)))
-        assert np.all(dev <= np.abs(w[:, :n]) * np.abs(scale) * (4.0 * np.abs(theta) * grid + 18.0) * U)
+        real, cplx = _evolve(workspace(16, n), (16, n), grid[1], theta, chi, scale, u, v)
+        assert real.shape == cplx.shape == (16, n)
+        form = np.exp(1j * chi * grid) * (u * np.cos(theta * grid) + v * np.sin(theta * grid))
+        bound = (np.abs(u) + np.abs(v)) * (4.0 * (np.abs(theta) + np.abs(chi)) * grid + 35.0) * U
+        assert np.all(np.abs(cplx - form) <= bound)
+        sine = np.matmul(*_sine_factors(16, m, b, theta, grid[1])).reshape(16, m * b)[:, :n]
+        assert np.array_equal(real, np.square(sine) * scale)
 
     @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401])
     @pytest.mark.parametrize("theta_rows", [False, True], ids=["theta", "theta_col"])
     @pytest.mark.parametrize("h_rows", [False, True], ids=["h", "h_col"])
     def test_sine_factors_multiply_to_the_pointwise_sine(self, rng, n, theta_rows, h_rows):
         # a scalar or an (R, 1) column each of theta and h: the factors' matmul
-        # is the imaginary part of _phase_table's product, within its bound
-        # (4 |theta| t + 11) u of np.sin(theta t_k) on time_grid
+        # lies within _sine_factors' bound (4 |theta| t + 11) u of
+        # np.sin(theta t_k) on time_grid
         t_max = rng.uniform(0.5, 20.0, size=(16, 1)) if h_rows else rng.uniform(0.5, 20.0)
         grid = np.array([time_grid(t, n) for t in np.broadcast_to(t_max, (16, 1))[:, 0]])
         theta = rng.uniform(-100.0, 100.0, size=(16, 1) if theta_rows else ()) / t_max
@@ -514,11 +512,21 @@ class TestWorkerCount:
         assert worker_count(10) == 2
 
     def test_default_is_cpu_count_capped(self, monkeypatch):
+        # unset or empty: the CPUs the process may run on (taskset -c 0 leaves
+        # one of a machine's CPUs), else the CPU count where the OS keeps no mask
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         monkeypatch.delenv("HENSIM_WORKERS", raising=False)
         assert worker_count(1) == 1
-        assert worker_count(10_000) == (os.cpu_count() or 1)
+        assert worker_count(10_000) == (usable or 1)
         monkeypatch.setenv("HENSIM_WORKERS", "")
-        assert worker_count(10_000) == (os.cpu_count() or 1)
+        assert worker_count(10_000) == (usable or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count(10_000) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count(10_000) == 8 and worker_count(3) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(10_000) == 1
 
 
 class TestSampleEnsemble:
@@ -626,12 +634,12 @@ class TestSampleEnsemble:
                              ids=["single", "two"])
     def test_sampler_bytes_counts_most_of_the_traced_peak(self, monkeypatch, scenario):
         # 1,100 realizations are 3 chunks on one thread: its workspace and
-        # scratch of 512 rows (400 and 20 + 20 values per row) and the
-        # partials of the 2 chunks ahead and the fold at 400 points. Their
-        # traced peak adds a few % of other per-chunk scratch
+        # scratch of 512 rows (400 points at 24 bytes and 32 (20 + 2 x 20)
+        # bytes per row) and the partials of the 2 chunks ahead and the fold
+        # at 400 points. Their traced peak adds a few % of other per-chunk scratch
         monkeypatch.setenv("HENSIM_WORKERS", "1")
         threads, need = sampler_bytes(1100, 400)
-        assert (threads, need) == (1, 512 * (400 + 40) * 24 + 3 * 400 * 48)
+        assert (threads, need) == (1, 512 * (400 * 24 + (20 + 2 * 20) * 32) + 3 * 400 * 48)
         tracemalloc.start()
         try:
             sample_ensemble(scenario, 1100, 7, 5.0, 400)
@@ -640,8 +648,10 @@ class TestSampleEnsemble:
             tracemalloc.stop()
         assert need <= peak <= 1.10 * need
         monkeypatch.setenv("HENSIM_WORKERS", "2")
-        assert sampler_bytes(1100, 400) == (2, 2 * 512 * (400 + 40) * 24 + 5 * 400 * 48)
-        assert sampler_bytes(100, 401) == (1, 100 * (21 * 20 + 41) * 24 + 3 * 401 * 48)
+        assert sampler_bytes(1100, 400) == (2, 2 * 512 * (400 * 24 + (20 + 2 * 20) * 32)
+                                            + 5 * 400 * 48)
+        assert sampler_bytes(100, 401) == (1, 100 * (21 * 20 * 24 + (20 + 2 * 21) * 32)
+                                           + 3 * 401 * 48)
         # flat in n: 10^9 realizations count as much as 1,024
         assert sampler_bytes(10**9, 400) == sampler_bytes(2 * CHUNK, 400)
 
