@@ -55,6 +55,16 @@ def steady_population(alpha: float, xb) -> float:
     return 0.5 * coupling_c(alpha) ** 2 * abs(xb) ** 2
 
 
+def steady_population_two(alpha, x) -> float:
+    """Envelope limit 1/2 + (c^2/4) (x - y) of the first working qubit's averaged excited
+    population, a + b of the X state at the mean gamma^2 = 1/2; in [1/4, 3/4].
+
+    As for steady_population, it is thermal at bd = ln((1 - p) / p): 0, infinite
+    temperature, at x = 1/2, and negative, an inverted population, for x > 1/2.
+    """
+    return 0.5 + 0.25 * coupling_c(alpha) ** 2 * (x - (1.0 - x))
+
+
 def ad_root(relax, alpha, xy):
     """sqrt(a d) = (1/4) c^2 sqrt(xy) relax, with c^2 formed as ((a - 1/2) / a) ((a + 1/2) / a).
 

@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hensim.analytic import ad_root, single_trajectory, steady_population
+from hensim.analytic import ad_root, single_trajectory, steady_population, steady_population_two
 from hensim.ensemble import CHUNK, RNG, sample_ensemble, sampler_bytes
 from hensim.entanglement import (
     CELL_BYTES,
@@ -185,9 +185,36 @@ def write_csv(path, columns: dict) -> None:
             fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
-def write_json(path, payload: dict) -> None:
+def _json_cells(col):
+    """The cells of a column slice as json writes them: a float's repr, null for None."""
+    if isinstance(col, np.ndarray):
+        return map(float.__repr__, col.tolist())
+    return ("null" if v is None else repr(float(v)) for v in col)
+
+
+def write_json(path, meta: dict, columns: dict | None = None) -> None:
+    """Write ``meta``, or {"data": columns, "meta": meta} when columns are given, with the bytes
+    of json.dump(..., indent=2, sort_keys=True) and a line break.
+
+    Each column is written a block of rows at a time, so that no list of a
+    whole column is made; its cells are numbers or None, written as null.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        if columns is None:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+        else:
+            fh.write('{\n  "data": {')
+            for k, name in enumerate(sorted(columns)):
+                col = columns[name]
+                fh.write(f'{"," if k else ""}\n    {json.dumps(name)}: [')
+                for i in range(0, len(col), _BLOCK_ROWS):
+                    fh.write(",\n      " if i else "\n      ")
+                    fh.write(",\n      ".join(_json_cells(col[i:i + _BLOCK_ROWS])))
+                fh.write("\n    ]" if len(col) else "]")
+            fh.write("\n  }" if columns else "}")
+            # json nests by indenting every line of the object one level further
+            nested = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+            fh.write(f',\n  "meta": {nested}\n}}')
         fh.write("\n")
 
 
@@ -208,10 +235,7 @@ def _emit(path, fmt, columns: dict, meta: dict) -> None:
         write_csv(path, columns)
         write_json(f"{path}.meta.json", meta)
     else:
-        data = {name: col.tolist() if isinstance(col, np.ndarray)
-                else [None if v is None else float(v) for v in col]
-                for name, col in columns.items()}
-        write_json(path, {"meta": meta, "data": data})
+        write_json(path, meta, columns)
 
 
 def _meta(cfg, command) -> dict:
@@ -226,24 +250,29 @@ def _meta(cfg, command) -> dict:
     return meta
 
 
-def _thermal_meta(s: SingleQubitScenario) -> dict:
-    """The temperature a relax run mimics: its steady population p = c^2 |xb|^2 / 2 and
-    beta_delta = beta Delta = ln((1 - p) / p), the thermal state of that population.
+def _beta_delta(p: float) -> float | None:
+    """beta Delta = ln((1 - p) / p) of the thermal state whose excited population is p.
 
-    At p = 0 (alpha = 1/2 or xb = 0) beta Delta is infinite, zero temperature,
-    which JSON cannot hold: beta_delta is null there.
+    At p = 0 beta Delta is infinite, zero temperature, which JSON cannot hold:
+    it is None there.
     """
-    p = steady_population(s.alpha, s.xb)
-    return {"steady_population": p,
-            "beta_delta": math.log1p(-p) - math.log(p) if p > 0.0 else None}
+    return math.log1p(-p) - math.log(p) if p > 0.0 else None
+
+
+def _thermal_meta(p: float) -> dict:
+    """The temperature a relax or concurrence run mimics: its working qubit's steady
+    population p (analytic.steady_population or steady_population_two) and its beta_delta."""
+    return {"steady_population": p, "beta_delta": _beta_delta(p)}
 
 
 # Peak bytes a relax or concurrence run takes per grid point besides its sampler
-# (ensemble.sampler_bytes), with at most 15% room. Traced slopes between 1e5 and
-# 4e5 points (tracemalloc, one worker, numpy 2.4), relax and concurrence: 160 and
-# 80 B analytic-only, 400 and 176 B with one sample, of which sampler_bytes counts
-# 168, all as JSON (CSV takes less): needs of max(160, 232) and max(80, 8) B.
-_POINT_BYTES = {"relax": 260, "concurrence": 90}
+# (ensemble.sampler_bytes), with at most 15% room. Traced slopes (tracemalloc, one
+# worker, numpy 2.4), relax and concurrence, CSV and JSON alike between 1e5 and
+# 4e5 points: 80 and 72 B analytic-only, 150 and 136 B with one sample, of which
+# sampler_bytes counts 152; between 1,000 and 4,000 points, where the tests
+# measure them, the analytic-only JSON slopes of 84 and 68 B bind: needs of
+# max(80, 84) and max(72, 68) B.
+_POINT_BYTES = {"relax": 90, "concurrence": 76}
 
 
 # The process's cgroup membership and the cgroup filesystem's mount point.
@@ -332,7 +361,8 @@ def cmd_relax(ns) -> int:
         for name in analytic:
             columns[name + "_mc"] = mc[name]
             columns[name + "_mc_se"] = mc[name + "_se"]
-    _emit(ns.out, cfg["format"], columns, {**_meta(cfg, "relax"), **_thermal_meta(s)})
+    _emit(ns.out, cfg["format"], columns,
+          {**_meta(cfg, "relax"), **_thermal_meta(steady_population(s.alpha, s.xb))})
     return EXIT_OK
 
 
@@ -349,7 +379,8 @@ def cmd_concurrence(ns) -> int:
         # the gap of the mean X state, whose sqrt(a d) is linear in the mean of gamma^2
         gap = np.hypot(mc["re_z"], mc["im_z"]) - ad_root(2.0 * mc["gamma2"], s.alpha, s.x * s.y)
         columns["C_mc"] = concurrence(gap)
-    _emit(ns.out, cfg["format"], columns, _meta(cfg, "concurrence"))
+    _emit(ns.out, cfg["format"], columns,
+          {**_meta(cfg, "concurrence"), **_thermal_meta(steady_population_two(s.alpha, s.x))})
     return EXIT_OK
 
 
@@ -381,8 +412,10 @@ def cmd_tc_map(ns) -> int:
     # a cell without a finite t_c is empty (None), never NaN, which _emit refuses
     tc = [t if st == FINITE else None for t, st in zip(cells["t_c"].tolist(), cells["status"])]
     columns = {"alpha": alpha.ravel(), "var_eps_a": var_a.ravel(), "tc": tc}
+    # the temperature the map's first working qubit relaxes to, at each end of the alpha axis
+    beta_delta = [_beta_delta(steady_population_two(a, lo.x)) for a in (lo.alpha, hi.alpha)]
     meta = {"config": cfg, "command": "tc-map", "alpha_range": list(ns.alpha_range),
-            "var_range": list(ns.var_range), "resolution": res,
+            "var_range": list(ns.var_range), "resolution": res, "beta_delta_range": beta_delta,
             "solver": _solver_meta(cells)}
     _emit(ns.out, cfg["format"], columns, meta)
     return EXIT_OK

@@ -11,14 +11,17 @@ needs only sqrt(a d), analytic.ad_root of 2 gamma^2). The dense Hamiltonians,
 propagators and matrix exponential they are checked against live in
 hensim.validation.
 
-sample_ensemble reduces those columns to means and standard errors. The
-kernels write them in place into a workspace of one real and one complex
-buffer (workspace) that each sampler thread allocates once per call,
-min(CHUNK, n) rows by M B points, the grid padded to whole blocks, and a run
-folds its chunks as they finish, so its memory (sampler_bytes) is flat in n.
-The kernels also take a stack of R cases, each with its own t_max, as the rows
-of one call: a record and a t_max whose fields are (R, 1) columns, as the
-oracle suite in hensim.validation passes them.
+sample_ensemble reduces those columns to means and standard errors. A kernel
+writes its factors into a workspace (workspace) that each sampler thread
+allocates once per call, min(CHUNK, n) rows by M B points, the grid padded to
+whole blocks, and fills its three real columns (the real one, then the real
+and imaginary parts of the complex one) one at a time into the workspace's
+one column buffer, so no complex column is ever held. A run folds its chunks
+as they finish, so its memory (sampler_bytes) is flat in n. The kernels also
+take a stack of R cases, each with its own t_max, as the rows of one call: a
+record and a t_max whose fields are (R, 1) columns, as the oracle suite in
+hensim.validation passes them, and assemble turns their columns into the
+(real, complex) pair it compares.
 """
 
 from __future__ import annotations
@@ -50,16 +53,17 @@ def _blocks(n: int) -> tuple[int, int]:
     return -(-n // b), b
 
 
-def _sine_factors(rows: int, m: int, b: int, theta, h):
-    """Contiguous factors (R, M, 2) and (R, 2, B) whose matmul is sin(theta_r t_k), t_k = k h_r, k = B m + j.
+def _sine_factors(theta, h, left, right):
+    """Fill factors ``left`` (R, M, 2) and ``right`` (R, 2, B), whose matmul is sin(theta_r t_k),
+    t_k = k h_r, k = B m + j, and return them.
 
     theta and h are scalars or (R, 1) columns (a column h gives each row its
     own grid). The factors hold [sin, cos] of the coarse angles
     fl(theta_r fl(B m h_r)) and [cos; sin] of the fine ones fl(theta_r fl(j h_r)),
     M + B sin/cos pairs per row instead of M B, each time an integer times h_r
     rounded once, like np.linspace(0, t, n)[k]; the coarse cos + i sin times
-    the fine one is the phase e^{i theta_r t_k}. numpy's matmul takes BLAS only
-    for contiguous factors.
+    the fine one is the phase e^{i theta_r t_k}. They may be views into larger
+    buffers; numpy's matmul takes BLAS only for contiguous factors.
 
     Bound: every point of that sine and that phase lies within
     (4 |theta| t_k + 11) 2^-53 of np.sin(theta t_k) and np.exp(1j theta t_k) on
@@ -70,7 +74,7 @@ def _sine_factors(rows: int, m: int, b: int, theta, h):
     lies within 2 of its exact value (sin and cos within 1 ulp), and the
     product, complex or the matmul's, adds sqrt(5): 6 + sqrt(5) < 11.
     """
-    left, right = np.empty((rows, m, 2)), np.empty((rows, 2, b))
+    m, b = left.shape[-2], right.shape[-1]
     # each angle goes into its sine's place, which the sine then overwrites
     for sin, cos, steps in ((left[..., 0], left[..., 1], np.arange(0, m * b, b)),
                             (right[:, 1], right[:, 0], np.arange(b))):
@@ -80,82 +84,103 @@ def _sine_factors(rows: int, m: int, b: int, theta, h):
     return left, right
 
 
-def workspace(rows: int, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """One real and one complex (rows, M B) buffer, a realization's three reals per point, for
-    up to ``rows`` realizations of either kernel on a ``points``-point grid padded to M B points
-    (_blocks). The kernels' columns are views of them, which hold only until the next kernel
-    call on the same workspace.
+def workspace(rows: int, points: int) -> tuple[np.ndarray, ...]:
+    """The buffers of either kernel for up to ``rows`` realizations on a ``points``-point grid
+    padded to M B points (_blocks): the one (rows, M B) column, then theta's factors (rows, M, 2)
+    and (rows, 2, B), the coarse factor (rows, M, 4) and the two fine ones (rows, 4, B), 8 M B
+    + 8 (6 M + 10 B) bytes a row. A kernel's columns are views of the column buffer, and each
+    holds only until the next column is filled or the next kernel call on the same workspace.
     """
     m, b = _blocks(points)
-    return np.empty((rows, m * b)), np.empty((rows, m * b), dtype=complex)
+    return tuple(np.empty(shape) for shape in ((rows, m * b), (rows, m, 2), (rows, 2, b),
+                                               (rows, m, 4), (rows, 4, b), (rows, 4, b)))
 
 
 def sampler_bytes(n: int, points: int) -> tuple[int, int]:
     """(threads, bytes) of sample_ensemble's n-realization run on a ``points``-point grid:
-    each thread's workspace, min(CHUNK, n) rows by M B points at 24 bytes, and its per-call
-    scratch, as many rows by 32 (M + 2 B) bytes (_evolve's peak), and the sums and squared
-    deviations, 48 bytes per grid point, of the 2 x threads chunks that may wait ahead of the
-    fold and of the fold itself. Nothing grows with n past CHUNK."""
+    each thread's workspace, min(CHUNK, n) rows of 8 M B + 8 (6 M + 10 B) bytes, and the sums
+    and squared deviations, 48 bytes per grid point, of the 2 x threads chunks that may wait
+    ahead of the fold and of the fold itself. Nothing grows with n past CHUNK."""
     threads = worker_count(-(-n // CHUNK))
     m, b = _blocks(points)
-    return threads, threads * min(CHUNK, n) * (24 * m * b + 32 * (m + 2 * b)) + (2 * threads + 1) * points * 48
+    row = 8 * m * b + 8 * (6 * m + 10 * b)
+    return threads, threads * min(CHUNK, n) * row + (2 * threads + 1) * points * 48
 
 
 def _evolve(ws, shape, h, theta, chi, scale, u, v):
-    """Columns scale sin^2(theta t_k), real, and e^{i chi t_k} (u cos(theta t_k) + v sin(theta t_k)),
-    complex, at t_k = k h: views of ``ws`` shaped ``shape``, R rows of N points.
+    """Fillers of three real columns at t_k = k h, each a view of ``ws``'s column buffer shaped
+    ``shape``, R rows of N points: scale sin^2(theta t_k) and the real and imaginary parts of
+    z = e^{i chi t_k} (u cos(theta t_k) + v sin(theta t_k)).
 
-    h, theta, chi, scale, u and v are scalars or (R, 1) columns. With
-    [sin a, cos a] and [cos f; sin f] the factors of theta's coarse and fine
-    angles (_sine_factors), the real column is their matmul, squared and
-    scaled, and by angle addition the complex one the matmul of e^{i chi a}
-    [sin a, cos a] and e^{i chi f} [v cos f - u sin f; u cos f + v sin f], each
-    phase cos + i sin of chi's factors. Each factor is freed once used, so the
-    scratch peaks at 32 (M + 2 B) bytes a row (sampler_bytes).
+    h, theta, chi, scale, u and v are scalars or (R, 1) columns. The factors
+    are built here into ``ws``; each filler runs one matmul of them into the
+    column buffer, overwriting the column before it. With [sin a, cos a] and
+    [cos f; sin f] the factors of theta's coarse and fine angles
+    (_sine_factors), the real column is their matmul, squared and scaled. By
+    angle addition z is the matmul of the coarse c = e^{i chi a} [sin a, cos a]
+    and the fine f = [[v, -u], [u, v]] p, p = e^{i chi f} [cos f; sin f], each
+    phase cos + i sin of chi's factors; in reals Re z = [Re c, Im c] @
+    [Re f; -Im f] and Im z = [Re c, Im c] @ [Im f; Re f], inner size 4, and
+    [Im f; Re f] is one real matmul of [[Im, Re], [Re, -Im]] of the mix with
+    [Re p; Im p].
 
-    Bound, with S = |u| + |v| per row: every point of the complex column lies
-    within S (4 (|theta| + |chi|) t_k + 35) 2^-53 of np.exp(1j chi t_k) *
+    Bound, with S = |u| + |v| per row: every point of z lies within
+    S (4 (|theta| + |chi|) t_k + 35) 2^-53 of np.exp(1j chi t_k) *
     (u np.cos(theta t_k) + v np.sin(theta t_k)) on a linspace grid of step h.
     The value moves by at most S per unit of either angle, so the angles give
-    4 (|theta| + |chi|) t_k as in _sine_factors. In units of S 2^-53, a fine
-    entry lies within 4 of its exact value (factors 2, products 1, sum 1) and
-    within 9 times its phase (2, product sqrt(5)); a coarse entry, of norm at
-    most 1, within 5 (factor 2, phase 2, product 1). The matmul carries these
-    as sqrt(2) 9 + sqrt(2) 5 (|sin| + |cos| <= sqrt(2), and the fine entries'
-    squared norms sum to |u|^2 + |v|^2) and rounds within sqrt(2) 4; the
-    pointwise value rounds within 9 (cos and sin 2, products and sum 2, exp 2,
-    product sqrt(5)): sqrt(2) 18 + 9 < 35.
+    4 (|theta| + |chi|) t_k as in _sine_factors. In units of 2^-53, with
+    N = sqrt(|u|^2 + |v|^2) <= S: a coarse entry lies within 5 of its exact
+    value (factor 2, phase 2, product 1), and the coarse row has unit norm.
+    The fine column f, of norm N, lies within 2 N (the phase, a common factor),
+    2 sqrt(2) S (the factors [cos; sin], through the mix of norm at most S),
+    S (the products of p, each within 1 relative) and 4 sqrt(2) S (the
+    4-term sums, each within 4 times the sum of its terms' moduli, which the
+    mix bounds by S) of its exact value: (3 + 6 sqrt(2)) S. The matmul
+    carries the fine error times the coarse row's unit norm, the coarse
+    error as 5 sqrt(2) N, and rounds within 4 sqrt(2) N (its 4-term sums, as
+    the fine ones); the pointwise value rounds within 9 (cos and sin 2,
+    products and sum 2, exp 2, product sqrt(5)): 12 + 15 sqrt(2) < 35.
     """
     rows, points = math.prod(shape[:-1]), shape[-1]
-    (m, b), (real, cplx) = _blocks(points), (w[:rows] for w in ws)
-    left, right = _sine_factors(rows, m, b, theta, h)
-    np.matmul(left, right, out=real.reshape(rows, m, b))
-    np.square(real, out=real)
-    real *= scale
-    # [v cos f - u sin f; u cos f + v sin f] = [[v, -u], [u, v]] @ [cos f; sin f], part by part
+    (m, b), (col, left, right, coarse, fine_re, fine_im) = _blocks(points), (w[:rows] for w in ws)
+    _sine_factors(theta, h, left, right)
+    # chi's factors wait in the places that their products with theta's overwrite
+    _sine_factors(chi, h, coarse[..., 2:], fine_im[:, :2])
+    # [Re c, Im c] = [sin a, cos a] cos(chi a), then times sin(chi a)
+    np.multiply(left, coarse[..., 3:], out=coarse[..., :2])
+    np.multiply(left[..., 1], coarse[..., 2], out=coarse[..., 3])
+    coarse[..., 2] *= left[..., 0]
+    # [Re p; Im p] = [cos f; sin f] cos(chi f), then times sin(chi f)
+    np.multiply(right, fine_im[:, :1], out=fine_re[:, :2])
+    np.multiply(right, fine_im[:, 1:2], out=fine_re[:, 2:])
     mix = np.stack(np.broadcast_arrays(v, -u, u, v), axis=-1).reshape(-1, 2, 2)
-    fine = np.empty((rows, 2, b), dtype=complex)
-    np.matmul(mix.real, right, out=fine.real)
-    np.matmul(mix.imag, right, out=fine.imag)
-    del right
-    chi_left, chi_right = _sine_factors(rows, m, b, chi, h)
-    phase = np.empty((rows, 1, b), dtype=complex)
-    phase.real, phase.imag = chi_right[:, :1], chi_right[:, 1:]
-    del chi_right
-    fine *= phase
-    del phase
-    coarse = np.empty((rows, m, 2), dtype=complex)
-    np.multiply(left, chi_left[..., 1:], out=coarse.real)
-    np.multiply(left, chi_left[..., :1], out=coarse.imag)
-    del left, chi_left
-    np.matmul(coarse, fine, out=cplx.reshape(rows, m, b))
+    np.matmul(np.block([[mix.imag, mix.real], [mix.real, -mix.imag]]), fine_re, out=fine_im)
+    fine_re[:, :2] = fine_im[:, 2:]
+    np.negative(fine_im[:, :2], out=fine_re[:, 2:])
+    blocks, view = col.reshape(rows, m, b), col[:, :points].reshape(shape)
+
+    def column(factors, squared=False):
+        def fill():
+            np.matmul(*factors, out=blocks)
+            if squared:
+                np.square(col, out=col)
+                np.multiply(col, scale, out=col)
+            return view
+        return fill
+
     # a tuple display: tuple() of a generator resizes a 10-slot tuple, and CPython's
     # free list keeps each such tuple once freed, 56 B a chunk up to 2,000 of them
-    return real[:, :points].reshape(shape), cplx[:, :points].reshape(shape)
+    return column((left, right), squared=True), column((coarse, fine_re)), column((coarse, fine_im))
+
+
+def assemble(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The (real, complex) columns of a kernel's three fillers, as new arrays."""
+    real, re = (fill().copy() for fill in columns[:2])
+    return real, re + 1j * columns[2]()
 
 
 def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, ws):
-    """Columns (rho_pp, rho_pm) of the working qubit at t_k = k h, real and complex.
+    """Fillers of the columns rho_pp, Re rho_pm and Im rho_pm of the working qubit at t_k = k h.
 
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
@@ -164,7 +189,7 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
     is bit for bit time_grid(t_max, points)[1]. t_max and eps are scalars or (R, 1) columns
     (a column t_max holds R grids' ends, a stack of cases), and s a record of scalars or
     (R, 1) columns. The columns have the broadcast shape of eps, t_max and (points,), are
-    views of the first R rows of ``ws``, a workspace(R', N) with R' >= R, and agree with the
+    views of ``ws``'s column buffer, ws a workspace(R', N) with R' >= R, and agree with the
     propagator + partial-trace route to 1e-10.
     """
     shape = np.broadcast_shapes(np.shape(eps), np.shape(t_max), (points,))
@@ -174,7 +199,7 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
 
 
 def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario, ws):
-    """Columns (gamma^2, z) of the two working qubits' X state at t_k = k h, real and complex.
+    """Fillers of the columns gamma^2, Re z and Im z of the two working qubits' X state at t_k = k h.
 
     With gamma = sin(alpha (omega_a - eps_a) t), the diagonal (a, b, c, d) is
     affine in gamma^2 (hensim.validation.xstate_diagonal), and
@@ -244,12 +269,12 @@ def _in_order(pool, fn, items, ahead: int):
 
 
 # scenario type: (name of its kernel in this module, variance fields of the
-# spacings drawn per realization in this order, names of its kernel's real and
-# complex column). The kernel is looked up when the sampler runs, so that a
-# wrapper installed over it (a tracer, say) sees its calls.
+# spacings drawn per realization in this order, names of its kernel's three
+# columns). The kernel is looked up when the sampler runs, so that a wrapper
+# installed over it (a tracer, say) sees its calls.
 _OBSERVABLES = {
-    SingleQubitScenario: ("evolve_single_realization", ("var",), ("rho_pp", "rho_pm")),
-    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), ("gamma2", "z")),
+    SingleQubitScenario: ("evolve_single_realization", ("var",), ("rho_pp", "re_rho_pm", "im_rho_pm")),
+    TwoQubitScenario: ("evolve_two_realization", ("var_a", "var_b"), ("gamma2", "re_z", "im_z")),
 }
 
 
@@ -265,19 +290,20 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     Chunks of CHUNK realizations run (possibly concurrently), at most 2 per
     worker submitted ahead, and fold into running sums and squared deviations
     in chunk order as they finish, so the output is bit-identical for any
-    worker count and the memory is flat in n (sampler_bytes). A chunk
-    reduces its kernel's real column and its complex one read as 2N
-    interleaved reals. Each worker thread allocates one workspace of
-    min(CHUNK, n) rows by M B points per call (workspace) and reuses it for
-    all its chunks; a short last chunk takes its first rows.
-    The master seed must lie in [0, 2^64), the key space of standard_normals.
+    worker count and the memory is flat in n (sampler_bytes). A chunk calls
+    its kernel once and reduces the three columns one at a time, each filled
+    into the workspace's one column buffer. Each worker thread allocates one
+    workspace of min(CHUNK, n) rows by M B points per call (workspace) and
+    reuses it, factors and all, for all its chunks; a short last chunk takes
+    its first rows. The master seed must lie in [0, 2^64), the key space of
+    standard_normals.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
     time_grid(t_max, points)  # its refusal of a bad t_max or point count
-    kernel, fields, (real_name, cplx_name) = _OBSERVABLES[type(s)]
+    kernel, fields, names = _OBSERVABLES[type(s)]
     evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]
     local = threading.local()
@@ -289,39 +315,35 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
             local.ws = workspace(min(CHUNK, n), points)
         z = standard_normals(master_seed, start, stop, len(sigmas))
         eps = (sigma * zk[:, None] for sigma, zk in zip(sigmas, z))
-        real, cplx = evolve(*eps, t_max, points, s, local.ws)
-        vals = (real, cplx.view(float))
-        count = stop - start
-        sums = [v.sum(axis=0) for v in vals]
-        # squared deviations about the chunk mean (no sum(x^2) - n mean^2 cancellation)
-        for v, total in zip(vals, sums):
-            v -= total / count
-        return count, sums, [np.einsum("ij,ij->j", v, v) for v in vals]
+        count, sums, m2s = stop - start, [], []
+        for fill in evolve(*eps, t_max, points, s, local.ws):
+            v = fill()
+            sums.append(v.sum(axis=0))
+            # squared deviations about the chunk mean (no sum(x^2) - n mean^2 cancellation)
+            v -= sums[-1] / count
+            m2s.append(np.einsum("ij,ij->j", v, v))
+        return count, sums, m2s
 
     # Each chunk folds into a running count, sums and squared deviations in
     # chunk order, with the pairwise update of Chan, Golub & LeVeque:
     # M2 = M2_A + M2_B + delta^2 n_A n_B / (n_A + n_B), delta the difference
     # of the two means. The sums add in chunk order from 0, as sum() adds them.
-    seen, sums, m2s = 0, [0, 0], [0, 0]
+    seen, sums, m2s = 0, [0] * len(names), [0] * len(names)
     # chunk starts come from a range, so nothing is listed per chunk
     workers = worker_count(-(-n // CHUNK))
     # imported here so that the analytic commands do not load concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for count, chunk_sums, chunk_m2s in _in_order(pool, run, range(0, n, CHUNK), 2 * workers):
-            for j in range(2):
+            for j in range(len(names)):
                 if seen:
                     delta = chunk_sums[j] / count - sums[j] / seen
                     chunk_m2s[j] += m2s[j] + delta**2 * (seen * count / (seen + count))
                 sums[j], m2s[j] = sums[j] + chunk_sums[j], chunk_m2s[j]
             seen += count
 
-    stats = []
-    for total, m2 in zip(sums, m2s):
-        mean = total / n
-        stats.append((mean, np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)))
-    (mean, se), (cmean, cse) = stats
-    # the complex column's reals interleave its real and imaginary parts
-    return {real_name: mean, f"{real_name}_se": se,
-            f"re_{cplx_name}": cmean[0::2], f"re_{cplx_name}_se": cse[0::2],
-            f"im_{cplx_name}": cmean[1::2], f"im_{cplx_name}_se": cse[1::2]}
+    out = {}
+    for name, total, m2 in zip(names, sums, m2s):
+        out[name] = total / n
+        out[f"{name}_se"] = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(out[name])
+    return out

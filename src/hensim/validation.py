@@ -35,7 +35,13 @@ from functools import reduce
 import numpy as np
 
 from hensim.analytic import avg_population_single, xstate_gap
-from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble, workspace
+from hensim.ensemble import (
+    assemble,
+    evolve_single_realization,
+    evolve_two_realization,
+    sample_ensemble,
+    workspace,
+)
 from hensim.entanglement import BLOCK_POINTS, FINITE, UNRESOLVED, concurrence, concurrence_x, find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, subset, time_grid
 
@@ -369,7 +375,7 @@ def check_two_qubit_oracle(n_cases: int, rng) -> float:
                                 eps_a=(-5, 5), eps_b=(-5, 5), t=(0, 10))
     # column 1 of the kernel's 2-point grid [0, t] is the pointwise value at t;
     # it gives gamma^2 and z, and the diagonal (a, b, c, d) is affine in gamma^2
-    gamma2, z = evolve_two_realization(eps_a, eps_b, t, 2, s, workspace(n_cases, 2))
+    gamma2, z = assemble(evolve_two_realization(eps_a, eps_b, t, 2, s, workspace(n_cases, 2)))
     closed = xstate_matrix(XState(*xstate_diagonal(gamma2[:, 1:], s), z=z[:, 1:]))
     return float(np.abs(closed - two_oracle_xstate(eps_a, eps_b, t, s)).max())
 
@@ -377,7 +383,7 @@ def check_two_qubit_oracle(n_cases: int, rng) -> float:
 def check_single_elements_oracle(n_cases: int, rng) -> float:
     """Max deviation of the closed-form single-qubit elements from the propagator + partial-trace route."""
     s, eps, t = _cases(rng, n_cases, _single_scenario, SINGLE_RANGES, eps=(-5, 5), t=(0, 10))
-    pp, pm = (v[:, 1:] for v in evolve_single_realization(eps, t, 2, s, workspace(n_cases, 2)))
+    pp, pm = (v[:, 1:] for v in assemble(evolve_single_realization(eps, t, 2, s, workspace(n_cases, 2))))
     opp, opm = single_oracle_elements(eps, t, s)
     return float(max(np.abs(pp - opp).max(), np.abs(pm - opm).max()))
 
@@ -405,7 +411,7 @@ def check_specializations(n_cases: int, rng) -> float:
     s, vb = _cases(rng, n_cases, _two_scenario, TWO_RANGES, vb=(0.1, 2.0))
     s = replace(s, alpha=np.maximum(s.alpha, 0.6), var_a=0.0, var_b=np.stack([0.0 * vb, vb]))
     eps = np.zeros((n_cases, 1))
-    gamma2, z = evolve_two_realization(eps, eps, 10.0, ts.size, s, workspace(n_cases, ts.size))
+    gamma2, z = assemble(evolve_two_realization(eps, eps, 10.0, ts.size, s, workspace(n_cases, ts.size)))
     realization = (*xstate_diagonal(gamma2, s), z * np.exp(-0.5 * np.square(np.sqrt(s.var_b) * ts)))
     xs = avg_xstate_two(ts, s)
     return float(max(np.abs(v - getattr(xs, k)).max() for k, v in zip("abcdz", realization)))

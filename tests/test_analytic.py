@@ -20,7 +20,7 @@ from hensim.analytic import (
     steady_population,
     xstate_gap,
 )
-from hensim.ensemble import evolve_two_realization, sample_ensemble, workspace
+from hensim.ensemble import assemble, evolve_two_realization, sample_ensemble, workspace
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import coupling_c, time_grid
 from hensim.validation import (
@@ -294,7 +294,7 @@ class TestSpecialCases:
         ts = time_grid(8.0, 200)
         for alpha in (0.5, 1.4):
             s = two_scenario(omega_a=3.0, alpha=alpha, var_a=0.0, var_b=0.5)
-            gamma2, z = evolve_two_realization(0.0, 0.0, 8.0, 200, s, workspace(1, 200))
+            gamma2, z = assemble(evolve_two_realization(0.0, 0.0, 8.0, 200, s, workspace(1, 200)))
             xs = avg_xstate_two(ts, s)
             for got, want in zip((xs.a, xs.b, xs.c, xs.d, xs.z),
                                  (*xstate_diagonal(gamma2, s), z * np.exp(-0.25 * ts**2))):

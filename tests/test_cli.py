@@ -79,7 +79,7 @@ def test_emitted_cells_round_trip_bit_for_bit(tmp_path_factory, rows):
     got_header, cols = read_csv(path)
     assert got_header == header
     assert all(_bits(cols[name]) == _bits(col) for name, col in columns.items())
-    write_json(path, {"data": columns})
+    write_json(path, {}, columns)
     got = json.loads(path.read_text())["data"]
     assert all(_bits(got[name]) == _bits(col) for name, col in columns.items())
 
@@ -111,6 +111,23 @@ def test_blocks_write_the_bytes_of_csv_writer(tmp_path, header):
         writer.writerow(header)
         writer.writerows([["" if v is None else f"{v:.17g}" for v in row] for row in rows])
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "stdlib.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 512, 1100])
+def test_json_blocks_write_the_bytes_of_json_dump(tmp_path, rows):
+    # the data block, written a block of rows of one column at a time, has the
+    # bytes of json.dump of the whole payload: an array column, a list column
+    # with edge values, -0.0 and None on both sides of each block boundary,
+    # and an array that repeats 0.0 and -0.0, beside a meta of nested
+    # objects, lists and a string with a line break
+    rng = np.random.default_rng(12)
+    columns = {"t": rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows),
+               "C": [EDGE_ROW[k % 7] for k in range(rows)], "a": np.resize([0.0, -0.0, 5e-324], rows)}
+    meta = {"config": {"x": 0.2, "samples": None}, "range": [0.5, 3], "solver": {}, "note": "a\nb"}
+    write_json(tmp_path / "blocks.json", meta, columns)
+    data = {name: col.tolist() if isinstance(col, np.ndarray) else col for name, col in columns.items()}
+    expected = json.dumps({"meta": meta, "data": data}, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "blocks.json").read_bytes() == expected.encode()
 
 
 class TestRelax:
@@ -523,7 +540,7 @@ def test_tc_map_past_physical_memory_refused_before_any_grid(tmp_path, capsys, m
 def test_sampler_workspace_past_physical_memory_refused_before_any_grid(tmp_path, capsys, monkeypatch,
                                                                       command, workers):
     # a machine of 1 MB: 2,000 samples at 400 points take a 512 x 400 workspace
-    # of 4.9 MB per thread for either command, refused up front
+    # of 2.9 MB per thread for either command, refused up front
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
@@ -542,9 +559,9 @@ def test_sampler_workspace_past_physical_memory_refused_before_any_grid(tmp_path
 @pytest.mark.parametrize("command", ["relax", "concurrence"])
 def test_every_per_point_array_is_budgeted_before_any_grid(tmp_path, capsys, monkeypatch, command,
                                                            samples):
-    # a machine of 64 MB: a million points take 260 MB (relax) or 90 MB
-    # (concurrence) of columns, sampled or not; 10^9 samples at 10,000 points
-    # take 2.6 or 0.9 MB of columns and a 512-row workspace and scratch of 125 MB, as
+    # a machine of 64 MB: a million points take 90 MB (relax) or 76 MB
+    # (concurrence) of columns, sampled or not; 10^9 samples at 20,000 points
+    # take 1.8 or 1.5 MB of columns and a 512-row workspace of 91 MB, as
     # many as 1,024 samples would (the chunks fold as they finish)
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
@@ -553,7 +570,7 @@ def test_every_per_point_array_is_budgeted_before_any_grid(tmp_path, capsys, mon
     monkeypatch.setattr("hensim.cli._physical_memory", lambda: 64 << 20)
     monkeypatch.setattr("hensim.cli.time_grid", no_grid)
     out = tmp_path / "big.csv"
-    points = "10000" if samples == "1000000000" else "1000000"
+    points = "20000" if samples == "1000000000" else "1000000"
     argv = [command, "--points", points, "--out", str(out)] + (["--samples", samples] if samples else [])
     assert run(argv) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
@@ -581,11 +598,12 @@ def test_point_budget_holds_each_form_with_little_room(tmp_path, monkeypatch, co
     # sample, as CSV and as JSON, against the budget's: _POINT_BYTES, plus
     # sampler_bytes' slope when sampled. The need is the largest slope, less
     # the sampler's, and _POINT_BYTES leaves it at most 15% room. Here the
-    # JSON slopes bind: 160 and 400 B for relax, 85 and 181 B for concurrence
+    # analytic-only JSON slopes bind: 84 B for relax and 68 B for concurrence
     monkeypatch.setenv("HENSIM_WORKERS", "1")
     lo, hi = 1000, 4000
-    # a first run traces one-time allocations too
-    assert run([command, "--points", str(lo), "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    # a first run traces one-time allocations too, the sampler's lazy import
+    # of its thread pool among them
+    assert run([command, "--points", str(lo), "--samples", "1", "--out", str(tmp_path / "o.csv")]) == EXIT_OK
     need = 0.0
     for samples in ([], ["--samples", "1"]):
         sampler = (sampler_bytes(1, hi)[1] - sampler_bytes(1, lo)[1]) / (hi - lo) if samples else 0.0
@@ -636,14 +654,14 @@ def test_unreadable_cgroup_membership_is_no_limit(tmp_path, monkeypatch):
 
 
 def test_run_past_a_cgroup_limit_is_refused(tmp_path, capsys, monkeypatch):
-    # a 4 MB cgroup: 2,000 samples at 400 points take a 5.4 MB workspace and
-    # scratch, and would be killed past the limit instead of exiting 2
+    # a 4 MB cgroup: 2,000 samples at 800 points take a 5.2 MB workspace,
+    # and would be killed past the limit instead of exiting 2
     monkeypatch.setenv("HENSIM_WORKERS", "1")
     monkeypatch.setattr("hensim.cli._CGROUP", cgroup_files(tmp_path, "0::/\n", {"memory.max": "4194304\n"}))
     out = tmp_path / "mc.csv"
-    assert run(["relax", "--samples", "2000", "--out", str(out)]) == EXIT_BAD_INPUT
+    assert run(["relax", "--samples", "2000", "--points", "800", "--out", str(out)]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error: relax at 400 points with 1 sampler thread(s) needs about ")
+    assert err.startswith("error: relax at 800 points with 1 sampler thread(s) needs about ")
     assert err.endswith(" more than the 4.19e+06 bytes of physical memory\n")
     assert not out.exists()
 
@@ -651,7 +669,7 @@ def test_run_past_a_cgroup_limit_is_refused(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["relax", "concurrence"])
 def test_sampler_budget_leaves_analytic_runs_and_fitting_runs_alone(tmp_path, monkeypatch, command):
     # at 400 points the columns take at most 140 kB; 10 samples add a
-    # 10 x 400 workspace of 96 kB
+    # 10 x 400 workspace of 58 kB
     monkeypatch.setattr("hensim.cli._physical_memory", lambda: 1 << 20)
     assert run([command, "--out", str(tmp_path / "a.csv")]) == EXIT_OK
     assert run([command, "--samples", "10", "--out", str(tmp_path / "mc.csv")]) == EXIT_OK
@@ -888,11 +906,13 @@ def test_sidecar_holds_exactly_its_keys(tmp_path):
         assert run([*argv, "--out", str(out)]) == EXIT_OK
         return json.loads((tmp_path / "m.csv.meta.json").read_text())
 
-    # relax also names the temperature it mimics: at alpha = 1, xb = 1 the
-    # steady population is 3/8, which is thermal at beta Delta = ln(5/3)
+    # relax and concurrence also name the temperature they mimic: at alpha = 1,
+    # xb = 1 the steady population is 3/8, which is thermal at beta Delta =
+    # ln(5/3); at x = 1/2 the first working qubit's is 1/2, infinite temperature
     thermal = {"steady_population": pytest.approx(0.375, rel=1e-15),
                "beta_delta": pytest.approx(math.log(5.0 / 3.0), rel=1e-15)}
-    for command, extra in (("relax", thermal), ("concurrence", {})):
+    hot = {"steady_population": 0.5, "beta_delta": 0.0}
+    for command, extra in (("relax", thermal), ("concurrence", hot)):
         config = SIDECAR_CONFIG[command]
         analytic = {"source": "analytic", "config": config, "command": command, **extra}
         assert sidecar(command, "--points", "5") == analytic
@@ -901,7 +921,7 @@ def test_sidecar_holds_exactly_its_keys(tmp_path):
     meta = sidecar("tc-map", *_TC_AXES)
     assert meta == {"config": SIDECAR_CONFIG["tc-map"], "command": "tc-map",
                     "alpha_range": [1.0, 2.0], "var_range": [0.5, 1.0], "resolution": 2,
-                    "solver": meta["solver"]}
+                    "beta_delta_range": [0.0, 0.0], "solver": meta["solver"]}
     assert set(meta["solver"]) == {"tol", "status_counts", "t_max_range"}
 
 
@@ -948,6 +968,29 @@ def test_relax_sidecar_names_the_mimicked_temperature(tmp_path, argv, p):
         assert meta["beta_delta"] is None
     else:
         assert thermal_population(meta["beta_delta"]) == pytest.approx(p, rel=1e-14)
+
+
+@pytest.mark.parametrize("x", [0.2, 0.5, 0.9, 0.0, 1.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 7.0])
+def test_two_qubit_sidecars_name_the_mimicked_temperature(tmp_path, x, alpha):
+    # the first working qubit's steady population p = 1/2 + c^2 (x - y) / 4
+    # is thermal at bd = ln((1 - p) / p): 0 at x = 1/2 or alpha = 1/2, below 0
+    # (an inverted population) for x > 1/2; tc-map names bd at both ends of
+    # its alpha axis
+    c2 = 1.0 - 1.0 / (4.0 * alpha**2)
+    p = 0.5 + 0.25 * c2 * (2.0 * x - 1.0)
+    out = tmp_path / "c.csv"
+    assert run(["concurrence", "--x", str(x), "--alpha", str(alpha), "--points", "5",
+                "--out", str(out)]) == EXIT_OK
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert meta["steady_population"] == pytest.approx(p, rel=1e-15, abs=0.0)
+    assert (meta["beta_delta"] > 0.0) == (p < 0.5) and (meta["beta_delta"] == 0.0) == (p == 0.5)
+    assert 1.0 / (1.0 + math.exp(meta["beta_delta"])) == pytest.approx(p, rel=1e-14)
+    assert run(["tc-map", "--x", str(x), "--alpha-range", "0.5", str(alpha), "--var-range", "0.5", "1",
+                "--resolution", "2", "--out", str(out)]) == EXIT_OK
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert meta["beta_delta_range"][0] == 0.0
+    assert meta["beta_delta_range"][1] == pytest.approx(math.log((1.0 - p) / p), rel=1e-14, abs=1e-15)
 
 
 def _refuse_constant(name):

@@ -15,6 +15,7 @@ from conftest import (
     stack,
     two_scenario,
 )
+from hensim import ensemble
 from hensim.cli import EXIT_OK, main
 from hensim.ensemble import (
     CHUNK,
@@ -23,6 +24,7 @@ from hensim.ensemble import (
     _evolve,
     _in_order,
     _sine_factors,
+    assemble,
     evolve_single_realization,
     evolve_two_realization,
     sample_ensemble,
@@ -52,10 +54,16 @@ U = 2.0**-53  # unit roundoff
 
 
 def kernel(s, *eps, t_max, points):
-    """The scenario's kernel on the spacings ``eps``, in a workspace of exactly its rows."""
+    """The scenario's kernel's (real, complex) columns on the spacings ``eps``, in a workspace
+    of exactly its rows."""
     evolve = evolve_single_realization if isinstance(s, SingleQubitScenario) else evolve_two_realization
     rows = math.prod(np.broadcast_shapes(*map(np.shape, eps), np.shape(t_max), (points,))[:-1])
-    return evolve(*eps, t_max, points, s, workspace(rows, points))
+    return assemble(evolve(*eps, t_max, points, s, workspace(rows, points)))
+
+
+def factors(rows, m, b, theta, h):
+    """_sine_factors of theta on new (rows, M, 2) and (rows, 2, B) arrays."""
+    return _sine_factors(theta, h, np.empty((rows, m, 2)), np.empty((rows, 2, b)))
 
 
 def single_elements(eps, t_max, points, s):
@@ -377,28 +385,25 @@ class TestRealKernels:
     @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401])
     def test_columns_are_grid_shaped_views_of_padded_buffers(self, n):
         # scalar spacings give (n,) columns and a column of R spacings (R, n):
-        # one real and one complex column, views of the first R rows of the
-        # workspace's two buffers, which pad the grid to at most n + B - 1
-        # points and take three reals per point between them: sampler_bytes
-        # of one chunk on one thread, less its scratch of 32 (M + 2 B) bytes
-        # per row and the 48-byte partials per grid point of two chunks ahead
-        # and the fold
+        # three real columns, each filled into the first R rows of the
+        # workspace's one column buffer, which pads the grid to at most
+        # n + B - 1 points, next to factors of 6 M + 10 B reals per row:
+        # sampler_bytes of one chunk on one thread, less the 48-byte partials
+        # per grid point of two chunks ahead and the fold
         m, b = _blocks(n)
         assert n <= m * b <= n + b - 1
         for evolve, k, s in ((evolve_single_realization, 1, single_scenario()),
                              (evolve_two_realization, 2, two_scenario(var_b=0.5))):
             ws = workspace(8, n)
-            assert [v.dtype.kind for v in ws] == ["f", "c"]
-            assert all(v.shape == (8, m * b) and v.flags.c_contiguous for v in ws)
-            assert sum(v.nbytes for v in ws) == 3 * 8 * m * b * 8
-            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 8 * 32 * (m + 2 * b)
-                                           + 3 * 48 * n)
-            cols = evolve(*[0.7] * k, 3.0, n, s, ws)
-            assert [v.shape for v in cols] == [(n,), (n,)]
-            cols = evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws)
-            assert [(v.shape, v.dtype.kind) for v in cols] == [((5, n), "f"), ((5, n), "c")]
-            for col, buf in zip(cols, ws):
-                assert np.shares_memory(col, buf[:5]) and not np.shares_memory(col, buf[5:])
+            assert all(v.dtype.kind == "f" and len(v) == 8 and v.flags.c_contiguous for v in ws)
+            assert ws[0].shape == (8, m * b)
+            assert sum(v.nbytes for v in ws) == 8 * (8 * m * b + 8 * (6 * m + 10 * b))
+            assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 3 * 48 * n)
+            assert [fill().shape for fill in evolve(*[0.7] * k, 3.0, n, s, ws)] == [(n,)] * 3
+            for fill in evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws):
+                col = fill()
+                assert (col.shape, col.dtype.kind) == ((5, n), "f")
+                assert np.shares_memory(col, ws[0][:5]) and not np.shares_memory(col, ws[0][5:])
 
 
 class TestFactors:
@@ -414,7 +419,7 @@ class TestFactors:
         grid = np.linspace(0.0, rng.uniform(0.5, 20.0), n)
         chi = rng.uniform(-1.0, 1.0, size=(16, 1)) * theta_t / grid[-1]
         m, b = _blocks(n)
-        left, right = _sine_factors(16, m, b, chi, grid[1])
+        left, right = factors(16, m, b, chi, grid[1])
         coarse, fine = left[..., 1] + 1j * left[..., 0], right[:, 0] + 1j * right[:, 1]
         phase = (coarse[:, :, None] * fine[:, None, :]).reshape(16, m * b)[:, :n]
         dev = np.abs(phase - np.exp(1j * chi * grid))
@@ -435,12 +440,12 @@ class TestFactors:
         scale = rng.uniform(0.0, 1.0, size=size)
         u, v = rng.uniform(0.0, 0.5, size=(2, *size)) * np.exp(1j * rng.uniform(0.0, 6.3, size=(2, *size)))
         m, b = _blocks(n)
-        real, cplx = _evolve(workspace(16, n), (16, n), grid[1], theta, chi, scale, u, v)
+        real, cplx = assemble(_evolve(workspace(16, n), (16, n), grid[1], theta, chi, scale, u, v))
         assert real.shape == cplx.shape == (16, n)
         form = np.exp(1j * chi * grid) * (u * np.cos(theta * grid) + v * np.sin(theta * grid))
         bound = (np.abs(u) + np.abs(v)) * (4.0 * (np.abs(theta) + np.abs(chi)) * grid + 35.0) * U
         assert np.all(np.abs(cplx - form) <= bound)
-        sine = np.matmul(*_sine_factors(16, m, b, theta, grid[1])).reshape(16, m * b)[:, :n]
+        sine = np.matmul(*factors(16, m, b, theta, grid[1])).reshape(16, m * b)[:, :n]
         assert np.array_equal(real, np.square(sine) * scale)
 
     @pytest.mark.parametrize("n", [2, 3, 19, 20, 21, 400, 401])
@@ -454,7 +459,7 @@ class TestFactors:
         grid = np.array([time_grid(t, n) for t in np.broadcast_to(t_max, (16, 1))[:, 0]])
         theta = rng.uniform(-100.0, 100.0, size=(16, 1) if theta_rows else ()) / t_max
         m, b = _blocks(n)
-        left, right = _sine_factors(16, m, b, theta, t_max / (n - 1))
+        left, right = factors(16, m, b, theta, t_max / (n - 1))
         assert left.shape == (16, m, 2) and right.shape == (16, 2, b)
         assert left.flags.c_contiguous and right.flags.c_contiguous
         sine = np.matmul(left, right).reshape(16, m * b)[:, :n]
@@ -477,7 +482,7 @@ class TestStackOfCases:
     def test_single_matches_one_row_calls(self, rng, n):
         records, s, t_max = self.cases(rng, n, random_single_scenario)
         eps = rng.uniform(-5, 5, size=(self.R, 1))
-        stacked = evolve_single_realization(eps, t_max, n, s, workspace(self.R, n))
+        stacked = assemble(evolve_single_realization(eps, t_max, n, s, workspace(self.R, n)))
         assert [v.shape for v in stacked] == [(self.R, n)] * 2
         for r, record in enumerate(records):
             for col, row in zip(stacked, single_elements(eps[r, 0], t_max[r, 0], n, record)):
@@ -487,7 +492,7 @@ class TestStackOfCases:
     def test_two_matches_one_row_calls(self, rng, n):
         records, s, t_max = self.cases(rng, n, random_two_scenario)
         eps_a, eps_b = rng.uniform(-5, 5, size=(2, self.R, 1))
-        gamma2, z = evolve_two_realization(eps_a, eps_b, t_max, n, s, workspace(self.R, n))
+        gamma2, z = assemble(evolve_two_realization(eps_a, eps_b, t_max, n, s, workspace(self.R, n)))
         assert gamma2.shape == z.shape == (self.R, n)
         diagonal = xstate_diagonal(gamma2, s)
         for r, record in enumerate(records):
@@ -633,13 +638,13 @@ class TestSampleEnsemble:
     @pytest.mark.parametrize("scenario", [single_scenario(), two_scenario(var_b=0.5)],
                              ids=["single", "two"])
     def test_sampler_bytes_counts_most_of_the_traced_peak(self, monkeypatch, scenario):
-        # 1,100 realizations are 3 chunks on one thread: its workspace and
-        # scratch of 512 rows (400 points at 24 bytes and 32 (20 + 2 x 20)
-        # bytes per row) and the partials of the 2 chunks ahead and the fold
-        # at 400 points. Their traced peak adds a few % of other per-chunk scratch
+        # 1,100 realizations are 3 chunks on one thread: its workspace of 512
+        # rows (400 points and 6 x 20 + 10 x 20 factor reals at 8 bytes per
+        # row) and the partials of the 2 chunks ahead and the fold at 400
+        # points. Their traced peak adds a few % of other per-chunk scratch
         monkeypatch.setenv("HENSIM_WORKERS", "1")
         threads, need = sampler_bytes(1100, 400)
-        assert (threads, need) == (1, 512 * (400 * 24 + (20 + 2 * 20) * 32) + 3 * 400 * 48)
+        assert (threads, need) == (1, 512 * (400 * 8 + (6 * 20 + 10 * 20) * 8) + 3 * 400 * 48)
         tracemalloc.start()
         try:
             sample_ensemble(scenario, 1100, 7, 5.0, 400)
@@ -648,9 +653,9 @@ class TestSampleEnsemble:
             tracemalloc.stop()
         assert need <= peak <= 1.10 * need
         monkeypatch.setenv("HENSIM_WORKERS", "2")
-        assert sampler_bytes(1100, 400) == (2, 2 * 512 * (400 * 24 + (20 + 2 * 20) * 32)
+        assert sampler_bytes(1100, 400) == (2, 2 * 512 * (400 * 8 + (6 * 20 + 10 * 20) * 8)
                                             + 5 * 400 * 48)
-        assert sampler_bytes(100, 401) == (1, 100 * (21 * 20 * 24 + (20 + 2 * 21) * 32)
+        assert sampler_bytes(100, 401) == (1, 100 * (21 * 20 * 8 + (6 * 20 + 10 * 21) * 8)
                                            + 3 * 401 * 48)
         # flat in n: 10^9 realizations count as much as 1,024
         assert sampler_bytes(10**9, 400) == sampler_bytes(2 * CHUNK, 400)
@@ -670,6 +675,53 @@ class TestSampleEnsemble:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+    @pytest.mark.parametrize("scenario", [single_scenario(), two_scenario(var_b=0.5)],
+                             ids=["single", "two"])
+    def test_traced_peak_grows_by_one_real_per_point_and_row(self, monkeypatch, scenario):
+        # from 400 to 4,000 points a thread's workspace grows by one real
+        # column of 512 rows, 8 bytes per point and row, and the partials of
+        # the 2 chunks ahead and the fold by 3 x 48 bytes per point; its
+        # factors, 6 M + 10 B reals per row, and the padding past the grid,
+        # M B - n, grow as sqrt(points). Less those, the traced peak grows
+        # within 10% of 512 x 8 + 3 x 48 bytes per point (a complex column
+        # beside the real one would make it 512 x 24 + 3 x 48)
+        monkeypatch.setenv("HENSIM_WORKERS", "1")
+        peaks, rooted = [], []
+        for points in (400, 4000):
+            m, b = _blocks(points)
+            rooted.append(512 * 8 * (m * b - points + 6 * m + 10 * b))
+            sample_ensemble(scenario, 1100, 7, 5.0, points)  # one-time allocations first
+            tracemalloc.start()
+            try:
+                sample_ensemble(scenario, 1100, 7, 5.0, points)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        linear = (512 * 8 + 3 * 48) * (4000 - 400)
+        grown = peaks[1] - peaks[0] - (rooted[1] - rooted[0])
+        assert abs(grown - linear) <= 0.10 * linear, grown / linear
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_kernel_runs_once_per_chunk_through_its_module_name(self, monkeypatch, workers):
+        # the sampler looks its kernel up by name when it runs, so a wrapper
+        # installed over it (a tracer's) sees one call per chunk, here 4 of
+        # CHUNK rows and a last one of 100, and the output does not change
+        monkeypatch.setenv("HENSIM_WORKERS", workers)
+        for s, name in ((single_scenario(), "evolve_single_realization"),
+                        (two_scenario(var_b=0.5), "evolve_two_realization")):
+            plain = sample_ensemble(s, 4 * CHUNK + 100, 3, 5.0, 30)
+            rows = []
+
+            def counted(*args, kernel=getattr(ensemble, name)):
+                rows.append(len(args[0]))
+                return kernel(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ensemble, name, counted)
+                wrapped = sample_ensemble(s, 4 * CHUNK + 100, 3, 5.0, 30)
+            assert sorted(rows) == [100] + [CHUNK] * 4
+            assert all(np.array_equal(plain[k], wrapped[k]) for k in plain)
 
     def test_nothing_is_listed_per_chunk(self, monkeypatch):
         # at 2 points a chunk's own arrays are small, so anything kept per
