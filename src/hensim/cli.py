@@ -269,10 +269,10 @@ def _thermal_meta(p: float) -> dict:
 # (ensemble.sampler_bytes), with at most 15% room. Traced slopes (tracemalloc, one
 # worker, numpy 2.4), relax and concurrence, CSV and JSON alike between 1e5 and
 # 4e5 points: 80 and 72 B analytic-only, 150 and 136 B with one sample, of which
-# sampler_bytes counts 152; between 1,000 and 4,000 points, where the tests
-# measure them, the analytic-only JSON slopes of 84 and 68 B bind: needs of
-# max(80, 84) and max(72, 68) B.
-_POINT_BYTES = {"relax": 90, "concurrence": 76}
+# sampler_bytes counts 152; between 4,000 and 16,000 points, where the tests
+# measure them, 77.7 and 72.0 B analytic-only. 88 B leaves relax 13% room over
+# the one and stays above the other.
+_POINT_BYTES = {"relax": 88, "concurrence": 76}
 
 
 # The process's cgroup membership and the cgroup filesystem's mount point.

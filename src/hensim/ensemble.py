@@ -12,16 +12,16 @@ propagators and matrix exponential they are checked against live in
 hensim.validation.
 
 sample_ensemble reduces those columns to means and standard errors. A kernel
-writes its factors into a workspace (workspace) that each sampler thread
+builds its factors into a workspace (workspace) that each sampler thread
 allocates once per call, min(CHUNK, n) rows by M B points, the grid padded to
-whole blocks, and fills its three real columns (the real one, then the real
-and imaginary parts of the complex one) one at a time into the workspace's
-one column buffer, so no complex column is ever held. A run folds its chunks
-as they finish, so its memory (sampler_bytes) is flat in n. The kernels also
-take a stack of R cases, each with its own t_max, as the rows of one call: a
-record and a t_max whose fields are (R, 1) columns, as the oracle suite in
-hensim.validation passes them, and assemble turns their columns into the
-(real, complex) pair it compares.
+whole blocks, and yields its three real columns (the real one, then the real
+and imaginary parts of the complex one) one at a time, each filled into the
+workspace's one column buffer, so no complex column is ever held. A run folds
+its chunks as they finish, so its memory (sampler_bytes) is flat in n. The
+kernels also take a stack of R cases, each with its own t_max, as the rows of
+one call: a record and a t_max whose fields are (R, 1) columns, as the oracle
+suite in hensim.validation passes them, and hensim.validation.assemble turns
+their columns into the (real, complex) pair it compares.
 """
 
 from __future__ import annotations
@@ -84,45 +84,47 @@ def _sine_factors(theta, h, left, right):
     return left, right
 
 
-def workspace(rows: int, points: int) -> tuple[np.ndarray, ...]:
-    """The buffers of either kernel for up to ``rows`` realizations on a ``points``-point grid
-    padded to M B points (_blocks): the one (rows, M B) column, then theta's factors (rows, M, 2)
-    and (rows, 2, B), the coarse factor (rows, M, 4) and the two fine ones (rows, 4, B), 8 M B
-    + 8 (6 M + 10 B) bytes a row. A kernel's columns are views of the column buffer, and each
-    holds only until the next column is filled or the next kernel call on the same workspace.
-    """
+def _buffers(rows: int, points: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of a workspace for up to ``rows`` realizations on a ``points``-point grid padded to
+    M B points (_blocks): the one (rows, M B) column, then theta's factors (rows, M, 2) and
+    (rows, 2, B), the coarse factor (rows, M, 4) and the two fine ones (rows, 4, B)."""
     m, b = _blocks(points)
-    return tuple(np.empty(shape) for shape in ((rows, m * b), (rows, m, 2), (rows, 2, b),
-                                               (rows, m, 4), (rows, 4, b), (rows, 4, b)))
+    return (rows, m * b), (rows, m, 2), (rows, 2, b), (rows, m, 4), (rows, 4, b), (rows, 4, b)
+
+
+def workspace(rows: int, points: int) -> tuple[np.ndarray, ...]:
+    """The buffers of either kernel, of the shapes _buffers(rows, points). A kernel's columns are
+    views of the column buffer, and each holds only until the kernel yields the next column or
+    the next kernel call on the same workspace."""
+    return tuple(map(np.empty, _buffers(rows, points)))
 
 
 def sampler_bytes(n: int, points: int) -> tuple[int, int]:
     """(threads, bytes) of sample_ensemble's n-realization run on a ``points``-point grid:
-    each thread's workspace, min(CHUNK, n) rows of 8 M B + 8 (6 M + 10 B) bytes, and the sums
-    and squared deviations, 48 bytes per grid point, of the 2 x threads chunks that may wait
-    ahead of the fold and of the fold itself. Nothing grows with n past CHUNK."""
+    each thread's workspace of min(CHUNK, n) rows (_buffers), and the sums and squared
+    deviations, 48 bytes per grid point, of the 2 x threads chunks that may wait ahead of the
+    fold and of the fold itself. Nothing grows with n past CHUNK."""
     threads = worker_count(-(-n // CHUNK))
-    m, b = _blocks(points)
-    row = 8 * m * b + 8 * (6 * m + 10 * b)
-    return threads, threads * min(CHUNK, n) * row + (2 * threads + 1) * points * 48
+    per_thread = 8 * sum(map(math.prod, _buffers(min(CHUNK, n), points)))
+    return threads, threads * per_thread + (2 * threads + 1) * points * 48
 
 
 def _evolve(ws, shape, h, theta, chi, scale, u, v):
-    """Fillers of three real columns at t_k = k h, each a view of ``ws``'s column buffer shaped
-    ``shape``, R rows of N points: scale sin^2(theta t_k) and the real and imaginary parts of
-    z = e^{i chi t_k} (u cos(theta t_k) + v sin(theta t_k)).
+    """An iterator that yields three real columns at t_k = k h one at a time, each a view of
+    ``ws``'s column buffer shaped ``shape``, R rows of N points: scale sin^2(theta t_k) and the
+    real and imaginary parts of z = e^{i chi t_k} (u cos(theta t_k) + v sin(theta t_k)).
 
     h, theta, chi, scale, u and v are scalars or (R, 1) columns. The factors
-    are built here into ``ws``; each filler runs one matmul of them into the
-    column buffer, overwriting the column before it. With [sin a, cos a] and
-    [cos f; sin f] the factors of theta's coarse and fine angles
-    (_sine_factors), the real column is their matmul, squared and scaled. By
-    angle addition z is the matmul of the coarse c = e^{i chi a} [sin a, cos a]
-    and the fine f = [[v, -u], [u, v]] p, p = e^{i chi f} [cos f; sin f], each
-    phase cos + i sin of chi's factors; in reals Re z = [Re c, Im c] @
-    [Re f; -Im f] and Im z = [Re c, Im c] @ [Im f; Re f], inner size 4, and
-    [Im f; Re f] is one real matmul of [[Im, Re], [Re, -Im]] of the mix with
-    [Re p; Im p].
+    are built into ``ws`` when _evolve is called; each next() runs one matmul
+    of them into the column buffer, overwriting the column before it. With
+    [sin a, cos a] and [cos f; sin f] the factors of theta's coarse and fine
+    angles (_sine_factors), the real column is their matmul, squared and
+    scaled. By angle addition z is the matmul of the coarse
+    c = e^{i chi a} [sin a, cos a] and the fine f = [[v, -u], [u, v]] p,
+    p = e^{i chi f} [cos f; sin f], each phase cos + i sin of chi's factors;
+    in reals Re z = [Re c, Im c] @ [Re f; -Im f] and
+    Im z = [Re c, Im c] @ [Im f; Re f], inner size 4, and [Im f; Re f] is one
+    real matmul of [[Im, Re], [Re, -Im]] of the mix with [Re p; Im p].
 
     Bound, with S = |u| + |v| per row: every point of z lies within
     S (4 (|theta| + |chi|) t_k + 35) 2^-53 of np.exp(1j chi t_k) *
@@ -159,28 +161,21 @@ def _evolve(ws, shape, h, theta, chi, scale, u, v):
     np.negative(fine_im[:, :2], out=fine_re[:, 2:])
     blocks, view = col.reshape(rows, m, b), col[:, :points].reshape(shape)
 
-    def column(factors, squared=False):
-        def fill():
-            np.matmul(*factors, out=blocks)
-            if squared:
-                np.square(col, out=col)
-                np.multiply(col, scale, out=col)
-            return view
-        return fill
+    def columns():
+        np.matmul(left, right, out=blocks)
+        np.square(col, out=col)
+        np.multiply(col, scale, out=col)
+        yield view
+        for fine in (fine_re, fine_im):
+            np.matmul(coarse, fine, out=blocks)
+            yield view
 
-    # a tuple display: tuple() of a generator resizes a 10-slot tuple, and CPython's
-    # free list keeps each such tuple once freed, 56 B a chunk up to 2,000 of them
-    return column((left, right), squared=True), column((coarse, fine_re)), column((coarse, fine_im))
-
-
-def assemble(columns) -> tuple[np.ndarray, np.ndarray]:
-    """The (real, complex) columns of a kernel's three fillers, as new arrays."""
-    real, re = (fill().copy() for fill in columns[:2])
-    return real, re + 1j * columns[2]()
+    return columns()
 
 
 def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, ws):
-    """Fillers of the columns rho_pp, Re rho_pm and Im rho_pm of the working qubit at t_k = k h.
+    """Yields the columns rho_pp, Re rho_pm and Im rho_pm of the working qubit at t_k = k h,
+    one at a time.
 
     Initial state |->_A (x) (xb|+> + yb|->)_B. With beta = alpha (eps - omega_a) t
     and phi = (eps + omega_a) t / 2: rho_pp = c^2 |xb|^2 sin^2 beta and
@@ -199,7 +194,8 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
 
 
 def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario, ws):
-    """Fillers of the columns gamma^2, Re z and Im z of the two working qubits' X state at t_k = k h.
+    """Yields the columns gamma^2, Re z and Im z of the two working qubits' X state at t_k = k h,
+    one at a time.
 
     With gamma = sin(alpha (omega_a - eps_a) t), the diagonal (a, b, c, d) is
     affine in gamma^2 (hensim.validation.xstate_diagonal), and
@@ -291,12 +287,12 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     worker submitted ahead, and fold into running sums and squared deviations
     in chunk order as they finish, so the output is bit-identical for any
     worker count and the memory is flat in n (sampler_bytes). A chunk calls
-    its kernel once and reduces the three columns one at a time, each filled
-    into the workspace's one column buffer. Each worker thread allocates one
-    workspace of min(CHUNK, n) rows by M B points per call (workspace) and
-    reuses it, factors and all, for all its chunks; a short last chunk takes
-    its first rows. The master seed must lie in [0, 2^64), the key space of
-    standard_normals.
+    its kernel once and reduces each column it yields into one row of the
+    chunk's (3, N) sums and squared deviations, which fold as one stack. Each
+    worker thread allocates one workspace of min(CHUNK, n) rows by M B points
+    per call (workspace) and reuses it, factors and all, for all its chunks; a
+    short last chunk takes its first rows. The master seed must lie in
+    [0, 2^64), the key space of standard_normals.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -315,32 +311,31 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
             local.ws = workspace(min(CHUNK, n), points)
         z = standard_normals(master_seed, start, stop, len(sigmas))
         eps = (sigma * zk[:, None] for sigma, zk in zip(sigmas, z))
-        count, sums, m2s = stop - start, [], []
-        for fill in evolve(*eps, t_max, points, s, local.ws):
-            v = fill()
-            sums.append(v.sum(axis=0))
+        count = stop - start
+        sums, m2s = np.empty((len(names), points)), np.empty((len(names), points))
+        for v, total, m2 in zip(evolve(*eps, t_max, points, s, local.ws), sums, m2s):
+            v.sum(axis=0, out=total)
             # squared deviations about the chunk mean (no sum(x^2) - n mean^2 cancellation)
-            v -= sums[-1] / count
-            m2s.append(np.einsum("ij,ij->j", v, v))
+            v -= total / count
+            np.einsum("ij,ij->j", v, v, out=m2)
         return count, sums, m2s
 
     # Each chunk folds into a running count, sums and squared deviations in
     # chunk order, with the pairwise update of Chan, Golub & LeVeque:
     # M2 = M2_A + M2_B + delta^2 n_A n_B / (n_A + n_B), delta the difference
-    # of the two means. The sums add in chunk order from 0, as sum() adds them.
-    seen, sums, m2s = 0, [0] * len(names), [0] * len(names)
+    # of the two means, for all columns at once. The sums add in chunk order
+    # from 0, as sum() adds them.
+    seen, sums, m2s = 0, 0, 0
     # chunk starts come from a range, so nothing is listed per chunk
     workers = worker_count(-(-n // CHUNK))
     # imported here so that the analytic commands do not load concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for count, chunk_sums, chunk_m2s in _in_order(pool, run, range(0, n, CHUNK), 2 * workers):
-            for j in range(len(names)):
-                if seen:
-                    delta = chunk_sums[j] / count - sums[j] / seen
-                    chunk_m2s[j] += m2s[j] + delta**2 * (seen * count / (seen + count))
-                sums[j], m2s[j] = sums[j] + chunk_sums[j], chunk_m2s[j]
-            seen += count
+            if seen:
+                delta = chunk_sums / count - sums / seen
+                chunk_m2s += m2s + delta**2 * (seen * count / (seen + count))
+            sums, m2s, seen = sums + chunk_sums, chunk_m2s, seen + count
 
     out = {}
     for name, total, m2 in zip(names, sums, m2s):

@@ -3,10 +3,11 @@
 This is the only module with dense-matrix code: Pauli operators, the Hermitian
 matrix exponential, partial trace, density-matrix validation, the general
 Wootters concurrence, the dense realization Hamiltonians and the closed-form
-single-qubit propagator. It also holds the X-state record (XState), the
-diagonal of an X state at gamma^2 (xstate_diagonal) and the complex averaged X
-state (avg_xstate_two), against which the real-only analytic.xstate_gap is
-checked, and the sweep that checks the brackets
+single-qubit propagator. It also holds assemble, which copies the three real
+columns a realization kernel yields into its (real, complex) pair, the X-state
+record (XState), the diagonal of an X state at gamma^2 (xstate_diagonal) and
+the complex averaged X state (avg_xstate_two), against which the real-only
+analytic.xstate_gap is checked, and the sweep that checks the brackets
 (nextafter(t_c, 0), t_c) of entanglement.find_tc_batch's roots, which runs no
 sweep of its own (check_tc_bracket). No production path uses them; the CLI imports this
 module only for `validate`. The dense functions act on one matrix (n, n) or a stack
@@ -35,13 +36,7 @@ from functools import reduce
 import numpy as np
 
 from hensim.analytic import avg_population_single, xstate_gap
-from hensim.ensemble import (
-    assemble,
-    evolve_single_realization,
-    evolve_two_realization,
-    sample_ensemble,
-    workspace,
-)
+from hensim.ensemble import evolve_single_realization, evolve_two_realization, sample_ensemble, workspace
 from hensim.entanglement import BLOCK_POINTS, FINITE, UNRESOLVED, concurrence, concurrence_x, find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario, coupling_c, subset, time_grid
 
@@ -229,6 +224,12 @@ def xstate_matrix(elems) -> np.ndarray:
     rho[..., 0, 3] = elems.z
     rho[..., 3, 0] = np.conj(rho[..., 0, 3])
     return rho
+
+
+def assemble(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The (real, complex) columns of the three a realization kernel yields, as new arrays."""
+    real, re, im = map(np.copy, columns)
+    return real, re + 1j * im
 
 
 def coupling_strength(eps: float, alpha: float, omega_a: float) -> float:
@@ -470,27 +471,26 @@ def check_tc_bracket(n_cases: int, rng) -> float:
     return float(worst)
 
 
-def _mc_scenario() -> SingleQubitScenario:
-    """Zero frequency, alpha 5, xb 0.8, unit variance: the middle curve of Fig. 1(b)."""
-    return SingleQubitScenario(omega_a=0.0, alpha=5.0, xb=0.8, var=1.0)
+def _mc_deviation(n: int, master_seed: int, points: int) -> float:
+    """Max deviation of the n-sample Monte Carlo population from its analytic average on a
+    ``points``-point grid to t = 5, on the middle curve of Fig. 1(b): zero frequency,
+    alpha 5, xb 0.8, unit variance."""
+    s = SingleQubitScenario(omega_a=0.0, alpha=5.0, xb=0.8, var=1.0)
+    mc = sample_ensemble(s, n, master_seed, 5.0, points)
+    return np.abs(mc["rho_pp"] - avg_population_single(time_grid(5.0, points), s)).max()
 
 
 def check_mc_convergence(n: int, master_seed: int) -> float:
-    """Max deviation of the n-sample Monte Carlo population from its analytic average."""
-    s = _mc_scenario()
-    mc = sample_ensemble(s, n, master_seed, 5.0, 200)
-    return np.abs(mc["rho_pp"] - avg_population_single(time_grid(5.0, 200), s)).max()
+    """Max deviation of the n-sample Monte Carlo population from its analytic average at 200 points
+    (_mc_deviation)."""
+    return _mc_deviation(n, master_seed, 200)
 
 
 def check_mc_scaling(master_seed: int) -> float:
-    """Fitted exponent of the max Monte Carlo deviation against N = 100, 1000, 10000 (ideally -1/2)."""
-    s = _mc_scenario()
-    target = avg_population_single(time_grid(5.0, 400), s)
+    """Fitted exponent of the max Monte Carlo deviation at 400 points (_mc_deviation) against
+    N = 100, 1000, 10000 (ideally -1/2)."""
     ns = [100, 1000, 10000]
-    devs = []
-    for n in ns:
-        mc = sample_ensemble(s, n, master_seed, 5.0, 400)
-        devs.append(np.abs(mc["rho_pp"] - target).max())
+    devs = [_mc_deviation(n, master_seed, 400) for n in ns]
     return np.polyfit(np.log(ns), np.log(devs), 1)[0]
 
 

@@ -20,10 +20,11 @@ from hensim.analytic import (
     steady_population,
     xstate_gap,
 )
-from hensim.ensemble import assemble, evolve_two_realization, sample_ensemble, workspace
+from hensim.ensemble import evolve_two_realization, sample_ensemble, workspace
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import coupling_c, time_grid
 from hensim.validation import (
+    assemble,
     avg_xstate_two,
     check_gap_closed_form,
     gap_oracle_cases,

@@ -597,10 +597,12 @@ def test_point_budget_holds_each_form_with_little_room(tmp_path, monkeypatch, co
     # the traced peak's slope in the point count, analytic-only and with one
     # sample, as CSV and as JSON, against the budget's: _POINT_BYTES, plus
     # sampler_bytes' slope when sampled. The need is the largest slope, less
-    # the sampler's, and _POINT_BYTES leaves it at most 15% room. Here the
-    # analytic-only JSON slopes bind: 84 B for relax and 68 B for concurrence
+    # the sampler's, and _POINT_BYTES leaves it at most 15% room. From 4,000
+    # points up the writers' fixed 512-row blocks no longer set the smaller
+    # run's peak, and the analytic-only slopes bind, CSV and JSON alike:
+    # 78 B for relax and 72 B for concurrence
     monkeypatch.setenv("HENSIM_WORKERS", "1")
-    lo, hi = 1000, 4000
+    lo, hi = 4000, 16000
     # a first run traces one-time allocations too, the sampler's lazy import
     # of its thread pool among them
     assert run([command, "--points", str(lo), "--samples", "1", "--out", str(tmp_path / "o.csv")]) == EXIT_OK

@@ -24,7 +24,6 @@ from hensim.ensemble import (
     _evolve,
     _in_order,
     _sine_factors,
-    assemble,
     evolve_single_realization,
     evolve_two_realization,
     sample_ensemble,
@@ -37,6 +36,7 @@ from hensim.scenarios import SingleQubitScenario, coupling_c, time_grid
 from hensim.validation import (
     PAULI_Z,
     XState,
+    assemble,
     build_h_single,
     build_h_two,
     coupling_strength,
@@ -399,11 +399,43 @@ class TestRealKernels:
             assert ws[0].shape == (8, m * b)
             assert sum(v.nbytes for v in ws) == 8 * (8 * m * b + 8 * (6 * m + 10 * b))
             assert sampler_bytes(8, n) == (1, sum(v.nbytes for v in ws) + 3 * 48 * n)
-            assert [fill().shape for fill in evolve(*[0.7] * k, 3.0, n, s, ws)] == [(n,)] * 3
-            for fill in evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws):
-                col = fill()
+            assert [col.shape for col in evolve(*[0.7] * k, 3.0, n, s, ws)] == [(n,)] * 3
+            for col in evolve(*[np.full((5, 1), 0.7)] * k, 3.0, n, s, ws):
                 assert (col.shape, col.dtype.kind) == ((5, n), "f")
                 assert np.shares_memory(col, ws[0][:5]) and not np.shares_memory(col, ws[0][5:])
+
+    @pytest.mark.parametrize("two", [False, True], ids=["single", "two"])
+    def test_kernel_yields_its_columns_one_at_a_time_into_one_buffer(self, rng, two):
+        # a kernel call returns an iterator over its three columns, each filled
+        # into the workspace's one column buffer when it is yielded: the view
+        # yielded first holds, after each next(), the column just yielded,
+        # each within 1e-13 of the pointwise form of the kernel's docstring
+        n, grid = 30, time_grid(3.0, 30)
+        if two:
+            s = two_scenario(omega_a=0.4, alpha=1.3, var_b=0.5)
+            eps = eps_a, eps_b = rng.uniform(-2.0, 2.0, size=(2, 6, 1))
+            angle = s.alpha * (s.omega_a - eps_a) * grid
+            u = 0.5 * (s.x + s.y)
+            cplx = u * np.exp(-0.5j * (s.omega_a + eps_a + 2.0 * eps_b) * grid) * (
+                np.cos(angle) - 0.5j * np.sin(angle) / s.alpha)
+            real, evolve = np.sin(angle) ** 2, evolve_two_realization
+        else:
+            s = single_scenario(omega_a=0.4, alpha=1.3)
+            eps = (rng.uniform(-2.0, 2.0, size=(6, 1)),)
+            angle, c = s.alpha * (eps[0] - s.omega_a) * grid, coupling_c(s.alpha)
+            cplx = -1j * c * s.xb * s.yb * np.exp(-0.5j * (eps[0] + s.omega_a) * grid) * np.sin(angle)
+            real, evolve = c**2 * abs(s.xb) ** 2 * np.sin(angle) ** 2, evolve_single_realization
+        ws = workspace(6, n)
+        columns = evolve(*eps, 3.0, n, s, ws)
+        assert iter(columns) is columns
+        first = next(columns)
+        assert np.shares_memory(first, ws[0]) and np.abs(first - real).max() <= 1e-13
+        for form in (cplx.real, cplx.imag):
+            col = next(columns)
+            assert np.shares_memory(col, first) and np.array_equal(col, first)
+            assert np.abs(first - form).max() <= 1e-13
+        with pytest.raises(StopIteration):
+            next(columns)
 
 
 class TestFactors:
