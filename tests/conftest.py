@@ -1,12 +1,17 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import hensim
 from hensim.analytic import xstate_gap
 from hensim.entanglement import find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario
@@ -41,6 +46,17 @@ def random_single_scenario(rng) -> SingleQubitScenario:
 def random_two_scenario(rng) -> TwoQubitScenario:
     """One case of TWO_RANGES, drawn in _draw(rng, TWO_RANGES) order, as a scalar record."""
     return _two_scenario(*_draw(rng, TWO_RANGES).tolist())
+
+
+def run_child(args, cwd=None, **env):
+    """``python *args`` in a fresh interpreter that imports this hensim (its source
+    directory first on PYTHONPATH), with the environment variables ``env`` set on top of
+    this process's; the completed process, its output as text, without a check."""
+    src = str(Path(hensim.__file__).resolve().parent.parent)
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 @pytest.fixture

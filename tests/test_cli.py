@@ -7,7 +7,6 @@ import math
 import os
 import re
 import struct
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -18,8 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hensim
-from conftest import find_tc, read_csv, thermal_population, two_scenario
+from conftest import find_tc, read_csv, run_child, scenario_gap, thermal_population, two_scenario
 from hensim.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -130,6 +128,14 @@ def test_json_blocks_write_the_bytes_of_json_dump(tmp_path, rows):
     assert (tmp_path / "blocks.json").read_bytes() == expected.encode()
 
 
+def assert_status_counts_match_empty_cells(out, tcs):
+    """The status counts of a tc-map's sidecar add up to its cells, and the cells without
+    a finite t_c ("none" or "unresolved") are exactly its empty ones."""
+    counts = json.loads(Path(f"{out}.meta.json").read_text())["solver"]["status_counts"]
+    assert sum(counts.values()) == len(tcs), (counts, len(tcs))
+    assert tcs.count(None) == counts["none"] + counts["unresolved"], (counts, tcs.count(None))
+
+
 class TestRelax:
     def test_analytic_only(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -232,6 +238,22 @@ class TestConcurrenceCmd:
         _, cols = read_csv(out)
         assert np.abs(np.array(cols["C"]) - np.array(cols["C_mc"])).max() <= 0.1
 
+    def test_mc_concurrence_within_six_sigma_of_analytic(self, tmp_path):
+        # C_mc, the concurrence of the Monte Carlo mean X state's gap, against C
+        # on every row: C_mc in [0, 1], and |C_mc - C| within the bench's
+        # concurrence_bound, 2 (6 sqrt(2) / 2 + sqrt(xy) 6 c^2 / 4) / sqrt(n)
+        n, x, alpha = 2000, 0.2, 1.0
+        out = tmp_path / "c.csv"
+        assert run(["concurrence", "--x", "0.2", "--alpha", "1", "--var-eps-a", "0.5",
+                    "--var-eps-b", "0.5", "--t-max", "5", "--points", "50", "--samples", "2000",
+                    "--seed", "7", "--out", str(out)]) == EXIT_OK
+        c2 = (4.0 * alpha**2 - 1.0) / (4.0 * alpha**2)
+        bound = 2.0 * (6.0 * math.sqrt(2.0) / 2.0 + math.sqrt(x * (1.0 - x)) * 6.0 * c2 / 4.0) / math.sqrt(n)
+        _, cols = read_csv(out)
+        assert len(cols["C"]) == 50
+        for c, c_mc in zip(cols["C"], cols["C_mc"]):
+            assert 0.0 <= c_mc <= 1.0 and abs(c_mc - c) <= bound, (c, c_mc, bound)
+
 
 class TestTcMap:
     def test_r60_map_matches_reference(self, tmp_path):
@@ -284,18 +306,45 @@ class TestTcMap:
         assert code == EXIT_BAD_INPUT
 
     def test_transverse_noise_pulls_every_cell_earlier(self, tmp_path):
-        # the paper's claim (ii) as a map: t_c at var_eps_b 0.5 lies strictly
-        # below t_c at var_eps_b 0 in every finite cell
-        maps = {}
-        for vb in ("0", "0.5"):
-            out = tmp_path / f"tc_vb{vb}.csv"
-            assert run(["tc-map", "--x", "0.2", "--var-eps-b", vb, "--alpha-range", "0.5", "3",
-                        "--var-range", "0.1", "2", "--resolution", "6",
-                        "--out", str(out)]) == EXIT_OK
-            maps[vb] = read_csv(out)[1]["tc"]
-        assert [tc is None for tc in maps["0"]] == [tc is None for tc in maps["0.5"]]
-        assert maps["0"].count(None) == 6
-        assert all(slow is None or fast < slow for fast, slow in zip(maps["0.5"], maps["0"]))
+        # the paper's claim (ii) as a map: the same cells are empty on every
+        # map, and every other t_c falls strictly at each larger var_eps_b; the
+        # second case is the README's figure maps at their smoke size
+        for resolution, var_bs, empty in (("6", ("0", "0.5"), 6), ("5", ("0", "0.5", "2"), 5)):
+            maps = []
+            for vb in var_bs:
+                out = tmp_path / f"tc_r{resolution}_vb{vb}.csv"
+                assert run(["tc-map", "--x", "0.2", "--var-eps-b", vb, "--alpha-range", "0.5", "3",
+                            "--var-range", "0.1", "2", "--resolution", resolution,
+                            "--out", str(out)]) == EXIT_OK
+                cols = read_csv(out)[1]
+                assert_status_counts_match_empty_cells(out, cols["tc"])
+                maps.append(cols)
+            assert all(m["alpha"] == maps[0]["alpha"] and m["var_eps_a"] == maps[0]["var_eps_a"]
+                       for m in maps)
+            tcs = [m["tc"] for m in maps]
+            assert all([tc is None for tc in m] == [tc is None for tc in tcs[0]] for m in tcs)
+            assert len(tcs[0]) == int(resolution) ** 2 and tcs[0].count(None) == empty
+            for cell in zip(*tcs):
+                assert cell[0] is None or all(fast < slow for slow, fast in zip(cell, cell[1:])), cell
+
+    @pytest.mark.parametrize("var_b", ["0.5", "0"])
+    def test_every_finite_tc_brackets_its_sign_change(self, tmp_path, var_b):
+        # every cell takes the full solve, from the bracket of its Newton
+        # estimate: on the r40 maps with and without transverse noise, each
+        # written t_c ends the pair of adjacent floats where the zero-frequency
+        # gap changes sign
+        out = tmp_path / "tc.csv"
+        assert run(["tc-map", "--x", "0.2", "--var-eps-b", var_b, "--alpha-range", "0.5", "3",
+                    "--var-range", "0.1", "2", "--resolution", "40", "--out", str(out)]) == EXIT_OK
+        _, cols = read_csv(out)
+        assert_status_counts_match_empty_cells(out, cols["tc"])
+        finite = [(alpha, var_a, tc) for alpha, var_a, tc
+                  in zip(cols["alpha"], cols["var_eps_a"], cols["tc"]) if tc is not None]
+        assert finite
+        for alpha, var_a, tc in finite:
+            s = two_scenario(alpha=alpha, x=0.2, var_a=var_a, var_b=float(var_b))
+            below = scenario_gap(np.nextafter(tc, 0.0), s)
+            assert below > 0.0 >= scenario_gap(tc, s), (alpha, var_a, tc, below)
 
     def test_sidecar_records_solver_diagnostics(self, tmp_path):
         out = tmp_path / "tc.csv"
@@ -377,7 +426,7 @@ class TestTcMap:
                                        var_a=np.array(cols["var_eps_a"])))["status"]
         assert counts == {st: status.tolist().count(st) for st in STATUSES}
         assert counts == {"finite": 4, "none": 3, "unresolved": 2}
-        assert cols["tc"].count(None) == counts["none"] + counts["unresolved"]
+        assert_status_counts_match_empty_cells(out, cols["tc"])
 
     def test_tiny_mixture_weight_resolves_every_root(self, tmp_path):
         # c^2 sqrt(xy) of about 1e-150: the roots lie from t = 12 to 111, and
@@ -516,21 +565,31 @@ def test_every_command_line_exits_0_with_finite_cells_or_2_with_one_error_line(t
         assert all(math.isfinite(v) if v is not None else name == "tc" for v in col), name
 
 
+# Runs past any machine's physical memory, refused on this machine's own figure:
+# 1.5e16 and 6e20 bytes of solver memory, and about 8.8e12 bytes of columns for
+# 1e11 analytic points, where without the budget numpy's own MemoryError would
+# be the error line; each row with the start of its error line
+PAST_MEMORY_ROWS = {
+    "tc-map-5000000": (["tc-map", "--alpha-range", "0.5", "3", "--var-range", "0.1", "2",
+                        "--resolution", "5000000"], "a 5000000 x 5000000 map"),
+    "tc-map-1000000000": (["tc-map", "--alpha-range", "0.5", "3", "--var-range", "0.1", "2",
+                           "--resolution", "1000000000"], "a 1000000000 x 1000000000 map"),
+    "relax-100000000000": (["relax", "--points", "100000000000"], "relax at 100000000000 points"),
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no os.sysconf to read memory from")
-@pytest.mark.parametrize("resolution", ["5000000", "1000000000"])
-def test_tc_map_past_physical_memory_refused_before_any_grid(tmp_path, capsys, monkeypatch,
-                                                              resolution):
-    # only sizes the budget refuses up front: 1.5e16 and 6e20 bytes of solver
-    # memory, past any machine's; building a grid would fail the test
+@pytest.mark.parametrize("argv, what", PAST_MEMORY_ROWS.values(), ids=PAST_MEMORY_ROWS)
+def test_past_physical_memory_refused_before_any_grid(tmp_path, capsys, monkeypatch, argv, what):
+    # only sizes the budget refuses up front; building a grid would fail the test
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(np, "linspace", no_grid)
     out = tmp_path / "m.csv"
-    assert run(["tc-map", "--alpha-range", "0.5", "3", "--var-range", "0.1", "2",
-                "--resolution", resolution, "--out", str(out)]) == EXIT_BAD_INPUT
+    assert run([*argv, "--out", str(out)]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err.startswith(f"error: a {resolution} x {resolution} map needs about ")
+    assert err.startswith(f"error: {what} needs about ")
     assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
     assert not out.exists()
 
@@ -616,6 +675,26 @@ def test_point_budget_holds_each_form_with_little_room(tmp_path, monkeypatch, co
             assert slope <= _POINT_BYTES[command] + sampler, (samples, fmt, slope)
             need = max(need, slope - sampler)
     assert _POINT_BYTES[command] <= 1.15 * need
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_sampler_budget_bounds_its_real_peak(tmp_path, monkeypatch):
+    # ru_maxrss of a sampled relax run in a fresh interpreter, less that of the
+    # same run without --samples, is at most 1.25 x what sampler_bytes budgets:
+    # two threads' 512 x 20,000-point workspaces, about 187 MB, which the CLI's
+    # memory check adds up
+    monkeypatch.setenv("HENSIM_WORKERS", "2")
+    code = ("import resource, sys; from hensim.cli import main; assert main(sys.argv[1:]) == 0; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    peaks = []
+    for samples in ([], ["--samples", "1024"]):
+        proc = run_child(["-c", code, "relax", "--points", "20000", "--out", str(tmp_path / "rss.csv"),
+                          *samples])
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(1024 * int(proc.stdout))
+    analytic, sampled = peaks
+    threads, budget = sampler_bytes(1024, 20000)
+    assert threads == 2 and sampled - analytic <= 1.25 * budget, (sampled - analytic, budget)
 
 
 def cgroup_files(tmp_path, membership, limits):
@@ -760,11 +839,7 @@ def test_one_error_line_from_child_process(tmp_path, argv):
     # pytest collects warnings of an in-process run itself; only a child
     # process shows what the command really prints, pool threads included
     out = tmp_path / "x.csv"
-    src = Path(hensim.__file__).resolve().parent.parent
-    env = {**os.environ, "HENSIM_WORKERS": "2",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "hensim.cli", "relax", *argv, "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_child(["-m", "hensim.cli", "relax", *argv, "--out", str(out)], HENSIM_WORKERS="2")
     assert proc.returncode == EXIT_BAD_INPUT
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -775,13 +850,9 @@ def test_parser_loads_neither_the_oracles_nor_the_thread_pool():
     # the analytic commands never sample, and only `validate` needs the oracle
     # suite, so building the parser loads neither; a fresh interpreter shows
     # what the import itself loads
-    src = Path(hensim.__file__).resolve().parent.parent
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = ("import sys, hensim.cli; hensim.cli.build_parser(); "
             "print(sorted({'hensim.validation', 'concurrent.futures'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run_child(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -860,6 +931,36 @@ def test_bad_worker_count_rejected(tmp_path, capsys, monkeypatch, workers):
     assert not out.exists()
 
 
+_RELAX_MC = ["relax", "--omega-a", "4", "--alpha", "1", "--xb", "0.9", "--var-eps-a", "0.6",
+             "--t-max", "4", "--points", "400", "--seed", "7"]
+_CONCURRENCE_MC = ["concurrence", "--x", "0.2", "--alpha", "1", "--var-eps-a", "0.5", "--var-eps-b", "0.5",
+                   "--t-max", "5", "--points", "400", "--seed", "7"]
+# The legs of the byte-identity test, each (name, argv): 2,000 samples are 4
+# chunks of 512, so 2 workers really share them, as CSV and as JSON, which
+# writes floats with repr, a path apart from the CSV's %.17g; 300 samples are
+# one chunk, which runs on a pool of one thread either way; validate's Monte
+# Carlo checks run 8,000 and up to 10,000 samples
+IDENTITY_LEGS = [
+    *((f"{argv[0]}.{fmt}", [*argv, "--samples", "2000", "--format", fmt])
+      for fmt in FORMATS for argv in (_RELAX_MC, _CONCURRENCE_MC)),
+    ("relax300.csv", [*_RELAX_MC, "--samples", "300"]),
+    ("validate", ["validate", "--level", "full"]),
+]
+# Runs the legs of argv[1] at each worker count, writing directory w<workers>:
+# each leg's stdout to <name>.stdout and its output (but validate's) to <name>
+IDENTITY_SCRIPT = """
+import contextlib, json, os, sys
+from hensim.cli import main
+for workers in ("1", "2"):
+    os.environ["HENSIM_WORKERS"] = workers
+    os.mkdir(f"w{workers}")
+    for name, argv in json.loads(sys.argv[1]):
+        out = [] if argv[0] == "validate" else ["--out", f"w{workers}/{name}"]
+        with open(f"w{workers}/{name}.stdout", "w") as fh, contextlib.redirect_stdout(fh):
+            assert main([*argv, *out]) == 0, (workers, argv)
+"""
+
+
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, tmp_path, monkeypatch):
         argv = ["relax", "--alpha", "2", "--xb", "0.7", "--var-eps-a", "1",
@@ -887,6 +988,30 @@ class TestDeterminism:
         assert meta["rng"] == "splitmix64-boxmuller-v1"
         assert meta["chunk"] == 512
         assert "workers" not in json.dumps(meta)
+
+    def test_monte_carlo_bytes_hold_for_any_worker_and_blas_thread_count(self, tmp_path):
+        # numpy reads OPENBLAS_NUM_THREADS when it loads, so one fresh interpreter
+        # per setting runs every leg of IDENTITY_LEGS at HENSIM_WORKERS 1, then 2;
+        # both kernels' columns are BLAS matmuls, so with one OpenBLAS thread,
+        # validate's stacked Monte Carlo fold included, every file must hold the
+        # default run's bytes, and at either worker count
+        trees = {}
+        for blas, env in (("default", {}), ("blas1", {"OPENBLAS_NUM_THREADS": "1"})):
+            (tmp_path / blas).mkdir()
+            proc = run_child(["-c", IDENTITY_SCRIPT, json.dumps(IDENTITY_LEGS)], cwd=tmp_path / blas,
+                             **env)
+            assert proc.returncode == 0, proc.stderr
+            for workers in ("1", "2"):
+                trees[blas, workers] = {path.name: path.read_bytes()
+                                        for path in (tmp_path / blas / f"w{workers}").iterdir()}
+        first = trees["default", "1"]
+        assert set(first) == ({f"{name}.stdout" for name, _ in IDENTITY_LEGS}
+                              | {name for name, argv in IDENTITY_LEGS if argv[0] != "validate"}
+                              | {f"{name}.meta.json" for name, _ in IDENTITY_LEGS if name.endswith(".csv")})
+        assert b"PASS" in first["validate.stdout"]
+        for key, tree in trees.items():
+            assert tree.keys() == first.keys(), key
+            assert [name for name in first if tree[name] != first[name]] == [], key
 
 
 GRID_CONFIG = {"t_max": 5.0, "points": 5, "samples": None, "seed": 12345, "format": "csv"}

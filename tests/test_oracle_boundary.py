@@ -7,12 +7,11 @@ and importing the CLI and building its parser leaves it unimported.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_child
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hensim"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
@@ -65,10 +64,8 @@ def test_cli_start_leaves_validation_unimported():
     # oracle inside its command function
     code = ("import sys, hensim.cli; hensim.cli.build_parser(); "
             "print('hensim.validation' in sys.modules, 'hensim.ensemble' in sys.modules)")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
+    proc = run_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
 
 
