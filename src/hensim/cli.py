@@ -9,8 +9,9 @@ the command's settings. Exit codes: 0 success, 1 validation failure, 2 bad
 input, one error line (including a malformed flag, inputs that overflow double
 precision, sizes that cannot be allocated, a tc-map's cells or a relax or
 concurrence run's per-point arrays past physical memory and an output path that
-cannot be written). Floats are written with 17 significant digits, so they read
-back bit for bit.
+cannot be written). Every output column is a float array, written with 17
+significant digits, so it reads back bit for bit; NaN is the empty cell, which
+only tc-map writes, where the solver finds no finite t_c.
 """
 
 from __future__ import annotations
@@ -151,21 +152,21 @@ def _two_scenario(cfg, **model) -> TwoQubitScenario:
 _BLOCK_ROWS = 512
 
 
-def _cell_texts(col) -> list[str]:
-    """Each cell of a column slice to 17 significant digits, "" for None; an array holds no None.
+def _cell_texts(col, spec, empty) -> list[str]:
+    """Each cell of a column slice as format(cell, spec), ``empty`` for NaN, the empty cell.
 
-    An array's distinct values are formatted once each; they are told apart
-    by their bits, so that 0.0 and -0.0 keep their own texts.
+    The slice is read as a float array, and its distinct values are formatted
+    once each; they are told apart by their bits, so that 0.0 and -0.0 keep
+    their own texts. The spec "" gives a float's repr.
     """
-    if isinstance(col, np.ndarray):
-        bits, index = np.unique(col.view(np.int64), return_inverse=True)
-        texts = [f"{v:.17g}" for v in bits.view(float).tolist()]
-        return [texts[i] for i in index.tolist()]
-    return ["" if v is None else f"{v:.17g}" for v in col]
+    bits, index = np.unique(np.asarray(col, dtype=float).view(np.int64), return_inverse=True)
+    # NaN is the one value unequal to itself
+    texts = [format(v, spec) if v == v else empty for v in bits.view(float).tolist()]
+    return [texts[i] for i in index.tolist()]
 
 
 def write_csv(path, columns: dict) -> None:
-    """Write equal-length named columns as a table; cells are numbers or None (emitted as empty).
+    """Write equal-length named float columns as a table: 17 significant digits, "" for NaN.
 
     The bytes are those csv.writer writes for the same rows, formatted a
     block of rows at a time, column by column: no formatted cell holds a
@@ -178,26 +179,19 @@ def write_csv(path, columns: dict) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(columns)
         for i in range(0, n, _BLOCK_ROWS):
-            block = [_cell_texts(col[i:i + _BLOCK_ROWS]) for col in columns.values()]
+            block = [_cell_texts(col[i:i + _BLOCK_ROWS], ".17g", "") for col in columns.values()]
             if len(block) == 1:
                 # csv.writer quotes a record that is a single empty field
                 block = [[v or '""' for v in block[0]]]
             fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
-def _json_cells(col):
-    """The cells of a column slice as json writes them: a float's repr, null for None."""
-    if isinstance(col, np.ndarray):
-        return map(float.__repr__, col.tolist())
-    return ("null" if v is None else repr(float(v)) for v in col)
-
-
 def write_json(path, meta: dict, columns: dict | None = None) -> None:
     """Write ``meta``, or {"data": columns, "meta": meta} when columns are given, with the bytes
     of json.dump(..., indent=2, sort_keys=True) and a line break.
 
-    Each column is written a block of rows at a time, so that no list of a
-    whole column is made; its cells are numbers or None, written as null.
+    Each float column is written a block of rows at a time, so that no list of
+    a whole column is made; a cell is its float's repr, and a NaN cell is null.
     """
     with open(path, "w") as fh:
         if columns is None:
@@ -209,7 +203,7 @@ def write_json(path, meta: dict, columns: dict | None = None) -> None:
                 fh.write(f'{"," if k else ""}\n    {json.dumps(name)}: [')
                 for i in range(0, len(col), _BLOCK_ROWS):
                     fh.write(",\n      " if i else "\n      ")
-                    fh.write(",\n      ".join(_json_cells(col[i:i + _BLOCK_ROWS])))
+                    fh.write(",\n      ".join(_cell_texts(col[i:i + _BLOCK_ROWS], "", "null")))
                 fh.write("\n    ]" if len(col) else "]")
             fh.write("\n  }" if columns else "}")
             # json nests by indenting every line of the object one level further
@@ -218,17 +212,16 @@ def write_json(path, meta: dict, columns: dict | None = None) -> None:
         fh.write("\n")
 
 
-def _emit(path, fmt, columns: dict, meta: dict) -> None:
-    """Write equal-length named columns as CSV plus a <path>.meta.json sidecar, or as one JSON file.
+def _emit(path, fmt, columns: dict, meta: dict, empty=()) -> None:
+    """Write equal-length named float columns as CSV plus a <path>.meta.json sidecar, or as JSON.
 
-    Cells are numbers or None (an empty CSV field, a JSON null); a NaN or
-    infinite cell is refused before any file is opened. ``fmt`` is one of
-    FORMATS, which merged_config checked before any work was done.
+    A NaN cell in a column named in ``empty`` is an empty cell (an empty CSV
+    field, a JSON null); every other NaN or infinite cell is refused before
+    any file is opened. ``fmt`` is one of FORMATS, which merged_config
+    checked before any work was done.
     """
     for name, col in columns.items():
-        finite = (np.isfinite(col).all() if isinstance(col, np.ndarray)
-                  else all(v is None or math.isfinite(v) for v in col))
-        if not finite:
+        if not (np.isfinite(col) | ((name in empty) & np.isnan(col))).all():
             raise BadInput(f"column {name!r} has non-finite values: the inputs "
                            "exceed the range of double precision")
     if fmt == "csv":
@@ -409,15 +402,14 @@ def cmd_tc_map(ns) -> int:
     alpha, var_a = np.meshgrid(np.linspace(lo.alpha, hi.alpha, res),
                                np.linspace(lo.var_a, hi.var_a, res), indexing="ij")
     cells = find_tc_batch(replace(lo, alpha=alpha, var_a=var_a))
-    # a cell without a finite t_c is empty (None), never NaN, which _emit refuses
-    tc = [t if st == FINITE else None for t, st in zip(cells["t_c"].tolist(), cells["status"])]
-    columns = {"alpha": alpha.ravel(), "var_eps_a": var_a.ravel(), "tc": tc}
+    # the solver's t_c is NaN, an empty cell, wherever its status is not finite
+    columns = {"alpha": alpha.ravel(), "var_eps_a": var_a.ravel(), "tc": cells["t_c"]}
     # the temperature the map's first working qubit relaxes to, at each end of the alpha axis
     beta_delta = [_beta_delta(steady_population_two(a, lo.x)) for a in (lo.alpha, hi.alpha)]
     meta = {"config": cfg, "command": "tc-map", "alpha_range": list(ns.alpha_range),
             "var_range": list(ns.var_range), "resolution": res, "beta_delta_range": beta_delta,
             "solver": _solver_meta(cells)}
-    _emit(ns.out, cfg["format"], columns, meta)
+    _emit(ns.out, cfg["format"], columns, meta, empty=("tc",))
     return EXIT_OK
 
 

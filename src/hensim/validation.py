@@ -295,10 +295,10 @@ def build_h_two(eps_a, eps_b, s: TwoQubitScenario) -> np.ndarray:
     return h + 0.5 * eps_b * _Z_B1
 
 
-def _draw(rng, ranges: dict, n=None) -> np.ndarray:
-    """One uniform draw per (low, high) in ``ranges``, in order; n cases give the rows of (n, k)."""
+def _draw(rng, ranges: dict, n: int) -> np.ndarray:
+    """n cases as the rows of (n, k): one uniform draw per (low, high) in ``ranges``, in order."""
     low, high = np.array(list(ranges.values()), dtype=float).T
-    return rng.uniform(low, high, None if n is None else (n, len(ranges)))
+    return rng.uniform(low, high, (n, len(ranges)))
 
 
 def _single_scenario(omega_a, alpha, phase, mag) -> SingleQubitScenario:

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import settings
 
 import hensim
-from hensim.analytic import xstate_gap
-from hensim.entanglement import find_tc_batch
+from hensim.analytic import ad_root, xstate_gap
+from hensim.entanglement import concurrence, find_tc_batch
 from hensim.scenarios import SingleQubitScenario, TwoQubitScenario
 from hensim.validation import SINGLE_RANGES, TWO_RANGES, _draw, _single_scenario, _two_scenario
 
@@ -39,13 +39,30 @@ def stack(records, shape=(-1, 1)):
 
 
 def random_single_scenario(rng) -> SingleQubitScenario:
-    """One case of SINGLE_RANGES, drawn in _draw(rng, SINGLE_RANGES) order, as a scalar record."""
-    return _single_scenario(*_draw(rng, SINGLE_RANGES).tolist())
+    """One case of SINGLE_RANGES, row 0 of _draw(rng, SINGLE_RANGES, 1), as a scalar record."""
+    return _single_scenario(*_draw(rng, SINGLE_RANGES, 1)[0].tolist())
 
 
 def random_two_scenario(rng) -> TwoQubitScenario:
-    """One case of TWO_RANGES, drawn in _draw(rng, TWO_RANGES) order, as a scalar record."""
-    return _two_scenario(*_draw(rng, TWO_RANGES).tolist())
+    """One case of TWO_RANGES, row 0 of _draw(rng, TWO_RANGES, 1), as a scalar record."""
+    return _two_scenario(*_draw(rng, TWO_RANGES, 1)[0].tolist())
+
+
+def random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (m + m.conj().T) / 2
+
+
+def bell_density():
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1 / np.sqrt(2)
+    return np.outer(psi, psi.conj())
+
+
+def mc_concurrence(cols, s):
+    """C_mc as cmd_concurrence forms it from sample_ensemble's columns."""
+    gap = np.hypot(cols["re_z"], cols["im_z"]) - ad_root(2.0 * cols["gamma2"], s.alpha, s.x * s.y)
+    return concurrence(gap)
 
 
 def run_child(args, cwd=None, **env):

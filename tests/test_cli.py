@@ -17,20 +17,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import find_tc, read_csv, run_child, scenario_gap, thermal_population, two_scenario
+from conftest import (
+    find_tc,
+    mc_concurrence,
+    read_csv,
+    run_child,
+    scenario_gap,
+    thermal_population,
+    two_scenario,
+)
 from hensim.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
     FORMATS,
     _POINT_BYTES,
     _READS,
+    BadInput,
     _cgroup_memory,
+    _emit,
     _physical_memory,
     main,
     write_csv,
     write_json,
 )
-from hensim.ensemble import sampler_bytes
+from hensim.ensemble import sample_ensemble, sampler_bytes
 from hensim.entanglement import STATUSES, TOL, find_tc_batch
 from hensim.scenarios import time_grid
 
@@ -60,26 +70,61 @@ def _bits(cells):
     return [None if v is None else struct.pack("<d", v) for v in cells]
 
 
+def _as_read(col):
+    """A written column as it reads back: a NaN or None cell is empty, read as None."""
+    return [None if v is None or math.isnan(v) else v for v in col]
+
+
 EDGE_ROW = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 1.7e308, -1.7e308, None]
 
 
 @settings(max_examples=200)
-@given(rows=st.lists(st.lists(st.none() | st.floats(allow_nan=False, allow_infinity=False),
+@given(rows=st.lists(st.lists(st.none() | st.just(math.nan)
+                              | st.floats(allow_nan=False, allow_infinity=False),
                               min_size=7, max_size=7), max_size=12))
 @example(rows=[EDGE_ROW, EDGE_ROW[::-1]])
+@example(rows=[EDGE_ROW, [math.nan] * 7, [-0.0, math.nan, *EDGE_ROW[:5]]])
 def test_emitted_cells_round_trip_bit_for_bit(tmp_path_factory, rows):
-    # finite floats, subnormals, -0.0 and None cells come back bit for bit, as
-    # written by the CLI's CSV and JSON writers
+    # finite floats, subnormals, -0.0 and empty cells (NaN or None) come back
+    # bit for bit, as written by the CLI's CSV and JSON writers; an empty cell
+    # reads back as None
     path = tmp_path_factory.getbasetemp() / "round_trip"
     header = list("abcdefg")
     columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     write_csv(path, columns)
     got_header, cols = read_csv(path)
     assert got_header == header
-    assert all(_bits(cols[name]) == _bits(col) for name, col in columns.items())
+    assert all(_bits(cols[name]) == _bits(_as_read(col)) for name, col in columns.items())
     write_json(path, {}, columns)
     got = json.loads(path.read_text())["data"]
-    assert all(_bits(got[name]) == _bits(col) for name, col in columns.items())
+    assert all(_bits(got[name]) == _bits(_as_read(col)) for name, col in columns.items())
+
+
+class TestEmit:
+    def test_nan_in_a_named_column_is_an_empty_cell(self, tmp_path):
+        columns = {"alpha": np.array([0.5, 1.0, 2.0]), "tc": np.array([np.nan, 1.25, np.nan])}
+        _emit(tmp_path / "t.csv", "csv", columns, {}, empty=("tc",))
+        assert (tmp_path / "t.csv").read_bytes() == b"alpha,tc\r\n0.5,\r\n1,1.25\r\n2,\r\n"
+        _emit(tmp_path / "t.json", "json", columns, {}, empty=("tc",))
+        text = (tmp_path / "t.json").read_text()
+        assert '"tc": [\n      null,\n      1.25,\n      null\n    ]' in text
+        assert json.loads(text)["data"]["tc"] == [None, 1.25, None]
+
+    # a NaN where no empty cell is named (alpha; tc of relax and concurrence, which
+    # name none), and inf or -inf even in tc
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("alpha, tc, empty", [
+        ([np.nan, 1.0], [1.0, 2.0], ("tc",)),
+        ([0.5, 1.0], [np.nan, 2.0], ()),
+        ([0.5, 1.0], [np.inf, np.nan], ("tc",)),
+        ([0.5, 1.0], [2.0, -np.inf], ("tc",)),
+    ], ids=["nan-unnamed", "nan-no-empty", "inf", "-inf"])
+    def test_other_non_finite_cells_are_refused_before_any_file(self, tmp_path, fmt, alpha,
+                                                                 tc, empty):
+        columns = {"alpha": np.array(alpha), "tc": np.array(tc)}
+        with pytest.raises(BadInput, match="non-finite values"):
+            _emit(tmp_path / "out", fmt, columns, {}, empty=empty)
+        assert list(tmp_path.iterdir()) == []
 
 
 # all eight columns, and one alone: csv.writer quotes a row that is one empty field
@@ -253,6 +298,18 @@ class TestConcurrenceCmd:
         assert len(cols["C"]) == 50
         for c, c_mc in zip(cols["C"], cols["C_mc"]):
             assert 0.0 <= c_mc <= 1.0 and abs(c_mc - c) <= bound, (c, c_mc, bound)
+
+    def test_mc_concurrence_is_that_of_the_mean_xstate_gap(self, tmp_path):
+        # C_mc is mc_concurrence of the same sample value for value, read back bit
+        # for bit from its 17 digits: a C_mc built from |Re z| instead of |z|
+        # moves by up to 4e-4, well inside the six-sigma bound above
+        out = tmp_path / "c.csv"
+        assert run(["concurrence", "--x", "0.2", "--alpha", "1", "--var-eps-a", "0.5",
+                    "--var-eps-b", "0.5", "--t-max", "5", "--points", "50", "--samples", "2000",
+                    "--seed", "7", "--out", str(out)]) == EXIT_OK
+        s = two_scenario(x=0.2, alpha=1.0, var_a=0.5, var_b=0.5)
+        expected = mc_concurrence(sample_ensemble(s, 2000, 7, 5.0, 50), s)
+        assert read_csv(out)[1]["C_mc"] == expected.tolist()
 
 
 class TestTcMap:

@@ -7,13 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import find_tc, random_two_scenario, scenario_gap, solve_batch, stack, two_scenario
+from conftest import (
+    bell_density,
+    find_tc,
+    mc_concurrence,
+    random_two_scenario,
+    scenario_gap,
+    solve_batch,
+    stack,
+    two_scenario,
+)
 from hensim import entanglement
-from hensim.analytic import ad_root
 from hensim.ensemble import sample_ensemble
 from hensim.entanglement import (
     TOL,
-    concurrence,
     concurrence_trajectory,
     concurrence_x,
     find_tc_batch,
@@ -29,18 +36,6 @@ from hensim.validation import (
     xstate_matrix,
 )
 from hensim.scenarios import TwoQubitScenario, subset
-
-
-def mc_concurrence(cols, s):
-    """C_mc as cmd_concurrence forms it from sample_ensemble's columns."""
-    gap = np.hypot(cols["re_z"], cols["im_z"]) - ad_root(2.0 * cols["gamma2"], s.alpha, s.x * s.y)
-    return concurrence(gap)
-
-
-def bell_density():
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1 / np.sqrt(2)
-    return np.outer(psi, psi.conj())
 
 
 def random_unitary(rng, dim=2):

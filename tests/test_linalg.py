@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bell_density, random_hermitian
 from hensim.validation import (
     PAULI_Z,
     DensityMatrixError,
@@ -10,17 +11,6 @@ from hensim.validation import (
     partial_trace,
     validate_density,
 )
-
-
-def random_hermitian(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (m + m.conj().T) / 2
-
-
-def bell_density():
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1 / np.sqrt(2)
-    return np.outer(psi, psi.conj())
 
 
 class TestPartialTrace:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hensim.validation as validation
-from conftest import random_single_scenario, random_two_scenario, stack
+from conftest import random_hermitian, random_single_scenario, random_two_scenario, stack
 from hensim.analytic import avg_coherence_single, avg_population_single
 from hensim.entanglement import concurrence_x
 from hensim.scenarios import TwoQubitScenario
@@ -35,11 +35,6 @@ from hensim.validation import (
 )
 
 K = 5
-
-
-def random_hermitian(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (m + m.conj().T) / 2
 
 
 def random_density(rng, dim):
