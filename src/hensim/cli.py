@@ -368,7 +368,8 @@ def cmd_concurrence(ns) -> int:
     grid = time_grid(t_max, points)
     columns = {"t": grid, "C": concurrence_trajectory(s, grid)}
     if cfg["samples"] is not None:
-        mc = sample_ensemble(s, cfg["samples"], cfg["seed"], t_max, points)
+        mc = sample_ensemble(s, cfg["samples"], cfg["seed"], t_max, points,
+                             names=("gamma2", "re_z", "im_z"))
         # the gap of the mean X state, whose sqrt(a d) is linear in the mean of gamma^2
         gap = np.hypot(mc["re_z"], mc["im_z"]) - ad_root(2.0 * mc["gamma2"], s.alpha, s.x * s.y)
         columns["C_mc"] = concurrence(gap)

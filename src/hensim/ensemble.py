@@ -11,17 +11,20 @@ needs only sqrt(a d), analytic.ad_root of 2 gamma^2). The dense Hamiltonians,
 propagators and matrix exponential they are checked against live in
 hensim.validation.
 
-sample_ensemble reduces those columns to means and standard errors. A kernel
-builds its factors into a workspace (workspace) that each sampler thread
-allocates once per call, min(CHUNK, n) rows by M B points, the grid padded to
-whole blocks, and yields its three real columns (the real one, then the real
-and imaginary parts of the complex one) one at a time, each filled into the
-workspace's one column buffer, so no complex column is ever held. A run folds
-its chunks as they finish, so its memory (sampler_bytes) is flat in n. The
-kernels also take a stack of R cases, each with its own t_max, as the rows of
-one call: a record and a t_max whose fields are (R, 1) columns, as the oracle
-suite in hensim.validation passes them, and hensim.validation.assemble turns
-their columns into the (real, complex) pair it compares.
+sample_ensemble reduces those columns to the means and standard errors that
+its caller names. A kernel builds theta's factors into a workspace
+(workspace) that each sampler thread allocates once per call, min(CHUNK, n)
+rows by M B points, the grid padded to whole blocks, and yields its three
+real columns (the real one, then the real and imaginary parts of the complex
+one) one at a time, each filled into the workspace's one column buffer, so no
+complex column is ever held. The complex column's factors are built by the
+next() that yields its real part, so a chunk that reads only the real column
+never builds them. A run folds its chunks as they finish, so its memory
+(sampler_bytes) is flat in n. The kernels also take a stack of R cases, each
+with its own t_max, as the rows of one call: a record and a t_max whose
+fields are (R, 1) columns, as the oracle suite in hensim.validation passes
+them, and hensim.validation.assemble turns their columns into the (real,
+complex) pair it compares.
 """
 
 from __future__ import annotations
@@ -114,9 +117,12 @@ def _evolve(ws, shape, h, theta, chi, scale, u, v):
     ``ws``'s column buffer shaped ``shape``, R rows of N points: scale sin^2(theta t_k) and the
     real and imaginary parts of z = e^{i chi t_k} (u cos(theta t_k) + v sin(theta t_k)).
 
-    h, theta, chi, scale, u and v are scalars or (R, 1) columns. The factors
-    are built into ``ws`` when _evolve is called; each next() runs one matmul
-    of them into the column buffer, overwriting the column before it. With
+    h, theta, chi, scale, u and v are scalars or (R, 1) columns. theta's
+    factors are built into ``ws`` when _evolve is called, and the first next()
+    runs their matmul into the column buffer. The second builds chi's
+    factors, the coarse and fine products and the mix into ``ws`` before its
+    matmul, so a caller that stops after the real column never builds them.
+    Each next() overwrites the column before it. With
     [sin a, cos a] and [cos f; sin f] the factors of theta's coarse and fine
     angles (_sine_factors), the real column is their matmul, squared and
     scaled. By angle addition z is the matmul of the coarse
@@ -146,19 +152,6 @@ def _evolve(ws, shape, h, theta, chi, scale, u, v):
     rows, points = math.prod(shape[:-1]), shape[-1]
     (m, b), (col, left, right, coarse, fine_re, fine_im) = _blocks(points), (w[:rows] for w in ws)
     _sine_factors(theta, h, left, right)
-    # chi's factors wait in the places that their products with theta's overwrite
-    _sine_factors(chi, h, coarse[..., 2:], fine_im[:, :2])
-    # [Re c, Im c] = [sin a, cos a] cos(chi a), then times sin(chi a)
-    np.multiply(left, coarse[..., 3:], out=coarse[..., :2])
-    np.multiply(left[..., 1], coarse[..., 2], out=coarse[..., 3])
-    coarse[..., 2] *= left[..., 0]
-    # [Re p; Im p] = [cos f; sin f] cos(chi f), then times sin(chi f)
-    np.multiply(right, fine_im[:, :1], out=fine_re[:, :2])
-    np.multiply(right, fine_im[:, 1:2], out=fine_re[:, 2:])
-    mix = np.stack(np.broadcast_arrays(v, -u, u, v), axis=-1).reshape(-1, 2, 2)
-    np.matmul(np.block([[mix.imag, mix.real], [mix.real, -mix.imag]]), fine_re, out=fine_im)
-    fine_re[:, :2] = fine_im[:, 2:]
-    np.negative(fine_im[:, :2], out=fine_re[:, 2:])
     blocks, view = col.reshape(rows, m, b), col[:, :points].reshape(shape)
 
     def columns():
@@ -166,6 +159,19 @@ def _evolve(ws, shape, h, theta, chi, scale, u, v):
         np.square(col, out=col)
         np.multiply(col, scale, out=col)
         yield view
+        # chi's factors wait in the places that their products with theta's overwrite
+        _sine_factors(chi, h, coarse[..., 2:], fine_im[:, :2])
+        # [Re c, Im c] = [sin a, cos a] cos(chi a), then times sin(chi a)
+        np.multiply(left, coarse[..., 3:], out=coarse[..., :2])
+        np.multiply(left[..., 1], coarse[..., 2], out=coarse[..., 3])
+        coarse[..., 2] *= left[..., 0]
+        # [Re p; Im p] = [cos f; sin f] cos(chi f), then times sin(chi f)
+        np.multiply(right, fine_im[:, :1], out=fine_re[:, :2])
+        np.multiply(right, fine_im[:, 1:2], out=fine_re[:, 2:])
+        mix = np.stack(np.broadcast_arrays(v, -u, u, v), axis=-1).reshape(-1, 2, 2)
+        np.matmul(np.block([[mix.imag, mix.real], [mix.real, -mix.imag]]), fine_re, out=fine_im)
+        fine_re[:, :2] = fine_im[:, 2:]
+        np.negative(fine_im[:, :2], out=fine_re[:, 2:])
         for fine in (fine_re, fine_im):
             np.matmul(coarse, fine, out=blocks)
             yield view
@@ -185,7 +191,9 @@ def evolve_single_realization(eps, t_max, points: int, s: SingleQubitScenario, w
     (a column t_max holds R grids' ends, a stack of cases), and s a record of scalars or
     (R, 1) columns. The columns have the broadcast shape of eps, t_max and (points,), are
     views of ``ws``'s column buffer, ws a workspace(R', N) with R' >= R, and agree with the
-    propagator + partial-trace route to 1e-10.
+    propagator + partial-trace route to 1e-10. The call builds the factors of beta only; the
+    next() that yields Re rho_pm builds those of rho_pm (_evolve), so a caller that reads
+    rho_pp alone never builds them.
     """
     shape = np.broadcast_shapes(np.shape(eps), np.shape(t_max), (points,))
     c = coupling_c(s.alpha)
@@ -205,7 +213,8 @@ def evolve_two_realization(eps_a, eps_b, t_max, points: int, s: TwoQubitScenario
     theta = alpha (omega_a - eps_a), chi = -(omega_a + eps_a + 2 eps_b) / 2, scale = 1,
     u = (x + y)/2 and v = -i (x + y) / (4 alpha). h, t_max, the spacings, s and ``ws`` are
     as in evolve_single_realization. The X state agrees with the 8x8 propagator +
-    partial-trace route to 1e-10.
+    partial-trace route to 1e-10. The call builds the factors of gamma only; the next() that
+    yields Re z builds those of z (_evolve).
     """
     shape = np.broadcast_shapes(np.shape(eps_a), np.shape(eps_b), np.shape(t_max), (points,))
     u = 0.5 * (s.x + s.y)
@@ -274,21 +283,27 @@ _OBSERVABLES = {
 }
 
 
-def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> dict[str, np.ndarray]:
+def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int,
+                    names=None) -> dict[str, np.ndarray]:
     """Named columns of the mean over n realizations on time_grid(t_max, points), with
-    standard errors in ``<name>_se``.
+    standard errors in ``<name>_se``: the keys ``names``, by default all six.
 
     The columns are the scenario type's kernel's: its real column and the
     real and imaginary parts of its complex one, rho_pp, re_rho_pm and
     im_rho_pm for a SingleQubitScenario, gamma2, re_z and im_z for a
-    TwoQubitScenario, whose X-state diagonal is affine in gamma^2.
+    TwoQubitScenario, whose X-state diagonal is affine in gamma^2. A chunk
+    takes from its kernel only the columns up to the last one that a named
+    key needs, and sums each; it forms a column's squared deviations only
+    when its ``<name>_se`` is named. Each returned value has the bits of the
+    default call's. An empty ``names``, or one with a key outside the six,
+    raises ValueError.
 
     Chunks of CHUNK realizations run (possibly concurrently), at most 2 per
     worker submitted ahead, and fold into running sums and squared deviations
     in chunk order as they finish, so the output is bit-identical for any
     worker count and the memory is flat in n (sampler_bytes). A chunk calls
-    its kernel once and reduces each column it yields into one row of the
-    chunk's (3, N) sums and squared deviations, which fold as one stack. Each
+    its kernel once and reduces each column it takes into one row of the
+    chunk's sums and squared deviations, which fold as one stack. Each
     worker thread allocates one workspace of min(CHUNK, n) rows by M B points
     per call (workspace) and reuses it, factors and all, for all its chunks; a
     short last chunk takes its first rows. The master seed must lie in
@@ -299,7 +314,16 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
     time_grid(t_max, points)  # its refusal of a bad t_max or point count
-    kernel, fields, names = _OBSERVABLES[type(s)]
+    kernel, fields, columns = _OBSERVABLES[type(s)]
+    keys = [key for name in columns for key in (name, f"{name}_se")]
+    wanted = set(keys if names is None else names)
+    if not wanted or not wanted <= set(keys):
+        raise ValueError(f"names must be a nonempty subset of {', '.join(keys)}; got {names!r}")
+    # the kernel's columns up to the last one that a named key needs, and the
+    # indices of those whose squared deviations a named key needs
+    needed = [i for i, name in enumerate(columns) if {name, f"{name}_se"} & wanted]
+    read = columns[:needed[-1] + 1]
+    spread = [i for i, name in enumerate(read) if f"{name}_se" in wanted]
     evolve = globals()[kernel]
     sigmas = [math.sqrt(getattr(s, f)) for f in fields]
     local = threading.local()
@@ -312,12 +336,15 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
         z = standard_normals(master_seed, start, stop, len(sigmas))
         eps = (sigma * zk[:, None] for sigma, zk in zip(sigmas, z))
         count = stop - start
-        sums, m2s = np.empty((len(names), points)), np.empty((len(names), points))
-        for v, total, m2 in zip(evolve(*eps, t_max, points, s, local.ws), sums, m2s):
+        sums, m2s = np.empty((len(read), points)), np.empty((len(spread), points))
+        m2_rows = dict(zip(spread, m2s))
+        # sums first: zip stops before it takes a column past the last one read
+        for i, (total, v) in enumerate(zip(sums, evolve(*eps, t_max, points, s, local.ws))):
             v.sum(axis=0, out=total)
-            # squared deviations about the chunk mean (no sum(x^2) - n mean^2 cancellation)
-            v -= total / count
-            np.einsum("ij,ij->j", v, v, out=m2)
+            if i in m2_rows:
+                # squared deviations about the chunk mean (no sum(x^2) - n mean^2 cancellation)
+                v -= total / count
+                np.einsum("ij,ij->j", v, v, out=m2_rows[i])
         return count, sums, m2s
 
     # Each chunk folds into a running count, sums and squared deviations in
@@ -333,12 +360,11 @@ def sample_ensemble(s, n: int, master_seed: int, t_max: float, points: int) -> d
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for count, chunk_sums, chunk_m2s in _in_order(pool, run, range(0, n, CHUNK), 2 * workers):
             if seen:
-                delta = chunk_sums / count - sums / seen
+                delta = chunk_sums[spread] / count - sums[spread] / seen
                 chunk_m2s += m2s + delta**2 * (seen * count / (seen + count))
             sums, m2s, seen = sums + chunk_sums, chunk_m2s, seen + count
 
-    out = {}
-    for name, total, m2 in zip(names, sums, m2s):
-        out[name] = total / n
-        out[f"{name}_se"] = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(out[name])
-    return out
+    out = {name: total / n for name, total in zip(read, sums)}
+    for i, m2 in zip(spread, m2s):
+        out[f"{read[i]}_se"] = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros(points)
+    return {key: out[key] for key in keys if key in wanted}

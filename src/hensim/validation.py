@@ -476,7 +476,7 @@ def _mc_deviation(n: int, master_seed: int, points: int) -> float:
     ``points``-point grid to t = 5, on the middle curve of Fig. 1(b): zero frequency,
     alpha 5, xb 0.8, unit variance."""
     s = SingleQubitScenario(omega_a=0.0, alpha=5.0, xb=0.8, var=1.0)
-    mc = sample_ensemble(s, n, master_seed, 5.0, points)
+    mc = sample_ensemble(s, n, master_seed, 5.0, points, names=("rho_pp",))
     return np.abs(mc["rho_pp"] - avg_population_single(time_grid(5.0, points), s)).max()
 
 

@@ -32,10 +32,12 @@ from hensim.ensemble import (
     worker_count,
     workspace,
 )
+from hensim.analytic import avg_population_single
 from hensim.scenarios import SingleQubitScenario, coupling_c, time_grid
 from hensim.validation import (
     PAULI_Z,
     XState,
+    _mc_deviation,
     assemble,
     build_h_single,
     build_h_two,
@@ -437,6 +439,24 @@ class TestRealKernels:
         with pytest.raises(StopIteration):
             next(columns)
 
+    @pytest.mark.parametrize("two", [False, True], ids=["single", "two"])
+    def test_complex_factors_wait_for_the_first_complex_column(self, two):
+        # the coarse and fine factors of the complex column (chi's factors,
+        # their products with theta's and the mix) are built by the next()
+        # that yields Re z: a kernel advanced past its real column only leaves
+        # those buffers as they were, here NaN, and the next one fills them
+        s, k = (two_scenario(var_b=0.5), 2) if two else (single_scenario(), 1)
+        evolve = evolve_two_realization if two else evolve_single_realization
+        ws = workspace(6, 30)
+        complex_factors = ws[3:]  # coarse, fine_re, fine_im
+        for w in complex_factors:
+            w.fill(np.nan)
+        columns = evolve(*[np.full((6, 1), 0.7)] * k, 3.0, 30, s, ws)
+        assert np.all(np.isfinite(next(columns)))
+        assert all(np.isnan(w).all() for w in complex_factors)
+        next(columns)
+        assert not any(np.isnan(w).any() for w in complex_factors)
+
 
 class TestFactors:
     # B = ceil(sqrt(n)) is 20 at the benchmark's 400 points: 19, 20 and 21
@@ -634,6 +654,72 @@ class TestSampleEnsemble:
         for name, v in {"rho_pp": pp, "re_rho_pm": pm.real, "im_rho_pm": pm.imag}.items():
             assert np.abs(mc[name] - v.mean(axis=0)).max() <= 1e-15, name
             assert np.abs(mc[name + "_se"] - v.std(axis=0, ddof=1) / math.sqrt(n)).max() <= 1e-15, name
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("scenario", [single_scenario(omega_a=1.5, alpha=1.7, variance=0.6),
+                                          two_scenario(omega_a=1.5, alpha=1.7, x=0.3, var_b=0.4)],
+                             ids=["single", "two"])
+    def test_named_keys_keep_the_default_calls_bits(self, monkeypatch, scenario, workers):
+        # 1,100 realizations fold 3 chunks; whatever subset of the six keys is
+        # named, the call returns exactly those keys, each with the bits of
+        # the default call's value
+        monkeypatch.setenv("HENSIM_WORKERS", workers)
+        default = sample_ensemble(scenario, 1100, 13, 5.0, 40)
+        real, re, im = list(default)[::2]
+        assert list(default) == [real, f"{real}_se", re, f"{re}_se", im, f"{im}_se"]
+        subsets = [(real,), (f"{re}_se",), (im,), (real, re, im), (f"{real}_se", im),
+                   (re, f"{im}_se"), tuple(default)]
+        for names in subsets:
+            named = sample_ensemble(scenario, 1100, 13, 5.0, 40, names=names)
+            assert set(named) == set(names)
+            for key, value in named.items():
+                assert np.array_equal(value, default[key]), (names, key)
+
+    @pytest.mark.parametrize("names, advanced, spread", [
+        (("gamma2",), 1, 0), (("gamma2_se", "re_z"), 2, 1), (("im_z",), 3, 0),
+        (("gamma2", "re_z", "im_z"), 3, 0), (None, 3, 3)])
+    def test_a_chunk_reduces_only_what_its_names_need(self, monkeypatch, names, advanced, spread):
+        # each of 3 chunks takes from its kernel the columns up to the last
+        # that a named key needs, and runs the squared-deviation einsum only
+        # for the columns whose _se is named
+        monkeypatch.setenv("HENSIM_WORKERS", "1")
+        taken, einsums = [], []
+
+        def counted(*args, kernel=ensemble.evolve_two_realization):
+            for column in kernel(*args):
+                taken.append(1)
+                yield column
+
+        def einsum(*args, einsum=np.einsum, **kwargs):
+            einsums.append(1)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "evolve_two_realization", counted)
+        monkeypatch.setattr(ensemble.np, "einsum", einsum)
+        sample_ensemble(two_scenario(var_b=0.5), 1100, 3, 5.0, 30, names=names)
+        assert (len(taken), len(einsums)) == (3 * advanced, 3 * spread)
+
+    @pytest.mark.parametrize("scenario, names", [
+        (single_scenario(), ["rho_pp", "rho"]),
+        (single_scenario(), ["gamma2"]),
+        (two_scenario(var_b=0.5), ["re_rho_pm_se"]),
+        (two_scenario(var_b=0.5), []),
+    ], ids=["unknown", "two-key-on-single", "single-key-on-two", "empty"])
+    def test_names_outside_the_six_keys_rejected(self, scenario, names):
+        # the message lists the scenario type's six keys
+        keys = list(sample_ensemble(scenario, 2, 1, 1.0, 3))
+        with pytest.raises(ValueError, match="names must be a nonempty subset of") as err:
+            sample_ensemble(scenario, 2, 1, 1.0, 3, names=names)
+        assert ", ".join(keys) in str(err.value)
+
+    def test_mc_deviation_reads_the_default_calls_population(self):
+        # validate's Monte Carlo checks name rho_pp alone; their deviation is
+        # that of the default call's rho_pp, bit for bit
+        s = SingleQubitScenario(omega_a=0.0, alpha=5.0, xb=0.8, var=1.0)
+        for n, points in ((1000, 200), (1100, 400)):
+            mc = sample_ensemble(s, n, 7, 5.0, points)
+            expected = np.abs(mc["rho_pp"] - avg_population_single(time_grid(5.0, points), s)).max()
+            assert _mc_deviation(n, 7, points) == expected
 
     def test_results_wait_at_most_the_window(self):
         # _in_order yields in order and submits at most `ahead` items past
