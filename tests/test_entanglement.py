@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -560,14 +560,16 @@ def tc_map_cells(resolution, var_b, omega_a=0.0):
 # bisects it in about 5 more; a cell that falls back to [0, T] adds about 55
 # rounds. Besides those, a batch evaluates g once at T and twice for its final
 # check, and never over a block of 0 cells. At omega_a = 3 every finite cell
-# also scans its last phase turn, 2 cells per gap call (190 calls at r20), and
-# bisects the bracket found there in about 40 more rounds. A record is checked
+# also scans its last phase turn from the end, a segment of about
+# BLOCK_POINTS points per gap call (98 calls at r20; the whole grids took 200),
+# and bisects the bracket found there in about 40 more rounds: 148 calls in
+# all at r20, 240 with the whole grids. A record is checked
 # where it enters: the solver checks its flattened input and builds its
 # zero-frequency envelope once; every other record it uses (the live and
 # finite cells, a scan block, a bisection round's open cells) is a subset of
 # those two, which is not checked again.
 @pytest.mark.parametrize("resolution, var_b, omega_a, max_blocks",
-                         [(20, 0.5, 0.0, 12), (60, 0.0, 0.0, 12), (20, 0.0, 3.0, 250)])
+                         [(20, 0.5, 0.0, 12), (60, 0.0, 0.0, 12), (20, 0.0, 3.0, 160)])
 def test_full_solves_start_from_a_newton_estimate(monkeypatch, resolution, var_b, omega_a,
                                                   max_blocks):
     blocks, records = [], []
@@ -605,6 +607,122 @@ def test_tc_bracket_checks_do_not_grow_with_its_cases(monkeypatch):
         counts.append(0)
         assert check_tc_bracket(n_cases, np.random.default_rng(37)) <= 1e-10
     assert counts[0] == counts[1]
+
+
+def full_grid_crossings(cells, start, stop):
+    """The one-turn scan over each cell's whole _GRID_DENSITY-point grid, as it ran before
+    it read the grid from the end: (lo, hi) as _last_crossings returns them, and each
+    cell's index of the pair (lo, hi) on its grid, -1 where there is none."""
+    n, density = len(start), entanglement._GRID_DENSITY
+    lo, hi, pair = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1)
+    back = np.square(np.arange(density)[::-1] / (density - 1))
+    per_block = max(1, entanglement.BLOCK_POINTS // density)
+    for b in (slice(i, i + per_block) for i in range(0, n, per_block)):
+        ts = stop[b, None] - back * (stop[b] - start[b])[:, None]
+        ts[:, 0] = start[b]
+        pos = entanglement.xstate_gap(ts, subset(cells, (b, None))) > 0.0
+        down = pos[:, :-1] & ~pos[:, 1:]
+        last = density - 2 - np.argmax(down[:, ::-1], axis=1)
+        i = np.arange(len(ts))
+        found = down[i, last]
+        lo[b] = np.where(found, ts[i, last], np.nan)
+        hi[b] = np.where(found, ts[i, last + 1], np.nan)
+        pair[b] = np.where(found, last, -1)
+    return lo, hi, pair
+
+
+def scan_windows(monkeypatch, s):
+    """find_tc_batch's columns for the record s, and the record, starts and stops of the
+    windows it hands _last_crossings."""
+    windows = []
+
+    def spy(cells, start, stop):
+        windows.append((cells, start.copy(), stop.copy()))
+        return scan(cells, start, stop)
+
+    scan = entanglement._last_crossings
+    with monkeypatch.context() as m:
+        m.setattr(entanglement, "_last_crossings", spy)
+        cols = find_tc_batch(s)
+    (window,) = windows
+    return cols, window
+
+
+def flat(*records):
+    """Two-qubit records as one record of their cells in order, one flat entry per cell."""
+    return TwoQubitScenario(*(np.concatenate([np.ravel(getattr(r, f.name)) for r in records])
+                              for f in fields(TwoQubitScenario)))
+
+
+# The scan reads each grid from its end, a segment at a time, and stops at the
+# first segment with a downward change; the pairs it tests and the points it
+# evaluates are the whole grid's, so the bracket is the same bytes. The windows
+# are find_tc_batch's own, on the tests' turning cells (REVIVING holds
+# ESCALATING) and a seeded batch of oracle cases; the same from t = 0, where
+# the reviving cells change sign several times in the segment that holds
+# their last change; and windows built around the oscillatory cells' t_c: one
+# past the zero-frequency root, where g <= 0 at every point; one from the
+# float below t_c to 10 t_c, whose bracket starts at the grid's first point,
+# start itself, though stop - (stop - start) rounds away from it; and one for
+# each end of each segment, whose last change falls on that end's pair (the
+# pair with the point left of a segment among them).
+def test_scan_from_the_end_finds_the_whole_grids_bracket(monkeypatch):
+    cases = flat(stack(REVIVING + OSCILLATORY, (-1,)),
+                 gap_oracle_cases(np.random.default_rng(43), 60))
+    cols, (cells, start, stop) = scan_windows(monkeypatch, cases)
+    osc_cols, (osc, osc_start, osc_stop) = scan_windows(monkeypatch, stack(OSCILLATORY, (-1,)))
+    density, begins = entanglement._GRID_DENSITY, entanglement._SEGMENT_STARTS
+    back = np.square(np.arange(density)[::-1] / (density - 1))
+    firsts = [max(begin - 1, 0) for begin in begins]
+    edges = {p for first, end in zip(firsts, (density, *begins)) for p in (first, end - 2)}
+    t_c, width = osc_cols["t_c"], osc_stop - osc_start
+    windows = {"own": (cells, start, stop), "from 0": (cells, 0.0 * start, stop),
+               "dead": (osc, osc_stop, 2.0 * osc_stop),
+               "first point": (osc, np.nextafter(t_c, 0.0), 10.0 * t_c)}
+    for p in sorted(edges):
+        # t_c on grid point p + 1: g > 0 at point p, the pair's left end
+        windows[p] = (osc, t_c + back[p + 1] * width - width, t_c + back[p + 1] * width)
+    records, starts, stops = zip(*windows.values())
+    cells, start, stop = flat(*records), np.concatenate(starts), np.concatenate(stops)
+    ends = np.cumsum([len(w) for w in starts])
+    at = {name: slice(end - len(w), end) for name, w, end in zip(windows, starts, ends)}
+    lo, hi, pair = full_grid_crossings(cells, start, stop)
+    new_lo, new_hi = entanglement._last_crossings(cells, start, stop)
+    assert new_lo.tobytes() == lo.tobytes() and new_hi.tobytes() == hi.tobytes()
+    assert (pair[at["dead"]] == -1).all()
+    assert lo[at["first point"]].tobytes() == windows["first point"][1].tobytes()
+    assert all((pair[at[p]] == p).all() for p in edges)
+    hit = {sum(p < first for first in firsts) for p in pair[pair >= 0]}
+    assert hit == set(range(len(begins)))
+
+    monkeypatch.setattr(entanglement, "_last_crossings",
+                        lambda *window: full_grid_crossings(*window)[:2])
+    whole = find_tc_batch(cases)
+    assert whole["status"].tolist() == cols["status"].tolist()
+    for name in ("t_c", "t_max"):
+        assert whole[name].tobytes() == cols[name].tobytes(), name
+
+
+# check_tc_bracket's 67 turning cells, each with a 4,000-point grid, take
+# 92,000 scan points from the end; the whole grids would take 268,000.
+def test_tc_bracket_scan_evaluates_at_most_half_the_grid(monkeypatch):
+    points, sizes = [], []
+
+    def counted(t, s):
+        points.append(np.size(t))
+        return gap(t, s)
+
+    def scan(cells, start, stop):
+        sizes.append(len(start))
+        with monkeypatch.context() as m:
+            m.setattr(entanglement, "xstate_gap", counted)
+            return last_crossings(cells, start, stop)
+
+    gap, last_crossings = entanglement.xstate_gap, entanglement._last_crossings
+    monkeypatch.setattr(entanglement, "_last_crossings", scan)
+    assert check_tc_bracket(200, np.random.default_rng(37)) <= 1e-10
+    assert sizes == [67]
+    assert sum(points) <= sizes[0] * entanglement._GRID_DENSITY // 2
 
 
 # Every cell brackets a Newton estimate of its envelope root. Without one it
